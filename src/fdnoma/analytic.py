@@ -47,14 +47,17 @@ class QuadratureResult:
 def _scaled_e1(t: float) -> float:
     """exp(t) * E1(t) for t > 0; E1 is the upper exponential integral.
 
-    Series below 1, modified-Lentz continued fraction above.  The scaled
+    Series below 1, modified-Lentz continued fraction up to 1e10, the
+    asymptotic series 1/t (1 - 1/t + 2/t^2) above; its first omitted term
+    is 6/t^3 relative, and from about 1e11 on the continued fraction's
+    steps round to 1 +- 1 ulp and can miss its 1e-16 stop.  The scaled
     form never overflows, which matters because the rate kernels evaluate
     it at ratios that can be enormous when interference vanishes.
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t!r}")
-    if math.isinf(t):
-        return 0.0
+    if t > 1e10:
+        return (1.0 - (1.0 - 2.0 / t) / t) / t
     if t < 1.0:
         # E1(t) = -gamma - ln t + sum_{k>=1} (-1)^(k+1) t^k / (k k!)
         terms = [-EULER_GAMMA - math.log(t)]

@@ -114,6 +114,10 @@ def validate(params: SystemParams) -> SystemParams:
 
     Raises ConfigError naming the first violated invariant.
     """
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if field.name not in ("m_b", "m_r", "m_t") and not math.isfinite(value):
+            raise ConfigError("VALUE_NOT_FINITE", f"{field.name} must be finite, got {value!r}")
     if abs(params.a1 + params.a2 - 1.0) > _POWER_SPLIT_TOL:
         raise ConfigError(
             "POWER_SPLIT_INVALID",
@@ -143,9 +147,10 @@ def validate(params: SystemParams) -> SystemParams:
     if params.k1 < 0.0:
         raise ConfigError("INTERFERENCE_INVALID", f"k1 must be >= 0, got {params.k1!r}")
     for name in ("rate1", "rate2"):
-        if not getattr(params, name) > 0.0:
+        # 2^rate - 1, the SINR threshold, overflows a float from 1024 on.
+        if not 0.0 < getattr(params, name) < 1024.0:
             raise ConfigError(
-                "RATE_INVALID", f"{name} must be > 0, got {getattr(params, name)!r}"
+                "RATE_INVALID", f"{name} must be in (0, 1024), got {getattr(params, name)!r}"
             )
     return params
 
@@ -206,7 +211,7 @@ def load_config(path: str | Path) -> SystemParams:
                 values[key] = db_to_linear(float(value_text))
             else:
                 values[key] = float(value_text)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # 10 ** (dB / 10) overflows from about 3083 dB
             raise ConfigError(
                 "CONFIG_VALUE_INVALID", f"{path}:{lineno}: bad value for {key!r}: {value_text!r}"
             ) from exc

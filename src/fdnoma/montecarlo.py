@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .channel import draw_batch
-from .config import SweepSpec, SystemParams, db_to_linear, validate
+from .config import KNOWN_METRICS, SweepSpec, SystemParams, db_to_linear, validate
 from .selection import NEEDS_RNG, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
@@ -249,6 +249,23 @@ def estimate_outage(
     stats = _simulate(params, (scheme,), trials, (seed,), block_size)[scheme]
     outage_u1, outage_u2 = _outage_estimates(stats)
     return OutageEstimate(outage_u1, outage_u2)
+
+
+def estimate_metrics(
+    params: SystemParams,
+    scheme: str,
+    trials: int,
+    seed: int,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+) -> MetricSet:
+    """Every metric of one scheme from a single simulation.
+
+    The draws are those of estimate_rates and estimate_outage with the same
+    seed, so the rates and outages equal theirs; past the a2/a1 cap every
+    trial is an outage, which estimate_outage returns without simulating.
+    """
+    stats = _simulate(params, (scheme,), trials, (seed,), block_size)[scheme]
+    return _metric_set(stats, KNOWN_METRICS)
 
 
 def run_sweep(

@@ -8,6 +8,13 @@ to the lowest index (lexicographic over (i, j, k) for joint searches).
 Scalar functions take one ChannelRealization; batch_* variants operate on
 GainBatch stacks and return (i, j, k) index arrays.  Both compute the
 same objectives with the same formula kernels, so they agree exactly.
+
+The two joint batch searches (max_u2_exhaustive, optimum_sumrate) build a
+per-trial (m_b, m_r, m_t) grid.  They run over row tiles of the batch,
+sized so that one tile's grid is about 2 MiB of float64 and its
+temporaries stay in cache.  Every grid cell and every per-row argmax
+depends on its own row only, so tiling gives the same floats, the same
+lowest-flat-index tie break and the same indices as one full-batch grid.
 """
 
 from __future__ import annotations
@@ -119,10 +126,34 @@ def _unravel(flat: np.ndarray, m_r: int, m_t: int) -> tuple[np.ndarray, np.ndarr
     return rest // m_r, rest % m_r, kk
 
 
-def batch_max_u2_exhaustive(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grid = _batch_e2e_grid(batch, params)
-    flat = np.argmax(grid.reshape(batch.count, -1), axis=1)
+_TILE_GRID_BYTES = 1 << 21
+
+
+def _tiled_argmax(objective, batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (i, j, k) argmax of objective(rows, params), a (rows, m_b, m_r, m_t) grid.
+
+    The batch is cut into row tiles whose grid is about _TILE_GRID_BYTES;
+    4,096 rows at 4x4x4 antennas.
+    """
+    cells = params.m_b * params.m_r * params.m_t
+    tile = max(1, _TILE_GRID_BYTES // (8 * cells))
+    flat = np.empty(batch.count, dtype=np.intp)
+    for start in range(0, batch.count, tile):
+        stop = min(start + tile, batch.count)
+        rows = GainBatch(
+            g_br=batch.g_br[start:stop],
+            g_su1=batch.g_su1[start:stop],
+            g_ru1=batch.g_ru1[start:stop],
+            g_ru2=batch.g_ru2[start:stop],
+            g_si=batch.g_si[start:stop],
+            count=stop - start,
+        )
+        flat[start:stop] = np.argmax(objective(rows, params).reshape(rows.count, cells), axis=1)
     return _unravel(flat, params.m_r, params.m_t)
+
+
+def batch_max_u2_exhaustive(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _tiled_argmax(_batch_e2e_grid, batch, params)
 
 
 def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,11 +165,13 @@ def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.n
     return ii, jj, kk
 
 
-def batch_optimum_sumrate(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_sumrate_grid(batch: GainBatch, params: SystemParams) -> np.ndarray:
     r1 = rate_bits(near_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1))
-    total = r1[:, :, None, :] + rate_bits(_batch_e2e_grid(batch, params))
-    flat = np.argmax(total.reshape(batch.count, -1), axis=1)
-    return _unravel(flat, params.m_r, params.m_t)
+    return r1[:, :, None, :] + rate_bits(_batch_e2e_grid(batch, params))
+
+
+def batch_optimum_sumrate(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _tiled_argmax(_batch_sumrate_grid, batch, params)
 
 
 def batch_random(batch: GainBatch, params: SystemParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -69,6 +69,18 @@ class TestExponentialIntegral:
             assert exp_int_ei(-t) == pytest.approx(float(mp.ei(-t)), rel=1e-13)
 
 
+@pytest.mark.parametrize("t", [9.9e9, 1.0000001e10, 1.106e11, 7.74e15, 10**19.5, 1e150])
+def test_scaled_e1_large_argument(t):
+    # From about 1e11 the continued fraction could stall one ulp short of
+    # its stop and raise NonConvergedError; above 1e10 the asymptotic series
+    # is used.
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    oracle = float(mp.e1(t) * mp.exp(t))
+    assert analytic._scaled_e1(t) == pytest.approx(oracle, rel=4e-16)
+
+
 def test_alternating_binomial_identity():
     # M * sum_p (-1)^p C(M-1, p) / (p+1) = 1 for the antenna orders in range
     for m in range(1, 17):

@@ -1,14 +1,21 @@
 import csv
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from fdnoma import cli
+from fdnoma.config import default_params
+from fdnoma.montecarlo import MetricEstimate, analytic_metric_set
 from fdnoma.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    _check_mc_vs_analytic,
+    _outage_deviation,
     cmd_validate,
     main,
     parse_power_grid,
@@ -268,6 +275,30 @@ class TestValidate:
     def test_missing_config(self, tmp_path):
         code = main(["validate", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_CONFIG
+
+    def test_rare_outage_judged_on_exact_binomial_tail(self):
+        # 20 dB near-user outage 2.30e-7, 1e6 trials: 3 events (P = 0.17%)
+        # read 5.8 se under the normal approximation with se from p.
+        assert _outage_deviation(3, 10**6, 2.3e-7) <= 4.0
+        assert _outage_deviation(0, 10**6, 2.3e-7) == 0.0
+        assert _outage_deviation(10, 10**6, 2.3e-7) > 4.0  # P = 9e-14
+        assert _outage_deviation(0, 10**6, 3e-5) > 4.0  # 30 expected, P = 1e-13
+        assert _outage_deviation(1, 10**6, 0.0) == math.inf
+        assert _outage_deviation(10**6, 10**6, 1.0) == 0.0
+
+    @pytest.mark.parametrize("events,verdict", [(3, True), (40, False)])
+    def test_simulation_check_verdict_on_outage_count(self, monkeypatch, events, verdict):
+        # Exact rates and outage_u2; max_u1_analytic's near-user outage is
+        # `events` in 1e6 trials against 2.30e-7.
+        def measured(params, scheme, trials, seed):
+            exact = analytic_metric_set(params, scheme, ("rates", "outage"))
+            near = events if scheme == "max_u1_analytic" else round(exact.outage_u1.value * trials)
+            return replace(exact, outage_u1=MetricEstimate(near / trials, 0.0, trials),
+                           outage_u2=MetricEstimate(round(exact.outage_u2.value * trials) / trials, 0.0, trials))
+
+        monkeypatch.setattr(cli, "estimate_metrics", measured)
+        ok, detail = _check_mc_vs_analytic(default_params(20.0), 10**6, 1)
+        assert ok is verdict, detail
 
 
 def test_usage_error_without_subcommand():

@@ -1,12 +1,15 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdnoma import analytic
 from fdnoma.config import (
     ConfigError,
     SweepSpec,
+    SystemParams,
     db_to_linear,
     default_params,
     linear_to_db,
@@ -63,6 +66,75 @@ def test_invariant_violations_report_codes(field, value, code):
     with pytest.raises(ConfigError) as err:
         make_params(**{field: value})
     assert err.value.code == code
+
+
+FLOAT_FIELDS = [f.name for f in fields(SystemParams) if f.name not in ("m_b", "m_r", "m_t")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_values_rejected(field, value):
+    # k1 = nan used to pass and crash in the closed forms; rho_s, var_si
+    # and rate2 = inf passed too.
+    with pytest.raises(ConfigError) as err:
+        make_params(**{field: value})
+    assert err.value.code == "VALUE_NOT_FINITE"
+
+
+@pytest.mark.parametrize("field", ["rate1", "rate2"])
+def test_rate_with_overflowing_threshold_rejected(field):
+    assert all(math.isfinite(t) for t in analytic.thresholds(make_params(**{field: 1023.0})))
+    with pytest.raises(ConfigError) as err:
+        make_params(**{field: 1024.0})
+    assert err.value.code == "RATE_INVALID"
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+_GAINS = ("rho_s", "rho_r", "var_br", "var_bu1", "var_ru1", "var_ru2", "var_si")
+
+
+@given(
+    a1=_decades(-50, math.log10(0.4999)),
+    gains=st.lists(_decades(-50, 50), min_size=len(_GAINS), max_size=len(_GAINS)),
+    k1=st.one_of(st.just(0.0), _decades(-50, 50)),
+    rates=st.lists(_decades(-3, math.log10(1100)), min_size=2, max_size=2),
+    antennas=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    spoiled=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(FLOAT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_accepted_params_give_finite_closed_forms(a1, gains, k1, rates, antennas, spoiled):
+    # Each gain parameter spans 1e-50..1e50 (+-500 dB).  Anything validate
+    # accepts gives finite closed forms; the quadrature rates may instead
+    # raise NonConvergedError, which the sweep reports by name.
+    values = dict(zip(_GAINS, gains), a1=a1, a2=1.0 - a1, k1=k1, rate1=rates[0], rate2=rates[1])
+    if spoiled is not None:
+        values[spoiled[0]] = spoiled[1]
+    candidate = replace(SystemParams(), m_b=antennas[0], m_r=antennas[1], m_t=antennas[2], **values)
+    try:
+        params = validate(candidate)
+    except ConfigError:
+        return
+    metrics = [
+        *analytic.thresholds(params),
+        analytic.rate_u1_max_u1(params),
+        analytic.rate_u1_max_u2(params),
+        analytic.outage_u1_max_u1(params),
+        analytic.outage_u1_max_u2(params),
+        analytic.outage_u2_max_u1(params),
+        analytic.outage_u2_max_u2(params),
+    ]
+    for quadrature in (analytic.rate_u2_max_u1, analytic.rate_u2_max_u2):
+        try:
+            metrics.append(quadrature(params).value)
+        except analytic.NonConvergedError:
+            pass
+    assert all(math.isfinite(v) for v in metrics), metrics
 
 
 def test_validate_is_idempotent(baseline):
@@ -183,6 +255,9 @@ def test_load_config_partial_uses_defaults(tmp_path):
         ("m_b 4\n", "CONFIG_SYNTAX_INVALID"),
         ("m_b = four\n", "CONFIG_VALUE_INVALID"),
         ("a1 = 0.5\na2 = 0.5\n", "POWER_SPLIT_INVALID"),
+        ("k1 = nan\n", "VALUE_NOT_FINITE"),
+        ("var_si = inf\n", "VALUE_NOT_FINITE"),
+        ("rho_s = 4000\n", "CONFIG_VALUE_INVALID"),
     ],
 )
 def test_load_config_errors(tmp_path, text, code):

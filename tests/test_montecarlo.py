@@ -12,6 +12,7 @@ from fdnoma.montecarlo import (
     CSV_COLUMNS,
     analytic_metric_set,
     analytic_sweep,
+    estimate_metrics,
     estimate_outage,
     estimate_rates,
     jain_index,
@@ -105,6 +106,18 @@ class TestEstimateOutage:
         result = estimate_outage(baseline, "random", 20_000, seed=4)
         assert 0.0 <= result.outage_u1.value <= 1.0
         assert 0.0 <= result.outage_u2.value <= 1.0
+
+
+@pytest.mark.parametrize("overrides", [{}, {"rate2": 2.0}])
+@pytest.mark.parametrize("scheme", ANALYTIC_SCHEMES)
+def test_estimate_metrics_equals_separate_estimates(scheme, overrides):
+    # One simulation gives the rates and outages of two, for the same seed;
+    # rate2 = 2 puts the far-user threshold past the a2/a1 cap.
+    params = make_params(**overrides)
+    both = estimate_metrics(params, scheme, 70_001, 9)
+    assert (both.rate_u1, both.rate_u2, both.rate_sum) == estimate_rates(params, scheme, 70_001, 9)
+    outage = estimate_outage(params, scheme, 70_001, 9)
+    assert (both.outage_u1, both.outage_u2) == (outage.outage_u1, outage.outage_u2)
 
 
 def test_threshold_event_reduces_to_ratio_threshold(baseline):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.channel import draw_batch, realization_at
+from fdnoma.channel import GainBatch, draw_batch, realization_at
 from fdnoma.selection import (
+    _TILE_GRID_BYTES,
     SCHEMES,
     select,
     select_batch,
@@ -17,7 +18,16 @@ from fdnoma.selection import (
     select_optimum_sumrate,
     select_random,
 )
-from fdnoma.sinr import AntennaChoice, compute_bundle, e2e_sinr_u2, instantaneous_rates
+from fdnoma.sinr import (
+    AntennaChoice,
+    compute_bundle,
+    cross_sinr,
+    e2e_sinr_u2,
+    instantaneous_rates,
+    near_sinr,
+    rate_bits,
+    relay_sinr,
+)
 
 from conftest import make_params
 from test_sinr import real_from
@@ -281,3 +291,86 @@ def test_dominance_chain_per_realization():
     for scheme in SCHEMES:
         assert np.all(per_scheme["optimum_sumrate"]["sum"] >= per_scheme[scheme]["sum"])
         assert np.all(per_scheme["max_u1"]["g1"] >= per_scheme[scheme]["g1"])
+
+
+# Oracles for the tiled joint searches: one (count, m_b, m_r, m_t) grid over
+# the whole batch, argmax per row over the flattened (i, j, k) grid.
+
+def _full_e2e_grid(batch, params):
+    g12 = cross_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1, params.a2)
+    gr = relay_sinr(batch.g_br[:, :, :, None], batch.g_si[:, None, :, :], params.a1, params.a2)
+    return np.minimum(np.minimum(g12[:, :, None, :], gr), batch.g_ru2[:, None, None, :])
+
+
+def _full_argmax(grid, params):
+    flat = np.argmax(grid.reshape(grid.shape[0], -1), axis=1)
+    return np.unravel_index(flat, (params.m_b, params.m_r, params.m_t))
+
+
+def untiled_max_u2_exhaustive(batch, params):
+    return _full_argmax(_full_e2e_grid(batch, params), params)
+
+
+def untiled_optimum_sumrate(batch, params):
+    r1 = rate_bits(near_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1))
+    return _full_argmax(r1[:, :, None, :] + rate_bits(_full_e2e_grid(batch, params)), params)
+
+
+UNTILED = {
+    "max_u2_exhaustive": untiled_max_u2_exhaustive,
+    "optimum_sumrate": untiled_optimum_sumrate,
+}
+
+
+def tile_rows(params):
+    return _TILE_GRID_BYTES // (8 * params.m_b * params.m_r * params.m_t)
+
+
+def assert_same_indices(scheme, batch, params):
+    got = select_batch(scheme, batch, params)
+    want = UNTILED[scheme](batch, params)
+    for axis, a, b in zip("ijk", got, want):
+        assert a.shape == (batch.count,)
+        np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
+
+
+def test_tile_is_about_two_mib_of_grid():
+    assert tile_rows(make_params()) == 4096
+    assert tile_rows(make_params(m_b=8, m_r=8, m_t=8)) == 512
+
+
+@pytest.mark.parametrize("scheme", sorted(UNTILED))
+@pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 2), (8, 8, 8)])
+@pytest.mark.parametrize("where", ["one", "tile-1", "tile", "tile+1", "many"])
+def test_tiled_search_matches_untiled_grid(scheme, shape, where):
+    params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
+    tile = tile_rows(params)
+    # 70,001 rows at 8x8x8 would need a 287 MB oracle grid per temporary;
+    # ten tiles and one row cross as many boundaries per tile there.
+    many = 70_001 if shape != (8, 8, 8) else 10 * tile + 1
+    count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "many": many}[where]
+    batch = draw_batch(params, (2024, sum(shape)), count)
+    assert_same_indices(scheme, batch, params)
+
+
+@pytest.mark.parametrize("scheme", sorted(UNTILED))
+def test_tiled_search_ties_pick_lowest_triple(scheme):
+    # The far-user objective reduces to the relay SINR, a function of
+    # g_br[i, j] alone, and the near-user rate is the same for every (i, k):
+    # (1, 2) and (2, 0) share the strongest feed and every k ties, so the
+    # lowest flat index (1, 2, 0) wins in every row, across tile boundaries.
+    params = make_params()
+    count = tile_rows(params) + 3
+    g_br = np.ones((params.m_b, params.m_r))
+    g_br[1, 2] = g_br[2, 0] = 5.0
+    batch = GainBatch(
+        g_br=np.broadcast_to(g_br, (count, params.m_b, params.m_r)),
+        g_su1=np.full((count, params.m_b), 1e6),
+        g_ru1=np.zeros((count, params.m_t)),
+        g_ru2=np.full((count, params.m_t), 1e6),
+        g_si=np.zeros((count, params.m_r, params.m_t)),
+        count=count,
+    )
+    ii, jj, kk = select_batch(scheme, batch, params)
+    assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
+    assert_same_indices(scheme, batch, params)
