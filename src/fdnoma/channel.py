@@ -58,6 +58,19 @@ class GainBatch:
     count: int
 
 
+DEFAULT_BLOCK_SIZE = 1 << 16
+
+
+def blocks(trials: int, block_size: int = DEFAULT_BLOCK_SIZE):
+    """Yield (index, offset, count) for each block of the simulator's trial layout.
+
+    Block `index` holds trials offset .. offset + count - 1 and is drawn
+    as one batch from its own stream, keyed by the block index.
+    """
+    for index, offset in enumerate(range(0, trials, block_size)):
+        yield index, offset, min(block_size, trials - offset)
+
+
 def _generator(entropy: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -112,13 +125,29 @@ def dump_columns(params: SystemParams) -> list[str]:
 
 
 def dump_realizations(params: SystemParams, seed: int, trials: int, path: str | Path) -> None:
-    """Write one realization per row (trial t uses stream index t)."""
+    """Write one realization per row, in the simulator's block layout.
+
+    Row t is trial t of a single-scheme simulation with this seed (for
+    example estimate_rates(params, scheme, trials, seed)): block b is the
+    batch draw_batch(params, (seed, b), count) of DEFAULT_BLOCK_SIZE
+    trials, fewer in the last block.
+    """
+    columns = dump_columns(params)
+    # %.17g round-trips every float; \r\n is the csv module's line ending
+    fmt = ["%d"] + ["%.17g"] * (len(columns) - 1)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dump_columns(params))
-        for trial in range(trials):
-            real = draw(params, RngSeed(seed, trial))
-            row = [str(trial)]
-            for values in (real.g_br.ravel(), real.g_su1, real.g_ru1, real.g_ru2, real.g_si.ravel()):
-                row += [f"{v:.17g}" for v in values]
-            writer.writerow(row)
+        csv.writer(handle).writerow(columns)
+        for index, offset, count in blocks(trials):
+            batch = draw_batch(params, (seed, index), count)
+            table = np.concatenate(
+                [
+                    np.arange(offset, offset + count)[:, None],
+                    batch.g_br.reshape(count, -1),
+                    batch.g_su1,
+                    batch.g_ru1,
+                    batch.g_ru2,
+                    batch.g_si.reshape(count, -1),
+                ],
+                axis=1,
+            )
+            np.savetxt(handle, table, fmt=fmt, delimiter=",", newline="\r\n")

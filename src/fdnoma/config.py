@@ -106,6 +106,11 @@ class SweepSpec:
 
 _POWER_SPLIT_TOL = 1e-12
 
+# Bounds on each nonzero mean power gain (mean_gains).  The closed forms
+# multiply and divide pairs of gains; beyond these bounds such products
+# leave the float range (an underflowed ratio made rate_u1_max_u1 raise).
+GAIN_RANGE = (1e-100, 1e100)
+
 KNOWN_METRICS = ("rates", "outage", "jain")
 
 
@@ -151,6 +156,13 @@ def validate(params: SystemParams) -> SystemParams:
         if not 0.0 < getattr(params, name) < 1024.0:
             raise ConfigError(
                 "RATE_INVALID", f"{name} must be in (0, 1024), got {getattr(params, name)!r}"
+            )
+    low, high = GAIN_RANGE
+    for name, gain in vars(mean_gains(params)).items():
+        # k1 = 0 switches the inter-user interference off: lam_ru1 is 0 then.
+        if not low <= gain <= high and not (name == "lam_ru1" and params.k1 == 0.0):
+            raise ConfigError(
+                "GAIN_OUT_OF_RANGE", f"mean gain {name} = {gain!r} is outside [{low:g}, {high:g}]"
             )
     return params
 

@@ -19,12 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .channel import draw_batch
+from .channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
 from .config import KNOWN_METRICS, SweepSpec, SystemParams, db_to_linear, validate
-from .selection import NEEDS_RNG, check_scheme, select_batch
+from .selection import JOINT_SCHEMES, NEEDS_RNG, batch_joint_search, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-DEFAULT_BLOCK_SIZE = 1 << 16
 _RANDOM_SALT = 0x52414E44
 
 MONTE_CARLO = "monte_carlo"
@@ -116,20 +115,23 @@ def _simulate(
         check_scheme(scheme)
     theta1, theta2 = analytic.thresholds(params)
     stats = {scheme: _Stats() for scheme in schemes}
+    joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
 
-    offset = 0
-    block_index = 0
-    while offset < trials:
-        count = min(block_size, trials - offset)
+    for block_index, _, count in blocks(trials, block_size):
         batch = draw_batch(params, (*entropy_base, block_index), count)
         rows = np.arange(count)
+        # The joint searches share one far-user grid per tile.
+        chosen = batch_joint_search(batch, params, joint) if joint else {}
         for scheme in schemes:
-            rng = None
-            if scheme in NEEDS_RNG:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((*entropy_base, block_index, _RANDOM_SALT))
-                )
-            ii, jj, kk = select_batch(scheme, batch, params, rng)
+            if scheme in chosen:
+                ii, jj, kk = chosen[scheme]
+            else:
+                rng = None
+                if scheme in NEEDS_RNG:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence((*entropy_base, block_index, _RANDOM_SALT))
+                    )
+                ii, jj, kk = select_batch(scheme, batch, params, rng)
             g_br = batch.g_br[rows, ii, jj]
             g_si = batch.g_si[rows, jj, kk]
             g_su1 = batch.g_su1[rows, ii]
@@ -146,8 +148,6 @@ def _simulate(
             out1 = ~((gamma_12 > theta2) & (gamma_1 > theta1))
             out2 = ~((gamma_r > theta2) & (g_ru2 > theta2))
             stats[scheme].add_block(r1, r2, out1, out2)
-        offset += count
-        block_index += 1
     return stats
 
 

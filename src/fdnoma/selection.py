@@ -9,12 +9,15 @@ Scalar functions take one ChannelRealization; batch_* variants operate on
 GainBatch stacks and return (i, j, k) index arrays.  Both compute the
 same objectives with the same formula kernels, so they agree exactly.
 
-The two joint batch searches (max_u2_exhaustive, optimum_sumrate) build a
-per-trial (m_b, m_r, m_t) grid.  They run over row tiles of the batch,
-sized so that one tile's grid is about 2 MiB of float64 and its
-temporaries stay in cache.  Every grid cell and every per-row argmax
-depends on its own row only, so tiling gives the same floats, the same
-lowest-flat-index tie break and the same indices as one full-batch grid.
+The two joint batch searches (max_u2_exhaustive, optimum_sumrate) share
+one tiled pass, batch_joint_search.  It walks row tiles of the batch,
+sized so that one tile's per-trial (m_b, m_r, m_t) far-user SINR grid is
+about 2 MiB of float64 and stays in cache, builds that grid once per tile
+and takes the argmax of every requested scheme from it.  Every grid cell
+and every per-row argmax depends on its own row only, and each cell is
+computed with the same float operations as the formula kernels, so the
+pass gives the same indices as one full-batch grid per scheme; ties still
+break to the lowest flat (i, j, k) index.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .channel import ChannelRealization, GainBatch
 from .config import SystemParams
-from .sinr import AntennaChoice, cross_sinr, near_sinr, rate_bits, relay_sinr
+from .sinr import LN2, AntennaChoice, cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
 def select_max_u1(real: ChannelRealization, params: SystemParams) -> AntennaChoice:
@@ -114,12 +117,6 @@ def batch_max_u1_analytic(batch: GainBatch, params: SystemParams) -> tuple[np.nd
     return ii, jj, kk
 
 
-def _batch_e2e_grid(batch: GainBatch, params: SystemParams) -> np.ndarray:
-    g12 = cross_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1, params.a2)
-    gr = relay_sinr(batch.g_br[:, :, :, None], batch.g_si[:, None, :, :], params.a1, params.a2)
-    return np.minimum(np.minimum(g12[:, :, None, :], gr), batch.g_ru2[:, None, None, :])
-
-
 def _unravel(flat: np.ndarray, m_r: int, m_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kk = flat % m_t
     rest = flat // m_t
@@ -128,32 +125,60 @@ def _unravel(flat: np.ndarray, m_r: int, m_t: int) -> tuple[np.ndarray, np.ndarr
 
 _TILE_GRID_BYTES = 1 << 21
 
+JOINT_SCHEMES = ("max_u2_exhaustive", "optimum_sumrate")
 
-def _tiled_argmax(objective, batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (i, j, k) argmax of objective(rows, params), a (rows, m_b, m_r, m_t) grid.
+
+def batch_joint_search(
+    batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-row (i, j, k) of each joint scheme in `schemes`, from one grid per tile.
 
     The batch is cut into row tiles whose grid is about _TILE_GRID_BYTES;
-    4,096 rows at 4x4x4 antennas.
+    4,096 rows at 4x4x4 antennas.  Each tile's end-to-end far-user SINR
+    grid min(cross, relay, g_ru2) is built once in a reused buffer; a
+    second one holds the relay numerator, then the sum-rate grid when
+    optimum_sumrate is asked for.
     """
-    cells = params.m_b * params.m_r * params.m_t
-    tile = max(1, _TILE_GRID_BYTES // (8 * cells))
-    flat = np.empty(batch.count, dtype=np.intp)
+    unknown = set(schemes) - set(JOINT_SCHEMES)
+    if unknown:
+        raise ValueError(f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
+    a1, a2 = params.a1, params.a2
+    m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
+    cells = m_b * m_r * m_t
+    tile = max(1, min(batch.count, _TILE_GRID_BYTES // (8 * cells)))
+    buffers = np.empty((2, tile, m_b, m_r, m_t))
+    flat = {scheme: np.empty(batch.count, dtype=np.intp) for scheme in schemes}
     for start in range(0, batch.count, tile):
         stop = min(start + tile, batch.count)
-        rows = GainBatch(
-            g_br=batch.g_br[start:stop],
-            g_su1=batch.g_su1[start:stop],
-            g_ru1=batch.g_ru1[start:stop],
-            g_ru2=batch.g_ru2[start:stop],
-            g_si=batch.g_si[start:stop],
-            count=stop - start,
-        )
-        flat[start:stop] = np.argmax(objective(rows, params).reshape(rows.count, cells), axis=1)
-    return _unravel(flat, params.m_r, params.m_t)
+        grid, spare = buffers[:, : stop - start]
+        g_su1 = batch.g_su1[start:stop, :, None]
+        g_ru1 = batch.g_ru1[start:stop, None, :]
+        # Operands missing the last grid axes are repeated along them, which
+        # copies values, so each grid-sized step runs over contiguous memory.
+        g_br = np.repeat(batch.g_br[start:stop], m_t, axis=2).reshape(grid.shape)
+        # relay_sinr in its own operand order: (a2 g_br) / ((a1 g_br + g_si) + 1)
+        np.multiply(a1, g_br, out=grid)
+        np.add(grid, batch.g_si[start:stop, None, :, :], out=grid)
+        np.add(grid, 1.0, out=grid)
+        np.multiply(a2, g_br, out=spare)
+        np.divide(spare, grid, out=grid)
+        # min is exact, so clamping by the (i, k) terms first gives the same cells
+        clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), batch.g_ru2[start:stop, None, :])
+        np.minimum(grid, np.repeat(clamp[:, :, None, :], m_r, axis=2), out=grid)
+        if "max_u2_exhaustive" in flat:
+            flat["max_u2_exhaustive"][start:stop] = np.argmax(grid.reshape(-1, cells), axis=1)
+        if "optimum_sumrate" in flat:
+            # rate_bits of the grid plus the near-user rate
+            np.log1p(grid, out=spare)
+            np.divide(spare, LN2, out=spare)
+            r1 = rate_bits(near_sinr(g_su1, g_ru1, a1))
+            np.add(spare, np.repeat(r1[:, :, None, :], m_r, axis=2), out=spare)
+            flat["optimum_sumrate"][start:stop] = np.argmax(spare.reshape(-1, cells), axis=1)
+    return {scheme: _unravel(indices, params.m_r, params.m_t) for scheme, indices in flat.items()}
 
 
 def batch_max_u2_exhaustive(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _tiled_argmax(_batch_e2e_grid, batch, params)
+    return batch_joint_search(batch, params, ("max_u2_exhaustive",))["max_u2_exhaustive"]
 
 
 def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,13 +190,8 @@ def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.n
     return ii, jj, kk
 
 
-def _batch_sumrate_grid(batch: GainBatch, params: SystemParams) -> np.ndarray:
-    r1 = rate_bits(near_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1))
-    return r1[:, :, None, :] + rate_bits(_batch_e2e_grid(batch, params))
-
-
 def batch_optimum_sumrate(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _tiled_argmax(_batch_sumrate_grid, batch, params)
+    return batch_joint_search(batch, params, ("optimum_sumrate",))["optimum_sumrate"]
 
 
 def batch_random(batch: GainBatch, params: SystemParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ import pytest
 from scipy import stats
 
 from fdnoma.channel import (
+    DEFAULT_BLOCK_SIZE,
     RngSeed,
+    blocks,
     draw,
     draw_batch,
     dump_columns,
@@ -14,6 +16,8 @@ from fdnoma.channel import (
     realization_at,
 )
 from fdnoma.config import mean_gains
+from fdnoma.montecarlo import estimate_rates
+from fdnoma.sinr import near_sinr, rate_bits
 
 from conftest import make_params
 
@@ -115,10 +119,34 @@ def test_dump_realizations_roundtrip(tmp_path, baseline):
         rows = list(csv.reader(handle))
     assert rows[0] == dump_columns(baseline)
     assert len(rows) == 6
-    # replay: row t holds draw(params, RngSeed(seed, t)) in documented order
-    real = draw(baseline, RngSeed(11, 3))
+    # replay: row t is trial t of the simulator's block layout, in documented order
+    real = realization_at(draw_batch(baseline, (11, 0), 5), 3)
     recorded = [float(v) for v in rows[4][1:]]
     expected = np.concatenate(
         [real.g_br.ravel(), real.g_su1, real.g_ru1, real.g_ru2, real.g_si.ravel()]
     )
     np.testing.assert_allclose(recorded, expected, rtol=0, atol=0)
+
+
+def test_block_layout_covers_trials_in_order():
+    assert list(blocks(5, 2)) == [(0, 0, 2), (1, 2, 2), (2, 4, 1)]
+    assert list(blocks(4, 4)) == [(0, 0, 4)]
+    assert list(blocks(0)) == []
+
+
+def test_dump_replays_the_simulated_trials(tmp_path):
+    # One antenna everywhere, so every scheme picks (0, 0, 0) and the
+    # near-user rate of each dumped row is that trial's simulated rate;
+    # three trials spill into a second block.
+    params = make_params(m_b=1, m_r=1, m_t=1)
+    trials = DEFAULT_BLOCK_SIZE + 3
+    path = tmp_path / "reals.csv"
+    dump_realizations(params, seed=5, trials=trials, path=path)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], np.arange(trials))
+    last = realization_at(draw_batch(params, (5, 1), 3), 2)
+    expected = np.concatenate([last.g_br.ravel(), last.g_su1, last.g_ru1, last.g_ru2, last.g_si.ravel()])
+    np.testing.assert_array_equal(table[-1, 1:], expected)
+    g_su1, g_ru1 = table[:, 2], table[:, 3]
+    r1, _, _ = estimate_rates(params, "max_u1", trials, seed=5)
+    assert np.mean(rate_bits(near_sinr(g_su1, g_ru1, params.a1))) == pytest.approx(r1.value, rel=1e-12)

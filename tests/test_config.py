@@ -96,10 +96,14 @@ def _decades(lo, hi):
 _GAINS = ("rho_s", "rho_r", "var_br", "var_bu1", "var_ru1", "var_ru2", "var_si")
 
 
+# Most draws over 1e+-300 leave GAIN_RANGE, so the 1e+-50 span is kept as a branch.
+_GAIN_DECADES = st.one_of(_decades(-50, 50), _decades(-300, 300))
+
+
 @given(
     a1=_decades(-50, math.log10(0.4999)),
-    gains=st.lists(_decades(-50, 50), min_size=len(_GAINS), max_size=len(_GAINS)),
-    k1=st.one_of(st.just(0.0), _decades(-50, 50)),
+    gains=st.lists(_GAIN_DECADES, min_size=len(_GAINS), max_size=len(_GAINS)),
+    k1=st.one_of(st.just(0.0), _GAIN_DECADES),
     rates=st.lists(_decades(-3, math.log10(1100)), min_size=2, max_size=2),
     antennas=st.lists(st.integers(1, 6), min_size=3, max_size=3),
     spoiled=st.one_of(
@@ -109,7 +113,7 @@ _GAINS = ("rho_s", "rho_r", "var_br", "var_bu1", "var_ru1", "var_ru2", "var_si")
 )
 @settings(max_examples=150, deadline=None)
 def test_accepted_params_give_finite_closed_forms(a1, gains, k1, rates, antennas, spoiled):
-    # Each gain parameter spans 1e-50..1e50 (+-500 dB).  Anything validate
+    # Each gain parameter spans 1e-300..1e300 (+-3000 dB).  Anything validate
     # accepts gives finite closed forms; the quadrature rates may instead
     # raise NonConvergedError, which the sweep reports by name.
     values = dict(zip(_GAINS, gains), a1=a1, a2=1.0 - a1, k1=k1, rate1=rates[0], rate2=rates[1])
@@ -135,6 +139,38 @@ def test_accepted_params_give_finite_closed_forms(a1, gains, k1, rates, antennas
         except analytic.NonConvergedError:
             pass
     assert all(math.isfinite(v) for v in metrics), metrics
+
+
+def test_mean_gain_out_of_range_rejected():
+    # Every parameter is within 1e+-100, but lam_su1 = 7.7e-159 and
+    # lam_ru1 = 4.9e163: rate_u1_max_u1 divided the two into a zero E1
+    # argument and raised ValueError.
+    values = dict(
+        rho_s=3.2e-78, rho_r=2.7e77, var_br=5.7e81, var_bu1=2.4e-81,
+        var_ru1=1.8e88, var_ru2=7e-26, var_si=3e54,
+    )
+    with pytest.raises(ConfigError) as err:
+        make_params(**values)
+    assert err.value.code == "GAIN_OUT_OF_RANGE"
+
+
+@pytest.mark.parametrize("gain", [1e-100, 1e100])
+def test_mean_gains_at_range_ends_accepted(gain):
+    params = make_params(
+        rho_s=1.0, rho_r=1.0, var_br=gain, var_bu1=gain, var_ru1=gain, var_ru2=gain, var_si=gain, k1=1.0
+    )
+    assert set(vars(mean_gains(params)).values()) == {gain}
+    with pytest.raises(ConfigError) as err:
+        make_params(rho_s=1.0, var_br=gain * 10.0 if gain > 1.0 else gain / 10.0)
+    assert err.value.code == "GAIN_OUT_OF_RANGE"
+
+
+def test_zero_interference_gain_allowed_only_with_k1_zero():
+    assert mean_gains(make_params(k1=0.0)).lam_ru1 == 0.0
+    # a positive k1 whose mean gain underflows to 0 is out of range
+    with pytest.raises(ConfigError) as err:
+        make_params(k1=1e-300, var_ru1=1e-300)
+    assert err.value.code == "GAIN_OUT_OF_RANGE"
 
 
 def test_validate_is_idempotent(baseline):

@@ -197,6 +197,40 @@ class TestRunSweep:
         assert 0.5 <= row.metrics.jain_index.value <= 1.0
 
 
+@pytest.fixture(scope="module")
+def crn_rows():
+    """CSV line of each scheme in a fixed-seed sweep, keyed by the sweep's scheme list."""
+    params = default_params(20.0)
+    cache = {}
+
+    def lines(schemes):
+        if schemes not in cache:
+            spec = SweepSpec(power_db=(0.0, 20.0), schemes=schemes, trials=70_001, seed=41)
+            text = rows_to_csv_text(run_sweep(params, spec)).splitlines()[1:]
+            cache[schemes] = {(line.split(",")[0], line.split(",")[1]): line for line in text}
+        return cache[schemes]
+
+    return lines
+
+
+@pytest.mark.parametrize(
+    "scheme,partner",
+    [
+        ("max_u2_exhaustive", "optimum_sumrate"),
+        ("optimum_sumrate", "max_u2_exhaustive"),
+        ("random", "max_u2_exhaustive"),
+    ],
+)
+def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partner):
+    # A scheme's rows are byte-identical whether it runs alone, beside a
+    # joint-search partner (sharing one pass) or with all six schemes.
+    alone = crn_rows((scheme,))
+    for others in ((scheme, partner), (partner, scheme), SCHEMES):
+        rows = crn_rows(others)
+        for key, line in alone.items():
+            assert rows[key] == line, (scheme, others)
+
+
 class TestAnalyticRows:
     def test_values_and_kind(self, baseline):
         spec = SweepSpec(power_db=(20.0,), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from fdnoma.channel import GainBatch, draw_batch, realization_at
 from fdnoma.selection import (
     _TILE_GRID_BYTES,
+    JOINT_SCHEMES,
     SCHEMES,
+    batch_joint_search,
     select,
     select_batch,
     select_max_u1,
@@ -353,6 +355,38 @@ def test_tiled_search_matches_untiled_grid(scheme, shape, where):
     assert_same_indices(scheme, batch, params)
 
 
+def assert_joint_pass_matches(batch, params):
+    # Both joint schemes from one pass: the same indices as the untiled
+    # oracles and as each scheme's own select_batch call.
+    chosen = batch_joint_search(batch, params, JOINT_SCHEMES)
+    assert list(chosen) == list(JOINT_SCHEMES)
+    for scheme in JOINT_SCHEMES:
+        for want in (UNTILED[scheme](batch, params), select_batch(scheme, batch, params)):
+            for axis, a, b in zip("ijk", chosen[scheme], want):
+                assert a.shape == (batch.count,)
+                np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
+
+
+@pytest.mark.parametrize(
+    "shape,where",
+    [(s, w) for s in [(4, 4, 4), (3, 5, 2)] for w in ["one", "tile-1", "tile", "tile+1", "many"]]
+    + [((8, 8, 8), "many")],
+)
+def test_joint_pass_matches_untiled_and_single_scheme(shape, where):
+    params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
+    tile = tile_rows(params)
+    many = 70_001 if shape != (8, 8, 8) else 10 * tile + 1
+    count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "many": many}[where]
+    batch = draw_batch(params, (2025, sum(shape)), count)
+    assert_joint_pass_matches(batch, params)
+
+
+def test_joint_pass_rejects_other_schemes():
+    params = make_params()
+    with pytest.raises(ValueError):
+        batch_joint_search(draw_batch(params, (1, 0), 4), params, ("max_u1",))
+
+
 @pytest.mark.parametrize("scheme", sorted(UNTILED))
 def test_tiled_search_ties_pick_lowest_triple(scheme):
     # The far-user objective reduces to the relay SINR, a function of
@@ -374,3 +408,6 @@ def test_tiled_search_ties_pick_lowest_triple(scheme):
     ii, jj, kk = select_batch(scheme, batch, params)
     assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
     assert_same_indices(scheme, batch, params)
+    ii, jj, kk = batch_joint_search(batch, params, JOINT_SCHEMES)[scheme]
+    assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
+    assert_joint_pass_matches(batch, params)
