@@ -11,12 +11,19 @@ with F the SINR distribution; far-user SINRs are bounded by a2/a1, so
 their integrals stop there.  Alternating binomial sums are accumulated
 with math.fsum (error-free transformation), which keeps deep outage
 floors accurate despite cancellation.
+
+The far-user laws are built once per parameter set: _far_cdf takes the
+links' precomputed mean gains and binomial coefficients and returns F,
+which only forms the gain ratio x / (a2 - a1 x) and the sums.  A rate
+passes that F to the quadrature, which calls it a few hundred times; the
+public CDFs and outages build it for a single evaluation.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy.integrate import quad
@@ -126,14 +133,15 @@ def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL)
     return (_scaled_e1(beta / alpha) - _scaled_e1(beta)) / (alpha - 1.0)
 
 
-def _warn_counts(params: SystemParams) -> None:
+def _warn_counts(params: SystemParams, stacklevel: int = 3) -> None:
+    """Warn of cancellation above 16 antennas, at the public function's caller."""
     worst = max(params.m_b, params.m_r, params.m_t)
     if worst > _MAX_SAFE_ANTENNAS:
         warnings.warn(
             f"antenna count {worst} > {_MAX_SAFE_ANTENNAS}: alternating binomial "
             "sums lose precision to combinatorial cancellation",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -148,80 +156,87 @@ def sinr_cap(params: SystemParams) -> float:
     return params.a2 / params.a1
 
 
-# Survival functions P(component SINR > x).  The _s1 family describes the
-# near-user-first decoupled selection, the _s2 family the far-user
-# decoupled selection.  All take 0 <= x < a2/a1 where the SINR is capped.
-
-def _ratio(x: float, params: SystemParams) -> float:
-    den = params.a2 - params.a1 * x
-    if den <= 0.0:
-        return math.inf
-    return x / den
-
-
-def _sf_cross_s1(x: float, params: SystemParams, lam_su1: float, lam_ru1: float) -> float:
-    r = _ratio(x, params)
-    if math.isinf(r):
-        return 0.0
-    m_b, m_t = params.m_b, params.m_t
-    terms = [
-        (-1.0) ** p
-        * math.comb(m_b - 1, p)
-        * math.exp(-(p + 1) * r / lam_su1)
-        / ((p + 1) * (1.0 + lam_ru1 * (p + 1) * r / (m_t * lam_su1)))
-        for p in range(m_b)
-    ]
-    return m_b * math.fsum(terms)
+# Survival functions P(link SINR > x) of the far-user chain.  A link is the
+# strongest of m exponential gains of mean lam, over 1 plus an exponential
+# interferer of mean lam_i / m_i when lam_i > 0 (den = m_i * lam).  At the
+# gain ratio r its survival is the alternating binomial sum
+#
+#     m * fsum_p ((sign_p C(m-1, p)) * exp(-(p+1) r / lam))
+#                / ((p+1) (1 + ((lam_i (p+1)) r) / den)),     p < m,
+#
+# evaluated in exactly that order; another order moves the last digits of
+# the rates.  A link holds m, lam, den and, per term, the precomputed
+# (sign_p C(m-1, p), -(p+1), p+1, lam_i (p+1)).
+_Link = tuple[int, float, float, tuple[tuple[float, int, int, float], ...]]
 
 
-def _sf_relay_s1(x: float, params: SystemParams, lam_br: float, lam_si: float) -> float:
-    r = _ratio(x, params)
-    if math.isinf(r):
-        return 0.0
-    m_r = params.m_r
-    terms = [
-        (-1.0) ** q
-        * math.comb(m_r - 1, q)
-        * math.exp(-(q + 1) * r / lam_br)
-        / ((q + 1) * (1.0 + lam_si * (q + 1) * r / lam_br))
-        for q in range(m_r)
-    ]
-    return m_r * math.fsum(terms)
+def _link(m: int, lam: float, lam_i: float = 0.0, den: float = 1.0) -> _Link:
+    coeffs = tuple(
+        ((-1.0) ** p * math.comb(m - 1, p), -(p + 1), p + 1, lam_i * (p + 1)) for p in range(m)
+    )
+    return m, lam, den, coeffs
 
 
-def _sf_cross_s2(x: float, params: SystemParams, lam_su1: float, lam_ru1: float) -> float:
-    r = _ratio(x, params)
-    if math.isinf(r):
-        return 0.0
-    return math.exp(-r / lam_su1) / (1.0 + lam_ru1 * r / lam_su1)
+def _link_survival(link: _Link, r: float) -> float:
+    m, lam, den, coeffs = link
+    return m * math.fsum(
+        [(sc * math.exp(n * r / lam)) / (p1 * (1.0 + li * r / den)) for sc, n, p1, li in coeffs]
+    )
 
 
-def _sf_relay_s2(x: float, params: SystemParams, lam_br: float, lam_si: float) -> float:
-    r = _ratio(x, params)
-    if math.isinf(r):
-        return 0.0
-    m_b, m_r = params.m_b, params.m_r
-    terms = [
-        (-1.0) ** p
-        * math.comb(m_b - 1, p)
-        * math.exp(-(p + 1) * r / lam_br)
-        / ((p + 1) * (1.0 + lam_si * (p + 1) * r / (m_r * lam_br)))
-        for p in range(m_b)
-    ]
-    return m_b * math.fsum(terms)
+def _far_links_max_u1(params: SystemParams) -> tuple[_Link, _Link, _Link]:
+    """Cross, relay and far links under near-user-first selection.
+
+    The cross link (strongest of m_b over the weakest of m_t interferers)
+    and the relay link (strongest of m_r over self-interference) take the
+    gain ratio x / (a2 - a1 x); the far link (one fixed antenna) takes x.
+    """
+    g = mean_gains(params)
+    return (
+        _link(params.m_b, g.lam_su1, g.lam_ru1, params.m_t * g.lam_su1),
+        _link(params.m_r, g.lam_br, g.lam_si, g.lam_br),
+        _link(1, g.lam_ru2),
+    )
 
 
-def _sf_far_s1(x: float, lam_ru2: float) -> float:
-    return math.exp(-x / lam_ru2)
+def _far_links_max_u2(params: SystemParams) -> tuple[_Link, _Link, _Link]:
+    """Cross, relay and far links under far-user decoupled selection."""
+    g = mean_gains(params)
+    return (
+        _link(1, g.lam_su1, g.lam_ru1, g.lam_su1),
+        _link(params.m_b, g.lam_br, g.lam_si, params.m_r * g.lam_br),
+        _link(params.m_t, g.lam_ru2),
+    )
 
 
-def _sf_far_s2(x: float, params: SystemParams, lam_ru2: float) -> float:
-    m_t = params.m_t
-    terms = [
-        (-1.0) ** q * math.comb(m_t - 1, q) * math.exp(-(q + 1) * x / lam_ru2) / (q + 1)
-        for q in range(m_t)
-    ]
-    return m_t * math.fsum(terms)
+def _far_cdf(params: SystemParams, links: tuple[_Link, ...]) -> Callable[[float], float]:
+    """Distribution of the minimum of the given far-user links' SINRs.
+
+    links is a tail of (cross, relay, far): every link before the last
+    takes the gain ratio, the last takes x.  Survivals multiply left to
+    right; an infinite ratio (x at the cap up to rounding) survives with
+    probability 0.
+    """
+    _warn_counts(params, stacklevel=4)
+    a1, a2 = params.a1, params.a2
+    cap = sinr_cap(params)
+    *ratio_links, far = links
+
+    def cdf(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        if x >= cap:
+            return 1.0
+        den = a2 - a1 * x
+        r = math.inf if den <= 0.0 else x / den
+        if math.isinf(r):
+            return 1.0
+        survival = 1.0
+        for link in ratio_links:
+            survival *= _link_survival(link, r)
+        return _clamp_probability(1.0 - survival * _link_survival(far, x))
+
+    return cdf
 
 
 def cdf_gamma1_max_u1(x: float, params: SystemParams) -> float:
@@ -261,34 +276,12 @@ def cdf_gamma1_max_u2(x: float, params: SystemParams) -> float:
 
 def cdf_gamma2_max_u1(x: float, params: SystemParams) -> float:
     """Distribution of the far-user e2e SINR under near-user-first selection."""
-    if x <= 0.0:
-        return 0.0
-    if x >= sinr_cap(params):
-        return 1.0
-    _warn_counts(params)
-    g = mean_gains(params)
-    survival = (
-        _sf_cross_s1(x, params, g.lam_su1, g.lam_ru1)
-        * _sf_relay_s1(x, params, g.lam_br, g.lam_si)
-        * _sf_far_s1(x, g.lam_ru2)
-    )
-    return _clamp_probability(1.0 - survival)
+    return _far_cdf(params, _far_links_max_u1(params))(x)
 
 
 def cdf_gamma2_max_u2(x: float, params: SystemParams) -> float:
     """Distribution of the far-user e2e SINR under far-user decoupled selection."""
-    if x <= 0.0:
-        return 0.0
-    if x >= sinr_cap(params):
-        return 1.0
-    _warn_counts(params)
-    g = mean_gains(params)
-    survival = (
-        _sf_cross_s2(x, params, g.lam_su1, g.lam_ru1)
-        * _sf_relay_s2(x, params, g.lam_br, g.lam_si)
-        * _sf_far_s2(x, params, g.lam_ru2)
-    )
-    return _clamp_probability(1.0 - survival)
+    return _far_cdf(params, _far_links_max_u2(params))(x)
 
 
 def rate_from_cdf(
@@ -364,7 +357,7 @@ def rate_u2_max_u1(
 ) -> QuadratureResult:
     """Far-user ergodic rate under near-user-first selection (quadrature)."""
     return rate_from_cdf(
-        lambda x: cdf_gamma2_max_u1(x, params),
+        _far_cdf(params, _far_links_max_u1(params)),
         upper=sinr_cap(params),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
@@ -376,7 +369,7 @@ def rate_u2_max_u2(
 ) -> QuadratureResult:
     """Far-user ergodic rate under far-user decoupled selection (quadrature)."""
     return rate_from_cdf(
-        lambda x: cdf_gamma2_max_u2(x, params),
+        _far_cdf(params, _far_links_max_u2(params)),
         upper=sinr_cap(params),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
@@ -426,22 +419,10 @@ def outage_u2_max_u1(params: SystemParams) -> float:
     decode it from the relay; the near-user leg does not appear.
     """
     _, theta2 = thresholds(params)
-    if theta2 >= sinr_cap(params):
-        return 1.0
-    _warn_counts(params)
-    g = mean_gains(params)
-    survival = _sf_relay_s1(theta2, params, g.lam_br, g.lam_si) * _sf_far_s1(theta2, g.lam_ru2)
-    return _clamp_probability(1.0 - survival)
+    return _far_cdf(params, _far_links_max_u1(params)[1:])(theta2)
 
 
 def outage_u2_max_u2(params: SystemParams) -> float:
     """Far-user outage under far-user decoupled selection."""
     _, theta2 = thresholds(params)
-    if theta2 >= sinr_cap(params):
-        return 1.0
-    _warn_counts(params)
-    g = mean_gains(params)
-    survival = _sf_relay_s2(theta2, params, g.lam_br, g.lam_si) * _sf_far_s2(
-        theta2, params, g.lam_ru2
-    )
-    return _clamp_probability(1.0 - survival)
+    return _far_cdf(params, _far_links_max_u2(params)[1:])(theta2)

@@ -17,8 +17,6 @@ from . import analytic
 from .config import ConfigError, KNOWN_METRICS, SweepSpec, load_config
 from .montecarlo import (
     ANALYTIC_SCHEMES,
-    MetricEstimate,
-    MetricSet,
     SweepRow,
     analytic_metric_set,
     analytic_sweep,
@@ -126,11 +124,6 @@ def _select_metrics(args) -> tuple[str, ...]:
     return metrics
 
 
-def _nan_metric_set() -> MetricSet:
-    nan = MetricEstimate(math.nan, 0.0, 0, kind="analytic")
-    return MetricSet(nan, nan, nan, nan, nan, nan)
-
-
 def cmd_sweep(args) -> int:
     params = load_config(args.config)
     schemes = _select_schemes(args)
@@ -157,21 +150,11 @@ def cmd_sweep(args) -> int:
         if skipped:
             notes.append(f"analytic rows skipped for: {', '.join(skipped)} (no closed forms)")
         if analytic_schemes:
-            analytic_spec = replace(spec, schemes=analytic_schemes)
-            for p_idx, power_db in enumerate(analytic_spec.power_db):
-                point_spec = replace(
-                    analytic_spec,
-                    power_db=(power_db,),
-                    rho_r_db=None if relay is None else (relay[p_idx],),
-                )
-                for scheme in analytic_schemes:
-                    try:
-                        rows += analytic_sweep(params, replace(point_spec, schemes=(scheme,)))
-                    except analytic.NonConvergedError as exc:
-                        notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {exc}")
-                        rows.append(
-                            SweepRow(power_db, scheme, "analytic", 0, _nan_metric_set())
-                        )
+            analytic_rows, analytic_notes = analytic_sweep(
+                params, replace(spec, schemes=analytic_schemes)
+            )
+            rows += analytic_rows
+            notes += analytic_notes
 
     rows.sort(key=lambda r: (r.power_db, spec.schemes.index(r.scheme), r.kind != "monte_carlo"))
     try:

@@ -93,6 +93,13 @@ class SweepSpec:
             raise ConfigError("SWEEP_EMPTY", "power grid must be non-empty")
         if len(self.schemes) == 0:
             raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
+        # The simulator keeps one set of statistics per scheme name, so a
+        # repeated scheme would add every block to it twice.
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ConfigError(
+                "SWEEP_SCHEME_DUPLICATE", f"scheme listed more than once: {', '.join(repeated)}"
+            )
         if len(self.metrics) == 0:
             raise ConfigError("SWEEP_EMPTY", "metric list must be non-empty")
         if self.trials < 1:

@@ -268,6 +268,15 @@ def estimate_metrics(
     return _metric_set(stats, KNOWN_METRICS)
 
 
+def _power_points(params: SystemParams, sweep: SweepSpec):
+    """(index, dB, validated parameters) for each point of the sweep's power grid."""
+    for p_idx, power_db in enumerate(sweep.power_db):
+        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[p_idx]
+        yield p_idx, power_db, validate(
+            replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
+        )
+
+
 def run_sweep(
     params: SystemParams,
     sweep: SweepSpec,
@@ -279,11 +288,7 @@ def run_sweep(
     the relay power.  All schemes at a point share realizations.
     """
     rows = []
-    for p_idx, power_db in enumerate(sweep.power_db):
-        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[p_idx]
-        run_params = validate(
-            replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
-        )
+    for p_idx, power_db, run_params in _power_points(params, sweep):
         stats = _simulate(
             run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), block_size
         )
@@ -333,25 +338,25 @@ def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, .
     return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain)
 
 
-def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
-    """Closed-form sweep rows for the schemes that have closed forms."""
-    rows = []
-    for p_idx, power_db in enumerate(sweep.power_db):
-        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[p_idx]
-        run_params = validate(
-            replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
-        )
+def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
+    """Closed-form sweep rows for the schemes that have closed forms, and notes.
+
+    A (point, scheme) whose evaluation does not converge gets a row of NaNs
+    and a NON_CONVERGED note; the sweep goes on with the other rows.
+    """
+    rows, notes = [], []
+    for _, power_db, run_params in _power_points(params, sweep):
         for scheme in sweep.schemes:
+            try:
+                metrics = analytic_metric_set(run_params, scheme, sweep.metrics)
+            except analytic.NonConvergedError as exc:
+                notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {exc}")
+                nan = MetricEstimate(math.nan, 0.0, 0, kind=ANALYTIC)
+                metrics = MetricSet(nan, nan, nan, nan, nan, nan)
             rows.append(
-                SweepRow(
-                    power_db=power_db,
-                    scheme=scheme,
-                    kind=ANALYTIC,
-                    trials=0,
-                    metrics=analytic_metric_set(run_params, scheme, sweep.metrics),
-                )
+                SweepRow(power_db=power_db, scheme=scheme, kind=ANALYTIC, trials=0, metrics=metrics)
             )
-    return rows
+    return rows, notes
 
 
 CSV_COLUMNS = (

@@ -24,6 +24,7 @@ from fdnoma.analytic import (
     thresholds,
     zeta,
 )
+from fdnoma.config import mean_gains
 
 from conftest import make_params
 
@@ -234,6 +235,185 @@ class TestFarUserCdfs:
             se = math.sqrt(target * (1.0 - target) / n)
             empirical = float(np.mean(gamma2 <= x))
             assert abs(empirical - target) < 4.0 * se, scheme
+
+
+# Oracles: the far-user survival functions as they were evaluated before the
+# laws were built once per parameter set, recomputing the mean gains, the
+# gain ratio and every coefficient on each call.  The built laws keep every
+# float operation in the same order, so they must agree exactly.
+
+def _oracle_ratio(x, params):
+    den = params.a2 - params.a1 * x
+    if den <= 0.0:
+        return math.inf
+    return x / den
+
+
+def _oracle_sf_cross_s1(x, params, lam_su1, lam_ru1):
+    r = _oracle_ratio(x, params)
+    if math.isinf(r):
+        return 0.0
+    m_b, m_t = params.m_b, params.m_t
+    terms = [
+        (-1.0) ** p
+        * math.comb(m_b - 1, p)
+        * math.exp(-(p + 1) * r / lam_su1)
+        / ((p + 1) * (1.0 + lam_ru1 * (p + 1) * r / (m_t * lam_su1)))
+        for p in range(m_b)
+    ]
+    return m_b * math.fsum(terms)
+
+
+def _oracle_sf_relay_s1(x, params, lam_br, lam_si):
+    r = _oracle_ratio(x, params)
+    if math.isinf(r):
+        return 0.0
+    m_r = params.m_r
+    terms = [
+        (-1.0) ** q
+        * math.comb(m_r - 1, q)
+        * math.exp(-(q + 1) * r / lam_br)
+        / ((q + 1) * (1.0 + lam_si * (q + 1) * r / lam_br))
+        for q in range(m_r)
+    ]
+    return m_r * math.fsum(terms)
+
+
+def _oracle_sf_cross_s2(x, params, lam_su1, lam_ru1):
+    r = _oracle_ratio(x, params)
+    if math.isinf(r):
+        return 0.0
+    return math.exp(-r / lam_su1) / (1.0 + lam_ru1 * r / lam_su1)
+
+
+def _oracle_sf_relay_s2(x, params, lam_br, lam_si):
+    r = _oracle_ratio(x, params)
+    if math.isinf(r):
+        return 0.0
+    m_b, m_r = params.m_b, params.m_r
+    terms = [
+        (-1.0) ** p
+        * math.comb(m_b - 1, p)
+        * math.exp(-(p + 1) * r / lam_br)
+        / ((p + 1) * (1.0 + lam_si * (p + 1) * r / (m_r * lam_br)))
+        for p in range(m_b)
+    ]
+    return m_b * math.fsum(terms)
+
+
+def _oracle_sf_far_s1(x, lam_ru2):
+    return math.exp(-x / lam_ru2)
+
+
+def _oracle_sf_far_s2(x, params, lam_ru2):
+    m_t = params.m_t
+    terms = [
+        (-1.0) ** q * math.comb(m_t - 1, q) * math.exp(-(q + 1) * x / lam_ru2) / (q + 1)
+        for q in range(m_t)
+    ]
+    return m_t * math.fsum(terms)
+
+
+def oracle_cdf_gamma2_max_u1(x, params):
+    if x <= 0.0:
+        return 0.0
+    if x >= sinr_cap(params):
+        return 1.0
+    g = mean_gains(params)
+    survival = (
+        _oracle_sf_cross_s1(x, params, g.lam_su1, g.lam_ru1)
+        * _oracle_sf_relay_s1(x, params, g.lam_br, g.lam_si)
+        * _oracle_sf_far_s1(x, g.lam_ru2)
+    )
+    return analytic._clamp_probability(1.0 - survival)
+
+
+def oracle_cdf_gamma2_max_u2(x, params):
+    if x <= 0.0:
+        return 0.0
+    if x >= sinr_cap(params):
+        return 1.0
+    g = mean_gains(params)
+    survival = (
+        _oracle_sf_cross_s2(x, params, g.lam_su1, g.lam_ru1)
+        * _oracle_sf_relay_s2(x, params, g.lam_br, g.lam_si)
+        * _oracle_sf_far_s2(x, params, g.lam_ru2)
+    )
+    return analytic._clamp_probability(1.0 - survival)
+
+
+def oracle_outage_u2_max_u1(params):
+    _, theta2 = thresholds(params)
+    if theta2 >= sinr_cap(params):
+        return 1.0
+    g = mean_gains(params)
+    survival = _oracle_sf_relay_s1(theta2, params, g.lam_br, g.lam_si) * _oracle_sf_far_s1(
+        theta2, g.lam_ru2
+    )
+    return analytic._clamp_probability(1.0 - survival)
+
+
+def oracle_outage_u2_max_u2(params):
+    _, theta2 = thresholds(params)
+    if theta2 >= sinr_cap(params):
+        return 1.0
+    g = mean_gains(params)
+    survival = _oracle_sf_relay_s2(theta2, params, g.lam_br, g.lam_si) * _oracle_sf_far_s2(
+        theta2, params, g.lam_ru2
+    )
+    return analytic._clamp_probability(1.0 - survival)
+
+
+FAR_USER_LAWS = (
+    (cdf_gamma2_max_u1, oracle_cdf_gamma2_max_u1, rate_u2_max_u1,
+     outage_u2_max_u1, oracle_outage_u2_max_u1),
+    (cdf_gamma2_max_u2, oracle_cdf_gamma2_max_u2, rate_u2_max_u2,
+     outage_u2_max_u2, oracle_outage_u2_max_u2),
+)
+
+ORACLE_PARAMS = {
+    "4x4x4": make_params(),
+    "3x5x2": make_params(m_b=3, m_r=5, m_t=2, k1=0.3),
+    "1x1x1": make_params(m_b=1, m_r=1, m_t=1),
+    "k1=0": make_params(k1=0.0),
+    "gains 1e-100": make_params(rho_s=1.0, rho_r=1.0, var_br=1e-100, var_bu1=1e-100,
+                                var_ru1=1e-100, var_ru2=1e-100, var_si=1e-100, k1=1.0),
+    "gains 1e+100": make_params(rho_s=1.0, rho_r=1.0, var_br=1e100, var_bu1=1e100,
+                                var_ru1=1e100, var_ru2=1e100, var_si=1e100, k1=1.0),
+    "gains 1e+-100": make_params(m_b=2, m_r=3, m_t=5, rho_s=1.0, rho_r=1.0, var_br=1e100,
+                                 var_bu1=1e-100, var_ru1=1e100, var_ru2=1e-100,
+                                 var_si=1e-100, k1=1.0),
+}
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
+def test_far_user_laws_equal_per_call_oracle(params):
+    cap = sinr_cap(params)
+    xs = [0.0, 1e-300, *(cap * k / 40 for k in range(1, 40)), math.nextafter(cap, 0.0),
+          cap * (1.0 - 1e-12), cap, cap + 1.0]
+    for cdf, oracle_cdf, rate, outage, oracle_outage in FAR_USER_LAWS:
+        for x in xs:
+            assert cdf(x, params) == oracle_cdf(x, params), (cdf.__name__, x)
+        reference = rate_from_cdf(lambda x: oracle_cdf(x, params), upper=cap)
+        assert rate(params) == reference, rate.__name__  # value, bound and evaluations
+        assert outage(params) == oracle_outage(params), outage.__name__
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: rate_u2_max_u1(p),
+        lambda p: rate_u2_max_u2(p),
+        lambda p: cdf_gamma2_max_u2(1.0, p),
+        lambda p: outage_u2_max_u1(p),
+    ],
+    ids=["rate_u2_max_u1", "rate_u2_max_u2", "cdf_gamma2_max_u2", "outage_u2_max_u1"],
+)
+def test_far_user_laws_warn_above_sixteen_antennas(call):
+    params = make_params(m_b=17, m_r=4, m_t=4)
+    with pytest.warns(RuntimeWarning, match="alternating binomial") as record:
+        call(params)
+    assert record[0].filename == __file__  # attributed to the caller
 
 
 class TestFarUserRates:

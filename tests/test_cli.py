@@ -176,6 +176,16 @@ class TestSweep:
         code = main(["sweep", "--config", str(path), "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
 
+    def test_repeated_scheme_is_config_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(
+            ["sweep", "--config", config_path, "--schemes", "max_u1,max_u1", "--power", "10",
+             "--trials", "200", "--seed", "3", "--output", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "SWEEP_SCHEME_DUPLICATE" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scheme_is_usage_error(self, config_path, tmp_path):
         code = main(
             [

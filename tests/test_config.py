@@ -231,6 +231,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(power_db=(0.0,), schemes=("max_u1",), trials=0)
 
+    def test_rejects_repeated_scheme(self):
+        # One statistics entry per scheme name: a repeated scheme would count
+        # every block twice and shrink its standard errors by sqrt(2).
+        with pytest.raises(ConfigError, match="max_u1") as info:
+            SweepSpec(power_db=(0.0,), schemes=("max_u1", "random", "max_u1"))
+        assert info.value.code == "SWEEP_SCHEME_DUPLICATE"
+
     def test_rejects_mismatched_relay_grid(self):
         with pytest.raises(ConfigError):
             SweepSpec(power_db=(0.0, 10.0), schemes=("max_u1",), rho_r_db=(0.0,))

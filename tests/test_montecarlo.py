@@ -234,8 +234,9 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
 class TestAnalyticRows:
     def test_values_and_kind(self, baseline):
         spec = SweepSpec(power_db=(20.0,), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
-        rows = analytic_sweep(baseline, spec)
+        rows, notes = analytic_sweep(baseline, spec)
         assert len(rows) == 2
+        assert notes == []
         for row in rows:
             assert row.kind == "analytic"
             assert row.metrics.rate_u1.std_error == 0.0
@@ -247,6 +248,30 @@ class TestAnalyticRows:
     def test_unknown_scheme_rejected(self, baseline):
         with pytest.raises(ValueError):
             analytic_metric_set(baseline, "max_u1", ("rates",))
+
+    def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
+        calls = []
+        rate_u2_max_u2 = analytic.rate_u2_max_u2
+
+        def explode_at_second_point(params, rel_tol=1e-8, abs_tol=1e-9):
+            calls.append(params.rho_s)
+            if len(calls) == 2:
+                raise analytic.NonConvergedError("forced for test")
+            return rate_u2_max_u2(params)
+
+        monkeypatch.setattr(analytic, "rate_u2_max_u2", explode_at_second_point)
+        spec = SweepSpec(power_db=(10.0, 20.0, 30.0), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
+        rows, notes = analytic_sweep(baseline, spec)
+        assert [(row.power_db, row.scheme) for row in rows] == [
+            (db, scheme) for db in (10.0, 20.0, 30.0) for scheme in ANALYTIC_SCHEMES
+        ]
+        assert notes == ["NON_CONVERGED at 20.0 dB / max_u2_decoupled: forced for test"]
+        broken = rows[3].metrics
+        assert all(
+            math.isnan(m.value) and m.std_error == 0.0 and m.trials == 0 and m.kind == "analytic"
+            for m in vars(broken).values()
+        )
+        assert all(not math.isnan(row.metrics.rate_u2.value) for i, row in enumerate(rows) if i != 3)
 
 
 class TestCsv:
