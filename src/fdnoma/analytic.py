@@ -12,16 +12,19 @@ their integrals stop there.  Alternating binomial sums are accumulated
 with math.fsum (error-free transformation), which keeps deep outage
 floors accurate despite cancellation.
 
-The far-user laws are built once per parameter set: _far_cdf takes the
-links' precomputed mean gains and binomial coefficients and returns F,
-which only forms the gain ratio x / (a2 - a1 x) and the sums.  A rate
-passes that F to the quadrature, which calls it a few hundred times; the
-public CDFs and outages build it for a single evaluation.
+The far-user laws are built once per parameter set: far_user_cdf takes
+the links' precomputed mean gains and binomial coefficients and returns
+F, which only forms the gain ratio x / (a2 - a1 x) and the sums.  A rate
+passes that F to the quadrature, which calls it a few hundred times;
+cdf_gamma2_* and outage_u2_* build it for a single evaluation, so a
+caller that evaluates one law at many points builds it with
+far_user_cdf instead.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -133,10 +136,13 @@ def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL)
     return (_scaled_e1(beta / alpha) - _scaled_e1(beta)) / (alpha - 1.0)
 
 
-def _warn_counts(params: SystemParams, stacklevel: int = 3) -> None:
-    """Warn of cancellation above 16 antennas, at the public function's caller."""
+def _warn_counts(params: SystemParams) -> None:
+    """Warn of cancellation above 16 antennas, at the first caller outside this module."""
     worst = max(params.m_b, params.m_r, params.m_t)
     if worst > _MAX_SAFE_ANTENNAS:
+        frame, stacklevel = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__name__") == __name__:
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"antenna count {worst} > {_MAX_SAFE_ANTENNAS}: alternating binomial "
             "sums lose precision to combinatorial cancellation",
@@ -209,15 +215,28 @@ def _far_links_max_u2(params: SystemParams) -> tuple[_Link, _Link, _Link]:
     )
 
 
-def _far_cdf(params: SystemParams, links: tuple[_Link, ...]) -> Callable[[float], float]:
-    """Distribution of the minimum of the given far-user links' SINRs.
+_FAR_LINKS = {"max_u1": _far_links_max_u1, "max_u2": _far_links_max_u2}
 
-    links is a tail of (cross, relay, far): every link before the last
-    takes the gain ratio, the last takes x.  Survivals multiply left to
-    right; an infinite ratio (x at the cap up to rounding) survives with
-    probability 0.
+
+def far_user_cdf(
+    params: SystemParams, rule: str, cross_link: bool = True
+) -> Callable[[float], float]:
+    """The far-user SINR distribution under a selection rule, built once.
+
+    rule is "max_u1" (near-user-first) or "max_u2" (far-user decoupled).
+    The law is that of the e2e SINR min(cross, relay, far), as in
+    cdf_gamma2_*; cross_link=False drops the near user's cross-decoding
+    link, leaving min(relay, far), whose value at the far-user threshold
+    is outage_u2_*.  The links before the far one take the gain ratio, the
+    far link takes x.  Survivals multiply left to right; an infinite ratio
+    (x at the cap up to rounding) survives with probability 0.
     """
-    _warn_counts(params, stacklevel=4)
+    if rule not in _FAR_LINKS:
+        raise ValueError(f"unknown rule {rule!r}; have {tuple(_FAR_LINKS)}")
+    _warn_counts(params)
+    links = _FAR_LINKS[rule](params)
+    if not cross_link:
+        links = links[1:]
     a1, a2 = params.a1, params.a2
     cap = sinr_cap(params)
     *ratio_links, far = links
@@ -276,12 +295,12 @@ def cdf_gamma1_max_u2(x: float, params: SystemParams) -> float:
 
 def cdf_gamma2_max_u1(x: float, params: SystemParams) -> float:
     """Distribution of the far-user e2e SINR under near-user-first selection."""
-    return _far_cdf(params, _far_links_max_u1(params))(x)
+    return far_user_cdf(params, "max_u1")(x)
 
 
 def cdf_gamma2_max_u2(x: float, params: SystemParams) -> float:
     """Distribution of the far-user e2e SINR under far-user decoupled selection."""
-    return _far_cdf(params, _far_links_max_u2(params))(x)
+    return far_user_cdf(params, "max_u2")(x)
 
 
 def rate_from_cdf(
@@ -357,7 +376,7 @@ def rate_u2_max_u1(
 ) -> QuadratureResult:
     """Far-user ergodic rate under near-user-first selection (quadrature)."""
     return rate_from_cdf(
-        _far_cdf(params, _far_links_max_u1(params)),
+        far_user_cdf(params, "max_u1"),
         upper=sinr_cap(params),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
@@ -369,7 +388,7 @@ def rate_u2_max_u2(
 ) -> QuadratureResult:
     """Far-user ergodic rate under far-user decoupled selection (quadrature)."""
     return rate_from_cdf(
-        _far_cdf(params, _far_links_max_u2(params)),
+        far_user_cdf(params, "max_u2"),
         upper=sinr_cap(params),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
@@ -419,10 +438,10 @@ def outage_u2_max_u1(params: SystemParams) -> float:
     decode it from the relay; the near-user leg does not appear.
     """
     _, theta2 = thresholds(params)
-    return _far_cdf(params, _far_links_max_u1(params)[1:])(theta2)
+    return far_user_cdf(params, "max_u1", cross_link=False)(theta2)
 
 
 def outage_u2_max_u2(params: SystemParams) -> float:
     """Far-user outage under far-user decoupled selection."""
     _, theta2 = thresholds(params)
-    return _far_cdf(params, _far_links_max_u2(params)[1:])(theta2)
+    return far_user_cdf(params, "max_u2", cross_link=False)(theta2)

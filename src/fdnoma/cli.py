@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
-from .config import ConfigError, KNOWN_METRICS, SweepSpec, load_config
+from .config import ConfigError, KNOWN_METRICS, SweepSpec, check_run, load_config
 from .montecarlo import (
     ANALYTIC_SCHEMES,
     SweepRow,
@@ -210,21 +210,23 @@ def _check_alternating_identity(params, trials, seed):
 
 def _check_cdf_sanity(params, trials, seed):
     cap = analytic.sinr_cap(params)
+    near_hi = 60.0 * params.a1 * params.rho_s
+    # Each far-user law is built once and evaluated over the whole grid.
     cases = [
-        (analytic.cdf_gamma1_max_u1, 60.0 * params.a1 * params.rho_s, False),
-        (analytic.cdf_gamma1_max_u2, 60.0 * params.a1 * params.rho_s, False),
-        (analytic.cdf_gamma2_max_u1, cap, True),
-        (analytic.cdf_gamma2_max_u2, cap, True),
+        ("cdf_gamma1_max_u1", lambda x: analytic.cdf_gamma1_max_u1(x, params), near_hi, False),
+        ("cdf_gamma1_max_u2", lambda x: analytic.cdf_gamma1_max_u2(x, params), near_hi, False),
+        ("cdf_gamma2_max_u1", analytic.far_user_cdf(params, "max_u1"), cap, True),
+        ("cdf_gamma2_max_u2", analytic.far_user_cdf(params, "max_u2"), cap, True),
     ]
-    for cdf, hi, capped in cases:
+    for name, cdf, hi, capped in cases:
         grid = np.linspace(0.0, hi, 1000)
-        values = [cdf(float(x), params) for x in grid]
+        values = [cdf(float(x)) for x in grid]
         if values[0] != 0.0:
-            return False, f"{cdf.__name__}: F(0) = {values[0]!r}"
+            return False, f"{name}: F(0) = {values[0]!r}"
         if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
-            return False, f"{cdf.__name__}: not nondecreasing"
-        if capped and cdf(cap, params) != 1.0:
-            return False, f"{cdf.__name__}: F(cap) != 1"
+            return False, f"{name}: not nondecreasing"
+        if capped and cdf(cap) != 1.0:
+            return False, f"{name}: F(cap) != 1"
     return True, "4 distribution functions monotone with correct endpoints"
 
 
@@ -279,11 +281,11 @@ def _outage_deviation(events: int, trials: int, p: float) -> float:
 
 def _check_mc_vs_analytic(params, trials, seed):
     worst = []
+    measured = estimate_metrics(params, ANALYTIC_SCHEMES, trials, seed)
     for scheme in ANALYTIC_SCHEMES:
-        measured = estimate_metrics(params, scheme, trials, seed)
         reference = analytic_metric_set(params, scheme, ("rates", "outage"))
         for name in ("rate_u1", "rate_u2", "outage_u1", "outage_u2"):
-            estimate, target = getattr(measured, name), getattr(reference, name).value
+            estimate, target = getattr(measured[scheme], name), getattr(reference, name).value
             if name.startswith("outage"):
                 events = round(estimate.value * trials)
                 deviation = _outage_deviation(events, trials, target)
@@ -311,6 +313,7 @@ DEFAULT_CHECKS = (
 
 def cmd_validate(args, checks=DEFAULT_CHECKS) -> int:
     params = load_config(args.config)
+    check_run(args.trials, args.seed)
     all_ok = True
     print(f"{'check':<28} {'result':<6} detail")
     for name, fn in checks:

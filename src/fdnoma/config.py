@@ -93,8 +93,7 @@ class SweepSpec:
             raise ConfigError("SWEEP_EMPTY", "power grid must be non-empty")
         if len(self.schemes) == 0:
             raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
-        # The simulator keeps one set of statistics per scheme name, so a
-        # repeated scheme would add every block to it twice.
+        # A repeated scheme would only repeat its rows.
         repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
         if repeated:
             raise ConfigError(
@@ -102,13 +101,20 @@ class SweepSpec:
             )
         if len(self.metrics) == 0:
             raise ConfigError("SWEEP_EMPTY", "metric list must be non-empty")
-        if self.trials < 1:
-            raise ConfigError("SWEEP_TRIALS_INVALID", "trial count must be >= 1")
+        check_run(self.trials, self.seed)
         if self.rho_r_db is not None and len(self.rho_r_db) != len(self.power_db):
             raise ConfigError(
                 "SWEEP_RELAY_GRID_MISMATCH",
                 "rho_r_db override must match power_db length",
             )
+
+
+def check_run(trials: int, seed: int) -> None:
+    """A simulation needs at least one trial and a seed numpy accepts (>= 0)."""
+    if trials < 1:
+        raise ConfigError("TRIALS_INVALID", f"trial count must be >= 1, got {trials!r}")
+    if seed < 0:
+        raise ConfigError("SEED_INVALID", f"seed must be >= 0, got {seed!r}")
 
 
 _POWER_SPLIT_TOL = 1e-12

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
-from .config import KNOWN_METRICS, SweepSpec, SystemParams, db_to_linear, validate
+from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, db_to_linear, validate
 from .selection import JOINT_SCHEMES, NEEDS_RNG, batch_joint_search, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
@@ -110,7 +110,13 @@ def _simulate(
     entropy_base: tuple[int, ...],
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> dict[str, _Stats]:
+    """Statistics per scheme; every scheme sees the same blocks, each drawn once.
+
+    block_size is part of each block's stream key, so the public
+    estimators and run_sweep keep it at DEFAULT_BLOCK_SIZE.
+    """
     validate(params)
+    check_run(trials, entropy_base[0])
     for scheme in schemes:
         check_scheme(scheme)
     theta1, theta2 = analytic.thresholds(params)
@@ -122,7 +128,7 @@ def _simulate(
         rows = np.arange(count)
         # The joint searches share one far-user grid per tile.
         chosen = batch_joint_search(batch, params, joint) if joint else {}
-        for scheme in schemes:
+        for scheme in stats:  # a repeated scheme is simulated once
             if scheme in chosen:
                 ii, jj, kk = chosen[scheme]
             else:
@@ -216,24 +222,14 @@ def _metric_set(stats: _Stats, metrics: tuple[str, ...]) -> MetricSet:
 
 
 def estimate_rates(
-    params: SystemParams,
-    scheme: str,
-    trials: int,
-    seed: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    params: SystemParams, scheme: str, trials: int, seed: int
 ) -> tuple[MetricEstimate, MetricEstimate, MetricEstimate]:
     """Sample means of the per-realization user rates under one scheme."""
-    stats = _simulate(params, (scheme,), trials, (seed,), block_size)[scheme]
+    stats = _simulate(params, (scheme,), trials, (seed,))[scheme]
     return _rate_estimates(stats)
 
 
-def estimate_outage(
-    params: SystemParams,
-    scheme: str,
-    trials: int,
-    seed: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> OutageEstimate:
+def estimate_outage(params: SystemParams, scheme: str, trials: int, seed: int) -> OutageEstimate:
     """Outage frequencies under one scheme.
 
     Near-user outage: fails to decode the far-user symbol at its target
@@ -242,30 +238,29 @@ def estimate_outage(
     reaches the a2/a1 cap both outages are identically 1 and the result
     is flagged instead of simulated.
     """
+    check_run(trials, seed)
     _, theta2 = analytic.thresholds(params)
     if theta2 >= analytic.sinr_cap(params):
         certain = MetricEstimate(1.0, 0.0, trials)
         return OutageEstimate(certain, certain, threshold_infeasible=True)
-    stats = _simulate(params, (scheme,), trials, (seed,), block_size)[scheme]
+    stats = _simulate(params, (scheme,), trials, (seed,))[scheme]
     outage_u1, outage_u2 = _outage_estimates(stats)
     return OutageEstimate(outage_u1, outage_u2)
 
 
 def estimate_metrics(
-    params: SystemParams,
-    scheme: str,
-    trials: int,
-    seed: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> MetricSet:
-    """Every metric of one scheme from a single simulation.
+    params: SystemParams, schemes: tuple[str, ...], trials: int, seed: int
+) -> dict[str, MetricSet]:
+    """Every metric of each scheme from one simulation over shared realizations.
 
-    The draws are those of estimate_rates and estimate_outage with the same
-    seed, so the rates and outages equal theirs; past the a2/a1 cap every
-    trial is an outage, which estimate_outage returns without simulating.
+    Each block is drawn once for all the schemes, and a scheme's metrics do
+    not depend on the others in the call: they equal estimate_rates and
+    estimate_outage of that scheme with the same seed.  Past the a2/a1 cap
+    every trial is an outage, which estimate_outage returns without
+    simulating.
     """
-    stats = _simulate(params, (scheme,), trials, (seed,), block_size)[scheme]
-    return _metric_set(stats, KNOWN_METRICS)
+    stats = _simulate(params, schemes, trials, (seed,))
+    return {scheme: _metric_set(stats[scheme], KNOWN_METRICS) for scheme in schemes}
 
 
 def _power_points(params: SystemParams, sweep: SweepSpec):
@@ -277,11 +272,7 @@ def _power_points(params: SystemParams, sweep: SweepSpec):
         )
 
 
-def run_sweep(
-    params: SystemParams,
-    sweep: SweepSpec,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> list[SweepRow]:
+def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     """Monte Carlo sweep over the power grid; one row per (point, scheme).
 
     Power points set rho_s and rho_r jointly unless the sweep overrides
@@ -289,9 +280,7 @@ def run_sweep(
     """
     rows = []
     for p_idx, power_db, run_params in _power_points(params, sweep):
-        stats = _simulate(
-            run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), block_size
-        )
+        stats = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx))
         for scheme in sweep.schemes:
             rows.append(
                 SweepRow(

@@ -391,9 +391,11 @@ def test_far_user_laws_equal_per_call_oracle(params):
     cap = sinr_cap(params)
     xs = [0.0, 1e-300, *(cap * k / 40 for k in range(1, 40)), math.nextafter(cap, 0.0),
           cap * (1.0 - 1e-12), cap, cap + 1.0]
-    for cdf, oracle_cdf, rate, outage, oracle_outage in FAR_USER_LAWS:
+    for (cdf, oracle_cdf, rate, outage, oracle_outage), rule in zip(FAR_USER_LAWS, ("max_u1", "max_u2")):
+        law = analytic.far_user_cdf(params, rule)  # built once, evaluated at every x
         for x in xs:
             assert cdf(x, params) == oracle_cdf(x, params), (cdf.__name__, x)
+            assert law(x) == oracle_cdf(x, params), (rule, x)
         reference = rate_from_cdf(lambda x: oracle_cdf(x, params), upper=cap)
         assert rate(params) == reference, rate.__name__  # value, bound and evaluations
         assert outage(params) == oracle_outage(params), outage.__name__
@@ -406,14 +408,20 @@ def test_far_user_laws_equal_per_call_oracle(params):
         lambda p: rate_u2_max_u2(p),
         lambda p: cdf_gamma2_max_u2(1.0, p),
         lambda p: outage_u2_max_u1(p),
+        lambda p: analytic.far_user_cdf(p, "max_u2", cross_link=False),
     ],
-    ids=["rate_u2_max_u1", "rate_u2_max_u2", "cdf_gamma2_max_u2", "outage_u2_max_u1"],
+    ids=["rate_u2_max_u1", "rate_u2_max_u2", "cdf_gamma2_max_u2", "outage_u2_max_u1", "far_user_cdf"],
 )
 def test_far_user_laws_warn_above_sixteen_antennas(call):
     params = make_params(m_b=17, m_r=4, m_t=4)
     with pytest.warns(RuntimeWarning, match="alternating binomial") as record:
         call(params)
     assert record[0].filename == __file__  # attributed to the caller
+
+
+def test_far_user_cdf_rejects_unknown_rule(baseline):
+    with pytest.raises(ValueError, match="max_u3"):
+        analytic.far_user_cdf(baseline, "max_u3")
 
 
 class TestFarUserRates:

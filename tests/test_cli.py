@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from fdnoma import cli
+from fdnoma import analytic, cli, montecarlo
+from fdnoma.channel import DEFAULT_BLOCK_SIZE
 from fdnoma.config import default_params
 from fdnoma.montecarlo import MetricEstimate, analytic_metric_set
 from fdnoma.cli import (
@@ -186,6 +187,17 @@ class TestSweep:
         assert "SWEEP_SCHEME_DUPLICATE" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["mc", "analytic"])
+    def test_negative_seed_is_config_error(self, config_path, tmp_path, capsys, mode):
+        out = tmp_path / "o.csv"
+        code = main(
+            ["sweep", "--config", config_path, "--mode", mode, "--power", "10",
+             "--trials", "200", "--seed", "-1", "--output", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "SEED_INVALID" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scheme_is_usage_error(self, config_path, tmp_path):
         code = main(
             [
@@ -286,6 +298,51 @@ class TestValidate:
         code = main(["validate", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags,code",
+        [(["--trials", "0"], "TRIALS_INVALID"), (["--trials", "-5"], "TRIALS_INVALID"),
+         (["--seed", "-1"], "SEED_INVALID")],
+    )
+    def test_bad_trials_or_seed_is_config_error(self, config_path, capsys, flags, code):
+        # Rejected before any check runs, so no check line is printed.
+        assert main(["validate", "--config", config_path, *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert code in captured.err
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_simulation_check_draws_each_block_once(self, monkeypatch):
+        # Both closed-form schemes share every block: 3 blocks, 3 draws, not 6.
+        draws = []
+        draw_batch = montecarlo.draw_batch
+
+        def counting(params, entropy, count):
+            draws.append(entropy)
+            return draw_batch(params, entropy, count)
+
+        monkeypatch.setattr(montecarlo, "draw_batch", counting)
+        ok, detail = _check_mc_vs_analytic(default_params(20.0), 2 * DEFAULT_BLOCK_SIZE + 1, 1)
+        assert ok, detail
+        assert draws == [(1, 0), (1, 1), (1, 2)]
+
+    def test_cdf_sanity_builds_each_far_law_once(self, monkeypatch):
+        built = []
+        far_user_cdf = analytic.far_user_cdf
+
+        def counting(params, rule, *args):
+            built.append(rule)
+            return far_user_cdf(params, rule, *args)
+
+        monkeypatch.setattr(analytic, "far_user_cdf", counting)
+        assert cli._check_cdf_sanity(default_params(20.0), 0, 1)[0]
+        assert built == ["max_u1", "max_u2"]
+
+    def test_cdf_sanity_warning_names_the_check(self):
+        params = replace(default_params(20.0), m_b=17)
+        with pytest.warns(RuntimeWarning, match="alternating binomial") as record:
+            cli._check_cdf_sanity(params, 0, 1)
+        assert {w.filename for w in record} == {cli.__file__}
+
     def test_rare_outage_judged_on_exact_binomial_tail(self):
         # 20 dB near-user outage 2.30e-7, 1e6 trials: 3 events (P = 0.17%)
         # read 5.8 se under the normal approximation with se from p.
@@ -300,7 +357,10 @@ class TestValidate:
     def test_simulation_check_verdict_on_outage_count(self, monkeypatch, events, verdict):
         # Exact rates and outage_u2; max_u1_analytic's near-user outage is
         # `events` in 1e6 trials against 2.30e-7.
-        def measured(params, scheme, trials, seed):
+        def measured(params, schemes, trials, seed):
+            return {scheme: measured_one(params, scheme, trials) for scheme in schemes}
+
+        def measured_one(params, scheme, trials):
             exact = analytic_metric_set(params, scheme, ("rates", "outage"))
             near = events if scheme == "max_u1_analytic" else round(exact.outage_u1.value * trials)
             return replace(exact, outage_u1=MetricEstimate(near / trials, 0.0, trials),

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdnoma import analytic
-from fdnoma.config import SweepSpec, default_params
+from fdnoma.config import ConfigError, SweepSpec, default_params
 from fdnoma.montecarlo import (
     ANALYTIC_SCHEMES,
     CSV_COLUMNS,
+    _rate_estimates,
+    _simulate,
     analytic_metric_set,
     analytic_sweep,
     estimate_metrics,
@@ -78,8 +80,8 @@ class TestEstimateRates:
 
     def test_block_size_does_not_change_draws_within_block_grid(self, baseline):
         # same block size, different call: partials reduced in block order
-        a = estimate_rates(baseline, "max_u1", 30_000, seed=9, block_size=1 << 14)
-        b = estimate_rates(baseline, "max_u1", 30_000, seed=9, block_size=1 << 14)
+        a = _rate_estimates(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"])
+        b = _rate_estimates(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"])
         assert a == b
 
 
@@ -108,16 +110,44 @@ class TestEstimateOutage:
         assert 0.0 <= result.outage_u2.value <= 1.0
 
 
-@pytest.mark.parametrize("overrides", [{}, {"rate2": 2.0}])
-@pytest.mark.parametrize("scheme", ANALYTIC_SCHEMES)
-def test_estimate_metrics_equals_separate_estimates(scheme, overrides):
-    # One simulation gives the rates and outages of two, for the same seed;
-    # rate2 = 2 puts the far-user threshold past the a2/a1 cap.
+@pytest.fixture(scope="module")
+def overrides(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def all_schemes_together(overrides):
+    return estimate_metrics(make_params(**overrides), SCHEMES, 70_001, 9)
+
+
+# rate2 = 2 puts the far-user threshold past the a2/a1 cap.
+@pytest.mark.parametrize("overrides", [{}, {"rate2": 2.0}, {"m_b": 3, "m_r": 5, "m_t": 2}], indirect=True)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_estimate_metrics_equals_separate_estimates(scheme, overrides, all_schemes_together):
+    # One simulation of all schemes gives each scheme the rates and outages
+    # of two single-scheme simulations with the same seed.
     params = make_params(**overrides)
-    both = estimate_metrics(params, scheme, 70_001, 9)
-    assert (both.rate_u1, both.rate_u2, both.rate_sum) == estimate_rates(params, scheme, 70_001, 9)
+    assert tuple(all_schemes_together) == SCHEMES
+    metrics = all_schemes_together[scheme]
+    rates = estimate_rates(params, scheme, 70_001, 9)
+    assert (metrics.rate_u1, metrics.rate_u2, metrics.rate_sum) == rates
     outage = estimate_outage(params, scheme, 70_001, 9)
-    assert (both.outage_u1, both.outage_u2) == (outage.outage_u1, outage.outage_u2)
+    assert (metrics.outage_u1, metrics.outage_u2) == (outage.outage_u1, outage.outage_u2)
+
+
+def test_repeated_scheme_is_simulated_once(baseline):
+    once = estimate_metrics(baseline, ("max_u1",), 20_000, 3)
+    twice = estimate_metrics(baseline, ("max_u1", "max_u1"), 20_000, 3)
+    assert twice == once
+
+
+@pytest.mark.parametrize("trials,seed,code", [(0, 1, "TRIALS_INVALID"), (-5, 1, "TRIALS_INVALID"),
+                                             (10, -1, "SEED_INVALID")])
+@pytest.mark.parametrize("estimate", [estimate_rates, estimate_outage])
+def test_bad_trials_or_seed_is_config_error(baseline, estimate, trials, seed, code):
+    with pytest.raises(ConfigError) as info:
+        estimate(baseline, "max_u1", trials, seed)
+    assert info.value.code == code
 
 
 def test_threshold_event_reduces_to_ratio_threshold(baseline):
