@@ -3,86 +3,14 @@
 Monte Carlo link-level simulation over Rayleigh fading plus independent
 closed-form evaluation of ergodic rates, outage probabilities and
 fairness, built to cross-validate each other.
+
+The names below are the ones README's library example uses; everything
+else is imported from its submodule (analytic, channel, cli, config,
+montecarlo, selection, sinr).
 """
 
-from .analytic import (
-    NonConvergedError,
-    QuadratureResult,
-    cdf_gamma1_max_u1,
-    cdf_gamma1_max_u2,
-    cdf_gamma2_max_u1,
-    cdf_gamma2_max_u2,
-    exp_int_ei,
-    outage_u1_max_u1,
-    outage_u1_max_u2,
-    outage_u2_max_u1,
-    outage_u2_max_u2,
-    rate_from_cdf,
-    rate_u1_max_u1,
-    rate_u1_max_u2,
-    rate_u2_max_u1,
-    rate_u2_max_u2,
-    sinr_cap,
-    thresholds,
-    zeta,
-)
-from .channel import (
-    ChannelRealization,
-    GainBatch,
-    RngSeed,
-    draw,
-    draw_batch,
-    dump_realizations,
-    realization_at,
-)
-from .config import (
-    ConfigError,
-    MeanGains,
-    SweepSpec,
-    SystemParams,
-    db_to_linear,
-    default_params,
-    linear_to_db,
-    load_config,
-    mean_gains,
-    validate,
-)
-from .montecarlo import (
-    ANALYTIC_SCHEMES,
-    CSV_COLUMNS,
-    MetricEstimate,
-    MetricSet,
-    OutageEstimate,
-    SweepRow,
-    analytic_metric_set,
-    analytic_sweep,
-    estimate_outage,
-    estimate_rates,
-    jain_index,
-    run_sweep,
-    write_csv,
-)
-from .selection import (
-    SCHEMES,
-    select,
-    select_batch,
-    select_max_u1,
-    select_max_u1_analytic,
-    select_max_u2_decoupled,
-    select_max_u2_exhaustive,
-    select_optimum_sumrate,
-    select_random,
-)
-from .sinr import (
-    AntennaChoice,
-    SinrBundle,
-    compute_bundle,
-    e2e_sinr_u2,
-    instantaneous_rates,
-    sinr_relay,
-    sinr_u1,
-    sinr_u2_at_u1,
-    snr_u2,
-)
+from .analytic import outage_u1_max_u1, rate_u1_max_u1, rate_u2_max_u2
+from .config import SystemParams, default_params
+from .montecarlo import estimate_outage, estimate_rates
 
 __version__ = "0.1.0"

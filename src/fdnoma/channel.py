@@ -18,37 +18,13 @@ from .config import SystemParams, mean_gains
 
 
 @dataclass(frozen=True)
-class RngSeed:
-    """64-bit seed plus stream index; identical pairs give identical draws."""
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed!r}")
-        if self.stream < 0:
-            raise ValueError(f"stream must be >= 0, got {self.stream!r}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One joint draw of all five channel groups (power gains, SNR folded in).
-
-    g_br[i, j]: BS antenna i to relay receive antenna j.
-    g_si[j, k]: relay transmit antenna k into receive antenna j.
-    """
-
-    g_br: np.ndarray  # (m_b, m_r)
-    g_su1: np.ndarray  # (m_b,)
-    g_ru1: np.ndarray  # (m_t,)
-    g_ru2: np.ndarray  # (m_t,)
-    g_si: np.ndarray  # (m_r, m_t)
-
-
-@dataclass(frozen=True)
 class GainBatch:
-    """Trial-major stacks of `count` realizations from one stream."""
+    """Trial-major stacks of `count` realizations from one stream.
+
+    Power gains with the SNR folded in.  g_br[t, i, j]: BS antenna i to
+    relay receive antenna j; g_si[t, j, k]: relay transmit antenna k into
+    receive antenna j, in trial t.
+    """
 
     g_br: np.ndarray  # (count, m_b, m_r)
     g_su1: np.ndarray  # (count, m_b)
@@ -94,22 +70,6 @@ def draw_batch(params: SystemParams, entropy: tuple[int, ...], count: int) -> Ga
         g_ru2=gains.lam_ru2 * rng.standard_exponential((count, params.m_t)),
         g_si=gains.lam_si * rng.standard_exponential((count, params.m_r, params.m_t)),
         count=count,
-    )
-
-
-def draw(params: SystemParams, seed: RngSeed) -> ChannelRealization:
-    """Draw one realization; equals the single element of a count-1 batch."""
-    batch = draw_batch(params, (seed.seed, seed.stream), 1)
-    return realization_at(batch, 0)
-
-
-def realization_at(batch: GainBatch, index: int) -> ChannelRealization:
-    return ChannelRealization(
-        g_br=batch.g_br[index],
-        g_su1=batch.g_su1[index],
-        g_ru1=batch.g_ru1[index],
-        g_ru2=batch.g_ru2[index],
-        g_si=batch.g_si[index],
     )
 
 

@@ -54,6 +54,8 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in pieces)
         except ValueError:
             raise _UsageError(f"bad power grid {text!r}") from None
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise _UsageError(f"bad power grid {text!r}; start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise _UsageError(f"bad power grid {text!r}; need step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -23,10 +23,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(linear: float) -> float:
-    return 10.0 * math.log10(linear)
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Scalar model constants.

@@ -11,7 +11,6 @@ dominance relations between schemes hold exactly in the outputs.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
+from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch
 from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, db_to_linear, validate
 from .selection import JOINT_SCHEMES, NEEDS_RNG, batch_joint_search, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
@@ -103,6 +102,29 @@ class _Stats:
         self.count_out2 += int(np.count_nonzero(out2))
 
 
+def chosen_sinrs(
+    batch: GainBatch, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-realization SINRs under the chosen (i, j, k) of every row of the batch.
+
+    Returns (gamma_1, gamma_12, gamma_r, gamma_2, g_ru2): the near user's
+    own SINR, the far-user symbol at the near user, at the relay, end to
+    end (the minimum of the last three), and the relay-to-far-user SNR.
+    """
+    rows = np.arange(batch.count)
+    g_br = batch.g_br[rows, ii, jj]
+    g_si = batch.g_si[rows, jj, kk]
+    g_su1 = batch.g_su1[rows, ii]
+    g_ru1 = batch.g_ru1[rows, kk]
+    g_ru2 = batch.g_ru2[rows, kk]
+
+    gamma_r = relay_sinr(g_br, g_si, params.a1, params.a2)
+    gamma_12 = cross_sinr(g_su1, g_ru1, params.a1, params.a2)
+    gamma_1 = near_sinr(g_su1, g_ru1, params.a1)
+    gamma_2 = np.minimum(np.minimum(gamma_12, gamma_r), g_ru2)
+    return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
+
+
 def _simulate(
     params: SystemParams,
     schemes: tuple[str, ...],
@@ -125,7 +147,6 @@ def _simulate(
 
     for block_index, _, count in blocks(trials, block_size):
         batch = draw_batch(params, (*entropy_base, block_index), count)
-        rows = np.arange(count)
         # The joint searches share one far-user grid per tile.
         chosen = batch_joint_search(batch, params, joint) if joint else {}
         for scheme in stats:  # a repeated scheme is simulated once
@@ -138,17 +159,7 @@ def _simulate(
                         np.random.SeedSequence((*entropy_base, block_index, _RANDOM_SALT))
                     )
                 ii, jj, kk = select_batch(scheme, batch, params, rng)
-            g_br = batch.g_br[rows, ii, jj]
-            g_si = batch.g_si[rows, jj, kk]
-            g_su1 = batch.g_su1[rows, ii]
-            g_ru1 = batch.g_ru1[rows, kk]
-            g_ru2 = batch.g_ru2[rows, kk]
-
-            gamma_r = relay_sinr(g_br, g_si, params.a1, params.a2)
-            gamma_12 = cross_sinr(g_su1, g_ru1, params.a1, params.a2)
-            gamma_1 = near_sinr(g_su1, g_ru1, params.a1)
-            gamma_2 = np.minimum(np.minimum(gamma_12, gamma_r), g_ru2)
-
+            gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, ii, jj, kk, params)
             r1 = rate_bits(gamma_1)
             r2 = rate_bits(gamma_2)
             out1 = ~((gamma_12 > theta2) & (gamma_1 > theta1))
@@ -401,8 +412,3 @@ def write_csv(rows: list[SweepRow], target) -> None:
         if own:
             handle.close()
 
-
-def rows_to_csv_text(rows: list[SweepRow]) -> str:
-    buffer = io.StringIO()
-    write_csv(rows, buffer)
-    return buffer.getvalue()

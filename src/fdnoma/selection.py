@@ -5,12 +5,13 @@ the decoupled stage-wise variants the closed-form analysis characterizes,
 an exhaustive sum-rate optimum, and a random baseline.  Ties always break
 to the lowest index (lexicographic over (i, j, k) for joint searches).
 
-Scalar functions take one ChannelRealization; batch_* variants operate on
-GainBatch stacks and return (i, j, k) index arrays.  Both compute the
-same objectives with the same formula kernels, so they agree exactly.
+Every scheme works on a GainBatch, a stack of channel realizations, and
+returns one (i, j, k) index array per axis, one entry per realization:
+the BS transmit, relay receive and relay transmit antenna.  select_batch
+is the single entry point by scheme name.
 
-The two joint batch searches (max_u2_exhaustive, optimum_sumrate) share
-one tiled pass, batch_joint_search.  It walks row tiles of the batch,
+The two joint searches (max_u2_exhaustive, optimum_sumrate) share one
+tiled pass, batch_joint_search.  It walks row tiles of the batch,
 sized so that one tile's per-trial (m_b, m_r, m_t) far-user SINR grid is
 about 2 MiB of float64 and stays in cache, builds that grid once per tile
 and takes the argmax of every requested scheme from it.  Every grid cell
@@ -24,82 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, GainBatch
+from .channel import GainBatch
 from .config import SystemParams
-from .sinr import LN2, AntennaChoice, cross_sinr, near_sinr, rate_bits, relay_sinr
+from .sinr import LN2, cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
-def select_max_u1(real: ChannelRealization, params: SystemParams) -> AntennaChoice:
+def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize the near-user SINR, then the relay SINR given that choice.
 
     The first stage is separable: the strongest BS-to-near-user antenna
     and the weakest interfering relay antenna.  The second stage picks the
     relay receive antenna with the self-interference term included.
     """
-    i = int(np.argmax(real.g_su1))
-    k = int(np.argmin(real.g_ru1))
-    j = int(np.argmax(relay_sinr(real.g_br[i, :], real.g_si[:, k], params.a1, params.a2)))
-    return AntennaChoice(i, j, k)
-
-
-def select_max_u1_analytic(real: ChannelRealization, params: SystemParams) -> AntennaChoice:
-    """As select_max_u1 but the receive stage maximizes the BS-relay gain alone.
-
-    Ignoring self-interference at that stage decouples the receive antenna
-    from the relay transmit antenna; this is the variant the closed forms
-    describe.
-    """
-    i = int(np.argmax(real.g_su1))
-    k = int(np.argmin(real.g_ru1))
-    j = int(np.argmax(real.g_br[i, :]))
-    return AntennaChoice(i, j, k)
-
-
-def _e2e_grid(real: ChannelRealization, params: SystemParams) -> np.ndarray:
-    """End-to-end far-user SINR for every (i, j, k) triple."""
-    g12 = cross_sinr(real.g_su1[:, None], real.g_ru1[None, :], params.a1, params.a2)  # (mb, mt)
-    gr = relay_sinr(real.g_br[:, :, None], real.g_si[None, :, :], params.a1, params.a2)  # (mb, mr, mt)
-    return np.minimum(np.minimum(g12[:, None, :], gr), real.g_ru2[None, None, :])
-
-
-def select_max_u2_exhaustive(real: ChannelRealization, params: SystemParams) -> AntennaChoice:
-    """Joint search over all (i, j, k) for the best far-user e2e SINR."""
-    grid = _e2e_grid(real, params)
-    i, j, k = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    return AntennaChoice(int(i), int(j), int(k))
-
-
-def select_max_u2_decoupled(real: ChannelRealization, params: SystemParams) -> AntennaChoice:
-    """Stage-wise far-user selection: best relay-to-far link, then least
-    self-interference into it, then strongest BS feed for that receive
-    antenna.  This is the variant the closed forms describe."""
-    k = int(np.argmax(real.g_ru2))
-    j = int(np.argmin(real.g_si[:, k]))
-    i = int(np.argmax(real.g_br[:, j]))
-    return AntennaChoice(i, j, k)
-
-
-def select_optimum_sumrate(real: ChannelRealization, params: SystemParams) -> AntennaChoice:
-    """Joint search maximizing the instantaneous two-user sum rate."""
-    r1 = rate_bits(near_sinr(real.g_su1[:, None], real.g_ru1[None, :], params.a1))  # (mb, mt)
-    r2 = rate_bits(_e2e_grid(real, params))  # (mb, mr, mt)
-    total = r1[:, None, :] + r2
-    i, j, k = np.unravel_index(int(np.argmax(total)), total.shape)
-    return AntennaChoice(int(i), int(j), int(k))
-
-
-def select_random(real: ChannelRealization, params: SystemParams, rng: np.random.Generator) -> AntennaChoice:
-    """Uniform independent indices at BS and relay input/output."""
-    return AntennaChoice(
-        int(rng.integers(params.m_b)),
-        int(rng.integers(params.m_r)),
-        int(rng.integers(params.m_t)),
-    )
-
-
-# Batch variants: index arrays of shape (count,) per axis.
-
-def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = np.arange(batch.count)
     ii = np.argmax(batch.g_su1, axis=1)
     kk = np.argmin(batch.g_ru1, axis=1)
@@ -110,6 +47,12 @@ def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np
 
 
 def batch_max_u1_analytic(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """As batch_max_u1 but the receive stage maximizes the BS-relay gain alone.
+
+    Ignoring self-interference at that stage decouples the receive antenna
+    from the relay transmit antenna; this is the variant the closed forms
+    describe.
+    """
     rows = np.arange(batch.count)
     ii = np.argmax(batch.g_su1, axis=1)
     kk = np.argmin(batch.g_ru1, axis=1)
@@ -177,11 +120,10 @@ def batch_joint_search(
     return {scheme: _unravel(indices, params.m_r, params.m_t) for scheme, indices in flat.items()}
 
 
-def batch_max_u2_exhaustive(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return batch_joint_search(batch, params, ("max_u2_exhaustive",))["max_u2_exhaustive"]
-
-
 def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage-wise far-user selection: best relay-to-far link, then least
+    self-interference into it, then strongest BS feed for that receive
+    antenna.  This is the variant the closed forms describe."""
     rows = np.arange(batch.count)
     kk = np.argmax(batch.g_ru2, axis=1)
     g_si_col = np.take_along_axis(batch.g_si, kk[:, None, None], axis=2)[:, :, 0]
@@ -190,11 +132,8 @@ def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.n
     return ii, jj, kk
 
 
-def batch_optimum_sumrate(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return batch_joint_search(batch, params, ("optimum_sumrate",))["optimum_sumrate"]
-
-
 def batch_random(batch: GainBatch, params: SystemParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform independent indices at BS and relay input/output."""
     return (
         rng.integers(params.m_b, size=batch.count),
         rng.integers(params.m_r, size=batch.count),
@@ -211,21 +150,10 @@ SCHEMES = (
     "random",
 )
 
-_SCALAR = {
-    "max_u1": select_max_u1,
-    "max_u1_analytic": select_max_u1_analytic,
-    "max_u2_exhaustive": select_max_u2_exhaustive,
-    "max_u2_decoupled": select_max_u2_decoupled,
-    "optimum_sumrate": select_optimum_sumrate,
-    "random": select_random,
-}
-
 _BATCH = {
     "max_u1": batch_max_u1,
     "max_u1_analytic": batch_max_u1_analytic,
-    "max_u2_exhaustive": batch_max_u2_exhaustive,
     "max_u2_decoupled": batch_max_u2_decoupled,
-    "optimum_sumrate": batch_optimum_sumrate,
     "random": batch_random,
 }
 
@@ -238,20 +166,6 @@ def check_scheme(scheme: str) -> str:
     return scheme
 
 
-def select(
-    scheme: str,
-    real: ChannelRealization,
-    params: SystemParams,
-    rng: np.random.Generator | None = None,
-) -> AntennaChoice:
-    check_scheme(scheme)
-    if scheme in NEEDS_RNG:
-        if rng is None:
-            raise ValueError(f"scheme {scheme!r} requires an rng")
-        return _SCALAR[scheme](real, params, rng)
-    return _SCALAR[scheme](real, params)
-
-
 def select_batch(
     scheme: str,
     batch: GainBatch,
@@ -259,6 +173,8 @@ def select_batch(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     check_scheme(scheme)
+    if scheme in JOINT_SCHEMES:
+        return batch_joint_search(batch, params, (scheme,))[scheme]
     if scheme in NEEDS_RNG:
         if rng is None:
             raise ValueError(f"scheme {scheme!r} requires an rng")

@@ -9,32 +9,10 @@ normalized to 1, so the "+1" terms are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .config import SystemParams
-
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class AntennaChoice:
-    """Selected BS transmit (i), relay receive (j) and relay transmit (k) antennas."""
-
-    i: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class SinrBundle:
-    gamma_r: float  # relay decoding the far-user symbol
-    gamma_12: float  # far-user symbol observed at the near user
-    gamma_1: float  # near user decoding its own symbol
-    gamma_ru2: float  # relay to far user
-    gamma_2: float  # end-to-end at the far user: min of the three above
 
 
 # Formula kernels; work elementwise on scalars or numpy arrays.
@@ -54,60 +32,3 @@ def near_sinr(g_su1, g_ru1, a1: float):
 def rate_bits(gamma):
     """log2(1 + gamma); log1p keeps accuracy for vanishing SINR."""
     return np.log1p(gamma) / LN2
-
-
-def _check_choice(real: ChannelRealization, choice: AntennaChoice) -> None:
-    m_b, m_r = real.g_br.shape
-    m_t = real.g_ru2.shape[0]
-    if not (0 <= choice.i < m_b and 0 <= choice.j < m_r and 0 <= choice.k < m_t):
-        raise IndexError(
-            f"antenna choice {choice} out of range for ({m_b}, {m_r}, {m_t}) antennas"
-        )
-
-
-def sinr_relay(real: ChannelRealization, choice: AntennaChoice, params: SystemParams) -> float:
-    _check_choice(real, choice)
-    return float(
-        relay_sinr(real.g_br[choice.i, choice.j], real.g_si[choice.j, choice.k], params.a1, params.a2)
-    )
-
-
-def sinr_u2_at_u1(real: ChannelRealization, choice: AntennaChoice, params: SystemParams) -> float:
-    _check_choice(real, choice)
-    return float(cross_sinr(real.g_su1[choice.i], real.g_ru1[choice.k], params.a1, params.a2))
-
-
-def sinr_u1(real: ChannelRealization, choice: AntennaChoice, params: SystemParams) -> float:
-    _check_choice(real, choice)
-    return float(near_sinr(real.g_su1[choice.i], real.g_ru1[choice.k], params.a1))
-
-
-def snr_u2(real: ChannelRealization, choice: AntennaChoice, params: SystemParams) -> float:
-    _check_choice(real, choice)
-    return float(real.g_ru2[choice.k])
-
-
-def e2e_sinr_u2(real: ChannelRealization, choice: AntennaChoice, params: SystemParams) -> float:
-    return min(
-        sinr_u2_at_u1(real, choice, params),
-        sinr_relay(real, choice, params),
-        snr_u2(real, choice, params),
-    )
-
-
-def compute_bundle(real: ChannelRealization, choice: AntennaChoice, params: SystemParams) -> SinrBundle:
-    gamma_r = sinr_relay(real, choice, params)
-    gamma_12 = sinr_u2_at_u1(real, choice, params)
-    gamma_ru2 = snr_u2(real, choice, params)
-    return SinrBundle(
-        gamma_r=gamma_r,
-        gamma_12=gamma_12,
-        gamma_1=sinr_u1(real, choice, params),
-        gamma_ru2=gamma_ru2,
-        gamma_2=min(gamma_12, gamma_r, gamma_ru2),
-    )
-
-
-def instantaneous_rates(bundle: SinrBundle) -> tuple[float, float]:
-    """Per-realization achievable rates (bits/s/Hz) of the near and far user."""
-    return float(rate_bits(bundle.gamma_1)), float(rate_bits(bundle.gamma_2))

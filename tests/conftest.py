@@ -1,6 +1,12 @@
+import io
+import math
+
+import numpy as np
 import pytest
 
+from fdnoma.channel import GainBatch
 from fdnoma.config import SystemParams, default_params, validate
+from fdnoma.montecarlo import write_csv
 
 
 def make_params(**overrides) -> SystemParams:
@@ -8,6 +14,22 @@ def make_params(**overrides) -> SystemParams:
     from dataclasses import replace
 
     return validate(replace(SystemParams(), **overrides))
+
+
+def batch_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> GainBatch:
+    """A one-realization batch from per-antenna gains (no trial axis)."""
+    arrays = [np.asarray(g, dtype=float)[None] for g in (g_br, g_su1, g_ru1, g_ru2, g_si)]
+    return GainBatch(*arrays, count=1)
+
+
+def linear_to_db(linear: float) -> float:
+    return 10.0 * math.log10(linear)
+
+
+def rows_to_csv_text(rows) -> str:
+    buffer = io.StringIO()
+    write_csv(rows, buffer)
+    return buffer.getvalue()
 
 
 @pytest.fixture

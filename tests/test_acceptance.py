@@ -13,9 +13,9 @@ import numpy as np
 from fdnoma import analytic
 from fdnoma.channel import draw_batch
 from fdnoma.config import default_params, mean_gains, validate
-from fdnoma.montecarlo import _outage_estimates, _simulate, estimate_rates
+from fdnoma.montecarlo import _outage_estimates, _simulate, chosen_sinrs, estimate_rates
 from fdnoma.selection import SCHEMES, select_batch
-from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
+from fdnoma.sinr import cross_sinr, near_sinr, rate_bits
 
 from conftest import make_params
 
@@ -36,17 +36,6 @@ SCHEME_OUTAGE_FORMS = {
 def report(criterion: str, ok: bool, detail: str):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def gather_sinrs(batch, params, scheme, rng=None):
-    ii, jj, kk = select_batch(scheme, batch, params, rng)
-    rows = np.arange(batch.count)
-    gsu, gru1 = batch.g_su1[rows, ii], batch.g_ru1[rows, kk]
-    g12 = cross_sinr(gsu, gru1, params.a1, params.a2)
-    gr = relay_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
-    g1 = near_sinr(gsu, gru1, params.a1)
-    g2 = np.minimum(np.minimum(g12, gr), batch.g_ru2[rows, kk])
-    return g1, g12, gr, g2, batch.g_ru2[rows, kk]
 
 
 def test_criterion_1_cross_validation_master_check():
@@ -180,7 +169,7 @@ def test_criterion_4_dominance_suite():
         values = {}
         for scheme in SCHEMES:
             rng = np.random.default_rng((909, index)) if scheme == "random" else None
-            g1, _, _, g2, _ = gather_sinrs(batch, params, scheme, rng)
+            g1, _, _, g2, _ = chosen_sinrs(batch, *select_batch(scheme, batch, params, rng), params)
             values[scheme] = (g1, g2, rate_bits(g1) + rate_bits(g2))
         assert np.all(values["max_u2_exhaustive"][1] >= values["max_u2_decoupled"][1])
         assert np.all(values["max_u2_exhaustive"][1] >= values["random"][1])

@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fdnoma.channel import (
-    DEFAULT_BLOCK_SIZE,
-    RngSeed,
-    blocks,
-    draw,
-    draw_batch,
-    dump_columns,
-    dump_realizations,
-    realization_at,
-)
+from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch, dump_columns, dump_realizations
 from fdnoma.config import mean_gains
 from fdnoma.montecarlo import estimate_rates
 from fdnoma.sinr import near_sinr, rate_bits
@@ -22,32 +13,35 @@ from fdnoma.sinr import near_sinr, rate_bits
 from conftest import make_params
 
 
+GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")
+
+
+def row_gains(batch, t):
+    """Trial t of a batch in dump column order."""
+    return np.concatenate([getattr(batch, name)[t].ravel() for name in GROUPS])
+
+
 def test_same_seed_and_stream_is_bit_identical(baseline):
-    a = draw(baseline, RngSeed(42, 7))
-    b = draw(baseline, RngSeed(42, 7))
-    for name in ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si"):
+    a = draw_batch(baseline, (42, 7), 3)
+    b = draw_batch(baseline, (42, 7), 3)
+    for name in GROUPS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_different_streams_differ(baseline):
-    a = draw(baseline, RngSeed(42, 0))
-    b = draw(baseline, RngSeed(42, 1))
+    a = draw_batch(baseline, (42, 0), 1)
+    b = draw_batch(baseline, (42, 1), 1)
     assert not np.array_equal(a.g_br, b.g_br)
 
 
 def test_shapes(baseline):
-    real = draw(baseline, RngSeed(0))
-    assert real.g_br.shape == (baseline.m_b, baseline.m_r)
-    assert real.g_su1.shape == (baseline.m_b,)
-    assert real.g_ru1.shape == (baseline.m_t,)
-    assert real.g_ru2.shape == (baseline.m_t,)
-    assert real.g_si.shape == (baseline.m_r, baseline.m_t)
-
-
-def test_single_draw_equals_first_of_count_one_batch(baseline):
-    single = draw(baseline, RngSeed(5, 3))
-    batch = draw_batch(baseline, (5, 3), 1)
-    np.testing.assert_array_equal(single.g_si, realization_at(batch, 0).g_si)
+    batch = draw_batch(baseline, (0,), 3)
+    assert batch.count == 3
+    assert batch.g_br.shape == (3, baseline.m_b, baseline.m_r)
+    assert batch.g_su1.shape == (3, baseline.m_b)
+    assert batch.g_ru1.shape == (3, baseline.m_t)
+    assert batch.g_ru2.shape == (3, baseline.m_t)
+    assert batch.g_si.shape == (3, baseline.m_r, baseline.m_t)
 
 
 def test_zero_interference_strength_gives_zero_gains():
@@ -102,12 +96,11 @@ def test_groups_are_uncorrelated():
 
 
 def test_seed_validation():
+    # numpy's seed sequences take only non-negative seeds and streams
     with pytest.raises(ValueError):
-        RngSeed(-1)
+        draw_batch(make_params(), (-1, 0), 1)
     with pytest.raises(ValueError):
-        RngSeed(2**64)
-    with pytest.raises(ValueError):
-        RngSeed(0, -2)
+        draw_batch(make_params(), (0, -2), 1)
     with pytest.raises(ValueError):
         draw_batch(make_params(), (0, 0), 0)
 
@@ -120,11 +113,8 @@ def test_dump_realizations_roundtrip(tmp_path, baseline):
     assert rows[0] == dump_columns(baseline)
     assert len(rows) == 6
     # replay: row t is trial t of the simulator's block layout, in documented order
-    real = realization_at(draw_batch(baseline, (11, 0), 5), 3)
     recorded = [float(v) for v in rows[4][1:]]
-    expected = np.concatenate(
-        [real.g_br.ravel(), real.g_su1, real.g_ru1, real.g_ru2, real.g_si.ravel()]
-    )
+    expected = row_gains(draw_batch(baseline, (11, 0), 5), 3)
     np.testing.assert_allclose(recorded, expected, rtol=0, atol=0)
 
 
@@ -144,9 +134,8 @@ def test_dump_replays_the_simulated_trials(tmp_path):
     dump_realizations(params, seed=5, trials=trials, path=path)
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(table[:, 0], np.arange(trials))
-    last = realization_at(draw_batch(params, (5, 1), 3), 2)
-    expected = np.concatenate([last.g_br.ravel(), last.g_su1, last.g_ru1, last.g_ru2, last.g_si.ravel()])
-    np.testing.assert_array_equal(table[-1, 1:], expected)
+    last = row_gains(draw_batch(params, (5, 1), 3), 2)
+    np.testing.assert_array_equal(table[-1, 1:], last)
     g_su1, g_ru1 = table[:, 2], table[:, 3]
     r1, _, _ = estimate_rates(params, "max_u1", trials, seed=5)
     assert np.mean(rate_bits(near_sinr(g_su1, g_ru1, params.a1))) == pytest.approx(r1.value, rel=1e-12)

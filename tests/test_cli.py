@@ -55,12 +55,15 @@ class TestPowerGrid:
     def test_comma_list(self):
         assert parse_power_grid("0,7.5,30") == (0.0, 7.5, 30.0)
 
-    @pytest.mark.parametrize("bad", ["0:50", "a:b:c", "0:50:-5", "50:0:5", "x,y"])
-    def test_bad_grids_are_usage_errors(self, bad, config_path, tmp_path):
+    @pytest.mark.parametrize(
+        "bad", ["0:50", "a:b:c", "0:50:-5", "50:0:5", "x,y", "0:nan:1", "0:inf:1", "nan:10:5", "0:10:nan"]
+    )
+    def test_bad_grids_are_usage_errors(self, bad, config_path, tmp_path, capsys):
         code = main(
             ["sweep", "--config", config_path, "--power", bad, "--output", str(tmp_path / "o.csv")]
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 class TestSweep:

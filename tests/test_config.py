@@ -12,13 +12,12 @@ from fdnoma.config import (
     SystemParams,
     db_to_linear,
     default_params,
-    linear_to_db,
     load_config,
     mean_gains,
     validate,
 )
 
-from conftest import make_params
+from conftest import linear_to_db, make_params
 
 
 def test_baseline_parameters_are_valid():

@@ -18,13 +18,12 @@ from fdnoma.montecarlo import (
     estimate_outage,
     estimate_rates,
     jain_index,
-    rows_to_csv_text,
     run_sweep,
     write_csv,
 )
 from fdnoma.selection import SCHEMES
 
-from conftest import make_params
+from conftest import make_params, rows_to_csv_text
 
 
 class TestJainIndex:

@@ -1,38 +1,22 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.channel import GainBatch, draw_batch, realization_at
+from fdnoma.channel import GainBatch, draw_batch
+from fdnoma.montecarlo import chosen_sinrs
 from fdnoma.selection import (
     _TILE_GRID_BYTES,
     JOINT_SCHEMES,
     SCHEMES,
     batch_joint_search,
-    select,
     select_batch,
-    select_max_u1,
-    select_max_u1_analytic,
-    select_max_u2_decoupled,
-    select_max_u2_exhaustive,
-    select_optimum_sumrate,
-    select_random,
 )
-from fdnoma.sinr import (
-    AntennaChoice,
-    compute_bundle,
-    cross_sinr,
-    e2e_sinr_u2,
-    instantaneous_rates,
-    near_sinr,
-    rate_bits,
-    relay_sinr,
-)
+from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-from conftest import make_params
-from test_sinr import real_from
+from conftest import batch_from, make_params
 
 
 @pytest.fixture
@@ -40,124 +24,175 @@ def params():
     return make_params(m_b=3, m_r=3, m_t=2)
 
 
-def random_real(params, stream=0, seed=17):
-    return realization_at(draw_batch(params, (seed, stream), 1), 0)
+def random_batch(params, count=50, seed=17):
+    return draw_batch(params, (seed, 0), count)
+
+
+def choices(scheme, batch, params, rng=None):
+    """select_batch as a list of per-row (i, j, k) tuples of ints."""
+    ii, jj, kk = select_batch(scheme, batch, params, rng)
+    return list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
+
+
+def fixed(batch, i, j, k):
+    """The choice (i, j, k) in every row, as index arrays."""
+    return tuple(np.full(batch.count, v) for v in (i, j, k))
+
+
+def e2e(batch, params, ii, jj, kk):
+    return chosen_sinrs(batch, ii, jj, kk, params)[3]
+
+
+def sum_rate(batch, params, ii, jj, kk):
+    gamma_1, _, _, gamma_2, _ = chosen_sinrs(batch, ii, jj, kk, params)
+    return rate_bits(gamma_1) + rate_bits(gamma_2)
+
+
+# Per-row oracles for the stage-wise schemes, in plain Python floats: the
+# same comparisons and objective arithmetic; max and min keep the first of
+# equal values, so ties go to the lowest index.
+
+def _argmax(values):
+    return max(range(len(values)), key=lambda index: float(values[index]))
+
+
+def _argmin(values):
+    return min(range(len(values)), key=lambda index: float(values[index]))
+
+
+def row_max_u1(batch, t, params):
+    i, k = _argmax(batch.g_su1[t]), _argmin(batch.g_ru1[t])
+    relay = []
+    for j in range(params.m_r):
+        g, s = float(batch.g_br[t, i, j]), float(batch.g_si[t, j, k])
+        relay.append(params.a2 * g / (params.a1 * g + s + 1.0))
+    return i, _argmax(relay), k
+
+
+def row_max_u1_analytic(batch, t, params):
+    i, k = _argmax(batch.g_su1[t]), _argmin(batch.g_ru1[t])
+    return i, _argmax(batch.g_br[t, i, :]), k
+
+
+def row_max_u2_decoupled(batch, t, params):
+    k = _argmax(batch.g_ru2[t])
+    j = _argmin(batch.g_si[t, :, k])
+    return _argmax(batch.g_br[t, :, j]), j, k
+
+
+ROW_ORACLES = {
+    "max_u1": row_max_u1,
+    "max_u1_analytic": row_max_u1_analytic,
+    "max_u2_decoupled": row_max_u2_decoupled,
+}
 
 
 class TestMaxU1:
     def test_separable_first_stage(self, params):
-        real = real_from(
+        batch = batch_from(
             g_br=np.ones((3, 3)),
             g_su1=[1.0, 5.0, 2.0],
             g_ru1=[3.0, 0.1],
             g_ru2=[1.0, 1.0],
             g_si=np.zeros((3, 2)),
         )
-        choice = select_max_u1(real, params)
-        assert (choice.i, choice.k) == (1, 1)
+        i, _, k = choices("max_u1", batch, params)[0]
+        assert (i, k) == (1, 1)
 
     def test_tie_breaks_to_lowest_index(self, params):
-        real = real_from(
+        batch = batch_from(
             g_br=np.ones((3, 3)),
             g_su1=[2.0, 2.0, 2.0],
             g_ru1=[0.5, 0.5],
             g_ru2=[1.0, 1.0],
             g_si=np.zeros((3, 2)),
         )
-        choice = select_max_u1(real, params)
-        assert (choice.i, choice.k) == (0, 0)
+        i, _, k = choices("max_u1", batch, params)[0]
+        assert (i, k) == (0, 0)
 
     def test_matches_two_stage_enumeration(self, params):
         # oracle: exhaustive search of the first objective over (i, k),
         # then of the second objective over j given that pair
-        for stream in range(50):
-            real = random_real(params, stream)
-            choice = select_max_u1(real, params)
+        batch = random_batch(params)
+        for t, choice in enumerate(choices("max_u1", batch, params)):
             best_ik, best_val = None, -1.0
             for i in range(params.m_b):
                 for k in range(params.m_t):
-                    val = params.a1 * real.g_su1[i] / (real.g_ru1[k] + 1.0)
+                    val = params.a1 * batch.g_su1[t, i] / (batch.g_ru1[t, k] + 1.0)
                     if val > best_val:
                         best_ik, best_val = (i, k), val
-            assert (choice.i, choice.k) == best_ik
+            assert (choice[0], choice[2]) == best_ik
             i, k = best_ik
             best_j, best_obj = None, -1.0
             for j in range(params.m_r):
-                g, s = real.g_br[i, j], real.g_si[j, k]
+                g, s = batch.g_br[t, i, j], batch.g_si[t, j, k]
                 obj = params.a2 * g / (params.a1 * g + s + 1.0)
                 if obj > best_obj:
                     best_j, best_obj = j, obj
-            assert choice.j == best_j
+            assert choice[1] == best_j
 
 
 class TestMaxU1Analytic:
     def test_same_choice_when_self_interference_vanishes(self, params):
-        real = random_real(params, 3)
-        quiet = real_from(real.g_br, real.g_su1, real.g_ru1, real.g_ru2, np.zeros((3, 2)))
-        assert select_max_u1(quiet, params) == select_max_u1_analytic(quiet, params)
+        batch = random_batch(params)
+        quiet = replace(batch, g_si=np.zeros_like(batch.g_si))
+        assert choices("max_u1", quiet, params) == choices("max_u1_analytic", quiet, params)
 
     def test_receive_stage_takes_strongest_feed(self, params):
-        real = real_from(
+        batch = batch_from(
             g_br=[[1.0, 9.0, 4.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
             g_su1=[5.0, 1.0, 1.0],
             g_ru1=[0.1, 3.0],
             g_ru2=[1.0, 1.0],
             g_si=np.full((3, 2), 100.0),
         )
-        choice = select_max_u1_analytic(real, params)
-        assert (choice.i, choice.j, choice.k) == (0, 1, 0)
+        assert choices("max_u1_analytic", batch, params) == [(0, 1, 0)]
 
     def test_first_stage_shared_with_exact_scheme(self, params):
-        for stream in range(20):
-            real = random_real(params, stream)
-            exact = select_max_u1(real, params)
-            approx = select_max_u1_analytic(real, params)
-            assert (exact.i, exact.k) == (approx.i, approx.k)
+        batch = random_batch(params, count=20)
+        exact = choices("max_u1", batch, params)
+        approx = choices("max_u1_analytic", batch, params)
+        assert [(i, k) for i, _, k in exact] == [(i, k) for i, _, k in approx]
 
 
 class TestMaxU2Exhaustive:
     def test_single_antenna_degenerate(self):
         single = make_params(m_b=1, m_r=1, m_t=1)
-        real = random_real(single)
-        assert select_max_u2_exhaustive(real, single) == AntennaChoice(0, 0, 0)
+        assert choices("max_u2_exhaustive", random_batch(single, count=8), single) == [(0, 0, 0)] * 8
 
     def test_attains_maximum_over_all_triples(self, params):
-        for stream in range(50):
-            real = random_real(params, stream)
-            choice = select_max_u2_exhaustive(real, params)
-            attained = e2e_sinr_u2(real, choice, params)
-            for i in range(params.m_b):
-                for j in range(params.m_r):
-                    for k in range(params.m_t):
-                        other = e2e_sinr_u2(real, AntennaChoice(i, j, k), params)
-                        assert attained >= other
+        batch = random_batch(params)
+        attained = e2e(batch, params, *select_batch("max_u2_exhaustive", batch, params))
+        for i in range(params.m_b):
+            for j in range(params.m_r):
+                for k in range(params.m_t):
+                    assert np.all(attained >= e2e(batch, params, *fixed(batch, i, j, k)))
 
     def test_dead_far_link_falls_back_to_first_triple(self, params):
-        real = random_real(params, 5)
-        dead = real_from(real.g_br, real.g_su1, real.g_ru1, [0.0, 0.0], real.g_si)
-        assert select_max_u2_exhaustive(dead, params) == AntennaChoice(0, 0, 0)
+        batch = random_batch(params)
+        dead = replace(batch, g_ru2=np.zeros_like(batch.g_ru2))
+        assert choices("max_u2_exhaustive", dead, params) == [(0, 0, 0)] * batch.count
 
 
 class TestMaxU2Decoupled:
     def test_stagewise_choice(self):
         params = make_params(m_b=2, m_r=3, m_t=2)
-        real = real_from(
+        batch = batch_from(
             g_br=[[1.0, 4.0, 2.0], [3.0, 1.0, 1.0]],
             g_su1=[1.0, 1.0],
             g_ru1=[0.1, 0.1],
             g_ru2=[1.0, 7.0],
             g_si=[[9.0, 5.0], [8.0, 0.2], [7.0, 3.0]],
         )
-        choice = select_max_u2_decoupled(real, params)
-        assert (choice.k, choice.j) == (1, 1)
-        assert choice.i == 0  # g_br column j=1 is [4, 1]
+        i, j, k = choices("max_u2_decoupled", batch, params)[0]
+        assert (k, j) == (1, 1)
+        assert i == 0  # g_br column j=1 is [4, 1]
 
     def test_never_beats_exhaustive(self, params):
-        for stream in range(50):
-            real = random_real(params, stream)
-            dec = e2e_sinr_u2(real, select_max_u2_decoupled(real, params), params)
-            exh = e2e_sinr_u2(real, select_max_u2_exhaustive(real, params), params)
-            assert dec <= exh
+        batch = random_batch(params)
+        dec = e2e(batch, params, *select_batch("max_u2_decoupled", batch, params))
+        exh = e2e(batch, params, *select_batch("max_u2_exhaustive", batch, params))
+        assert np.all(dec <= exh)
 
     def test_single_relay_chain_matches_exhaustive(self):
         # with one receive and one transmit antenna only the BS index is
@@ -166,48 +201,45 @@ class TestMaxU2Decoupled:
         # attained SINR under a brute-force check is compared.
         for m_b in (1, 2, 3, 4):
             params = make_params(m_b=m_b, m_r=1, m_t=1)
-            for stream in range(25):
-                real = random_real(params, stream, seed=m_b)
-                dec = select_max_u2_decoupled(real, params)
-                # decoupled picks argmax of g_br[:, 0]; the relay SINR is
-                # monotone in it, so it attains the best relay SINR
-                best_relay = max(
-                    compute_bundle(real, AntennaChoice(i, 0, 0), params).gamma_r
-                    for i in range(m_b)
-                )
-                assert compute_bundle(real, dec, params).gamma_r == pytest.approx(best_relay)
+            batch = random_batch(params, count=25, seed=m_b)
+            # decoupled picks argmax of g_br[:, 0]; the relay SINR is
+            # monotone in it, so it attains the best relay SINR
+            best_relay = np.max(
+                [chosen_sinrs(batch, *fixed(batch, i, 0, 0), params)[2] for i in range(m_b)], axis=0
+            )
+            dec = chosen_sinrs(batch, *select_batch("max_u2_decoupled", batch, params), params)[2]
+            assert dec == pytest.approx(best_relay)
 
 
 class TestOptimumSumRate:
     def test_single_antenna_degenerate(self):
         single = make_params(m_b=1, m_r=1, m_t=1)
-        assert select_optimum_sumrate(random_real(single), single) == AntennaChoice(0, 0, 0)
+        assert choices("optimum_sumrate", random_batch(single, count=8), single) == [(0, 0, 0)] * 8
 
     def test_dominates_max_u1_sum_rate(self, params):
-        for stream in range(50):
-            real = random_real(params, stream)
-            opt = sum(instantaneous_rates(compute_bundle(real, select_optimum_sumrate(real, params), params)))
-            near = sum(instantaneous_rates(compute_bundle(real, select_max_u1(real, params), params)))
-            assert opt >= near
+        batch = random_batch(params)
+        opt = sum_rate(batch, params, *select_batch("optimum_sumrate", batch, params))
+        near = sum_rate(batch, params, *select_batch("max_u1", batch, params))
+        assert np.all(opt >= near)
 
     def test_matches_enumeration_oracle(self):
+        # every (i, j, k) in lexicographic order, each over the whole batch;
+        # a strictly larger sum replaces the best, so ties keep the lowest triple
         params = make_params()
-        hits = 0
         trials = 10_000
         batch = draw_batch(params, (123, 0), trials)
         ii, jj, kk = select_batch("optimum_sumrate", batch, params)
-        for t in range(trials):
-            real = realization_at(batch, t)
-            best, best_triple = -1.0, None
-            for i in range(params.m_b):
-                for j in range(params.m_r):
-                    for k in range(params.m_t):
-                        bundle = compute_bundle(real, AntennaChoice(i, j, k), params)
-                        total = math.log2(1.0 + bundle.gamma_1) + math.log2(1.0 + bundle.gamma_2)
-                        if total > best:
-                            best, best_triple = total, (i, j, k)
-            if (ii[t], jj[t], kk[t]) == best_triple:
-                hits += 1
+        best = np.full(trials, -np.inf)
+        best_triple = np.zeros((3, trials), dtype=np.intp)
+        for i in range(params.m_b):
+            for j in range(params.m_r):
+                for k in range(params.m_t):
+                    gamma_1, _, _, gamma_2, _ = chosen_sinrs(batch, *fixed(batch, i, j, k), params)
+                    total = np.log2(1.0 + gamma_1) + np.log2(1.0 + gamma_2)
+                    better = total > best
+                    best[better] = total[better]
+                    best_triple[:, better] = np.array([i, j, k])[:, None]
+        hits = int(np.count_nonzero(np.all(np.stack([ii, jj, kk]) == best_triple, axis=0)))
         # log2(1+x) vs log1p(x)/ln 2 can disagree at ties of nearly equal
         # sums; demand exact agreement, which holds on this seed
         assert hits == trials
@@ -215,23 +247,21 @@ class TestOptimumSumRate:
 
 class TestRandom:
     def test_deterministic_given_seed(self, params):
-        real = random_real(params)
-        a = select_random(real, params, np.random.default_rng(99))
-        b = select_random(real, params, np.random.default_rng(99))
+        batch = random_batch(params)
+        a = choices("random", batch, params, np.random.default_rng(99))
+        b = choices("random", batch, params, np.random.default_rng(99))
         assert a == b
 
     def test_indices_in_range(self, params):
-        real = random_real(params)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            c = select_random(real, params, rng)
-            assert 0 <= c.i < params.m_b
-            assert 0 <= c.j < params.m_r
-            assert 0 <= c.k < params.m_t
+        batch = random_batch(params, count=100)
+        for i, j, k in choices("random", batch, params, np.random.default_rng(1)):
+            assert 0 <= i < params.m_b
+            assert 0 <= j < params.m_r
+            assert 0 <= k < params.m_t
 
     def test_registry_requires_rng(self, params):
         with pytest.raises(ValueError):
-            select("random", random_real(params), params)
+            select_batch("random", random_batch(params), params)
 
 
 @given(exponent=st.integers(min_value=-8, max_value=8))
@@ -239,27 +269,32 @@ class TestRandom:
 def test_first_stage_invariant_to_common_scaling(exponent):
     # powers of two rescale exactly, so the argmax cannot move
     params = make_params(m_b=3, m_r=3, m_t=2)
-    real = random_real(params, 8)
+    batch = draw_batch(params, (17, 8), 20)
     c = 2.0**exponent
-    scaled = real_from(real.g_br, real.g_su1 * c, real.g_ru1 * c, real.g_ru2, real.g_si)
-    base = select_max_u1(real, params)
-    moved = select_max_u1(scaled, params)
-    assert (base.i, base.k) == (moved.i, moved.k)
+    scaled = replace(batch, g_su1=batch.g_su1 * c, g_ru1=batch.g_ru1 * c)
+    base = choices("max_u1", batch, params)
+    moved = choices("max_u1", scaled, params)
+    assert [(i, k) for i, _, k in base] == [(i, k) for i, _, k in moved]
 
 
 def test_unknown_scheme_rejected(params):
     with pytest.raises(ValueError):
-        select("steepest_descent", random_real(params), params)
+        select_batch("steepest_descent", random_batch(params), params)
 
 
 @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "random"])
 def test_batch_agrees_with_scalar(scheme):
+    # the scalar oracles: plain-Python stage-wise rules row by row, and the
+    # untiled full-grid argmax for the joint searches
     params = make_params(m_b=4, m_r=3, m_t=2)
     batch = draw_batch(params, (55, 0), 256)
     ii, jj, kk = select_batch(scheme, batch, params)
+    if scheme in ROW_ORACLES:
+        want = [ROW_ORACLES[scheme](batch, t, params) for t in range(batch.count)]
+    else:
+        want = list(zip(*(a.tolist() for a in UNTILED[scheme](batch, params))))
     for t in range(batch.count):
-        choice = select(scheme, realization_at(batch, t), params)
-        assert (choice.i, choice.j, choice.k) == (ii[t], jj[t], kk[t]), f"trial {t}"
+        assert (ii[t], jj[t], kk[t]) == want[t], f"trial {t}"
 
 
 def test_batch_random_ranges_and_determinism():
@@ -273,19 +308,12 @@ def test_batch_random_ranges_and_determinism():
 
 
 def test_dominance_chain_per_realization():
-    from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
-
     params = make_params()
     batch = draw_batch(params, (77, 0), 2000)
     per_scheme = {}
     for scheme in SCHEMES:
         sel_rng = np.random.default_rng(5) if scheme == "random" else None
-        ii, jj, kk = select_batch(scheme, batch, params, sel_rng)
-        rows = np.arange(batch.count)
-        g12 = cross_sinr(batch.g_su1[rows, ii], batch.g_ru1[rows, kk], params.a1, params.a2)
-        gr = relay_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
-        g2 = np.minimum(np.minimum(g12, gr), batch.g_ru2[rows, kk])
-        g1 = near_sinr(batch.g_su1[rows, ii], batch.g_ru1[rows, kk], params.a1)
+        g1, _, _, g2, _ = chosen_sinrs(batch, *select_batch(scheme, batch, params, sel_rng), params)
         per_scheme[scheme] = {"g1": g1, "g2": g2, "sum": rate_bits(g1) + rate_bits(g2)}
 
     assert np.all(per_scheme["max_u2_exhaustive"]["g2"] >= per_scheme["max_u2_decoupled"]["g2"])
@@ -298,7 +326,7 @@ def test_dominance_chain_per_realization():
 # Oracles for the tiled joint searches: one (count, m_b, m_r, m_t) grid over
 # the whole batch, argmax per row over the flattened (i, j, k) grid.
 
-def _full_e2e_grid(batch, params):
+def _untiled_far_grid(batch, params):
     g12 = cross_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1, params.a2)
     gr = relay_sinr(batch.g_br[:, :, :, None], batch.g_si[:, None, :, :], params.a1, params.a2)
     return np.minimum(np.minimum(g12[:, :, None, :], gr), batch.g_ru2[:, None, None, :])
@@ -310,12 +338,12 @@ def _full_argmax(grid, params):
 
 
 def untiled_max_u2_exhaustive(batch, params):
-    return _full_argmax(_full_e2e_grid(batch, params), params)
+    return _full_argmax(_untiled_far_grid(batch, params), params)
 
 
 def untiled_optimum_sumrate(batch, params):
     r1 = rate_bits(near_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1))
-    return _full_argmax(r1[:, :, None, :] + rate_bits(_full_e2e_grid(batch, params)), params)
+    return _full_argmax(r1[:, :, None, :] + rate_bits(_untiled_far_grid(batch, params)), params)
 
 
 UNTILED = {

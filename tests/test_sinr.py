@@ -5,33 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.channel import ChannelRealization, draw_batch
-from fdnoma.sinr import (
-    AntennaChoice,
-    SinrBundle,
-    compute_bundle,
-    cross_sinr,
-    e2e_sinr_u2,
-    instantaneous_rates,
-    near_sinr,
-    relay_sinr,
-    sinr_relay,
-    sinr_u1,
-    sinr_u2_at_u1,
-    snr_u2,
-)
+from fdnoma.channel import draw_batch
+from fdnoma.montecarlo import chosen_sinrs
+from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-from conftest import make_params
-
-
-def real_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> ChannelRealization:
-    return ChannelRealization(
-        g_br=np.asarray(g_br, dtype=float),
-        g_su1=np.asarray(g_su1, dtype=float),
-        g_ru1=np.asarray(g_ru1, dtype=float),
-        g_ru2=np.asarray(g_ru2, dtype=float),
-        g_si=np.asarray(g_si, dtype=float),
-    )
+from conftest import batch_from, make_params
 
 
 @pytest.fixture
@@ -41,47 +19,49 @@ def small():
 
 
 def single(g=1.0, s=0.0, gsu=1.0, gru1=0.0, gru2=1.0):
-    return real_from([[g]], [gsu], [gru1], [gru2], [[s]])
+    return batch_from([[g]], [gsu], [gru1], [gru2], [[s]])
 
 
-CHOICE0 = AntennaChoice(0, 0, 0)
+def sinrs(batch, params, i=0, j=0, k=0):
+    """chosen_sinrs of a one-row batch under the choice (i, j, k), as floats."""
+    values = chosen_sinrs(batch, np.array([i]), np.array([j]), np.array([k]), params)
+    names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
+    return {name: float(value[0]) for name, value in zip(names, values)}
 
 
 class TestRelaySinr:
     def test_no_self_interference(self, small):
-        assert sinr_relay(single(g=1.0, s=0.0), CHOICE0, small) == pytest.approx(0.6)
+        assert sinrs(single(g=1.0, s=0.0), small)["gamma_r"] == pytest.approx(0.6)
 
     def test_with_interference(self, small):
-        assert sinr_relay(single(g=2.0, s=3.0), CHOICE0, small) == pytest.approx(1.0 / 3.0)
+        assert sinrs(single(g=2.0, s=3.0), small)["gamma_r"] == pytest.approx(1.0 / 3.0)
 
     def test_approaches_power_ratio_cap(self, small):
-        value = sinr_relay(single(g=1e12, s=5.0), CHOICE0, small)
+        value = sinrs(single(g=1e12, s=5.0), small)["gamma_r"]
         assert 2.999 < value < 3.0
 
 
 class TestCrossSinr:
     def test_zero_signal(self, small):
-        assert sinr_u2_at_u1(single(gsu=0.0), CHOICE0, small) == 0.0
+        assert sinrs(single(gsu=0.0), small)["gamma_12"] == 0.0
 
     def test_clean_reception(self, small):
-        assert sinr_u2_at_u1(single(gsu=4.0, gru1=0.0), CHOICE0, small) == pytest.approx(1.5)
+        assert sinrs(single(gsu=4.0, gru1=0.0), small)["gamma_12"] == pytest.approx(1.5)
 
     def test_shared_ratio_identity(self, small):
         # both near-user SINRs are functions of X = g_su1 / (g_ru1 + 1)
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            gsu, gru1 = rng.exponential(50.0), rng.exponential(2.0)
-            real = single(gsu=gsu, gru1=gru1)
-            x = gsu / (gru1 + 1.0)
-            g12 = sinr_u2_at_u1(real, CHOICE0, small)
-            g1 = sinr_u1(real, CHOICE0, small)
-            assert g12 == pytest.approx(small.a2 * x / (small.a1 * x + 1.0), rel=1e-12)
-            assert g1 == pytest.approx(small.a1 * x, rel=1e-12)
+        gsu, gru1 = rng.exponential(50.0, 200), rng.exponential(2.0, 200)
+        x = gsu / (gru1 + 1.0)
+        g12 = cross_sinr(gsu, gru1, small.a1, small.a2)
+        g1 = near_sinr(gsu, gru1, small.a1)
+        assert g12 == pytest.approx(small.a2 * x / (small.a1 * x + 1.0), rel=1e-12)
+        assert g1 == pytest.approx(small.a1 * x, rel=1e-12)
 
 
 class TestNearSinr:
     def test_no_interference(self, small):
-        assert sinr_u1(single(gsu=8.0, gru1=0.0), CHOICE0, small) == pytest.approx(2.0)
+        assert sinrs(single(gsu=8.0, gru1=0.0), small)["gamma_1"] == pytest.approx(2.0)
 
     def test_zero_interference_channel_reduces_to_scaled_gain(self):
         params = make_params(k1=0.0)
@@ -90,29 +70,28 @@ class TestNearSinr:
         np.testing.assert_allclose(gamma, params.a1 * batch.g_su1[:, 0])
 
     def test_zero_signal(self, small):
-        assert sinr_u1(single(gsu=0.0), CHOICE0, small) == 0.0
+        assert sinrs(single(gsu=0.0), small)["gamma_1"] == 0.0
 
 
 class TestFarSnr:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_passthrough(self, k):
         params = make_params(m_t=3)
-        real = real_from([[1.0] * 4], [1.0], [0.1, 0.2, 0.3], [5.0, 6.0, 7.0], [[0.0] * 3] * 4)
+        batch = batch_from([[1.0] * 4], [1.0], [0.1, 0.2, 0.3], [5.0, 6.0, 7.0], [[0.0] * 3] * 4)
         # geometry here: m_b=1, m_r=4, m_t=3
-        assert snr_u2(real, AntennaChoice(0, 0, k), params) == real.g_ru2[k]
+        assert sinrs(batch, params, k=k)["g_ru2"] == batch.g_ru2[0, k]
 
 
 class TestEndToEnd:
     def test_minimum_of_components(self, small):
         # components: gamma_12 = 0.6 (gsu=1, gru1=0), gamma_r = 0.5, gamma_ru2 = 10
-        real = single(g=0.8, s=0.0, gsu=1.0, gru1=0.0, gru2=10.0)
-        bundle = compute_bundle(real, CHOICE0, small)
-        assert bundle.gamma_12 == pytest.approx(0.6)
-        assert bundle.gamma_r == pytest.approx(0.5)
-        assert e2e_sinr_u2(real, CHOICE0, small) == pytest.approx(0.5)
+        values = sinrs(single(g=0.8, s=0.0, gsu=1.0, gru1=0.0, gru2=10.0), small)
+        assert values["gamma_12"] == pytest.approx(0.6)
+        assert values["gamma_r"] == pytest.approx(0.5)
+        assert values["gamma_2"] == pytest.approx(0.5)
 
     def test_dead_relay_link(self, small):
-        assert e2e_sinr_u2(single(gru2=0.0), CHOICE0, small) == 0.0
+        assert sinrs(single(gru2=0.0), small)["gamma_2"] == 0.0
 
     def test_bounded_by_power_ratio(self):
         params = make_params()
@@ -129,10 +108,8 @@ class TestEndToEnd:
 class TestRates:
     @pytest.mark.parametrize("gamma,expected", [(0.0, 0.0), (1.0, 1.0), (3.0, 2.0)])
     def test_spot_values(self, gamma, expected):
-        bundle = SinrBundle(gamma, gamma, gamma, gamma, gamma)
-        r1, r2 = instantaneous_rates(bundle)
-        assert r1 == pytest.approx(expected)
-        assert r2 == pytest.approx(expected)
+        assert rate_bits(gamma) == pytest.approx(expected)
+        assert rate_bits(np.array([gamma, gamma])) == pytest.approx([expected, expected])
 
     def test_far_rate_below_cap(self, baseline):
         cap_rate = math.log2(1.0 + baseline.a2 / baseline.a1)
@@ -145,9 +122,9 @@ class TestRates:
 
 def test_monotonicity_in_each_gain(small):
     base = dict(g=2.0, s=1.0, gsu=3.0, gru1=0.5, gru2=4.0)
-    value = e2e_sinr_u2(single(**base), CHOICE0, small)
+    value = sinrs(single(**base), small)["gamma_2"]
     eps = 1e-3
-    up = lambda key: e2e_sinr_u2(single(**{**base, key: base[key] + eps}), CHOICE0, small)
+    up = lambda key: sinrs(single(**{**base, key: base[key] + eps}), small)["gamma_2"]
     assert up("g") >= value
     assert up("gru2") >= value
     assert up("s") <= value
@@ -156,13 +133,10 @@ def test_monotonicity_in_each_gain(small):
 
 def test_out_of_range_choice_rejected(baseline):
     batch = draw_batch(baseline, (1, 0), 1)
-    from fdnoma.channel import realization_at
-
-    real = realization_at(batch, 0)
     with pytest.raises(IndexError):
-        sinr_relay(real, AntennaChoice(4, 0, 0), baseline)
+        sinrs(batch, baseline, i=4)
     with pytest.raises(IndexError):
-        sinr_u1(real, AntennaChoice(0, 0, -1), baseline)
+        sinrs(batch, baseline, k=4)
 
 
 @given(
