@@ -63,12 +63,20 @@ def draw_batch(params: SystemParams, entropy: tuple[int, ...], count: int) -> Ga
         raise ValueError(f"count must be >= 1, got {count!r}")
     gains = mean_gains(params)
     rng = _generator(entropy)
+
+    def group(lam: float, shape: tuple[int, ...]) -> np.ndarray:
+        # The same products as lam * draws, scaled in place whether or not
+        # numpy would have elided the temporary.
+        g = rng.standard_exponential(shape)
+        g *= lam
+        return g
+
     return GainBatch(
-        g_br=gains.lam_br * rng.standard_exponential((count, params.m_b, params.m_r)),
-        g_su1=gains.lam_su1 * rng.standard_exponential((count, params.m_b)),
-        g_ru1=gains.lam_ru1 * rng.standard_exponential((count, params.m_t)),
-        g_ru2=gains.lam_ru2 * rng.standard_exponential((count, params.m_t)),
-        g_si=gains.lam_si * rng.standard_exponential((count, params.m_r, params.m_t)),
+        g_br=group(gains.lam_br, (count, params.m_b, params.m_r)),
+        g_su1=group(gains.lam_su1, (count, params.m_b)),
+        g_ru1=group(gains.lam_ru1, (count, params.m_t)),
+        g_ru2=group(gains.lam_ru2, (count, params.m_t)),
+        g_si=group(gains.lam_si, (count, params.m_r, params.m_t)),
         count=count,
     )
 

@@ -44,6 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_MAX_POWER_POINTS = 1_000_000
+
+
 def parse_power_grid(text: str) -> tuple[float, ...]:
     """'start:stop:step' (inclusive) or a comma-separated list, in dB."""
     if ":" in text:
@@ -58,8 +61,11 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
             raise _UsageError(f"bad power grid {text!r}; start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise _UsageError(f"bad power grid {text!r}; need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        # (stop - start) / step overflows to inf for a tiny step; compare before floor().
+        points = (stop - start) / step + 1e-9
+        if not points < _MAX_POWER_POINTS:
+            raise _UsageError(f"bad power grid {text!r}; more than {_MAX_POWER_POINTS} points")
+        return tuple(start + i * step for i in range(int(math.floor(points)) + 1))
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
@@ -189,10 +195,16 @@ def _print_summary(rows: list[SweepRow], mode: str) -> None:
             if "monte_carlo" in kinds and "analytic" in kinds:
                 diffs = []
                 for name in ("rate_u1", "rate_u2", "outage_u1", "outage_u2"):
-                    mc = getattr(kinds["monte_carlo"], name).value
+                    estimate = getattr(kinds["monte_carlo"], name)
+                    mc = estimate.value
                     an = getattr(kinds["analytic"], name).value
                     if math.isnan(mc) or math.isnan(an):
                         diffs.append(f"{name}=nan")
+                    elif name.startswith("outage") and mc == 0.0:
+                        # No events: a relative difference of 1 says nothing, so show
+                        # the count and the one-sided 95% Clopper-Pearson upper bound.
+                        n = estimate.trials
+                        diffs.append(f"{name}=0/{n},ub95={-math.expm1(math.log(0.05) / n):.4g}")
                     elif an == 0.0:
                         diffs.append(f"{name}={'0' if mc == 0 else 'inf'}")
                     else:

@@ -1,17 +1,19 @@
 """Monte Carlo estimation of ergodic rates, outage and fairness.
 
-Trials are drawn in fixed-size blocks, one RNG stream per block, and the
-per-block partial sums are reduced in block order with math.fsum, so
-results are reproducible and independent of how blocks would be farmed
-out to workers.  Within a sweep row, every scheme sees the same channel
-realizations (common random numbers), which makes the per-realization
-dominance relations between schemes hold exactly in the outputs.
+Trials are drawn in fixed-size blocks, one RNG stream per block.  Blocks
+run on up to two threads, min(2, available CPUs), with no option to set
+it, and the per-block partial sums are reduced in block order with
+math.fsum, so results are byte-identical for any worker count.  Within a
+sweep row, every scheme sees the same channel realizations (common random
+numbers), which makes the per-realization dominance relations between
+schemes hold exactly in the outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -91,15 +93,17 @@ class _Stats:
         self.count_out1 = 0
         self.count_out2 = 0
 
-    def add_block(self, r1: np.ndarray, r2: np.ndarray, out1: np.ndarray, out2: np.ndarray):
-        self.n += r1.shape[0]
-        self.sum_r1.append(float(np.sum(r1)))
-        self.sum_r2.append(float(np.sum(r2)))
-        self.sum_r1sq.append(float(np.sum(r1 * r1)))
-        self.sum_r2sq.append(float(np.sum(r2 * r2)))
-        self.sum_r1r2.append(float(np.sum(r1 * r2)))
-        self.count_out1 += int(np.count_nonzero(out1))
-        self.count_out2 += int(np.count_nonzero(out2))
+    def add_block(self, sums: tuple) -> None:
+        """Append one block's partial sums, as returned by _scheme_sums."""
+        n, r1, r2, r1sq, r2sq, r1r2, out1, out2 = sums
+        self.n += n
+        self.sum_r1.append(r1)
+        self.sum_r2.append(r2)
+        self.sum_r1sq.append(r1sq)
+        self.sum_r2sq.append(r2sq)
+        self.sum_r1r2.append(r1r2)
+        self.count_out1 += out1
+        self.count_out2 += out2
 
 
 def chosen_sinrs(
@@ -112,17 +116,76 @@ def chosen_sinrs(
     end (the minimum of the last three), and the relay-to-far-user SNR.
     """
     rows = np.arange(batch.count)
-    g_br = batch.g_br[rows, ii, jj]
-    g_si = batch.g_si[rows, jj, kk]
+    # The relay-link gathers are dropped as soon as gamma_r is formed, to keep a block small.
+    gamma_r = relay_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
     g_su1 = batch.g_su1[rows, ii]
     g_ru1 = batch.g_ru1[rows, kk]
     g_ru2 = batch.g_ru2[rows, kk]
-
-    gamma_r = relay_sinr(g_br, g_si, params.a1, params.a2)
     gamma_12 = cross_sinr(g_su1, g_ru1, params.a1, params.a2)
     gamma_1 = near_sinr(g_su1, g_ru1, params.a1)
     gamma_2 = np.minimum(np.minimum(gamma_12, gamma_r), g_ru2)
     return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
+
+
+def _scheme_sums(
+    batch: GainBatch,
+    choice: tuple[np.ndarray, np.ndarray, np.ndarray],
+    params: SystemParams,
+    thresholds: tuple[float, float],
+) -> tuple:
+    """One scheme's partial sums over a block under its (i, j, k) choice.
+
+    Returns (trials, sums of r1, r2, r1^2, r2^2 and r1 r2, the two outage
+    counts).  The gathers and SINRs are freed on return.
+    """
+    theta1, theta2 = thresholds
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params)
+    out1 = int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1))))
+    out2 = int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2))))
+    del gamma_12, gamma_r, g_ru2
+    r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
+    return (
+        batch.count,
+        float(np.sum(r1)),
+        float(np.sum(r2)),
+        float(np.sum(r1 * r1)),
+        float(np.sum(r2 * r2)),
+        float(np.sum(r1 * r2)),
+        out1,
+        out2,
+    )
+
+
+def _run_block(
+    params: SystemParams,
+    schemes: tuple[str, ...],
+    entropy: tuple[int, ...],
+    count: int,
+    thresholds: tuple[float, float],
+) -> dict[str, tuple]:
+    """Draw one block and return each scheme's partial sums over it."""
+    batch = draw_batch(params, entropy, count)
+    # The joint searches share one far-user grid per tile.
+    joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
+    chosen = batch_joint_search(batch, params, joint) if joint else {}
+    sums = {}
+    for scheme in schemes:
+        if scheme in chosen:
+            choice = chosen.pop(scheme)
+        else:
+            rng = None
+            if scheme in NEEDS_RNG:
+                rng = np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
+            choice = select_batch(scheme, batch, params, rng)
+        sums[scheme] = _scheme_sums(batch, choice, params, thresholds)
+        del choice  # freed before the next scheme selects
+    return sums
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _simulate(
@@ -131,9 +194,15 @@ def _simulate(
     trials: int,
     entropy_base: tuple[int, ...],
     block_size: int = DEFAULT_BLOCK_SIZE,
+    workers: int | None = None,
 ) -> dict[str, _Stats]:
     """Statistics per scheme; every scheme sees the same blocks, each drawn once.
 
+    Blocks run on `workers` threads, min(2, available CPUs) by default,
+    one block in flight per thread; numpy releases the GIL in the draws
+    and the array kernels.  Each block's partial sums are appended in
+    block order, so the results are bit-identical for any worker count.
+    A single block, or a single worker, runs in the calling thread.
     block_size is part of each block's stream key, so the public
     estimators and run_sweep keep it at DEFAULT_BLOCK_SIZE.
     """
@@ -141,31 +210,29 @@ def _simulate(
     check_run(trials, entropy_base[0])
     for scheme in schemes:
         check_scheme(scheme)
-    theta1, theta2 = analytic.thresholds(params)
+    thresholds = analytic.thresholds(params)
     stats = {scheme: _Stats() for scheme in schemes}
-    joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
+    unique = tuple(stats)  # a repeated scheme is simulated once
 
-    for block_index, _, count in blocks(trials, block_size):
-        batch = draw_batch(params, (*entropy_base, block_index), count)
-        # The joint searches share one far-user grid per tile.
-        chosen = batch_joint_search(batch, params, joint) if joint else {}
-        for scheme in stats:  # a repeated scheme is simulated once
-            if scheme in chosen:
-                ii, jj, kk = chosen[scheme]
-            else:
-                rng = None
-                if scheme in NEEDS_RNG:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((*entropy_base, block_index, _RANDOM_SALT))
-                    )
-                ii, jj, kk = select_batch(scheme, batch, params, rng)
-            gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, ii, jj, kk, params)
-            r1 = rate_bits(gamma_1)
-            r2 = rate_bits(gamma_2)
-            out1 = ~((gamma_12 > theta2) & (gamma_1 > theta1))
-            out2 = ~((gamma_r > theta2) & (g_ru2 > theta2))
-            stats[scheme].add_block(r1, r2, out1, out2)
-    return stats
+    def run(block: tuple[int, int, int]) -> dict[str, tuple]:
+        index, _, count = block
+        return _run_block(params, unique, (*entropy_base, index), count, thresholds)
+
+    def reduce(partials) -> dict[str, _Stats]:
+        for sums in partials:  # in block order
+            for scheme, block in sums.items():
+                stats[scheme].add_block(block)
+        return stats
+
+    layout = blocks(trials, block_size)
+    workers = min(2, _available_cpus()) if workers is None else workers
+    if workers < 2 or trials <= block_size:
+        return reduce(map(run, layout))
+    # Imported here, so a run that needs no pool does not load the thread machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return reduce(pool.map(run, layout))
 
 
 def _rate_estimates(stats: _Stats) -> tuple[MetricEstimate, MetricEstimate, MetricEstimate]:

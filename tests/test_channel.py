@@ -28,6 +28,24 @@ def test_same_seed_and_stream_is_bit_identical(baseline):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+@pytest.mark.parametrize("overrides", [{}, {"k1": 0.0, "m_b": 3, "m_r": 5, "m_t": 2}])
+def test_groups_are_scaled_draws_bit_for_bit(overrides):
+    # Each group equals lam * (its standard exponential draws), the stream
+    # consumed group by group in the documented order.
+    params = make_params(**overrides)
+    gains = mean_gains(params)
+    batch = draw_batch(params, (8, 3), 1001)
+    rng = np.random.default_rng(np.random.SeedSequence((8, 3)))
+    for name, lam, shape in (
+        ("g_br", gains.lam_br, (1001, params.m_b, params.m_r)),
+        ("g_su1", gains.lam_su1, (1001, params.m_b)),
+        ("g_ru1", gains.lam_ru1, (1001, params.m_t)),
+        ("g_ru2", gains.lam_ru2, (1001, params.m_t)),
+        ("g_si", gains.lam_si, (1001, params.m_r, params.m_t)),
+    ):
+        assert np.array_equal(getattr(batch, name), lam * rng.standard_exponential(shape)), name
+
+
 def test_different_streams_differ(baseline):
     a = draw_batch(baseline, (42, 0), 1)
     b = draw_batch(baseline, (42, 1), 1)

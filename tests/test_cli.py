@@ -65,6 +65,17 @@ class TestPowerGrid:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error:")
 
+    @pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:10:1e-320", "0:1e7:1"])
+    def test_grid_with_too_many_points_is_usage_error(self, grid, config_path, tmp_path, capsys):
+        # (stop - start) / step overflows to inf for the first two.
+        code = main(
+            ["sweep", "--config", config_path, "--power", grid, "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "points" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_analytic_grid_row_count(self, config_path, tmp_path):
@@ -144,6 +155,30 @@ class TestSweep:
         for column in ("rate_u1", "rate_u2"):
             mc, an = (float(row[column]) for row in rows)
             assert abs(mc - an) / an < 0.01, column
+
+    def test_both_mode_summary_bounds_outages_with_no_events(self, capsys):
+        # 0 events in 1e5 trials against a closed form of 2.3e-7 would read
+        # rel_diff 1; the summary gives the count and the one-sided 95%
+        # Clopper-Pearson upper bound 1 - 0.05**(1/n) instead.
+        def metrics(kind, outage_u1, trials):
+            est = MetricEstimate(0.5, 0.0, trials, kind=kind)
+            out = MetricEstimate(outage_u1, 0.0, trials, kind=kind)
+            return montecarlo.MetricSet(est, est, est, out, out, est)
+
+        rows = [
+            montecarlo.SweepRow(20.0, "max_u1_analytic", "monte_carlo", 100_000,
+                                metrics("monte_carlo", 0.0, 100_000)),
+            montecarlo.SweepRow(20.0, "max_u1_analytic", "analytic", 0, metrics("analytic", 2.3e-7, 0)),
+        ]
+        cli._print_summary(rows, "both")
+        line = capsys.readouterr().out.splitlines()[-1]
+        bound = 1.0 - 0.05 ** (1.0 / 100_000)
+        tokens = dict(token.split("=", 1) for token in line.split()[3:])
+        assert tokens["rate_u1"] == "0"
+        for name in ("outage_u1", "outage_u2"):
+            count, ub = tokens[name].split(",ub95=")
+            assert count == "0/100000"
+            assert float(ub) == pytest.approx(bound, rel=1e-3)
 
     def test_metrics_restriction(self, config_path, tmp_path):
         out = tmp_path / "rates_only.csv"
@@ -316,6 +351,7 @@ class TestValidate:
 
     def test_simulation_check_draws_each_block_once(self, monkeypatch):
         # Both closed-form schemes share every block: 3 blocks, 3 draws, not 6.
+        # Blocks run on worker threads, so the draws may come in any order.
         draws = []
         draw_batch = montecarlo.draw_batch
 
@@ -326,7 +362,7 @@ class TestValidate:
         monkeypatch.setattr(montecarlo, "draw_batch", counting)
         ok, detail = _check_mc_vs_analytic(default_params(20.0), 2 * DEFAULT_BLOCK_SIZE + 1, 1)
         assert ok, detail
-        assert draws == [(1, 0), (1, 1), (1, 2)]
+        assert sorted(draws) == [(1, 0), (1, 1), (1, 2)]
 
     def test_cdf_sanity_builds_each_far_law_once(self, monkeypatch):
         built = []

@@ -1,11 +1,17 @@
+import concurrent.futures
+import functools
 import math
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma import analytic
+from fdnoma import analytic, montecarlo
+from fdnoma.channel import blocks, draw_batch
 from fdnoma.config import ConfigError, SweepSpec, default_params
 from fdnoma.montecarlo import (
     ANALYTIC_SCHEMES,
@@ -14,6 +20,7 @@ from fdnoma.montecarlo import (
     _simulate,
     analytic_metric_set,
     analytic_sweep,
+    chosen_sinrs,
     estimate_metrics,
     estimate_outage,
     estimate_rates,
@@ -21,7 +28,8 @@ from fdnoma.montecarlo import (
     run_sweep,
     write_csv,
 )
-from fdnoma.selection import SCHEMES
+from fdnoma.selection import SCHEMES, select_batch
+from fdnoma.sinr import rate_bits
 
 from conftest import make_params, rows_to_csv_text
 
@@ -258,6 +266,93 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
         rows = crn_rows(others)
         for key, line in alone.items():
             assert rows[key] == line, (scheme, others)
+
+
+def sequential_simulate(params, schemes, trials, entropy_base, block_size):
+    """Reference for _simulate: one block after another in the calling thread,
+    each scheme selected on its own, the partial sums appended in block order."""
+    theta1, theta2 = analytic.thresholds(params)
+    stats = {
+        scheme: SimpleNamespace(n=0, sum_r1=[], sum_r2=[], sum_r1sq=[], sum_r2sq=[], sum_r1r2=[],
+                                count_out1=0, count_out2=0)
+        for scheme in schemes
+    }
+    for index, _, count in blocks(trials, block_size):
+        batch = draw_batch(params, (*entropy_base, index), count)
+        for scheme, st in stats.items():
+            seed = np.random.SeedSequence((*entropy_base, index, montecarlo._RANDOM_SALT))
+            choice = select_batch(scheme, batch, params, np.random.default_rng(seed))
+            gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params)
+            r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
+            st.n += count
+            for total, values in ((st.sum_r1, r1), (st.sum_r2, r2), (st.sum_r1sq, r1 * r1),
+                                  (st.sum_r2sq, r2 * r2), (st.sum_r1r2, r1 * r2)):
+                total.append(float(np.sum(values)))
+            st.count_out1 += int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1))))
+            st.count_out2 += int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2))))
+    return stats
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switched every 10 us instead of every 5 ms, for the length of a test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"m_b": 3, "m_r": 5, "m_t": 2}])
+def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, tmp_path, monkeypatch, fast_switching):
+    # Six schemes at two points; 40,001 trials in blocks of 2**14 leave a
+    # ragged last block of 7,233.  Blocks run on 1, 2 or 3 threads, switched
+    # often, and each CSV must equal the one reduced block by block in the
+    # calling thread.
+    params = make_params(**overrides)
+    spec = SweepSpec(power_db=(0.0, 20.0), schemes=SCHEMES, trials=40_001, seed=17)
+    block_size = 1 << 14
+    runs = {"sequential": functools.partial(sequential_simulate, block_size=block_size)}
+    runs.update({w: functools.partial(_simulate, block_size=block_size, workers=w) for w in (1, 2, 3)})
+    written = {}
+    for label, simulate in runs.items():
+        monkeypatch.setattr(montecarlo, "_simulate", simulate)
+        path = tmp_path / f"{label}.csv"
+        write_csv(run_sweep(params, spec), path)
+        written[label] = path.read_bytes()
+    assert len(written["sequential"].splitlines()) == 1 + 2 * len(SCHEMES)
+    for workers in (1, 2, 3):
+        assert written[workers] == written["sequential"], workers
+
+
+class BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failing_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatch, workers):
+    draw = montecarlo.draw_batch
+
+    def fail_on_block_1(params, entropy, count):
+        if entropy[-1] == 1:
+            raise BlockFailure(f"block {entropy[-1]}")
+        return draw(params, entropy, count)
+
+    monkeypatch.setattr(montecarlo, "draw_batch", fail_on_block_1)
+    threads = threading.active_count()
+    with pytest.raises(BlockFailure, match="block 1"):
+        _simulate(baseline, ("max_u1", "random"), 5 << 14, (3,), block_size=1 << 14, workers=workers)
+    assert threading.active_count() == threads
+
+
+def test_single_block_runs_without_a_pool(baseline, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block run started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    stats = _simulate(baseline, ("max_u1",), 1 << 14, (3,), block_size=1 << 14, workers=2)
+    assert stats["max_u1"].n == 1 << 14
 
 
 class TestAnalyticRows:
