@@ -67,9 +67,12 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
             raise _UsageError(f"bad power grid {text!r}; more than {_MAX_POWER_POINTS} points")
         return tuple(start + i * step for i in range(int(math.floor(points)) + 1))
     try:
-        return tuple(float(p) for p in text.split(","))
+        points = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise _UsageError(f"bad power grid {text!r}") from None
+    if not all(math.isfinite(x) for x in points):
+        raise _UsageError(f"bad power grid {text!r}; every point must be finite")
+    return points
 
 
 def _build_parser() -> _Parser:

@@ -3,7 +3,10 @@
 Trials are drawn in fixed-size blocks, one RNG stream per block.  Blocks
 run on up to two threads, min(2, available CPUs), with no option to set
 it, and the per-block partial sums are reduced in block order with
-math.fsum, so results are byte-identical for any worker count.  Within a
+math.fsum, so results are byte-identical for any worker count.  A run of
+one block uses the second thread inside the block instead: a helper
+thread searches joint-search tiles while the calling thread runs the
+stage-wise schemes, then both share the tiles that are left.  Within a
 sweep row, every scheme sees the same channel realizations (common random
 numbers), which makes the per-realization dominance relations between
 schemes hold exactly in the outputs.
@@ -22,7 +25,7 @@ import numpy as np
 from . import analytic
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch
 from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, db_to_linear, validate
-from .selection import JOINT_SCHEMES, NEEDS_RNG, batch_joint_search, check_scheme, select_batch
+from .selection import JOINT_SCHEMES, NEEDS_RNG, JointSearch, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 _RANDOM_SALT = 0x52414E44
@@ -162,23 +165,45 @@ def _run_block(
     entropy: tuple[int, ...],
     count: int,
     thresholds: tuple[float, float],
+    overlap: bool = False,
 ) -> dict[str, tuple]:
-    """Draw one block and return each scheme's partial sums over it."""
+    """Draw one block and return each scheme's partial sums over it.
+
+    The joint searches share one far-user grid per tile.  With overlap,
+    one helper thread starts on their tiles while this thread runs the
+    stage-wise schemes and then joins the tile queue; the helper does
+    nothing else, so its allocations stay tile-sized.
+    """
     batch = draw_batch(params, entropy, count)
-    # The joint searches share one far-user grid per tile.
     joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
-    chosen = batch_joint_search(batch, params, joint) if joint else {}
+    search = JointSearch(batch, params, joint)
     sums = {}
-    for scheme in schemes:
-        if scheme in chosen:
-            choice = chosen.pop(scheme)
-        else:
-            rng = None
-            if scheme in NEEDS_RNG:
-                rng = np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
-            choice = select_batch(scheme, batch, params, rng)
-        sums[scheme] = _scheme_sums(batch, choice, params, thresholds)
-        del choice  # freed before the next scheme selects
+
+    def stage_wise() -> None:
+        for scheme in schemes:
+            if scheme not in joint:
+                rng = None
+                if scheme in NEEDS_RNG:
+                    rng = np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
+                # the choice is freed before the next scheme selects
+                sums[scheme] = _scheme_sums(batch, select_batch(scheme, batch, params, rng), params, thresholds)
+
+    if joint and overlap:
+        # Imported here, so a run that needs no helper does not load the thread machinery.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as helper:
+            tiles = helper.submit(search.run)
+            stage_wise()
+            search.run()
+            tiles.result()
+    else:
+        stage_wise()
+        if joint:
+            search.run()
+    chosen = search.indices()
+    for scheme in joint:
+        sums[scheme] = _scheme_sums(batch, chosen.pop(scheme), params, thresholds)
     return sums
 
 
@@ -199,10 +224,13 @@ def _simulate(
     """Statistics per scheme; every scheme sees the same blocks, each drawn once.
 
     Blocks run on `workers` threads, min(2, available CPUs) by default,
-    one block in flight per thread; numpy releases the GIL in the draws
-    and the array kernels.  Each block's partial sums are appended in
-    block order, so the results are bit-identical for any worker count.
-    A single block, or a single worker, runs in the calling thread.
+    one block in flight per thread, each searching its joint tiles alone;
+    numpy releases the GIL in the draws and the array kernels.  Each
+    block's partial sums are appended in block order, so the results are
+    bit-identical for any worker count.  A single worker runs every block
+    in the calling thread.  A single block with two or more workers runs
+    in the calling thread too, with one helper thread for its joint-search
+    tiles, so threads are never nested.
     block_size is part of each block's stream key, so the public
     estimators and run_sweep keep it at DEFAULT_BLOCK_SIZE.
     """
@@ -214,9 +242,9 @@ def _simulate(
     stats = {scheme: _Stats() for scheme in schemes}
     unique = tuple(stats)  # a repeated scheme is simulated once
 
-    def run(block: tuple[int, int, int]) -> dict[str, tuple]:
+    def run(block: tuple[int, int, int], overlap: bool = False) -> dict[str, tuple]:
         index, _, count = block
-        return _run_block(params, unique, (*entropy_base, index), count, thresholds)
+        return _run_block(params, unique, (*entropy_base, index), count, thresholds, overlap)
 
     def reduce(partials) -> dict[str, _Stats]:
         for sums in partials:  # in block order
@@ -227,7 +255,7 @@ def _simulate(
     layout = blocks(trials, block_size)
     workers = min(2, _available_cpus()) if workers is None else workers
     if workers < 2 or trials <= block_size:
-        return reduce(map(run, layout))
+        return reduce(run(block, overlap=workers >= 2) for block in layout)
     # Imported here, so a run that needs no pool does not load the thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 

@@ -11,17 +11,23 @@ the BS transmit, relay receive and relay transmit antenna.  select_batch
 is the single entry point by scheme name.
 
 The two joint searches (max_u2_exhaustive, optimum_sumrate) share one
-tiled pass, batch_joint_search.  It walks row tiles of the batch,
-sized so that one tile's per-trial (m_b, m_r, m_t) far-user SINR grid is
-about 2 MiB of float64 and stays in cache, builds that grid once per tile
-and takes the argmax of every requested scheme from it.  Every grid cell
-and every per-row argmax depends on its own row only, and each cell is
-computed with the same float operations as the formula kernels, so the
-pass gives the same indices as one full-batch grid per scheme; ties still
-break to the lowest flat (i, j, k) index.
+tiled pass, JointSearch.  It walks row tiles of the batch, sized so that
+one tile's per-trial (m_b, m_r, m_t) far-user SINR grid is about 512 KiB
+of float64, builds that grid once per tile and takes the argmax of every
+requested scheme from it.  Threads can share the tiles of one pass, each
+with its own tile buffers, so two threads in flight hold less tile memory
+than one thread on 2 MiB tiles.  Every grid cell and every
+per-row argmax depends on its own row only, and each cell is computed
+with the same float operations as the formula kernels, so the pass gives
+the same indices as one full-batch grid per scheme, on any number of
+threads; ties still break to the lowest flat (i, j, k) index.
+batch_joint_search runs the whole pass in the calling thread.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -66,33 +72,55 @@ def _unravel(flat: np.ndarray, m_r: int, m_t: int) -> tuple[np.ndarray, np.ndarr
     return rest // m_r, rest % m_r, kk
 
 
-_TILE_GRID_BYTES = 1 << 21
+_TILE_GRID_BYTES = 1 << 19
 
 JOINT_SCHEMES = ("max_u2_exhaustive", "optimum_sumrate")
 
 
-def batch_joint_search(
-    batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-row (i, j, k) of each joint scheme in `schemes`, from one grid per tile.
+class JointSearch:
+    """The tiled pass of the joint schemes in `schemes`, as work any thread can run.
 
     The batch is cut into row tiles whose grid is about _TILE_GRID_BYTES;
-    4,096 rows at 4x4x4 antennas.  Each tile's end-to-end far-user SINR
-    grid min(cross, relay, g_ru2) is built once in a reused buffer; a
-    second one holds the relay numerator, then the sum-rate grid when
-    optimum_sumrate is asked for.
+    1,024 rows at 4x4x4 antennas.  Each run() takes the next tile under a
+    lock until none is left, in tile buffers of its own, and writes the
+    tile's rows of the flat index arrays, so the indices do not depend on
+    how many threads run it.
     """
-    unknown = set(schemes) - set(JOINT_SCHEMES)
-    if unknown:
-        raise ValueError(f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
-    a1, a2 = params.a1, params.a2
-    m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
-    cells = m_b * m_r * m_t
-    tile = max(1, min(batch.count, _TILE_GRID_BYTES // (8 * cells)))
-    buffers = np.empty((2, tile, m_b, m_r, m_t))
-    flat = {scheme: np.empty(batch.count, dtype=np.intp) for scheme in schemes}
-    for start in range(0, batch.count, tile):
-        stop = min(start + tile, batch.count)
+
+    def __init__(self, batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]):
+        unknown = set(schemes) - set(JOINT_SCHEMES)
+        if unknown:
+            raise ValueError(f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
+        self.batch, self.params = batch, params
+        self.shape = (params.m_b, params.m_r, params.m_t)
+        self.tile = max(1, min(batch.count, _TILE_GRID_BYTES // (8 * math.prod(self.shape))))
+        self.flat = {scheme: np.empty(batch.count, dtype=np.intp) for scheme in schemes}
+        self._next = 0
+        self._lock = threading.Lock()
+
+    def run(self) -> None:
+        """Search tiles until none is left; the buffers are allocated at the first one."""
+        buffers = None
+        while True:
+            with self._lock:
+                start = self._next
+                stop = self._next = min(start + self.tile, self.batch.count)
+            if start == stop:
+                return
+            if buffers is None:
+                buffers = np.empty((2, self.tile, *self.shape))
+            self._search_tile(start, stop, buffers)
+
+    def _search_tile(self, start: int, stop: int, buffers: np.ndarray) -> None:
+        """Rows start:stop of every requested scheme's flat index.
+
+        The end-to-end far-user SINR grid min(cross, relay, g_ru2) is built
+        in the first buffer; the second holds the relay numerator, then the
+        sum-rate grid when optimum_sumrate is asked for.
+        """
+        batch, a1, a2 = self.batch, self.params.a1, self.params.a2
+        m_r, m_t = self.shape[1:]
+        cells = math.prod(self.shape)
         grid, spare = buffers[:, : stop - start]
         g_su1 = batch.g_su1[start:stop, :, None]
         g_ru1 = batch.g_ru1[start:stop, None, :]
@@ -108,16 +136,28 @@ def batch_joint_search(
         # min is exact, so clamping by the (i, k) terms first gives the same cells
         clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), batch.g_ru2[start:stop, None, :])
         np.minimum(grid, np.repeat(clamp[:, :, None, :], m_r, axis=2), out=grid)
-        if "max_u2_exhaustive" in flat:
-            flat["max_u2_exhaustive"][start:stop] = np.argmax(grid.reshape(-1, cells), axis=1)
-        if "optimum_sumrate" in flat:
+        if "max_u2_exhaustive" in self.flat:
+            self.flat["max_u2_exhaustive"][start:stop] = np.argmax(grid.reshape(-1, cells), axis=1)
+        if "optimum_sumrate" in self.flat:
             # rate_bits of the grid plus the near-user rate
             np.log1p(grid, out=spare)
             np.divide(spare, LN2, out=spare)
             r1 = rate_bits(near_sinr(g_su1, g_ru1, a1))
             np.add(spare, np.repeat(r1[:, :, None, :], m_r, axis=2), out=spare)
-            flat["optimum_sumrate"][start:stop] = np.argmax(spare.reshape(-1, cells), axis=1)
-    return {scheme: _unravel(indices, params.m_r, params.m_t) for scheme, indices in flat.items()}
+            self.flat["optimum_sumrate"][start:stop] = np.argmax(spare.reshape(-1, cells), axis=1)
+
+    def indices(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-row (i, j, k) of each scheme, once every tile has been searched."""
+        return {scheme: _unravel(flat, *self.shape[1:]) for scheme, flat in self.flat.items()}
+
+
+def batch_joint_search(
+    batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-row (i, j, k) of each joint scheme in `schemes`, every tile in this thread."""
+    search = JointSearch(batch, params, schemes)
+    search.run()
+    return search.indices()
 
 
 def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

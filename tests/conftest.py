@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fdnoma.channel import GainBatch
 from fdnoma.config import SystemParams, default_params, validate
 from fdnoma.montecarlo import write_csv
+from fdnoma.selection import _TILE_GRID_BYTES
 
 
 def make_params(**overrides) -> SystemParams:
@@ -20,6 +22,11 @@ def batch_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> GainBatch:
     """A one-realization batch from per-antenna gains (no trial axis)."""
     arrays = [np.asarray(g, dtype=float)[None] for g in (g_br, g_su1, g_ru1, g_ru2, g_si)]
     return GainBatch(*arrays, count=1)
+
+
+def tile_rows(params: SystemParams) -> int:
+    """Rows in one tile of the joint searches' far-user grid."""
+    return _TILE_GRID_BYTES // (8 * params.m_b * params.m_r * params.m_t)
 
 
 def linear_to_db(linear: float) -> float:
@@ -36,3 +43,14 @@ def rows_to_csv_text(rows) -> str:
 def baseline() -> SystemParams:
     """4-antenna setup at 20 dB on both hops."""
     return default_params(20.0)
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switched every 10 us instead of every 5 ms, for the length of a test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

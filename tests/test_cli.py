@@ -56,7 +56,9 @@ class TestPowerGrid:
         assert parse_power_grid("0,7.5,30") == (0.0, 7.5, 30.0)
 
     @pytest.mark.parametrize(
-        "bad", ["0:50", "a:b:c", "0:50:-5", "50:0:5", "x,y", "0:nan:1", "0:inf:1", "nan:10:5", "0:10:nan"]
+        "bad",
+        ["0:50", "a:b:c", "0:50:-5", "50:0:5", "x,y", "0:nan:1", "0:inf:1", "nan:10:5", "0:10:nan",
+         "10,nan", "10,inf", "-inf,10", "1e400"],
     )
     def test_bad_grids_are_usage_errors(self, bad, config_path, tmp_path, capsys):
         code = main(

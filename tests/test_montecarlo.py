@@ -1,7 +1,6 @@
 import concurrent.futures
 import functools
 import math
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -10,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma import analytic, montecarlo
-from fdnoma.channel import blocks, draw_batch
+from fdnoma import analytic, montecarlo, selection
+from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
 from fdnoma.config import ConfigError, SweepSpec, default_params
 from fdnoma.montecarlo import (
     ANALYTIC_SCHEMES,
@@ -31,7 +30,7 @@ from fdnoma.montecarlo import (
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import make_params, rows_to_csv_text
+from conftest import make_params, rows_to_csv_text, tile_rows
 
 
 class TestJainIndex:
@@ -293,26 +292,8 @@ def sequential_simulate(params, schemes, trials, entropy_base, block_size):
     return stats
 
 
-@pytest.fixture
-def fast_switching():
-    """Threads switched every 10 us instead of every 5 ms, for the length of a test."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("overrides", [{}, {"m_b": 3, "m_r": 5, "m_t": 2}])
-def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, tmp_path, monkeypatch, fast_switching):
-    # Six schemes at two points; 40,001 trials in blocks of 2**14 leave a
-    # ragged last block of 7,233.  Blocks run on 1, 2 or 3 threads, switched
-    # often, and each CSV must equal the one reduced block by block in the
-    # calling thread.
-    params = make_params(**overrides)
-    spec = SweepSpec(power_db=(0.0, 20.0), schemes=SCHEMES, trials=40_001, seed=17)
-    block_size = 1 << 14
+def csv_by_worker_count(params, spec, tmp_path, monkeypatch, block_size):
+    """Sweep CSV bytes from sequential_simulate and from _simulate on 1, 2 and 3 workers."""
     runs = {"sequential": functools.partial(sequential_simulate, block_size=block_size)}
     runs.update({w: functools.partial(_simulate, block_size=block_size, workers=w) for w in (1, 2, 3)})
     written = {}
@@ -321,7 +302,35 @@ def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, tmp_path, m
         path = tmp_path / f"{label}.csv"
         write_csv(run_sweep(params, spec), path)
         written[label] = path.read_bytes()
-    assert len(written["sequential"].splitlines()) == 1 + 2 * len(SCHEMES)
+    assert len(written["sequential"].splitlines()) == 1 + len(spec.power_db) * len(spec.schemes)
+    return written
+
+
+@pytest.mark.parametrize("overrides", [{}, {"m_b": 3, "m_r": 5, "m_t": 2}])
+def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, tmp_path, monkeypatch, fast_switching):
+    # Six schemes at two points; 40,001 trials in blocks of 2**14 leave a
+    # ragged last block of 7,233.  Blocks run on 1, 2 or 3 threads, switched
+    # often, and each CSV must equal the one reduced block by block in the
+    # calling thread.
+    spec = SweepSpec(power_db=(0.0, 20.0), schemes=SCHEMES, trials=40_001, seed=17)
+    written = csv_by_worker_count(make_params(**overrides), spec, tmp_path, monkeypatch, 1 << 14)
+    for workers in (1, 2, 3):
+        assert written[workers] == written["sequential"], workers
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 2), (8, 8, 8)], ids=["4x4x4", "3x5x2", "8x8x8"])
+@pytest.mark.parametrize("where", ["one", "tile-1", "tile+1", "block"])
+def test_single_block_csv_is_byte_identical_for_any_worker_count(
+    shape, where, tmp_path, monkeypatch, fast_switching
+):
+    # One block per point: with two or more workers a helper thread takes
+    # joint-search tiles while the caller runs the stage-wise schemes, then
+    # both share the rest of the tiles.
+    params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
+    tile = tile_rows(params)
+    trials = {"one": 1, "tile-1": tile - 1, "tile+1": tile + 1, "block": DEFAULT_BLOCK_SIZE}[where]
+    spec = SweepSpec(power_db=(20.0,), schemes=SCHEMES, trials=trials, seed=29)
+    written = csv_by_worker_count(params, spec, tmp_path, monkeypatch, DEFAULT_BLOCK_SIZE)
     for workers in (1, 2, 3):
         assert written[workers] == written["sequential"], workers
 
@@ -344,6 +353,55 @@ def test_failing_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatc
     with pytest.raises(BlockFailure, match="block 1"):
         _simulate(baseline, ("max_u1", "random"), 5 << 14, (3,), block_size=1 << 14, workers=workers)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("where", ["every tile", "helper's tiles", "stage-wise scheme"])
+def test_failure_in_a_single_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatch, where):
+    cross = selection.cross_sinr
+    select = montecarlo.select_batch
+    helper_failed = threading.Event()
+
+    def failing_cross_sinr(*args):
+        # cross_sinr runs once per joint-search tile
+        if where == "every tile" or threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise BlockFailure(where)
+        return cross(*args)
+
+    def failing_select(scheme, *args):
+        if where == "stage-wise scheme" and scheme == "max_u1":
+            raise BlockFailure(where)
+        if where == "helper's tiles":
+            assert helper_failed.wait(10), "the helper took no tile"
+        return select(scheme, *args)
+
+    monkeypatch.setattr(selection, "cross_sinr", failing_cross_sinr)
+    monkeypatch.setattr(montecarlo, "select_batch", failing_select)
+    threads = threading.active_count()
+    with pytest.raises(BlockFailure, match=where):
+        _simulate(baseline, SCHEMES, 1 << 14, (3,), block_size=1 << 14, workers=2)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers,block_count,most", [(1, 1, 0), (1, 3, 0), (2, 1, 1), (2, 3, 2)])
+def test_joint_searches_start_no_nested_threads(baseline, monkeypatch, workers, block_count, most):
+    # One worker starts no thread; a lone block starts one tile helper; a
+    # multi-block run keeps its tiles on the block threads.
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    block_size = 1 << 12
+    trials = block_count * block_size
+    stats = _simulate(baseline, SCHEMES, trials, (3,), block_size=block_size, workers=workers)
+    assert stats["optimum_sumrate"].n == trials
+    assert len(started) <= most
+    if block_count == 1:
+        assert len(started) == most
 
 
 def test_single_block_runs_without_a_pool(baseline, monkeypatch):

@@ -1,3 +1,5 @@
+import concurrent.futures
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,16 +9,10 @@ from hypothesis import strategies as st
 
 from fdnoma.channel import GainBatch, draw_batch
 from fdnoma.montecarlo import chosen_sinrs
-from fdnoma.selection import (
-    _TILE_GRID_BYTES,
-    JOINT_SCHEMES,
-    SCHEMES,
-    batch_joint_search,
-    select_batch,
-)
+from fdnoma.selection import JOINT_SCHEMES, SCHEMES, JointSearch, batch_joint_search, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-from conftest import batch_from, make_params
+from conftest import batch_from, make_params, tile_rows
 
 
 @pytest.fixture
@@ -352,10 +348,6 @@ UNTILED = {
 }
 
 
-def tile_rows(params):
-    return _TILE_GRID_BYTES // (8 * params.m_b * params.m_r * params.m_t)
-
-
 def assert_same_indices(scheme, batch, params):
     got = select_batch(scheme, batch, params)
     want = UNTILED[scheme](batch, params)
@@ -364,9 +356,9 @@ def assert_same_indices(scheme, batch, params):
         np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
 
 
-def test_tile_is_about_two_mib_of_grid():
-    assert tile_rows(make_params()) == 4096
-    assert tile_rows(make_params(m_b=8, m_r=8, m_t=8)) == 512
+def test_tile_is_about_half_a_mib_of_grid():
+    assert tile_rows(make_params()) == 1024
+    assert tile_rows(make_params(m_b=8, m_r=8, m_t=8)) == 128
 
 
 @pytest.mark.parametrize("scheme", sorted(UNTILED))
@@ -409,6 +401,54 @@ def test_joint_pass_matches_untiled_and_single_scheme(shape, where):
     assert_joint_pass_matches(batch, params)
 
 
+def shared_joint_search(batch, params, threads=2):
+    """Both joint schemes, the tiles shared by this thread and threads - 1 helpers.
+
+    Each thread waits at its first tile until every other has one too, so
+    every thread searches at least one tile.
+    """
+    search = JointSearch(batch, params, JOINT_SCHEMES)
+    search_tile = search._search_tile
+    first_tiles = {}
+    all_started = threading.Barrier(threads, timeout=10)
+
+    def search_tile_after_all_start(start, stop, buffers):
+        if first_tiles.setdefault(threading.get_ident(), start) == start:
+            all_started.wait()
+        search_tile(start, stop, buffers)
+
+    search._search_tile = search_tile_after_all_start
+    with concurrent.futures.ThreadPoolExecutor(threads - 1) as helpers:
+        tiles = [helpers.submit(search.run) for _ in range(threads - 1)]
+        search.run()
+        for helper_tiles in tiles:
+            helper_tiles.result(timeout=60)
+    assert len(first_tiles) == threads
+    return search.indices()
+
+
+def assert_shared_pass_matches_untiled(batch, params, threads=2):
+    chosen = shared_joint_search(batch, params, threads)
+    for scheme in JOINT_SCHEMES:
+        for axis, a, b in zip("ijk", chosen[scheme], UNTILED[scheme](batch, params)):
+            np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
+
+
+@pytest.mark.parametrize(
+    "shape,where,threads",
+    [(s, w, 2) for s in [(4, 4, 4), (3, 5, 2)] for w in ["tile+1", "many"]]
+    + [((8, 8, 8), "many", 2), ((4, 4, 4), "many", 3), ((8, 8, 8), "many", 3)],
+)
+def test_joint_pass_shared_by_threads_matches_untiled(shape, where, threads, fast_switching):
+    # A skipped tile, or tile buffers shared between threads,
+    # would leave rows that differ from the untiled oracle.
+    params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
+    tile = tile_rows(params)
+    count = {"tile+1": tile + 1, "many": 70_001 if shape != (8, 8, 8) else 10 * tile + 1}[where]
+    batch = draw_batch(params, (2026, sum(shape)), count)
+    assert_shared_pass_matches_untiled(batch, params, threads)
+
+
 def test_joint_pass_rejects_other_schemes():
     params = make_params()
     with pytest.raises(ValueError):
@@ -439,3 +479,6 @@ def test_tiled_search_ties_pick_lowest_triple(scheme):
     ii, jj, kk = batch_joint_search(batch, params, JOINT_SCHEMES)[scheme]
     assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
     assert_joint_pass_matches(batch, params)
+    ii, jj, kk = shared_joint_search(batch, params)[scheme]
+    assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
+    assert_shared_pass_matches_untiled(batch, params)
