@@ -19,6 +19,11 @@ passes that F to the quadrature, which calls it a few hundred times;
 cdf_gamma2_* and outage_u2_* build it for a single evaluation, so a
 caller that evaluates one law at many points builds it with
 far_user_cdf instead.
+
+The quadrature is scipy's adaptive quad, imported where it is called
+(rate_from_cdf and the kernel's singular fallback), not with this module:
+importing scipy.integrate costs about 0.6 s and 50 MiB, and a process
+that only simulates never integrates.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .config import SystemParams, mean_gains
 
@@ -124,6 +127,9 @@ def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL)
     if alpha == 0.0:
         return _scaled_e1(beta)
     if abs(alpha - 1.0) < singular_tol:
+        # Imported here, so a process that never integrates does not load scipy.
+        from scipy.integrate import quad
+
         value, _ = quad(
             lambda x: math.exp(-beta * x) / ((1.0 + x) * (1.0 + alpha * x)),
             0.0,
@@ -316,6 +322,9 @@ def rate_from_cdf(
     domains are truncated a hair inside the endpoint, where the
     integrand has already decayed to zero.
     """
+    # Imported here, so a process that never integrates does not load scipy.
+    from scipy.integrate import quad
+
     hi = upper if math.isinf(upper) else upper * (1.0 - 1e-12)
 
     def integrand(x: float) -> float:

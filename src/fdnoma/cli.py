@@ -139,11 +139,14 @@ def cmd_sweep(args) -> int:
     params = load_config(args.config)
     schemes = _select_schemes(args)
     metrics = _select_metrics(args)
+    power_db = parse_power_grid(args.power)
     relay = None
     if args.relay_power_db is not None:
-        relay = tuple(args.relay_power_db for _ in parse_power_grid(args.power))
+        if not math.isfinite(args.relay_power_db):
+            raise _UsageError(f"bad relay power {args.relay_power_db!r}; it must be finite")
+        relay = (args.relay_power_db,) * len(power_db)
     spec = SweepSpec(
-        power_db=parse_power_grid(args.power),
+        power_db=power_db,
         schemes=schemes,
         metrics=metrics,
         trials=args.trials,
@@ -153,8 +156,10 @@ def cmd_sweep(args) -> int:
 
     rows: list[SweepRow] = []
     notes: list[str] = []
-    if args.mode in ("mc", "both"):
-        rows += run_sweep(params, spec)
+    # The closed forms run before the simulation.  Their first quadrature
+    # imports scipy; imported after the simulator's threads have freed their
+    # blocks, it lands on whatever those threads' heaps kept, and the peak
+    # resident set of a `both` sweep then varies by up to 30 MiB between runs.
     if args.mode in ("analytic", "both"):
         analytic_schemes = tuple(s for s in spec.schemes if s in ANALYTIC_SCHEMES)
         skipped = [s for s in spec.schemes if s not in ANALYTIC_SCHEMES]
@@ -166,6 +171,8 @@ def cmd_sweep(args) -> int:
             )
             rows += analytic_rows
             notes += analytic_notes
+    if args.mode in ("mc", "both"):
+        rows += run_sweep(params, spec)
 
     rows.sort(key=lambda r: (r.power_db, spec.schemes.index(r.scheme), r.kind != "monte_carlo"))
     try:

@@ -7,6 +7,7 @@ channel variances are direct unitless inputs (no path-loss model).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -87,6 +88,14 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.power_db) == 0:
             raise ConfigError("SWEEP_EMPTY", "power grid must be non-empty")
+        # A repeated point would repeat its rows under one (power_db, scheme, kind) key.
+        # Counted by hashing: a grid may hold up to a million points.
+        repeated = sorted(p for p, n in Counter(self.power_db).items() if n > 1)
+        if repeated:
+            raise ConfigError(
+                "SWEEP_POWER_DUPLICATE",
+                f"power point listed more than once: {', '.join(map(str, repeated))} dB",
+            )
         if len(self.schemes) == 0:
             raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
         # A repeated scheme would only repeat its rows.

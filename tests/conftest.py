@@ -1,6 +1,9 @@
 import io
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,23 @@ def batch_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> GainBatch:
 def tile_rows(params: SystemParams) -> int:
     """Rows in one tile of the joint searches' far-user grid."""
     return _TILE_GRID_BYTES // (8 * params.m_b * params.m_r * params.m_t)
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this fdnoma; fails the test on a nonzero exit.
+
+    For checks of what a process loads: this one has imported everything the
+    other tests use.
+    """
+    import fdnoma
+
+    src = str(Path(fdnoma.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def linear_to_db(linear: float) -> float:

@@ -26,7 +26,7 @@ from fdnoma.analytic import (
 )
 from fdnoma.config import mean_gains
 
-from conftest import make_params
+from conftest import make_params, run_fresh
 
 
 class TestExponentialIntegral:
@@ -149,6 +149,24 @@ def test_exactly_singular_configuration_falls_back():
     params = make_params(m_b=1, m_t=1, k1=0.25, var_ru1=1.0)
     quadrature = rate_from_cdf(lambda x: cdf_gamma1_max_u1(x, params), rel_tol=1e-10, abs_tol=1e-12)
     assert rate_u1_max_u1(params) == pytest.approx(quadrature.value, rel=1e-8)
+
+
+def test_singular_fallback_imports_its_own_quadrature():
+    # The fallback is the first quadrature of a fresh process, so nothing else
+    # has imported scipy.integrate for it.
+    proc = run_fresh(
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from fdnoma.analytic import cdf_gamma1_max_u1, rate_from_cdf, rate_u1_max_u1\n"
+        "from fdnoma.config import SystemParams, validate\n"
+        "params = validate(replace(SystemParams(), m_b=1, m_t=1, k1=0.25, var_ru1=1.0))\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "closed = rate_u1_max_u1(params)\n"
+        "quadrature = rate_from_cdf(lambda x: cdf_gamma1_max_u1(x, params), rel_tol=1e-10, abs_tol=1e-12)\n"
+        "print(repr(closed), repr(quadrature.value))\n"
+    )
+    closed, quadrature = (float(v) for v in proc.stdout.split())
+    assert closed == pytest.approx(quadrature, rel=1e-8)
 
 
 class TestNearUserCdfs:

@@ -22,6 +22,8 @@ from fdnoma.cli import (
     parse_power_grid,
 )
 
+from conftest import run_fresh
+
 GOOD_CONFIG = """\
 m_b = 4
 m_r = 4
@@ -158,6 +160,28 @@ class TestSweep:
             mc, an = (float(row[column]) for row in rows)
             assert abs(mc - an) / an < 0.01, column
 
+    def test_both_mode_runs_closed_forms_before_simulation(self, config_path, tmp_path, monkeypatch):
+        # The closed forms import scipy; loaded after the simulator's threads
+        # have freed their blocks, it made the peak resident set vary by run.
+        order = []
+
+        def recording(name):
+            real = getattr(cli, name)
+
+            def call(*args):
+                order.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("analytic_sweep", "run_sweep"):
+            monkeypatch.setattr(cli, name, recording(name))
+        out = tmp_path / "both.csv"
+        argv = ["sweep", "--config", config_path, "--mode", "both", "--schemes", "max_u1_analytic"]
+        code = main(argv + ["--power", "10", "--trials", "1000", "--output", str(out)])
+        assert code == EXIT_OK
+        assert order == ["analytic_sweep", "run_sweep"]
+
     def test_both_mode_summary_bounds_outages_with_no_events(self, capsys):
         # 0 events in 1e5 trials against a closed form of 2.3e-7 would read
         # rel_diff 1; the summary gives the count and the one-sided 95%
@@ -225,6 +249,32 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
         assert "SWEEP_SCHEME_DUPLICATE" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_repeated_power_point_is_config_error(self, config_path, tmp_path, capsys, mode):
+        # Two rows per (power_db, scheme, kind) key, and a summary that kept one.
+        out = tmp_path / "o.csv"
+        code = main(
+            ["sweep", "--config", config_path, "--mode", mode, "--schemes", "max_u1_analytic",
+             "--power", "10,10", "--trials", "200", "--seed", "3", "--output", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "SWEEP_POWER_DUPLICATE" in err and "10.0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("relay", ["nan", "inf", "1e400"])
+    def test_non_finite_relay_power_is_usage_error(self, relay, config_path, tmp_path, capsys):
+        # 1e400 overflows to inf when parsed.
+        out = tmp_path / "o.csv"
+        code = main(
+            ["sweep", "--config", config_path, "--relay-power-db", relay, "--power", "10",
+             "--trials", "200", "--output", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "relay power" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["mc", "analytic"])
@@ -414,6 +464,25 @@ class TestValidate:
 
 def test_usage_error_without_subcommand():
     assert main([]) == EXIT_USAGE
+
+
+def test_simulation_alone_never_loads_scipy(config_path, tmp_path):
+    # Only the quadratures need scipy; this process has imported it already.
+    out = tmp_path / "mc.csv"
+    proc = run_fresh(
+        "import sys\n"
+        "import fdnoma, fdnoma.cli\n"
+        "from fdnoma.config import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "code = fdnoma.cli.main(['sweep', '--config', sys.argv[1], '--mode', 'mc', '--power', '0,20',\n"
+        "                        '--trials', '2000', '--output', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n",
+        config_path,
+        str(out),
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert out.exists()
 
 
 def test_module_entry_point(config_path, tmp_path):

@@ -237,6 +237,14 @@ class TestSweepSpec:
             SweepSpec(power_db=(0.0,), schemes=("max_u1", "random", "max_u1"))
         assert info.value.code == "SWEEP_SCHEME_DUPLICATE"
 
+    @pytest.mark.parametrize("grid", [(10.0, 0.0, 10.0), (0.0, -0.0)])
+    def test_rejects_repeated_power_point(self, grid):
+        # A repeated point would write two rows under one (power_db, scheme, kind)
+        # key; -0 dB and 0 dB are one operating point.
+        with pytest.raises(ConfigError, match="listed more than once") as info:
+            SweepSpec(power_db=grid, schemes=("max_u1",))
+        assert info.value.code == "SWEEP_POWER_DUPLICATE"
+
     def test_rejects_mismatched_relay_grid(self):
         with pytest.raises(ConfigError):
             SweepSpec(power_db=(0.0, 10.0), schemes=("max_u1",), rho_r_db=(0.0,))
