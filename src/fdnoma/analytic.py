@@ -14,16 +14,22 @@ floors accurate despite cancellation.
 
 The far-user laws are built once per parameter set: far_user_cdf takes
 the links' precomputed mean gains and binomial coefficients and returns
-F, which only forms the gain ratio x / (a2 - a1 x) and the sums.  A rate
-passes that F to the quadrature, which calls it a few hundred times;
+F, which only forms the gain ratio x / (a2 - a1 x) and the sums;
 cdf_gamma2_* and outage_u2_* build it for a single evaluation, so a
 caller that evaluates one law at many points builds it with
 far_user_cdf instead.
 
-The quadrature is scipy's adaptive quad, imported where it is called
-(rate_from_cdf and the kernel's singular fallback), not with this module:
-importing scipy.integrate costs about 0.6 s and 50 MiB, and a process
-that only simulates never integrates.
+The far-user rates are integrated by far_user_rates, in numpy, for any
+number of parameter sets at once: QUADPACK's adaptive 21-point
+Gauss-Kronrod scheme over a first partition graded at the links' SINR
+scales, with every link evaluated at every node of every open interval
+in one vectorized pass.  A sweep integrates each scheme's whole power
+grid in one call, and a rate does not depend on the other parameter
+sets in its call.  rate_from_cdf is scipy's quad, the independent check
+of the closed forms.  scipy is imported where it is called (rate_from_cdf
+and the kernel's singular fallback), not with this module: importing
+scipy.integrate costs about 0.6 s and 50 MiB, and neither a simulation
+nor a sweep of the closed forms needs it.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import SystemParams, mean_gains
 
@@ -309,44 +317,311 @@ def cdf_gamma2_max_u2(x: float, params: SystemParams) -> float:
     return far_user_cdf(params, "max_u2")(x)
 
 
+def _checked(rate: float, bound: float, evaluations: int, rel_tol: float, abs_tol: float):
+    """The QuadratureResult, or the NonConvergedError when the bound misses the tolerance."""
+    if bound > max(abs_tol, rel_tol * abs(rate)):
+        return NonConvergedError(
+            f"quadrature error bound {bound:.3e} exceeds tolerance "
+            f"(abs {abs_tol:.1e}, rel {rel_tol:.1e}) after {evaluations} evaluations"
+        )
+    return QuadratureResult(value=rate, abs_error_bound=bound, evaluations=evaluations)
+
+
 def rate_from_cdf(
     cdf,
     upper: float = math.inf,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-9,
     limit: int = 200,
+    points: tuple[float, ...] = (),
 ) -> QuadratureResult:
-    """Ergodic rate (1/ln 2) * integral_0^upper (1 - F(x)) / (1 + x) dx.
+    """Ergodic rate (1/ln 2) * integral_0^upper (1 - F(x)) / (1 + x) dx, by scipy's quad.
 
     Requires F nondecreasing on [0, upper] and F = 1 beyond.  Finite
     domains are truncated a hair inside the endpoint, where the
-    integrand has already decayed to zero.
+    integrand has already decayed to zero.  The integral is split at the
+    increasing points inside (0, upper), each piece integrated on its own;
+    a split at the distribution's scale keeps a narrow one in view of the
+    first rule.  This is the independent check of the closed forms; the
+    far-user rates use far_user_rates.
     """
     # Imported here, so a process that never integrates does not load scipy.
     from scipy.integrate import quad
 
     hi = upper if math.isinf(upper) else upper * (1.0 - 1e-12)
+    edges = [0.0, *(p for p in points if 0.0 < p < hi), hi]
 
     def integrand(x: float) -> float:
         return (1.0 - cdf(x)) / (1.0 + x)
 
-    value, abserr, info = quad(
-        integrand,
-        0.0,
-        hi,
-        epsabs=abs_tol * LN2,
-        epsrel=rel_tol,
-        limit=limit,
-        full_output=True,
-    )[:3]
-    rate = value / LN2
-    bound = abserr / LN2
-    if bound > max(abs_tol, rel_tol * abs(rate)):
-        raise NonConvergedError(
-            f"quadrature error bound {bound:.3e} exceeds tolerance "
-            f"(abs {abs_tol:.1e}, rel {rel_tol:.1e}) after {info['neval']} evaluations"
+    value = abserr = 0.0
+    evaluations = 0
+    for lo, up in zip(edges, edges[1:]):
+        piece, piece_err, info = quad(
+            integrand,
+            lo,
+            up,
+            epsabs=abs_tol * LN2,
+            epsrel=rel_tol,
+            limit=limit,
+            full_output=True,
+        )[:3]
+        value, abserr, evaluations = value + piece, abserr + piece_err, evaluations + int(info["neval"])
+    result = _checked(value / LN2, abserr / LN2, evaluations, rel_tol, abs_tol)
+    if isinstance(result, NonConvergedError):
+        raise result
+    return result
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21; Piessens et al. 1983): the
+# Kronrod abscissae on [0, 1] from the end inward, their weights, and the
+# 10-point Gauss weights of the abscissae at odd (0-based) indices.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525986650, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_WGK_CENTER = 0.149445554002916905664936468389821
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# Node offsets in half-lengths: the ten left abscissae, the center, the ten right ones.
+_OFFSETS = np.array([-x for x in _XGK] + [0.0] + list(_XGK))
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+# Integrand nodes evaluated per numpy call; bounds the temporaries at a few MiB.
+_CHUNK_NODES = 1 << 14
+# The first partition of a far-user integral grades by this ratio: up from
+# the smallest link SINR scale for eight powers, past which the survival is
+# below m e^-(4^7), and toward the cap (see _FarLaws.breakpoints).
+_BREAK_RATIO = 4.0
+_BREAK_POWERS = 8
+_MAX_INTERVALS = 200
+
+
+def graded_points(scale: float) -> tuple[float, ...]:
+    """scale times the first _BREAK_POWERS powers of _BREAK_RATIO, from 1.
+
+    Split there, an integral over a law of that scale keeps the law in
+    view of the first rule of every piece.
+    """
+    return tuple(scale * _BREAK_RATIO**k for k in range(_BREAK_POWERS))
+
+
+class _FarLaws:
+    """The far-user survival laws of many parameter sets under one rule, as arrays.
+
+    Row i holds parameter set i.  Each link keeps m, lam and den per row and
+    its per-term coefficients sign_p C(m-1, p) and lam_i (p+1) in a (rows,
+    terms) array, zero-padded to the longest link of its position, so a
+    padded term adds exactly 0.
+    """
+
+    def __init__(self, params_seq: Sequence[SystemParams], rule: str):
+        per_row = [_FAR_LINKS[rule](params) for params in params_seq]
+        self.a1 = np.array([params.a1 for params in params_seq])
+        self.a2 = np.array([params.a2 for params in params_seq])
+        self.links = []
+        for position in range(3):
+            column = [links[position] for links in per_row]
+            width = max(m for m, _, _, _ in column)
+            pad = [(0.0, 0.0)] * width
+            coeffs = np.array([([(sc, li) for sc, _, _, li in terms] + pad)[:width] for *_, terms in column])
+            self.links.append((
+                np.array([float(m) for m, _, _, _ in column]),
+                np.array([lam for _, lam, _, _ in column]),
+                np.array([den for _, _, den, _ in column]),
+                coeffs[:, :, 0].T.copy(),
+                coeffs[:, :, 1].T.copy(),
+            ))
+
+    def breakpoints(self, row: int, hi: float) -> list[float]:
+        """The increasing inner points, in (0, hi), of a row's first partition.
+
+        They are the link SINR scales (a cross or relay link takes the gain
+        ratio r = x / (a2 - a1 x), which is lam at a2 lam / (1 + a1 lam)),
+        the graded_points of the smallest scale, so that a narrow law is
+        resolved, and cap - cap / _BREAK_RATIO^k down to a quarter of
+        the ratio links' distance from the cap: r has its pole there, so
+        the integrand varies on the scale of that distance.
+        """
+        a1, a2 = self.a1[row], self.a2[row]
+        cap = a2 / a1
+        ratio_scales = [a2 * lam[row] / (1.0 + a1 * lam[row]) for _, lam, _, _, _ in self.links[:2]]
+        points = [*ratio_scales, self.links[2][1][row]]
+        points += graded_points(min(points))
+        nearest = (cap - max(ratio_scales)) / _BREAK_RATIO
+        distance = cap / _BREAK_RATIO
+        while distance > nearest and cap - distance < hi:
+            points.append(cap - distance)
+            distance /= _BREAK_RATIO
+        return sorted({p for p in points if 0.0 < p < hi})
+
+    def survival(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """1 - F at the points x of rows, for 0 < x < the rows' caps.
+
+        Each link is _link_survival term by term in the same float order,
+        summed with an error-free transformation (TwoSum) in place of fsum.
+        """
+        r = x / (self.a2[rows] - self.a1[rows] * x)
+        infinite = np.isinf(r)  # x at the cap up to rounding: survives with probability 0
+        r[infinite] = 0.0
+        survival = np.ones_like(x)
+        for position, (m, lam, den, signed, interferer) in enumerate(self.links):
+            t = x if position == 2 else r
+            lam_r, den_r = lam[rows], den[rows]
+            total = compensation = np.zeros_like(x)
+            for p in range(signed.shape[0]):
+                term = (signed[p][rows] * np.exp(-(p + 1) * t / lam_r)) / (
+                    (p + 1) * (1.0 + interferer[p][rows] * t / den_r)
+                )
+                partial = total + term
+                back = partial - total
+                compensation = compensation + ((total - (partial - back)) + (term - back))
+                total = partial
+            survival = survival * (m[rows] * (total + compensation))
+        survival[infinite] = 0.0
+        raw = 1.0 - survival
+        bad = (raw < -_PROB_TOL) | (raw > 1.0 + _PROB_TOL)
+        if bad.any():
+            raise RuntimeError(f"CDF_RANGE_VIOLATION: raw probability {float(raw[bad][0])!r}")
+        return np.clip(survival, 0.0, 1.0)
+
+    def gk21(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """QUADPACK's qk21 of (1 - F(x)) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
+
+        Every rule sum runs over its row's own nodes in a fixed order, so a
+        row's numbers do not depend on which other intervals share the call.
+        Exponentials underflow and interference terms may overflow to inf,
+        which both make a term exactly 0, and the rule sums of a vanishing
+        integrand underflow, so those two warnings are silenced.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            center, half = 0.5 * (a + b), 0.5 * (b - a)
+            x = (center + half * _OFFSETS[:, None]).ravel()
+            node_rows = np.broadcast_to(rows, (len(_OFFSETS), len(rows))).ravel()
+            f = np.empty_like(x)
+            for start in range(0, len(x), _CHUNK_NODES):
+                part = slice(start, start + _CHUNK_NODES)
+                f[part] = self.survival(node_rows[part], x[part]) / (1.0 + x[part])
+            f = f.reshape(len(_OFFSETS), len(rows))
+            left, fc, right = f[:10], f[10], f[11:]  # left[j] and right[j] sit at -+_XGK[j]
+            resk = _WGK_CENTER * fc
+            resg = np.zeros_like(fc)
+            resabs = np.abs(resk)
+            for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss abscissae first, as in qk21
+                fsum = left[j] + right[j]
+                if j % 2:
+                    resg = resg + _WG[j // 2] * fsum
+                resk = resk + _WGK[j] * fsum
+                resabs = resabs + _WGK[j] * (np.abs(left[j]) + np.abs(right[j]))
+            reskh = resk * 0.5
+            resasc = _WGK_CENTER * np.abs(fc - reskh)
+            for j in range(10):
+                resasc = resasc + _WGK[j] * (np.abs(left[j] - reskh) + np.abs(right[j] - reskh))
+            dhalf = np.abs(half)
+            resabs, resasc = resabs * dhalf, resasc * dhalf
+            abserr = np.abs((resk - resg) * half)
+            scaled = (resasc != 0.0) & (abserr != 0.0)
+            ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
+            abserr = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, abserr)
+            floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
+            abserr = np.maximum(floor, abserr)
+            return resk * half, abserr, resasc
+
+
+def far_user_rates(
+    params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
+) -> list[QuadratureResult | NonConvergedError]:
+    """Far-user ergodic rates of many parameter sets under one rule, integrated together.
+
+    Each rate is (1/ln 2) * integral_0^cap (1 - F(x)) / (1 + x) dx of its
+    far_user_cdf, by QUADPACK's globally adaptive scheme (qag) with the
+    21-point Gauss-Kronrod rule, done in numpy for all parameter sets at
+    once: every round bisects each unfinished integral's interval of
+    largest error, up to 200 intervals.  The first partition has
+    breakpoints at the links' SINR scales (see _FarLaws.breakpoints).  As
+    in qag, an integral is accepted on its first partition only if no
+    interval's error estimate is saturated at its resasc.
+
+    Returns, per parameter set, its QuadratureResult or, when its error
+    bound misses max(abs_tol, rel_tol * rate), the NonConvergedError that
+    rate_from_cdf would raise.  A result depends only on its own parameter
+    set, never on the others in the call.
+    """
+    if rule not in _FAR_LINKS:
+        raise ValueError(f"unknown rule {rule!r}; have {tuple(_FAR_LINKS)}")
+    for params in params_seq:
+        _warn_counts(params)
+    count = len(params_seq)
+    if count == 0:
+        return []
+    laws = _FarLaws(params_seq, rule)
+    # Finite domains stop a hair inside the cap, as in rate_from_cdf.
+    caps = [sinr_cap(params) * (1.0 - 1e-12) for params in params_seq]
+    rows, lo, up = [], [], []
+    for row, hi in enumerate(caps):
+        edges = [0.0, *laws.breakpoints(row, hi), hi]
+        rows += [row] * (len(edges) - 1)
+        lo += edges[:-1]
+        up += edges[1:]
+    rows, lo, up = np.array(rows), np.array(lo), np.array(up)
+    result, error, resasc = laws.gk21(rows, lo, up)
+
+    last = np.bincount(rows, minlength=count)
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(last) - last, last)
+    width = max(int(last.max()), _MAX_INTERVALS)
+    starts, ends = np.zeros((count, width)), np.zeros((count, width))
+    values = np.zeros((count, width))
+    errors = np.full((count, width), -np.inf)  # unused slots are never the largest error
+    starts[rows, slots], ends[rows, slots] = lo, up
+    values[rows, slots], errors[rows, slots] = result, error
+    # Per-row sums in interval order: bincount adds its weights in sequence.
+    area = np.bincount(rows, weights=result, minlength=count)
+    errsum = np.bincount(rows, weights=error, minlength=count)
+    saturated = np.bincount(rows, weights=(error == resasc) & (error != 0.0), minlength=count) > 0
+    evaluations = 21 * last
+    epsabs = abs_tol * LN2
+    done = (errsum <= np.maximum(epsabs, rel_tol * np.abs(area))) & ~saturated
+    while True:
+        act = np.flatnonzero(~done & (last < _MAX_INTERVALS))
+        if not len(act):
+            break
+        worst = np.argmax(errors[act, : int(last[act].max())], axis=1)
+        a, b = starts[act, worst], ends[act, worst]
+        mid = 0.5 * (a + b)
+        res, err, _ = laws.gk21(np.concatenate([act, act]), np.concatenate([a, mid]), np.concatenate([mid, b]))
+        res1, res2 = np.split(res, 2)
+        err1, err2 = np.split(err, 2)
+        errsum[act] = errsum[act] + (err1 + err2) - errors[act, worst]
+        area[act] = area[act] + (res1 + res2) - values[act, worst]
+        ends[act, worst], values[act, worst], errors[act, worst] = mid, res1, err1
+        new = last[act]
+        starts[act, new], ends[act, new], values[act, new], errors[act, new] = mid, b, res2, err2
+        last[act] += 1
+        evaluations[act] += 42
+        done[act] = errsum[act] <= np.maximum(epsabs, rel_tol * np.abs(area[act]))
+    return [
+        _checked(
+            math.fsum(values[row, : last[row]]) / LN2,
+            float(errsum[row]) / LN2,
+            int(evaluations[row]),
+            rel_tol,
+            abs_tol,
         )
-    return QuadratureResult(value=rate, abs_error_bound=bound, evaluations=int(info["neval"]))
+        for row in range(count)
+    ]
 
 
 def rate_u1_max_u1(params: SystemParams) -> float:
@@ -380,28 +655,25 @@ def rate_u1_max_u2(params: SystemParams) -> float:
     return _rate_kernel(g.lam_ru1 / scale, 1.0 / scale) / LN2
 
 
+def _far_user_rate(params: SystemParams, rule: str, rel_tol: float, abs_tol: float) -> QuadratureResult:
+    (result,) = far_user_rates([params], rule, rel_tol, abs_tol)
+    if isinstance(result, NonConvergedError):
+        raise result
+    return result
+
+
 def rate_u2_max_u1(
     params: SystemParams, rel_tol: float = 1e-8, abs_tol: float = 1e-9
 ) -> QuadratureResult:
     """Far-user ergodic rate under near-user-first selection (quadrature)."""
-    return rate_from_cdf(
-        far_user_cdf(params, "max_u1"),
-        upper=sinr_cap(params),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
+    return _far_user_rate(params, "max_u1", rel_tol, abs_tol)
 
 
 def rate_u2_max_u2(
     params: SystemParams, rel_tol: float = 1e-8, abs_tol: float = 1e-9
 ) -> QuadratureResult:
     """Far-user ergodic rate under far-user decoupled selection (quadrature)."""
-    return rate_from_cdf(
-        far_user_cdf(params, "max_u2"),
-        upper=sinr_cap(params),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
+    return _far_user_rate(params, "max_u2", rel_tol, abs_tol)
 
 
 def thresholds(params: SystemParams) -> tuple[float, float]:

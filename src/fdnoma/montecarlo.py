@@ -400,20 +400,22 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-# Schemes whose statistics the closed forms describe.
+# Schemes whose statistics the closed forms describe, and the far-user rule of each.
 ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
+_FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
 
 
-def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, ...]) -> MetricSet:
-    """Closed-form MetricSet for one of ANALYTIC_SCHEMES."""
+def _closed_form_set(
+    params: SystemParams,
+    scheme: str,
+    metrics: tuple[str, ...],
+    far_rate: analytic.QuadratureResult | analytic.NonConvergedError | None,
+) -> MetricSet:
+    """The MetricSet of one of ANALYTIC_SCHEMES given its entry of _far_rates, which it raises if an error."""
     if scheme == "max_u1_analytic":
-        rate_fns = (analytic.rate_u1_max_u1, lambda p: analytic.rate_u2_max_u1(p).value)
-        outage_fns = (analytic.outage_u1_max_u1, analytic.outage_u2_max_u1)
-    elif scheme == "max_u2_decoupled":
-        rate_fns = (analytic.rate_u1_max_u2, lambda p: analytic.rate_u2_max_u2(p).value)
-        outage_fns = (analytic.outage_u1_max_u2, analytic.outage_u2_max_u2)
+        rate_u1_fn, outage_fns = analytic.rate_u1_max_u1, (analytic.outage_u1_max_u1, analytic.outage_u2_max_u1)
     else:
-        raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
+        rate_u1_fn, outage_fns = analytic.rate_u1_max_u2, (analytic.outage_u1_max_u2, analytic.outage_u2_max_u2)
 
     def est(value: float) -> MetricEstimate:
         return MetricEstimate(value, 0.0, 0, kind=ANALYTIC)
@@ -422,8 +424,10 @@ def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, .
     rate_u1 = rate_u2 = rate_sum = jain = nan
     outage_u1 = outage_u2 = nan
     if "rates" in metrics or "jain" in metrics:
-        r1 = rate_fns[0](params)
-        r2 = rate_fns[1](params)
+        if isinstance(far_rate, analytic.NonConvergedError):
+            raise far_rate
+        r1 = rate_u1_fn(params)
+        r2 = far_rate.value
         if "rates" in metrics:
             rate_u1, rate_u2, rate_sum = est(r1), est(r2), est(r1 + r2)
         if "jain" in metrics:
@@ -433,17 +437,40 @@ def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, .
     return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain)
 
 
+def _far_rates(params_seq: list[SystemParams], scheme: str, metrics: tuple[str, ...]) -> list:
+    """The scheme's far-user rate at each parameter set, integrated in one batch.
+
+    Each is a QuadratureResult or a NonConvergedError, or None when no
+    requested metric needs the rates.
+    """
+    if scheme not in _FAR_RULES:
+        raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
+    if "rates" in metrics or "jain" in metrics:
+        return analytic.far_user_rates(params_seq, _FAR_RULES[scheme])
+    return [None] * len(params_seq)
+
+
+def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, ...]) -> MetricSet:
+    """Closed-form MetricSet for one of ANALYTIC_SCHEMES."""
+    (far_rate,) = _far_rates([params], scheme, metrics)
+    return _closed_form_set(params, scheme, metrics, far_rate)
+
+
 def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Closed-form sweep rows for the schemes that have closed forms, and notes.
 
-    A (point, scheme) whose evaluation does not converge gets a row of NaNs
-    and a NON_CONVERGED note; the sweep goes on with the other rows.
+    Each scheme's far-user rates over the whole power grid are integrated
+    in one batch.  A (point, scheme) whose evaluation does not converge gets
+    a row of NaNs and a NON_CONVERGED note; the sweep goes on with the
+    other rows.
     """
+    points = list(_power_points(params, sweep))
+    far_rates = {scheme: _far_rates([p for _, _, p in points], scheme, sweep.metrics) for scheme in sweep.schemes}
     rows, notes = [], []
-    for _, power_db, run_params in _power_points(params, sweep):
+    for index, (_, power_db, run_params) in enumerate(points):
         for scheme in sweep.schemes:
             try:
-                metrics = analytic_metric_set(run_params, scheme, sweep.metrics)
+                metrics = _closed_form_set(run_params, scheme, sweep.metrics, far_rates[scheme][index])
             except analytic.NonConvergedError as exc:
                 notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {exc}")
                 nan = MetricEstimate(math.nan, 0.0, 0, kind=ANALYTIC)

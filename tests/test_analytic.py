@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fdnoma.analytic import (
     thresholds,
     zeta,
 )
-from fdnoma.config import mean_gains
+from fdnoma.config import default_params, mean_gains
 
 from conftest import make_params, run_fresh
 
@@ -415,8 +416,133 @@ def test_far_user_laws_equal_per_call_oracle(params):
             assert cdf(x, params) == oracle_cdf(x, params), (cdf.__name__, x)
             assert law(x) == oracle_cdf(x, params), (rule, x)
         reference = rate_from_cdf(lambda x: oracle_cdf(x, params), upper=cap)
-        assert rate(params) == reference, rate.__name__  # value, bound and evaluations
+        result = rate(params)
+        # QUADPACK reads 0 where the law is narrower than its first nodes (the
+        # 1e-100 gains); the rates there are below 1e-98, hence the abs floor.
+        assert result.value == pytest.approx(reference.value, rel=1e-12, abs=1e-15), rate.__name__
+        assert result.abs_error_bound <= max(1e-9, 1e-8 * result.value), rate.__name__
         assert outage(params) == oracle_outage(params), outage.__name__
+
+
+def test_gauss_kronrod_rule_is_exact_on_polynomials():
+    # Kronrod on x^k up to degree 31, Gauss (the odd-index abscissae) up to 19, over [-1, 1].
+    xs = np.array(analytic._XGK)
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod = analytic._WGK_CENTER * (k == 0) + sum(np.array(analytic._WGK) * (xs**k + (-xs) ** k))
+        assert kronrod == pytest.approx(exact, abs=1e-15), k
+        if k < 20:
+            gauss = sum(np.array(analytic._WG) * (xs[1::2] ** k + (-xs[1::2]) ** k))
+            assert gauss == pytest.approx(exact, abs=1e-15), k
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
+def test_far_user_rates_raise_no_floating_point_warning(params):
+    # Underflow is numpy's default "ignore"; the integrand silences overflow
+    # itself, and nothing may divide by zero or make a NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for rule in ("max_u1", "max_u2"):
+                (result,) = analytic.far_user_rates([params], rule)
+                assert math.isfinite(result.value), rule
+
+
+def mp_far_user_rate(params, rule):
+    """30-digit mpmath oracle of a far-user rate, on the links' own coefficients.
+
+    Gauss-Legendre over a partition graded by 4 toward 0 and toward the cap,
+    where the gain ratio has its pole; no point depends on the parameters
+    beyond the cap.
+    """
+    import mpmath as mp
+
+    links = analytic._FAR_LINKS[rule](params)
+
+    def survival(link, t):
+        m, lam, den, coeffs = link
+        return m * mp.fsum((sc * mp.exp(n * t / lam)) / (p1 * (1 + li * t / den)) for sc, n, p1, li in coeffs)
+
+    with mp.workdps(30):
+        a1, a2 = mp.mpf(params.a1), mp.mpf(params.a2)
+        cap = a2 / a1
+
+        def integrand(x):
+            if x >= cap:
+                return mp.mpf(0)
+            r = x / (a2 - a1 * x)
+            return survival(links[0], r) * survival(links[1], r) * survival(links[2], x) / (1 + x)
+
+        quarters = [mp.mpf(4) ** -k for k in range(1, 12)]
+        points = sorted({cap * q for q in quarters} | {cap - cap * q for q in quarters})
+        return float(mp.quad(integrand, [0, *points, cap], method="gauss-legendre") / mp.log(2))
+
+
+MPMATH_PARAMS = {
+    # 36.9 dB is where QUADPACK's rate is off its true value by 1.4e-10.
+    "36.9 dB": make_params(rho_s=10**3.69, rho_r=10**3.69),
+    "16x16x16": make_params(m_b=16, m_r=16, m_t=16, rho_s=100.0, rho_r=100.0),
+}
+
+
+@pytest.mark.parametrize("params", MPMATH_PARAMS.values(), ids=MPMATH_PARAMS.keys())
+@pytest.mark.parametrize("rate, rule", [(rate_u2_max_u1, "max_u1"), (rate_u2_max_u2, "max_u2")])
+def test_far_user_rates_match_mpmath(params, rate, rule):
+    oracle = mp_far_user_rate(params, rule)
+    assert abs(rate(params).value - oracle) <= max(1e-9, 1e-8 * oracle)
+
+
+# Laws narrower than the first nodes of one GK21 rule over [0, cap]: with
+# QUADPACK's partition the far-user rate read 0 +- 0 after 21 evaluations.
+NARROW_PARAMS = {
+    "var_br=1e-6": make_params(var_br=1e-6, rho_s=100.0, rho_r=100.0),
+    "var_bu1=1e-6": make_params(var_bu1=1e-6, rho_s=100.0, rho_r=100.0),
+    "var_ru2=1e-6": make_params(var_ru2=1e-6, rho_s=100.0, rho_r=100.0),
+    "-30 dB": make_params(rho_s=1e-3, rho_r=1e-3),
+}
+
+
+@pytest.mark.parametrize("params", NARROW_PARAMS.values(), ids=NARROW_PARAMS.keys())
+def test_far_user_rate_resolves_narrow_laws(params):
+    oracle = mp_far_user_rate(params, "max_u1")
+    assert oracle > 1e-5
+    result = rate_u2_max_u1(params)
+    assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)
+    assert result.abs_error_bound <= max(1e-9, 1e-8 * result.value)
+
+
+def test_saturated_first_estimate_is_not_accepted(monkeypatch):
+    # With one first interval [0, cap] at -30 dB, the rule sees only the tail
+    # of the law and its error estimate saturates at resasc, below the
+    # tolerance: accepted on that alone, the rate read 1.6e-11, not 8.9e-4.
+    params = NARROW_PARAMS["-30 dB"]
+    monkeypatch.setattr(analytic._FarLaws, "breakpoints", lambda self, row, hi: [])
+    result = rate_u2_max_u1(params)
+    oracle = mp_far_user_rate(params, "max_u1")
+    assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)
+
+
+def test_far_user_rates_do_not_depend_on_the_batch():
+    # Every row's (value, bound, evaluations) alone, in the 601-point grid
+    # and in chunks of 13.
+    grid = [default_params(i / 10) for i in range(601)]
+    for rule in ("max_u1", "max_u2"):
+        together = analytic.far_user_rates(grid, rule)
+        chunked = [r for i in range(0, len(grid), 13) for r in analytic.far_user_rates(grid[i : i + 13], rule)]
+        assert chunked == together, rule
+        alone = [r for params in grid for r in analytic.far_user_rates([params], rule)]
+        assert alone == together, rule
+
+
+def test_far_user_rates_return_non_convergence_per_row(baseline):
+    # No rule meets 1e-15 relative: qk21's error floor is 50 eps of |f|.
+    narrow = make_params(var_br=1e-6, rho_s=100.0, rho_r=100.0)
+    results = analytic.far_user_rates([baseline, narrow], "max_u1", rel_tol=1e-15, abs_tol=1e-300)
+    for result in results:
+        assert isinstance(result, NonConvergedError)
+        assert "exceeds tolerance" in str(result)
+    with pytest.raises(NonConvergedError, match="exceeds tolerance"):
+        rate_u2_max_u1(baseline, rel_tol=1e-15, abs_tol=1e-300)
 
 
 @pytest.mark.parametrize(

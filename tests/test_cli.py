@@ -323,10 +323,14 @@ class TestSweep:
     ):
         from fdnoma import analytic
 
-        def explode(params, rel_tol=1e-8, abs_tol=1e-9):
-            raise analytic.NonConvergedError("forced for test")
+        far_user_rates = analytic.far_user_rates
 
-        monkeypatch.setattr(analytic, "rate_u2_max_u2", explode)
+        def explode(params_seq, rule, rel_tol=1e-8, abs_tol=1e-9):
+            if rule == "max_u2":
+                return [analytic.NonConvergedError("forced for test") for _ in params_seq]
+            return far_user_rates(params_seq, rule, rel_tol, abs_tol)
+
+        monkeypatch.setattr(analytic, "far_user_rates", explode)
         out = tmp_path / "partial.csv"
         code = main(
             [
@@ -373,6 +377,19 @@ class TestValidate:
         assert code == EXIT_OK
         assert "FAIL" not in captured
         assert captured.count("PASS") >= 5
+
+    @pytest.mark.parametrize(
+        "extra", ["", "var_bu1 = 1e-6", "var_bu1 = 1e-12", "var_bu1 = 1e-30", "var_br = 1e-6"]
+    )
+    def test_default_and_narrow_configs_pass_every_check(self, extra, tmp_path, capsys):
+        # Unsplit, the near-user quadrature read 0 +- 0 from var_bu1 = 1e-6 down
+        # and the relative gap divided by it; the far-user rate read 0 at var_br = 1e-6.
+        path = tmp_path / "narrow.cfg"
+        path.write_text(f"m_b = 4\nm_r = 4\nm_t = 4\n{extra}\n")
+        code = main(["validate", "--config", str(path), "--trials", "20000"])
+        verdicts = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert code == EXIT_OK
+        assert verdicts == ["PASS"] * len(cli.DEFAULT_CHECKS)
 
     def test_injected_failure(self, config_path, capsys):
         class Args:
@@ -466,23 +483,33 @@ def test_usage_error_without_subcommand():
     assert main([]) == EXIT_USAGE
 
 
-def test_simulation_alone_never_loads_scipy(config_path, tmp_path):
-    # Only the quadratures need scipy; this process has imported it already.
-    out = tmp_path / "mc.csv"
+def scipy_modules_after_sweep(mode: str, config_path: str, out) -> str:
+    """The sorted scipy modules a fresh process holds after a `mode` sweep; this one has scipy already."""
     proc = run_fresh(
         "import sys\n"
         "import fdnoma, fdnoma.cli\n"
         "from fdnoma.config import load_config\n"
         "load_config(sys.argv[1])\n"
-        "code = fdnoma.cli.main(['sweep', '--config', sys.argv[1], '--mode', 'mc', '--power', '0,20',\n"
+        "code = fdnoma.cli.main(['sweep', '--config', sys.argv[1], '--mode', sys.argv[3], '--power', '0,20',\n"
         "                        '--trials', '2000', '--output', sys.argv[2]])\n"
         "assert code == 0, code\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n",
         config_path,
         str(out),
+        mode,
     )
-    assert proc.stdout.splitlines()[-1] == "[]"
     assert out.exists()
+    return proc.stdout.splitlines()[-1]
+
+
+def test_simulation_alone_never_loads_scipy(config_path, tmp_path):
+    assert scipy_modules_after_sweep("mc", config_path, tmp_path / "mc.csv") == "[]"
+
+
+@pytest.mark.parametrize("mode", ["analytic", "both"])
+def test_closed_form_sweeps_never_load_scipy(mode, config_path, tmp_path):
+    # The far-user rates integrate in numpy; scipy is validate's independent check.
+    assert scipy_modules_after_sweep(mode, config_path, tmp_path / f"{mode}.csv") == "[]"
 
 
 def test_module_entry_point(config_path, tmp_path):

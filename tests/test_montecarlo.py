@@ -432,16 +432,15 @@ class TestAnalyticRows:
             analytic_metric_set(baseline, "max_u1", ("rates",))
 
     def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
-        calls = []
-        rate_u2_max_u2 = analytic.rate_u2_max_u2
+        far_user_rates = analytic.far_user_rates
 
-        def explode_at_second_point(params, rel_tol=1e-8, abs_tol=1e-9):
-            calls.append(params.rho_s)
-            if len(calls) == 2:
-                raise analytic.NonConvergedError("forced for test")
-            return rate_u2_max_u2(params)
+        def explode_at_second_point(params_seq, rule, rel_tol=1e-8, abs_tol=1e-9):
+            results = far_user_rates(params_seq, rule, rel_tol, abs_tol)
+            if rule == "max_u2":
+                results[1] = analytic.NonConvergedError("forced for test")
+            return results
 
-        monkeypatch.setattr(analytic, "rate_u2_max_u2", explode_at_second_point)
+        monkeypatch.setattr(analytic, "far_user_rates", explode_at_second_point)
         spec = SweepSpec(power_db=(10.0, 20.0, 30.0), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
         rows, notes = analytic_sweep(baseline, spec)
         assert [(row.power_db, row.scheme) for row in rows] == [
