@@ -113,14 +113,6 @@ def _scaled_e1(t: float) -> float:
     raise NonConvergedError(f"continued fraction for E1({t}) did not converge")
 
 
-def exp_int_ei(x: float) -> float:
-    """Exponential integral Ei(x), defined for x < 0 only."""
-    if not x < 0.0:
-        raise ValueError(f"EI_DOMAIN_INVALID: need x < 0, got {x!r}")
-    t = -x
-    return -math.exp(-t) * _scaled_e1(t)
-
-
 def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL) -> float:
     """integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx, alpha >= 0, beta > 0.
 

@@ -33,6 +33,14 @@ class GainBatch:
     g_si: np.ndarray  # (count, m_r, m_t)
     count: int
 
+    def rows(self, start: int, stop: int) -> GainBatch:
+        """The realizations start:stop (clipped to the batch), as views."""
+        stop = min(stop, self.count)
+        return GainBatch(*(getattr(self, name)[start:stop] for name in GROUPS), count=stop - start)
+
+
+GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")
+
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 
@@ -51,34 +59,40 @@ def _generator(entropy: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def draw_batch(params: SystemParams, entropy: tuple[int, ...], count: int) -> GainBatch:
+def empty_batch(params: SystemParams, count: int) -> GainBatch:
+    """Uninitialized gain buffers for up to `count` trials, to draw into with draw_batch."""
+    m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
+    shapes = ((m_b, m_r), (m_b,), (m_t,), (m_t,), (m_r, m_t))
+    return GainBatch(*(np.empty((count, *shape)) for shape in shapes), count=count)
+
+
+def draw_batch(
+    params: SystemParams, entropy: tuple[int, ...], count: int, into: GainBatch | None = None
+) -> GainBatch:
     """Draw `count` i.i.d. realizations from the stream keyed by `entropy`.
 
     Group order (g_br, g_su1, g_ru1, g_ru2, g_si) is fixed so a stream
     always yields the same batch for the same count.  Draws are consumed
     even when k1 = 0 (the zero mean just scales them away), keeping the
-    remaining groups aligned across parameter sets.
+    remaining groups aligned across parameter sets.  The batch is drawn
+    into the first `count` rows of `into`, an empty_batch of these antenna
+    counts, or into fresh buffers; either way it holds the same bits.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
+    shape = (params.m_b, params.m_r, params.m_t)
+    if into is None:
+        into = empty_batch(params, count)
+    elif into.count < count or into.g_br.shape[1:] + into.g_si.shape[2:] != shape:
+        raise ValueError(f"buffers {into.g_br.shape[:2] + into.g_si.shape[1:]} cannot take {count} trials at {shape}")
     gains = mean_gains(params)
     rng = _generator(entropy)
-
-    def group(lam: float, shape: tuple[int, ...]) -> np.ndarray:
-        # The same products as lam * draws, scaled in place whether or not
-        # numpy would have elided the temporary.
-        g = rng.standard_exponential(shape)
-        g *= lam
-        return g
-
-    return GainBatch(
-        g_br=group(gains.lam_br, (count, params.m_b, params.m_r)),
-        g_su1=group(gains.lam_su1, (count, params.m_b)),
-        g_ru1=group(gains.lam_ru1, (count, params.m_t)),
-        g_ru2=group(gains.lam_ru2, (count, params.m_t)),
-        g_si=group(gains.lam_si, (count, params.m_r, params.m_t)),
-        count=count,
-    )
+    batch = into.rows(0, count)
+    for name, lam in zip(GROUPS, (gains.lam_br, gains.lam_su1, gains.lam_ru1, gains.lam_ru2, gains.lam_si)):
+        group = getattr(batch, name)
+        rng.standard_exponential(out=group)
+        group *= lam  # the same products as lam * draws
+    return batch
 
 
 def dump_columns(params: SystemParams) -> list[str]:

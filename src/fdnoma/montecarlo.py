@@ -6,14 +6,20 @@ it, and the per-block partial sums are reduced in block order with
 math.fsum, so results are byte-identical for any worker count.  A run of
 one block uses the second thread inside the block instead: a helper
 thread searches joint-search tiles while the calling thread runs the
-stage-wise schemes, then both share the tiles that are left.  Within a
-sweep row, every scheme sees the same channel realizations (common random
-numbers), which makes the per-realization dominance relations between
-schemes hold exactly in the outputs.
+stage-wise schemes, then both share the tiles that are left, and the two
+joint schemes' sums are reduced one per thread.  Each thread running
+blocks holds one block workspace, a gain batch (about 22 MiB at 4x4x4
+antennas) and a set of gather/SINR buffers, for the length of a sweep or
+estimator call: blocks are drawn, gathered and reduced in place, and the
+buffers are freed when the call returns.  Within a sweep row, every
+scheme sees the same channel realizations (common random numbers), which
+makes the per-realization dominance relations between schemes hold
+exactly in the outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -23,10 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch
+from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
 from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, db_to_linear, validate
 from .selection import JOINT_SCHEMES, NEEDS_RNG, JointSearch, check_scheme, select_batch
-from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
+from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr  # noqa: F401  perfbench/spans.py wraps all four names
 
 _RANDOM_SALT = 0x52414E44
 
@@ -109,24 +115,65 @@ class _Stats:
         self.count_out2 += out2
 
 
+class SinrBuffers:
+    """Gather and SINR buffers of chosen_sinrs for up to `capacity` rows."""
+
+    def __init__(self, capacity: int):
+        self.rows = np.arange(capacity)
+        self.index = np.empty(capacity, dtype=np.intp)
+        self.values = np.empty((5, capacity))
+
+
 def chosen_sinrs(
-    batch: GainBatch, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, params: SystemParams
+    batch: GainBatch,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    kk: np.ndarray,
+    params: SystemParams,
+    out: SinrBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-realization SINRs under the chosen (i, j, k) of every row of the batch.
 
     Returns (gamma_1, gamma_12, gamma_r, gamma_2, g_ru2): the near user's
     own SINR, the far-user symbol at the near user, at the relay, end to
-    end (the minimum of the last three), and the relay-to-far-user SNR.
+    end (the minimum of the last three), and the relay-to-far-user SNR,
+    as rows of `out` (fresh buffers when None).  Each element takes the
+    float operations of relay_sinr, cross_sinr and near_sinr in their order.
     """
-    rows = np.arange(batch.count)
-    # The relay-link gathers are dropped as soon as gamma_r is formed, to keep a block small.
-    gamma_r = relay_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
-    g_su1 = batch.g_su1[rows, ii]
-    g_ru1 = batch.g_ru1[rows, kk]
-    g_ru2 = batch.g_ru2[rows, kk]
-    gamma_12 = cross_sinr(g_su1, g_ru1, params.a1, params.a2)
-    gamma_1 = near_sinr(g_su1, g_ru1, params.a1)
-    gamma_2 = np.minimum(np.minimum(gamma_12, gamma_r), g_ru2)
+    n, a1, a2 = batch.count, params.a1, params.a2
+    m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
+    # A flat index out of its axis would read a neighbouring row.
+    for axis, chosen, size in (("i", ii, m_b), ("j", jj, m_r), ("k", kk, m_t)):
+        if np.min(chosen) < 0 or np.max(chosen) >= size:
+            raise IndexError(f"chosen {axis} out of range for {size} antennas")
+    out = SinrBuffers(n) if out is None else out
+    rows, index = out.rows[:n], out.index[:n]
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = out.values[:, :n]
+
+    def gather(gains: np.ndarray, into: np.ndarray, *axes: tuple[np.ndarray, int]) -> np.ndarray:
+        # gains[row, i, ...] through the row-major flat index (row * n_i + i) * ..., taken straight into `into`
+        np.copyto(index, rows)
+        for chosen, size in axes:
+            np.multiply(index, size, out=index)
+            np.add(index, chosen, out=index)
+        return np.take(gains.reshape(-1), index, out=into, mode="clip")
+
+    def power_share_sinr(gain: np.ndarray, interference: np.ndarray, into: np.ndarray) -> np.ndarray:
+        # relay_sinr's and cross_sinr's a2 gain / ((a1 gain + interference) + 1); gamma_1 is scratch
+        np.add(np.multiply(a1, gain, out=gamma_1), interference, out=gamma_1)
+        np.add(gamma_1, 1.0, out=gamma_1)
+        return np.divide(np.multiply(a2, gain, out=into), gamma_1, out=into)
+
+    # gamma_2 and g_ru2 hold gathered gains until their own values are due.
+    g_br, g_si = gather(batch.g_br, gamma_2, (ii, m_b), (jj, m_r)), gather(batch.g_si, g_ru2, (jj, m_r), (kk, m_t))
+    power_share_sinr(g_br, g_si, gamma_r)
+    g_su1, g_ru1 = gather(batch.g_su1, gamma_2, (ii, m_b)), gather(batch.g_ru1, g_ru2, (kk, m_t))
+    power_share_sinr(g_su1, g_ru1, gamma_12)
+    # near_sinr: a1 g_su1 / (g_ru1 + 1)
+    np.divide(np.multiply(a1, g_su1, out=gamma_1), np.add(g_ru1, 1.0, out=g_ru1), out=gamma_1)
+    gather(batch.g_ru2, g_ru2, (kk, m_t))
+    np.minimum(gamma_12, gamma_r, out=gamma_2)
+    np.minimum(gamma_2, g_ru2, out=gamma_2)
     return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
 
 
@@ -135,28 +182,47 @@ def _scheme_sums(
     choice: tuple[np.ndarray, np.ndarray, np.ndarray],
     params: SystemParams,
     thresholds: tuple[float, float],
+    out: SinrBuffers,
 ) -> tuple:
     """One scheme's partial sums over a block under its (i, j, k) choice.
 
     Returns (trials, sums of r1, r2, r1^2, r2^2 and r1 r2, the two outage
-    counts).  The gathers and SINRs are freed on return.
+    counts).  The SINRs, rates and products are computed in `out`.
     """
     theta1, theta2 = thresholds
-    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params)
-    out1 = int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1))))
-    out2 = int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2))))
-    del gamma_12, gamma_r, g_ru2
-    r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
-    return (
-        batch.count,
-        float(np.sum(r1)),
-        float(np.sum(r2)),
-        float(np.sum(r1 * r1)),
-        float(np.sum(r2 * r2)),
-        float(np.sum(r1 * r2)),
-        out1,
-        out2,
-    )
+    n = batch.count
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params, out)
+    out1 = n - int(np.count_nonzero((gamma_12 > theta2) & (gamma_1 > theta1)))
+    out2 = n - int(np.count_nonzero((gamma_r > theta2) & (g_ru2 > theta2)))
+    r1, r2 = rate_bits(gamma_1, out=gamma_1), rate_bits(gamma_2, out=gamma_2)
+    # gamma_12 is spent, so it holds each product in turn
+    products = (float(np.sum(np.multiply(x, y, out=gamma_12))) for x, y in ((r1, r1), (r2, r2), (r1, r2)))
+    return (n, float(np.sum(r1)), float(np.sum(r2)), *products, out1, out2)
+
+
+class _Workspace:
+    """The block buffers of one sweep or estimator call, reused from block to block.
+
+    borrow("gains") lends a gain batch and borrow("sinrs") a set of SINR
+    buffers, of `capacity` trials, to one thread at a time, made when none
+    is free; all are freed with the workspace.
+    """
+
+    def __init__(self, params: SystemParams, capacity: int):
+        self._make = {"gains": lambda: empty_batch(params, capacity), "sinrs": lambda: SinrBuffers(capacity)}
+        self._free = {kind: [] for kind in self._make}
+
+    @contextlib.contextmanager
+    def borrow(self, kind: str):
+        free = self._free[kind]
+        try:
+            buffers = free.pop()  # atomic, so no two threads take the same buffers
+        except IndexError:
+            buffers = self._make[kind]()
+        try:
+            yield buffers
+        finally:
+            free.append(buffers)
 
 
 def _run_block(
@@ -165,46 +231,57 @@ def _run_block(
     entropy: tuple[int, ...],
     count: int,
     thresholds: tuple[float, float],
+    workspace: _Workspace,
     overlap: bool = False,
 ) -> dict[str, tuple]:
-    """Draw one block and return each scheme's partial sums over it.
+    """Draw one block into the workspace and return each scheme's partial sums over it.
 
     The joint searches share one far-user grid per tile.  With overlap,
     one helper thread starts on their tiles while this thread runs the
-    stage-wise schemes and then joins the tile queue; the helper does
-    nothing else, so its allocations stay tile-sized.
+    stage-wise schemes and then joins the tile queue; then the helper
+    reduces the second joint scheme while this thread reduces the first.
+    Each reduction borrows SINR buffers of its own.
     """
-    batch = draw_batch(params, entropy, count)
-    joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
-    search = JointSearch(batch, params, joint)
-    sums = {}
+    with workspace.borrow("gains") as gains:
+        batch = draw_batch(params, entropy, count, gains)
+        joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
+        search = JointSearch(batch, params, joint)
+        sums = {}
 
-    def stage_wise() -> None:
-        for scheme in schemes:
-            if scheme not in joint:
-                rng = None
-                if scheme in NEEDS_RNG:
-                    rng = np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
-                # the choice is freed before the next scheme selects
-                sums[scheme] = _scheme_sums(batch, select_batch(scheme, batch, params, rng), params, thresholds)
+        def reduce(choice: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
+            with workspace.borrow("sinrs") as buffers:
+                return _scheme_sums(batch, choice, params, thresholds, buffers)
 
-    if joint and overlap:
-        # Imported here, so a run that needs no helper does not load the thread machinery.
-        from concurrent.futures import ThreadPoolExecutor
+        def reduce_joint(scheme: str) -> tuple:
+            return reduce(search.indices(scheme))
 
-        with ThreadPoolExecutor(1) as helper:
-            tiles = helper.submit(search.run)
+        def stage_wise() -> None:
+            for scheme in schemes:
+                if scheme not in joint:
+                    rng = None
+                    if scheme in NEEDS_RNG:
+                        rng = np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
+                    # the choice is freed before the next scheme selects
+                    sums[scheme] = reduce(select_batch(scheme, batch, params, rng))
+
+        if joint and overlap:
+            # Imported here, so a run that needs no helper does not load the thread machinery.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as helper:
+                tiles = helper.submit(search.run)
+                stage_wise()
+                search.run()
+                tiles.result()
+                tail = {scheme: helper.submit(reduce_joint, scheme) for scheme in joint[1:]}
+                sums[joint[0]] = reduce_joint(joint[0])
+                sums.update((scheme, future.result()) for scheme, future in tail.items())
+        else:
             stage_wise()
-            search.run()
-            tiles.result()
-    else:
-        stage_wise()
-        if joint:
-            search.run()
-    chosen = search.indices()
-    for scheme in joint:
-        sums[scheme] = _scheme_sums(batch, chosen.pop(scheme), params, thresholds)
-    return sums
+            if joint:
+                search.run()
+            sums.update((scheme, reduce_joint(scheme)) for scheme in joint)
+        return sums
 
 
 def _available_cpus() -> int:
@@ -220,6 +297,7 @@ def _simulate(
     entropy_base: tuple[int, ...],
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int | None = None,
+    workspace: _Workspace | None = None,
 ) -> dict[str, _Stats]:
     """Statistics per scheme; every scheme sees the same blocks, each drawn once.
 
@@ -230,7 +308,8 @@ def _simulate(
     bit-identical for any worker count.  A single worker runs every block
     in the calling thread.  A single block with two or more workers runs
     in the calling thread too, with one helper thread for its joint-search
-    tiles, so threads are never nested.
+    tiles and one joint scheme's sums, so threads are never nested.
+    `workspace` (a new one when None) holds min(block_size, trials) trials.
     block_size is part of each block's stream key, so the public
     estimators and run_sweep keep it at DEFAULT_BLOCK_SIZE.
     """
@@ -241,10 +320,12 @@ def _simulate(
     thresholds = analytic.thresholds(params)
     stats = {scheme: _Stats() for scheme in schemes}
     unique = tuple(stats)  # a repeated scheme is simulated once
+    if workspace is None:
+        workspace = _Workspace(params, min(block_size, trials))
 
     def run(block: tuple[int, int, int], overlap: bool = False) -> dict[str, tuple]:
         index, _, count = block
-        return _run_block(params, unique, (*entropy_base, index), count, thresholds, overlap)
+        return _run_block(params, unique, (*entropy_base, index), count, thresholds, workspace, overlap)
 
     def reduce(partials) -> dict[str, _Stats]:
         for sums in partials:  # in block order
@@ -385,8 +466,9 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     the relay power.  All schemes at a point share realizations.
     """
     rows = []
+    workspace = _Workspace(params, min(DEFAULT_BLOCK_SIZE, sweep.trials))
     for p_idx, power_db, run_params in _power_points(params, sweep):
-        stats = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx))
+        stats = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), workspace=workspace)
         for scheme in sweep.schemes:
             rows.append(
                 SweepRow(

@@ -21,7 +21,6 @@ per-row argmax depends on its own row only, and each cell is computed
 with the same float operations as the formula kernels, so the pass gives
 the same indices as one full-batch grid per scheme, on any number of
 threads; ties still break to the lowest flat (i, j, k) index.
-batch_joint_search runs the whole pass in the calling thread.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .channel import GainBatch
 from .config import SystemParams
-from .sinr import LN2, cross_sinr, near_sinr, rate_bits, relay_sinr
+from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
 def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,12 +63,6 @@ def batch_max_u1_analytic(batch: GainBatch, params: SystemParams) -> tuple[np.nd
     kk = np.argmin(batch.g_ru1, axis=1)
     jj = np.argmax(batch.g_br[rows, ii, :], axis=1)
     return ii, jj, kk
-
-
-def _unravel(flat: np.ndarray, m_r: int, m_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    kk = flat % m_t
-    rest = flat // m_t
-    return rest // m_r, rest % m_r, kk
 
 
 _TILE_GRID_BYTES = 1 << 19
@@ -119,14 +112,14 @@ class JointSearch:
         sum-rate grid when optimum_sumrate is asked for.
         """
         batch, a1, a2 = self.batch, self.params.a1, self.params.a2
-        m_r, m_t = self.shape[1:]
-        cells = math.prod(self.shape)
-        grid, spare = buffers[:, : stop - start]
-        g_su1 = batch.g_su1[start:stop, :, None]
-        g_ru1 = batch.g_ru1[start:stop, None, :]
-        # Operands missing the last grid axes are repeated along them, which
-        # copies values, so each grid-sized step runs over contiguous memory.
+        m_b, m_r, m_t = self.shape
+        rows = stop - start
+        grid, spare = buffers[:, :rows]
+        # Operands missing grid axes are repeated along them (g_br along k, the (i, k) terms along j, their
+        # gains to (i, k) rows first), which copies values, so each step runs over contiguous memory.
         g_br = np.repeat(batch.g_br[start:stop], m_t, axis=2).reshape(grid.shape)
+        g_su1 = np.repeat(batch.g_su1[start:stop], m_t, axis=1)
+        g_ru1 = np.tile(batch.g_ru1[start:stop], m_b)
         # relay_sinr in its own operand order: (a2 g_br) / ((a1 g_br + g_si) + 1)
         np.multiply(a1, g_br, out=grid)
         np.add(grid, batch.g_si[start:stop, None, :, :], out=grid)
@@ -134,30 +127,21 @@ class JointSearch:
         np.multiply(a2, g_br, out=spare)
         np.divide(spare, grid, out=grid)
         # min is exact, so clamping by the (i, k) terms first gives the same cells
-        clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), batch.g_ru2[start:stop, None, :])
-        np.minimum(grid, np.repeat(clamp[:, :, None, :], m_r, axis=2), out=grid)
+        clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), np.tile(batch.g_ru2[start:stop], m_b))
+        np.minimum(grid, np.repeat(clamp.reshape(rows, m_b, 1, m_t), m_r, axis=2), out=grid)
         if "max_u2_exhaustive" in self.flat:
-            self.flat["max_u2_exhaustive"][start:stop] = np.argmax(grid.reshape(-1, cells), axis=1)
+            self.flat["max_u2_exhaustive"][start:stop] = np.argmax(grid.reshape(rows, -1), axis=1)
         if "optimum_sumrate" in self.flat:
             # rate_bits of the grid plus the near-user rate
-            np.log1p(grid, out=spare)
-            np.divide(spare, LN2, out=spare)
+            rate_bits(grid, out=spare)
             r1 = rate_bits(near_sinr(g_su1, g_ru1, a1))
-            np.add(spare, np.repeat(r1[:, :, None, :], m_r, axis=2), out=spare)
-            self.flat["optimum_sumrate"][start:stop] = np.argmax(spare.reshape(-1, cells), axis=1)
+            np.add(spare, np.repeat(r1.reshape(rows, m_b, 1, m_t), m_r, axis=2), out=spare)
+            self.flat["optimum_sumrate"][start:stop] = np.argmax(spare.reshape(rows, -1), axis=1)
 
-    def indices(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-row (i, j, k) of each scheme, once every tile has been searched."""
-        return {scheme: _unravel(flat, *self.shape[1:]) for scheme, flat in self.flat.items()}
-
-
-def batch_joint_search(
-    batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-row (i, j, k) of each joint scheme in `schemes`, every tile in this thread."""
-    search = JointSearch(batch, params, schemes)
-    search.run()
-    return search.indices()
+    def indices(self, scheme: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row (i, j, k) of a requested scheme, once every tile has been searched."""
+        rest, kk = np.divmod(self.flat[scheme], self.shape[2])
+        return (*np.divmod(rest, self.shape[1]), kk)
 
 
 def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,6 +183,8 @@ _BATCH = {
 
 NEEDS_RNG = {"random"}
 
+_SELECT_ROWS = 1 << 12
+
 
 def check_scheme(scheme: str) -> str:
     if scheme not in SCHEMES:
@@ -214,9 +200,16 @@ def select_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     check_scheme(scheme)
     if scheme in JOINT_SCHEMES:
-        return batch_joint_search(batch, params, (scheme,))[scheme]
+        search = JointSearch(batch, params, (scheme,))
+        search.run()
+        return search.indices(scheme)
     if scheme in NEEDS_RNG:
         if rng is None:
             raise ValueError(f"scheme {scheme!r} requires an rng")
         return _BATCH[scheme](batch, params, rng)
-    return _BATCH[scheme](batch, params)
+    # The stage-wise kernels work row by row: chunks give the same indices with chunk-sized temporaries.
+    choice = tuple(np.empty(batch.count, dtype=np.intp) for _ in range(3))
+    for start in range(0, batch.count, _SELECT_ROWS):
+        for whole, part in zip(choice, _BATCH[scheme](batch.rows(start, start + _SELECT_ROWS), params)):
+            whole[start : start + len(part)] = part
+    return choice

@@ -29,6 +29,8 @@ def near_sinr(g_su1, g_ru1, a1: float):
     return a1 * g_su1 / (g_ru1 + 1.0)
 
 
-def rate_bits(gamma):
-    """log2(1 + gamma); log1p keeps accuracy for vanishing SINR."""
-    return np.log1p(gamma) / LN2
+def rate_bits(gamma, out=None):
+    """log2(1 + gamma); log1p keeps accuracy for vanishing SINR.  Written into `out` when given."""
+    rate = np.log1p(gamma, out=out)
+    rate /= LN2
+    return rate

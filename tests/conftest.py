@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdnoma.analytic import _scaled_e1
 from fdnoma.channel import GainBatch
 from fdnoma.config import SystemParams, default_params, validate
 from fdnoma.montecarlo import write_csv
@@ -47,6 +48,14 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     )
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def exp_int_ei(x: float) -> float:
+    """Exponential integral Ei(x) = -exp(x) g(-x) through the closed forms' g, for x < 0 only."""
+    if not x < 0.0:
+        raise ValueError(f"EI_DOMAIN_INVALID: need x < 0, got {x!r}")
+    t = -x
+    return -math.exp(-t) * _scaled_e1(t)
 
 
 def linear_to_db(linear: float) -> float:

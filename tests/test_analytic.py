@@ -11,7 +11,6 @@ from fdnoma.analytic import (
     cdf_gamma1_max_u2,
     cdf_gamma2_max_u1,
     cdf_gamma2_max_u2,
-    exp_int_ei,
     outage_u1_max_u1,
     outage_u1_max_u2,
     outage_u2_max_u1,
@@ -27,7 +26,7 @@ from fdnoma.analytic import (
 )
 from fdnoma.config import default_params, mean_gains
 
-from conftest import make_params, run_fresh
+from conftest import exp_int_ei, make_params, run_fresh
 
 
 class TestExponentialIntegral:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch, dump_columns, dump_realizations
+from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch, dump_columns, dump_realizations, empty_batch
 from fdnoma.config import mean_gains
 from fdnoma.montecarlo import estimate_rates
 from fdnoma.sinr import near_sinr, rate_bits
@@ -44,6 +44,32 @@ def test_groups_are_scaled_draws_bit_for_bit(overrides):
         ("g_si", gains.lam_si, (1001, params.m_r, params.m_t)),
     ):
         assert np.array_equal(getattr(batch, name), lam * rng.standard_exponential(shape)), name
+
+
+@pytest.mark.parametrize("overrides", [{}, {"k1": 0.0}, {"m_b": 3, "m_r": 5, "m_t": 2}])
+def test_draw_into_buffers_is_bit_identical_to_a_fresh_draw(overrides):
+    # A full block, a short last block after it, a smaller block after that
+    # and a full block again, all into one set of buffers: every group holds
+    # the bits of a fresh draw and is a view of the buffers.
+    params = make_params(**overrides)
+    into = empty_batch(params, DEFAULT_BLOCK_SIZE)
+    for entropy, count in (((4, 0), DEFAULT_BLOCK_SIZE), ((4, 1), 4_465), ((5, 0), 1), ((5, 1), DEFAULT_BLOCK_SIZE)):
+        batch = draw_batch(params, entropy, count, into)
+        fresh = draw_batch(params, entropy, count)
+        assert batch.count == count
+        for name in GROUPS:
+            drawn, want = getattr(batch, name), getattr(fresh, name)
+            assert np.shares_memory(drawn, getattr(into, name)), name
+            assert drawn.shape == want.shape and drawn.tobytes() == want.tobytes(), (name, count)
+    if params.k1 == 0.0:
+        assert not batch.g_ru1.any()
+
+
+@pytest.mark.parametrize("count,overrides", [(11, {}), (10, {"m_t": 3}), (10, {"m_b": 2}), (10, {"m_r": 5})])
+def test_draw_into_buffers_that_do_not_fit_is_an_error(count, overrides):
+    into = empty_batch(make_params(), 10)
+    with pytest.raises(ValueError, match="cannot take"):
+        draw_batch(make_params(**overrides), (1, 0), count, into)
 
 
 def test_different_streams_differ(baseline):

@@ -424,9 +424,9 @@ class TestValidate:
         draws = []
         draw_batch = montecarlo.draw_batch
 
-        def counting(params, entropy, count):
+        def counting(params, entropy, count, into=None):
             draws.append(entropy)
-            return draw_batch(params, entropy, count)
+            return draw_batch(params, entropy, count, into)
 
         monkeypatch.setattr(montecarlo, "draw_batch", counting)
         ok, detail = _check_mc_vs_analytic(default_params(20.0), 2 * DEFAULT_BLOCK_SIZE + 1, 1)

@@ -1,7 +1,9 @@
 import concurrent.futures
 import functools
+import gc
 import math
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -267,9 +269,10 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
             assert rows[key] == line, (scheme, others)
 
 
-def sequential_simulate(params, schemes, trials, entropy_base, block_size):
+def sequential_simulate(params, schemes, trials, entropy_base, block_size, workspace=None):
     """Reference for _simulate: one block after another in the calling thread,
-    each scheme selected on its own, the partial sums appended in block order."""
+    each drawn fresh and each scheme selected on its own, the partial sums
+    appended in block order.  A sweep's workspace is not used."""
     theta1, theta2 = analytic.thresholds(params)
     stats = {
         scheme: SimpleNamespace(n=0, sum_r1=[], sum_r2=[], sum_r1sq=[], sum_r2sq=[], sum_r1r2=[],
@@ -319,20 +322,84 @@ def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, tmp_path, m
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 2), (8, 8, 8)], ids=["4x4x4", "3x5x2", "8x8x8"])
-@pytest.mark.parametrize("where", ["one", "tile-1", "tile+1", "block"])
+@pytest.mark.parametrize("where", ["one", "tile-1", "tile+1", "block", "short-last"])
 def test_single_block_csv_is_byte_identical_for_any_worker_count(
     shape, where, tmp_path, monkeypatch, fast_switching
 ):
     # One block per point: with two or more workers a helper thread takes
     # joint-search tiles while the caller runs the stage-wise schemes, then
-    # both share the rest of the tiles.
+    # both share the rest of the tiles, and the helper reduces one joint
+    # scheme while the caller reduces the other.  Two points reuse the
+    # sweep's block workspace; 70,001 trials add a short last block.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
-    trials = {"one": 1, "tile-1": tile - 1, "tile+1": tile + 1, "block": DEFAULT_BLOCK_SIZE}[where]
-    spec = SweepSpec(power_db=(20.0,), schemes=SCHEMES, trials=trials, seed=29)
+    trials = {"one": 1, "tile-1": tile - 1, "tile+1": tile + 1, "block": DEFAULT_BLOCK_SIZE,
+              "short-last": 70_001}[where]
+    spec = SweepSpec(power_db=(0.0, 20.0), schemes=SCHEMES, trials=trials, seed=29)
     written = csv_by_worker_count(params, spec, tmp_path, monkeypatch, DEFAULT_BLOCK_SIZE)
     for workers in (1, 2, 3):
         assert written[workers] == written["sequential"], workers
+
+
+def test_lone_block_reduces_the_joint_schemes_on_two_threads(baseline, monkeypatch):
+    reduced_on = {}
+    scheme_sums = montecarlo._scheme_sums
+
+    def recording(batch, choice, *args):
+        for scheme in SCHEMES:
+            if choice is chosen.get(scheme):
+                reduced_on[scheme] = threading.get_ident()
+        return scheme_sums(batch, choice, *args)
+
+    chosen = {}
+    indices = selection.JointSearch.indices
+
+    def keep(search, scheme):
+        chosen[scheme] = indices(search, scheme)
+        return chosen[scheme]
+
+    monkeypatch.setattr(montecarlo, "_scheme_sums", recording)
+    monkeypatch.setattr(selection.JointSearch, "indices", keep)
+    _simulate(baseline, SCHEMES, 1 << 12, (3,), block_size=1 << 12, workers=2)
+    assert set(reduced_on) == set(selection.JOINT_SCHEMES)
+    assert reduced_on["max_u2_exhaustive"] == threading.main_thread().ident
+    assert reduced_on["optimum_sumrate"] != threading.main_thread().ident
+
+
+@pytest.mark.parametrize("call", ["estimate_rates", "estimate_metrics", "run_sweep"])
+def test_no_block_buffer_outlives_its_call(baseline, monkeypatch, call):
+    # Every workspace, gain batch and SINR buffer set made during the call is
+    # freed by reference counting when it returns (the cyclic collector is off).
+    made = []
+    workspace, empty_batch, sinr_buffers = montecarlo._Workspace, montecarlo.empty_batch, montecarlo.SinrBuffers
+
+    def tracked(make):
+        def wrapper(*args):
+            value = make(*args)
+            made.append(weakref.ref(value))
+            arrays = vars(value).values() if hasattr(value, "__dict__") else ()
+            made.extend(weakref.ref(a) for a in arrays if isinstance(a, np.ndarray))
+            return value
+
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "_Workspace", tracked(workspace))
+    monkeypatch.setattr(montecarlo, "empty_batch", tracked(empty_batch))
+    monkeypatch.setattr(montecarlo, "SinrBuffers", tracked(sinr_buffers))
+    run = {
+        "estimate_rates": lambda: estimate_rates(baseline, "max_u1", 70_001, 5),
+        "estimate_metrics": lambda: estimate_metrics(baseline, SCHEMES, 1 << 12, 5),
+        "run_sweep": lambda: run_sweep(baseline, SweepSpec(power_db=(0.0, 20.0), schemes=SCHEMES,
+                                                           trials=1 << 12, seed=5)),
+    }[call]
+    gc.disable()
+    try:
+        run()
+        alive = [ref() for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(made) > 3
+    assert not alive, [type(value).__name__ for value in alive]
 
 
 class BlockFailure(Exception):
@@ -343,10 +410,10 @@ class BlockFailure(Exception):
 def test_failing_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatch, workers):
     draw = montecarlo.draw_batch
 
-    def fail_on_block_1(params, entropy, count):
+    def fail_on_block_1(params, entropy, count, into=None):
         if entropy[-1] == 1:
             raise BlockFailure(f"block {entropy[-1]}")
-        return draw(params, entropy, count)
+        return draw(params, entropy, count, into)
 
     monkeypatch.setattr(montecarlo, "draw_batch", fail_on_block_1)
     threads = threading.active_count()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fdnoma.channel import GainBatch, draw_batch
 from fdnoma.montecarlo import chosen_sinrs
-from fdnoma.selection import JOINT_SCHEMES, SCHEMES, JointSearch, batch_joint_search, select_batch
+from fdnoma.selection import JOINT_SCHEMES, SCHEMES, JointSearch, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 from conftest import batch_from, make_params, tile_rows
@@ -375,6 +375,13 @@ def test_tiled_search_matches_untiled_grid(scheme, shape, where):
     assert_same_indices(scheme, batch, params)
 
 
+def batch_joint_search(batch, params, schemes):
+    """Per-row (i, j, k) of each joint scheme in `schemes`, every tile in this thread."""
+    search = JointSearch(batch, params, schemes)
+    search.run()
+    return {scheme: search.indices(scheme) for scheme in schemes}
+
+
 def assert_joint_pass_matches(batch, params):
     # Both joint schemes from one pass: the same indices as the untiled
     # oracles and as each scheme's own select_batch call.
@@ -424,7 +431,7 @@ def shared_joint_search(batch, params, threads=2):
         for helper_tiles in tiles:
             helper_tiles.result(timeout=60)
     assert len(first_tiles) == threads
-    return search.indices()
+    return {scheme: search.indices(scheme) for scheme in JOINT_SCHEMES}
 
 
 def assert_shared_pass_matches_untiled(batch, params, threads=2):

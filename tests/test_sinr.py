@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdnoma.channel import draw_batch
-from fdnoma.montecarlo import chosen_sinrs
+from fdnoma.montecarlo import SinrBuffers, chosen_sinrs
+from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 from conftest import batch_from, make_params
@@ -147,3 +148,46 @@ def test_out_of_range_choice_rejected(baseline):
 def test_relay_sinr_always_in_range(g, s):
     value = relay_sinr(g, s, 0.25, 0.75)
     assert 0.0 <= value < 3.0
+
+
+def indexed_sinrs(batch, ii, jj, kk, params):
+    """Oracle for chosen_sinrs: advanced indexing into the batch, then the sinr kernels."""
+    rows = np.arange(batch.count)
+    gamma_r = relay_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
+    g_su1 = batch.g_su1[rows, ii]
+    g_ru1 = batch.g_ru1[rows, kk]
+    g_ru2 = batch.g_ru2[rows, kk]
+    gamma_12 = cross_sinr(g_su1, g_ru1, params.a1, params.a2)
+    gamma_1 = near_sinr(g_su1, g_ru1, params.a1)
+    gamma_2 = np.minimum(np.minimum(gamma_12, gamma_r), g_ru2)
+    return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 2), (8, 8, 8)], ids=["4x4x4", "3x5x2", "8x8x8"])
+def test_chosen_sinrs_equal_advanced_indexing_bit_for_bit(shape):
+    # Every scheme's choice, gathered through flat indices into fresh buffers
+    # and into one reused set larger than the batch, after a larger batch.
+    # The power split is no power of two, so a reordered product would show.
+    params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2], a1=0.3, a2=0.7)
+    names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
+    reused = SinrBuffers(3_000)
+    for entropy, count in (((31, 0), 3_000), ((31, 1), 1_001)):
+        batch = draw_batch(params, entropy, count)
+        rng = np.random.default_rng(5)
+        for scheme in SCHEMES:
+            choice = select_batch(scheme, batch, params, rng)
+            want = indexed_sinrs(batch, *choice, params)
+            for out in (None, reused):
+                for name, got, value in zip(names, chosen_sinrs(batch, *choice, params, out), want):
+                    assert got.shape == (count,) and got.tobytes() == value.tobytes(), (scheme, name, out)
+
+
+@pytest.mark.parametrize("axis", ["i", "j", "k"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_choice_in_any_row_rejected(baseline, axis, bad):
+    # A flat index would read a neighbouring row; the gather refuses instead.
+    batch = draw_batch(baseline, (1, 0), 3)
+    choice = {name: np.zeros(3, dtype=np.intp) for name in "ijk"}
+    choice[axis][1] = bad
+    with pytest.raises(IndexError, match=f"chosen {axis}"):
+        chosen_sinrs(batch, choice["i"], choice["j"], choice["k"], baseline)
