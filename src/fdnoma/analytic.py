@@ -12,22 +12,24 @@ their integrals stop there.  Alternating binomial sums are accumulated
 with math.fsum (error-free transformation), which keeps deep outage
 floors accurate despite cancellation.
 
-The far-user laws are built once per parameter set: far_user_cdf takes
-the links' precomputed mean gains and binomial coefficients and returns
-F, which only forms the gain ratio x / (a2 - a1 x) and the sums;
-cdf_gamma2_* and outage_u2_* build it for a single evaluation, so a
-caller that evaluates one law at many points builds it with
-far_user_cdf instead.
+The closed forms take a sequence of parameter sets and evaluate them as
+arrays, one call per closed form over a sweep's whole power grid; the
+one-set entry points (rate_u1_*, outage_*, far_user_cdf) run the same
+code on one set.  Every element keeps the float operations of a one-set
+evaluation: numpy rounds + - * / as Python does, and the E1 series and
+the outages' binomial sums use math.exp, math.log and math.fsum per
+element.  The far-user laws are tables of each link's mean gains and
+binomial coefficients (_FarLaws), built in numpy; far_user_cdf builds one
+set's table and returns F, which only forms the gain ratio x / (a2 - a1 x)
+and the sums, and cdf_gamma2_* build it for a single evaluation.
 
 The far-user rates are integrated by far_user_rates, in numpy, for any
 number of parameter sets at once: QUADPACK's adaptive 21-point
 Gauss-Kronrod scheme over a first partition graded at the links' SINR
 scales, with every link evaluated at every node of every open interval
-in one vectorized pass.  A sweep integrates each scheme's whole power
-grid in one call, and a rate does not depend on the other parameter
+in one vectorized pass.  A rate does not depend on the other parameter
 sets in its call.  rate_from_cdf is scipy's quad, the independent check
-of the closed forms.  scipy is imported where it is called (rate_from_cdf
-and the kernel's singular fallback), not with this module: importing
+of the closed forms, and the only place scipy is imported: importing
 scipy.integrate costs about 0.6 s and 50 MiB, and neither a simulation
 nor a sweep of the closed forms needs it.
 """
@@ -37,8 +39,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -65,86 +68,108 @@ class QuadratureResult:
     evaluations: int
 
 
-def _scaled_e1(t: float) -> float:
-    """exp(t) * E1(t) for t > 0; E1 is the upper exponential integral.
+def _stacked(params_seq: Sequence[SystemParams]) -> SystemParams:
+    """The parameter sets as one SystemParams of per-set float arrays, antenna counts too.
+
+    A formula written for one set, such as mean_gains, then evaluates every
+    set in one numpy pass with each element's float operations unchanged.
+    """
+    names = [field.name for field in fields(SystemParams)]
+    row = attrgetter(*names)
+    return SystemParams(*np.array([row(params) for params in params_seq], dtype=float).reshape(-1, len(names)).T)
+
+
+def _scaled_e1(t: np.ndarray) -> np.ndarray:
+    """exp(t) * E1(t) at every t > 0; E1 is the upper exponential integral.
 
     Series below 1, modified-Lentz continued fraction up to 1e10, the
     asymptotic series 1/t (1 - 1/t + 2/t^2) above; its first omitted term
     is 6/t^3 relative, and from about 1e11 on the continued fraction's
     steps round to 1 +- 1 ulp and can miss its 1e-16 stop.  The scaled
     form never overflows, which matters because the rate kernels evaluate
-    it at ratios that can be enormous when interference vanishes.
+    it at ratios that can be enormous when interference vanishes.  Each
+    element stops at its own step, as if evaluated alone.
     """
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t!r}")
-    if t > 1e10:
-        return (1.0 - (1.0 - 2.0 / t) / t) / t
-    if t < 1.0:
-        # E1(t) = -gamma - ln t + sum_{k>=1} (-1)^(k+1) t^k / (k k!)
-        terms = [-EULER_GAMMA - math.log(t)]
-        power = 1.0
-        for k in range(1, 60):
-            power *= t / k
-            term = power / k if k % 2 else -power / k
-            terms.append(term)
-            if power / k < 1e-20:
-                break
-        return math.exp(t) * math.fsum(terms)
+    if not np.all(t > 0.0):
+        raise ValueError(f"need t > 0, got {t[~(t > 0.0)][0]!r}")
+    out = np.empty_like(t)
+    big, small = t > 1e10, t < 1.0
+    tb = t[big]
+    out[big] = (1.0 - (1.0 - 2.0 / tb) / tb) / tb
+    # E1(t) = -gamma - ln t + sum_{k>=1} (-1)^(k+1) t^k / (k k!), up to the first term below 1e-20
+    ts = t[small]
+    power, sizes = np.ones_like(ts), []
+    for k in range(1, 60):
+        power = power * (ts / k)
+        sizes.append(power / k)
+        if np.all(sizes[-1] < 1e-20):
+            break
+    sizes = np.array(sizes)
+    counts = np.where((sizes < 1e-20).any(axis=0), (sizes < 1e-20).argmax(axis=0) + 1, len(sizes))
+    terms = sizes * np.where(np.arange(len(sizes)) % 2, -1.0, 1.0)[:, None]
+    out[small] = [
+        math.exp(x) * math.fsum([-EULER_GAMMA - math.log(x), *terms[:count, i].tolist()])
+        for i, (x, count) in enumerate(zip(ts.tolist(), counts.tolist()))
+    ]
     # E1(t) = e^-t / (t+1 - 1^2/(t+3 - 2^2/(t+5 - ...)))
+    live = np.flatnonzero(~big & ~small)
     tiny = 1e-300
-    b = t + 1.0
-    f = b if b != 0.0 else tiny
-    c = f
-    d = 0.0
+    b = t[live] + 1.0
+    f, c, d = b, b, np.zeros_like(b)
     for n in range(1, 500):
+        if not len(live):
+            return out
         a = -float(n * n)
-        b += 2.0
+        b = b + 2.0
         d = b + a * d
-        if d == 0.0:
-            d = tiny
+        d[d == 0.0] = tiny
         c = b + a / c
-        if c == 0.0:
-            c = tiny
+        c[c == 0.0] = tiny
         d = 1.0 / d
         delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    raise NonConvergedError(f"continued fraction for E1({t}) did not converge")
+        f = f * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = 1.0 / f[done]
+            live, b, c, d, f = (v[~done] for v in (live, b, c, d, f))
+    if len(live):
+        raise NonConvergedError(f"continued fraction for E1({t[live[0]]}) did not converge")
+    return out
 
 
-def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL) -> float:
-    """integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx, alpha >= 0, beta > 0.
+def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx at every alpha >= 0, beta > 0.
 
     Closed form (g(t) = exp(t) E1(t)):
 
         alpha = 0:      g(beta)
         alpha != 1:     (g(beta/alpha) - g(beta)) / (alpha - 1)
+        alpha = 1:      K1 = 1 - beta g(beta)
 
-    alpha = 1 is a removable singularity; within singular_tol of it the
-    kernel falls back to adaptive quadrature instead of the closed form.
+    alpha = 1 is a removable singularity.  Within _SINGULAR_TOL of it the
+    kernel is K1 + (alpha - 1) K1', K1' = 1/2 - (1 + beta/2) K1, both by
+    parts; the next term is below 1e-12 relative.  1 - beta g(beta) cancels
+    at large beta, so above 100 K1 is g's asymptotic series
+    1/beta (1 - 2/beta + 6/beta^2 - ... - 12!/beta^11), within 6e-15
+    there.  K1' cancels too, but it enters times |alpha - 1| < _SINGULAR_TOL.
     """
-    if alpha == 0.0:
-        return _scaled_e1(beta)
-    if abs(alpha - 1.0) < singular_tol:
-        # Imported here, so a process that never integrates does not load scipy.
-        from scipy.integrate import quad
-
-        value, _ = quad(
-            lambda x: math.exp(-beta * x) / ((1.0 + x) * (1.0 + alpha * x)),
-            0.0,
-            math.inf,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=200,
-        )
-        return value
-    return (_scaled_e1(beta / alpha) - _scaled_e1(beta)) / (alpha - 1.0)
+    singular = np.abs(alpha - 1.0) < _SINGULAR_TOL
+    ratio = (alpha != 0.0) & ~singular
+    g = _scaled_e1(np.concatenate([beta, beta[ratio] / alpha[ratio]]))
+    out = g[: len(beta)].copy()
+    out[ratio] = (g[len(beta) :] - out[ratio]) / (alpha[ratio] - 1.0)
+    b = beta[singular]
+    k1 = 1.0 - b * out[singular]
+    large, series = b > 100.0, 1.0
+    for k in range(12, 1, -1):
+        series = 1.0 - k / b[large] * series
+    k1[large] = series / b[large]
+    out[singular] = k1 + (alpha[singular] - 1.0) * (0.5 - (1.0 + 0.5 * b) * k1)
+    return out
 
 
-def _warn_counts(params: SystemParams) -> None:
-    """Warn of cancellation above 16 antennas, at the first caller outside this module."""
-    worst = max(params.m_b, params.m_r, params.m_t)
+def _warn_counts(worst: int) -> None:
+    """Warn of cancellation when the largest antenna count is above 16, at the first caller outside this module."""
     if worst > _MAX_SAFE_ANTENNAS:
         frame, stacklevel = sys._getframe(1), 2
         while frame is not None and frame.f_globals.get("__name__") == __name__:
@@ -168,6 +193,15 @@ def sinr_cap(params: SystemParams) -> float:
     return params.a2 / params.a1
 
 
+def _signed_binomials(m: np.ndarray, width: int) -> np.ndarray:
+    """(-1)^p C(m-1, p) for p < width, one column per row, 0 from p = m on."""
+    table = np.zeros((width, len(m)))
+    for order in set(m.astype(int).tolist()):  # np.unique would import numpy.ma, 1 MiB
+        column = [(-1.0) ** p * math.comb(order - 1, p) for p in range(order)]
+        table[:order, m == order] = np.array(column)[:, None]
+    return table
+
+
 # Survival functions P(link SINR > x) of the far-user chain.  A link is the
 # strongest of m exponential gains of mean lam, over 1 plus an exponential
 # interferer of mean lam_i / m_i when lam_i > 0 (den = m_i * lam).  At the
@@ -177,74 +211,37 @@ def sinr_cap(params: SystemParams) -> float:
 #                / ((p+1) (1 + ((lam_i (p+1)) r) / den)),     p < m,
 #
 # evaluated in exactly that order; another order moves the last digits of
-# the rates.  A link holds m, lam, den and, per term, the precomputed
-# (sign_p C(m-1, p), -(p+1), p+1, lam_i (p+1)).
-_Link = tuple[int, float, float, tuple[tuple[float, int, int, float], ...]]
+# the rates.  Per rule, the links are (m, lam, lam_i, den) of _stacked
+# parameters p and their mean gains g: the cross link (the near user
+# decoding the far-user symbol) and the relay link take the gain ratio
+# x / (a2 - a1 x), the far link takes x.
+_FAR_LINKS = {
+    "max_u1": lambda p, g: (
+        (p.m_b, g.lam_su1, g.lam_ru1, p.m_t * g.lam_su1),
+        (p.m_r, g.lam_br, g.lam_si, g.lam_br),
+        (1.0, g.lam_ru2, 0.0, 1.0),
+    ),
+    "max_u2": lambda p, g: (
+        (1.0, g.lam_su1, g.lam_ru1, g.lam_su1),
+        (p.m_b, g.lam_br, g.lam_si, p.m_r * g.lam_br),
+        (p.m_t, g.lam_ru2, 0.0, 1.0),
+    ),
+}
 
 
-def _link(m: int, lam: float, lam_i: float = 0.0, den: float = 1.0) -> _Link:
-    coeffs = tuple(
-        ((-1.0) ** p * math.comb(m - 1, p), -(p + 1), p + 1, lam_i * (p + 1)) for p in range(m)
-    )
-    return m, lam, den, coeffs
-
-
-def _link_survival(link: _Link, r: float) -> float:
-    m, lam, den, coeffs = link
-    return m * math.fsum(
-        [(sc * math.exp(n * r / lam)) / (p1 * (1.0 + li * r / den)) for sc, n, p1, li in coeffs]
-    )
-
-
-def _far_links_max_u1(params: SystemParams) -> tuple[_Link, _Link, _Link]:
-    """Cross, relay and far links under near-user-first selection.
-
-    The cross link (strongest of m_b over the weakest of m_t interferers)
-    and the relay link (strongest of m_r over self-interference) take the
-    gain ratio x / (a2 - a1 x); the far link (one fixed antenna) takes x.
-    """
-    g = mean_gains(params)
-    return (
-        _link(params.m_b, g.lam_su1, g.lam_ru1, params.m_t * g.lam_su1),
-        _link(params.m_r, g.lam_br, g.lam_si, g.lam_br),
-        _link(1, g.lam_ru2),
-    )
-
-
-def _far_links_max_u2(params: SystemParams) -> tuple[_Link, _Link, _Link]:
-    """Cross, relay and far links under far-user decoupled selection."""
-    g = mean_gains(params)
-    return (
-        _link(1, g.lam_su1, g.lam_ru1, g.lam_su1),
-        _link(params.m_b, g.lam_br, g.lam_si, params.m_r * g.lam_br),
-        _link(params.m_t, g.lam_ru2),
-    )
-
-
-_FAR_LINKS = {"max_u1": _far_links_max_u1, "max_u2": _far_links_max_u2}
-
-
-def far_user_cdf(
-    params: SystemParams, rule: str, cross_link: bool = True
-) -> Callable[[float], float]:
-    """The far-user SINR distribution under a selection rule, built once.
-
-    rule is "max_u1" (near-user-first) or "max_u2" (far-user decoupled).
-    The law is that of the e2e SINR min(cross, relay, far), as in
-    cdf_gamma2_*; cross_link=False drops the near user's cross-decoding
-    link, leaving min(relay, far), whose value at the far-user threshold
-    is outage_u2_*.  The links before the far one take the gain ratio, the
-    far link takes x.  Survivals multiply left to right; an infinite ratio
-    (x at the cap up to rounding) survives with probability 0.
-    """
+def _check_rule(rule: str) -> None:
     if rule not in _FAR_LINKS:
         raise ValueError(f"unknown rule {rule!r}; have {tuple(_FAR_LINKS)}")
-    _warn_counts(params)
-    links = _FAR_LINKS[rule](params)
-    if not cross_link:
-        links = links[1:]
-    a1, a2 = params.a1, params.a2
-    cap = sinr_cap(params)
+
+
+def _link_survival(link: tuple, r: float) -> float:
+    """The sum above at the ratio r for a link (m, lam, den, [(sign_p C(m-1, p), -(p+1), p+1, lam_i (p+1))])."""
+    m, lam, den, coeffs = link
+    return m * math.fsum([(sc * math.exp(n * r / lam)) / (p1 * (1.0 + li * r / den)) for sc, n, p1, li in coeffs])
+
+
+def _row_cdf(a1: float, a2: float, links: list) -> Callable[[float], float]:
+    cap = a2 / a1
     *ratio_links, far = links
 
     def cdf(x: float) -> float:
@@ -264,6 +261,22 @@ def far_user_cdf(
     return cdf
 
 
+def far_user_cdf(
+    params: SystemParams, rule: str, cross_link: bool = True
+) -> Callable[[float], float]:
+    """The far-user SINR distribution under a selection rule, built once.
+
+    rule is "max_u1" (near-user-first) or "max_u2" (far-user decoupled).
+    The law is that of the e2e SINR min(cross, relay, far), as in
+    cdf_gamma2_*; cross_link=False drops the near user's cross-decoding
+    link, leaving min(relay, far), whose value at the far-user threshold
+    is outage_u2_*.  The links before the far one take the gain ratio, the
+    far link takes x.  Survivals multiply left to right; an infinite ratio
+    (x at the cap up to rounding) survives with probability 0.
+    """
+    return next(_FarLaws([params], rule).cdfs(cross_link))
+
+
 def cdf_gamma1_max_u1(x: float, params: SystemParams) -> float:
     """Distribution of the near-user SINR under near-user-first selection.
 
@@ -272,7 +285,7 @@ def cdf_gamma1_max_u1(x: float, params: SystemParams) -> float:
     """
     if x <= 0.0:
         return 0.0
-    _warn_counts(params)
+    _warn_counts(max(params.m_b, params.m_r, params.m_t))
     g = mean_gains(params)
     m_b, m_t = params.m_b, params.m_t
     scale = params.a1 * g.lam_su1
@@ -399,6 +412,8 @@ _CHUNK_NODES = 1 << 14
 # below m e^-(4^7), and toward the cap (see _FarLaws.breakpoints).
 _BREAK_RATIO = 4.0
 _BREAK_POWERS = 8
+# hi = cap (1 - 1e-12) is below cap - cap / 4^20: no row grades further toward the cap.
+_CAP_POWERS = 20
 _MAX_INTERVALS = 200
 
 
@@ -415,50 +430,60 @@ class _FarLaws:
     """The far-user survival laws of many parameter sets under one rule, as arrays.
 
     Row i holds parameter set i.  Each link keeps m, lam and den per row and
-    its per-term coefficients sign_p C(m-1, p) and lam_i (p+1) in a (rows,
-    terms) array, zero-padded to the longest link of its position, so a
+    its per-term coefficients sign_p C(m-1, p) and lam_i (p+1) in a (terms,
+    rows) array, zero-padded to the longest link of its position, so a
     padded term adds exactly 0.
     """
 
     def __init__(self, params_seq: Sequence[SystemParams], rule: str):
-        per_row = [_FAR_LINKS[rule](params) for params in params_seq]
-        self.a1 = np.array([params.a1 for params in params_seq])
-        self.a2 = np.array([params.a2 for params in params_seq])
+        _check_rule(rule)
+        stacked = _stacked(params_seq)
+        _warn_counts(max((max(p.m_b, p.m_r, p.m_t) for p in params_seq), default=0))
+        self.a1, self.a2 = stacked.a1, stacked.a2
         self.links = []
-        for position in range(3):
-            column = [links[position] for links in per_row]
-            width = max(m for m, _, _, _ in column)
-            pad = [(0.0, 0.0)] * width
-            coeffs = np.array([([(sc, li) for sc, _, _, li in terms] + pad)[:width] for *_, terms in column])
-            self.links.append((
-                np.array([float(m) for m, _, _, _ in column]),
-                np.array([lam for _, lam, _, _ in column]),
-                np.array([den for _, _, den, _ in column]),
-                coeffs[:, :, 0].T.copy(),
-                coeffs[:, :, 1].T.copy(),
-            ))
+        for link in _FAR_LINKS[rule](stacked, mean_gains(stacked)):
+            m, lam, lam_i, den = np.broadcast_arrays(*link)
+            width = int(max(m.tolist(), default=0))
+            p1 = np.arange(1.0, width + 1.0)[:, None]
+            self.links.append((m, lam, den, _signed_binomials(m, width), np.where(p1 <= m, lam_i * p1, 0.0)))
 
-    def breakpoints(self, row: int, hi: float) -> list[float]:
-        """The increasing inner points, in (0, hi), of a row's first partition.
+    def breakpoints(self, hi: np.ndarray) -> np.ndarray:
+        """The increasing inner points, in (0, hi), of each row's first partition, padded with inf.
 
         They are the link SINR scales (a cross or relay link takes the gain
         ratio r = x / (a2 - a1 x), which is lam at a2 lam / (1 + a1 lam)),
         the graded_points of the smallest scale, so that a narrow law is
         resolved, and cap - cap / _BREAK_RATIO^k down to a quarter of
         the ratio links' distance from the cap: r has its pole there, so
-        the integrand varies on the scale of that distance.
+        the integrand varies on the scale of that distance.  hi is just
+        below the cap, so k stops before _CAP_POWERS.
         """
-        a1, a2 = self.a1[row], self.a2[row]
-        cap = a2 / a1
-        ratio_scales = [a2 * lam[row] / (1.0 + a1 * lam[row]) for _, lam, _, _, _ in self.links[:2]]
-        points = [*ratio_scales, self.links[2][1][row]]
-        points += graded_points(min(points))
-        nearest = (cap - max(ratio_scales)) / _BREAK_RATIO
-        distance = cap / _BREAK_RATIO
-        while distance > nearest and cap - distance < hi:
-            points.append(cap - distance)
-            distance /= _BREAK_RATIO
-        return sorted({p for p in points if 0.0 < p < hi})
+        a1, a2 = self.a1, self.a2
+        cap = (a2 / a1)[:, None]
+        cross, relay = (a2 * lam / (1.0 + a1 * lam) for _, lam, *_ in self.links[:2])
+        far = self.links[2][1]
+        graded = np.minimum(np.minimum(cross, relay), far)[:, None] * np.array(graded_points(1.0))
+        nearest = (cap - np.maximum(cross, relay)[:, None]) / _BREAK_RATIO
+        distance = cap / np.array([_BREAK_RATIO**k for k in range(1, _CAP_POWERS + 1)])
+        # Both hold for a leading run of k only, as in a loop that stops at the first failure.
+        going = (distance > nearest) & (cap - distance < hi[:, None])
+        points = np.column_stack([cross, relay, far, graded, np.where(going, cap - distance, np.inf)])
+        points[~((points > 0.0) & (points < hi[:, None]))] = np.inf
+        points.sort(axis=1)
+        points[:, 1:][points[:, 1:] == points[:, :-1]] = np.inf  # each point once
+        points.sort(axis=1)
+        return points
+
+    def cdfs(self, cross_link: bool = True) -> Iterator[Callable[[float], float]]:
+        """F of each row in turn, its links summed term by term with math.exp and math.fsum; see far_user_cdf."""
+        tables = [(m.tolist(), lam.tolist(), den.tolist(), signed.T.tolist(), interferer.T.tolist())
+                  for m, lam, den, signed, interferer in self.links[0 if cross_link else 1 :]]
+        for row, (a1, a2) in enumerate(zip(self.a1.tolist(), self.a2.tolist())):
+            links = []
+            for m, lam, den, signed, interferer in tables:
+                terms = zip(signed[row], range(1, int(m[row]) + 1), interferer[row])  # up to the row's m
+                links.append((m[row], lam[row], den[row], [(sc, -p1, p1, li) for sc, p1, li in terms]))
+            yield _row_cdf(a1, a2, links)
 
     def survival(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """1 - F at the points x of rows, for 0 < x < the rows' caps.
@@ -552,27 +577,20 @@ def far_user_rates(
     rate_from_cdf would raise.  A result depends only on its own parameter
     set, never on the others in the call.
     """
-    if rule not in _FAR_LINKS:
-        raise ValueError(f"unknown rule {rule!r}; have {tuple(_FAR_LINKS)}")
-    for params in params_seq:
-        _warn_counts(params)
+    _check_rule(rule)
     count = len(params_seq)
     if count == 0:
         return []
     laws = _FarLaws(params_seq, rule)
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
-    caps = [sinr_cap(params) * (1.0 - 1e-12) for params in params_seq]
-    rows, lo, up = [], [], []
-    for row, hi in enumerate(caps):
-        edges = [0.0, *laws.breakpoints(row, hi), hi]
-        rows += [row] * (len(edges) - 1)
-        lo += edges[:-1]
-        up += edges[1:]
-    rows, lo, up = np.array(rows), np.array(lo), np.array(up)
+    hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+    edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])
+    edges.sort(axis=1)
+    rows, slots = np.nonzero(np.isfinite(edges[:, 1:]))  # each row's intervals in order
+    lo, up = edges[rows, slots], edges[rows, slots + 1]
     result, error, resasc = laws.gk21(rows, lo, up)
 
     last = np.bincount(rows, minlength=count)
-    slots = np.arange(len(rows)) - np.repeat(np.cumsum(last) - last, last)
     width = max(int(last.max()), _MAX_INTERVALS)
     starts, ends = np.zeros((count, width)), np.zeros((count, width))
     values = np.zeros((count, width))
@@ -616,24 +634,38 @@ def far_user_rates(
     ]
 
 
-def rate_u1_max_u1(params: SystemParams) -> float:
-    """Near-user ergodic rate under near-user-first selection (closed form).
+def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
+    """Near-user ergodic rate (closed form) of each parameter set under a rule.
 
-    Termwise integration of the survival of cdf_gamma1_max_u1 through the
-    rate kernel; terms near the kernel's removable singularity fall back
-    to quadrature.
+    Termwise integration of the survival of cdf_gamma1_max_u1 (rule
+    "max_u1", m_b terms) or cdf_gamma1_max_u2 ("max_u2", the same sum at
+    m_b = m_t = 1: no selection gain reaches the near-user links) through
+    the rate kernel.  Every term of every set goes through one kernel call;
+    each set's terms are summed with fsum.
     """
-    _warn_counts(params)
-    g = mean_gains(params)
-    m_b, m_t = params.m_b, params.m_t
-    scale = params.a1 * g.lam_su1
-    terms = []
-    for p in range(m_b):
-        alpha = (p + 1) * g.lam_ru1 / (m_t * scale)
-        beta = (p + 1) / scale
-        coeff = (-1.0) ** p * math.comb(m_b - 1, p) / (p + 1)
-        terms.append(coeff * _rate_kernel(alpha, beta))
-    return m_b * math.fsum(terms) / LN2
+    _check_rule(rule)
+    stacked = _stacked(params_seq)
+    g = mean_gains(stacked)
+    scale = stacked.a1 * g.lam_su1
+    if rule == "max_u1":
+        _warn_counts(max((max(p.m_b, p.m_r, p.m_t) for p in params_seq), default=0))
+        terms, m_t = stacked.m_b, stacked.m_t
+    else:
+        terms = m_t = np.ones_like(scale)
+    width = int(max(terms.tolist(), default=0))
+    p1 = np.arange(1.0, width + 1.0)
+    used = p1 <= terms[:, None]  # (set, term)
+    alpha = (p1 * g.lam_ru1[:, None]) / (m_t * scale)[:, None]
+    beta = p1 / scale[:, None]
+    coeff = _signed_binomials(terms, width).T / p1
+    products = (coeff[used] * _rate_kernels(alpha[used], beta[used])).tolist()
+    ends = np.cumsum(terms).astype(int).tolist()
+    return [m * math.fsum(products[end - int(m) : end]) / LN2 for m, end in zip(terms.tolist(), ends)]
+
+
+def rate_u1_max_u1(params: SystemParams) -> float:
+    """Near-user ergodic rate under near-user-first selection (closed form)."""
+    return near_user_rates([params], "max_u1")[0]
 
 
 def rate_u1_max_u2(params: SystemParams) -> float:
@@ -642,9 +674,7 @@ def rate_u1_max_u2(params: SystemParams) -> float:
     Single-exponential links on both sides; coincides with the near-user
     rate of a fully random antenna pair.
     """
-    g = mean_gains(params)
-    scale = params.a1 * g.lam_su1
-    return _rate_kernel(g.lam_ru1 / scale, 1.0 / scale) / LN2
+    return near_user_rates([params], "max_u2")[0]
 
 
 def _far_user_rate(params: SystemParams, rule: str, rel_tol: float, abs_tol: float) -> QuadratureResult:
@@ -688,33 +718,43 @@ def zeta(params: SystemParams) -> float:
     return max(theta2 / (params.a2 - params.a1 * theta2), theta1 / params.a1)
 
 
+def near_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
+    """Near-user outage of each parameter set under a rule.
+
+    Its SINR distribution cdf_gamma1_* at a1 zeta, or 1 where zeta is
+    infinite; one scalar evaluation per set.
+    """
+    _check_rule(rule)
+    cdf = cdf_gamma1_max_u1 if rule == "max_u1" else cdf_gamma1_max_u2
+    return [1.0 if math.isinf(z := zeta(params)) else cdf(params.a1 * z, params) for params in params_seq]
+
+
+def far_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
+    """Far-user outage of each parameter set under a rule, from one table of laws.
+
+    The relay must decode the far-user symbol and the far user must
+    decode it from the relay; the near-user leg does not appear.  Each is
+    far_user_cdf with cross_link=False at the far-user threshold.
+    """
+    cdfs = _FarLaws(params_seq, rule).cdfs(cross_link=False)
+    return [cdf(thresholds(params)[1]) for cdf, params in zip(cdfs, params_seq)]
+
+
 def outage_u1_max_u1(params: SystemParams) -> float:
     """Near-user outage under near-user-first selection."""
-    z = zeta(params)
-    if math.isinf(z):
-        return 1.0
-    return cdf_gamma1_max_u1(params.a1 * z, params)
+    return near_user_outages([params], "max_u1")[0]
 
 
 def outage_u1_max_u2(params: SystemParams) -> float:
     """Near-user outage under far-user selection."""
-    z = zeta(params)
-    if math.isinf(z):
-        return 1.0
-    return cdf_gamma1_max_u2(params.a1 * z, params)
+    return near_user_outages([params], "max_u2")[0]
 
 
 def outage_u2_max_u1(params: SystemParams) -> float:
-    """Far-user outage under near-user-first selection.
-
-    The relay must decode the far-user symbol and the far user must
-    decode it from the relay; the near-user leg does not appear.
-    """
-    _, theta2 = thresholds(params)
-    return far_user_cdf(params, "max_u1", cross_link=False)(theta2)
+    """Far-user outage under near-user-first selection."""
+    return far_user_outages([params], "max_u1")[0]
 
 
 def outage_u2_max_u2(params: SystemParams) -> float:
     """Far-user outage under far-user decoupled selection."""
-    _, theta2 = thresholds(params)
-    return far_user_cdf(params, "max_u2", cross_link=False)(theta2)
+    return far_user_outages([params], "max_u2")[0]

@@ -24,6 +24,7 @@ import csv
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -487,17 +488,9 @@ ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
 _FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
 
 
-def _closed_form_set(
-    params: SystemParams,
-    scheme: str,
-    metrics: tuple[str, ...],
-    far_rate: analytic.QuadratureResult | analytic.NonConvergedError | None,
-) -> MetricSet:
-    """The MetricSet of one of ANALYTIC_SCHEMES given its entry of _far_rates, which it raises if an error."""
-    if scheme == "max_u1_analytic":
-        rate_u1_fn, outage_fns = analytic.rate_u1_max_u1, (analytic.outage_u1_max_u1, analytic.outage_u2_max_u1)
-    else:
-        rate_u1_fn, outage_fns = analytic.rate_u1_max_u2, (analytic.outage_u1_max_u2, analytic.outage_u2_max_u2)
+def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSet | analytic.NonConvergedError:
+    """One parameter set's MetricSet from its near-user rate r1, far-user QuadratureResult and
+    outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError."""
 
     def est(value: float) -> MetricEstimate:
         return MetricEstimate(value, 0.0, 0, kind=ANALYTIC)
@@ -507,54 +500,60 @@ def _closed_form_set(
     outage_u1 = outage_u2 = nan
     if "rates" in metrics or "jain" in metrics:
         if isinstance(far_rate, analytic.NonConvergedError):
-            raise far_rate
-        r1 = rate_u1_fn(params)
+            return far_rate
         r2 = far_rate.value
         if "rates" in metrics:
             rate_u1, rate_u2, rate_sum = est(r1), est(r2), est(r1 + r2)
         if "jain" in metrics:
             jain = est(jain_index(r1, r2))
     if "outage" in metrics:
-        outage_u1, outage_u2 = est(outage_fns[0](params)), est(outage_fns[1](params))
+        outage_u1, outage_u2 = est(o1), est(o2)
     return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain)
 
 
-def _far_rates(params_seq: list[SystemParams], scheme: str, metrics: tuple[str, ...]) -> list:
-    """The scheme's far-user rate at each parameter set, integrated in one batch.
+def _closed_form_sets(params_seq: list[SystemParams], scheme: str, metrics: tuple[str, ...]) -> Iterator:
+    """_closed_form_set of one of ANALYTIC_SCHEMES at each parameter set, in order.
 
-    Each is a QuadratureResult or a NonConvergedError, or None when no
-    requested metric needs the rates.
+    Each closed form the metrics need is evaluated for all the sets in one
+    call; the MetricSets are made as they are iterated.
     """
     if scheme not in _FAR_RULES:
         raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
+    rule = _FAR_RULES[scheme]
+    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(params_seq)
     if "rates" in metrics or "jain" in metrics:
-        return analytic.far_user_rates(params_seq, _FAR_RULES[scheme])
-    return [None] * len(params_seq)
+        far_rates = analytic.far_user_rates(params_seq, rule)
+        rates_u1 = analytic.near_user_rates(params_seq, rule)
+    if "outage" in metrics:
+        outages_u1 = analytic.near_user_outages(params_seq, rule)
+        outages_u2 = analytic.far_user_outages(params_seq, rule)
+    return (_closed_form_set(metrics, *values) for values in zip(rates_u1, far_rates, outages_u1, outages_u2))
 
 
 def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, ...]) -> MetricSet:
     """Closed-form MetricSet for one of ANALYTIC_SCHEMES."""
-    (far_rate,) = _far_rates([params], scheme, metrics)
-    return _closed_form_set(params, scheme, metrics, far_rate)
+    (metric_set,) = _closed_form_sets([params], scheme, metrics)
+    if isinstance(metric_set, analytic.NonConvergedError):
+        raise metric_set
+    return metric_set
 
 
 def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Closed-form sweep rows for the schemes that have closed forms, and notes.
 
-    Each scheme's far-user rates over the whole power grid are integrated
-    in one batch.  A (point, scheme) whose evaluation does not converge gets
-    a row of NaNs and a NON_CONVERGED note; the sweep goes on with the
+    Each closed form of each scheme is evaluated over the whole power grid
+    in one call.  A (point, scheme) whose far-user rate does not converge
+    gets a row of NaNs and a NON_CONVERGED note; the sweep goes on with the
     other rows.
     """
     points = list(_power_points(params, sweep))
-    far_rates = {scheme: _far_rates([p for _, _, p in points], scheme, sweep.metrics) for scheme in sweep.schemes}
+    sets = {scheme: _closed_form_sets([p for _, _, p in points], scheme, sweep.metrics) for scheme in sweep.schemes}
     rows, notes = [], []
-    for index, (_, power_db, run_params) in enumerate(points):
+    for _, power_db, _ in points:
         for scheme in sweep.schemes:
-            try:
-                metrics = _closed_form_set(run_params, scheme, sweep.metrics, far_rates[scheme][index])
-            except analytic.NonConvergedError as exc:
-                notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {exc}")
+            metrics = next(sets[scheme])
+            if isinstance(metrics, analytic.NonConvergedError):
+                notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {metrics}")
                 nan = MetricEstimate(math.nan, 0.0, 0, kind=ANALYTIC)
                 metrics = MetricSet(nan, nan, nan, nan, nan, nan)
             rows.append(

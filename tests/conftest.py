@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdnoma.analytic import _scaled_e1
+from fdnoma.analytic import EULER_GAMMA, LN2, NonConvergedError, _clamp_probability
 from fdnoma.channel import GainBatch
-from fdnoma.config import SystemParams, default_params, validate
+from fdnoma.config import SystemParams, default_params, mean_gains, validate
 from fdnoma.montecarlo import write_csv
 from fdnoma.selection import _TILE_GRID_BYTES
 
@@ -48,6 +48,217 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     )
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+# The scalar closed-form kernels, far-user links and one-set closed forms that
+# fdnoma.analytic's array evaluators replaced, kept verbatim as the oracle those
+# must equal bit for bit.  The kernel's singular fallback is scipy's quad,
+# inaccurate on narrow integrands; compare only away from alpha = 1.
+
+
+def _scaled_e1(t: float) -> float:
+    """exp(t) * E1(t) for t > 0; E1 is the upper exponential integral.
+
+    Series below 1, modified-Lentz continued fraction up to 1e10, the
+    asymptotic series 1/t (1 - 1/t + 2/t^2) above; its first omitted term
+    is 6/t^3 relative, and from about 1e11 on the continued fraction's
+    steps round to 1 +- 1 ulp and can miss its 1e-16 stop.  The scaled
+    form never overflows, which matters because the rate kernels evaluate
+    it at ratios that can be enormous when interference vanishes.
+    """
+    if not t > 0.0:
+        raise ValueError(f"need t > 0, got {t!r}")
+    if t > 1e10:
+        return (1.0 - (1.0 - 2.0 / t) / t) / t
+    if t < 1.0:
+        # E1(t) = -gamma - ln t + sum_{k>=1} (-1)^(k+1) t^k / (k k!)
+        terms = [-EULER_GAMMA - math.log(t)]
+        power = 1.0
+        for k in range(1, 60):
+            power *= t / k
+            term = power / k if k % 2 else -power / k
+            terms.append(term)
+            if power / k < 1e-20:
+                break
+        return math.exp(t) * math.fsum(terms)
+    # E1(t) = e^-t / (t+1 - 1^2/(t+3 - 2^2/(t+5 - ...)))
+    tiny = 1e-300
+    b = t + 1.0
+    f = b if b != 0.0 else tiny
+    c = f
+    d = 0.0
+    for n in range(1, 500):
+        a = -float(n * n)
+        b += 2.0
+        d = b + a * d
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return 1.0 / f
+    raise NonConvergedError(f"continued fraction for E1({t}) did not converge")
+
+
+_SINGULAR_TOL = 1e-6
+
+
+def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL) -> float:
+    """integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx, alpha >= 0, beta > 0.
+
+    Closed form (g(t) = exp(t) E1(t)):
+
+        alpha = 0:      g(beta)
+        alpha != 1:     (g(beta/alpha) - g(beta)) / (alpha - 1)
+
+    alpha = 1 is a removable singularity; within singular_tol of it the
+    kernel falls back to adaptive quadrature instead of the closed form.
+    """
+    if alpha == 0.0:
+        return _scaled_e1(beta)
+    if abs(alpha - 1.0) < singular_tol:
+        # Imported here, so a process that never integrates does not load scipy.
+        from scipy.integrate import quad
+
+        value, _ = quad(
+            lambda x: math.exp(-beta * x) / ((1.0 + x) * (1.0 + alpha * x)),
+            0.0,
+            math.inf,
+            epsabs=1e-13,
+            epsrel=1e-11,
+            limit=200,
+        )
+        return value
+    return (_scaled_e1(beta / alpha) - _scaled_e1(beta)) / (alpha - 1.0)
+
+
+# Survival functions P(link SINR > x) of the far-user chain.  A link is the
+# strongest of m exponential gains of mean lam, over 1 plus an exponential
+# interferer of mean lam_i / m_i when lam_i > 0 (den = m_i * lam).  At the
+# gain ratio r its survival is the alternating binomial sum
+#
+#     m * fsum_p ((sign_p C(m-1, p)) * exp(-(p+1) r / lam))
+#                / ((p+1) (1 + ((lam_i (p+1)) r) / den)),     p < m,
+#
+# evaluated in exactly that order; another order moves the last digits of
+# the rates.  A link holds m, lam, den and, per term, the precomputed
+# (sign_p C(m-1, p), -(p+1), p+1, lam_i (p+1)).
+_Link = tuple[int, float, float, tuple[tuple[float, int, int, float], ...]]
+
+
+def _link(m: int, lam: float, lam_i: float = 0.0, den: float = 1.0) -> _Link:
+    coeffs = tuple(
+        ((-1.0) ** p * math.comb(m - 1, p), -(p + 1), p + 1, lam_i * (p + 1)) for p in range(m)
+    )
+    return m, lam, den, coeffs
+
+
+def _link_survival(link: _Link, r: float) -> float:
+    m, lam, den, coeffs = link
+    return m * math.fsum(
+        [(sc * math.exp(n * r / lam)) / (p1 * (1.0 + li * r / den)) for sc, n, p1, li in coeffs]
+    )
+
+
+def _far_links_max_u1(params: SystemParams) -> tuple[_Link, _Link, _Link]:
+    """Cross, relay and far links under near-user-first selection.
+
+    The cross link (strongest of m_b over the weakest of m_t interferers)
+    and the relay link (strongest of m_r over self-interference) take the
+    gain ratio x / (a2 - a1 x); the far link (one fixed antenna) takes x.
+    """
+    g = mean_gains(params)
+    return (
+        _link(params.m_b, g.lam_su1, g.lam_ru1, params.m_t * g.lam_su1),
+        _link(params.m_r, g.lam_br, g.lam_si, g.lam_br),
+        _link(1, g.lam_ru2),
+    )
+
+
+def _far_links_max_u2(params: SystemParams) -> tuple[_Link, _Link, _Link]:
+    """Cross, relay and far links under far-user decoupled selection."""
+    g = mean_gains(params)
+    return (
+        _link(1, g.lam_su1, g.lam_ru1, g.lam_su1),
+        _link(params.m_b, g.lam_br, g.lam_si, params.m_r * g.lam_br),
+        _link(params.m_t, g.lam_ru2),
+    )
+
+
+ORACLE_FAR_LINKS = {"max_u1": _far_links_max_u1, "max_u2": _far_links_max_u2}
+
+
+def oracle_far_user_cdf(params: SystemParams, rule: str, cross_link: bool = True):
+    links = ORACLE_FAR_LINKS[rule](params)
+    if not cross_link:
+        links = links[1:]
+    a1, a2 = params.a1, params.a2
+    cap = params.a2 / params.a1
+    *ratio_links, far = links
+
+    def cdf(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        if x >= cap:
+            return 1.0
+        den = a2 - a1 * x
+        r = math.inf if den <= 0.0 else x / den
+        if math.isinf(r):
+            return 1.0
+        survival = 1.0
+        for link in ratio_links:
+            survival *= _link_survival(link, r)
+        return _clamp_probability(1.0 - survival * _link_survival(far, x))
+
+    return cdf
+
+
+def oracle_rate_u1_max_u1(params: SystemParams) -> float:
+    g = mean_gains(params)
+    m_b, m_t = params.m_b, params.m_t
+    scale = params.a1 * g.lam_su1
+    terms = []
+    for p in range(m_b):
+        alpha = (p + 1) * g.lam_ru1 / (m_t * scale)
+        beta = (p + 1) / scale
+        coeff = (-1.0) ** p * math.comb(m_b - 1, p) / (p + 1)
+        terms.append(coeff * _rate_kernel(alpha, beta))
+    return m_b * math.fsum(terms) / LN2
+
+
+def oracle_rate_u1_max_u2(params: SystemParams) -> float:
+    g = mean_gains(params)
+    scale = params.a1 * g.lam_su1
+    return _rate_kernel(g.lam_ru1 / scale, 1.0 / scale) / LN2
+
+
+def near_kernel_alphas(params: SystemParams, rule: str) -> list[float]:
+    """The rate kernel's alpha in each term of the near-user rate under a rule."""
+    g = mean_gains(params)
+    scale = params.a1 * g.lam_su1
+    if rule == "max_u2":
+        return [g.lam_ru1 / scale]
+    return [(p + 1) * g.lam_ru1 / (params.m_t * scale) for p in range(params.m_b)]
+
+
+def oracle_breakpoints(params: SystemParams, rule: str, hi: float) -> list[float]:
+    """The inner points of a far-user rate's first partition, one parameter set at a time."""
+    a1, a2 = params.a1, params.a2
+    cap = a2 / a1
+    links = ORACLE_FAR_LINKS[rule](params)
+    ratio_scales = [a2 * lam / (1.0 + a1 * lam) for _, lam, _, _ in links[:2]]
+    points = [*ratio_scales, links[2][1]]
+    points += [min(points) * 4.0**k for k in range(8)]
+    nearest = (cap - max(ratio_scales)) / 4.0
+    distance = cap / 4.0
+    while distance > nearest and cap - distance < hi:
+        points.append(cap - distance)
+        distance /= 4.0
+    return sorted({p for p in points if 0.0 < p < hi})
 
 
 def exp_int_ei(x: float) -> float:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo
 from fdnoma.analytic import (
@@ -24,9 +26,19 @@ from fdnoma.analytic import (
     thresholds,
     zeta,
 )
-from fdnoma.config import default_params, mean_gains
+from fdnoma.config import SweepSpec, default_params, mean_gains
 
-from conftest import exp_int_ei, make_params, run_fresh
+from conftest import (
+    ORACLE_FAR_LINKS,
+    exp_int_ei,
+    make_params,
+    near_kernel_alphas,
+    oracle_breakpoints,
+    oracle_far_user_cdf,
+    oracle_rate_u1_max_u1,
+    oracle_rate_u1_max_u2,
+    run_fresh,
+)
 
 
 class TestExponentialIntegral:
@@ -79,7 +91,7 @@ def test_scaled_e1_large_argument(t):
 
     mp.mp.dps = 40
     oracle = float(mp.e1(t) * mp.exp(t))
-    assert analytic._scaled_e1(t) == pytest.approx(oracle, rel=4e-16)
+    assert analytic._scaled_e1(np.array([t]))[0] == pytest.approx(oracle, rel=4e-16)
 
 
 def test_alternating_binomial_identity():
@@ -151,22 +163,85 @@ def test_exactly_singular_configuration_falls_back():
     assert rate_u1_max_u1(params) == pytest.approx(quadrature.value, rel=1e-8)
 
 
-def test_singular_fallback_imports_its_own_quadrature():
-    # The fallback is the first quadrature of a fresh process, so nothing else
-    # has imported scipy.integrate for it.
+def test_singular_kernel_loads_no_scipy():
+    # At alpha = 1 the kernel is closed (K1 and its first-order term), so the
+    # closed form of a fresh process loads no scipy; its quadrature check does.
     proc = run_fresh(
         "import sys\n"
         "from dataclasses import replace\n"
         "from fdnoma.analytic import cdf_gamma1_max_u1, rate_from_cdf, rate_u1_max_u1\n"
         "from fdnoma.config import SystemParams, validate\n"
         "params = validate(replace(SystemParams(), m_b=1, m_t=1, k1=0.25, var_ru1=1.0))\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
         "closed = rate_u1_max_u1(params)\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "quadrature = rate_from_cdf(lambda x: cdf_gamma1_max_u1(x, params), rel_tol=1e-10, abs_tol=1e-12)\n"
         "print(repr(closed), repr(quadrature.value))\n"
     )
     closed, quadrature = (float(v) for v in proc.stdout.split())
     assert closed == pytest.approx(quadrature, rel=1e-8)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 9e-7, -9e-7])
+@pytest.mark.parametrize("beta", [1.0, 100.0, 101.0, 1e3, 1e6])
+def test_rate_kernel_near_its_singularity_matches_mpmath(beta, offset):
+    # Within 1e-6 of alpha = 1 the kernel is K1 + (alpha - 1) K1'; scipy's quad
+    # over [0, inf), the fallback it replaces, read 0 at beta = 1e6.
+    import mpmath as mp
+
+    alpha = 1.0 + offset
+    with mp.workdps(40):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        g = lambda t: mp.exp(t) * mp.e1(t)
+        oracle = float(1 - b * g(b) if a == 1 else (g(b / a) - g(b)) / (a - 1))
+    assert analytic._rate_kernels(np.array([alpha]), np.array([beta]))[0] == pytest.approx(oracle, rel=1e-12)
+
+
+@given(
+    antennas=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    a1=st.floats(0.01, 0.49).filter(lambda a1: a1 != 0.25),
+    k1=st.one_of(st.just(0.0), st.floats(1e-4, 2.0)),
+    variances=st.lists(st.floats(0.05, 20.0), min_size=5, max_size=5),
+    relay_db=st.one_of(st.none(), st.floats(-10.0, 50.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_db):
+    # Every analytic column, bit for bit, against the one-set closed forms in
+    # conftest; rate_u2 through the far-law tables and first partitions the
+    # quadrature starts from.  Rows with a kernel alpha within 1e-6 of 1 skip
+    # rate_u1, where the oracle falls back to scipy's quad.
+    m_b, m_r, m_t = antennas
+    var_br, var_bu1, var_ru1, var_ru2, var_si = variances
+    params = make_params(m_b=m_b, m_r=m_r, m_t=m_t, a1=a1, a2=1.0 - a1, k1=k1, var_br=var_br,
+                         var_bu1=var_bu1, var_ru1=var_ru1, var_ru2=var_ru2, var_si=var_si)
+    grid = (-10.0, 0.0, 7.5, 20.0, 35.0, 50.0)
+    spec = SweepSpec(power_db=grid, schemes=montecarlo.ANALYTIC_SCHEMES, trials=1, seed=1,
+                     rho_r_db=None if relay_db is None else (relay_db,) * len(grid))
+    rows, notes = montecarlo.analytic_sweep(params, spec)
+    assert notes == []
+    points = [p for _, _, p in montecarlo._power_points(params, spec)]
+    oracles = {"max_u1": (oracle_rate_u1_max_u1, cdf_gamma1_max_u1), "max_u2": (oracle_rate_u1_max_u2, cdf_gamma1_max_u2)}
+    for scheme, rule in (("max_u1_analytic", "max_u1"), ("max_u2_decoupled", "max_u2")):
+        laws = analytic._FarLaws(points, rule)
+        hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+        breakpoints = laws.breakpoints(hi)
+        rate_u1, near_cdf = oracles[rule]
+        for row, (p, sweep_row) in enumerate(zip(points, [r for r in rows if r.scheme == scheme])):
+            for (m, lam, den, signed, interferer), (om, olam, oden, coeffs) in zip(laws.links, ORACLE_FAR_LINKS[rule](p)):
+                assert (m[row], lam[row], den[row]) == (om, olam, oden)
+                assert signed[:, row].tolist() == [sc for sc, *_ in coeffs] + [0.0] * (len(signed) - om)
+                assert interferer[:, row].tolist() == [li for *_, li in coeffs] + [0.0] * (len(signed) - om)
+            inner = breakpoints[row][np.isfinite(breakpoints[row])].tolist()
+            assert inner == oracle_breakpoints(p, rule, sinr_cap(p) * (1.0 - 1e-12))
+            metrics = sweep_row.metrics
+            r2 = analytic.far_user_rates([p], rule)[0].value
+            z = zeta(p)
+            assert metrics.outage_u1.value == (1.0 if math.isinf(z) else near_cdf(p.a1 * z, p))
+            assert metrics.outage_u2.value == oracle_far_user_cdf(p, rule, cross_link=False)(thresholds(p)[1])
+            assert metrics.rate_u2.value == r2
+            if all(abs(alpha - 1.0) >= 1e-6 for alpha in near_kernel_alphas(p, rule)):
+                r1 = rate_u1(p)
+                assert (metrics.rate_u1.value, metrics.rate_sum.value) == (r1, r1 + r2)
+                assert metrics.jain_index.value == montecarlo.jain_index(r1, r2)
 
 
 class TestNearUserCdfs:
@@ -456,7 +531,7 @@ def mp_far_user_rate(params, rule):
     """
     import mpmath as mp
 
-    links = analytic._FAR_LINKS[rule](params)
+    links = ORACLE_FAR_LINKS[rule](params)
 
     def survival(link, t):
         m, lam, den, coeffs = link
@@ -515,7 +590,7 @@ def test_saturated_first_estimate_is_not_accepted(monkeypatch):
     # of the law and its error estimate saturates at resasc, below the
     # tolerance: accepted on that alone, the rate read 1.6e-11, not 8.9e-4.
     params = NARROW_PARAMS["-30 dB"]
-    monkeypatch.setattr(analytic._FarLaws, "breakpoints", lambda self, row, hi: [])
+    monkeypatch.setattr(analytic._FarLaws, "breakpoints", lambda self, hi: np.empty((len(hi), 0)))
     result = rate_u2_max_u1(params)
     oracle = mp_far_user_rate(params, "max_u1")
     assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)

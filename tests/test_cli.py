@@ -39,6 +39,14 @@ rate2 = 0.5
 """
 
 
+# alpha = 1 exactly in the near-user rate kernels (rate_u1_max_u2, and the
+# p = 3 term of rate_u1_max_u1) at every power, with beta = 1e6 at 0 dB.
+SINGULAR_CONFIG = (
+    GOOD_CONFIG.replace("rho_s = 20", "rho_s = 0").replace("rho_r = 20", "rho_r = 0").replace("k1 = 0.01", "k1 = 1e-6")
+    + "var_bu1 = 4e-6\n"
+)
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "system.cfg"
@@ -508,8 +516,20 @@ def test_simulation_alone_never_loads_scipy(config_path, tmp_path):
 
 @pytest.mark.parametrize("mode", ["analytic", "both"])
 def test_closed_form_sweeps_never_load_scipy(mode, config_path, tmp_path):
-    # The far-user rates integrate in numpy; scipy is validate's independent check.
-    assert scipy_modules_after_sweep(mode, config_path, tmp_path / f"{mode}.csv") == "[]"
+    # The far-user rates integrate in numpy and the near-user rate kernel is
+    # closed at its singular point too; scipy is validate's independent check.
+    singular = tmp_path / "singular.cfg"
+    singular.write_text(SINGULAR_CONFIG)
+    for path in (config_path, str(singular)):
+        assert scipy_modules_after_sweep(mode, path, tmp_path / f"{mode}.csv") == "[]", path
+
+
+def test_validate_passes_at_the_kernel_singularity(tmp_path, capsys):
+    # With scipy's quad as the kernel's fallback there, rate_u1_max_u2 read 0
+    # and closed_form_vs_quadrature and simulation_vs_analytic failed.
+    path = tmp_path / "singular.cfg"
+    path.write_text(SINGULAR_CONFIG)
+    assert main(["validate", "--config", str(path), "--trials", "200000", "--seed", "1"]) == EXIT_OK, capsys.readouterr().out
 
 
 def test_module_entry_point(config_path, tmp_path):
