@@ -8,20 +8,21 @@ formulas.  Ergodic rates follow from
     rate = (1/ln 2) * integral_0^upper (1 - F(x)) / (1 + x) dx,
 
 with F the SINR distribution; far-user SINRs are bounded by a2/a1, so
-their integrals stop there.  Alternating binomial sums are accumulated
-with math.fsum (error-free transformation), which keeps deep outage
-floors accurate despite cancellation.
+their integrals stop there.
 
-The closed forms take a sequence of parameter sets and evaluate them as
-arrays, one call per closed form over a sweep's whole power grid; the
-one-set entry points (rate_u1_*, outage_*, far_user_cdf) run the same
-code on one set.  Every element keeps the float operations of a one-set
-evaluation: numpy rounds + - * / as Python does, and the E1 series and
-the outages' binomial sums use math.exp, math.log and math.fsum per
-element.  The far-user laws are tables of each link's mean gains and
-binomial coefficients (_FarLaws), built in numpy; far_user_cdf builds one
-set's table and returns F, which only forms the gain ratio x / (a2 - a1 x)
-and the sums, and cdf_gamma2_* build it for a single evaluation.
+Every SINR distribution is a chain of links (_LINKS), each the strongest
+of m exponential gains over 1 plus an exponential interferer, and one
+evaluator, _link_law, gives a link's distribution and survival as sums of
+positive terms, so deep outage floors keep their relative accuracy at any
+antenna count.  The near-user rate is the paper's closed form, an
+alternating sum of rate kernels accumulated with math.fsum, and the one
+sum here that cancels.
+
+The closed forms take a sequence of parameter sets (of one antenna triple,
+for the laws) and evaluate them as arrays, one call per closed form over a
+sweep's whole power grid; the one-set entry points (rate_u1_*, outage_*,
+cdf_gamma*) run the same code on one set, and the distributions take a
+point or an array of points.
 
 The far-user rates are integrated by far_user_rates, in numpy, for any
 number of parameter sets at once: QUADPACK's adaptive 21-point
@@ -39,8 +40,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -169,23 +170,17 @@ def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _warn_counts(worst: int) -> None:
-    """Warn of cancellation when the largest antenna count is above 16, at the first caller outside this module."""
+    """Warn that the near-user rate's sum cancels when m_b is above 16, at the first caller outside this module."""
     if worst > _MAX_SAFE_ANTENNAS:
         frame, stacklevel = sys._getframe(1), 2
         while frame is not None and frame.f_globals.get("__name__") == __name__:
             frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
-            f"antenna count {worst} > {_MAX_SAFE_ANTENNAS}: alternating binomial "
-            "sums lose precision to combinatorial cancellation",
+            f"m_b = {worst} > {_MAX_SAFE_ANTENNAS}: the near-user rate's alternating binomial "
+            "sum loses precision to combinatorial cancellation",
             RuntimeWarning,
             stacklevel=stacklevel,
         )
-
-
-def _clamp_probability(raw: float) -> float:
-    if raw < -_PROB_TOL or raw > 1.0 + _PROB_TOL:
-        raise RuntimeError(f"CDF_RANGE_VIOLATION: raw probability {raw!r}")
-    return min(max(raw, 0.0), 1.0)
 
 
 def sinr_cap(params: SystemParams) -> float:
@@ -202,27 +197,26 @@ def _signed_binomials(m: np.ndarray, width: int) -> np.ndarray:
     return table
 
 
-# Survival functions P(link SINR > x) of the far-user chain.  A link is the
-# strongest of m exponential gains of mean lam, over 1 plus an exponential
-# interferer of mean lam_i / m_i when lam_i > 0 (den = m_i * lam).  At the
-# gain ratio r its survival is the alternating binomial sum
-#
-#     m * fsum_p ((sign_p C(m-1, p)) * exp(-(p+1) r / lam))
-#                / ((p+1) (1 + ((lam_i (p+1)) r) / den)),     p < m,
-#
-# evaluated in exactly that order; another order moves the last digits of
-# the rates.  Per rule, the links are (m, lam, lam_i, den) of _stacked
-# parameters p and their mean gains g: the cross link (the near user
-# decoding the far-user symbol) and the relay link take the gain ratio
-# x / (a2 - a1 x), the far link takes x.
-_FAR_LINKS = {
+# The links of each rule's SINR laws, as (m, lam, lam_i, den) of parameters
+# p (one set, or _stacked sets) and their mean gains g.  A link is the strongest of m
+# exponential gains of mean lam over 1 plus an exponential interferer of
+# mean lam_i lam / den: the weakest of m_i gains of mean lam_i when
+# den = m_i lam, none when lam_i = 0.  At t its law is
+# _link_law(m, t / lam, (lam_i t) / den).  The near link is the near user's
+# SINR, at x.  The far-user SINR is the chain min(cross, relay, far), its
+# outage min(relay, far): the cross link (the near user decoding the
+# far-user symbol) and the relay link take the gain ratio x / (a2 - a1 x),
+# the far link takes x.
+_LINKS = {
     "max_u1": lambda p, g: (
+        (p.m_b, p.a1 * g.lam_su1, g.lam_ru1, p.m_t * (p.a1 * g.lam_su1)),
         (p.m_b, g.lam_su1, g.lam_ru1, p.m_t * g.lam_su1),
         (p.m_r, g.lam_br, g.lam_si, g.lam_br),
-        (1.0, g.lam_ru2, 0.0, 1.0),
+        (1, g.lam_ru2, 0.0, 1.0),
     ),
     "max_u2": lambda p, g: (
-        (1.0, g.lam_su1, g.lam_ru1, g.lam_su1),
+        (1, p.a1 * g.lam_su1, g.lam_ru1, p.a1 * g.lam_su1),
+        (1, g.lam_su1, g.lam_ru1, g.lam_su1),
         (p.m_b, g.lam_br, g.lam_si, p.m_r * g.lam_br),
         (p.m_t, g.lam_ru2, 0.0, 1.0),
     ),
@@ -230,35 +224,48 @@ _FAR_LINKS = {
 
 
 def _check_rule(rule: str) -> None:
-    if rule not in _FAR_LINKS:
-        raise ValueError(f"unknown rule {rule!r}; have {tuple(_FAR_LINKS)}")
+    if rule not in _LINKS:
+        raise ValueError(f"unknown rule {rule!r}; have {tuple(_LINKS)}")
 
 
-def _link_survival(link: tuple, r: float) -> float:
-    """The sum above at the ratio r for a link (m, lam, den, [(sign_p C(m-1, p), -(p+1), p+1, lam_i (p+1))])."""
-    m, lam, den, coeffs = link
-    return m * math.fsum([(sc * math.exp(n * r / lam)) / (p1 * (1.0 + li * r / den)) for sc, n, p1, li in coeffs])
+def _link_law(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(F, S) of a link of _LINKS at a = t / lam and b = lam_i t / den, elementwise.
+
+    F = P(X <= a (1 + Y)) for X the largest of m unit-mean exponentials and
+    Y exponential of mean b / a; with c = e^-a and d = 1 - c it is
+    2F1(-m, 1/b; 1/b + 1; c), whose binomial expansion alternates in sign.
+    By parts on its Euler integral, F and S = 1 - F obey
+
+        F_i = (i b F_(i-1) + d^i) / (1 + i b),              F_0 = 1,
+        S_i = (i b S_(i-1) + (1 - d^i)) / (1 + i b),        S_0 = 0,
+
+    with 1 - d^i = (1 - d^(i-1)) + c d^(i-1): each step is a convex
+    combination of nonnegative numbers, so F and S are sums of positive
+    terms (as Pfaff's transformation, DLMF 15.8.1, also writes F) and each
+    keeps its own relative accuracy, within 1e-14, down to underflow.  b = 0
+    (no interferer) gives F = d^m; b is capped at 1e300, so an overflowed
+    interference term weighs as an infinitely strong one.  This is the one
+    check of the laws' range.
+    """
+    c, d = np.exp(-a), -np.expm1(-a)
+    b = np.fmin(b, 1e300)  # also where b is 0 * inf: a = inf there, and F = 1 at any b
+    u = 1.0 / (1.0 + b)
+    f, s, power, rest = (b + d) * u, c * u, d, c  # F_i, S_i, d^i and 1 - d^i at i = 1
+    for i in range(2, m + 1):
+        ib = i * b
+        u = 1.0 / (1.0 + ib)
+        rest = rest + c * power
+        power = power * d
+        f = (ib * f + power) * u
+        s = (ib * s + rest) * u
+    if f.max(initial=0.0) > 1.0 + _PROB_TOL or s.max(initial=0.0) > 1.0 + _PROB_TOL:
+        raise RuntimeError(f"CDF_RANGE_VIOLATION: probability {max(f.max(), s.max())!r}")
+    return np.minimum(f, 1.0), np.minimum(s, 1.0)
 
 
-def _row_cdf(a1: float, a2: float, links: list) -> Callable[[float], float]:
-    cap = a2 / a1
-    *ratio_links, far = links
-
-    def cdf(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= cap:
-            return 1.0
-        den = a2 - a1 * x
-        r = math.inf if den <= 0.0 else x / den
-        if math.isinf(r):
-            return 1.0
-        survival = 1.0
-        for link in ratio_links:
-            survival *= _link_survival(link, r)
-        return _clamp_probability(1.0 - survival * _link_survival(far, x))
-
-    return cdf
+def _point_or_array(values: np.ndarray, x) -> float | np.ndarray:
+    """One set's values at x: a float at a scalar x, else the array."""
+    return values if getattr(x, "ndim", 0) else float(values)
 
 
 def far_user_cdf(
@@ -270,55 +277,38 @@ def far_user_cdf(
     The law is that of the e2e SINR min(cross, relay, far), as in
     cdf_gamma2_*; cross_link=False drops the near user's cross-decoding
     link, leaving min(relay, far), whose value at the far-user threshold
-    is outage_u2_*.  The links before the far one take the gain ratio, the
-    far link takes x.  Survivals multiply left to right; an infinite ratio
-    (x at the cap up to rounding) survives with probability 0.
+    is outage_u2_*.  It takes a point or an array of points; it is 0 up to
+    0 and 1 from the a2/a1 cap on.
     """
-    return next(_FarLaws([params], rule).cdfs(cross_link))
+    laws = _Laws(params, rule)
+    return lambda x: _point_or_array(laws.far_cdf(x, cross_link), x)
 
 
-def cdf_gamma1_max_u1(x: float, params: SystemParams) -> float:
-    """Distribution of the near-user SINR under near-user-first selection.
+def cdf_gamma1_max_u1(x, params: SystemParams):
+    """Distribution of the near-user SINR under near-user-first selection, at a point or an array.
 
     Strongest of m_b direct gains over 1 plus the weakest of m_t
     interfering gains.
     """
-    if x <= 0.0:
-        return 0.0
-    _warn_counts(max(params.m_b, params.m_r, params.m_t))
-    g = mean_gains(params)
-    m_b, m_t = params.m_b, params.m_t
-    scale = params.a1 * g.lam_su1
-    terms = [
-        (-1.0) ** p
-        * math.comb(m_b - 1, p)
-        * math.exp(-(p + 1) * x / scale)
-        / ((p + 1) * (1.0 + (p + 1) * g.lam_ru1 * x / (m_t * scale)))
-        for p in range(m_b)
-    ]
-    return _clamp_probability(1.0 - m_b * math.fsum(terms))
+    return _point_or_array(_Laws(params, "max_u1").near_cdf(x), x)
 
 
-def cdf_gamma1_max_u2(x: float, params: SystemParams) -> float:
-    """Distribution of the near-user SINR under far-user selection.
+def cdf_gamma1_max_u2(x, params: SystemParams):
+    """Distribution of the near-user SINR under far-user selection, at a point or an array.
 
     No selection gain reaches the near-user links, so both gains are
     plain exponentials.
     """
-    if x <= 0.0:
-        return 0.0
-    g = mean_gains(params)
-    scale = params.a1 * g.lam_su1
-    return _clamp_probability(1.0 - math.exp(-x / scale) / (1.0 + g.lam_ru1 * x / scale))
+    return _point_or_array(_Laws(params, "max_u2").near_cdf(x), x)
 
 
-def cdf_gamma2_max_u1(x: float, params: SystemParams) -> float:
-    """Distribution of the far-user e2e SINR under near-user-first selection."""
+def cdf_gamma2_max_u1(x, params: SystemParams):
+    """Distribution of the far-user e2e SINR under near-user-first selection, at a point or an array."""
     return far_user_cdf(params, "max_u1")(x)
 
 
-def cdf_gamma2_max_u2(x: float, params: SystemParams) -> float:
-    """Distribution of the far-user e2e SINR under far-user decoupled selection."""
+def cdf_gamma2_max_u2(x, params: SystemParams):
+    """Distribution of the far-user e2e SINR under far-user decoupled selection, at a point or an array."""
     return far_user_cdf(params, "max_u2")(x)
 
 
@@ -409,7 +399,7 @@ _UFLOW = sys.float_info.min
 _CHUNK_NODES = 1 << 14
 # The first partition of a far-user integral grades by this ratio: up from
 # the smallest link SINR scale for eight powers, past which the survival is
-# below m e^-(4^7), and toward the cap (see _FarLaws.breakpoints).
+# below m e^-(4^7), and toward the cap (see _Laws.breakpoints).
 _BREAK_RATIO = 4.0
 _BREAK_POWERS = 8
 # hi = cap (1 - 1e-12) is below cap - cap / 4^20: no row grades further toward the cap.
@@ -426,26 +416,62 @@ def graded_points(scale: float) -> tuple[float, ...]:
     return tuple(scale * _BREAK_RATIO**k for k in range(_BREAK_POWERS))
 
 
-class _FarLaws:
-    """The far-user survival laws of many parameter sets under one rule, as arrays.
+class _Laws:
+    """The links of _LINKS under one rule, for one parameter set or as arrays over many (see _stacked_laws).
 
-    Row i holds parameter set i.  Each link keeps m, lam and den per row and
-    its per-term coefficients sign_p C(m-1, p) and lam_i (p+1) in a (terms,
-    rows) array, zero-padded to the longest link of its position, so a
-    padded term adds exactly 0.
+    Each link keeps its m and its lam, lam_i and den, floats for one set or one per row.  The methods
+    evaluate a law at x of every row (with one set, at any number of points), far_survival at rows.
     """
 
-    def __init__(self, params_seq: Sequence[SystemParams], rule: str):
+    def __init__(self, params: SystemParams, rule: str):
         _check_rule(rule)
-        stacked = _stacked(params_seq)
-        _warn_counts(max((max(p.m_b, p.m_r, p.m_t) for p in params_seq), default=0))
-        self.a1, self.a2 = stacked.a1, stacked.a2
-        self.links = []
-        for link in _FAR_LINKS[rule](stacked, mean_gains(stacked)):
-            m, lam, lam_i, den = np.broadcast_arrays(*link)
-            width = int(max(m.tolist(), default=0))
-            p1 = np.arange(1.0, width + 1.0)[:, None]
-            self.links.append((m, lam, den, _signed_binomials(m, width), np.where(p1 <= m, lam_i * p1, 0.0)))
+        self.a1, self.a2 = params.a1, params.a2
+        self.links = _LINKS[rule](params, mean_gains(params))
+        if isinstance(params.a1, np.ndarray):  # per-set arrays: every constant takes the rows' shape
+            self.links = [(m, *np.broadcast_arrays(*means)) for m, *means in self.links]
+
+    def _at(self, link: tuple, rows, t) -> tuple[np.ndarray, np.ndarray]:
+        """_link_law of a link at t of rows.  A t / lam or an interference term too large for
+        a float is infinite (the callers silence the overflow), which makes the link's F exactly 1."""
+        m, *means = link
+        lam, lam_i, den = means if rows is None else (v[rows] for v in means)
+        return _link_law(m, t / lam, (lam_i * t) / den)
+
+    def near_cdf(self, x) -> np.ndarray:
+        """F of the near-user SINR at x, 0 up to 0 (and 1 at x = inf, where a missing interferer's term is 0 * inf)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._at(self.links[0], None, np.maximum(x, 0.0))[0]
+
+    def _far_points(self, x, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r, t, beyond): the gain ratio for the cross and relay links and x for the far link, x clipped
+        to [0, cap], and where x is at or past the cap (up to rounding, where r is not in [0, inf)): r is
+        0 there and the chain's value is overwritten."""
+        a1, a2 = (self.a1, self.a2) if rows is None else (self.a1[rows], self.a2[rows])
+        cap = a2 / a1
+        t = np.clip(x, 0.0, cap)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r = t / (a2 - a1 * t)
+            beyond = (t >= cap) | ~((r >= 0.0) & (r < np.inf))
+        return np.where(beyond, 0.0, r), t, beyond
+
+    def far_cdf(self, x, cross_link: bool = True) -> np.ndarray:
+        """F of the far-user chain at x (see far_user_cdf): 1 - prod(1 - F_i), as -expm1(sum log1p(-F_i))."""
+        r, t, beyond = self._far_points(x, None)
+        links = self.links[1 if cross_link else 2 :]
+        points = [r] * (len(links) - 1) + [t]
+        with np.errstate(divide="ignore", over="ignore"):  # log1p(-1) = -inf, where a link surely fails
+            total = sum(np.log1p(-self._at(link, None, at)[0]) for link, at in zip(links, points))
+            cdf = 0.0 - np.expm1(total)  # 0.0 - keeps a zero unsigned
+        return np.where(beyond, 1.0, cdf)
+
+    def far_survival(self, x, rows=None) -> np.ndarray:
+        """1 - F of the far-user chain at x: the product of its links' survivals, taken one link at a time."""
+        r, t, beyond = self._far_points(x, rows)
+        survival = np.where(beyond, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            for link, at in zip(self.links[1:], (r, r, t)):
+                survival *= self._at(link, rows, at)[1]
+        return survival
 
     def breakpoints(self, hi: np.ndarray) -> np.ndarray:
         """The increasing inner points, in (0, hi), of each row's first partition, padded with inf.
@@ -460,8 +486,8 @@ class _FarLaws:
         """
         a1, a2 = self.a1, self.a2
         cap = (a2 / a1)[:, None]
-        cross, relay = (a2 * lam / (1.0 + a1 * lam) for _, lam, *_ in self.links[:2])
-        far = self.links[2][1]
+        cross, relay = (a2 * lam / (1.0 + a1 * lam) for _, lam, *_ in self.links[1:3])
+        far = self.links[3][1]
         graded = np.minimum(np.minimum(cross, relay), far)[:, None] * np.array(graded_points(1.0))
         nearest = (cap - np.maximum(cross, relay)[:, None]) / _BREAK_RATIO
         distance = cap / np.array([_BREAK_RATIO**k for k in range(1, _CAP_POWERS + 1)])
@@ -473,47 +499,6 @@ class _FarLaws:
         points[:, 1:][points[:, 1:] == points[:, :-1]] = np.inf  # each point once
         points.sort(axis=1)
         return points
-
-    def cdfs(self, cross_link: bool = True) -> Iterator[Callable[[float], float]]:
-        """F of each row in turn, its links summed term by term with math.exp and math.fsum; see far_user_cdf."""
-        tables = [(m.tolist(), lam.tolist(), den.tolist(), signed.T.tolist(), interferer.T.tolist())
-                  for m, lam, den, signed, interferer in self.links[0 if cross_link else 1 :]]
-        for row, (a1, a2) in enumerate(zip(self.a1.tolist(), self.a2.tolist())):
-            links = []
-            for m, lam, den, signed, interferer in tables:
-                terms = zip(signed[row], range(1, int(m[row]) + 1), interferer[row])  # up to the row's m
-                links.append((m[row], lam[row], den[row], [(sc, -p1, p1, li) for sc, p1, li in terms]))
-            yield _row_cdf(a1, a2, links)
-
-    def survival(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """1 - F at the points x of rows, for 0 < x < the rows' caps.
-
-        Each link is _link_survival term by term in the same float order,
-        summed with an error-free transformation (TwoSum) in place of fsum.
-        """
-        r = x / (self.a2[rows] - self.a1[rows] * x)
-        infinite = np.isinf(r)  # x at the cap up to rounding: survives with probability 0
-        r[infinite] = 0.0
-        survival = np.ones_like(x)
-        for position, (m, lam, den, signed, interferer) in enumerate(self.links):
-            t = x if position == 2 else r
-            lam_r, den_r = lam[rows], den[rows]
-            total = compensation = np.zeros_like(x)
-            for p in range(signed.shape[0]):
-                term = (signed[p][rows] * np.exp(-(p + 1) * t / lam_r)) / (
-                    (p + 1) * (1.0 + interferer[p][rows] * t / den_r)
-                )
-                partial = total + term
-                back = partial - total
-                compensation = compensation + ((total - (partial - back)) + (term - back))
-                total = partial
-            survival = survival * (m[rows] * (total + compensation))
-        survival[infinite] = 0.0
-        raw = 1.0 - survival
-        bad = (raw < -_PROB_TOL) | (raw > 1.0 + _PROB_TOL)
-        if bad.any():
-            raise RuntimeError(f"CDF_RANGE_VIOLATION: raw probability {float(raw[bad][0])!r}")
-        return np.clip(survival, 0.0, 1.0)
 
     def gk21(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
         """QUADPACK's qk21 of (1 - F(x)) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
@@ -531,7 +516,7 @@ class _FarLaws:
             f = np.empty_like(x)
             for start in range(0, len(x), _CHUNK_NODES):
                 part = slice(start, start + _CHUNK_NODES)
-                f[part] = self.survival(node_rows[part], x[part]) / (1.0 + x[part])
+                f[part] = self.far_survival(x[part], node_rows[part]) / (1.0 + x[part])
             f = f.reshape(len(_OFFSETS), len(rows))
             left, fc, right = f[:10], f[10], f[11:]  # left[j] and right[j] sit at -+_XGK[j]
             resk = _WGK_CENTER * fc
@@ -558,6 +543,15 @@ class _FarLaws:
             return resk * half, abserr, resasc
 
 
+def _stacked_laws(params_seq: Sequence[SystemParams], rule: str) -> _Laws:
+    """The laws of many parameter sets as arrays; they must share one antenna triple."""
+    triples = {(p.m_b, p.m_r, p.m_t) for p in params_seq}
+    if len(triples) > 1:
+        raise ValueError(f"the laws take one antenna triple per call, got {sorted(triples)}")
+    m_b, m_r, m_t = triples.pop() if triples else (1, 1, 1)
+    return _Laws(replace(_stacked(params_seq), m_b=m_b, m_r=m_r, m_t=m_t), rule)
+
+
 def far_user_rates(
     params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
 ) -> list[QuadratureResult | NonConvergedError]:
@@ -568,7 +562,7 @@ def far_user_rates(
     21-point Gauss-Kronrod rule, done in numpy for all parameter sets at
     once: every round bisects each unfinished integral's interval of
     largest error, up to 200 intervals.  The first partition has
-    breakpoints at the links' SINR scales (see _FarLaws.breakpoints).  As
+    breakpoints at the links' SINR scales (see _Laws.breakpoints).  As
     in qag, an integral is accepted on its first partition only if no
     interval's error estimate is saturated at its resasc.
 
@@ -581,7 +575,7 @@ def far_user_rates(
     count = len(params_seq)
     if count == 0:
         return []
-    laws = _FarLaws(params_seq, rule)
+    laws = _stacked_laws(params_seq, rule)
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
     hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
     edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])
@@ -641,14 +635,16 @@ def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float
     "max_u1", m_b terms) or cdf_gamma1_max_u2 ("max_u2", the same sum at
     m_b = m_t = 1: no selection gain reaches the near-user links) through
     the rate kernel.  Every term of every set goes through one kernel call;
-    each set's terms are summed with fsum.
+    each set's terms are summed with fsum.  The terms alternate in sign: the
+    sum is off by about 3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at
+    32, and has the wrong sign at 64, so it warns above 16 (see README).
     """
     _check_rule(rule)
     stacked = _stacked(params_seq)
     g = mean_gains(stacked)
     scale = stacked.a1 * g.lam_su1
     if rule == "max_u1":
-        _warn_counts(max((max(p.m_b, p.m_r, p.m_t) for p in params_seq), default=0))
+        _warn_counts(max((p.m_b for p in params_seq), default=0))
         terms, m_t = stacked.m_b, stacked.m_t
     else:
         terms = m_t = np.ones_like(scale)
@@ -722,22 +718,23 @@ def near_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[flo
     """Near-user outage of each parameter set under a rule.
 
     Its SINR distribution cdf_gamma1_* at a1 zeta, or 1 where zeta is
-    infinite; one scalar evaluation per set.
+    infinite; one evaluation of the near links of every set.
     """
-    _check_rule(rule)
-    cdf = cdf_gamma1_max_u1 if rule == "max_u1" else cdf_gamma1_max_u2
-    return [1.0 if math.isinf(z := zeta(params)) else cdf(params.a1 * z, params) for params in params_seq]
+    laws = _stacked_laws(params_seq, rule)
+    z = np.array([zeta(params) for params in params_seq], dtype=float)
+    finite = np.isfinite(z)
+    return np.where(finite, laws.near_cdf(laws.a1 * np.where(finite, z, 0.0)), 1.0).tolist()
 
 
 def far_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
-    """Far-user outage of each parameter set under a rule, from one table of laws.
+    """Far-user outage of each parameter set under a rule, from one evaluation of the links of every set.
 
     The relay must decode the far-user symbol and the far user must
     decode it from the relay; the near-user leg does not appear.  Each is
     far_user_cdf with cross_link=False at the far-user threshold.
     """
-    cdfs = _FarLaws(params_seq, rule).cdfs(cross_link=False)
-    return [cdf(thresholds(params)[1]) for cdf, params in zip(cdfs, params_seq)]
+    theta2 = np.array([thresholds(params)[1] for params in params_seq], dtype=float)
+    return _stacked_laws(params_seq, rule).far_cdf(theta2, cross_link=False).tolist()
 
 
 def outage_u1_max_u1(params: SystemParams) -> float:

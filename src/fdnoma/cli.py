@@ -235,7 +235,7 @@ def _check_alternating_identity(params, trials, seed):
 def _check_cdf_sanity(params, trials, seed):
     cap = analytic.sinr_cap(params)
     near_hi = 60.0 * params.a1 * params.rho_s
-    # Each far-user law is built once and evaluated over the whole grid.
+    # Each law is evaluated over its whole grid in one call; each far-user law is built once.
     cases = [
         ("cdf_gamma1_max_u1", lambda x: analytic.cdf_gamma1_max_u1(x, params), near_hi, False),
         ("cdf_gamma1_max_u2", lambda x: analytic.cdf_gamma1_max_u2(x, params), near_hi, False),
@@ -243,11 +243,10 @@ def _check_cdf_sanity(params, trials, seed):
         ("cdf_gamma2_max_u2", analytic.far_user_cdf(params, "max_u2"), cap, True),
     ]
     for name, cdf, hi, capped in cases:
-        grid = np.linspace(0.0, hi, 1000)
-        values = [cdf(float(x)) for x in grid]
+        values = cdf(np.linspace(0.0, hi, 1000))
         if values[0] != 0.0:
-            return False, f"{name}: F(0) = {values[0]!r}"
-        if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
+            return False, f"{name}: F(0) = {float(values[0])!r}"
+        if np.any(np.diff(values) < -1e-12):
             return False, f"{name}: not nondecreasing"
         if capped and cdf(cap) != 1.0:
             return False, f"{name}: F(cap) != 1"

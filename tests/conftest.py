@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fdnoma.analytic import EULER_GAMMA, LN2, NonConvergedError, _clamp_probability
+from fdnoma.analytic import EULER_GAMMA, LN2, NonConvergedError, thresholds, zeta
 from fdnoma.channel import GainBatch
 from fdnoma.config import SystemParams, default_params, mean_gains, validate
 from fdnoma.montecarlo import write_csv
@@ -51,9 +52,17 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 # The scalar closed-form kernels, far-user links and one-set closed forms that
-# fdnoma.analytic's array evaluators replaced, kept verbatim as the oracle those
-# must equal bit for bit.  The kernel's singular fallback is scipy's quad,
-# inaccurate on narrow integrands; compare only away from alpha = 1.
+# fdnoma.analytic's array evaluators replaced, kept verbatim as the oracle.
+# The near-user rate must equal it bit for bit.  The kernel's singular
+# fallback is scipy's quad, inaccurate on narrow integrands; compare only
+# away from alpha = 1.  The alternating link sums cancel, so the laws are
+# held to mpmath evaluations of the oracle's links instead (mp_law_cdf).
+
+
+def _clamp_probability(raw: float) -> float:
+    if raw < -1e-12 or raw > 1.0 + 1e-12:
+        raise RuntimeError(f"CDF_RANGE_VIOLATION: raw probability {raw!r}")
+    return min(max(raw, 0.0), 1.0)
 
 
 def _scaled_e1(t: float) -> float:
@@ -190,6 +199,58 @@ def _far_links_max_u2(params: SystemParams) -> tuple[_Link, _Link, _Link]:
 
 
 ORACLE_FAR_LINKS = {"max_u1": _far_links_max_u1, "max_u2": _far_links_max_u2}
+
+
+def oracle_links(params: SystemParams, rule: str) -> list[tuple]:
+    """Every link (m, lam, lam_i, den) of a rule: the near link as cdf_gamma1_* spelled it
+    out (the near-user rate's terms), then the cross, relay and far links."""
+    g = mean_gains(params)
+    scale = params.a1 * g.lam_su1
+    near = (params.m_b, scale, g.lam_ru1, params.m_t * scale) if rule == "max_u1" else (1, scale, g.lam_ru1, scale)
+    return [near, *((m, lam, coeffs[0][3], den) for m, lam, den, coeffs in ORACLE_FAR_LINKS[rule](params))]
+
+
+def mp_link_cdf(m: int, a, b):
+    """F of a link at a = t / lam, b = lam_i t / den, in mpmath at the caller's precision.
+
+    The alternating form F = sum_k C(m, k) (-c)^k / (1 + k b), c = e^-a; it
+    needs about log10 C(m, m/2) more digits than the answer keeps, 18 at m = 64.
+    """
+    c = mp.exp(-a)
+    return mp.fsum(mp.binomial(m, k) * (-c) ** k / (1 + k * b) for k in range(m + 1))
+
+
+# Enough digits for an F down to 1e-290 under 18 digits of cancellation.
+MP_LAW_DPS = 450
+
+
+def mp_law_cdf(links, points) -> float:
+    """1 - prod(1 - F_i) of links (m, lam, lam_i, den) at their points, at MP_LAW_DPS digits."""
+    with mp.workdps(MP_LAW_DPS):
+        survival = mp.mpf(1)
+        for (m, lam, lam_i, den), t in zip(links, points):
+            t = mp.mpf(t)
+            survival *= 1 - mp_link_cdf(m, t / lam, lam_i * t / den)
+        return float(1 - survival)
+
+
+def mp_far_user_cdf(params: SystemParams, rule: str, x: float, cross_link: bool = True) -> float:
+    """The far-user chain's F at x (see analytic.far_user_cdf), at MP_LAW_DPS digits."""
+    if x <= 0.0:
+        return 0.0
+    if x >= params.a2 / params.a1:
+        return 1.0
+    with mp.workdps(MP_LAW_DPS):
+        r = mp.mpf(x) / (mp.mpf(params.a2) - mp.mpf(params.a1) * x)
+    links = oracle_links(params, rule)[1 if cross_link else 2 :]
+    return mp_law_cdf(links, [r] * (len(links) - 1) + [x])
+
+
+def mp_outages(params: SystemParams, rule: str) -> tuple[float, float]:
+    """(outage_u1, outage_u2) under a rule, at MP_LAW_DPS digits."""
+    z = zeta(params)
+    near = 1.0 if math.isinf(z) else mp_law_cdf(oracle_links(params, rule)[:1], [params.a1 * z])
+    return near, mp_far_user_cdf(params, rule, thresholds(params)[1], cross_link=False)
 
 
 def oracle_far_user_cdf(params: SystemParams, rule: str, cross_link: bool = True):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,16 +30,27 @@ from fdnoma.analytic import (
 from fdnoma.config import SweepSpec, default_params, mean_gains
 
 from conftest import (
+    MP_LAW_DPS,
     ORACLE_FAR_LINKS,
+    _clamp_probability,
     exp_int_ei,
     make_params,
+    mp_far_user_cdf,
+    mp_link_cdf,
+    mp_outages,
     near_kernel_alphas,
     oracle_breakpoints,
     oracle_far_user_cdf,
+    oracle_links,
     oracle_rate_u1_max_u1,
     oracle_rate_u1_max_u2,
     run_fresh,
 )
+
+
+def assert_near_mpmath(value: float, oracle: float, rel: float = 1e-13) -> None:
+    """value within rel of oracle, relative all the way down to 1e-290."""
+    assert abs(value - oracle) <= rel * abs(oracle) + 1e-290, (value, oracle)
 
 
 class TestExponentialIntegral:
@@ -205,10 +217,13 @@ def test_rate_kernel_near_its_singularity_matches_mpmath(beta, offset):
 )
 @settings(max_examples=60, deadline=None)
 def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_db):
-    # Every analytic column, bit for bit, against the one-set closed forms in
-    # conftest; rate_u2 through the far-law tables and first partitions the
-    # quadrature starts from.  Rows with a kernel alpha within 1e-6 of 1 skip
-    # rate_u1, where the oracle falls back to scipy's quad.
+    # Every sweep row equals the one-set closed forms, bit for bit.  The
+    # near-user rate equals the one-set oracle in conftest bit for bit, and
+    # rate_u2 comes from the oracle's first partitions.  The links of the laws
+    # are the oracle's, and the outages are within 1e-13 relative of 450-digit
+    # mpmath on those links: the oracle's alternating sums are accurate only
+    # in absolute terms, and miss deep floors by more.  Rows with a kernel alpha
+    # within 1e-6 of 1 skip the rate oracle, which falls back to scipy's quad there.
     m_b, m_r, m_t = antennas
     var_br, var_bu1, var_ru1, var_ru2, var_si = variances
     params = make_params(m_b=m_b, m_r=m_r, m_t=m_t, a1=a1, a2=1.0 - a1, k1=k1, var_br=var_br,
@@ -219,29 +234,30 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
     rows, notes = montecarlo.analytic_sweep(params, spec)
     assert notes == []
     points = [p for _, _, p in montecarlo._power_points(params, spec)]
-    oracles = {"max_u1": (oracle_rate_u1_max_u1, cdf_gamma1_max_u1), "max_u2": (oracle_rate_u1_max_u2, cdf_gamma1_max_u2)}
+    one_set = {
+        "max_u1": (oracle_rate_u1_max_u1, rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
+        "max_u2": (oracle_rate_u1_max_u2, rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
+    }
     for scheme, rule in (("max_u1_analytic", "max_u1"), ("max_u2_decoupled", "max_u2")):
-        laws = analytic._FarLaws(points, rule)
+        laws = analytic._stacked_laws(points, rule)
         hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
         breakpoints = laws.breakpoints(hi)
-        rate_u1, near_cdf = oracles[rule]
+        oracle_rate, rate_u1, outage_u1, outage_u2 = one_set[rule]
         for row, (p, sweep_row) in enumerate(zip(points, [r for r in rows if r.scheme == scheme])):
-            for (m, lam, den, signed, interferer), (om, olam, oden, coeffs) in zip(laws.links, ORACLE_FAR_LINKS[rule](p)):
-                assert (m[row], lam[row], den[row]) == (om, olam, oden)
-                assert signed[:, row].tolist() == [sc for sc, *_ in coeffs] + [0.0] * (len(signed) - om)
-                assert interferer[:, row].tolist() == [li for *_, li in coeffs] + [0.0] * (len(signed) - om)
+            assert [(m, *(v[row] for v in means)) for m, *means in laws.links] == oracle_links(p, rule)
             inner = breakpoints[row][np.isfinite(breakpoints[row])].tolist()
             assert inner == oracle_breakpoints(p, rule, sinr_cap(p) * (1.0 - 1e-12))
             metrics = sweep_row.metrics
-            r2 = analytic.far_user_rates([p], rule)[0].value
-            z = zeta(p)
-            assert metrics.outage_u1.value == (1.0 if math.isinf(z) else near_cdf(p.a1 * z, p))
-            assert metrics.outage_u2.value == oracle_far_user_cdf(p, rule, cross_link=False)(thresholds(p)[1])
-            assert metrics.rate_u2.value == r2
+            r1, r2 = rate_u1(p), analytic.far_user_rates([p], rule)[0].value
+            assert (metrics.rate_u1.value, metrics.rate_u2.value, metrics.rate_sum.value) == (r1, r2, r1 + r2)
+            assert metrics.jain_index.value == montecarlo.jain_index(r1, r2)
+            outages = (metrics.outage_u1.value, metrics.outage_u2.value)
+            assert outages == (outage_u1(p), outage_u2(p))
+            for value, oracle in zip(outages, mp_outages(p, rule)):
+                assert_near_mpmath(value, oracle)
+            assert outages[1] == pytest.approx(oracle_far_user_cdf(p, rule, cross_link=False)(thresholds(p)[1]), rel=0.0, abs=1e-14)
             if all(abs(alpha - 1.0) >= 1e-6 for alpha in near_kernel_alphas(p, rule)):
-                r1 = rate_u1(p)
-                assert (metrics.rate_u1.value, metrics.rate_sum.value) == (r1, r1 + r2)
-                assert metrics.jain_index.value == montecarlo.jain_index(r1, r2)
+                assert r1 == oracle_rate(p)
 
 
 class TestNearUserCdfs:
@@ -418,7 +434,7 @@ def oracle_cdf_gamma2_max_u1(x, params):
         * _oracle_sf_relay_s1(x, params, g.lam_br, g.lam_si)
         * _oracle_sf_far_s1(x, g.lam_ru2)
     )
-    return analytic._clamp_probability(1.0 - survival)
+    return _clamp_probability(1.0 - survival)
 
 
 def oracle_cdf_gamma2_max_u2(x, params):
@@ -432,36 +448,12 @@ def oracle_cdf_gamma2_max_u2(x, params):
         * _oracle_sf_relay_s2(x, params, g.lam_br, g.lam_si)
         * _oracle_sf_far_s2(x, params, g.lam_ru2)
     )
-    return analytic._clamp_probability(1.0 - survival)
-
-
-def oracle_outage_u2_max_u1(params):
-    _, theta2 = thresholds(params)
-    if theta2 >= sinr_cap(params):
-        return 1.0
-    g = mean_gains(params)
-    survival = _oracle_sf_relay_s1(theta2, params, g.lam_br, g.lam_si) * _oracle_sf_far_s1(
-        theta2, g.lam_ru2
-    )
-    return analytic._clamp_probability(1.0 - survival)
-
-
-def oracle_outage_u2_max_u2(params):
-    _, theta2 = thresholds(params)
-    if theta2 >= sinr_cap(params):
-        return 1.0
-    g = mean_gains(params)
-    survival = _oracle_sf_relay_s2(theta2, params, g.lam_br, g.lam_si) * _oracle_sf_far_s2(
-        theta2, params, g.lam_ru2
-    )
-    return analytic._clamp_probability(1.0 - survival)
+    return _clamp_probability(1.0 - survival)
 
 
 FAR_USER_LAWS = (
-    (cdf_gamma2_max_u1, oracle_cdf_gamma2_max_u1, rate_u2_max_u1,
-     outage_u2_max_u1, oracle_outage_u2_max_u1),
-    (cdf_gamma2_max_u2, oracle_cdf_gamma2_max_u2, rate_u2_max_u2,
-     outage_u2_max_u2, oracle_outage_u2_max_u2),
+    (cdf_gamma2_max_u1, oracle_cdf_gamma2_max_u1, rate_u2_max_u1, outage_u2_max_u1),
+    (cdf_gamma2_max_u2, oracle_cdf_gamma2_max_u2, rate_u2_max_u2, outage_u2_max_u2),
 )
 
 ORACLE_PARAMS = {
@@ -481,21 +473,27 @@ ORACLE_PARAMS = {
 
 @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
 def test_far_user_laws_equal_per_call_oracle(params):
+    # The entry point at a point and the built law at a point and over an
+    # array agree bit for bit, within 1e-13 relative of 450-digit mpmath on
+    # the oracle's links.  The far-user rates still match scipy's quad of the
+    # per-call alternating oracle, which is accurate in absolute terms.
     cap = sinr_cap(params)
     xs = [0.0, 1e-300, *(cap * k / 40 for k in range(1, 40)), math.nextafter(cap, 0.0),
           cap * (1.0 - 1e-12), cap, cap + 1.0]
-    for (cdf, oracle_cdf, rate, outage, oracle_outage), rule in zip(FAR_USER_LAWS, ("max_u1", "max_u2")):
+    for (cdf, oracle_cdf, rate, outage), rule in zip(FAR_USER_LAWS, ("max_u1", "max_u2")):
         law = analytic.far_user_cdf(params, rule)  # built once, evaluated at every x
-        for x in xs:
-            assert cdf(x, params) == oracle_cdf(x, params), (cdf.__name__, x)
-            assert law(x) == oracle_cdf(x, params), (rule, x)
+        values = [law(x) for x in xs]
+        assert law(np.array(xs)).tolist() == values, rule
+        for x, value in zip(xs, values):
+            assert cdf(x, params) == value, (cdf.__name__, x)
+            assert_near_mpmath(value, mp_far_user_cdf(params, rule, x))
         reference = rate_from_cdf(lambda x: oracle_cdf(x, params), upper=cap)
         result = rate(params)
         # QUADPACK reads 0 where the law is narrower than its first nodes (the
         # 1e-100 gains); the rates there are below 1e-98, hence the abs floor.
         assert result.value == pytest.approx(reference.value, rel=1e-12, abs=1e-15), rate.__name__
         assert result.abs_error_bound <= max(1e-9, 1e-8 * result.value), rate.__name__
-        assert outage(params) == oracle_outage(params), outage.__name__
+        assert_near_mpmath(outage(params), mp_outages(params, rule)[1])
 
 
 def test_gauss_kronrod_rule_is_exact_on_polynomials():
@@ -523,11 +521,12 @@ def test_far_user_rates_raise_no_floating_point_warning(params):
 
 
 def mp_far_user_rate(params, rule):
-    """30-digit mpmath oracle of a far-user rate, on the links' own coefficients.
+    """50-digit mpmath oracle of a far-user rate, on the links' own coefficients.
 
     Gauss-Legendre over a partition graded by 4 toward 0 and toward the cap,
     where the gain ratio has its pole; no point depends on the parameters
-    beyond the cap.
+    beyond the cap.  The alternating sums lose about log10 C(m, m/2) digits,
+    9 at m = 32.
     """
     import mpmath as mp
 
@@ -537,7 +536,7 @@ def mp_far_user_rate(params, rule):
         m, lam, den, coeffs = link
         return m * mp.fsum((sc * mp.exp(n * t / lam)) / (p1 * (1 + li * t / den)) for sc, n, p1, li in coeffs)
 
-    with mp.workdps(30):
+    with mp.workdps(50):
         a1, a2 = mp.mpf(params.a1), mp.mpf(params.a2)
         cap = a2 / a1
 
@@ -556,6 +555,7 @@ MPMATH_PARAMS = {
     # 36.9 dB is where QUADPACK's rate is off its true value by 1.4e-10.
     "36.9 dB": make_params(rho_s=10**3.69, rho_r=10**3.69),
     "16x16x16": make_params(m_b=16, m_r=16, m_t=16, rho_s=100.0, rho_r=100.0),
+    "32x32x32": make_params(m_b=32, m_r=32, m_t=32, rho_s=100.0, rho_r=100.0),
 }
 
 
@@ -590,7 +590,7 @@ def test_saturated_first_estimate_is_not_accepted(monkeypatch):
     # of the law and its error estimate saturates at resasc, below the
     # tolerance: accepted on that alone, the rate read 1.6e-11, not 8.9e-4.
     params = NARROW_PARAMS["-30 dB"]
-    monkeypatch.setattr(analytic._FarLaws, "breakpoints", lambda self, hi: np.empty((len(hi), 0)))
+    monkeypatch.setattr(analytic._Laws, "breakpoints", lambda self, hi: np.empty((len(hi), 0)))
     result = rate_u2_max_u1(params)
     oracle = mp_far_user_rate(params, "max_u1")
     assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)
@@ -619,22 +619,60 @@ def test_far_user_rates_return_non_convergence_per_row(baseline):
         rate_u2_max_u1(baseline, rel_tol=1e-15, abs_tol=1e-300)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda p: rate_u2_max_u1(p),
-        lambda p: rate_u2_max_u2(p),
-        lambda p: cdf_gamma2_max_u2(1.0, p),
-        lambda p: outage_u2_max_u1(p),
-        lambda p: analytic.far_user_cdf(p, "max_u2", cross_link=False),
-    ],
-    ids=["rate_u2_max_u1", "rate_u2_max_u2", "cdf_gamma2_max_u2", "outage_u2_max_u1", "far_user_cdf"],
-)
-def test_far_user_laws_warn_above_sixteen_antennas(call):
+# Each call's value and the mpmath oracle of it, with the relative tolerance:
+# the quadrature's for the rates, 1e-13 for the laws.
+FAR_LAW_CALLS = {
+    "rate_u2_max_u1": (lambda p: rate_u2_max_u1(p).value, lambda p: mp_far_user_rate(p, "max_u1"), 1e-8),
+    "rate_u2_max_u2": (lambda p: rate_u2_max_u2(p).value, lambda p: mp_far_user_rate(p, "max_u2"), 1e-8),
+    "cdf_gamma2_max_u2": (lambda p: cdf_gamma2_max_u2(1.0, p), lambda p: mp_far_user_cdf(p, "max_u2", 1.0), 1e-13),
+    "outage_u2_max_u1": (outage_u2_max_u1, lambda p: mp_outages(p, "max_u1")[1], 1e-13),
+    "far_user_cdf": (
+        lambda p: analytic.far_user_cdf(p, "max_u2", cross_link=False)(1.0),
+        lambda p: mp_far_user_cdf(p, "max_u2", 1.0, cross_link=False),
+        1e-13,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, oracle, rel", FAR_LAW_CALLS.values(), ids=FAR_LAW_CALLS.keys())
+def test_far_user_laws_are_exact_above_sixteen_antennas(call, oracle, rel):
+    # The alternating sums these laws were once summed by warned from 17
+    # antennas on; the positive ones need no warning.
     params = make_params(m_b=17, m_r=4, m_t=4)
-    with pytest.warns(RuntimeWarning, match="alternating binomial") as record:
-        call(params)
-    assert record[0].filename == __file__  # attributed to the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = call(params)
+    assert_near_mpmath(value, oracle(params), rel)
+
+
+def test_link_law_matches_mpmath():
+    # F and S of one link over m = 1..64, a = 1e-6..700 and b = 0..1e6,
+    # against the alternating sum at 450 digits (S down to 1e-290 under
+    # 18 digits of cancellation).
+    a = np.geomspace(1e-6, 700.0, 11)
+    for m in (1, 2, 4, 5, 16, 17, 32, 64):
+        for b in (0.0, 1e-6, 1e-3, 0.3, 1.0, 30.0, 1e6):
+            f, s = analytic._link_law(m, a, np.full_like(a, b))
+            with mp.workdps(MP_LAW_DPS):
+                for i, x in enumerate(a.tolist()):
+                    oracle = mp_link_cdf(m, mp.mpf(x), mp.mpf(b))
+                    assert_near_mpmath(f[i], float(oracle), 1e-14)
+                    assert_near_mpmath(s[i], float(1 - oracle), 1e-14)
+
+
+def test_deep_near_user_outage_at_seventeen_antennas():
+    # The alternating sum read 6.7e-12 here.
+    params = make_params(m_b=17, m_r=2, m_t=2, rho_s=1e5, rho_r=1e5)
+    oracle = mp_outages(params, "max_u1")[0]
+    assert oracle == pytest.approx(4.3313395e-22, rel=1e-7)
+    assert_near_mpmath(outage_u1_max_u1(params), oracle)
+
+
+def test_laws_take_one_antenna_triple_per_call(baseline):
+    with pytest.raises(ValueError, match="one antenna triple"):
+        analytic.far_user_rates([baseline, make_params(m_b=5)], "max_u1")
+    with pytest.raises(ValueError, match="one antenna triple"):
+        analytic.near_user_outages([baseline, make_params(m_t=3)], "max_u2")
 
 
 def test_far_user_cdf_rejects_unknown_rule(baseline):
@@ -718,6 +756,7 @@ class TestOutage:
 
 
 def test_large_antenna_count_warns():
+    # The near-user rate is the one alternating sum left.
     params = make_params(m_b=17, m_r=4, m_t=4)
     with pytest.warns(RuntimeWarning, match="alternating binomial"):
-        cdf_gamma1_max_u1(1.0, params)
+        rate_u1_max_u1(params)

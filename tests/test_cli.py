@@ -2,6 +2,7 @@ import csv
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -213,6 +214,27 @@ class TestSweep:
             count, ub = tokens[name].split(",ub95=")
             assert count == "0/100000"
             assert float(ub) == pytest.approx(bound, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "antennas, power", [(14, "40,50"), (16, "0:60:10"), (24, "0:60:10"), (32, "0:60:10"), (64, "0:60:10")]
+    )
+    def test_analytic_sweep_at_large_arrays(self, antennas, power, tmp_path, capsys):
+        # Summed as alternating binomial sums, the laws made these sweeps exit
+        # 1 with CDF_RANGE_VIOLATION: 14 antennas at 40 and 50 dB, and every
+        # point tried from 16 antennas on.
+        path = tmp_path / "large.cfg"
+        path.write_text(f"m_b = {antennas}\nm_r = {antennas}\nm_t = {antennas}\n")
+        out = tmp_path / "large.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the near-user rate's warning from 17 antennas on
+            code = main(["sweep", "--config", str(path), "--mode", "analytic", "--power", power, "--output", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2 * len(parse_power_grid(power))
+        for row in rows:
+            assert 0.0 <= float(row["outage_u1"]) <= 1.0 and 0.0 <= float(row["outage_u2"]) <= 1.0, row
+            assert 0.0 <= float(row["rate_u2"]) < math.log2(1.0 + 0.75 / 0.25), row
 
     def test_metrics_restriction(self, config_path, tmp_path):
         out = tmp_path / "rates_only.csv"
@@ -453,11 +475,25 @@ class TestValidate:
         assert cli._check_cdf_sanity(default_params(20.0), 0, 1)[0]
         assert built == ["max_u1", "max_u2"]
 
-    def test_cdf_sanity_warning_names_the_check(self):
+    def test_near_rate_warning_names_the_check(self):
+        # From 17 antennas only the near-user rate's alternating sum warns,
+        # attributed to the check that asked for it; the laws do not warn.
         params = replace(default_params(20.0), m_b=17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._check_cdf_sanity(params, 0, 1)[0]
         with pytest.warns(RuntimeWarning, match="alternating binomial") as record:
-            cli._check_cdf_sanity(params, 0, 1)
+            cli._check_closed_form_vs_quadrature(params, 0, 1)
         assert {w.filename for w in record} == {cli.__file__}
+
+    def test_large_arrays_pass_every_check(self, tmp_path, capsys):
+        # The alternating sums read CDF_RANGE_VIOLATION here.
+        path = tmp_path / "large.cfg"
+        path.write_text("m_b = 16\nm_r = 16\nm_t = 16\n")
+        code = main(["validate", "--config", str(path), "--trials", "20000"])
+        verdicts = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert code == EXIT_OK
+        assert verdicts == ["PASS"] * len(cli.DEFAULT_CHECKS)
 
     def test_rare_outage_judged_on_exact_binomial_tail(self):
         # 20 dB near-user outage 2.30e-7, 1e6 trials: 3 events (P = 0.17%)
