@@ -70,6 +70,9 @@ class MeanGains:
     lam_si: float
 
 
+KNOWN_METRICS = ("rates", "outage", "jain")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep request: power grid, schemes, metrics, trials, seed.
@@ -80,7 +83,7 @@ class SweepSpec:
 
     power_db: tuple[float, ...]
     schemes: tuple[str, ...]
-    metrics: tuple[str, ...] = ("rates", "outage", "jain")
+    metrics: tuple[str, ...] = KNOWN_METRICS
     trials: int = 1_000_000
     seed: int = 1
     rho_r_db: tuple[float, ...] | None = None
@@ -106,6 +109,9 @@ class SweepSpec:
             )
         if len(self.metrics) == 0:
             raise ConfigError("SWEEP_EMPTY", "metric list must be non-empty")
+        unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
+        if unknown:
+            raise ConfigError("SWEEP_METRIC_UNKNOWN", f"unknown metric {unknown[0]!r}; known: {', '.join(KNOWN_METRICS)}")
         check_run(self.trials, self.seed)
         if self.rho_r_db is not None and len(self.rho_r_db) != len(self.power_db):
             raise ConfigError(
@@ -128,8 +134,6 @@ _POWER_SPLIT_TOL = 1e-12
 # multiply and divide pairs of gains; beyond these bounds such products
 # leave the float range (an underflowed ratio made rate_u1_max_u1 raise).
 GAIN_RANGE = (1e-100, 1e100)
-
-KNOWN_METRICS = ("rates", "outage", "jain")
 
 
 def validate(params: SystemParams) -> SystemParams:

@@ -2,19 +2,21 @@
 
 Trials are drawn in fixed-size blocks, one RNG stream per block.  Blocks
 run on up to two threads, min(2, available CPUs), with no option to set
-it, and the per-block partial sums are reduced in block order with
-math.fsum, so results are byte-identical for any worker count.  A run of
-one block uses the second thread inside the block instead: a helper
-thread searches joint-search tiles while the calling thread runs the
-stage-wise schemes, then both share the tiles that are left, and the two
-joint schemes' sums are reduced one per thread.  Each thread running
-blocks holds one block workspace, a gain batch (about 22 MiB at 4x4x4
-antennas) and a set of gather/SINR buffers, for the length of a sweep or
-estimator call: blocks are drawn, gathered and reduced in place, and the
-buffers are freed when the call returns.  Within a sweep row, every
-scheme sees the same channel realizations (common random numbers), which
-makes the per-realization dominance relations between schemes hold
-exactly in the outputs.
+it, and one reduction, _metric_set, turns a scheme's per-block partial
+sums into all its metrics with math.fsum in block order, so results are
+byte-identical for any worker count.  estimate_rates and estimate_outage
+are views of estimate_metrics for one scheme.  A run of one block uses
+the second thread inside the block instead: a helper thread searches
+joint-search tiles while the calling thread runs the stage-wise schemes,
+then both share the tiles that are left, and the two joint schemes' sums
+are reduced one per thread.  Each thread running blocks holds one block
+workspace, a gain batch (about 22 MiB at 4x4x4 antennas) and a set of
+gather/SINR buffers, for the length of a sweep or estimator call: blocks
+are drawn, gathered and reduced in place, and the buffers are freed when
+the call returns.  Within a sweep row, every scheme sees the same
+channel realizations (common random numbers), which makes the
+per-realization dominance relations between schemes hold exactly in the
+outputs.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ class MetricSet:
 
 
 @dataclass(frozen=True)
-class OutageEstimate:
-    outage_u1: MetricEstimate
-    outage_u2: MetricEstimate
-    threshold_infeasible: bool = False
-
-
-@dataclass(frozen=True)
 class SweepRow:
     power_db: float
     scheme: str
@@ -88,32 +83,6 @@ def jain_index(rate_u1: float, rate_u2: float) -> float:
         return 1.0
     total = rate_u1 + rate_u2
     return total * total / (2.0 * (rate_u1 * rate_u1 + rate_u2 * rate_u2))
-
-
-class _Stats:
-    """Per-scheme partial sums, one entry per block, reduced in block order."""
-
-    def __init__(self):
-        self.n = 0
-        self.sum_r1: list[float] = []
-        self.sum_r2: list[float] = []
-        self.sum_r1sq: list[float] = []
-        self.sum_r2sq: list[float] = []
-        self.sum_r1r2: list[float] = []
-        self.count_out1 = 0
-        self.count_out2 = 0
-
-    def add_block(self, sums: tuple) -> None:
-        """Append one block's partial sums, as returned by _scheme_sums."""
-        n, r1, r2, r1sq, r2sq, r1r2, out1, out2 = sums
-        self.n += n
-        self.sum_r1.append(r1)
-        self.sum_r2.append(r2)
-        self.sum_r1sq.append(r1sq)
-        self.sum_r2sq.append(r2sq)
-        self.sum_r1r2.append(r1r2)
-        self.count_out1 += out1
-        self.count_out2 += out2
 
 
 class SinrBuffers:
@@ -299,19 +268,19 @@ def _simulate(
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int | None = None,
     workspace: _Workspace | None = None,
-) -> dict[str, _Stats]:
-    """Statistics per scheme; every scheme sees the same blocks, each drawn once.
+) -> dict[str, list[tuple]]:
+    """Each scheme's _scheme_sums per block, in block order; every scheme sees the same blocks.
 
-    Blocks run on `workers` threads, min(2, available CPUs) by default,
-    one block in flight per thread, each searching its joint tiles alone;
-    numpy releases the GIL in the draws and the array kernels.  Each
-    block's partial sums are appended in block order, so the results are
-    bit-identical for any worker count.  A single worker runs every block
-    in the calling thread.  A single block with two or more workers runs
-    in the calling thread too, with one helper thread for its joint-search
-    tiles and one joint scheme's sums, so threads are never nested.
-    `workspace` (a new one when None) holds min(block_size, trials) trials.
-    block_size is part of each block's stream key, so the public
+    Blocks run on `workers` threads, min(2, available CPUs) by default, one
+    block in flight per thread, each searching its joint tiles alone; numpy
+    releases the GIL in the draws and the array kernels.  Each block's
+    partial sums are appended in block order, so their reduction by
+    _metric_set is bit-identical for any worker count.  A single worker runs
+    every block in the calling thread.  A single block with two or more
+    workers runs in the calling thread too, with one helper thread for its
+    joint-search tiles and one joint scheme's sums, so threads are never
+    nested.  `workspace` (a new one when None) holds min(block_size, trials)
+    trials.  block_size is part of each block's stream key, so the public
     estimators and run_sweep keep it at DEFAULT_BLOCK_SIZE.
     """
     validate(params)
@@ -319,8 +288,8 @@ def _simulate(
     for scheme in schemes:
         check_scheme(scheme)
     thresholds = analytic.thresholds(params)
-    stats = {scheme: _Stats() for scheme in schemes}
-    unique = tuple(stats)  # a repeated scheme is simulated once
+    per_block = {scheme: [] for scheme in schemes}
+    unique = tuple(per_block)  # a repeated scheme is simulated once
     if workspace is None:
         workspace = _Workspace(params, min(block_size, trials))
 
@@ -328,112 +297,73 @@ def _simulate(
         index, _, count = block
         return _run_block(params, unique, (*entropy_base, index), count, thresholds, workspace, overlap)
 
-    def reduce(partials) -> dict[str, _Stats]:
+    def collect(partials) -> dict[str, list[tuple]]:
         for sums in partials:  # in block order
             for scheme, block in sums.items():
-                stats[scheme].add_block(block)
-        return stats
+                per_block[scheme].append(block)
+        return per_block
 
     layout = blocks(trials, block_size)
     workers = min(2, _available_cpus()) if workers is None else workers
     if workers < 2 or trials <= block_size:
-        return reduce(run(block, overlap=workers >= 2) for block in layout)
+        return collect(run(block, overlap=workers >= 2) for block in layout)
     # Imported here, so a run that needs no pool does not load the thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        return reduce(pool.map(run, layout))
+        return collect(pool.map(run, layout))
 
 
-def _rate_estimates(stats: _Stats) -> tuple[MetricEstimate, MetricEstimate, MetricEstimate]:
-    n = stats.n
-    s1 = math.fsum(stats.sum_r1)
-    s2 = math.fsum(stats.sum_r2)
-    q1 = math.fsum(stats.sum_r1sq)
-    q2 = math.fsum(stats.sum_r2sq)
-    s12 = math.fsum(stats.sum_r1r2)
-    m1 = s1 / n
-    m2 = s2 / n
+def _masked_set(metrics: tuple[str, ...], nan: MetricEstimate, rates=None, outages=None, jain=None) -> MetricSet:
+    """A MetricSet of the requested metric families, each from its function (called only if
+    requested), and `nan` in every field of the others: simulated and closed-form alike."""
+    rate_u1, rate_u2, rate_sum = rates() if "rates" in metrics else (nan, nan, nan)
+    outage_u1, outage_u2 = outages() if "outage" in metrics else (nan, nan)
+    return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain() if "jain" in metrics else nan)
+
+
+def _metric_set(blocks: list[tuple], metrics: tuple[str, ...]) -> MetricSet:
+    """One scheme's metrics from its per-block _scheme_sums, reduced with math.fsum in block order.
+
+    The means and the variances of the mean rates are computed once; the
+    rates and their standard errors, the outage frequencies and Jain's
+    index of the mean rates, with its delta-method standard error, are
+    taken from them.
+    """
+    counts, r1, r2, r1sq, r2sq, r1r2, outs1, outs2 = zip(*blocks)
+    n, count_out1, count_out2 = sum(counts), sum(outs1), sum(outs2)
+    s1, s2, q1, q2, s12 = map(math.fsum, (r1, r2, r1sq, r2sq, r1r2))
+    m1, m2 = s1 / n, s2 / n
     if n > 1:
-        var1 = max((q1 - n * m1 * m1) / (n - 1), 0.0)
-        var2 = max((q2 - n * m2 * m2) / (n - 1), 0.0)
-        var_sum = max((q1 + q2 + 2.0 * s12 - n * (m1 + m2) ** 2) / (n - 1), 0.0)
-    else:
-        var1 = var2 = var_sum = 0.0
-    return (
-        MetricEstimate(m1, math.sqrt(var1 / n), n),
-        MetricEstimate(m2, math.sqrt(var2 / n), n),
-        MetricEstimate(m1 + m2, math.sqrt(var_sum / n), n),
-    )
-
-
-def _outage_estimates(stats: _Stats) -> tuple[MetricEstimate, MetricEstimate]:
-    n = stats.n
-    estimates = []
-    for count in (stats.count_out1, stats.count_out2):
-        p = count / n
-        estimates.append(MetricEstimate(p, math.sqrt(p * (1.0 - p) / n), n))
-    return tuple(estimates)
-
-
-def _jain_estimate(stats: _Stats) -> MetricEstimate:
-    """Fairness of the estimated mean rates; standard error by the delta method."""
-    n = stats.n
-    m1 = math.fsum(stats.sum_r1) / n
-    m2 = math.fsum(stats.sum_r2) / n
-    value = jain_index(m1, m2)
-    if n > 1 and (m1 != 0.0 or m2 != 0.0):
-        q1 = math.fsum(stats.sum_r1sq)
-        q2 = math.fsum(stats.sum_r2sq)
-        s12 = math.fsum(stats.sum_r1r2)
         var1 = max((q1 - n * m1 * m1) / (n - 1), 0.0) / n
         var2 = max((q2 - n * m2 * m2) / (n - 1), 0.0) / n
-        cov = ((s12 - n * m1 * m2) / (n - 1)) / n
-        norm = (m1 * m1 + m2 * m2) ** 2
-        d1 = (m1 + m2) * m2 * (m2 - m1) / norm
-        d2 = (m1 + m2) * m1 * (m1 - m2) / norm
-        se = math.sqrt(max(d1 * d1 * var1 + 2.0 * d1 * d2 * cov + d2 * d2 * var2, 0.0))
+        var_sum = max((q1 + q2 + 2.0 * s12 - n * (m1 + m2) ** 2) / (n - 1), 0.0) / n
     else:
+        var1 = var2 = var_sum = 0.0
+
+    def outage(count: int) -> MetricEstimate:
+        p = count / n
+        return MetricEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
+
+    def jain() -> MetricEstimate:
         se = 0.0
-    return MetricEstimate(value, se, n)
+        if n > 1 and (m1 != 0.0 or m2 != 0.0):
+            cov = ((s12 - n * m1 * m2) / (n - 1)) / n
+            norm = (m1 * m1 + m2 * m2) ** 2
+            d1 = (m1 + m2) * m2 * (m2 - m1) / norm
+            d2 = (m1 + m2) * m1 * (m1 - m2) / norm
+            se = math.sqrt(max(d1 * d1 * var1 + 2.0 * d1 * d2 * cov + d2 * d2 * var2, 0.0))
+        return MetricEstimate(jain_index(m1, m2), se, n)
 
-
-def _metric_set(stats: _Stats, metrics: tuple[str, ...]) -> MetricSet:
-    nan = MetricEstimate(math.nan, 0.0, stats.n)
-    if "rates" in metrics:
-        rate_u1, rate_u2, rate_sum = _rate_estimates(stats)
-    else:
-        rate_u1 = rate_u2 = rate_sum = nan
-    outage_u1, outage_u2 = _outage_estimates(stats) if "outage" in metrics else (nan, nan)
-    jain = _jain_estimate(stats) if "jain" in metrics else nan
-    return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain)
-
-
-def estimate_rates(
-    params: SystemParams, scheme: str, trials: int, seed: int
-) -> tuple[MetricEstimate, MetricEstimate, MetricEstimate]:
-    """Sample means of the per-realization user rates under one scheme."""
-    stats = _simulate(params, (scheme,), trials, (seed,))[scheme]
-    return _rate_estimates(stats)
-
-
-def estimate_outage(params: SystemParams, scheme: str, trials: int, seed: int) -> OutageEstimate:
-    """Outage frequencies under one scheme.
-
-    Near-user outage: fails to decode the far-user symbol at its target
-    or its own symbol at its own target.  Far-user outage: the relay or
-    the far user fails the far-user target.  When the far-user threshold
-    reaches the a2/a1 cap both outages are identically 1 and the result
-    is flagged instead of simulated.
-    """
-    check_run(trials, seed)
-    _, theta2 = analytic.thresholds(params)
-    if theta2 >= analytic.sinr_cap(params):
-        certain = MetricEstimate(1.0, 0.0, trials)
-        return OutageEstimate(certain, certain, threshold_infeasible=True)
-    stats = _simulate(params, (scheme,), trials, (seed,))[scheme]
-    outage_u1, outage_u2 = _outage_estimates(stats)
-    return OutageEstimate(outage_u1, outage_u2)
+    return _masked_set(
+        metrics,
+        MetricEstimate(math.nan, 0.0, n),
+        rates=lambda: tuple(
+            MetricEstimate(m, math.sqrt(v), n) for m, v in ((m1, var1), (m2, var2), (m1 + m2, var_sum))
+        ),
+        outages=lambda: (outage(count_out1), outage(count_out2)),
+        jain=jain,
+    )
 
 
 def estimate_metrics(
@@ -442,13 +372,28 @@ def estimate_metrics(
     """Every metric of each scheme from one simulation over shared realizations.
 
     Each block is drawn once for all the schemes, and a scheme's metrics do
-    not depend on the others in the call: they equal estimate_rates and
-    estimate_outage of that scheme with the same seed.  Past the a2/a1 cap
-    every trial is an outage, which estimate_outage returns without
-    simulating.
+    not depend on the others in the call.  The near user is in outage if it
+    fails the far-user or its own target, the far user if the relay or the
+    far user fails the far-user target: always, past the a2/a1 cap.
     """
-    stats = _simulate(params, schemes, trials, (seed,))
-    return {scheme: _metric_set(stats[scheme], KNOWN_METRICS) for scheme in schemes}
+    per_block = _simulate(params, schemes, trials, (seed,))
+    return {scheme: _metric_set(per_block[scheme], KNOWN_METRICS) for scheme in schemes}
+
+
+def estimate_rates(
+    params: SystemParams, scheme: str, trials: int, seed: int
+) -> tuple[MetricEstimate, MetricEstimate, MetricEstimate]:
+    """(rate_u1, rate_u2, rate_sum) of estimate_metrics for one scheme."""
+    metrics = estimate_metrics(params, (scheme,), trials, seed)[scheme]
+    return metrics.rate_u1, metrics.rate_u2, metrics.rate_sum
+
+
+def estimate_outage(
+    params: SystemParams, scheme: str, trials: int, seed: int
+) -> tuple[MetricEstimate, MetricEstimate]:
+    """(outage_u1, outage_u2) of estimate_metrics for one scheme."""
+    metrics = estimate_metrics(params, (scheme,), trials, seed)[scheme]
+    return metrics.outage_u1, metrics.outage_u2
 
 
 def _power_points(params: SystemParams, sweep: SweepSpec):
@@ -469,17 +414,12 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     rows = []
     workspace = _Workspace(params, min(DEFAULT_BLOCK_SIZE, sweep.trials))
     for p_idx, power_db, run_params in _power_points(params, sweep):
-        stats = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), workspace=workspace)
-        for scheme in sweep.schemes:
-            rows.append(
-                SweepRow(
-                    power_db=power_db,
-                    scheme=scheme,
-                    kind=MONTE_CARLO,
-                    trials=sweep.trials,
-                    metrics=_metric_set(stats[scheme], sweep.metrics),
-                )
-            )
+        per_block = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), workspace=workspace)
+        rows.extend(
+            SweepRow(power_db=power_db, scheme=scheme, kind=MONTE_CARLO, trials=sweep.trials,
+                     metrics=_metric_set(per_block[scheme], sweep.metrics))
+            for scheme in sweep.schemes
+        )
     return rows
 
 
@@ -488,27 +428,22 @@ ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
 _FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
 
 
+def _analytic(value: float) -> MetricEstimate:
+    return MetricEstimate(value, 0.0, 0, kind=ANALYTIC)  # a closed form has no standard error and no trials
+
+
 def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSet | analytic.NonConvergedError:
     """One parameter set's MetricSet from its near-user rate r1, far-user QuadratureResult and
     outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError."""
-
-    def est(value: float) -> MetricEstimate:
-        return MetricEstimate(value, 0.0, 0, kind=ANALYTIC)
-
-    nan = est(math.nan)
-    rate_u1 = rate_u2 = rate_sum = jain = nan
-    outage_u1 = outage_u2 = nan
-    if "rates" in metrics or "jain" in metrics:
-        if isinstance(far_rate, analytic.NonConvergedError):
-            return far_rate
-        r2 = far_rate.value
-        if "rates" in metrics:
-            rate_u1, rate_u2, rate_sum = est(r1), est(r2), est(r1 + r2)
-        if "jain" in metrics:
-            jain = est(jain_index(r1, r2))
-    if "outage" in metrics:
-        outage_u1, outage_u2 = est(o1), est(o2)
-    return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain)
+    if isinstance(far_rate, analytic.NonConvergedError):  # far_rate is None if the metrics need none
+        return far_rate
+    return _masked_set(
+        metrics,
+        _analytic(math.nan),
+        rates=lambda: (_analytic(r1), _analytic(far_rate.value), _analytic(r1 + far_rate.value)),
+        outages=lambda: (_analytic(o1), _analytic(o2)),
+        jain=lambda: _analytic(jain_index(r1, far_rate.value)),
+    )
 
 
 def _closed_form_sets(params_seq: list[SystemParams], scheme: str, metrics: tuple[str, ...]) -> Iterator:
@@ -554,8 +489,7 @@ def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRo
             metrics = next(sets[scheme])
             if isinstance(metrics, analytic.NonConvergedError):
                 notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {metrics}")
-                nan = MetricEstimate(math.nan, 0.0, 0, kind=ANALYTIC)
-                metrics = MetricSet(nan, nan, nan, nan, nan, nan)
+                metrics = _masked_set((), _analytic(math.nan))
             rows.append(
                 SweepRow(power_db=power_db, scheme=scheme, kind=ANALYTIC, trials=0, metrics=metrics)
             )

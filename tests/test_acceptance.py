@@ -13,7 +13,7 @@ import numpy as np
 from fdnoma import analytic
 from fdnoma.channel import draw_batch
 from fdnoma.config import default_params, mean_gains, validate
-from fdnoma.montecarlo import _outage_estimates, _simulate, chosen_sinrs, estimate_rates
+from fdnoma.montecarlo import _metric_set, _simulate, chosen_sinrs, estimate_rates
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits
 
@@ -56,12 +56,12 @@ def test_criterion_1_cross_validation_master_check():
                 worst = max(worst, z)
                 if z > 3.0:
                     failures.append(f"{db} dB {scheme} {name}: z={z:.2f}")
-        stats = _simulate(params, tuple(SCHEME_OUTAGE_FORMS), OUTAGE_TRIALS, (77_001, int(db)))
+        per_block = _simulate(params, tuple(SCHEME_OUTAGE_FORMS), OUTAGE_TRIALS, (77_001, int(db)))
         for scheme, (out1_fn, out2_fn) in SCHEME_OUTAGE_FORMS.items():
-            est1, est2 = _outage_estimates(stats[scheme])
+            measured = _metric_set(per_block[scheme], ("outage",))
             for name, estimate, target in (
-                ("outage_u1", est1, out1_fn(params)),
-                ("outage_u2", est2, out2_fn(params)),
+                ("outage_u1", measured.outage_u1, out1_fn(params)),
+                ("outage_u2", measured.outage_u2, out2_fn(params)),
             ):
                 se = math.sqrt(target * (1.0 - target) / OUTAGE_TRIALS)
                 z = abs(estimate.value - target) / se if se > 0 else 0.0
@@ -199,13 +199,11 @@ def test_criterion_5_figure_trends():
     sums = {}
     jains = {}
     schemes = ("optimum_sumrate", "max_u1", "max_u2_exhaustive", "random")
-    stats = _simulate(params, schemes, trials, (33_030,))
+    per_block = _simulate(params, schemes, trials, (33_030,))
     for scheme in schemes:
-        s = stats[scheme]
-        m1 = math.fsum(s.sum_r1) / s.n
-        m2 = math.fsum(s.sum_r2) / s.n
-        sums[scheme] = m1 + m2
-        jains[scheme] = (m1 + m2) ** 2 / (2.0 * (m1 * m1 + m2 * m2))
+        measured = _metric_set(per_block[scheme], ("rates", "jain"))
+        sums[scheme] = measured.rate_sum.value
+        jains[scheme] = measured.jain_index.value
 
     ordered = (
         sums["optimum_sumrate"] >= sums["max_u1"] >= sums["max_u2_exhaustive"] >= sums["random"]

@@ -4,7 +4,7 @@ import gc
 import math
 import threading
 import weakref
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo, selection
 from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
-from fdnoma.config import ConfigError, SweepSpec, default_params
+from fdnoma.config import KNOWN_METRICS, ConfigError, SweepSpec, SystemParams, default_params
 from fdnoma.montecarlo import (
     ANALYTIC_SCHEMES,
     CSV_COLUMNS,
-    _rate_estimates,
+    _metric_set,
     _simulate,
     analytic_metric_set,
     analytic_sweep,
@@ -88,34 +88,41 @@ class TestEstimateRates:
 
     def test_block_size_does_not_change_draws_within_block_grid(self, baseline):
         # same block size, different call: partials reduced in block order
-        a = _rate_estimates(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"])
-        b = _rate_estimates(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"])
+        a = _metric_set(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"], KNOWN_METRICS)
+        b = _metric_set(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"], KNOWN_METRICS)
         assert a == b
 
 
 class TestEstimateOutage:
     def test_infeasible_threshold(self):
         params = make_params(rate2=2.0)  # threshold hits a2/a1
-        result = estimate_outage(params, "max_u1", 1000, seed=1)
-        assert result.threshold_infeasible
-        assert result.outage_u1.value == 1.0
-        assert result.outage_u2.value == 1.0
-        assert result.outage_u1.std_error == 0.0
+        assert analytic.zeta(params) == math.inf
+        for estimate in estimate_outage(params, "max_u1", 1000, seed=1):
+            assert (estimate.value, estimate.std_error, estimate.trials) == (1.0, 0.0, 1000)
+
+    def test_params_past_the_cap_are_validated(self):
+        params = replace(SystemParams(), rate2=10.0, var_br=-1.0)
+        with pytest.raises(ConfigError) as info:
+            estimate_outage(params, "max_u1", 10, 1)
+        assert info.value.code == "VARIANCE_INVALID"
+
+    def test_unknown_scheme_past_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="no_such_scheme"):
+            estimate_outage(make_params(rate2=10.0), "no_such_scheme", 10, 1)
 
     def test_matches_closed_form(self, baseline):
         trials = 400_000
-        result = estimate_outage(baseline, "max_u2_decoupled", trials, seed=13)
+        outage_u1, outage_u2 = estimate_outage(baseline, "max_u2_decoupled", trials, seed=13)
         for estimate, target in (
-            (result.outage_u1, analytic.outage_u1_max_u2(baseline)),
-            (result.outage_u2, analytic.outage_u2_max_u2(baseline)),
+            (outage_u1, analytic.outage_u1_max_u2(baseline)),
+            (outage_u2, analytic.outage_u2_max_u2(baseline)),
         ):
             se = math.sqrt(target * (1.0 - target) / trials)
             assert abs(estimate.value - target) < 4.0 * se
 
     def test_estimates_in_unit_interval(self, baseline):
-        result = estimate_outage(baseline, "random", 20_000, seed=4)
-        assert 0.0 <= result.outage_u1.value <= 1.0
-        assert 0.0 <= result.outage_u2.value <= 1.0
+        for estimate in estimate_outage(baseline, "random", 20_000, seed=4):
+            assert 0.0 <= estimate.value <= 1.0
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +146,7 @@ def test_estimate_metrics_equals_separate_estimates(scheme, overrides, all_schem
     metrics = all_schemes_together[scheme]
     rates = estimate_rates(params, scheme, 70_001, 9)
     assert (metrics.rate_u1, metrics.rate_u2, metrics.rate_sum) == rates
-    outage = estimate_outage(params, scheme, 70_001, 9)
-    assert (metrics.outage_u1, metrics.outage_u2) == (outage.outage_u1, outage.outage_u2)
+    assert (metrics.outage_u1, metrics.outage_u2) == estimate_outage(params, scheme, 70_001, 9)
 
 
 def test_repeated_scheme_is_simulated_once(baseline):
@@ -229,6 +235,11 @@ class TestRunSweep:
         assert math.isnan(row.metrics.outage_u1.value)
         assert math.isnan(row.metrics.jain_index.value)
 
+    def test_unknown_metric_is_config_error(self, baseline):
+        with pytest.raises(ConfigError) as info:
+            run_sweep(baseline, SweepSpec(power_db=(10.0,), schemes=("max_u1",), metrics=("rate",), trials=100))
+        assert info.value.code == "SWEEP_METRIC_UNKNOWN"
+
     def test_jain_within_bounds(self, baseline):
         spec = SweepSpec(power_db=(20.0,), schemes=("max_u2_exhaustive",), trials=20_000, seed=8)
         row = run_sweep(baseline, spec)[0]
@@ -271,28 +282,25 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
 
 def sequential_simulate(params, schemes, trials, entropy_base, block_size, workspace=None):
     """Reference for _simulate: one block after another in the calling thread,
-    each drawn fresh and each scheme selected on its own, the partial sums
+    each drawn fresh and each scheme selected on its own, each block's
+    (trials, sums of r1, r2, r1^2, r2^2 and r1 r2, the two outage counts)
     appended in block order.  A sweep's workspace is not used."""
     theta1, theta2 = analytic.thresholds(params)
-    stats = {
-        scheme: SimpleNamespace(n=0, sum_r1=[], sum_r2=[], sum_r1sq=[], sum_r2sq=[], sum_r1r2=[],
-                                count_out1=0, count_out2=0)
-        for scheme in schemes
-    }
+    per_block = {scheme: [] for scheme in schemes}
     for index, _, count in blocks(trials, block_size):
         batch = draw_batch(params, (*entropy_base, index), count)
-        for scheme, st in stats.items():
+        for scheme, sums in per_block.items():
             seed = np.random.SeedSequence((*entropy_base, index, montecarlo._RANDOM_SALT))
             choice = select_batch(scheme, batch, params, np.random.default_rng(seed))
             gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params)
             r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
-            st.n += count
-            for total, values in ((st.sum_r1, r1), (st.sum_r2, r2), (st.sum_r1sq, r1 * r1),
-                                  (st.sum_r2sq, r2 * r2), (st.sum_r1r2, r1 * r2)):
-                total.append(float(np.sum(values)))
-            st.count_out1 += int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1))))
-            st.count_out2 += int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2))))
-    return stats
+            sums.append((
+                count,
+                *(float(np.sum(values)) for values in (r1, r2, r1 * r1, r2 * r2, r1 * r2)),
+                int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1)))),
+                int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2)))),
+            ))
+    return per_block
 
 
 def csv_by_worker_count(params, spec, tmp_path, monkeypatch, block_size):
@@ -464,8 +472,8 @@ def test_joint_searches_start_no_nested_threads(baseline, monkeypatch, workers, 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     block_size = 1 << 12
     trials = block_count * block_size
-    stats = _simulate(baseline, SCHEMES, trials, (3,), block_size=block_size, workers=workers)
-    assert stats["optimum_sumrate"].n == trials
+    per_block = _simulate(baseline, SCHEMES, trials, (3,), block_size=block_size, workers=workers)
+    assert sum(sums[0] for sums in per_block["optimum_sumrate"]) == trials
     assert len(started) <= most
     if block_count == 1:
         assert len(started) == most
@@ -476,8 +484,8 @@ def test_single_block_runs_without_a_pool(baseline, monkeypatch):
         raise AssertionError("a one-block run started a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    stats = _simulate(baseline, ("max_u1",), 1 << 14, (3,), block_size=1 << 14, workers=2)
-    assert stats["max_u1"].n == 1 << 14
+    per_block = _simulate(baseline, ("max_u1",), 1 << 14, (3,), block_size=1 << 14, workers=2)
+    assert [sums[0] for sums in per_block["max_u1"]] == [1 << 14]
 
 
 class TestAnalyticRows:
@@ -497,6 +505,11 @@ class TestAnalyticRows:
     def test_unknown_scheme_rejected(self, baseline):
         with pytest.raises(ValueError):
             analytic_metric_set(baseline, "max_u1", ("rates",))
+
+    def test_unknown_metric_is_config_error(self, baseline):
+        with pytest.raises(ConfigError) as info:
+            analytic_sweep(baseline, SweepSpec(power_db=(10.0,), schemes=ANALYTIC_SCHEMES, metrics=("outages",)))
+        assert info.value.code == "SWEEP_METRIC_UNKNOWN"
 
     def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
         far_user_rates = analytic.far_user_rates
