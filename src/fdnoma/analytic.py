@@ -18,9 +18,9 @@ antenna count.  The near-user rate is the paper's closed form, an
 alternating sum of rate kernels accumulated with math.fsum, and the one
 sum here that cancels.
 
-The closed forms take a sequence of parameter sets (of one antenna triple,
-for the laws) and evaluate them as arrays, one call per closed form over a
-sweep's whole power grid; the one-set entry points (rate_u1_*, outage_*,
+The closed forms take a sequence of parameter sets of one antenna triple
+and evaluate them as arrays, one call per closed form over a sweep's
+whole power grid; the one-set entry points (rate_u1_*, outage_*,
 cdf_gamma*) run the same code on one set, and the distributions take a
 point or an array of points.
 
@@ -67,17 +67,6 @@ class QuadratureResult:
     value: float
     abs_error_bound: float
     evaluations: int
-
-
-def _stacked(params_seq: Sequence[SystemParams]) -> SystemParams:
-    """The parameter sets as one SystemParams of per-set float arrays, antenna counts too.
-
-    A formula written for one set, such as mean_gains, then evaluates every
-    set in one numpy pass with each element's float operations unchanged.
-    """
-    names = [field.name for field in fields(SystemParams)]
-    row = attrgetter(*names)
-    return SystemParams(*np.array([row(params) for params in params_seq], dtype=float).reshape(-1, len(names)).T)
 
 
 def _scaled_e1(t: np.ndarray) -> np.ndarray:
@@ -188,20 +177,11 @@ def sinr_cap(params: SystemParams) -> float:
     return params.a2 / params.a1
 
 
-def _signed_binomials(m: np.ndarray, width: int) -> np.ndarray:
-    """(-1)^p C(m-1, p) for p < width, one column per row, 0 from p = m on."""
-    table = np.zeros((width, len(m)))
-    for order in set(m.astype(int).tolist()):  # np.unique would import numpy.ma, 1 MiB
-        column = [(-1.0) ** p * math.comb(order - 1, p) for p in range(order)]
-        table[:order, m == order] = np.array(column)[:, None]
-    return table
-
-
 # The links of each rule's SINR laws, as (m, lam, lam_i, den) of parameters
-# p (one set, or _stacked sets) and their mean gains g.  A link is the strongest of m
-# exponential gains of mean lam over 1 plus an exponential interferer of
-# mean lam_i lam / den: the weakest of m_i gains of mean lam_i when
-# den = m_i lam, none when lam_i = 0.  At t its law is
+# p (one set, or sets stacked by _stacked_laws) and their mean gains g.  A
+# link is the strongest of m exponential gains of mean lam over 1 plus an
+# exponential interferer of mean lam_i lam / den: the weakest of m_i gains
+# of mean lam_i when den = m_i lam, none when lam_i = 0.  At t its law is
 # _link_law(m, t / lam, (lam_i t) / den).  The near link is the near user's
 # SINR, at x.  The far-user SINR is the chain min(cross, relay, far), its
 # outage min(relay, far): the cross link (the near user decoding the
@@ -544,12 +524,20 @@ class _Laws:
 
 
 def _stacked_laws(params_seq: Sequence[SystemParams], rule: str) -> _Laws:
-    """The laws of many parameter sets as arrays; they must share one antenna triple."""
+    """The laws of many parameter sets as arrays; they must share one antenna triple.
+
+    The sets become one SystemParams of per-set float arrays, so a formula
+    written for one set, such as mean_gains, evaluates every set in one
+    numpy pass with each element's float operations unchanged.
+    """
     triples = {(p.m_b, p.m_r, p.m_t) for p in params_seq}
     if len(triples) > 1:
         raise ValueError(f"the laws take one antenna triple per call, got {sorted(triples)}")
     m_b, m_r, m_t = triples.pop() if triples else (1, 1, 1)
-    return _Laws(replace(_stacked(params_seq), m_b=m_b, m_r=m_r, m_t=m_t), rule)
+    names = [field.name for field in fields(SystemParams)]
+    row = attrgetter(*names)
+    stacked = SystemParams(*np.array([row(p) for p in params_seq], dtype=float).reshape(-1, len(names)).T)
+    return _Laws(replace(stacked, m_b=m_b, m_r=m_r, m_t=m_t), rule)
 
 
 def far_user_rates(
@@ -629,34 +617,24 @@ def far_user_rates(
 
 
 def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
-    """Near-user ergodic rate (closed form) of each parameter set under a rule.
+    """Near-user ergodic rate (closed form) of each parameter set under a rule; one antenna triple per call.
 
-    Termwise integration of the survival of cdf_gamma1_max_u1 (rule
-    "max_u1", m_b terms) or cdf_gamma1_max_u2 ("max_u2", the same sum at
-    m_b = m_t = 1: no selection gain reaches the near-user links) through
-    the rate kernel.  Every term of every set goes through one kernel call;
-    each set's terms are summed with fsum.  The terms alternate in sign: the
-    sum is off by about 3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at
-    32, and has the wrong sign at 64, so it warns above 16 (see README).
+    Termwise integration of the survival of the near link, _LINKS[rule][0]
+    (m = m_b terms under "max_u1", one under "max_u2": no selection gain
+    reaches the near-user links there), through the rate kernel.  Every
+    term of every set goes through one kernel call; each set's terms are
+    summed with fsum.  The terms alternate in sign: the sum is off by about
+    3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at 32, and has the
+    wrong sign at 64, so it warns above 16 (see README).
     """
-    _check_rule(rule)
-    stacked = _stacked(params_seq)
-    g = mean_gains(stacked)
-    scale = stacked.a1 * g.lam_su1
-    if rule == "max_u1":
-        _warn_counts(max((p.m_b for p in params_seq), default=0))
-        terms, m_t = stacked.m_b, stacked.m_t
-    else:
-        terms = m_t = np.ones_like(scale)
-    width = int(max(terms.tolist(), default=0))
-    p1 = np.arange(1.0, width + 1.0)
-    used = p1 <= terms[:, None]  # (set, term)
-    alpha = (p1 * g.lam_ru1[:, None]) / (m_t * scale)[:, None]
-    beta = p1 / scale[:, None]
-    coeff = _signed_binomials(terms, width).T / p1
-    products = (coeff[used] * _rate_kernels(alpha[used], beta[used])).tolist()
-    ends = np.cumsum(terms).astype(int).tolist()
-    return [m * math.fsum(products[end - int(m) : end]) / LN2 for m, end in zip(terms.tolist(), ends)]
+    m, lam, lam_i, den = _stacked_laws(params_seq, rule).links[0]
+    _warn_counts(m)
+    p1 = np.arange(1.0, m + 1.0)
+    alpha = (p1 * lam_i[:, None]) / den[:, None]
+    beta = p1 / lam[:, None]
+    coeff = np.array([(-1.0) ** p * math.comb(m - 1, p) for p in range(m)]) / p1
+    products = coeff * _rate_kernels(alpha.ravel(), beta.ravel()).reshape(alpha.shape)
+    return [m * math.fsum(row) / LN2 for row in products.tolist()]
 
 
 def rate_u1_max_u1(params: SystemParams) -> float:

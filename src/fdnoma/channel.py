@@ -96,14 +96,13 @@ def draw_batch(
 
 
 def dump_columns(params: SystemParams) -> list[str]:
-    """Fixed column order of the realization dump (row-major matrices)."""
-    cols = ["trial"]
-    cols += [f"g_br_{i}_{j}" for i in range(params.m_b) for j in range(params.m_r)]
-    cols += [f"g_su1_{i}" for i in range(params.m_b)]
-    cols += [f"g_ru1_{k}" for k in range(params.m_t)]
-    cols += [f"g_ru2_{k}" for k in range(params.m_t)]
-    cols += [f"g_si_{j}_{k}" for j in range(params.m_r) for k in range(params.m_t)]
-    return cols
+    """Fixed column order of the realization dump: the GROUPS in order, each a row-major matrix."""
+    empty = empty_batch(params, 0)
+    return ["trial"] + [
+        "_".join((name, *map(str, index)))
+        for name in GROUPS
+        for index in np.ndindex(getattr(empty, name).shape[1:])
+    ]
 
 
 def dump_realizations(params: SystemParams, seed: int, trials: int, path: str | Path) -> None:
@@ -121,15 +120,6 @@ def dump_realizations(params: SystemParams, seed: int, trials: int, path: str | 
         csv.writer(handle).writerow(columns)
         for index, offset, count in blocks(trials):
             batch = draw_batch(params, (seed, index), count)
-            table = np.concatenate(
-                [
-                    np.arange(offset, offset + count)[:, None],
-                    batch.g_br.reshape(count, -1),
-                    batch.g_su1,
-                    batch.g_ru1,
-                    batch.g_ru2,
-                    batch.g_si.reshape(count, -1),
-                ],
-                axis=1,
-            )
+            trial = np.arange(offset, offset + count)[:, None]
+            table = np.concatenate([trial, *(getattr(batch, name).reshape(count, -1) for name in GROUPS)], axis=1)
             np.savetxt(handle, table, fmt=fmt, delimiter=",", newline="\r\n")

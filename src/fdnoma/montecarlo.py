@@ -35,7 +35,7 @@ from . import analytic
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
 from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, db_to_linear, validate
 from .selection import JOINT_SCHEMES, NEEDS_RNG, JointSearch, check_scheme, select_batch
-from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr  # noqa: F401  perfbench/spans.py wraps all four names
+from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 _RANDOM_SALT = 0x52414E44
 
@@ -107,8 +107,8 @@ def chosen_sinrs(
     Returns (gamma_1, gamma_12, gamma_r, gamma_2, g_ru2): the near user's
     own SINR, the far-user symbol at the near user, at the relay, end to
     end (the minimum of the last three), and the relay-to-far-user SNR,
-    as rows of `out` (fresh buffers when None).  Each element takes the
-    float operations of relay_sinr, cross_sinr and near_sinr in their order.
+    as rows of `out` (fresh buffers when None), computed in place by
+    relay_sinr, cross_sinr and near_sinr.
     """
     n, a1, a2 = batch.count, params.a1, params.a2
     m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
@@ -128,19 +128,12 @@ def chosen_sinrs(
             np.add(index, chosen, out=index)
         return np.take(gains.reshape(-1), index, out=into, mode="clip")
 
-    def power_share_sinr(gain: np.ndarray, interference: np.ndarray, into: np.ndarray) -> np.ndarray:
-        # relay_sinr's and cross_sinr's a2 gain / ((a1 gain + interference) + 1); gamma_1 is scratch
-        np.add(np.multiply(a1, gain, out=gamma_1), interference, out=gamma_1)
-        np.add(gamma_1, 1.0, out=gamma_1)
-        return np.divide(np.multiply(a2, gain, out=into), gamma_1, out=into)
-
-    # gamma_2 and g_ru2 hold gathered gains until their own values are due.
+    # gamma_2 and g_ru2 hold gathered gains until their own values are due; gamma_1 is scratch.
     g_br, g_si = gather(batch.g_br, gamma_2, (ii, m_b), (jj, m_r)), gather(batch.g_si, g_ru2, (jj, m_r), (kk, m_t))
-    power_share_sinr(g_br, g_si, gamma_r)
+    relay_sinr(g_br, g_si, a1, a2, out=gamma_r, scratch=gamma_1)
     g_su1, g_ru1 = gather(batch.g_su1, gamma_2, (ii, m_b)), gather(batch.g_ru1, g_ru2, (kk, m_t))
-    power_share_sinr(g_su1, g_ru1, gamma_12)
-    # near_sinr: a1 g_su1 / (g_ru1 + 1)
-    np.divide(np.multiply(a1, g_su1, out=gamma_1), np.add(g_ru1, 1.0, out=g_ru1), out=gamma_1)
+    cross_sinr(g_su1, g_ru1, a1, a2, out=gamma_12, scratch=gamma_1)
+    near_sinr(g_su1, g_ru1, a1, out=gamma_1, scratch=g_ru1)
     gather(batch.g_ru2, g_ru2, (kk, m_t))
     np.minimum(gamma_12, gamma_r, out=gamma_2)
     np.minimum(gamma_2, g_ru2, out=gamma_2)

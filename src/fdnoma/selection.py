@@ -18,7 +18,7 @@ requested scheme from it.  Threads can share the tiles of one pass, each
 with its own tile buffers, so two threads in flight hold less tile memory
 than one thread on 2 MiB tiles.  Every grid cell and every
 per-row argmax depends on its own row only, and each cell is computed
-with the same float operations as the formula kernels, so the pass gives
+by the formula kernels of the sinr module, so the pass gives
 the same indices as one full-batch grid per scheme, on any number of
 threads; ties still break to the lowest flat (i, j, k) index.
 """
@@ -108,7 +108,7 @@ class JointSearch:
         """Rows start:stop of every requested scheme's flat index.
 
         The end-to-end far-user SINR grid min(cross, relay, g_ru2) is built
-        in the first buffer; the second holds the relay numerator, then the
+        in the first buffer; the second holds the relay denominator, then the
         sum-rate grid when optimum_sumrate is asked for.
         """
         batch, a1, a2 = self.batch, self.params.a1, self.params.a2
@@ -120,12 +120,7 @@ class JointSearch:
         g_br = np.repeat(batch.g_br[start:stop], m_t, axis=2).reshape(grid.shape)
         g_su1 = np.repeat(batch.g_su1[start:stop], m_t, axis=1)
         g_ru1 = np.tile(batch.g_ru1[start:stop], m_b)
-        # relay_sinr in its own operand order: (a2 g_br) / ((a1 g_br + g_si) + 1)
-        np.multiply(a1, g_br, out=grid)
-        np.add(grid, batch.g_si[start:stop, None, :, :], out=grid)
-        np.add(grid, 1.0, out=grid)
-        np.multiply(a2, g_br, out=spare)
-        np.divide(spare, grid, out=grid)
+        relay_sinr(g_br, batch.g_si[start:stop, None, :, :], a1, a2, out=grid, scratch=spare)
         # min is exact, so clamping by the (i, k) terms first gives the same cells
         clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), np.tile(batch.g_ru2[start:stop], m_b))
         np.minimum(grid, np.repeat(clamp.reshape(rows, m_b, 1, m_t), m_r, axis=2), out=grid)

@@ -15,18 +15,27 @@ import numpy as np
 LN2 = math.log(2.0)
 
 
-# Formula kernels; work elementwise on scalars or numpy arrays.
+# Formula kernels; work elementwise on scalars or numpy arrays.  Given `out`
+# and `scratch` arrays, the numerator is formed in `out` and the denominator
+# in `scratch`, with the same float operations as without them.
 
-def relay_sinr(g_br, g_si, a1: float, a2: float):
-    return a2 * g_br / (a1 * g_br + g_si + 1.0)
+def relay_sinr(g_br, g_si, a1: float, a2: float, out=None, scratch=None):
+    """(a2 g_br) / ((a1 g_br + g_si) + 1); `scratch` must not hold g_br or g_si."""
+    den = np.multiply(a1, g_br, out=scratch)
+    den = np.add(den, g_si, out=scratch)
+    den = np.add(den, 1.0, out=scratch)
+    return np.divide(np.multiply(a2, g_br, out=out), den, out=out)
 
 
-def cross_sinr(g_su1, g_ru1, a1: float, a2: float):
-    return a2 * g_su1 / (a1 * g_su1 + g_ru1 + 1.0)
+def cross_sinr(g_su1, g_ru1, a1: float, a2: float, out=None, scratch=None):
+    """(a2 g_su1) / ((a1 g_su1 + g_ru1) + 1): relay_sinr's formula at the near user."""
+    return relay_sinr(g_su1, g_ru1, a1, a2, out, scratch)
 
 
-def near_sinr(g_su1, g_ru1, a1: float):
-    return a1 * g_su1 / (g_ru1 + 1.0)
+def near_sinr(g_su1, g_ru1, a1: float, out=None, scratch=None):
+    """(a1 g_su1) / (g_ru1 + 1); `scratch` may be g_ru1 itself, which then holds g_ru1 + 1."""
+    den = np.add(g_ru1, 1.0, out=scratch)
+    return np.divide(np.multiply(a1, g_su1, out=out), den, out=out)
 
 
 def rate_bits(gamma, out=None):

@@ -34,18 +34,22 @@ def tile_rows(params: SystemParams) -> int:
     return _TILE_GRID_BYTES // (8 * params.m_b * params.m_r * params.m_t)
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this fdnoma, installed or not."""
+    import fdnoma
+
+    src = str(Path(fdnoma.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run code in a new interpreter that imports this fdnoma; fails the test on a nonzero exit.
 
     For checks of what a process loads: this one has imported everything the
     other tests use.
     """
-    import fdnoma
-
-    src = str(Path(fdnoma.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=fresh_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc

@@ -673,6 +673,8 @@ def test_laws_take_one_antenna_triple_per_call(baseline):
         analytic.far_user_rates([baseline, make_params(m_b=5)], "max_u1")
     with pytest.raises(ValueError, match="one antenna triple"):
         analytic.near_user_outages([baseline, make_params(m_t=3)], "max_u2")
+    with pytest.raises(ValueError, match="one antenna triple"):
+        analytic.near_user_rates([baseline, make_params(m_b=2)], "max_u1")
 
 
 def test_far_user_cdf_rejects_unknown_rule(baseline):

@@ -23,7 +23,7 @@ from fdnoma.cli import (
     parse_power_grid,
 )
 
-from conftest import run_fresh
+from conftest import fresh_env, run_fresh
 
 GOOD_CONFIG = """\
 m_b = 4
@@ -587,6 +587,7 @@ def test_module_entry_point(config_path, tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

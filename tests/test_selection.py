@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import threading
 from dataclasses import replace
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from fdnoma.channel import GainBatch, draw_batch
 from fdnoma.montecarlo import chosen_sinrs
 from fdnoma.selection import JOINT_SCHEMES, SCHEMES, JointSearch, select_batch
-from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
+from fdnoma.sinr import rate_bits
 
 from conftest import batch_from, make_params, tile_rows
+
+LN2 = math.log(2.0)
 
 
 @pytest.fixture
@@ -320,11 +323,16 @@ def test_dominance_chain_per_realization():
 
 
 # Oracles for the tiled joint searches: one (count, m_b, m_r, m_t) grid over
-# the whole batch, argmax per row over the flattened (i, j, k) grid.
+# the whole batch, argmax per row over the flattened (i, j, k) grid.  The
+# SINRs and rates are written out here, not taken from the sinr kernels the
+# search itself calls.
 
 def _untiled_far_grid(batch, params):
-    g12 = cross_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1, params.a2)
-    gr = relay_sinr(batch.g_br[:, :, :, None], batch.g_si[:, None, :, :], params.a1, params.a2)
+    a1, a2 = params.a1, params.a2
+    g_su1, g_ru1 = batch.g_su1[:, :, None], batch.g_ru1[:, None, :]
+    g_br, g_si = batch.g_br[:, :, :, None], batch.g_si[:, None, :, :]
+    g12 = a2 * g_su1 / (a1 * g_su1 + g_ru1 + 1.0)
+    gr = a2 * g_br / (a1 * g_br + g_si + 1.0)
     return np.minimum(np.minimum(g12[:, :, None, :], gr), batch.g_ru2[:, None, None, :])
 
 
@@ -338,8 +346,8 @@ def untiled_max_u2_exhaustive(batch, params):
 
 
 def untiled_optimum_sumrate(batch, params):
-    r1 = rate_bits(near_sinr(batch.g_su1[:, :, None], batch.g_ru1[:, None, :], params.a1))
-    return _full_argmax(r1[:, :, None, :] + rate_bits(_untiled_far_grid(batch, params)), params)
+    r1 = np.log1p(params.a1 * batch.g_su1[:, :, None] / (batch.g_ru1[:, None, :] + 1.0)) / LN2
+    return _full_argmax(r1[:, :, None, :] + np.log1p(_untiled_far_grid(batch, params)) / LN2, params)
 
 
 UNTILED = {

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -150,15 +151,52 @@ def test_relay_sinr_always_in_range(g, s):
     assert 0.0 <= value < 3.0
 
 
+# The SINR formulas as plain expressions, the oracle of the kernels and of chosen_sinrs.
+
+def plain_power_share_sinr(gain, interference, a1, a2):
+    return a2 * gain / (a1 * gain + interference + 1.0)
+
+
+def plain_near_sinr(g_su1, g_ru1, a1):
+    return a1 * g_su1 / (g_ru1 + 1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, plain",
+    [
+        (partial(relay_sinr, a1=0.3, a2=0.7), partial(plain_power_share_sinr, a1=0.3, a2=0.7)),
+        (partial(cross_sinr, a1=0.3, a2=0.7), partial(plain_power_share_sinr, a1=0.3, a2=0.7)),
+        (partial(near_sinr, a1=0.3), partial(plain_near_sinr, a1=0.3)),
+    ],
+    ids=["relay_sinr", "cross_sinr", "near_sinr"],
+)
+def test_kernels_equal_their_plain_expressions_bit_for_bit(kernel, plain):
+    # Without buffers, on scalars, and in place, as chosen_sinrs and the joint
+    # search call them; near_sinr's scratch may be the interference itself.
+    # The power split is no power of two, so a reordered product would show.
+    rng = np.random.default_rng(8)
+    gain, interference = rng.exponential(100.0, 5_000), rng.exponential(3.0, 5_000)
+    want = plain(gain, interference)
+    assert kernel(gain, interference).tobytes() == want.tobytes()
+    assert kernel(float(gain[0]), float(interference[0])) == want[0]
+    out, scratch = np.empty_like(gain), np.empty_like(gain)
+    assert kernel(gain, interference, out=out, scratch=scratch) is out
+    assert out.tobytes() == want.tobytes()
+    if kernel.func is near_sinr:
+        spent = interference.copy()
+        assert kernel(gain, spent, out=out, scratch=spent).tobytes() == want.tobytes()
+        assert spent.tobytes() == (interference + 1.0).tobytes()
+
+
 def indexed_sinrs(batch, ii, jj, kk, params):
-    """Oracle for chosen_sinrs: advanced indexing into the batch, then the sinr kernels."""
+    """Oracle for chosen_sinrs: advanced indexing into the batch, then the plain expressions."""
     rows = np.arange(batch.count)
-    gamma_r = relay_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
+    gamma_r = plain_power_share_sinr(batch.g_br[rows, ii, jj], batch.g_si[rows, jj, kk], params.a1, params.a2)
     g_su1 = batch.g_su1[rows, ii]
     g_ru1 = batch.g_ru1[rows, kk]
     g_ru2 = batch.g_ru2[rows, kk]
-    gamma_12 = cross_sinr(g_su1, g_ru1, params.a1, params.a2)
-    gamma_1 = near_sinr(g_su1, g_ru1, params.a1)
+    gamma_12 = plain_power_share_sinr(g_su1, g_ru1, params.a1, params.a2)
+    gamma_1 = plain_near_sinr(g_su1, g_ru1, params.a1)
     gamma_2 = np.minimum(np.minimum(gamma_12, gamma_r), g_ru2)
     return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
 
