@@ -29,10 +29,11 @@ number of parameter sets at once: QUADPACK's adaptive 21-point
 Gauss-Kronrod scheme over a first partition graded at the links' SINR
 scales, with every link evaluated at every node of every open interval
 in one vectorized pass.  A rate does not depend on the other parameter
-sets in its call.  rate_from_cdf is scipy's quad, the independent check
-of the closed forms, and the only place scipy is imported: importing
-scipy.integrate costs about 0.6 s and 50 MiB, and neither a simulation
-nor a sweep of the closed forms needs it.
+sets in its call.  near_user_quadratures runs the same scheme on the near
+link's positive-term survival, the check of the near-user closed form.
+rate_from_cdf is scipy's quad, kept for the tests and the benchmark's
+tracing only, and the only place scipy is imported: importing
+scipy.integrate costs about 0.6 s and 50 MiB, and no command needs it.
 """
 
 from __future__ import annotations
@@ -317,8 +318,7 @@ def rate_from_cdf(
     integrand has already decayed to zero.  The integral is split at the
     increasing points inside (0, upper), each piece integrated on its own;
     a split at the distribution's scale keeps a narrow one in view of the
-    first rule.  This is the independent check of the closed forms; the
-    far-user rates use far_user_rates.
+    first rule.  The tests hold the package's own quadratures to it.
     """
     # Imported here, so a process that never integrates does not load scipy.
     from scipy.integrate import quad
@@ -480,8 +480,8 @@ class _Laws:
         points.sort(axis=1)
         return points
 
-    def gk21(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """QUADPACK's qk21 of (1 - F(x)) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
+    def gk21(self, survival, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """QUADPACK's qk21 of survival(x) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
 
         Every rule sum runs over its row's own nodes in a fixed order, so a
         row's numbers do not depend on which other intervals share the call.
@@ -496,7 +496,7 @@ class _Laws:
             f = np.empty_like(x)
             for start in range(0, len(x), _CHUNK_NODES):
                 part = slice(start, start + _CHUNK_NODES)
-                f[part] = self.far_survival(x[part], node_rows[part]) / (1.0 + x[part])
+                f[part] = survival(x[part], node_rows[part]) / (1.0 + x[part])
             f = f.reshape(len(_OFFSETS), len(rows))
             left, fc, right = f[:10], f[10], f[11:]  # left[j] and right[j] sit at -+_XGK[j]
             resk = _WGK_CENTER * fc
@@ -540,37 +540,24 @@ def _stacked_laws(params_seq: Sequence[SystemParams], rule: str) -> _Laws:
     return _Laws(replace(stacked, m_b=m_b, m_r=m_r, m_t=m_t), rule)
 
 
-def far_user_rates(
-    params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
+def _qag(
+    laws: _Laws, survival, hi: np.ndarray, points: np.ndarray, rel_tol: float, abs_tol: float, tail: float = 0.0
 ) -> list[QuadratureResult | NonConvergedError]:
-    """Far-user ergodic rates of many parameter sets under one rule, integrated together.
+    """QUADPACK's qag with qk21 of survival(x, rows) / (1 + x) over [0, hi] of every row of laws, as rates.
 
-    Each rate is (1/ln 2) * integral_0^cap (1 - F(x)) / (1 + x) dx of its
-    far_user_cdf, by QUADPACK's globally adaptive scheme (qag) with the
-    21-point Gauss-Kronrod rule, done in numpy for all parameter sets at
-    once: every round bisects each unfinished integral's interval of
-    largest error, up to 200 intervals.  The first partition has
-    breakpoints at the links' SINR scales (see _Laws.breakpoints).  As
-    in qag, an integral is accepted on its first partition only if no
-    interval's error estimate is saturated at its resasc.
-
-    Returns, per parameter set, its QuadratureResult or, when its error
-    bound misses max(abs_tol, rel_tol * rate), the NonConvergedError that
-    rate_from_cdf would raise.  A result depends only on its own parameter
-    set, never on the others in the call.
+    A row's first partition splits at its points in (0, hi), padded with
+    inf.  Every round bisects each unfinished integral's interval of largest
+    error, up to _MAX_INTERVALS intervals.  As in qag, an integral is
+    accepted on its first partition only if no interval's error estimate is
+    saturated at its resasc.  tail bounds the integral beyond hi and is
+    added to each error bound.
     """
-    _check_rule(rule)
-    count = len(params_seq)
-    if count == 0:
-        return []
-    laws = _stacked_laws(params_seq, rule)
-    # Finite domains stop a hair inside the cap, as in rate_from_cdf.
-    hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
-    edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])
+    count = len(hi)
+    edges = np.column_stack([np.zeros(count), points, hi])
     edges.sort(axis=1)
     rows, slots = np.nonzero(np.isfinite(edges[:, 1:]))  # each row's intervals in order
     lo, up = edges[rows, slots], edges[rows, slots + 1]
-    result, error, resasc = laws.gk21(rows, lo, up)
+    result, error, resasc = laws.gk21(survival, rows, lo, up)
 
     last = np.bincount(rows, minlength=count)
     width = max(int(last.max()), _MAX_INTERVALS)
@@ -593,7 +580,7 @@ def far_user_rates(
         worst = np.argmax(errors[act, : int(last[act].max())], axis=1)
         a, b = starts[act, worst], ends[act, worst]
         mid = 0.5 * (a + b)
-        res, err, _ = laws.gk21(np.concatenate([act, act]), np.concatenate([a, mid]), np.concatenate([mid, b]))
+        res, err, _ = laws.gk21(survival, np.tile(act, 2), np.concatenate([a, mid]), np.concatenate([mid, b]))
         res1, res2 = np.split(res, 2)
         err1, err2 = np.split(err, 2)
         errsum[act] = errsum[act] + (err1 + err2) - errors[act, worst]
@@ -604,16 +591,60 @@ def far_user_rates(
         last[act] += 1
         evaluations[act] += 42
         done[act] = errsum[act] <= np.maximum(epsabs, rel_tol * np.abs(area[act]))
+    bounds = errsum + tail
     return [
-        _checked(
-            math.fsum(values[row, : last[row]]) / LN2,
-            float(errsum[row]) / LN2,
-            int(evaluations[row]),
-            rel_tol,
-            abs_tol,
-        )
+        _checked(math.fsum(values[row, : last[row]]) / LN2, float(bounds[row]) / LN2, int(evaluations[row]),
+                 rel_tol, abs_tol)
         for row in range(count)
     ]
+
+
+def far_user_rates(
+    params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
+) -> list[QuadratureResult | NonConvergedError]:
+    """Far-user ergodic rates of many parameter sets under one rule, integrated together.
+
+    Each rate is (1/ln 2) * integral_0^cap (1 - F(x)) / (1 + x) dx of its
+    far_user_cdf, by _qag, with breakpoints at the links' SINR scales (see
+    _Laws.breakpoints).
+
+    Returns, per parameter set, its QuadratureResult or, when its error
+    bound misses max(abs_tol, rel_tol * rate), the NonConvergedError that
+    rate_from_cdf would raise.  A result depends only on its own parameter
+    set, never on the others in the call.
+    """
+    _check_rule(rule)
+    if not params_seq:
+        return []
+    laws = _stacked_laws(params_seq, rule)
+    # Finite domains stop a hair inside the cap, as in rate_from_cdf.
+    hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+    return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi), rel_tol, abs_tol)
+
+
+def near_user_quadratures(
+    params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
+) -> list[QuadratureResult | NonConvergedError]:
+    """Near-user ergodic rates of many parameter sets of one antenna triple, by _qag, as far_user_rates.
+
+    It integrates the near link's survival, a sum of positive terms (see
+    _link_law), not the closed form's alternating kernel sum, so it checks
+    near_user_rates independently.  The integral stops at hi = lam h,
+    h = ln m + 60, lam the link's SINR scale: the survival is below
+    m e^(-x / lam), so the rest is below m E1(h) < e^-60 / h, which the
+    error bound includes.  The first partition is graded_points(lam).
+    """
+    _check_rule(rule)
+    if not params_seq:
+        return []
+    laws = _stacked_laws(params_seq, rule)
+    m, lam, *_ = laws.links[0]
+    h = math.log(m) + 60.0
+    hi = lam * h
+    points = lam[:, None] * np.array(graded_points(1.0))
+    points[points >= hi[:, None]] = np.inf
+    survival = lambda x, rows: laws._at(laws.links[0], rows, x)[1]
+    return _qag(laws, survival, hi, points, rel_tol, abs_tol, tail=math.exp(-60.0) / h)
 
 
 def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float]:

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
-from .config import ConfigError, KNOWN_METRICS, SweepSpec, check_run, load_config, mean_gains
+from .config import ConfigError, KNOWN_METRICS, SweepSpec, check_run, load_config
 from .montecarlo import (
     ANALYTIC_SCHEMES,
     SweepRow,
@@ -156,10 +156,6 @@ def cmd_sweep(args) -> int:
 
     rows: list[SweepRow] = []
     notes: list[str] = []
-    # The closed forms run before the simulation.  Their first quadrature
-    # imports scipy; imported after the simulator's threads have freed their
-    # blocks, it lands on whatever those threads' heaps kept, and the peak
-    # resident set of a `both` sweep then varies by up to 30 MiB between runs.
     if args.mode in ("analytic", "both"):
         analytic_schemes = tuple(s for s in spec.schemes if s in ANALYTIC_SCHEMES)
         skipped = [s for s in spec.schemes if s not in ANALYTIC_SCHEMES]
@@ -257,16 +253,13 @@ _QUADRATURE_ABS_TOL = 1e-9
 
 
 def _check_closed_form_vs_quadrature(params, trials, seed):
-    # Split from the near-user SINR scale up (unsplit, var_bu1 = 1e-6 reads 0).
-    points = analytic.graded_points(params.a1 * mean_gains(params).lam_su1)
-    pairs = [
-        ("rate_u1_max_u1", analytic.rate_u1_max_u1(params),
-         analytic.rate_from_cdf(lambda x: analytic.cdf_gamma1_max_u1(x, params), points=points).value),
-        ("rate_u1_max_u2", analytic.rate_u1_max_u2(params),
-         analytic.rate_from_cdf(lambda x: analytic.cdf_gamma1_max_u2(x, params), points=points).value),
-    ]
     worst = 0.0
-    for name, closed, quadrature in pairs:
+    for rule in ("max_u1", "max_u2"):
+        name = f"rate_u1_{rule}"
+        (quadrature,) = analytic.near_user_quadratures([params], rule)
+        if isinstance(quadrature, analytic.NonConvergedError):
+            return False, f"{name}: {quadrature}"
+        closed, quadrature = getattr(analytic, name)(params), quadrature.value
         # Relative above the quadrature's own absolute tolerance, absolute below it.
         gap = abs(closed - quadrature)
         if abs(quadrature) > _QUADRATURE_ABS_TOL:
@@ -303,14 +296,29 @@ def _outage_deviation(events: int, trials: int, p: float) -> float:
     The tail is the one on the side of trials * p that `events` lies on.  The
     normal approximation with se from p fails when trials * p is far below 1:
     3 events in 1e6 trials at p = 2.3e-7 are a 0.17% outcome but read 5.8 se.
-    scipy.special's binomial tails are the ones scipy.stats.binom uses, without
-    importing scipy.stats.
+    The tail sums the pmf from `events` away from the mean, where it only
+    falls, in log space, up to 40 nats below its first term.
     """
-    from scipy.special import bdtr, bdtrc, ndtri
+    # Imported here: statistics loads random, fractions and decimal, which only validate needs.
+    from statistics import NormalDist
 
     p = min(max(p, 0.0), 1.0)
-    tail = bdtrc(events - 1, trials, p) if events >= trials * p else bdtr(events, trials, p)
-    return max(float(-ndtri(tail)), 0.0)
+    if p in (0.0, 1.0):
+        return 0.0 if events == trials * p else math.inf
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
+
+    def log_pmf(k: int) -> float:
+        return log_n - math.lgamma(k + 1) - math.lgamma(trials - k + 1) + k * log_p + (trials - k) * log_q
+
+    first, terms = log_pmf(events), []
+    away = range(events, trials + 1) if events >= trials * p else range(events, -1, -1)
+    for k in away:
+        term = log_pmf(k) - first
+        if term < -40.0:
+            break
+        terms.append(math.exp(term))
+    tail = math.exp(first) * math.fsum(terms)
+    return math.inf if tail == 0.0 else max(0.0, -NormalDist().inv_cdf(min(tail, 0.5)))
 
 
 def _check_mc_vs_analytic(params, trials, seed):

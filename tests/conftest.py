@@ -326,6 +326,95 @@ def oracle_breakpoints(params: SystemParams, rule: str, hi: float) -> list[float
     return sorted({p for p in points if 0.0 < p < hi})
 
 
+def oracle_far_user_rates(params_seq, rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9) -> list:
+    """analytic.far_user_rates with its own copy of the qag loop that analytic._qag now runs, as the oracle.
+
+    Verbatim but for gk21 taking the survival to integrate.
+    """
+    from fdnoma.analytic import _MAX_INTERVALS, _checked, _stacked_laws
+
+    count = len(params_seq)
+    laws = _stacked_laws(params_seq, rule)
+    hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+    edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])
+    edges.sort(axis=1)
+    rows, slots = np.nonzero(np.isfinite(edges[:, 1:]))
+    lo, up = edges[rows, slots], edges[rows, slots + 1]
+    gk21 = lambda rows, a, b: laws.gk21(laws.far_survival, rows, a, b)
+    result, error, resasc = gk21(rows, lo, up)
+
+    last = np.bincount(rows, minlength=count)
+    width = max(int(last.max()), _MAX_INTERVALS)
+    starts, ends = np.zeros((count, width)), np.zeros((count, width))
+    values = np.zeros((count, width))
+    errors = np.full((count, width), -np.inf)
+    starts[rows, slots], ends[rows, slots] = lo, up
+    values[rows, slots], errors[rows, slots] = result, error
+    area = np.bincount(rows, weights=result, minlength=count)
+    errsum = np.bincount(rows, weights=error, minlength=count)
+    saturated = np.bincount(rows, weights=(error == resasc) & (error != 0.0), minlength=count) > 0
+    evaluations = 21 * last
+    epsabs = abs_tol * LN2
+    done = (errsum <= np.maximum(epsabs, rel_tol * np.abs(area))) & ~saturated
+    while True:
+        act = np.flatnonzero(~done & (last < _MAX_INTERVALS))
+        if not len(act):
+            break
+        worst = np.argmax(errors[act, : int(last[act].max())], axis=1)
+        a, b = starts[act, worst], ends[act, worst]
+        mid = 0.5 * (a + b)
+        res, err, _ = gk21(np.concatenate([act, act]), np.concatenate([a, mid]), np.concatenate([mid, b]))
+        res1, res2 = np.split(res, 2)
+        err1, err2 = np.split(err, 2)
+        errsum[act] = errsum[act] + (err1 + err2) - errors[act, worst]
+        area[act] = area[act] + (res1 + res2) - values[act, worst]
+        ends[act, worst], values[act, worst], errors[act, worst] = mid, res1, err1
+        new = last[act]
+        starts[act, new], ends[act, new], values[act, new], errors[act, new] = mid, b, res2, err2
+        last[act] += 1
+        evaluations[act] += 42
+        done[act] = errsum[act] <= np.maximum(epsabs, rel_tol * np.abs(area[act]))
+    return [
+        _checked(
+            math.fsum(values[row, : last[row]]) / LN2,
+            float(errsum[row]) / LN2,
+            int(evaluations[row]),
+            rel_tol,
+            abs_tol,
+        )
+        for row in range(count)
+    ]
+
+
+def criterion_2_grid() -> list[SystemParams]:
+    """The 20 parameter sets of acceptance criterion 2, near-singular kernels included."""
+    base = [
+        make_params(),
+        make_params(m_b=1, m_r=1, m_t=1),
+        make_params(m_b=2, m_r=1, m_t=3),
+        make_params(m_b=6, m_r=2, m_t=5),
+        make_params(rho_s=1.0, rho_r=1.0),
+        make_params(rho_s=10.0, rho_r=1000.0),
+        make_params(rho_s=31622.7766, rho_r=31622.7766),
+        make_params(k1=0.0),
+        make_params(k1=1.0),
+        make_params(k1=0.2, var_ru1=2.0),
+        make_params(var_bu1=0.2, var_ru1=4.0),
+        make_params(var_bu1=5.0, rho_s=3.0, rho_r=300.0),
+        make_params(a1=0.1, a2=0.9),
+        make_params(a1=0.4, a2=0.6),
+        make_params(m_b=1, m_t=2, k1=0.3),
+        make_params(m_b=8, m_t=8, rho_s=50.0, rho_r=50.0),
+        make_params(m_b=3, m_t=3, var_ru1=0.01),
+        make_params(rho_s=2000.0, rho_r=2.0),
+        # near-singular: lam_ru1 within 1e-5 of a1 * lam_su1
+        make_params(m_t=1, k1=0.2500025, var_ru1=1.0),
+        make_params(m_b=1, m_t=1, k1=0.24999751, var_ru1=1.0),
+    ]
+    assert len(base) == 20
+    return base
+
+
 def exp_int_ei(x: float) -> float:
     """Exponential integral Ei(x) = -exp(x) g(-x) through the closed forms' g, for x < 0 only."""
     if not x < 0.0:

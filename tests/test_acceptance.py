@@ -13,11 +13,11 @@ import numpy as np
 from fdnoma import analytic
 from fdnoma.channel import draw_batch
 from fdnoma.config import default_params, mean_gains, validate
-from fdnoma.montecarlo import _metric_set, _simulate, chosen_sinrs, estimate_rates
+from fdnoma.montecarlo import _metric_set, _simulate, chosen_sinrs, estimate_metrics
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits
 
-from conftest import exp_int_ei, make_params
+from conftest import criterion_2_grid, exp_int_ei, make_params
 
 POWER_POINTS_DB = (0.0, 10.0, 20.0, 30.0)
 RATE_TRIALS = 1_000_000
@@ -46,11 +46,13 @@ def test_criterion_1_cross_validation_master_check():
     failures = []
     for db in POWER_POINTS_DB:
         params = default_params(db)
+        # One simulation of both schemes: a scheme's estimates equal those of
+        # estimate_rates(params, scheme, ...) alone (test_estimate_metrics_equals_separate_estimates).
+        measured = estimate_metrics(params, tuple(SCHEME_RATE_FORMS), RATE_TRIALS, seed=20_260_811)
         for scheme, (rate1_fn, rate2_fn) in SCHEME_RATE_FORMS.items():
-            r1, r2, _ = estimate_rates(params, scheme, RATE_TRIALS, seed=20_260_811)
             for name, estimate, target in (
-                ("rate_u1", r1, rate1_fn(params)),
-                ("rate_u2", r2, rate2_fn(params)),
+                ("rate_u1", measured[scheme].rate_u1, rate1_fn(params)),
+                ("rate_u2", measured[scheme].rate_u2, rate2_fn(params)),
             ):
                 z = abs(estimate.value - target) / estimate.std_error
                 worst = max(worst, z)
@@ -75,40 +77,12 @@ def test_criterion_1_cross_validation_master_check():
     )
 
 
-def _criterion_2_grid():
-    base = [
-        make_params(),
-        make_params(m_b=1, m_r=1, m_t=1),
-        make_params(m_b=2, m_r=1, m_t=3),
-        make_params(m_b=6, m_r=2, m_t=5),
-        make_params(rho_s=1.0, rho_r=1.0),
-        make_params(rho_s=10.0, rho_r=1000.0),
-        make_params(rho_s=31622.7766, rho_r=31622.7766),
-        make_params(k1=0.0),
-        make_params(k1=1.0),
-        make_params(k1=0.2, var_ru1=2.0),
-        make_params(var_bu1=0.2, var_ru1=4.0),
-        make_params(var_bu1=5.0, rho_s=3.0, rho_r=300.0),
-        make_params(a1=0.1, a2=0.9),
-        make_params(a1=0.4, a2=0.6),
-        make_params(m_b=1, m_t=2, k1=0.3),
-        make_params(m_b=8, m_t=8, rho_s=50.0, rho_r=50.0),
-        make_params(m_b=3, m_t=3, var_ru1=0.01),
-        make_params(rho_s=2000.0, rho_r=2.0),
-        # near-singular: lam_ru1 within 1e-5 of a1 * lam_su1
-        make_params(m_t=1, k1=0.2500025, var_ru1=1.0),
-        make_params(m_b=1, m_t=1, k1=0.24999751, var_ru1=1.0),
-    ]
-    assert len(base) == 20
-    return base
-
-
 def test_criterion_2_internal_consistency():
     """Closed-form near-user rates agree with quadrature of their own
     distributions to relative 1e-8 on a 20-point grid including
     near-singular configurations."""
     worst = 0.0
-    for idx, params in enumerate(_criterion_2_grid()):
+    for idx, params in enumerate(criterion_2_grid()):
         for closed_fn, cdf_fn in (
             (analytic.rate_u1_max_u1, analytic.cdf_gamma1_max_u1),
             (analytic.rate_u1_max_u2, analytic.cdf_gamma1_max_u2),

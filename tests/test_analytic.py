@@ -31,6 +31,7 @@ from fdnoma.config import SweepSpec, default_params, mean_gains
 
 from conftest import (
     MP_LAW_DPS,
+    criterion_2_grid,
     ORACLE_FAR_LINKS,
     _clamp_probability,
     exp_int_ei,
@@ -40,6 +41,7 @@ from conftest import (
     mp_outages,
     near_kernel_alphas,
     oracle_breakpoints,
+    oracle_far_user_rates,
     oracle_far_user_cdf,
     oracle_links,
     oracle_rate_u1_max_u1,
@@ -177,7 +179,8 @@ def test_exactly_singular_configuration_falls_back():
 
 def test_singular_kernel_loads_no_scipy():
     # At alpha = 1 the kernel is closed (K1 and its first-order term), so the
-    # closed form of a fresh process loads no scipy; its quadrature check does.
+    # closed form of a fresh process loads no scipy; rate_from_cdf, the tests'
+    # reference quadrature, does.
     proc = run_fresh(
         "import sys\n"
         "from dataclasses import replace\n"
@@ -496,6 +499,54 @@ def test_far_user_laws_equal_per_call_oracle(params):
         assert_near_mpmath(outage(params), mp_outages(params, rule)[1])
 
 
+# The alpha = 1 kernel of test_cli's SINGULAR_CONFIG: 0 dB, var_bu1 = 4e-6, k1 = 1e-6.
+SINGULAR_PARAMS = make_params(rho_s=1.0, rho_r=1.0, k1=1e-6, var_bu1=4e-6)
+NEAR_QUADRATURE_PARAMS = {
+    **{f"criterion 2 #{i}": params for i, params in enumerate(criterion_2_grid())},
+    "alpha = 1": SINGULAR_PARAMS,
+    "16x16x16": make_params(m_b=16, m_r=16, m_t=16),
+}
+
+
+@pytest.mark.parametrize("params", NEAR_QUADRATURE_PARAMS.values(), ids=NEAR_QUADRATURE_PARAMS.keys())
+def test_near_user_quadrature_matches_scipy(params):
+    # scipy's quad of the near-user distribution, split as the quadrature is.
+    points = analytic.graded_points(params.a1 * mean_gains(params).lam_su1)
+    for rule, cdf in (("max_u1", cdf_gamma1_max_u1), ("max_u2", cdf_gamma1_max_u2)):
+        (result,) = analytic.near_user_quadratures([params], rule)
+        reference = rate_from_cdf(lambda x: cdf(x, params), rel_tol=1e-10, abs_tol=1e-13, points=points)
+        assert result.value == pytest.approx(reference.value, rel=1e-8), rule
+        assert result.abs_error_bound <= max(1e-9, 1e-8 * result.value), rule
+
+
+def mp_near_user_rate(params, rule: str) -> float:
+    """30-digit mpmath integral of the near link's survival over [0, inf), in bits/s/Hz.
+
+    The survival is the alternating sum -sum_(k >= 1) C(m, k) (-c)^k / (1 + k b),
+    which loses about log10 C(m, m/2) digits, 4 at m = 16.
+    """
+    m, lam, lam_i, den = oracle_links(params, rule)[0]
+    with mp.workdps(30):
+
+        def integrand(x):
+            c, b = mp.exp(-x / lam), lam_i * x / den
+            return -mp.fsum(mp.binomial(m, k) * (-c) ** k / (1 + k * b) for k in range(1, m + 1)) / (1 + x)
+
+        return float(mp.quad(integrand, [0, *(lam * 4**k for k in range(4)), mp.inf]) / mp.log(2))
+
+
+@pytest.mark.parametrize("params", [make_params(), SINGULAR_PARAMS, make_params(m_b=16, m_r=16, m_t=16),
+                                    make_params(rho_s=31622.7766, rho_r=31622.7766)],
+                         ids=["4x4x4", "alpha = 1", "16x16x16", "45 dB"])
+def test_near_user_quadrature_matches_mpmath(params):
+    for rule in ("max_u1", "max_u2"):
+        (result,) = analytic.near_user_quadratures([params], rule)
+        oracle = mp_near_user_rate(params, rule)
+        error = abs(result.value - oracle)
+        assert error <= 1e-8 * oracle, rule
+        assert error <= result.abs_error_bound, rule
+
+
 def test_gauss_kronrod_rule_is_exact_on_polynomials():
     # Kronrod on x^k up to degree 31, Gauss (the odd-index abscissae) up to 19, over [-1, 1].
     xs = np.array(analytic._XGK)
@@ -606,6 +657,7 @@ def test_far_user_rates_do_not_depend_on_the_batch():
         assert chunked == together, rule
         alone = [r for params in grid for r in analytic.far_user_rates([params], rule)]
         assert alone == together, rule
+        assert oracle_far_user_rates(grid, rule) == together, rule
 
 
 def test_far_user_rates_return_non_convergence_per_row(baseline):

@@ -1,10 +1,12 @@
 import csv
+import json
 import math
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fdnoma import analytic, cli, montecarlo
@@ -170,8 +172,9 @@ class TestSweep:
             assert abs(mc - an) / an < 0.01, column
 
     def test_both_mode_runs_closed_forms_before_simulation(self, config_path, tmp_path, monkeypatch):
-        # The closed forms import scipy; loaded after the simulator's threads
-        # have freed their blocks, it made the peak resident set vary by run.
+        # Kept from when the closed forms imported scipy: loaded after the
+        # simulator's threads had freed their blocks, it made the peak
+        # resident set vary by run.
         order = []
 
         def recording(name):
@@ -504,6 +507,26 @@ class TestValidate:
         assert _outage_deviation(0, 10**6, 3e-5) > 4.0  # 30 expected, P = 1e-13
         assert _outage_deviation(1, 10**6, 0.0) == math.inf
         assert _outage_deviation(10**6, 10**6, 1.0) == 0.0
+        # Within 1e-4 se of the gate on either side.
+        assert 4.0 < _outage_deviation(10, 10**6, 1.909e-6) < 4.0001
+        assert 3.9999 < _outage_deviation(10, 10**6, 1.9091e-6) <= 4.0
+
+    def test_binomial_tail_matches_scipy(self):
+        # The stdlib tail against scipy.special's, the one scipy.stats.binom
+        # uses, on 400 seeded cases: n = 1e3..1e7, p = 1e-9..0.8, counts
+        # within 8 sd of the mean.
+        from scipy.special import bdtr, bdtrc, ndtri
+
+        rng = np.random.default_rng(16)
+        for _ in range(400):
+            trials = int(10 ** rng.uniform(3.0, 7.0))
+            p = float(10 ** rng.uniform(-9.0, math.log10(0.8)))
+            sd = math.sqrt(trials * p * (1.0 - p))
+            events = min(max(round(trials * p + rng.uniform(-8.0, 8.0) * sd), 0), trials)
+            tail = bdtrc(events - 1, trials, p) if events >= trials * p else bdtr(events, trials, p)
+            expected = max(float(-ndtri(tail)), 0.0)
+            assert _outage_deviation(events, trials, p) == pytest.approx(expected, rel=0.0, abs=1e-6), (
+                events, trials, p)
 
     @pytest.mark.parametrize("events,verdict", [(3, True), (40, False)])
     def test_simulation_check_verdict_on_outage_count(self, monkeypatch, events, verdict):
@@ -553,11 +576,37 @@ def test_simulation_alone_never_loads_scipy(config_path, tmp_path):
 @pytest.mark.parametrize("mode", ["analytic", "both"])
 def test_closed_form_sweeps_never_load_scipy(mode, config_path, tmp_path):
     # The far-user rates integrate in numpy and the near-user rate kernel is
-    # closed at its singular point too; scipy is validate's independent check.
+    # closed at its singular point too.
     singular = tmp_path / "singular.cfg"
     singular.write_text(SINGULAR_CONFIG)
     for path in (config_path, str(singular)):
         assert scipy_modules_after_sweep(mode, path, tmp_path / f"{mode}.csv") == "[]", path
+
+
+def test_every_command_runs_with_scipy_blocked(config_path, tmp_path):
+    # An import of scipy anywhere raises ImportError in this child.
+    singular = tmp_path / "singular.cfg"
+    singular.write_text(SINGULAR_CONFIG)
+    out = str(tmp_path / "out.csv")
+    commands = [
+        *(["sweep", "--mode", mode, "--power", "0,20", "--trials", "2000", "--output", out]
+          for mode in ("mc", "analytic", "both")),
+        ["validate", "--trials", "20000"],
+    ]
+    proc = run_fresh(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import fdnoma.cli\n"
+        "for config in sys.argv[2:]:\n"
+        "    for argv in json.loads(sys.argv[1]):\n"
+        "        code = fdnoma.cli.main([argv[0], '--config', config, *argv[1:]])\n"
+        "        print('exit', code, argv[0], argv[2] if argv[0] == 'sweep' else '', config)\n",
+        json.dumps(commands),
+        config_path,
+        str(singular),
+    )
+    codes = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert codes == ["0"] * 8, proc.stdout
 
 
 def test_validate_passes_at_the_kernel_singularity(tmp_path, capsys):
