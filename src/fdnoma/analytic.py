@@ -55,6 +55,8 @@ EULER_GAMMA = 0.5772156649015329
 _MAX_SAFE_ANTENNAS = 16
 _SINGULAR_TOL = 1e-6
 _PROB_TOL = 1e-12
+# near_user_quadratures converges to these; validate's closed-form check gates on them too.
+QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL = 1e-8, 1e-9
 
 
 class NonConvergedError(RuntimeError):
@@ -622,9 +624,7 @@ def far_user_rates(
     return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi), rel_tol, abs_tol)
 
 
-def near_user_quadratures(
-    params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
-) -> list[QuadratureResult | NonConvergedError]:
+def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list[QuadratureResult | NonConvergedError]:
     """Near-user ergodic rates of many parameter sets of one antenna triple, by _qag, as far_user_rates.
 
     It integrates the near link's survival, a sum of positive terms (see
@@ -644,7 +644,7 @@ def near_user_quadratures(
     points = lam[:, None] * np.array(graded_points(1.0))
     points[points >= hi[:, None]] = np.inf
     survival = lambda x, rows: laws._at(laws.links[0], rows, x)[1]
-    return _qag(laws, survival, hi, points, rel_tol, abs_tol, tail=math.exp(-60.0) / h)
+    return _qag(laws, survival, hi, points, QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL, tail=math.exp(-60.0) / h)
 
 
 def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float]:

@@ -249,9 +249,6 @@ def _check_cdf_sanity(params, trials, seed):
     return True, "4 distribution functions monotone with correct endpoints"
 
 
-_QUADRATURE_ABS_TOL = 1e-9
-
-
 def _check_closed_form_vs_quadrature(params, trials, seed):
     worst = 0.0
     for rule in ("max_u1", "max_u2"):
@@ -262,15 +259,15 @@ def _check_closed_form_vs_quadrature(params, trials, seed):
         closed, quadrature = getattr(analytic, name)(params), quadrature.value
         # Relative above the quadrature's own absolute tolerance, absolute below it.
         gap = abs(closed - quadrature)
-        if abs(quadrature) > _QUADRATURE_ABS_TOL:
+        if abs(quadrature) > analytic.QUADRATURE_ABS_TOL:
             gap /= abs(quadrature)
-            ok = gap <= 1e-8
+            ok = gap <= analytic.QUADRATURE_REL_TOL
         else:
-            ok = gap <= _QUADRATURE_ABS_TOL
+            ok = gap <= analytic.QUADRATURE_ABS_TOL
         worst = max(worst, gap)
         if not ok:
             return False, f"{name}: closed {closed!r} vs quadrature {quadrature!r}"
-    return True, f"max gap {worst:.2e}, relative above {_QUADRATURE_ABS_TOL:g}, absolute below"
+    return True, f"max gap {worst:.2e}, relative above {analytic.QUADRATURE_ABS_TOL:g}, absolute below"
 
 
 def _check_outage_identity(params, trials, seed):

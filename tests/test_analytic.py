@@ -516,7 +516,8 @@ def test_near_user_quadrature_matches_scipy(params):
         (result,) = analytic.near_user_quadratures([params], rule)
         reference = rate_from_cdf(lambda x: cdf(x, params), rel_tol=1e-10, abs_tol=1e-13, points=points)
         assert result.value == pytest.approx(reference.value, rel=1e-8), rule
-        assert result.abs_error_bound <= max(1e-9, 1e-8 * result.value), rule
+        tolerance = max(analytic.QUADRATURE_ABS_TOL, analytic.QUADRATURE_REL_TOL * result.value)
+        assert result.abs_error_bound <= tolerance, rule
 
 
 def mp_near_user_rate(params, rule: str) -> float:

@@ -172,9 +172,6 @@ class TestSweep:
             assert abs(mc - an) / an < 0.01, column
 
     def test_both_mode_runs_closed_forms_before_simulation(self, config_path, tmp_path, monkeypatch):
-        # Kept from when the closed forms imported scipy: loaded after the
-        # simulator's threads had freed their blocks, it made the peak
-        # resident set vary by run.
         order = []
 
         def recording(name):
