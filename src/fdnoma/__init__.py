@@ -6,7 +6,7 @@ fairness, built to cross-validate each other.
 
 The names below are the ones README's library example uses; everything
 else is imported from its submodule (analytic, channel, cli, config,
-montecarlo, selection, sinr).
+montecarlo, results, selection, sinr).
 """
 
 from .analytic import outage_u1_max_u1, rate_u1_max_u1, rate_u2_max_u2

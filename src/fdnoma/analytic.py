@@ -31,9 +31,13 @@ scales, with every link evaluated at every node of every open interval
 in one vectorized pass.  A rate does not depend on the other parameter
 sets in its call.  near_user_quadratures runs the same scheme on the near
 link's positive-term survival, the check of the near-user closed form.
+Both converge to the one tolerance pair, QUADRATURE_REL_TOL and _ABS_TOL.
 rate_from_cdf is scipy's quad, kept for the tests and the benchmark's
 tracing only, and the only place scipy is imported: importing
 scipy.integrate costs about 0.6 s and 50 MiB, and no command needs it.
+
+Last come the MetricSets (closed_form_sets) and sweep rows (analytic_sweep)
+of the schemes the closed forms describe, ANALYTIC_SCHEMES.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import SystemParams, mean_gains
+from .config import SweepSpec, SystemParams, mean_gains, power_points
+from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -55,7 +60,8 @@ EULER_GAMMA = 0.5772156649015329
 _MAX_SAFE_ANTENNAS = 16
 _SINGULAR_TOL = 1e-6
 _PROB_TOL = 1e-12
-# near_user_quadratures converges to these; validate's closed-form check gates on them too.
+# far_user_rates and near_user_quadratures converge to these (rate_from_cdf's defaults are the
+# same); validate's closed-form check gates on them too.
 QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL = 1e-8, 1e-9
 
 
@@ -543,16 +549,17 @@ def _stacked_laws(params_seq: Sequence[SystemParams], rule: str) -> _Laws:
 
 
 def _qag(
-    laws: _Laws, survival, hi: np.ndarray, points: np.ndarray, rel_tol: float, abs_tol: float, tail: float = 0.0
+    laws: _Laws, survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0
 ) -> list[QuadratureResult | NonConvergedError]:
     """QUADPACK's qag with qk21 of survival(x, rows) / (1 + x) over [0, hi] of every row of laws, as rates.
 
     A row's first partition splits at its points in (0, hi), padded with
     inf.  Every round bisects each unfinished integral's interval of largest
-    error, up to _MAX_INTERVALS intervals.  As in qag, an integral is
-    accepted on its first partition only if no interval's error estimate is
-    saturated at its resasc.  tail bounds the integral beyond hi and is
-    added to each error bound.
+    error, up to _MAX_INTERVALS intervals, until it meets QUADRATURE_REL_TOL
+    or QUADRATURE_ABS_TOL.  As in qag, an integral is accepted on its first
+    partition only if no interval's error estimate is saturated at its
+    resasc.  tail bounds the integral beyond hi and is added to each error
+    bound.
     """
     count = len(hi)
     edges = np.column_stack([np.zeros(count), points, hi])
@@ -573,6 +580,7 @@ def _qag(
     errsum = np.bincount(rows, weights=error, minlength=count)
     saturated = np.bincount(rows, weights=(error == resasc) & (error != 0.0), minlength=count) > 0
     evaluations = 21 * last
+    rel_tol, abs_tol = QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL
     epsabs = abs_tol * LN2
     done = (errsum <= np.maximum(epsabs, rel_tol * np.abs(area))) & ~saturated
     while True:
@@ -601,9 +609,7 @@ def _qag(
     ]
 
 
-def far_user_rates(
-    params_seq: Sequence[SystemParams], rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9
-) -> list[QuadratureResult | NonConvergedError]:
+def far_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[QuadratureResult | NonConvergedError]:
     """Far-user ergodic rates of many parameter sets under one rule, integrated together.
 
     Each rate is (1/ln 2) * integral_0^cap (1 - F(x)) / (1 + x) dx of its
@@ -611,8 +617,8 @@ def far_user_rates(
     _Laws.breakpoints).
 
     Returns, per parameter set, its QuadratureResult or, when its error
-    bound misses max(abs_tol, rel_tol * rate), the NonConvergedError that
-    rate_from_cdf would raise.  A result depends only on its own parameter
+    bound misses max(QUADRATURE_ABS_TOL, QUADRATURE_REL_TOL * rate), the
+    NonConvergedError that rate_from_cdf would raise.  A result depends only on its own parameter
     set, never on the others in the call.
     """
     _check_rule(rule)
@@ -621,7 +627,7 @@ def far_user_rates(
     laws = _stacked_laws(params_seq, rule)
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
     hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
-    return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi), rel_tol, abs_tol)
+    return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi))
 
 
 def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list[QuadratureResult | NonConvergedError]:
@@ -644,7 +650,7 @@ def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list
     points = lam[:, None] * np.array(graded_points(1.0))
     points[points >= hi[:, None]] = np.inf
     survival = lambda x, rows: laws._at(laws.links[0], rows, x)[1]
-    return _qag(laws, survival, hi, points, QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL, tail=math.exp(-60.0) / h)
+    return _qag(laws, survival, hi, points, tail=math.exp(-60.0) / h)
 
 
 def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
@@ -682,25 +688,21 @@ def rate_u1_max_u2(params: SystemParams) -> float:
     return near_user_rates([params], "max_u2")[0]
 
 
-def _far_user_rate(params: SystemParams, rule: str, rel_tol: float, abs_tol: float) -> QuadratureResult:
-    (result,) = far_user_rates([params], rule, rel_tol, abs_tol)
+def _far_user_rate(params: SystemParams, rule: str) -> QuadratureResult:
+    (result,) = far_user_rates([params], rule)
     if isinstance(result, NonConvergedError):
         raise result
     return result
 
 
-def rate_u2_max_u1(
-    params: SystemParams, rel_tol: float = 1e-8, abs_tol: float = 1e-9
-) -> QuadratureResult:
+def rate_u2_max_u1(params: SystemParams) -> QuadratureResult:
     """Far-user ergodic rate under near-user-first selection (quadrature)."""
-    return _far_user_rate(params, "max_u1", rel_tol, abs_tol)
+    return _far_user_rate(params, "max_u1")
 
 
-def rate_u2_max_u2(
-    params: SystemParams, rel_tol: float = 1e-8, abs_tol: float = 1e-9
-) -> QuadratureResult:
+def rate_u2_max_u2(params: SystemParams) -> QuadratureResult:
     """Far-user ergodic rate under far-user decoupled selection (quadrature)."""
-    return _far_user_rate(params, "max_u2", rel_tol, abs_tol)
+    return _far_user_rate(params, "max_u2")
 
 
 def thresholds(params: SystemParams) -> tuple[float, float]:
@@ -764,3 +766,65 @@ def outage_u2_max_u1(params: SystemParams) -> float:
 def outage_u2_max_u2(params: SystemParams) -> float:
     """Far-user outage under far-user decoupled selection."""
     return far_user_outages([params], "max_u2")[0]
+
+
+# Schemes whose statistics the closed forms describe, and the far-user rule of each.
+ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
+_FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
+
+
+def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSet | NonConvergedError:
+    """One parameter set's MetricSet from its near-user rate r1, far-user QuadratureResult and
+    outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError.
+    A closed form has no standard error and no trials."""
+    if isinstance(far_rate, NonConvergedError):  # far_rate is None if the metrics need none
+        return far_rate
+    return masked_set(
+        metrics,
+        MetricEstimate(math.nan, 0.0, 0),
+        rates=lambda: tuple(MetricEstimate(v, 0.0, 0) for v in (r1, far_rate.value, r1 + far_rate.value)),
+        outages=lambda: (MetricEstimate(o1, 0.0, 0), MetricEstimate(o2, 0.0, 0)),
+        jain=lambda: MetricEstimate(jain_index(r1, far_rate.value), 0.0, 0),
+    )
+
+
+def closed_form_sets(params_seq: Sequence[SystemParams], scheme: str, metrics: tuple[str, ...]):
+    """_closed_form_set of one of ANALYTIC_SCHEMES at each parameter set, in order, as an iterator.
+
+    Each closed form the metrics need is evaluated for all the sets in one
+    call; the MetricSets are made as they are iterated.
+    """
+    if scheme not in _FAR_RULES:
+        raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
+    rule = _FAR_RULES[scheme]
+    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(params_seq)
+    if "rates" in metrics or "jain" in metrics:
+        far_rates = far_user_rates(params_seq, rule)
+        rates_u1 = near_user_rates(params_seq, rule)
+    if "outage" in metrics:
+        outages_u1 = near_user_outages(params_seq, rule)
+        outages_u2 = far_user_outages(params_seq, rule)
+    return (_closed_form_set(metrics, *values) for values in zip(rates_u1, far_rates, outages_u1, outages_u2))
+
+
+def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
+    """Closed-form sweep rows for the schemes that have closed forms, and notes.
+
+    Each closed form of each scheme is evaluated over the whole power grid
+    in one call.  A (point, scheme) whose far-user rate does not converge
+    gets a row of NaNs and a NON_CONVERGED note; the sweep goes on with the
+    other rows.
+    """
+    points = list(power_points(params, sweep))
+    sets = {scheme: closed_form_sets([p for _, _, p in points], scheme, sweep.metrics) for scheme in sweep.schemes}
+    rows, notes = [], []
+    for _, power_db, _ in points:
+        for scheme in sweep.schemes:
+            metrics = next(sets[scheme])
+            if isinstance(metrics, NonConvergedError):
+                notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {metrics}")
+                metrics = masked_set((), MetricEstimate(math.nan, 0.0, 0))
+            rows.append(
+                SweepRow(power_db=power_db, scheme=scheme, kind=ANALYTIC, trials=0, metrics=metrics)
+            )
+    return rows, notes

@@ -14,18 +14,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
+from .analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from .config import ConfigError, KNOWN_METRICS, SweepSpec, check_run, load_config
 from .montecarlo import (
-    ANALYTIC_SCHEMES,
-    SweepRow,
-    analytic_metric_set,
-    analytic_sweep,
     estimate_metrics,
     estimate_outage,  # noqa: F401  no longer called here; perfbench/spans.py wraps the name
     estimate_rates,  # noqa: F401  likewise
     run_sweep,
-    write_csv,
 )
+from .results import ANALYTIC, MONTE_CARLO, SweepRow, write_csv
 from .selection import SCHEMES
 
 EXIT_OK = 0
@@ -170,7 +167,7 @@ def cmd_sweep(args) -> int:
     if args.mode in ("mc", "both"):
         rows += run_sweep(params, spec)
 
-    rows.sort(key=lambda r: (r.power_db, spec.schemes.index(r.scheme), r.kind != "monte_carlo"))
+    rows.sort(key=lambda r: (r.power_db, spec.schemes.index(r.scheme), r.kind != MONTE_CARLO))
     try:
         write_csv(rows, args.output)
     except OSError as exc:
@@ -198,12 +195,12 @@ def _print_summary(rows: list[SweepRow], mode: str) -> None:
     if mode == "both":
         print("\nrelative difference |mc - analytic| / |analytic|:")
         for (power_db, scheme), kinds in sorted(by_key.items()):
-            if "monte_carlo" in kinds and "analytic" in kinds:
+            if MONTE_CARLO in kinds and ANALYTIC in kinds:
                 diffs = []
                 for name in ("rate_u1", "rate_u2", "outage_u1", "outage_u2"):
-                    estimate = getattr(kinds["monte_carlo"], name)
+                    estimate = getattr(kinds[MONTE_CARLO], name)
                     mc = estimate.value
-                    an = getattr(kinds["analytic"], name).value
+                    an = getattr(kinds[ANALYTIC], name).value
                     if math.isnan(mc) or math.isnan(an):
                         diffs.append(f"{name}=nan")
                     elif name.startswith("outage") and mc == 0.0:
@@ -322,7 +319,9 @@ def _check_mc_vs_analytic(params, trials, seed):
     worst = []
     measured = estimate_metrics(params, ANALYTIC_SCHEMES, trials, seed)
     for scheme in ANALYTIC_SCHEMES:
-        reference = analytic_metric_set(params, scheme, ("rates", "outage"))
+        (reference,) = closed_form_sets([params], scheme, ("rates", "outage"))
+        if isinstance(reference, analytic.NonConvergedError):
+            return False, f"{scheme}: {reference}"
         for name in ("rate_u1", "rate_u2", "outage_u1", "outage_u2"):
             estimate, target = getattr(measured[scheme], name), getattr(reference, name).value
             if name.startswith("outage"):

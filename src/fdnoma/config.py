@@ -207,6 +207,15 @@ def default_params(power_db: float = 20.0, relay_power_db: float | None = None) 
     return validate(replace(SystemParams(), rho_s=rho_s, rho_r=rho_r))
 
 
+def power_points(params: SystemParams, sweep: SweepSpec):
+    """(index, dB, validated parameters) for each point of the sweep's power grid."""
+    for p_idx, power_db in enumerate(sweep.power_db):
+        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[p_idx]
+        yield p_idx, power_db, validate(
+            replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
+        )
+
+
 # Config files are flat "key = value" lines with '#' comments.  Keys match
 # SystemParams field names exactly; rho_s and rho_r are given in dB and
 # converted to linear at load.

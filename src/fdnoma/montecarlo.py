@@ -1,5 +1,8 @@
 """Monte Carlo estimation of ergodic rates, outage and fairness.
 
+It only simulates; its rows and their CSV are in results, the closed
+forms and their sweep in analytic.
+
 Trials are drawn in fixed-size blocks, one RNG stream per block.  Blocks
 run on up to two threads, min(2, available CPUs), with no option to set
 it, and one reduction, _metric_set, turns a scheme's per-block partial
@@ -22,67 +25,20 @@ outputs.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import os
-import warnings
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytic
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
-from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, db_to_linear, validate
+from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, power_points, validate
+from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
+from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 from .selection import JOINT_SCHEMES, NEEDS_RNG, JointSearch, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 _RANDOM_SALT = 0x52414E44
-
-MONTE_CARLO = "monte_carlo"
-ANALYTIC = "analytic"
-
-
-@dataclass(frozen=True)
-class MetricEstimate:
-    """A point estimate with its standard error; analytic values carry 0."""
-
-    value: float
-    std_error: float
-    trials: int
-    kind: str = MONTE_CARLO
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    rate_u1: MetricEstimate
-    rate_u2: MetricEstimate
-    rate_sum: MetricEstimate
-    outage_u1: MetricEstimate
-    outage_u2: MetricEstimate
-    jain_index: MetricEstimate
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    power_db: float
-    scheme: str
-    kind: str
-    trials: int
-    metrics: MetricSet
-
-
-def jain_index(rate_u1: float, rate_u2: float) -> float:
-    """Two-user fairness index (r1+r2)^2 / (2 (r1^2 + r2^2)) in [0.5, 1].
-
-    1 means equal rates, 0.5 means one user takes everything.  Undefined
-    at (0, 0); returns 1 by convention with a warning.
-    """
-    if rate_u1 == 0.0 and rate_u2 == 0.0:
-        warnings.warn("jain_index undefined for two zero rates; returning 1", RuntimeWarning)
-        return 1.0
-    total = rate_u1 + rate_u2
-    return total * total / (2.0 * (rate_u1 * rate_u1 + rate_u2 * rate_u2))
 
 
 class SinrBuffers:
@@ -307,14 +263,6 @@ def _simulate(
         return collect(pool.map(run, layout))
 
 
-def _masked_set(metrics: tuple[str, ...], nan: MetricEstimate, rates=None, outages=None, jain=None) -> MetricSet:
-    """A MetricSet of the requested metric families, each from its function (called only if
-    requested), and `nan` in every field of the others: simulated and closed-form alike."""
-    rate_u1, rate_u2, rate_sum = rates() if "rates" in metrics else (nan, nan, nan)
-    outage_u1, outage_u2 = outages() if "outage" in metrics else (nan, nan)
-    return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain() if "jain" in metrics else nan)
-
-
 def _metric_set(blocks: list[tuple], metrics: tuple[str, ...]) -> MetricSet:
     """One scheme's metrics from its per-block _scheme_sums, reduced with math.fsum in block order.
 
@@ -348,7 +296,7 @@ def _metric_set(blocks: list[tuple], metrics: tuple[str, ...]) -> MetricSet:
             se = math.sqrt(max(d1 * d1 * var1 + 2.0 * d1 * d2 * cov + d2 * d2 * var2, 0.0))
         return MetricEstimate(jain_index(m1, m2), se, n)
 
-    return _masked_set(
+    return masked_set(
         metrics,
         MetricEstimate(math.nan, 0.0, n),
         rates=lambda: tuple(
@@ -389,15 +337,6 @@ def estimate_outage(
     return metrics.outage_u1, metrics.outage_u2
 
 
-def _power_points(params: SystemParams, sweep: SweepSpec):
-    """(index, dB, validated parameters) for each point of the sweep's power grid."""
-    for p_idx, power_db in enumerate(sweep.power_db):
-        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[p_idx]
-        yield p_idx, power_db, validate(
-            replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
-        )
-
-
 def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     """Monte Carlo sweep over the power grid; one row per (point, scheme).
 
@@ -406,7 +345,7 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     """
     rows = []
     workspace = _Workspace(params, min(DEFAULT_BLOCK_SIZE, sweep.trials))
-    for p_idx, power_db, run_params in _power_points(params, sweep):
+    for p_idx, power_db, run_params in power_points(params, sweep):
         per_block = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), workspace=workspace)
         rows.extend(
             SweepRow(power_db=power_db, scheme=scheme, kind=MONTE_CARLO, trials=sweep.trials,
@@ -414,131 +353,3 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
             for scheme in sweep.schemes
         )
     return rows
-
-
-# Schemes whose statistics the closed forms describe, and the far-user rule of each.
-ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
-_FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
-
-
-def _analytic(value: float) -> MetricEstimate:
-    return MetricEstimate(value, 0.0, 0, kind=ANALYTIC)  # a closed form has no standard error and no trials
-
-
-def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSet | analytic.NonConvergedError:
-    """One parameter set's MetricSet from its near-user rate r1, far-user QuadratureResult and
-    outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError."""
-    if isinstance(far_rate, analytic.NonConvergedError):  # far_rate is None if the metrics need none
-        return far_rate
-    return _masked_set(
-        metrics,
-        _analytic(math.nan),
-        rates=lambda: (_analytic(r1), _analytic(far_rate.value), _analytic(r1 + far_rate.value)),
-        outages=lambda: (_analytic(o1), _analytic(o2)),
-        jain=lambda: _analytic(jain_index(r1, far_rate.value)),
-    )
-
-
-def _closed_form_sets(params_seq: list[SystemParams], scheme: str, metrics: tuple[str, ...]) -> Iterator:
-    """_closed_form_set of one of ANALYTIC_SCHEMES at each parameter set, in order.
-
-    Each closed form the metrics need is evaluated for all the sets in one
-    call; the MetricSets are made as they are iterated.
-    """
-    if scheme not in _FAR_RULES:
-        raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
-    rule = _FAR_RULES[scheme]
-    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(params_seq)
-    if "rates" in metrics or "jain" in metrics:
-        far_rates = analytic.far_user_rates(params_seq, rule)
-        rates_u1 = analytic.near_user_rates(params_seq, rule)
-    if "outage" in metrics:
-        outages_u1 = analytic.near_user_outages(params_seq, rule)
-        outages_u2 = analytic.far_user_outages(params_seq, rule)
-    return (_closed_form_set(metrics, *values) for values in zip(rates_u1, far_rates, outages_u1, outages_u2))
-
-
-def analytic_metric_set(params: SystemParams, scheme: str, metrics: tuple[str, ...]) -> MetricSet:
-    """Closed-form MetricSet for one of ANALYTIC_SCHEMES."""
-    (metric_set,) = _closed_form_sets([params], scheme, metrics)
-    if isinstance(metric_set, analytic.NonConvergedError):
-        raise metric_set
-    return metric_set
-
-
-def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
-    """Closed-form sweep rows for the schemes that have closed forms, and notes.
-
-    Each closed form of each scheme is evaluated over the whole power grid
-    in one call.  A (point, scheme) whose far-user rate does not converge
-    gets a row of NaNs and a NON_CONVERGED note; the sweep goes on with the
-    other rows.
-    """
-    points = list(_power_points(params, sweep))
-    sets = {scheme: _closed_form_sets([p for _, _, p in points], scheme, sweep.metrics) for scheme in sweep.schemes}
-    rows, notes = [], []
-    for _, power_db, _ in points:
-        for scheme in sweep.schemes:
-            metrics = next(sets[scheme])
-            if isinstance(metrics, analytic.NonConvergedError):
-                notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {metrics}")
-                metrics = _masked_set((), _analytic(math.nan))
-            rows.append(
-                SweepRow(power_db=power_db, scheme=scheme, kind=ANALYTIC, trials=0, metrics=metrics)
-            )
-    return rows, notes
-
-
-CSV_COLUMNS = (
-    "power_db",
-    "scheme",
-    "rate_u1",
-    "rate_u1_se",
-    "rate_u2",
-    "rate_u2_se",
-    "rate_sum",
-    "outage_u1",
-    "outage_u1_se",
-    "outage_u2",
-    "outage_u2_se",
-    "jain",
-    "trials",
-    "kind",
-)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def write_csv(rows: list[SweepRow], target) -> None:
-    """Write sweep rows with full-precision decimals; byte-stable for a seed."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    handle = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            m = row.metrics
-            writer.writerow(
-                [
-                    _fmt(row.power_db),
-                    row.scheme,
-                    _fmt(m.rate_u1.value),
-                    _fmt(m.rate_u1.std_error),
-                    _fmt(m.rate_u2.value),
-                    _fmt(m.rate_u2.std_error),
-                    _fmt(m.rate_sum.value),
-                    _fmt(m.outage_u1.value),
-                    _fmt(m.outage_u1.std_error),
-                    _fmt(m.outage_u2.value),
-                    _fmt(m.outage_u2.std_error),
-                    _fmt(m.jain_index.value),
-                    str(row.trials),
-                    row.kind,
-                ]
-            )
-    finally:
-        if own:
-            handle.close()
-

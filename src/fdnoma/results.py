@@ -1,0 +1,116 @@
+"""Sweep rows and their CSV, shared by both evaluators, neither of which this module imports.
+
+A row's kind says which evaluator made it, MONTE_CARLO or ANALYTIC.
+"""
+
+from __future__ import annotations
+
+import csv
+import warnings
+from dataclasses import dataclass
+
+MONTE_CARLO = "monte_carlo"
+ANALYTIC = "analytic"
+
+
+@dataclass(frozen=True)
+class MetricEstimate:
+    """A point estimate with its standard error; analytic values carry 0."""
+
+    value: float
+    std_error: float
+    trials: int
+
+
+@dataclass(frozen=True)
+class MetricSet:
+    rate_u1: MetricEstimate
+    rate_u2: MetricEstimate
+    rate_sum: MetricEstimate
+    outage_u1: MetricEstimate
+    outage_u2: MetricEstimate
+    jain_index: MetricEstimate
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    power_db: float
+    scheme: str
+    kind: str
+    trials: int
+    metrics: MetricSet
+
+
+def jain_index(rate_u1: float, rate_u2: float) -> float:
+    """Two-user fairness index (r1+r2)^2 / (2 (r1^2 + r2^2)) in [0.5, 1].
+
+    1 means equal rates, 0.5 means one user takes everything.  Undefined
+    at (0, 0); returns 1 by convention with a warning.
+    """
+    if rate_u1 == 0.0 and rate_u2 == 0.0:
+        warnings.warn("jain_index undefined for two zero rates; returning 1", RuntimeWarning)
+        return 1.0
+    total = rate_u1 + rate_u2
+    return total * total / (2.0 * (rate_u1 * rate_u1 + rate_u2 * rate_u2))
+
+
+def masked_set(metrics: tuple[str, ...], nan: MetricEstimate, rates=None, outages=None, jain=None) -> MetricSet:
+    """A MetricSet of the requested metric families, each from its function (called only if
+    requested), and `nan` in every field of the others: simulated and closed-form alike."""
+    rate_u1, rate_u2, rate_sum = rates() if "rates" in metrics else (nan, nan, nan)
+    outage_u1, outage_u2 = outages() if "outage" in metrics else (nan, nan)
+    return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain() if "jain" in metrics else nan)
+
+
+CSV_COLUMNS = (
+    "power_db",
+    "scheme",
+    "rate_u1",
+    "rate_u1_se",
+    "rate_u2",
+    "rate_u2_se",
+    "rate_sum",
+    "outage_u1",
+    "outage_u1_se",
+    "outage_u2",
+    "outage_u2_se",
+    "jain",
+    "trials",
+    "kind",
+)
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def write_csv(rows: list[SweepRow], target) -> None:
+    """Write sweep rows with full-precision decimals; byte-stable for a seed."""
+    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+    handle = open(target, "w", newline="") if own else target
+    try:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            m = row.metrics
+            writer.writerow(
+                [
+                    _fmt(row.power_db),
+                    row.scheme,
+                    _fmt(m.rate_u1.value),
+                    _fmt(m.rate_u1.std_error),
+                    _fmt(m.rate_u2.value),
+                    _fmt(m.rate_u2.std_error),
+                    _fmt(m.rate_sum.value),
+                    _fmt(m.outage_u1.value),
+                    _fmt(m.outage_u1.std_error),
+                    _fmt(m.outage_u2.value),
+                    _fmt(m.outage_u2.std_error),
+                    _fmt(m.jain_index.value),
+                    str(row.trials),
+                    row.kind,
+                ]
+            )
+    finally:
+        if own:
+            handle.close()

@@ -12,7 +12,7 @@ import pytest
 from fdnoma.analytic import EULER_GAMMA, LN2, NonConvergedError, thresholds, zeta
 from fdnoma.channel import GainBatch
 from fdnoma.config import SystemParams, default_params, mean_gains, validate
-from fdnoma.montecarlo import write_csv
+from fdnoma.results import write_csv
 from fdnoma.selection import _TILE_GRID_BYTES
 
 

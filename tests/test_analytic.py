@@ -27,7 +27,8 @@ from fdnoma.analytic import (
     thresholds,
     zeta,
 )
-from fdnoma.config import SweepSpec, default_params, mean_gains
+from fdnoma.config import SweepSpec, default_params, mean_gains, power_points
+from fdnoma.results import jain_index
 
 from conftest import (
     MP_LAW_DPS,
@@ -232,11 +233,11 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
     params = make_params(m_b=m_b, m_r=m_r, m_t=m_t, a1=a1, a2=1.0 - a1, k1=k1, var_br=var_br,
                          var_bu1=var_bu1, var_ru1=var_ru1, var_ru2=var_ru2, var_si=var_si)
     grid = (-10.0, 0.0, 7.5, 20.0, 35.0, 50.0)
-    spec = SweepSpec(power_db=grid, schemes=montecarlo.ANALYTIC_SCHEMES, trials=1, seed=1,
+    spec = SweepSpec(power_db=grid, schemes=analytic.ANALYTIC_SCHEMES, trials=1, seed=1,
                      rho_r_db=None if relay_db is None else (relay_db,) * len(grid))
-    rows, notes = montecarlo.analytic_sweep(params, spec)
+    rows, notes = analytic.analytic_sweep(params, spec)
     assert notes == []
-    points = [p for _, _, p in montecarlo._power_points(params, spec)]
+    points = [p for _, _, p in power_points(params, spec)]
     one_set = {
         "max_u1": (oracle_rate_u1_max_u1, rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
         "max_u2": (oracle_rate_u1_max_u2, rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
@@ -253,7 +254,7 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
             metrics = sweep_row.metrics
             r1, r2 = rate_u1(p), analytic.far_user_rates([p], rule)[0].value
             assert (metrics.rate_u1.value, metrics.rate_u2.value, metrics.rate_sum.value) == (r1, r2, r1 + r2)
-            assert metrics.jain_index.value == montecarlo.jain_index(r1, r2)
+            assert metrics.jain_index.value == jain_index(r1, r2)
             outages = (metrics.outage_u1.value, metrics.outage_u2.value)
             assert outages == (outage_u1(p), outage_u2(p))
             for value, oracle in zip(outages, mp_outages(p, rule)):
@@ -661,15 +662,17 @@ def test_far_user_rates_do_not_depend_on_the_batch():
         assert oracle_far_user_rates(grid, rule) == together, rule
 
 
-def test_far_user_rates_return_non_convergence_per_row(baseline):
+def test_far_user_rates_return_non_convergence_per_row(baseline, monkeypatch):
     # No rule meets 1e-15 relative: qk21's error floor is 50 eps of |f|.
+    monkeypatch.setattr(analytic, "QUADRATURE_REL_TOL", 1e-15)
+    monkeypatch.setattr(analytic, "QUADRATURE_ABS_TOL", 1e-300)
     narrow = make_params(var_br=1e-6, rho_s=100.0, rho_r=100.0)
-    results = analytic.far_user_rates([baseline, narrow], "max_u1", rel_tol=1e-15, abs_tol=1e-300)
+    results = analytic.far_user_rates([baseline, narrow], "max_u1")
     for result in results:
         assert isinstance(result, NonConvergedError)
         assert "exceeds tolerance" in str(result)
     with pytest.raises(NonConvergedError, match="exceeds tolerance"):
-        rate_u2_max_u1(baseline, rel_tol=1e-15, abs_tol=1e-300)
+        rate_u2_max_u1(baseline)
 
 
 # Each call's value and the mpmath oracle of it, with the relative tolerance:

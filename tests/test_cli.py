@@ -9,10 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdnoma import analytic, cli, montecarlo
+from fdnoma import analytic, cli, montecarlo, results
 from fdnoma.channel import DEFAULT_BLOCK_SIZE
 from fdnoma.config import default_params
-from fdnoma.montecarlo import MetricEstimate, analytic_metric_set
+from fdnoma.results import MetricEstimate
 from fdnoma.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -171,39 +171,18 @@ class TestSweep:
             mc, an = (float(row[column]) for row in rows)
             assert abs(mc - an) / an < 0.01, column
 
-    def test_both_mode_runs_closed_forms_before_simulation(self, config_path, tmp_path, monkeypatch):
-        order = []
-
-        def recording(name):
-            real = getattr(cli, name)
-
-            def call(*args):
-                order.append(name)
-                return real(*args)
-
-            return call
-
-        for name in ("analytic_sweep", "run_sweep"):
-            monkeypatch.setattr(cli, name, recording(name))
-        out = tmp_path / "both.csv"
-        argv = ["sweep", "--config", config_path, "--mode", "both", "--schemes", "max_u1_analytic"]
-        code = main(argv + ["--power", "10", "--trials", "1000", "--output", str(out)])
-        assert code == EXIT_OK
-        assert order == ["analytic_sweep", "run_sweep"]
-
     def test_both_mode_summary_bounds_outages_with_no_events(self, capsys):
         # 0 events in 1e5 trials against a closed form of 2.3e-7 would read
         # rel_diff 1; the summary gives the count and the one-sided 95%
         # Clopper-Pearson upper bound 1 - 0.05**(1/n) instead.
-        def metrics(kind, outage_u1, trials):
-            est = MetricEstimate(0.5, 0.0, trials, kind=kind)
-            out = MetricEstimate(outage_u1, 0.0, trials, kind=kind)
-            return montecarlo.MetricSet(est, est, est, out, out, est)
+        def metrics(outage_u1, trials):
+            est = MetricEstimate(0.5, 0.0, trials)
+            out = MetricEstimate(outage_u1, 0.0, trials)
+            return results.MetricSet(est, est, est, out, out, est)
 
         rows = [
-            montecarlo.SweepRow(20.0, "max_u1_analytic", "monte_carlo", 100_000,
-                                metrics("monte_carlo", 0.0, 100_000)),
-            montecarlo.SweepRow(20.0, "max_u1_analytic", "analytic", 0, metrics("analytic", 2.3e-7, 0)),
+            results.SweepRow(20.0, "max_u1_analytic", "monte_carlo", 100_000, metrics(0.0, 100_000)),
+            results.SweepRow(20.0, "max_u1_analytic", "analytic", 0, metrics(2.3e-7, 0)),
         ]
         cli._print_summary(rows, "both")
         line = capsys.readouterr().out.splitlines()[-1]
@@ -355,10 +334,10 @@ class TestSweep:
 
         far_user_rates = analytic.far_user_rates
 
-        def explode(params_seq, rule, rel_tol=1e-8, abs_tol=1e-9):
+        def explode(params_seq, rule):
             if rule == "max_u2":
                 return [analytic.NonConvergedError("forced for test") for _ in params_seq]
-            return far_user_rates(params_seq, rule, rel_tol, abs_tol)
+            return far_user_rates(params_seq, rule)
 
         monkeypatch.setattr(analytic, "far_user_rates", explode)
         out = tmp_path / "partial.csv"
@@ -407,6 +386,21 @@ class TestValidate:
         assert code == EXIT_OK
         assert "FAIL" not in captured
         assert captured.count("PASS") >= 5
+
+    def test_non_converged_far_user_rate_fails_the_simulation_check(self, config_path, capsys, monkeypatch):
+        far_user_rates = analytic.far_user_rates
+
+        def explode(params_seq, rule):
+            if rule == "max_u2":
+                return [analytic.NonConvergedError("forced for test") for _ in params_seq]
+            return far_user_rates(params_seq, rule)
+
+        monkeypatch.setattr(analytic, "far_user_rates", explode)
+        code = main(["validate", "--config", config_path, "--trials", "20000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_VALIDATION
+        assert [line.split()[1] for line in lines[1:]] == ["PASS"] * 4 + ["FAIL"]
+        assert lines[-1].split(None, 2)[2] == "max_u2_decoupled: forced for test"
 
     @pytest.mark.parametrize(
         "extra", ["", "var_bu1 = 1e-6", "var_bu1 = 1e-12", "var_bu1 = 1e-30", "var_br = 1e-6"]
@@ -533,7 +527,7 @@ class TestValidate:
             return {scheme: measured_one(params, scheme, trials) for scheme in schemes}
 
         def measured_one(params, scheme, trials):
-            exact = analytic_metric_set(params, scheme, ("rates", "outage"))
+            (exact,) = analytic.closed_form_sets([params], scheme, ("rates", "outage"))
             near = events if scheme == "max_u1_analytic" else round(exact.outage_u1.value * trials)
             return replace(exact, outage_u1=MetricEstimate(near / trials, 0.0, trials),
                            outage_u2=MetricEstimate(round(exact.outage_u2.value * trials) / trials, 0.0, trials))

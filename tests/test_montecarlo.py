@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import functools
 import gc
@@ -14,21 +15,17 @@ from hypothesis import strategies as st
 from fdnoma import analytic, montecarlo, selection
 from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
 from fdnoma.config import KNOWN_METRICS, ConfigError, SweepSpec, SystemParams, default_params
+from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from fdnoma.montecarlo import (
-    ANALYTIC_SCHEMES,
-    CSV_COLUMNS,
     _metric_set,
     _simulate,
-    analytic_metric_set,
-    analytic_sweep,
     chosen_sinrs,
     estimate_metrics,
     estimate_outage,
     estimate_rates,
-    jain_index,
     run_sweep,
-    write_csv,
 )
+from fdnoma.results import CSV_COLUMNS, jain_index, write_csv
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import rate_bits
 
@@ -64,7 +61,6 @@ class TestEstimateRates:
         r1, r2, rs = estimate_rates(baseline, "max_u1", 20_000, seed=3)
         assert rs.value == r1.value + r2.value
         assert rs.trials == r1.trials == 20_000
-        assert r1.kind == "monte_carlo"
 
     def test_vanishing_power_vanishing_rates(self):
         params = make_params(rho_s=1e-9, rho_r=1e-9)
@@ -497,14 +493,13 @@ class TestAnalyticRows:
         for row in rows:
             assert row.kind == "analytic"
             assert row.metrics.rate_u1.std_error == 0.0
-            assert row.metrics.rate_u1.kind == "analytic"
         by_scheme = {row.scheme: row for row in rows}
         expected = analytic.rate_u1_max_u1(default_params(20.0))
         assert by_scheme["max_u1_analytic"].metrics.rate_u1.value == pytest.approx(expected)
 
     def test_unknown_scheme_rejected(self, baseline):
         with pytest.raises(ValueError):
-            analytic_metric_set(baseline, "max_u1", ("rates",))
+            closed_form_sets([baseline], "max_u1", ("rates",))
 
     def test_unknown_metric_is_config_error(self, baseline):
         with pytest.raises(ConfigError) as info:
@@ -514,8 +509,8 @@ class TestAnalyticRows:
     def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
         far_user_rates = analytic.far_user_rates
 
-        def explode_at_second_point(params_seq, rule, rel_tol=1e-8, abs_tol=1e-9):
-            results = far_user_rates(params_seq, rule, rel_tol, abs_tol)
+        def explode_at_second_point(params_seq, rule):
+            results = far_user_rates(params_seq, rule)
             if rule == "max_u2":
                 results[1] = analytic.NonConvergedError("forced for test")
             return results
@@ -529,7 +524,7 @@ class TestAnalyticRows:
         assert notes == ["NON_CONVERGED at 20.0 dB / max_u2_decoupled: forced for test"]
         broken = rows[3].metrics
         assert all(
-            math.isnan(m.value) and m.std_error == 0.0 and m.trials == 0 and m.kind == "analytic"
+            math.isnan(m.value) and m.std_error == 0.0 and m.trials == 0
             for m in vars(broken).values()
         )
         assert all(not math.isnan(row.metrics.rate_u2.value) for i, row in enumerate(rows) if i != 3)
@@ -569,3 +564,33 @@ def test_all_schemes_run(baseline):
     for scheme in SCHEMES:
         r1, r2, rs = estimate_rates(baseline, scheme, 2_000, seed=1)
         assert rs.value > 0.0
+
+
+def _module_tree(module) -> ast.Module:
+    with open(module.__file__) as handle:
+        return ast.parse(handle.read())
+
+
+def test_montecarlo_only_simulates():
+    # The closed forms' dispatch lives in analytic, the rows and their CSV in
+    # results; the simulator reads of analytic only its outage thresholds.
+    tree = _module_tree(montecarlo)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "analytic"}
+    assert read == {"thresholds"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "analytic"]
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    moved = {"MetricEstimate", "MetricSet", "SweepRow", "write_csv", "jain_index", "analytic_sweep",
+             "closed_form_sets", "analytic_metric_set"}
+    assert not defined & moved
+
+
+def test_results_imports_no_fdnoma_module():
+    from fdnoma import results
+
+    for node in ast.walk(_module_tree(results)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("fdnoma"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("fdnoma") for alias in node.names), ast.unparse(node)
+
