@@ -51,7 +51,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import SweepSpec, SystemParams, mean_gains, power_points
+from .config import PowerGrid, SweepSpec, SystemParams, mean_gains, power_points
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
@@ -413,9 +413,10 @@ class _Laws:
 
     def __init__(self, params: SystemParams, rule: str):
         _check_rule(rule)
-        self.a1, self.a2 = params.a1, params.a2
+        self.params, self.rule, self.a1, self.a2 = params, rule, params.a1, params.a2
         self.links = _LINKS[rule](params, mean_gains(params))
-        if isinstance(params.a1, np.ndarray):  # per-set arrays: every constant takes the rows' shape
+        if isinstance(params.rho_s, np.ndarray):  # per-set arrays: every constant takes the rows' shape
+            self.a1, self.a2, _ = np.broadcast_arrays(params.a1, params.a2, params.rho_s)
             self.links = [(m, *np.broadcast_arrays(*means)) for m, *means in self.links]
 
     def _at(self, link: tuple, rows, t) -> tuple[np.ndarray, np.ndarray]:
@@ -534,10 +535,13 @@ class _Laws:
 def _stacked_laws(params_seq: Sequence[SystemParams], rule: str) -> _Laws:
     """The laws of many parameter sets as arrays; they must share one antenna triple.
 
-    The sets become one SystemParams of per-set float arrays, so a formula
-    written for one set, such as mean_gains, evaluates every set in one
-    numpy pass with each element's float operations unchanged.
+    The sets become one SystemParams of per-set float arrays (a PowerGrid
+    stacks its two power columns only, and its other fields stay shared),
+    so a formula written for one set, such as mean_gains, evaluates every
+    set in one numpy pass with each element's float operations unchanged.
     """
+    if isinstance(params_seq, PowerGrid):
+        return _Laws(replace(params_seq.params, rho_s=np.array(params_seq.rho_s), rho_r=np.array(params_seq.rho_r)), rule)
     triples = {(p.m_b, p.m_r, p.m_t) for p in params_seq}
     if len(triples) > 1:
         raise ValueError(f"the laws take one antenna triple per call, got {sorted(triples)}")
@@ -569,7 +573,7 @@ def _qag(
     result, error, resasc = laws.gk21(survival, rows, lo, up)
 
     last = np.bincount(rows, minlength=count)
-    width = max(int(last.max()), _MAX_INTERVALS)
+    width = max(int(last.max(initial=0)), _MAX_INTERVALS)
     starts, ends = np.zeros((count, width)), np.zeros((count, width))
     values = np.zeros((count, width))
     errors = np.full((count, width), -np.inf)  # unused slots are never the largest error
@@ -621,10 +625,10 @@ def far_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[Quadra
     NonConvergedError that rate_from_cdf would raise.  A result depends only on its own parameter
     set, never on the others in the call.
     """
-    _check_rule(rule)
-    if not params_seq:
-        return []
-    laws = _stacked_laws(params_seq, rule)
+    return _far_user_rates(_stacked_laws(params_seq, rule))
+
+
+def _far_user_rates(laws: _Laws) -> list[QuadratureResult | NonConvergedError]:
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
     hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
     return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi))
@@ -638,17 +642,17 @@ def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list
     near_user_rates independently.  The integral stops at hi = lam h,
     h = ln m + 60, lam the link's SINR scale: the survival is below
     m e^(-x / lam), so the rest is below m E1(h) < e^-60 / h, which the
-    error bound includes.  The first partition is graded_points(lam).
+    error bound includes.  The first partition is graded_points(lam), for
+    the survival, and lam / _BREAK_RATIO^k down to 1, for 1 / (1 + x): at
+    high power lam is far above that factor's scale, 1.
     """
-    _check_rule(rule)
-    if not params_seq:
-        return []
     laws = _stacked_laws(params_seq, rule)
     m, lam, *_ = laws.links[0]
     h = math.log(m) + 60.0
     hi = lam * h
-    points = lam[:, None] * np.array(graded_points(1.0))
-    points[points >= hi[:, None]] = np.inf
+    steps = np.arange(1, 2 + int(math.log(max(lam.max(initial=1.0), 1.0), _BREAK_RATIO)))
+    points = lam[:, None] * np.concatenate([_BREAK_RATIO ** -steps, graded_points(1.0)])
+    points[(points >= hi[:, None]) | (points < np.minimum(lam, 1.0)[:, None])] = np.inf
     survival = lambda x, rows: laws._at(laws.links[0], rows, x)[1]
     return _qag(laws, survival, hi, points, tail=math.exp(-60.0) / h)
 
@@ -664,7 +668,11 @@ def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float
     3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at 32, and has the
     wrong sign at 64, so it warns above 16 (see README).
     """
-    m, lam, lam_i, den = _stacked_laws(params_seq, rule).links[0]
+    return _near_user_rates(_stacked_laws(params_seq, rule))
+
+
+def _near_user_rates(laws: _Laws) -> list[float]:
+    m, lam, lam_i, den = laws.links[0]
     _warn_counts(m)
     p1 = np.arange(1.0, m + 1.0)
     alpha = (p1 * lam_i[:, None]) / den[:, None]
@@ -731,10 +739,7 @@ def near_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[flo
     Its SINR distribution cdf_gamma1_* at a1 zeta, or 1 where zeta is
     infinite; one evaluation of the near links of every set.
     """
-    laws = _stacked_laws(params_seq, rule)
-    z = np.array([zeta(params) for params in params_seq], dtype=float)
-    finite = np.isfinite(z)
-    return np.where(finite, laws.near_cdf(laws.a1 * np.where(finite, z, 0.0)), 1.0).tolist()
+    return _outages(_stacked_laws(params_seq, rule))[0]
 
 
 def far_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
@@ -744,8 +749,19 @@ def far_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[floa
     decode it from the relay; the near-user leg does not appear.  Each is
     far_user_cdf with cross_link=False at the far-user threshold.
     """
-    theta2 = np.array([thresholds(params)[1] for params in params_seq], dtype=float)
-    return _stacked_laws(params_seq, rule).far_cdf(theta2, cross_link=False).tolist()
+    return _outages(_stacked_laws(params_seq, rule))[1]
+
+
+def _outages(laws: _Laws) -> tuple[list[float], list[float]]:
+    """(near_user_outages, far_user_outages) of the sets of laws.  zeta and thresholds read only
+    a1, a2, rate1 and rate2, so they run once per distinct set of those four."""
+    names = ("a1", "a2", "rate1", "rate2")
+    keys = list(zip(*(np.broadcast_to(getattr(laws.params, name), laws.a1.shape).tolist() for name in names)))
+    limits = {key: (zeta(p := SystemParams(**dict(zip(names, key)))), thresholds(p)[1]) for key in set(keys)}
+    z, theta2 = np.array([limits[key] for key in keys], dtype=float).reshape(-1, 2).T
+    finite = np.isfinite(z)
+    near = np.where(finite, laws.near_cdf(laws.a1 * np.where(finite, z, 0.0)), 1.0)
+    return near.tolist(), laws.far_cdf(theta2, cross_link=False).tolist()
 
 
 def outage_u1_max_u1(params: SystemParams) -> float:
@@ -773,58 +789,56 @@ ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
 _FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
 
 
+# A closed form has no standard error and no trials; a row without a value holds _NAN.
+_NAN = MetricEstimate(math.nan, 0.0, 0)
+
+
 def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSet | NonConvergedError:
     """One parameter set's MetricSet from its near-user rate r1, far-user QuadratureResult and
-    outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError.
-    A closed form has no standard error and no trials."""
+    outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError."""
     if isinstance(far_rate, NonConvergedError):  # far_rate is None if the metrics need none
         return far_rate
+    r2 = None if far_rate is None else far_rate.value
     return masked_set(
-        metrics,
-        MetricEstimate(math.nan, 0.0, 0),
-        rates=lambda: tuple(MetricEstimate(v, 0.0, 0) for v in (r1, far_rate.value, r1 + far_rate.value)),
+        metrics, _NAN,
+        rates=lambda: (MetricEstimate(r1, 0.0, 0), MetricEstimate(r2, 0.0, 0), MetricEstimate(r1 + r2, 0.0, 0)),
         outages=lambda: (MetricEstimate(o1, 0.0, 0), MetricEstimate(o2, 0.0, 0)),
-        jain=lambda: MetricEstimate(jain_index(r1, far_rate.value), 0.0, 0),
+        jain=lambda: MetricEstimate(jain_index(r1, r2), 0.0, 0),
     )
 
 
 def closed_form_sets(params_seq: Sequence[SystemParams], scheme: str, metrics: tuple[str, ...]):
     """_closed_form_set of one of ANALYTIC_SCHEMES at each parameter set, in order, as an iterator.
 
-    Each closed form the metrics need is evaluated for all the sets in one
-    call; the MetricSets are made as they are iterated.
+    The sets' laws are stacked once, and each closed form the metrics need
+    evaluates all of them in one call; the MetricSets are made as iterated.
     """
     if scheme not in _FAR_RULES:
         raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
-    rule = _FAR_RULES[scheme]
+    laws = _stacked_laws(params_seq, _FAR_RULES[scheme])
     rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(params_seq)
     if "rates" in metrics or "jain" in metrics:
-        far_rates = far_user_rates(params_seq, rule)
-        rates_u1 = near_user_rates(params_seq, rule)
+        far_rates, rates_u1 = _far_user_rates(laws), _near_user_rates(laws)
     if "outage" in metrics:
-        outages_u1 = near_user_outages(params_seq, rule)
-        outages_u2 = far_user_outages(params_seq, rule)
+        outages_u1, outages_u2 = _outages(laws)
     return (_closed_form_set(metrics, *values) for values in zip(rates_u1, far_rates, outages_u1, outages_u2))
 
 
 def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Closed-form sweep rows for the schemes that have closed forms, and notes.
 
-    Each closed form of each scheme is evaluated over the whole power grid
-    in one call.  A (point, scheme) whose far-user rate does not converge
-    gets a row of NaNs and a NON_CONVERGED note; the sweep goes on with the
-    other rows.
+    The power grid is validated whole before any closed form runs, and each
+    closed form of each scheme is evaluated over it in one call.  A (point,
+    scheme) whose far-user rate does not converge gets a row of NaNs and a
+    NON_CONVERGED note; the sweep goes on with the other rows.
     """
-    points = list(power_points(params, sweep))
-    sets = {scheme: closed_form_sets([p for _, _, p in points], scheme, sweep.metrics) for scheme in sweep.schemes}
+    grid = power_points(params, sweep)
+    sets = [closed_form_sets(grid, scheme, sweep.metrics) for scheme in sweep.schemes]
     rows, notes = [], []
-    for _, power_db, _ in points:
-        for scheme in sweep.schemes:
-            metrics = next(sets[scheme])
+    for power_db, *point in zip(grid.power_db, *sets):
+        for scheme, metrics in zip(sweep.schemes, point):
             if isinstance(metrics, NonConvergedError):
                 notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {metrics}")
-                metrics = masked_set((), MetricEstimate(math.nan, 0.0, 0))
-            rows.append(
-                SweepRow(power_db=power_db, scheme=scheme, kind=ANALYTIC, trials=0, metrics=metrics)
-            )
+                metrics = masked_set((), _NAN)
+            rows.append(SweepRow(power_db, scheme, ANALYTIC, 0, metrics))
     return rows, notes

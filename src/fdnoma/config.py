@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -21,7 +22,11 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:  # from about 3083 dB on
+        raise ConfigError("GAIN_OUT_OF_RANGE", f"{db!r} dB overflows a float, and every mean gain "
+                          f"must lie in [{GAIN_RANGE[0]:g}, {GAIN_RANGE[1]:g}]") from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,7 @@ class MeanGains:
     lam_si: float
 
 
+_GAIN_NAMES = tuple(field.name for field in fields(MeanGains))
 KNOWN_METRICS = ("rates", "outage", "jain")
 
 
@@ -142,62 +148,60 @@ def validate(params: SystemParams) -> SystemParams:
     Raises ConfigError naming the first violated invariant.
     """
     for field in fields(params):
-        value = getattr(params, field.name)
-        if field.name not in ("m_b", "m_r", "m_t") and not math.isfinite(value):
-            raise ConfigError("VALUE_NOT_FINITE", f"{field.name} must be finite, got {value!r}")
+        if field.name not in ("m_b", "m_r", "m_t"):
+            _check_finite(field.name, getattr(params, field.name))
     if abs(params.a1 + params.a2 - 1.0) > _POWER_SPLIT_TOL:
-        raise ConfigError(
-            "POWER_SPLIT_INVALID",
-            f"a1 + a2 must equal 1, got {params.a1 + params.a2!r}",
-        )
+        raise ConfigError("POWER_SPLIT_INVALID", f"a1 + a2 must equal 1, got {params.a1 + params.a2!r}")
     if not (0.0 < params.a1 < params.a2):
-        raise ConfigError(
-            "POWER_SPLIT_INVALID",
-            f"need 0 < a1 < a2, got a1={params.a1!r}, a2={params.a2!r}",
-        )
+        raise ConfigError("POWER_SPLIT_INVALID", f"need 0 < a1 < a2, got a1={params.a1!r}, a2={params.a2!r}")
     for name in ("m_b", "m_r", "m_t"):
         count = getattr(params, name)
         if not isinstance(count, int) or count < 1:
-            raise ConfigError(
-                "ANTENNA_COUNT_INVALID", f"{name} must be a positive integer, got {count!r}"
-            )
+            raise ConfigError("ANTENNA_COUNT_INVALID", f"{name} must be a positive integer, got {count!r}")
     for name in ("var_br", "var_bu1", "var_ru1", "var_ru2", "var_si"):
         if not getattr(params, name) > 0.0:
-            raise ConfigError(
-                "VARIANCE_INVALID", f"{name} must be > 0, got {getattr(params, name)!r}"
-            )
-    for name in ("rho_s", "rho_r"):
-        if not getattr(params, name) > 0.0:
-            raise ConfigError(
-                "SNR_INVALID", f"{name} must be > 0, got {getattr(params, name)!r}"
-            )
+            raise ConfigError("VARIANCE_INVALID", f"{name} must be > 0, got {getattr(params, name)!r}")
+    _check_snrs(params.rho_s, params.rho_r)
     if params.k1 < 0.0:
         raise ConfigError("INTERFERENCE_INVALID", f"k1 must be >= 0, got {params.k1!r}")
     for name in ("rate1", "rate2"):
         # 2^rate - 1, the SINR threshold, overflows a float from 1024 on.
         if not 0.0 < getattr(params, name) < 1024.0:
-            raise ConfigError(
-                "RATE_INVALID", f"{name} must be in (0, 1024), got {getattr(params, name)!r}"
-            )
+            raise ConfigError("RATE_INVALID", f"{name} must be in (0, 1024), got {getattr(params, name)!r}")
+    _check_gains(params, params.rho_s, params.rho_r)
+    return params
+
+
+# validate's three checks that read rho_s or rho_r, in its order; a power grid runs only these
+# past its first point (see power_points).
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError("VALUE_NOT_FINITE", f"{name} must be finite, got {value!r}")
+
+
+def _check_snrs(rho_s: float, rho_r: float) -> None:
+    for name, value in (("rho_s", rho_s), ("rho_r", rho_r)):
+        if not value > 0.0:
+            raise ConfigError("SNR_INVALID", f"{name} must be > 0, got {value!r}")
+
+
+def _check_gains(params: SystemParams, rho_s: float, rho_r: float) -> None:
     low, high = GAIN_RANGE
-    for name, gain in vars(mean_gains(params)).items():
+    for name, gain in zip(_GAIN_NAMES, _gains(params, rho_s, rho_r)):
         # k1 = 0 switches the inter-user interference off: lam_ru1 is 0 then.
         if not low <= gain <= high and not (name == "lam_ru1" and params.k1 == 0.0):
-            raise ConfigError(
-                "GAIN_OUT_OF_RANGE", f"mean gain {name} = {gain!r} is outside [{low:g}, {high:g}]"
-            )
-    return params
+            raise ConfigError("GAIN_OUT_OF_RANGE", f"mean gain {name} = {gain!r} is outside [{low:g}, {high:g}]")
 
 
 def mean_gains(params: SystemParams) -> MeanGains:
     """Mean per-antenna power gains implied by the parameter set."""
-    return MeanGains(
-        lam_br=params.rho_s * params.var_br,
-        lam_su1=params.rho_s * params.var_bu1,
-        lam_ru1=params.rho_r * params.k1 * params.var_ru1,
-        lam_ru2=params.rho_r * params.var_ru2,
-        lam_si=params.rho_r * params.var_si,
-    )
+    return MeanGains(*_gains(params, params.rho_s, params.rho_r))
+
+
+def _gains(params: SystemParams, rho_s, rho_r) -> tuple:
+    """The fields of mean_gains at the powers rho_s and rho_r."""
+    return (rho_s * params.var_br, rho_s * params.var_bu1, rho_r * params.k1 * params.var_ru1,
+            rho_r * params.var_ru2, rho_r * params.var_si)
 
 
 def default_params(power_db: float = 20.0, relay_power_db: float | None = None) -> SystemParams:
@@ -207,13 +211,41 @@ def default_params(power_db: float = 20.0, relay_power_db: float | None = None) 
     return validate(replace(SystemParams(), rho_s=rho_s, rho_r=rho_r))
 
 
-def power_points(params: SystemParams, sweep: SweepSpec):
-    """(index, dB, validated parameters) for each point of the sweep's power grid."""
-    for p_idx, power_db in enumerate(sweep.power_db):
-        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[p_idx]
-        yield p_idx, power_db, validate(
-            replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
-        )
+class PowerGrid(Sequence):
+    """A sweep's power grid over one parameter set: each point's dB value and linear powers.
+
+    A point's SystemParams is made only when indexed, so no grid holds one per point.
+    """
+
+    def __init__(self, params: SystemParams, power_db, rho_s: list[float], rho_r: list[float]):
+        self.params, self.power_db, self.rho_s, self.rho_r = params, power_db, rho_s, rho_r
+
+    def __len__(self) -> int:
+        return len(self.power_db)
+
+    def __getitem__(self, index: int) -> SystemParams:
+        return replace(self.params, rho_s=self.rho_s[index], rho_r=self.rho_r[index])
+
+
+def power_points(params: SystemParams, sweep: SweepSpec) -> PowerGrid:
+    """The sweep's power grid over params, every point validated before it returns.
+
+    The first point gets the whole of validate.  The other fields then hold at every point, so
+    the later points run only the checks that read rho_s and rho_r: the first bad point raises
+    the ConfigError that validate gives it.
+    """
+    rho_s, rho_r = [], []
+    for source_db, relay_db in zip(sweep.power_db, sweep.rho_r_db or sweep.power_db):
+        rho_s.append(db_to_linear(source_db))
+        rho_r.append(db_to_linear(relay_db))
+        if len(rho_s) == 1:
+            validate(replace(params, rho_s=rho_s[0], rho_r=rho_r[0]))
+        else:
+            _check_finite("rho_s", rho_s[-1])
+            _check_finite("rho_r", rho_r[-1])
+            _check_snrs(rho_s[-1], rho_r[-1])
+            _check_gains(params, rho_s[-1], rho_r[-1])
+    return PowerGrid(params, sweep.power_db, rho_s, rho_r)
 
 
 # Config files are flat "key = value" lines with '#' comments.  Keys match
@@ -254,7 +286,7 @@ def load_config(path: str | Path) -> SystemParams:
                 values[key] = db_to_linear(float(value_text))
             else:
                 values[key] = float(value_text)
-        except (ValueError, OverflowError) as exc:  # 10 ** (dB / 10) overflows from about 3083 dB
+        except ValueError as exc:  # db_to_linear's ConfigError is one too
             raise ConfigError(
                 "CONFIG_VALUE_INVALID", f"{path}:{lineno}: bad value for {key!r}: {value_text!r}"
             ) from exc

@@ -341,11 +341,13 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     """Monte Carlo sweep over the power grid; one row per (point, scheme).
 
     Power points set rho_s and rho_r jointly unless the sweep overrides
-    the relay power.  All schemes at a point share realizations.
+    the relay power.  The whole grid is validated before the first point is
+    simulated.  All schemes at a point share realizations.
     """
+    grid = power_points(params, sweep)
     rows = []
     workspace = _Workspace(params, min(DEFAULT_BLOCK_SIZE, sweep.trials))
-    for p_idx, power_db, run_params in power_points(params, sweep):
+    for p_idx, (power_db, run_params) in enumerate(zip(grid.power_db, grid)):
         per_block = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), workspace=workspace)
         rows.extend(
             SweepRow(power_db=power_db, scheme=scheme, kind=MONTE_CARLO, trials=sweep.trials,

@@ -5,7 +5,6 @@ A row's kind says which evaluator made it, MONTE_CARLO or ANALYTIC.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -63,25 +62,12 @@ def masked_set(metrics: tuple[str, ...], nan: MetricEstimate, rates=None, outage
 
 
 CSV_COLUMNS = (
-    "power_db",
-    "scheme",
-    "rate_u1",
-    "rate_u1_se",
-    "rate_u2",
-    "rate_u2_se",
-    "rate_sum",
-    "outage_u1",
-    "outage_u1_se",
-    "outage_u2",
-    "outage_u2_se",
-    "jain",
-    "trials",
-    "kind",
+    "power_db", "scheme", "rate_u1", "rate_u1_se", "rate_u2", "rate_u2_se", "rate_sum",
+    "outage_u1", "outage_u1_se", "outage_u2", "outage_u2_se", "jain", "trials", "kind",
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# A row's CSV line: each float at full precision, and the scheme, trial count and kind as they
+# are (the scheme and kind are identifiers, which need no quoting).
+_LINE = ",".join("{}" if column in ("scheme", "trials", "kind") else "{:.17g}" for column in CSV_COLUMNS) + "\n"
 
 
 def write_csv(rows: list[SweepRow], target) -> None:
@@ -89,28 +75,14 @@ def write_csv(rows: list[SweepRow], target) -> None:
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     handle = open(target, "w", newline="") if own else target
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             m = row.metrics
-            writer.writerow(
-                [
-                    _fmt(row.power_db),
-                    row.scheme,
-                    _fmt(m.rate_u1.value),
-                    _fmt(m.rate_u1.std_error),
-                    _fmt(m.rate_u2.value),
-                    _fmt(m.rate_u2.std_error),
-                    _fmt(m.rate_sum.value),
-                    _fmt(m.outage_u1.value),
-                    _fmt(m.outage_u1.std_error),
-                    _fmt(m.outage_u2.value),
-                    _fmt(m.outage_u2.std_error),
-                    _fmt(m.jain_index.value),
-                    str(row.trials),
-                    row.kind,
-                ]
-            )
+            handle.write(_LINE.format(
+                row.power_db, row.scheme, m.rate_u1.value, m.rate_u1.std_error, m.rate_u2.value,
+                m.rate_u2.std_error, m.rate_sum.value, m.outage_u1.value, m.outage_u1.std_error,
+                m.outage_u2.value, m.outage_u2.std_error, m.jain_index.value, row.trials, row.kind,
+            ))
     finally:
         if own:
             handle.close()

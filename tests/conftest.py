@@ -427,6 +427,28 @@ def linear_to_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
+def oracle_write_csv(rows, handle) -> None:
+    """results.write_csv as it was written with csv.writer, the oracle of the one-format-per-row writer."""
+    import csv
+
+    from fdnoma.results import CSV_COLUMNS
+
+    def fmt(x: float) -> str:
+        return f"{x:.17g}"
+
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        m = row.metrics
+        writer.writerow([
+            fmt(row.power_db), row.scheme,
+            fmt(m.rate_u1.value), fmt(m.rate_u1.std_error), fmt(m.rate_u2.value), fmt(m.rate_u2.std_error),
+            fmt(m.rate_sum.value), fmt(m.outage_u1.value), fmt(m.outage_u1.std_error),
+            fmt(m.outage_u2.value), fmt(m.outage_u2.std_error), fmt(m.jain_index.value),
+            str(row.trials), row.kind,
+        ])
+
+
 def rows_to_csv_text(rows) -> str:
     buffer = io.StringIO()
     write_csv(rows, buffer)

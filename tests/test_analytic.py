@@ -237,7 +237,7 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
                      rho_r_db=None if relay_db is None else (relay_db,) * len(grid))
     rows, notes = analytic.analytic_sweep(params, spec)
     assert notes == []
-    points = [p for _, _, p in power_points(params, spec)]
+    points = list(power_points(params, spec))
     one_set = {
         "max_u1": (oracle_rate_u1_max_u1, rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
         "max_u2": (oracle_rate_u1_max_u2, rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
@@ -547,6 +547,22 @@ def test_near_user_quadrature_matches_mpmath(params):
         error = abs(result.value - oracle)
         assert error <= 1e-8 * oracle, rule
         assert error <= result.abs_error_bound, rule
+
+
+def test_near_user_quadrature_grades_down_to_the_rate_kernel_scale():
+    # At high power the near link's scale lam is far above 1, the scale of 1 / (1 + x), and a
+    # partition graded only upward from lam bisected [0, lam] over and over: 4x4x4 rows took
+    # (0, 20, 40, 60 dB) 84, 210, 462 (max_u2: 504) and 756 evaluations.  Graded down to 1
+    # as well, no count rises, and the high-power ones fall.
+    upward_only = {0.0: 84, 20.0: 210, 40.0: 462, 60.0: 756}
+    grid = [default_params(power) for power in upward_only]
+    for rule in ("max_u1", "max_u2"):
+        results = analytic.near_user_quadratures(grid, rule)
+        counts = dict(zip(upward_only, (result.evaluations for result in results)))
+        assert all(counts[power] <= upward_only[power] for power in (0.0, 20.0)), (rule, counts)
+        assert all(counts[power] < upward_only[power] for power in (40.0, 60.0)), (rule, counts)
+        for result, closed in zip(results, analytic.near_user_rates(grid, rule)):
+            assert result.value == pytest.approx(closed, rel=analytic.QUADRATURE_REL_TOL), rule
 
 
 def test_gauss_kronrod_rule_is_exact_on_polynomials():

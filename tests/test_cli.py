@@ -286,6 +286,31 @@ class TestSweep:
         assert err.startswith("usage error:") and "relay power" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
+    @pytest.mark.parametrize("flags", [["--power", "0,3100"], ["--power", "0,10", "--relay-power-db", "3100"]])
+    def test_power_beyond_the_float_range_is_config_error(self, mode, flags, config_path, tmp_path, capsys):
+        # 10 ** (3100 / 10) overflows a float: a named error, as at 1001 dB, not a traceback.
+        out = tmp_path / "o.csv"
+        code = main(["sweep", "--config", config_path, "--mode", mode, "--schemes", "max_u1_analytic",
+                     "--trials", "200", "--output", str(out), *flags])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: GAIN_OUT_OF_RANGE") and "3100.0 dB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_bad_later_point_stops_the_sweep_before_any_draw(self, mode, config_path, tmp_path, capsys, monkeypatch):
+        # The whole grid is validated before any evaluator runs: nothing is simulated for
+        # the good points ahead of the 1001 dB one.
+        draws = []
+        monkeypatch.setattr(montecarlo, "draw_batch", lambda *args, **kwargs: draws.append(args))
+        out = tmp_path / "o.csv"
+        code = main(["sweep", "--config", config_path, "--mode", mode, "--schemes", "max_u1_analytic",
+                     "--power", "0,10,20,1001", "--trials", "300000", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "GAIN_OUT_OF_RANGE: mean gain lam_br" in capsys.readouterr().err
+        assert draws == [] and not out.exists()
+
     @pytest.mark.parametrize("mode", ["mc", "analytic"])
     def test_negative_seed_is_config_error(self, config_path, tmp_path, capsys, mode):
         out = tmp_path / "o.csv"
@@ -332,14 +357,14 @@ class TestSweep:
     ):
         from fdnoma import analytic
 
-        far_user_rates = analytic.far_user_rates
+        far_user_rates = analytic._far_user_rates
 
-        def explode(params_seq, rule):
-            if rule == "max_u2":
-                return [analytic.NonConvergedError("forced for test") for _ in params_seq]
-            return far_user_rates(params_seq, rule)
+        def explode(laws):
+            if laws.rule == "max_u2":
+                return [analytic.NonConvergedError("forced for test") for _ in laws.a1]
+            return far_user_rates(laws)
 
-        monkeypatch.setattr(analytic, "far_user_rates", explode)
+        monkeypatch.setattr(analytic, "_far_user_rates", explode)
         out = tmp_path / "partial.csv"
         code = main(
             [
@@ -388,14 +413,14 @@ class TestValidate:
         assert captured.count("PASS") >= 5
 
     def test_non_converged_far_user_rate_fails_the_simulation_check(self, config_path, capsys, monkeypatch):
-        far_user_rates = analytic.far_user_rates
+        far_user_rates = analytic._far_user_rates
 
-        def explode(params_seq, rule):
-            if rule == "max_u2":
-                return [analytic.NonConvergedError("forced for test") for _ in params_seq]
-            return far_user_rates(params_seq, rule)
+        def explode(laws):
+            if laws.rule == "max_u2":
+                return [analytic.NonConvergedError("forced for test") for _ in laws.a1]
+            return far_user_rates(laws)
 
-        monkeypatch.setattr(analytic, "far_user_rates", explode)
+        monkeypatch.setattr(analytic, "_far_user_rates", explode)
         code = main(["validate", "--config", config_path, "--trials", "20000"])
         lines = capsys.readouterr().out.splitlines()
         assert code == EXIT_VALIDATION

@@ -14,6 +14,7 @@ from fdnoma.config import (
     default_params,
     load_config,
     mean_gains,
+    power_points,
     validate,
 )
 
@@ -216,6 +217,78 @@ def test_default_params_power():
     params = default_params(30.0, relay_power_db=10.0)
     assert params.rho_s == pytest.approx(1000.0)
     assert params.rho_r == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: db_to_linear(3100.0), lambda: default_params(3100.0), lambda: default_params(20.0, 3100.0)]
+)
+def test_power_beyond_the_float_range_is_a_gain_error(call):
+    # 10 ** (dB / 10) overflows a float from about 3083 dB on; a 1001 dB power is already
+    # out of GAIN_RANGE, and so is every power above it.
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.code == "GAIN_OUT_OF_RANGE"
+    assert "3100.0 dB" in str(err.value)
+
+
+def power_points_oracle(params, sweep):
+    """Each point's validated parameters, validated in full one point at a time, as power_points once did."""
+    for index, power_db in enumerate(sweep.power_db):
+        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[index]
+        yield validate(replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db)))
+
+
+def raised(call):
+    try:
+        return call()
+    except ConfigError as exc:
+        return exc.code, str(exc)
+
+
+@given(
+    # Beyond +-1000 dB a mean gain leaves GAIN_RANGE, from -3240 dB the power is 0 and
+    # from 3083 dB it overflows.
+    power_db=st.lists(st.floats(-4000.0, 4000.0) | st.sampled_from([math.inf, -math.inf]),
+                      min_size=1, max_size=6, unique=True),
+    relay_db=st.none() | st.floats(-4000.0, 4000.0),
+    spoiled=st.sampled_from([{}, {"var_br": -1.0}, {"a1": 0.6, "a2": 0.4}, {"k1": -1.0}, {"rate2": 0.0},
+                             {"var_si": math.inf}, {"m_r": 0}, {"var_bu1": 1e-120}]),
+)
+@settings(max_examples=150, deadline=None)
+def test_power_points_raise_what_validating_each_point_raises(power_db, relay_db, spoiled):
+    # The grid is validated once: the first point in full, the others by the checks that read
+    # rho_s and rho_r.  The first bad point must raise the ConfigError that validating every
+    # point in full gives, and a good grid must give the same parameter sets.
+    params = replace(SystemParams(), **spoiled)
+    relay = None if relay_db is None else (relay_db,) * len(power_db)
+    sweep = SweepSpec(power_db=tuple(power_db), schemes=("max_u1",), trials=1, seed=1, rho_r_db=relay)
+    assert raised(lambda: list(power_points(params, sweep))) == raised(lambda: list(power_points_oracle(params, sweep)))
+
+
+def test_power_points_validate_the_fixed_fields_once(monkeypatch):
+    # A 601-point grid runs validate once, at its first point, and builds one SystemParams
+    # there; each later point runs only the checks that read its powers.
+    from fdnoma import config
+
+    params = default_params()
+    calls = {"validate": 0, "replace": 0}
+
+    def counted(name):
+        original = getattr(config, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(config, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    sweep = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=("max_u1",), trials=1, seed=1)
+    grid = power_points(params, sweep)
+    assert calls == {"validate": 1, "replace": 1}
+    assert len(grid) == 601 and grid.rho_s[600] == db_to_linear(60.0)
+    assert grid[600] == replace(params, rho_s=db_to_linear(60.0), rho_r=db_to_linear(60.0))
 
 
 class TestSweepSpec:

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import functools
 import gc
+import io
 import math
 import threading
 import weakref
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma import analytic, montecarlo, selection
+from fdnoma import analytic, montecarlo, results, selection
 from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
 from fdnoma.config import KNOWN_METRICS, ConfigError, SweepSpec, SystemParams, default_params
 from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
@@ -25,11 +26,11 @@ from fdnoma.montecarlo import (
     estimate_rates,
     run_sweep,
 )
-from fdnoma.results import CSV_COLUMNS, jain_index, write_csv
+from fdnoma.results import CSV_COLUMNS, MetricEstimate, MetricSet, SweepRow, jain_index, write_csv
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import make_params, rows_to_csv_text, tile_rows
+from conftest import make_params, oracle_write_csv, rows_to_csv_text, tile_rows
 
 
 class TestJainIndex:
@@ -506,16 +507,32 @@ class TestAnalyticRows:
             analytic_sweep(baseline, SweepSpec(power_db=(10.0,), schemes=ANALYTIC_SCHEMES, metrics=("outages",)))
         assert info.value.code == "SWEEP_METRIC_UNKNOWN"
 
-    def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
-        far_user_rates = analytic.far_user_rates
+    def test_sweep_stacks_each_rule_once(self, baseline, monkeypatch):
+        # Two schemes over 601 points: each scheme's rule has its laws stacked once, from
+        # the grid, for all four of its closed forms.
+        stacked = []
+        stacked_laws = analytic._stacked_laws
 
-        def explode_at_second_point(params_seq, rule):
-            results = far_user_rates(params_seq, rule)
-            if rule == "max_u2":
+        def counting(params_seq, rule):
+            stacked.append((len(params_seq), rule))
+            return stacked_laws(params_seq, rule)
+
+        monkeypatch.setattr(analytic, "_stacked_laws", counting)
+        spec = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=ANALYTIC_SCHEMES)
+        rows, notes = analytic_sweep(baseline, spec)
+        assert stacked == [(601, "max_u1"), (601, "max_u2")]
+        assert len(rows) == 1202 and notes == []
+
+    def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
+        far_user_rates = analytic._far_user_rates
+
+        def explode_at_second_point(laws):
+            results = far_user_rates(laws)
+            if laws.rule == "max_u2":
                 results[1] = analytic.NonConvergedError("forced for test")
             return results
 
-        monkeypatch.setattr(analytic, "far_user_rates", explode_at_second_point)
+        monkeypatch.setattr(analytic, "_far_user_rates", explode_at_second_point)
         spec = SweepSpec(power_db=(10.0, 20.0, 30.0), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
         rows, notes = analytic_sweep(baseline, spec)
         assert [(row.power_db, row.scheme) for row in rows] == [
@@ -553,6 +570,26 @@ class TestCsv:
         text = rows_to_csv_text(rows)
         value_text = text.splitlines()[1].split(",")[2]
         assert float(value_text) == rows[0].metrics.rate_u1.value
+
+    def test_writer_equals_the_csv_module_oracle(self, tmp_path):
+        # Every float field takes each awkward value in turn (nan, infinities,
+        # a negative zero, subnormals, the float range's edge), in rows of
+        # every scheme and both kinds; the bytes must be csv.writer's.
+        awkward = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3.0,
+                   1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-7, 20.0]
+        rows = []
+        for i, (scheme, kind) in enumerate((s, k) for s in SCHEMES for k in (results.MONTE_CARLO, results.ANALYTIC)):
+            for j in range(len(awkward)):
+                values = [awkward[(i + j + n) % len(awkward)] for n in range(13)]
+                estimates = [MetricEstimate(values[n], values[n + 6], 7) for n in range(6)]
+                trials = (0, 1, 1_000_000, 2**63)[j % 4]
+                rows.append(SweepRow(values[12], scheme, kind, trials, MetricSet(*estimates)))
+        expected = io.StringIO()
+        oracle_write_csv(rows, expected)
+        assert rows_to_csv_text(rows) == expected.getvalue()
+        path = tmp_path / "awkward.csv"
+        write_csv(rows, path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_scheme_validation(baseline):
