@@ -18,19 +18,19 @@ antenna count.  The near-user rate is the paper's closed form, an
 alternating sum of rate kernels accumulated with math.fsum, and the one
 sum here that cancels.
 
-The closed forms take a sequence of parameter sets of one antenna triple
-and evaluate them as arrays, one call per closed form over a sweep's
-whole power grid; the one-set entry points (rate_u1_*, outage_*,
-cdf_gamma*) run the same code on one set, and the distributions take a
-point or an array of points.
+The closed forms take the Laws of a PowerGrid under one rule, the links
+with one array row per power point, and evaluate every point in one call
+over a sweep's whole grid; the one-set entry points (rate_u1_*, outage_*,
+cdf_gamma*) run the same code on the one-point grid of their set, and the
+distributions take a point or an array of points.
 
-The far-user rates are integrated by far_user_rates, in numpy, for any
-number of parameter sets at once: QUADPACK's adaptive 21-point
-Gauss-Kronrod scheme over a first partition graded at the links' SINR
-scales, with every link evaluated at every node of every open interval
-in one vectorized pass.  A rate does not depend on the other parameter
-sets in its call.  near_user_quadratures runs the same scheme on the near
-link's positive-term survival, the check of the near-user closed form.
+The far-user rates are integrated by far_user_rates, in numpy, for every
+point at once: QUADPACK's adaptive 21-point Gauss-Kronrod scheme over a
+first partition graded at the links' SINR scales, with every link
+evaluated at every node of every open interval in one vectorized pass.
+A rate does not depend on the other points in its call.
+near_user_quadratures runs the same scheme on the near link's
+positive-term survival, the check of the near-user closed form.
 Both converge to the one tolerance pair, QUADRATURE_REL_TOL and _ABS_TOL.
 rate_from_cdf is scipy's quad, kept for the tests and the benchmark's
 tracing only, and the only place scipy is imported: importing
@@ -45,13 +45,12 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import PowerGrid, SweepSpec, SystemParams, mean_gains, power_points
+from .config import ConfigError, PowerGrid, SweepSpec, SystemParams, mean_gains, power_points
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
@@ -187,7 +186,7 @@ def sinr_cap(params: SystemParams) -> float:
 
 
 # The links of each rule's SINR laws, as (m, lam, lam_i, den) of parameters
-# p (one set, or sets stacked by _stacked_laws) and their mean gains g.  A
+# p and their mean gains g (one row per power point, see Laws).  A
 # link is the strongest of m exponential gains of mean lam over 1 plus an
 # exponential interferer of mean lam_i lam / den: the weakest of m_i gains
 # of mean lam_i when den = m_i lam, none when lam_i = 0.  At t its law is
@@ -252,9 +251,14 @@ def _link_law(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(f, 1.0), np.minimum(s, 1.0)
 
 
+def _one_set(params: SystemParams, rule: str) -> Laws:
+    """The laws of one parameter set: those of its one-point grid."""
+    return Laws(PowerGrid.at(params), rule)
+
+
 def _point_or_array(values: np.ndarray, x) -> float | np.ndarray:
-    """One set's values at x: a float at a scalar x, else the array."""
-    return values if getattr(x, "ndim", 0) else float(values)
+    """One set's values at x: a float (its one row) at a scalar x, else the array."""
+    return values if getattr(x, "ndim", 0) else float(values[0])
 
 
 def far_user_cdf(
@@ -269,7 +273,7 @@ def far_user_cdf(
     is outage_u2_*.  It takes a point or an array of points; it is 0 up to
     0 and 1 from the a2/a1 cap on.
     """
-    laws = _Laws(params, rule)
+    laws = _one_set(params, rule)
     return lambda x: _point_or_array(laws.far_cdf(x, cross_link), x)
 
 
@@ -279,7 +283,7 @@ def cdf_gamma1_max_u1(x, params: SystemParams):
     Strongest of m_b direct gains over 1 plus the weakest of m_t
     interfering gains.
     """
-    return _point_or_array(_Laws(params, "max_u1").near_cdf(x), x)
+    return _point_or_array(_one_set(params, "max_u1").near_cdf(x), x)
 
 
 def cdf_gamma1_max_u2(x, params: SystemParams):
@@ -288,7 +292,7 @@ def cdf_gamma1_max_u2(x, params: SystemParams):
     No selection gain reaches the near-user links, so both gains are
     plain exponentials.
     """
-    return _point_or_array(_Laws(params, "max_u2").near_cdf(x), x)
+    return _point_or_array(_one_set(params, "max_u2").near_cdf(x), x)
 
 
 def cdf_gamma2_max_u1(x, params: SystemParams):
@@ -387,7 +391,7 @@ _UFLOW = sys.float_info.min
 _CHUNK_NODES = 1 << 14
 # The first partition of a far-user integral grades by this ratio: up from
 # the smallest link SINR scale for eight powers, past which the survival is
-# below m e^-(4^7), and toward the cap (see _Laws.breakpoints).
+# below m e^-(4^7), and toward the cap (see Laws.breakpoints).
 _BREAK_RATIO = 4.0
 _BREAK_POWERS = 8
 # hi = cap (1 - 1e-12) is below cap - cap / 4^20: no row grades further toward the cap.
@@ -404,20 +408,23 @@ def graded_points(scale: float) -> tuple[float, ...]:
     return tuple(scale * _BREAK_RATIO**k for k in range(_BREAK_POWERS))
 
 
-class _Laws:
-    """The links of _LINKS under one rule, for one parameter set or as arrays over many (see _stacked_laws).
+class Laws:
+    """The links of _LINKS under one rule over a power grid, one row per point.
 
-    Each link keeps its m and its lam, lam_i and den, floats for one set or one per row.  The methods
-    evaluate a law at x of every row (with one set, at any number of points), far_survival at rows.
+    The grid's two power columns become arrays and its other fields stay
+    scalars, so a formula written for one set, such as mean_gains, evaluates
+    every point in one numpy pass with each element's float operations
+    unchanged.  a1 and a2 stay scalars; each link keeps its m and one row
+    per point of each of lam, lam_i and den.  The methods evaluate a law at
+    x of every row (with one point, at any number of x), far_survival at rows.
     """
 
-    def __init__(self, params: SystemParams, rule: str):
+    def __init__(self, grid: PowerGrid, rule: str):
         _check_rule(rule)
-        self.params, self.rule, self.a1, self.a2 = params, rule, params.a1, params.a2
-        self.links = _LINKS[rule](params, mean_gains(params))
-        if isinstance(params.rho_s, np.ndarray):  # per-set arrays: every constant takes the rows' shape
-            self.a1, self.a2, _ = np.broadcast_arrays(params.a1, params.a2, params.rho_s)
-            self.links = [(m, *np.broadcast_arrays(*means)) for m, *means in self.links]
+        params = replace(grid.params, rho_s=np.array(grid.rho_s), rho_r=np.array(grid.rho_r))
+        self.grid, self.rule, self.a1, self.a2 = grid, rule, params.a1, params.a2
+        self.links = [(m, *np.broadcast_arrays(*means, params.rho_s)[:3])
+                      for m, *means in _LINKS[rule](params, mean_gains(params))]
 
     def _at(self, link: tuple, rows, t) -> tuple[np.ndarray, np.ndarray]:
         """_link_law of a link at t of rows.  A t / lam or an interference term too large for
@@ -431,11 +438,11 @@ class _Laws:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._at(self.links[0], None, np.maximum(x, 0.0))[0]
 
-    def _far_points(self, x, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _far_points(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(r, t, beyond): the gain ratio for the cross and relay links and x for the far link, x clipped
         to [0, cap], and where x is at or past the cap (up to rounding, where r is not in [0, inf)): r is
         0 there and the chain's value is overwritten."""
-        a1, a2 = (self.a1, self.a2) if rows is None else (self.a1[rows], self.a2[rows])
+        a1, a2 = self.a1, self.a2
         cap = a2 / a1
         t = np.clip(x, 0.0, cap)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -445,7 +452,7 @@ class _Laws:
 
     def far_cdf(self, x, cross_link: bool = True) -> np.ndarray:
         """F of the far-user chain at x (see far_user_cdf): 1 - prod(1 - F_i), as -expm1(sum log1p(-F_i))."""
-        r, t, beyond = self._far_points(x, None)
+        r, t, beyond = self._far_points(x)
         links = self.links[1 if cross_link else 2 :]
         points = [r] * (len(links) - 1) + [t]
         with np.errstate(divide="ignore", over="ignore"):  # log1p(-1) = -inf, where a link surely fails
@@ -455,7 +462,7 @@ class _Laws:
 
     def far_survival(self, x, rows=None) -> np.ndarray:
         """1 - F of the far-user chain at x: the product of its links' survivals, taken one link at a time."""
-        r, t, beyond = self._far_points(x, rows)
+        r, t, beyond = self._far_points(x)
         survival = np.where(beyond, 0.0, 1.0)
         with np.errstate(over="ignore"):
             for link, at in zip(self.links[1:], (r, r, t)):
@@ -474,7 +481,7 @@ class _Laws:
         below the cap, so k stops before _CAP_POWERS.
         """
         a1, a2 = self.a1, self.a2
-        cap = (a2 / a1)[:, None]
+        cap = a2 / a1
         cross, relay = (a2 * lam / (1.0 + a1 * lam) for _, lam, *_ in self.links[1:3])
         far = self.links[3][1]
         graded = np.minimum(np.minimum(cross, relay), far)[:, None] * np.array(graded_points(1.0))
@@ -532,28 +539,8 @@ class _Laws:
             return resk * half, abserr, resasc
 
 
-def _stacked_laws(params_seq: Sequence[SystemParams], rule: str) -> _Laws:
-    """The laws of many parameter sets as arrays; they must share one antenna triple.
-
-    The sets become one SystemParams of per-set float arrays (a PowerGrid
-    stacks its two power columns only, and its other fields stay shared),
-    so a formula written for one set, such as mean_gains, evaluates every
-    set in one numpy pass with each element's float operations unchanged.
-    """
-    if isinstance(params_seq, PowerGrid):
-        return _Laws(replace(params_seq.params, rho_s=np.array(params_seq.rho_s), rho_r=np.array(params_seq.rho_r)), rule)
-    triples = {(p.m_b, p.m_r, p.m_t) for p in params_seq}
-    if len(triples) > 1:
-        raise ValueError(f"the laws take one antenna triple per call, got {sorted(triples)}")
-    m_b, m_r, m_t = triples.pop() if triples else (1, 1, 1)
-    names = [field.name for field in fields(SystemParams)]
-    row = attrgetter(*names)
-    stacked = SystemParams(*np.array([row(p) for p in params_seq], dtype=float).reshape(-1, len(names)).T)
-    return _Laws(replace(stacked, m_b=m_b, m_r=m_r, m_t=m_t), rule)
-
-
 def _qag(
-    laws: _Laws, survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0
+    laws: Laws, survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0
 ) -> list[QuadratureResult | NonConvergedError]:
     """QUADPACK's qag with qk21 of survival(x, rows) / (1 + x) over [0, hi] of every row of laws, as rates.
 
@@ -613,29 +600,25 @@ def _qag(
     ]
 
 
-def far_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[QuadratureResult | NonConvergedError]:
-    """Far-user ergodic rates of many parameter sets under one rule, integrated together.
+def far_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
+    """Far-user ergodic rates at every point of the laws, integrated together.
 
     Each rate is (1/ln 2) * integral_0^cap (1 - F(x)) / (1 + x) dx of its
     far_user_cdf, by _qag, with breakpoints at the links' SINR scales (see
-    _Laws.breakpoints).
+    Laws.breakpoints).
 
-    Returns, per parameter set, its QuadratureResult or, when its error
-    bound misses max(QUADRATURE_ABS_TOL, QUADRATURE_REL_TOL * rate), the
-    NonConvergedError that rate_from_cdf would raise.  A result depends only on its own parameter
-    set, never on the others in the call.
+    Returns, per point, its QuadratureResult or, when its error bound
+    misses max(QUADRATURE_ABS_TOL, QUADRATURE_REL_TOL * rate), the
+    NonConvergedError that rate_from_cdf would raise.  A result depends only on its own point,
+    never on the others in the call.
     """
-    return _far_user_rates(_stacked_laws(params_seq, rule))
-
-
-def _far_user_rates(laws: _Laws) -> list[QuadratureResult | NonConvergedError]:
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
-    hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+    hi = np.full(len(laws.grid), laws.a2 / laws.a1 * (1.0 - 1e-12))
     return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi))
 
 
-def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list[QuadratureResult | NonConvergedError]:
-    """Near-user ergodic rates of many parameter sets of one antenna triple, by _qag, as far_user_rates.
+def near_user_quadratures(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
+    """Near-user ergodic rates at every point of the laws, by _qag, as far_user_rates.
 
     It integrates the near link's survival, a sum of positive terms (see
     _link_law), not the closed form's alternating kernel sum, so it checks
@@ -646,7 +629,6 @@ def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list
     the survival, and lam / _BREAK_RATIO^k down to 1, for 1 / (1 + x): at
     high power lam is far above that factor's scale, 1.
     """
-    laws = _stacked_laws(params_seq, rule)
     m, lam, *_ = laws.links[0]
     h = math.log(m) + 60.0
     hi = lam * h
@@ -657,34 +639,35 @@ def near_user_quadratures(params_seq: Sequence[SystemParams], rule: str) -> list
     return _qag(laws, survival, hi, points, tail=math.exp(-60.0) / h)
 
 
-def near_user_rates(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
-    """Near-user ergodic rate (closed form) of each parameter set under a rule; one antenna triple per call.
+def near_user_rates(laws: Laws) -> list[float]:
+    """Near-user ergodic rate (closed form) at every point of the laws.
 
     Termwise integration of the survival of the near link, _LINKS[rule][0]
     (m = m_b terms under "max_u1", one under "max_u2": no selection gain
     reaches the near-user links there), through the rate kernel.  Every
-    term of every set goes through one kernel call; each set's terms are
-    summed with fsum.  The terms alternate in sign: the sum is off by about
-    3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at 32, and has the
-    wrong sign at 64, so it warns above 16 (see README).
+    term of every point goes through one kernel call; each point's terms
+    are summed with fsum.  The terms alternate in sign: the sum is off by
+    about 3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at 32, and has
+    the wrong sign at 64, so it warns above 16 (see README).  From
+    m_b = 1031 on its binomial coefficients overflow a float: a ConfigError.
     """
-    return _near_user_rates(_stacked_laws(params_seq, rule))
-
-
-def _near_user_rates(laws: _Laws) -> list[float]:
     m, lam, lam_i, den = laws.links[0]
     _warn_counts(m)
     p1 = np.arange(1.0, m + 1.0)
     alpha = (p1 * lam_i[:, None]) / den[:, None]
     beta = p1 / lam[:, None]
-    coeff = np.array([(-1.0) ** p * math.comb(m - 1, p) for p in range(m)]) / p1
+    try:
+        coeff = np.array([(-1.0) ** p * math.comb(m - 1, p) for p in range(m)]) / p1
+    except OverflowError:
+        raise ConfigError("ANTENNA_COUNT_UNSUPPORTED", f"m_b = {m}: the near-user rate's binomial "
+                          "coefficients overflow a float from m_b = 1031 on") from None
     products = coeff * _rate_kernels(alpha.ravel(), beta.ravel()).reshape(alpha.shape)
     return [m * math.fsum(row) / LN2 for row in products.tolist()]
 
 
 def rate_u1_max_u1(params: SystemParams) -> float:
     """Near-user ergodic rate under near-user-first selection (closed form)."""
-    return near_user_rates([params], "max_u1")[0]
+    return near_user_rates(_one_set(params, "max_u1"))[0]
 
 
 def rate_u1_max_u2(params: SystemParams) -> float:
@@ -693,11 +676,11 @@ def rate_u1_max_u2(params: SystemParams) -> float:
     Single-exponential links on both sides; coincides with the near-user
     rate of a fully random antenna pair.
     """
-    return near_user_rates([params], "max_u2")[0]
+    return near_user_rates(_one_set(params, "max_u2"))[0]
 
 
 def _far_user_rate(params: SystemParams, rule: str) -> QuadratureResult:
-    (result,) = far_user_rates([params], rule)
+    (result,) = far_user_rates(_one_set(params, rule))
     if isinstance(result, NonConvergedError):
         raise result
     return result
@@ -733,55 +716,39 @@ def zeta(params: SystemParams) -> float:
     return max(theta2 / (params.a2 - params.a1 * theta2), theta1 / params.a1)
 
 
-def near_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
-    """Near-user outage of each parameter set under a rule.
+def outages(laws: Laws) -> tuple[list[float], list[float]]:
+    """(near-user, far-user) outage at every point of the laws, from one evaluation of each law.
 
-    Its SINR distribution cdf_gamma1_* at a1 zeta, or 1 where zeta is
-    infinite; one evaluation of the near links of every set.
+    The near-user outage is its SINR distribution cdf_gamma1_* at a1 zeta,
+    or 1 where zeta is infinite.  The far-user outage needs the relay to
+    decode the far-user symbol and the far user to decode it from the
+    relay; the near-user leg does not appear.  It is far_user_cdf with
+    cross_link=False at the far-user threshold.  zeta and thresholds read
+    no power, so they run once per call.
     """
-    return _outages(_stacked_laws(params_seq, rule))[0]
-
-
-def far_user_outages(params_seq: Sequence[SystemParams], rule: str) -> list[float]:
-    """Far-user outage of each parameter set under a rule, from one evaluation of the links of every set.
-
-    The relay must decode the far-user symbol and the far user must
-    decode it from the relay; the near-user leg does not appear.  Each is
-    far_user_cdf with cross_link=False at the far-user threshold.
-    """
-    return _outages(_stacked_laws(params_seq, rule))[1]
-
-
-def _outages(laws: _Laws) -> tuple[list[float], list[float]]:
-    """(near_user_outages, far_user_outages) of the sets of laws.  zeta and thresholds read only
-    a1, a2, rate1 and rate2, so they run once per distinct set of those four."""
-    names = ("a1", "a2", "rate1", "rate2")
-    keys = list(zip(*(np.broadcast_to(getattr(laws.params, name), laws.a1.shape).tolist() for name in names)))
-    limits = {key: (zeta(p := SystemParams(**dict(zip(names, key)))), thresholds(p)[1]) for key in set(keys)}
-    z, theta2 = np.array([limits[key] for key in keys], dtype=float).reshape(-1, 2).T
-    finite = np.isfinite(z)
-    near = np.where(finite, laws.near_cdf(laws.a1 * np.where(finite, z, 0.0)), 1.0)
-    return near.tolist(), laws.far_cdf(theta2, cross_link=False).tolist()
+    z, theta2 = zeta(laws.grid.params), thresholds(laws.grid.params)[1]
+    near = laws.near_cdf(laws.a1 * z).tolist() if math.isfinite(z) else [1.0] * len(laws.grid)
+    return near, laws.far_cdf(theta2, cross_link=False).tolist()
 
 
 def outage_u1_max_u1(params: SystemParams) -> float:
     """Near-user outage under near-user-first selection."""
-    return near_user_outages([params], "max_u1")[0]
+    return outages(_one_set(params, "max_u1"))[0][0]
 
 
 def outage_u1_max_u2(params: SystemParams) -> float:
     """Near-user outage under far-user selection."""
-    return near_user_outages([params], "max_u2")[0]
+    return outages(_one_set(params, "max_u2"))[0][0]
 
 
 def outage_u2_max_u1(params: SystemParams) -> float:
     """Far-user outage under near-user-first selection."""
-    return far_user_outages([params], "max_u1")[0]
+    return outages(_one_set(params, "max_u1"))[1][0]
 
 
 def outage_u2_max_u2(params: SystemParams) -> float:
     """Far-user outage under far-user decoupled selection."""
-    return far_user_outages([params], "max_u2")[0]
+    return outages(_one_set(params, "max_u2"))[1][0]
 
 
 # Schemes whose statistics the closed forms describe, and the far-user rule of each.
@@ -807,20 +774,20 @@ def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSe
     )
 
 
-def closed_form_sets(params_seq: Sequence[SystemParams], scheme: str, metrics: tuple[str, ...]):
-    """_closed_form_set of one of ANALYTIC_SCHEMES at each parameter set, in order, as an iterator.
+def closed_form_sets(grid: PowerGrid, scheme: str, metrics: tuple[str, ...]):
+    """_closed_form_set of one of ANALYTIC_SCHEMES at each point of the grid, in order, as an iterator.
 
-    The sets' laws are stacked once, and each closed form the metrics need
-    evaluates all of them in one call; the MetricSets are made as iterated.
+    The grid's laws are built once, and each closed form the metrics need
+    evaluates all of its points in one call; the MetricSets are made as iterated.
     """
     if scheme not in _FAR_RULES:
         raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
-    laws = _stacked_laws(params_seq, _FAR_RULES[scheme])
-    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(params_seq)
+    laws = Laws(grid, _FAR_RULES[scheme])
+    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(grid)
     if "rates" in metrics or "jain" in metrics:
-        far_rates, rates_u1 = _far_user_rates(laws), _near_user_rates(laws)
+        far_rates, rates_u1 = far_user_rates(laws), near_user_rates(laws)
     if "outage" in metrics:
-        outages_u1, outages_u2 = _outages(laws)
+        outages_u1, outages_u2 = outages(laws)
     return (_closed_form_set(metrics, *values) for values in zip(rates_u1, far_rates, outages_u1, outages_u2))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
-from .config import ConfigError, KNOWN_METRICS, SweepSpec, check_run, load_config
+from .config import ConfigError, KNOWN_METRICS, PowerGrid, SweepSpec, check_run, load_config
 from .montecarlo import (
     estimate_metrics,
     estimate_outage,  # noqa: F401  no longer called here; perfbench/spans.py wraps the name
@@ -137,18 +137,15 @@ def cmd_sweep(args) -> int:
     schemes = _select_schemes(args)
     metrics = _select_metrics(args)
     power_db = parse_power_grid(args.power)
-    relay = None
-    if args.relay_power_db is not None:
-        if not math.isfinite(args.relay_power_db):
-            raise _UsageError(f"bad relay power {args.relay_power_db!r}; it must be finite")
-        relay = (args.relay_power_db,) * len(power_db)
+    if args.relay_power_db is not None and not math.isfinite(args.relay_power_db):
+        raise _UsageError(f"bad relay power {args.relay_power_db!r}; it must be finite")
     spec = SweepSpec(
         power_db=power_db,
         schemes=schemes,
         metrics=metrics,
         trials=args.trials,
         seed=args.seed,
-        rho_r_db=relay,
+        relay_power_db=args.relay_power_db,
     )
 
     rows: list[SweepRow] = []
@@ -183,7 +180,6 @@ def cmd_sweep(args) -> int:
 def _print_summary(rows: list[SweepRow], mode: str) -> None:
     header = f"{'dB':>5} {'scheme':<18} {'kind':<11} {'rate_u1':>10} {'rate_u2':>10} {'sum':>10} {'out_u1':>10} {'out_u2':>10} {'jain':>7}"
     print(header)
-    by_key = {}
     for row in rows:
         m = row.metrics
         print(
@@ -191,8 +187,10 @@ def _print_summary(rows: list[SweepRow], mode: str) -> None:
             f"{m.rate_u1.value:>10.5g} {m.rate_u2.value:>10.5g} {m.rate_sum.value:>10.5g} "
             f"{m.outage_u1.value:>10.4g} {m.outage_u2.value:>10.4g} {m.jain_index.value:>7.4f}"
         )
-        by_key.setdefault((row.power_db, row.scheme), {})[row.kind] = m
     if mode == "both":
+        by_key = {}
+        for row in rows:
+            by_key.setdefault((row.power_db, row.scheme), {})[row.kind] = row.metrics
         print("\nrelative difference |mc - analytic| / |analytic|:")
         for (power_db, scheme), kinds in sorted(by_key.items()):
             if MONTE_CARLO in kinds and ANALYTIC in kinds:
@@ -250,7 +248,7 @@ def _check_closed_form_vs_quadrature(params, trials, seed):
     worst = 0.0
     for rule in ("max_u1", "max_u2"):
         name = f"rate_u1_{rule}"
-        (quadrature,) = analytic.near_user_quadratures([params], rule)
+        (quadrature,) = analytic.near_user_quadratures(analytic.Laws(PowerGrid.at(params), rule))
         if isinstance(quadrature, analytic.NonConvergedError):
             return False, f"{name}: {quadrature}"
         closed, quadrature = getattr(analytic, name)(params), quadrature.value
@@ -319,7 +317,7 @@ def _check_mc_vs_analytic(params, trials, seed):
     worst = []
     measured = estimate_metrics(params, ANALYTIC_SCHEMES, trials, seed)
     for scheme in ANALYTIC_SCHEMES:
-        (reference,) = closed_form_sets([params], scheme, ("rates", "outage"))
+        (reference,) = closed_form_sets(PowerGrid.at(params), scheme, ("rates", "outage"))
         if isinstance(reference, analytic.NonConvergedError):
             return False, f"{scheme}: {reference}"
         for name in ("rate_u1", "rate_u2", "outage_u1", "outage_u2"):

@@ -83,8 +83,8 @@ KNOWN_METRICS = ("rates", "outage", "jain")
 class SweepSpec:
     """One sweep request: power grid, schemes, metrics, trials, seed.
 
-    power_db applies to both rho_s and rho_r unless rho_r_db overrides
-    the relay power point-by-point (same length as power_db).
+    power_db applies to both rho_s and rho_r unless relay_power_db fixes
+    the relay power at every point.
     """
 
     power_db: tuple[float, ...]
@@ -92,7 +92,7 @@ class SweepSpec:
     metrics: tuple[str, ...] = KNOWN_METRICS
     trials: int = 1_000_000
     seed: int = 1
-    rho_r_db: tuple[float, ...] | None = None
+    relay_power_db: float | None = None
 
     def __post_init__(self):
         if len(self.power_db) == 0:
@@ -119,11 +119,6 @@ class SweepSpec:
         if unknown:
             raise ConfigError("SWEEP_METRIC_UNKNOWN", f"unknown metric {unknown[0]!r}; known: {', '.join(KNOWN_METRICS)}")
         check_run(self.trials, self.seed)
-        if self.rho_r_db is not None and len(self.rho_r_db) != len(self.power_db):
-            raise ConfigError(
-                "SWEEP_RELAY_GRID_MISMATCH",
-                "rho_r_db override must match power_db length",
-            )
 
 
 def check_run(trials: int, seed: int) -> None:
@@ -214,16 +209,24 @@ def default_params(power_db: float = 20.0, relay_power_db: float | None = None) 
 class PowerGrid(Sequence):
     """A sweep's power grid over one parameter set: each point's dB value and linear powers.
 
-    A point's SystemParams is made only when indexed, so no grid holds one per point.
+    A point's SystemParams is made only when indexed, so no grid holds one per point; a slice
+    is the PowerGrid of its points.
     """
 
     def __init__(self, params: SystemParams, power_db, rho_s: list[float], rho_r: list[float]):
         self.params, self.power_db, self.rho_s, self.rho_r = params, power_db, rho_s, rho_r
 
+    @classmethod
+    def at(cls, params: SystemParams) -> PowerGrid:
+        """The one-point grid at params' own powers, which have no dB value here (None)."""
+        return cls(params, (None,), [params.rho_s], [params.rho_r])
+
     def __len__(self) -> int:
         return len(self.power_db)
 
-    def __getitem__(self, index: int) -> SystemParams:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PowerGrid(self.params, self.power_db[index], self.rho_s[index], self.rho_r[index])
         return replace(self.params, rho_s=self.rho_s[index], rho_r=self.rho_r[index])
 
 
@@ -235,9 +238,9 @@ def power_points(params: SystemParams, sweep: SweepSpec) -> PowerGrid:
     the ConfigError that validate gives it.
     """
     rho_s, rho_r = [], []
-    for source_db, relay_db in zip(sweep.power_db, sweep.rho_r_db or sweep.power_db):
+    for source_db in sweep.power_db:
         rho_s.append(db_to_linear(source_db))
-        rho_r.append(db_to_linear(relay_db))
+        rho_r.append(rho_s[-1] if sweep.relay_power_db is None else db_to_linear(sweep.relay_power_db))
         if len(rho_s) == 1:
             validate(replace(params, rho_s=rho_s[0], rho_r=rho_r[0]))
         else:

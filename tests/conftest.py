@@ -326,16 +326,17 @@ def oracle_breakpoints(params: SystemParams, rule: str, hi: float) -> list[float
     return sorted({p for p in points if 0.0 < p < hi})
 
 
-def oracle_far_user_rates(params_seq, rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9) -> list:
-    """analytic.far_user_rates with its own copy of the qag loop that analytic._qag now runs, as the oracle.
+def oracle_far_user_rates(grid, rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9) -> list:
+    """analytic.far_user_rates over a PowerGrid with its own copy of the qag loop that analytic._qag now
+    runs, as the oracle.
 
     Verbatim but for gk21 taking the survival to integrate.
     """
-    from fdnoma.analytic import _MAX_INTERVALS, _checked, _stacked_laws
+    from fdnoma.analytic import _MAX_INTERVALS, Laws, _checked
 
-    count = len(params_seq)
-    laws = _stacked_laws(params_seq, rule)
-    hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+    count = len(grid)
+    laws = Laws(grid, rule)
+    hi = np.full(count, laws.a2 / laws.a1 * (1.0 - 1e-12))
     edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])
     edges.sort(axis=1)
     rows, slots = np.nonzero(np.isfinite(edges[:, 1:]))

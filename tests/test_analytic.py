@@ -234,17 +234,18 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
                          var_bu1=var_bu1, var_ru1=var_ru1, var_ru2=var_ru2, var_si=var_si)
     grid = (-10.0, 0.0, 7.5, 20.0, 35.0, 50.0)
     spec = SweepSpec(power_db=grid, schemes=analytic.ANALYTIC_SCHEMES, trials=1, seed=1,
-                     rho_r_db=None if relay_db is None else (relay_db,) * len(grid))
+                     relay_power_db=relay_db)
     rows, notes = analytic.analytic_sweep(params, spec)
     assert notes == []
-    points = list(power_points(params, spec))
+    power_grid = power_points(params, spec)
+    points = list(power_grid)
     one_set = {
         "max_u1": (oracle_rate_u1_max_u1, rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
         "max_u2": (oracle_rate_u1_max_u2, rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
     }
     for scheme, rule in (("max_u1_analytic", "max_u1"), ("max_u2_decoupled", "max_u2")):
-        laws = analytic._stacked_laws(points, rule)
-        hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+        laws = analytic.Laws(power_grid, rule)
+        hi = np.full(len(points), laws.a2 / laws.a1 * (1.0 - 1e-12))
         breakpoints = laws.breakpoints(hi)
         oracle_rate, rate_u1, outage_u1, outage_u2 = one_set[rule]
         for row, (p, sweep_row) in enumerate(zip(points, [r for r in rows if r.scheme == scheme])):
@@ -252,7 +253,7 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
             inner = breakpoints[row][np.isfinite(breakpoints[row])].tolist()
             assert inner == oracle_breakpoints(p, rule, sinr_cap(p) * (1.0 - 1e-12))
             metrics = sweep_row.metrics
-            r1, r2 = rate_u1(p), analytic.far_user_rates([p], rule)[0].value
+            r1, r2 = rate_u1(p), analytic.far_user_rates(analytic._one_set(p, rule))[0].value
             assert (metrics.rate_u1.value, metrics.rate_u2.value, metrics.rate_sum.value) == (r1, r2, r1 + r2)
             assert metrics.jain_index.value == jain_index(r1, r2)
             outages = (metrics.outage_u1.value, metrics.outage_u2.value)
@@ -514,7 +515,7 @@ def test_near_user_quadrature_matches_scipy(params):
     # scipy's quad of the near-user distribution, split as the quadrature is.
     points = analytic.graded_points(params.a1 * mean_gains(params).lam_su1)
     for rule, cdf in (("max_u1", cdf_gamma1_max_u1), ("max_u2", cdf_gamma1_max_u2)):
-        (result,) = analytic.near_user_quadratures([params], rule)
+        (result,) = analytic.near_user_quadratures(analytic._one_set(params, rule))
         reference = rate_from_cdf(lambda x: cdf(x, params), rel_tol=1e-10, abs_tol=1e-13, points=points)
         assert result.value == pytest.approx(reference.value, rel=1e-8), rule
         tolerance = max(analytic.QUADRATURE_ABS_TOL, analytic.QUADRATURE_REL_TOL * result.value)
@@ -542,7 +543,7 @@ def mp_near_user_rate(params, rule: str) -> float:
                          ids=["4x4x4", "alpha = 1", "16x16x16", "45 dB"])
 def test_near_user_quadrature_matches_mpmath(params):
     for rule in ("max_u1", "max_u2"):
-        (result,) = analytic.near_user_quadratures([params], rule)
+        (result,) = analytic.near_user_quadratures(analytic._one_set(params, rule))
         oracle = mp_near_user_rate(params, rule)
         error = abs(result.value - oracle)
         assert error <= 1e-8 * oracle, rule
@@ -555,13 +556,14 @@ def test_near_user_quadrature_grades_down_to_the_rate_kernel_scale():
     # (0, 20, 40, 60 dB) 84, 210, 462 (max_u2: 504) and 756 evaluations.  Graded down to 1
     # as well, no count rises, and the high-power ones fall.
     upward_only = {0.0: 84, 20.0: 210, 40.0: 462, 60.0: 756}
-    grid = [default_params(power) for power in upward_only]
+    grid = power_points(default_params(), SweepSpec(power_db=tuple(upward_only), schemes=("max_u1",)))
     for rule in ("max_u1", "max_u2"):
-        results = analytic.near_user_quadratures(grid, rule)
+        laws = analytic.Laws(grid, rule)
+        results = analytic.near_user_quadratures(laws)
         counts = dict(zip(upward_only, (result.evaluations for result in results)))
         assert all(counts[power] <= upward_only[power] for power in (0.0, 20.0)), (rule, counts)
         assert all(counts[power] < upward_only[power] for power in (40.0, 60.0)), (rule, counts)
-        for result, closed in zip(results, analytic.near_user_rates(grid, rule)):
+        for result, closed in zip(results, analytic.near_user_rates(laws)):
             assert result.value == pytest.approx(closed, rel=analytic.QUADRATURE_REL_TOL), rule
 
 
@@ -585,7 +587,7 @@ def test_far_user_rates_raise_no_floating_point_warning(params):
         warnings.simplefilter("error")
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for rule in ("max_u1", "max_u2"):
-                (result,) = analytic.far_user_rates([params], rule)
+                (result,) = analytic.far_user_rates(analytic._one_set(params, rule))
                 assert math.isfinite(result.value), rule
 
 
@@ -659,31 +661,42 @@ def test_saturated_first_estimate_is_not_accepted(monkeypatch):
     # of the law and its error estimate saturates at resasc, below the
     # tolerance: accepted on that alone, the rate read 1.6e-11, not 8.9e-4.
     params = NARROW_PARAMS["-30 dB"]
-    monkeypatch.setattr(analytic._Laws, "breakpoints", lambda self, hi: np.empty((len(hi), 0)))
+    monkeypatch.setattr(analytic.Laws, "breakpoints", lambda self, hi: np.empty((len(hi), 0)))
     result = rate_u2_max_u1(params)
     oracle = mp_far_user_rate(params, "max_u1")
     assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)
 
 
+BATCHED_CLOSED_FORMS = {
+    "far_user_rates": analytic.far_user_rates,
+    "near_user_rates": analytic.near_user_rates,
+    "near_user_quadratures": analytic.near_user_quadratures,
+    "near-user outages": lambda laws: analytic.outages(laws)[0],
+    "far-user outages": lambda laws: analytic.outages(laws)[1],
+}
+
+
 def test_far_user_rates_do_not_depend_on_the_batch():
-    # Every row's (value, bound, evaluations) alone, in the 601-point grid
-    # and in chunks of 13.
-    grid = [default_params(i / 10) for i in range(601)]
+    # Every row of every closed form (a quadrature's value, bound and evaluations) is the
+    # same alone (a one-point grid), in the 601-point grid and in chunks of 13.
+    grid = power_points(default_params(), SweepSpec(power_db=tuple(i / 10 for i in range(601)), schemes=("max_u1",)))
     for rule in ("max_u1", "max_u2"):
-        together = analytic.far_user_rates(grid, rule)
-        chunked = [r for i in range(0, len(grid), 13) for r in analytic.far_user_rates(grid[i : i + 13], rule)]
-        assert chunked == together, rule
-        alone = [r for params in grid for r in analytic.far_user_rates([params], rule)]
-        assert alone == together, rule
-        assert oracle_far_user_rates(grid, rule) == together, rule
+        for name, closed_form in BATCHED_CLOSED_FORMS.items():
+            together = closed_form(analytic.Laws(grid, rule))
+            chunked = [r for i in range(0, len(grid), 13) for r in closed_form(analytic.Laws(grid[i : i + 13], rule))]
+            assert chunked == together, (rule, name)
+            alone = [r for params in grid for r in closed_form(analytic._one_set(params, rule))]
+            assert alone == together, (rule, name)
+        assert oracle_far_user_rates(grid, rule) == analytic.far_user_rates(analytic.Laws(grid, rule)), rule
 
 
 def test_far_user_rates_return_non_convergence_per_row(baseline, monkeypatch):
     # No rule meets 1e-15 relative: qk21's error floor is 50 eps of |f|.
     monkeypatch.setattr(analytic, "QUADRATURE_REL_TOL", 1e-15)
     monkeypatch.setattr(analytic, "QUADRATURE_ABS_TOL", 1e-300)
-    narrow = make_params(var_br=1e-6, rho_s=100.0, rho_r=100.0)
-    results = analytic.far_user_rates([baseline, narrow], "max_u1")
+    # 20 dB and the narrow law at -30 dB (NARROW_PARAMS), in one call.
+    grid = power_points(baseline, SweepSpec(power_db=(20.0, -30.0), schemes=("max_u1",)))
+    results = analytic.far_user_rates(analytic.Laws(grid, "max_u1"))
     for result in results:
         assert isinstance(result, NonConvergedError)
         assert "exceeds tolerance" in str(result)
@@ -738,15 +751,6 @@ def test_deep_near_user_outage_at_seventeen_antennas():
     oracle = mp_outages(params, "max_u1")[0]
     assert oracle == pytest.approx(4.3313395e-22, rel=1e-7)
     assert_near_mpmath(outage_u1_max_u1(params), oracle)
-
-
-def test_laws_take_one_antenna_triple_per_call(baseline):
-    with pytest.raises(ValueError, match="one antenna triple"):
-        analytic.far_user_rates([baseline, make_params(m_b=5)], "max_u1")
-    with pytest.raises(ValueError, match="one antenna triple"):
-        analytic.near_user_outages([baseline, make_params(m_t=3)], "max_u2")
-    with pytest.raises(ValueError, match="one antenna triple"):
-        analytic.near_user_rates([baseline, make_params(m_b=2)], "max_u1")
 
 
 def test_far_user_cdf_rejects_unknown_rule(baseline):

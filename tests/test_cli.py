@@ -11,7 +11,7 @@ import pytest
 
 from fdnoma import analytic, cli, montecarlo, results
 from fdnoma.channel import DEFAULT_BLOCK_SIZE
-from fdnoma.config import default_params
+from fdnoma.config import PowerGrid, default_params
 from fdnoma.results import MetricEstimate
 from fdnoma.cli import (
     EXIT_CONFIG,
@@ -311,6 +311,20 @@ class TestSweep:
         assert "GAIN_OUT_OF_RANGE: mean gain lam_br" in capsys.readouterr().err
         assert draws == [] and not out.exists()
 
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_antennas_past_the_near_user_sum_are_config_error(self, mode, tmp_path, capsys):
+        # From m_b = 1031 on the near-user rate's binomial coefficients overflow a float: a named
+        # error before anything is simulated or written, not an OverflowError traceback.
+        config = tmp_path / "big.cfg"
+        config.write_text("m_b = 1100\nm_r = 2\nm_t = 2\n")
+        out = tmp_path / "o.csv"
+        with pytest.warns(RuntimeWarning, match="m_b = 1100"):
+            code = main(["sweep", "--config", str(config), "--mode", mode, "--power", "20",
+                         "--trials", "200", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ANTENNA_COUNT_UNSUPPORTED: m_b = 1100")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["mc", "analytic"])
     def test_negative_seed_is_config_error(self, config_path, tmp_path, capsys, mode):
         out = tmp_path / "o.csv"
@@ -357,14 +371,14 @@ class TestSweep:
     ):
         from fdnoma import analytic
 
-        far_user_rates = analytic._far_user_rates
+        far_user_rates = analytic.far_user_rates
 
         def explode(laws):
             if laws.rule == "max_u2":
-                return [analytic.NonConvergedError("forced for test") for _ in laws.a1]
+                return [analytic.NonConvergedError("forced for test") for _ in laws.grid]
             return far_user_rates(laws)
 
-        monkeypatch.setattr(analytic, "_far_user_rates", explode)
+        monkeypatch.setattr(analytic, "far_user_rates", explode)
         out = tmp_path / "partial.csv"
         code = main(
             [
@@ -413,14 +427,14 @@ class TestValidate:
         assert captured.count("PASS") >= 5
 
     def test_non_converged_far_user_rate_fails_the_simulation_check(self, config_path, capsys, monkeypatch):
-        far_user_rates = analytic._far_user_rates
+        far_user_rates = analytic.far_user_rates
 
         def explode(laws):
             if laws.rule == "max_u2":
-                return [analytic.NonConvergedError("forced for test") for _ in laws.a1]
+                return [analytic.NonConvergedError("forced for test") for _ in laws.grid]
             return far_user_rates(laws)
 
-        monkeypatch.setattr(analytic, "_far_user_rates", explode)
+        monkeypatch.setattr(analytic, "far_user_rates", explode)
         code = main(["validate", "--config", config_path, "--trials", "20000"])
         lines = capsys.readouterr().out.splitlines()
         assert code == EXIT_VALIDATION
@@ -514,6 +528,14 @@ class TestValidate:
         assert code == EXIT_OK
         assert verdicts == ["PASS"] * len(cli.DEFAULT_CHECKS)
 
+    def test_antennas_past_the_near_user_sum_are_config_error(self, tmp_path, capsys):
+        config = tmp_path / "big.cfg"
+        config.write_text("m_b = 1100\nm_r = 2\nm_t = 2\n")
+        with pytest.warns(RuntimeWarning, match="m_b = 1100"):
+            code = main(["validate", "--config", str(config), "--trials", "200"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ANTENNA_COUNT_UNSUPPORTED: m_b = 1100")
+
     def test_rare_outage_judged_on_exact_binomial_tail(self):
         # 20 dB near-user outage 2.30e-7, 1e6 trials: 3 events (P = 0.17%)
         # read 5.8 se under the normal approximation with se from p.
@@ -552,7 +574,7 @@ class TestValidate:
             return {scheme: measured_one(params, scheme, trials) for scheme in schemes}
 
         def measured_one(params, scheme, trials):
-            (exact,) = analytic.closed_form_sets([params], scheme, ("rates", "outage"))
+            (exact,) = analytic.closed_form_sets(PowerGrid.at(params), scheme, ("rates", "outage"))
             near = events if scheme == "max_u1_analytic" else round(exact.outage_u1.value * trials)
             return replace(exact, outage_u1=MetricEstimate(near / trials, 0.0, trials),
                            outage_u2=MetricEstimate(round(exact.outage_u2.value * trials) / trials, 0.0, trials))

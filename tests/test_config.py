@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fdnoma import analytic
 from fdnoma.config import (
     ConfigError,
+    PowerGrid,
     SweepSpec,
     SystemParams,
     db_to_linear,
@@ -233,8 +234,8 @@ def test_power_beyond_the_float_range_is_a_gain_error(call):
 
 def power_points_oracle(params, sweep):
     """Each point's validated parameters, validated in full one point at a time, as power_points once did."""
-    for index, power_db in enumerate(sweep.power_db):
-        relay_db = power_db if sweep.rho_r_db is None else sweep.rho_r_db[index]
+    for power_db in sweep.power_db:
+        relay_db = power_db if sweep.relay_power_db is None else sweep.relay_power_db
         yield validate(replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db)))
 
 
@@ -260,8 +261,7 @@ def test_power_points_raise_what_validating_each_point_raises(power_db, relay_db
     # rho_s and rho_r.  The first bad point must raise the ConfigError that validating every
     # point in full gives, and a good grid must give the same parameter sets.
     params = replace(SystemParams(), **spoiled)
-    relay = None if relay_db is None else (relay_db,) * len(power_db)
-    sweep = SweepSpec(power_db=tuple(power_db), schemes=("max_u1",), trials=1, seed=1, rho_r_db=relay)
+    sweep = SweepSpec(power_db=tuple(power_db), schemes=("max_u1",), trials=1, seed=1, relay_power_db=relay_db)
     assert raised(lambda: list(power_points(params, sweep))) == raised(lambda: list(power_points_oracle(params, sweep)))
 
 
@@ -289,6 +289,15 @@ def test_power_points_validate_the_fixed_fields_once(monkeypatch):
     assert calls == {"validate": 1, "replace": 1}
     assert len(grid) == 601 and grid.rho_s[600] == db_to_linear(60.0)
     assert grid[600] == replace(params, rho_s=db_to_linear(60.0), rho_r=db_to_linear(60.0))
+
+
+def test_power_grid_slice_is_the_grid_of_its_points():
+    grid = power_points(default_params(), SweepSpec(power_db=(0.0, 10.0, 20.0, 30.0), schemes=("max_u1",),
+                                                    relay_power_db=5.0))
+    part = grid[1:3]
+    assert isinstance(part, PowerGrid) and part.params == grid.params
+    assert (part.power_db, part.rho_s, part.rho_r) == ((10.0, 20.0), grid.rho_s[1:3], grid.rho_r[1:3])
+    assert list(part) == list(grid)[1:3]
 
 
 class TestSweepSpec:
@@ -319,13 +328,9 @@ class TestSweepSpec:
             SweepSpec(power_db=grid, schemes=("max_u1",))
         assert info.value.code == "SWEEP_POWER_DUPLICATE"
 
-    def test_rejects_mismatched_relay_grid(self):
-        with pytest.raises(ConfigError):
-            SweepSpec(power_db=(0.0, 10.0), schemes=("max_u1",), rho_r_db=(0.0,))
-
     def test_accepts_relay_override(self):
-        spec = SweepSpec(power_db=(0.0, 10.0), schemes=("max_u1",), rho_r_db=(5.0, 5.0))
-        assert spec.rho_r_db == (5.0, 5.0)
+        spec = SweepSpec(power_db=(0.0, 10.0), schemes=("max_u1",), relay_power_db=5.0)
+        assert spec.relay_power_db == 5.0
 
 
 CONFIG_TEXT = """\

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo, results, selection
 from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
-from fdnoma.config import KNOWN_METRICS, ConfigError, SweepSpec, SystemParams, default_params
+from fdnoma.config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params
 from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from fdnoma.montecarlo import (
     _metric_set,
@@ -218,7 +218,7 @@ class TestRunSweep:
             schemes=("max_u1",),
             trials=2_000,
             seed=2,
-            rho_r_db=(20.0, 20.0),
+            relay_power_db=20.0,
         )
         rows = run_sweep(baseline, spec)
         assert len(rows) == 2
@@ -500,7 +500,7 @@ class TestAnalyticRows:
 
     def test_unknown_scheme_rejected(self, baseline):
         with pytest.raises(ValueError):
-            closed_form_sets([baseline], "max_u1", ("rates",))
+            closed_form_sets(PowerGrid.at(baseline), "max_u1", ("rates",))
 
     def test_unknown_metric_is_config_error(self, baseline):
         with pytest.raises(ConfigError) as info:
@@ -508,23 +508,23 @@ class TestAnalyticRows:
         assert info.value.code == "SWEEP_METRIC_UNKNOWN"
 
     def test_sweep_stacks_each_rule_once(self, baseline, monkeypatch):
-        # Two schemes over 601 points: each scheme's rule has its laws stacked once, from
+        # Two schemes over 601 points: each scheme's rule has its laws built once, from
         # the grid, for all four of its closed forms.
         stacked = []
-        stacked_laws = analytic._stacked_laws
+        laws = analytic.Laws
 
-        def counting(params_seq, rule):
-            stacked.append((len(params_seq), rule))
-            return stacked_laws(params_seq, rule)
+        def counting(grid, rule):
+            stacked.append((len(grid), rule))
+            return laws(grid, rule)
 
-        monkeypatch.setattr(analytic, "_stacked_laws", counting)
+        monkeypatch.setattr(analytic, "Laws", counting)
         spec = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=ANALYTIC_SCHEMES)
         rows, notes = analytic_sweep(baseline, spec)
         assert stacked == [(601, "max_u1"), (601, "max_u2")]
         assert len(rows) == 1202 and notes == []
 
     def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
-        far_user_rates = analytic._far_user_rates
+        far_user_rates = analytic.far_user_rates
 
         def explode_at_second_point(laws):
             results = far_user_rates(laws)
@@ -532,7 +532,7 @@ class TestAnalyticRows:
                 results[1] = analytic.NonConvergedError("forced for test")
             return results
 
-        monkeypatch.setattr(analytic, "_far_user_rates", explode_at_second_point)
+        monkeypatch.setattr(analytic, "far_user_rates", explode_at_second_point)
         spec = SweepSpec(power_db=(10.0, 20.0, 30.0), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
         rows, notes = analytic_sweep(baseline, spec)
         assert [(row.power_db, row.scheme) for row in rows] == [
