@@ -15,8 +15,8 @@ of m exponential gains over 1 plus an exponential interferer, and one
 evaluator, _link_law, gives a link's distribution and survival as sums of
 positive terms, so deep outage floors keep their relative accuracy at any
 antenna count.  The near-user rate is the paper's closed form, an
-alternating sum of rate kernels accumulated with math.fsum, and the one
-sum here that cancels.
+alternating sum of rate kernels accumulated with math.fsum and the one sum
+here that cancels, wherever its error bound meets the quadrature tolerance.
 
 The closed forms take the Laws of a PowerGrid under one rule, the links
 with one array row per power point, and evaluate every point in one call
@@ -30,7 +30,7 @@ first partition graded at the links' SINR scales, with every link
 evaluated at every node of every open interval in one vectorized pass.
 A rate does not depend on the other points in its call.
 near_user_quadratures runs the same scheme on the near link's
-positive-term survival, the check of the near-user closed form.
+positive-term survival, which checks the near-user closed form or stands in for it.
 Both converge to the one tolerance pair, QUADRATURE_REL_TOL and _ABS_TOL.
 rate_from_cdf is scipy's quad, kept for the tests and the benchmark's
 tracing only, and the only place scipy is imported: importing
@@ -44,24 +44,23 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, PowerGrid, SweepSpec, SystemParams, mean_gains, power_points
+from .config import PowerGrid, SweepSpec, SystemParams, mean_gains, power_points
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
 
-_MAX_SAFE_ANTENNAS = 16
 _SINGULAR_TOL = 1e-6
 _PROB_TOL = 1e-12
 # far_user_rates and near_user_quadratures converge to these (rate_from_cdf's defaults are the
 # same); validate's closed-form check gates on them too.
 QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL = 1e-8, 1e-9
+_NEAR_BOUND_FACTOR = 128.0  # c of near_user_rates' bound; the tests' mpmath study needs 52
 
 
 class NonConvergedError(RuntimeError):
@@ -135,14 +134,15 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx at every alpha >= 0, beta > 0.
+def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, E) at every alpha >= 0, beta > 0: K = integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx, and
+    E >= |K| what its formula cancels (3e-9 of K just outside _SINGULAR_TOL): K is off by some ulps of E.
 
-    Closed form (g(t) = exp(t) E1(t)):
+    Closed form (g(t) = exp(t) E1(t)) and E:
 
-        alpha = 0:      g(beta)
-        alpha != 1:     (g(beta/alpha) - g(beta)) / (alpha - 1)
-        alpha = 1:      K1 = 1 - beta g(beta)
+        alpha = 0:      g(beta)                                     g(beta)
+        alpha != 1:     (g(beta/alpha) - g(beta)) / (alpha - 1)     (g(beta/alpha) + g(beta)) / |alpha - 1|
+        alpha = 1:      K1 = 1 - beta g(beta)                       |K| 1e-12 / eps, for the next term
 
     alpha = 1 is a removable singularity.  Within _SINGULAR_TOL of it the
     kernel is K1 + (alpha - 1) K1', K1' = 1/2 - (1 + beta/2) K1, both by
@@ -154,7 +154,8 @@ def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     singular = np.abs(alpha - 1.0) < _SINGULAR_TOL
     ratio = (alpha != 0.0) & ~singular
     g = _scaled_e1(np.concatenate([beta, beta[ratio] / alpha[ratio]]))
-    out = g[: len(beta)].copy()
+    out, scale = g[: len(beta)].copy(), g[: len(beta)].copy()
+    scale[ratio] = (g[len(beta) :] + out[ratio]) / np.abs(alpha[ratio] - 1.0)
     out[ratio] = (g[len(beta) :] - out[ratio]) / (alpha[ratio] - 1.0)
     b = beta[singular]
     k1 = 1.0 - b * out[singular]
@@ -163,21 +164,8 @@ def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         series = 1.0 - k / b[large] * series
     k1[large] = series / b[large]
     out[singular] = k1 + (alpha[singular] - 1.0) * (0.5 - (1.0 + 0.5 * b) * k1)
-    return out
-
-
-def _warn_counts(worst: int) -> None:
-    """Warn that the near-user rate's sum cancels when m_b is above 16, at the first caller outside this module."""
-    if worst > _MAX_SAFE_ANTENNAS:
-        frame, stacklevel = sys._getframe(1), 2
-        while frame is not None and frame.f_globals.get("__name__") == __name__:
-            frame, stacklevel = frame.f_back, stacklevel + 1
-        warnings.warn(
-            f"m_b = {worst} > {_MAX_SAFE_ANTENNAS}: the near-user rate's alternating binomial "
-            "sum loses precision to combinatorial cancellation",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
+    scale[singular] = np.abs(out[singular]) * (1e-12 / _EPMACH)
+    return out, scale
 
 
 def sinr_cap(params: SystemParams) -> float:
@@ -622,7 +610,7 @@ def near_user_quadratures(laws: Laws) -> list[QuadratureResult | NonConvergedErr
 
     It integrates the near link's survival, a sum of positive terms (see
     _link_law), not the closed form's alternating kernel sum, so it checks
-    near_user_rates independently.  The integral stops at hi = lam h,
+    that sum independently.  The integral stops at hi = lam h,
     h = ln m + 60, lam the link's SINR scale: the survival is below
     m e^(-x / lam), so the rest is below m E1(h) < e^-60 / h, which the
     error bound includes.  The first partition is graded_points(lam), for
@@ -639,61 +627,65 @@ def near_user_quadratures(laws: Laws) -> list[QuadratureResult | NonConvergedErr
     return _qag(laws, survival, hi, points, tail=math.exp(-60.0) / h)
 
 
-def near_user_rates(laws: Laws) -> list[float]:
-    """Near-user ergodic rate (closed form) at every point of the laws.
+def near_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
+    """Near-user ergodic rate at every point of the laws, as far_user_rates.
 
-    Termwise integration of the survival of the near link, _LINKS[rule][0]
-    (m = m_b terms under "max_u1", one under "max_u2": no selection gain
-    reaches the near-user links there), through the rate kernel.  Every
-    term of every point goes through one kernel call; each point's terms
-    are summed with fsum.  The terms alternate in sign: the sum is off by
-    about 3e-12 relative at m_b = 16, 5e-10 at 24 and 5e-8 at 32, and has
-    the wrong sign at 64, so it warns above 16 (see README).  From
-    m_b = 1031 on its binomial coefficients overflow a float: a ConfigError.
+    The paper's closed form integrates the near link's survival, _LINKS[rule][0]
+    (m_b terms under "max_u1", one under "max_u2"), termwise through the rate
+    kernel: one kernel call for all, an fsum per point of terms that alternate
+    in sign.  A point keeps it, with 0 evaluations, where its bound
+    c eps m / ln 2 sum_p |coeff_p| E_p (c = _NEAR_BOUND_FACTOR, E_p as in
+    _rate_kernels: c kappa eps |rate|, kappa the condition number of Higham
+    2002, section 4.2) meets the quadrature tolerance.  The others, and every
+    point from m_b = 1031 on, where the binomial coefficients overflow a float,
+    take near_user_quadratures, run once if any point needs it.
     """
     m, lam, lam_i, den = laws.links[0]
-    _warn_counts(m)
     p1 = np.arange(1.0, m + 1.0)
-    alpha = (p1 * lam_i[:, None]) / den[:, None]
-    beta = p1 / lam[:, None]
     try:
         coeff = np.array([(-1.0) ** p * math.comb(m - 1, p) for p in range(m)]) / p1
     except OverflowError:
-        raise ConfigError("ANTENNA_COUNT_UNSUPPORTED", f"m_b = {m}: the near-user rate's binomial "
-                          "coefficients overflow a float from m_b = 1031 on") from None
-    products = coeff * _rate_kernels(alpha.ravel(), beta.ravel()).reshape(alpha.shape)
-    return [m * math.fsum(row) / LN2 for row in products.tolist()]
+        return near_user_quadratures(laws)
+    alpha = (p1 * lam_i[:, None]) / den[:, None]
+    beta = p1 / lam[:, None]
+    kernels, scales = (v.reshape(alpha.shape) for v in _rate_kernels(alpha.ravel(), beta.ravel()))
+    with np.errstate(over="ignore"):  # an infinite bound sends its point to the quadrature
+        bounds = (_NEAR_BOUND_FACTOR * _EPMACH * m / LN2) * (np.abs(coeff) * scales).sum(axis=1)
+    sums = [_checked(m * math.fsum(row) / LN2, bound, 0, QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL)
+            for row, bound in zip((coeff * kernels).tolist(), bounds.tolist())]
+    held = [isinstance(result, QuadratureResult) for result in sums]
+    return sums if all(held) else [s if kept else q for s, kept, q in zip(sums, held, near_user_quadratures(laws))]
 
 
-def rate_u1_max_u1(params: SystemParams) -> float:
-    """Near-user ergodic rate under near-user-first selection (closed form)."""
-    return near_user_rates(_one_set(params, "max_u1"))[0]
-
-
-def rate_u1_max_u2(params: SystemParams) -> float:
-    """Near-user ergodic rate under far-user selection (closed form).
-
-    Single-exponential links on both sides; coincides with the near-user
-    rate of a fully random antenna pair.
-    """
-    return near_user_rates(_one_set(params, "max_u2"))[0]
-
-
-def _far_user_rate(params: SystemParams, rule: str) -> QuadratureResult:
-    (result,) = far_user_rates(_one_set(params, rule))
+def _one_rate(rates, params: SystemParams, rule: str) -> QuadratureResult:
+    (result,) = rates(_one_set(params, rule))
     if isinstance(result, NonConvergedError):
         raise result
     return result
 
 
+def rate_u1_max_u1(params: SystemParams) -> float:
+    """Near-user ergodic rate under near-user-first selection (closed form, or quadrature; see near_user_rates)."""
+    return _one_rate(near_user_rates, params, "max_u1").value
+
+
+def rate_u1_max_u2(params: SystemParams) -> float:
+    """Near-user ergodic rate under far-user selection (closed form, or quadrature; see near_user_rates).
+
+    Single-exponential links on both sides; coincides with the near-user
+    rate of a fully random antenna pair.
+    """
+    return _one_rate(near_user_rates, params, "max_u2").value
+
+
 def rate_u2_max_u1(params: SystemParams) -> QuadratureResult:
     """Far-user ergodic rate under near-user-first selection (quadrature)."""
-    return _far_user_rate(params, "max_u1")
+    return _one_rate(far_user_rates, params, "max_u1")
 
 
 def rate_u2_max_u2(params: SystemParams) -> QuadratureResult:
     """Far-user ergodic rate under far-user decoupled selection (quadrature)."""
-    return _far_user_rate(params, "max_u2")
+    return _one_rate(far_user_rates, params, "max_u2")
 
 
 def thresholds(params: SystemParams) -> tuple[float, float]:
@@ -760,12 +752,13 @@ _FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
 _NAN = MetricEstimate(math.nan, 0.0, 0)
 
 
-def _closed_form_set(metrics: tuple[str, ...], r1, far_rate, o1, o2) -> MetricSet | NonConvergedError:
-    """One parameter set's MetricSet from its near-user rate r1, far-user QuadratureResult and
-    outages o1, o2 (None where the metrics need none), or its far-user rate's NonConvergedError."""
-    if isinstance(far_rate, NonConvergedError):  # far_rate is None if the metrics need none
-        return far_rate
-    r2 = None if far_rate is None else far_rate.value
+def _closed_form_set(metrics: tuple[str, ...], near_rate, far_rate, o1, o2) -> MetricSet | NonConvergedError:
+    """One parameter set's MetricSet from its near- and far-user rates' QuadratureResults and its
+    outages o1, o2 (each None where the metrics need none), or a rate's NonConvergedError."""
+    for rate in (near_rate, far_rate):
+        if isinstance(rate, NonConvergedError):
+            return rate
+    r1, r2 = (None if rate is None else rate.value for rate in (near_rate, far_rate))
     return masked_set(
         metrics, _NAN,
         rates=lambda: (MetricEstimate(r1, 0.0, 0), MetricEstimate(r2, 0.0, 0), MetricEstimate(r1 + r2, 0.0, 0)),
@@ -796,7 +789,7 @@ def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRo
 
     The power grid is validated whole before any closed form runs, and each
     closed form of each scheme is evaluated over it in one call.  A (point,
-    scheme) whose far-user rate does not converge gets a row of NaNs and a
+    scheme) whose near- or far-user rate does not converge gets a row of NaNs and a
     NON_CONVERGED note; the sweep goes on with the other rows.
     """
     grid = power_points(params, sweep)

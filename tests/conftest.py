@@ -149,16 +149,15 @@ def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL)
     return (_scaled_e1(beta / alpha) - _scaled_e1(beta)) / (alpha - 1.0)
 
 
-# Survival functions P(link SINR > x) of the far-user chain.  A link is the
-# strongest of m exponential gains of mean lam, over 1 plus an exponential
-# interferer of mean lam_i / m_i when lam_i > 0 (den = m_i * lam).  At the
-# gain ratio r its survival is the alternating binomial sum
+# The links of the far-user chain.  A link is the strongest of m exponential
+# gains of mean lam, over 1 plus an exponential interferer of mean lam_i / m_i
+# when lam_i > 0 (den = m_i * lam).  At the gain ratio r its survival is the
+# alternating binomial sum
 #
-#     m * fsum_p ((sign_p C(m-1, p)) * exp(-(p+1) r / lam))
-#                / ((p+1) (1 + ((lam_i (p+1)) r) / den)),     p < m,
+#     m * sum_p ((sign_p C(m-1, p)) * exp(-(p+1) r / lam))
+#               / ((p+1) (1 + ((lam_i (p+1)) r) / den)),     p < m.
 #
-# evaluated in exactly that order; another order moves the last digits of
-# the rates.  A link holds m, lam, den and, per term, the precomputed
+# A link holds m, lam, den and, per term, the precomputed
 # (sign_p C(m-1, p), -(p+1), p+1, lam_i (p+1)).
 _Link = tuple[int, float, float, tuple[tuple[float, int, int, float], ...]]
 
@@ -168,13 +167,6 @@ def _link(m: int, lam: float, lam_i: float = 0.0, den: float = 1.0) -> _Link:
         ((-1.0) ** p * math.comb(m - 1, p), -(p + 1), p + 1, lam_i * (p + 1)) for p in range(m)
     )
     return m, lam, den, coeffs
-
-
-def _link_survival(link: _Link, r: float) -> float:
-    m, lam, den, coeffs = link
-    return m * math.fsum(
-        [(sc * math.exp(n * r / lam)) / (p1 * (1.0 + li * r / den)) for sc, n, p1, li in coeffs]
-    )
 
 
 def _far_links_max_u1(params: SystemParams) -> tuple[_Link, _Link, _Link]:
@@ -255,31 +247,6 @@ def mp_outages(params: SystemParams, rule: str) -> tuple[float, float]:
     z = zeta(params)
     near = 1.0 if math.isinf(z) else mp_law_cdf(oracle_links(params, rule)[:1], [params.a1 * z])
     return near, mp_far_user_cdf(params, rule, thresholds(params)[1], cross_link=False)
-
-
-def oracle_far_user_cdf(params: SystemParams, rule: str, cross_link: bool = True):
-    links = ORACLE_FAR_LINKS[rule](params)
-    if not cross_link:
-        links = links[1:]
-    a1, a2 = params.a1, params.a2
-    cap = params.a2 / params.a1
-    *ratio_links, far = links
-
-    def cdf(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= cap:
-            return 1.0
-        den = a2 - a1 * x
-        r = math.inf if den <= 0.0 else x / den
-        if math.isinf(r):
-            return 1.0
-        survival = 1.0
-        for link in ratio_links:
-            survival *= _link_survival(link, r)
-        return _clamp_probability(1.0 - survival * _link_survival(far, x))
-
-    return cdf
 
 
 def oracle_rate_u1_max_u1(params: SystemParams) -> float:

@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo
@@ -43,7 +43,6 @@ from conftest import (
     near_kernel_alphas,
     oracle_breakpoints,
     oracle_far_user_rates,
-    oracle_far_user_cdf,
     oracle_links,
     oracle_rate_u1_max_u1,
     oracle_rate_u1_max_u2,
@@ -209,7 +208,7 @@ def test_rate_kernel_near_its_singularity_matches_mpmath(beta, offset):
         a, b = mp.mpf(alpha), mp.mpf(beta)
         g = lambda t: mp.exp(t) * mp.e1(t)
         oracle = float(1 - b * g(b) if a == 1 else (g(b / a) - g(b)) / (a - 1))
-    assert analytic._rate_kernels(np.array([alpha]), np.array([beta]))[0] == pytest.approx(oracle, rel=1e-12)
+    assert analytic._rate_kernels(np.array([alpha]), np.array([beta]))[0][0] == pytest.approx(oracle, rel=1e-12)
 
 
 @given(
@@ -220,14 +219,17 @@ def test_rate_kernel_near_its_singularity_matches_mpmath(beta, offset):
     relay_db=st.one_of(st.none(), st.floats(-10.0, 50.0)),
 )
 @settings(max_examples=60, deadline=None)
+@example(antennas=[6, 1, 6], a1=0.13891351700586835, k1=0.0, variances=[18.5, 1.0, 1.0, 0.75, 1.0], relay_db=None)
 def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_db):
     # Every sweep row equals the one-set closed forms, bit for bit.  The
     # near-user rate equals the one-set oracle in conftest bit for bit, and
     # rate_u2 comes from the oracle's first partitions.  The links of the laws
     # are the oracle's, and the outages are within 1e-13 relative of 450-digit
     # mpmath on those links: the oracle's alternating sums are accurate only
-    # in absolute terms, and miss deep floors by more.  Rows with a kernel alpha
-    # within 1e-6 of 1 skip the rate oracle, which falls back to scipy's quad there.
+    # in absolute terms, and miss deep floors by more (the far-user one by over
+    # 1e-14 at 6 antennas).  Rows with a kernel alpha within 1e-6 of 1 skip the
+    # rate oracle, which falls back to scipy's quad there, and so do rows the
+    # near-user rate integrates.
     m_b, m_r, m_t = antennas
     var_br, var_bu1, var_ru1, var_ru2, var_si = variances
     params = make_params(m_b=m_b, m_r=m_r, m_t=m_t, a1=a1, a2=1.0 - a1, k1=k1, var_br=var_br,
@@ -258,10 +260,12 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
             assert metrics.jain_index.value == jain_index(r1, r2)
             outages = (metrics.outage_u1.value, metrics.outage_u2.value)
             assert outages == (outage_u1(p), outage_u2(p))
-            for value, oracle in zip(outages, mp_outages(p, rule)):
+            mp_values = mp_outages(p, rule)
+            for value, oracle in zip(outages, mp_values):
                 assert_near_mpmath(value, oracle)
-            assert outages[1] == pytest.approx(oracle_far_user_cdf(p, rule, cross_link=False)(thresholds(p)[1]), rel=0.0, abs=1e-14)
-            if all(abs(alpha - 1.0) >= 1e-6 for alpha in near_kernel_alphas(p, rule)):
+            assert outages[1] == pytest.approx(mp_values[1], rel=0.0, abs=1e-14)
+            (near,) = analytic.near_user_rates(analytic._one_set(p, rule))
+            if near.evaluations == 0 and all(abs(alpha - 1.0) >= 1e-6 for alpha in near_kernel_alphas(p, rule)):
                 assert r1 == oracle_rate(p)
 
 
@@ -523,19 +527,26 @@ def test_near_user_quadrature_matches_scipy(params):
 
 
 def mp_near_user_rate(params, rule: str) -> float:
-    """30-digit mpmath integral of the near link's survival over [0, inf), in bits/s/Hz.
+    """20-digit mpmath integral of the near link's survival over [0, inf), in bits/s/Hz.
 
-    The survival is the alternating sum -sum_(k >= 1) C(m, k) (-c)^k / (1 + k b),
-    which loses about log10 C(m, m/2) digits, 4 at m = 16.
+    The survival is _link_law's recurrence, a sum of positive terms, so it
+    keeps its digits at any m; 20 digits agree with 40 to 1e-21 at 24 and 64
+    antennas, 0 and 50 dB, in less than half the time.
     """
     m, lam, lam_i, den = oracle_links(params, rule)[0]
-    with mp.workdps(30):
+    with mp.workdps(20):
+        lam, lam_i, den = mp.mpf(lam), mp.mpf(lam_i), mp.mpf(den)
 
         def integrand(x):
-            c, b = mp.exp(-x / lam), lam_i * x / den
-            return -mp.fsum(mp.binomial(m, k) * (-c) ** k / (1 + k * b) for k in range(1, m + 1)) / (1 + x)
+            c, d, b = mp.exp(-x / lam), -mp.expm1(-x / lam), lam_i * x / den
+            survival, power, rest = 0, 1, 0  # S_i, d^i and 1 - d^i at i = 0
+            for i in range(1, m + 1):
+                rest, power = rest + c * power, power * d
+                survival = (i * b * survival + rest) / (1 + i * b)
+            return survival / (1 + x)
 
-        return float(mp.quad(integrand, [0, *(lam * 4**k for k in range(4)), mp.inf]) / mp.log(2))
+        points = sorted({mp.mpf(1), *(lam * mp.mpf(4) ** k for k in range(-2, 4))})
+        return float(mp.quad(integrand, [0, *points, mp.inf]) / mp.log(2))
 
 
 @pytest.mark.parametrize("params", [make_params(), SINGULAR_PARAMS, make_params(m_b=16, m_r=16, m_t=16),
@@ -564,7 +575,44 @@ def test_near_user_quadrature_grades_down_to_the_rate_kernel_scale():
         assert all(counts[power] <= upward_only[power] for power in (0.0, 20.0)), (rule, counts)
         assert all(counts[power] < upward_only[power] for power in (40.0, 60.0)), (rule, counts)
         for result, closed in zip(results, analytic.near_user_rates(laws)):
-            assert result.value == pytest.approx(closed, rel=analytic.QUADRATURE_REL_TOL), rule
+            assert result.value == pytest.approx(closed.value, rel=analytic.QUADRATURE_REL_TOL), rule
+
+
+def equal_arrays(m: int, power_db: float, **overrides):
+    rho = 10.0 ** (power_db / 10.0)
+    return make_params(m_b=m, m_r=m, m_t=m, rho_s=rho, rho_r=rho, **overrides)
+
+
+# Parameter sets and whether the kernel sum holds their max_u1 near-user rate (it always holds
+# the one-term max_u2 rate here).  At the defaults the first term's kernel has alpha = k1.
+NEAR_RATE_BOUND_PARAMS = {
+    **{f"{m}x{m}x{m}": (equal_arrays(m, 10.0), m <= 20) for m in (4, 8, 16, 20, 24)},
+    # The kernel is g(beta) alone, and g's continued fraction is off by 52 ulps at beta = 1.156.
+    "k1 = 0, beta = 1.156": (make_params(k1=0.0, rho_s=4.0 / 1.156, rho_r=4.0 / 1.156), True),
+    "alpha = 1 + 9e-7, 50 dB": (equal_arrays(4, 50.0, k1=1.0 + 9e-7), True),
+    # Just outside 1e-6 of alpha = 1 the kernel's subtraction loses 6e-11 here.
+    "alpha = 1 + 1.01e-6": (equal_arrays(4, 10.0, k1=1.0 + 1.01e-6), False),
+}
+
+
+@pytest.mark.parametrize("params, kept", NEAR_RATE_BOUND_PARAMS.values(), ids=NEAR_RATE_BOUND_PARAMS.keys())
+def test_near_user_rate_error_is_within_its_bound(params, kept):
+    # Kept or integrated, a near-user rate is within its own error bound of mpmath (the m x m x m
+    # sums err most at 10 dB).  Where the sum is kept this fixes _NEAR_BOUND_FACTOR: "k1 = 0,
+    # beta = 1.156" needs 52, the m x m x m sums need up to 4, and "alpha = 1 + 9e-7" less than 1.
+    for rule, sum_holds in (("max_u1", kept), ("max_u2", True)):
+        (result,) = analytic.near_user_rates(analytic._one_set(params, rule))
+        assert abs(result.value - mp_near_user_rate(params, rule)) <= result.abs_error_bound, rule
+        assert (result.evaluations == 0) == sum_holds, rule
+
+
+@pytest.mark.parametrize("m", [24, 32, 48, 64])
+def test_near_user_rate_matches_mpmath_at_large_arrays(m):
+    # The kernel sum had the wrong sign at 64 antennas; every one of these rows is integrated.
+    for db in (0.0, 20.0, 50.0):
+        params = equal_arrays(m, db)
+        oracle = mp_near_user_rate(params, "max_u1")
+        assert rate_u1_max_u1(params) == pytest.approx(oracle, rel=1e-8), db
 
 
 def test_gauss_kronrod_rule_is_exact_on_polynomials():
@@ -831,10 +879,3 @@ class TestOutage:
             for fn in (outage_u1_max_u1, outage_u1_max_u2, outage_u2_max_u1, outage_u2_max_u2):
                 value = fn(params)
                 assert 0.0 <= value <= 1.0
-
-
-def test_large_antenna_count_warns():
-    # The near-user rate is the one alternating sum left.
-    params = make_params(m_b=17, m_r=4, m_t=4)
-    with pytest.warns(RuntimeWarning, match="alternating binomial"):
-        rate_u1_max_u1(params)

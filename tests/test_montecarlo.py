@@ -524,27 +524,31 @@ class TestAnalyticRows:
         assert len(rows) == 1202 and notes == []
 
     def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
-        far_user_rates = analytic.far_user_rates
+        # Either rate's NonConvergedError blanks its row alone.
+        for name in ("far_user_rates", "near_user_rates"):
+            rates = getattr(analytic, name)
 
-        def explode_at_second_point(laws):
-            results = far_user_rates(laws)
-            if laws.rule == "max_u2":
-                results[1] = analytic.NonConvergedError("forced for test")
-            return results
+            def explode_at_second_point(laws, rates=rates):
+                results = rates(laws)
+                if laws.rule == "max_u2":
+                    results[1] = analytic.NonConvergedError("forced for test")
+                return results
 
-        monkeypatch.setattr(analytic, "far_user_rates", explode_at_second_point)
-        spec = SweepSpec(power_db=(10.0, 20.0, 30.0), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
-        rows, notes = analytic_sweep(baseline, spec)
-        assert [(row.power_db, row.scheme) for row in rows] == [
-            (db, scheme) for db in (10.0, 20.0, 30.0) for scheme in ANALYTIC_SCHEMES
-        ]
-        assert notes == ["NON_CONVERGED at 20.0 dB / max_u2_decoupled: forced for test"]
-        broken = rows[3].metrics
-        assert all(
-            math.isnan(m.value) and m.std_error == 0.0 and m.trials == 0
-            for m in vars(broken).values()
-        )
-        assert all(not math.isnan(row.metrics.rate_u2.value) for i, row in enumerate(rows) if i != 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, name, explode_at_second_point)
+                spec = SweepSpec(power_db=(10.0, 20.0, 30.0), schemes=ANALYTIC_SCHEMES, trials=1, seed=1)
+                rows, notes = analytic_sweep(baseline, spec)
+            assert [(row.power_db, row.scheme) for row in rows] == [
+                (db, scheme) for db in (10.0, 20.0, 30.0) for scheme in ANALYTIC_SCHEMES
+            ]
+            assert notes == ["NON_CONVERGED at 20.0 dB / max_u2_decoupled: forced for test"], name
+            broken = rows[3].metrics
+            assert all(
+                math.isnan(m.value) and m.std_error == 0.0 and m.trials == 0
+                for m in vars(broken).values()
+            )
+            assert all(not math.isnan(row.metrics.rate_u1.value) for i, row in enumerate(rows) if i != 3)
+            assert all(not math.isnan(row.metrics.rate_u2.value) for i, row in enumerate(rows) if i != 3)
 
 
 class TestCsv:
