@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdnoma.analytic import EULER_GAMMA, LN2, NonConvergedError, thresholds, zeta
+from fdnoma.analytic import LN2, _scaled_e1, thresholds, zeta
 from fdnoma.channel import GainBatch
 from fdnoma.config import SystemParams, default_params, mean_gains, validate
 from fdnoma.results import write_csv
@@ -55,98 +55,17 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-# The scalar closed-form kernels, far-user links and one-set closed forms that
-# fdnoma.analytic's array evaluators replaced, kept verbatim as the oracle.
-# The near-user rate must equal it bit for bit.  The kernel's singular
-# fallback is scipy's quad, inaccurate on narrow integrands; compare only
-# away from alpha = 1.  The alternating link sums cancel, so the laws are
-# held to mpmath evaluations of the oracle's links instead (mp_law_cdf).
+# The far-user links and breakpoints that fdnoma.analytic's array evaluators
+# replaced, kept verbatim as the oracle.  The alternating link sums cancel, so
+# the laws are held to mpmath evaluations of the oracle's links instead
+# (mp_law_cdf), and the near-user rate to mpmath's integral of the near link
+# (test_analytic.mp_near_user_rate).
 
 
 def _clamp_probability(raw: float) -> float:
     if raw < -1e-12 or raw > 1.0 + 1e-12:
         raise RuntimeError(f"CDF_RANGE_VIOLATION: raw probability {raw!r}")
     return min(max(raw, 0.0), 1.0)
-
-
-def _scaled_e1(t: float) -> float:
-    """exp(t) * E1(t) for t > 0; E1 is the upper exponential integral.
-
-    Series below 1, modified-Lentz continued fraction up to 1e10, the
-    asymptotic series 1/t (1 - 1/t + 2/t^2) above; its first omitted term
-    is 6/t^3 relative, and from about 1e11 on the continued fraction's
-    steps round to 1 +- 1 ulp and can miss its 1e-16 stop.  The scaled
-    form never overflows, which matters because the rate kernels evaluate
-    it at ratios that can be enormous when interference vanishes.
-    """
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t!r}")
-    if t > 1e10:
-        return (1.0 - (1.0 - 2.0 / t) / t) / t
-    if t < 1.0:
-        # E1(t) = -gamma - ln t + sum_{k>=1} (-1)^(k+1) t^k / (k k!)
-        terms = [-EULER_GAMMA - math.log(t)]
-        power = 1.0
-        for k in range(1, 60):
-            power *= t / k
-            term = power / k if k % 2 else -power / k
-            terms.append(term)
-            if power / k < 1e-20:
-                break
-        return math.exp(t) * math.fsum(terms)
-    # E1(t) = e^-t / (t+1 - 1^2/(t+3 - 2^2/(t+5 - ...)))
-    tiny = 1e-300
-    b = t + 1.0
-    f = b if b != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 500):
-        a = -float(n * n)
-        b += 2.0
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    raise NonConvergedError(f"continued fraction for E1({t}) did not converge")
-
-
-_SINGULAR_TOL = 1e-6
-
-
-def _rate_kernel(alpha: float, beta: float, singular_tol: float = _SINGULAR_TOL) -> float:
-    """integral_0^inf exp(-beta x) / ((1+x)(1+alpha x)) dx, alpha >= 0, beta > 0.
-
-    Closed form (g(t) = exp(t) E1(t)):
-
-        alpha = 0:      g(beta)
-        alpha != 1:     (g(beta/alpha) - g(beta)) / (alpha - 1)
-
-    alpha = 1 is a removable singularity; within singular_tol of it the
-    kernel falls back to adaptive quadrature instead of the closed form.
-    """
-    if alpha == 0.0:
-        return _scaled_e1(beta)
-    if abs(alpha - 1.0) < singular_tol:
-        # Imported here, so a process that never integrates does not load scipy.
-        from scipy.integrate import quad
-
-        value, _ = quad(
-            lambda x: math.exp(-beta * x) / ((1.0 + x) * (1.0 + alpha * x)),
-            0.0,
-            math.inf,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=200,
-        )
-        return value
-    return (_scaled_e1(beta / alpha) - _scaled_e1(beta)) / (alpha - 1.0)
 
 
 # The links of the far-user chain.  A link is the strongest of m exponential
@@ -247,34 +166,6 @@ def mp_outages(params: SystemParams, rule: str) -> tuple[float, float]:
     z = zeta(params)
     near = 1.0 if math.isinf(z) else mp_law_cdf(oracle_links(params, rule)[:1], [params.a1 * z])
     return near, mp_far_user_cdf(params, rule, thresholds(params)[1], cross_link=False)
-
-
-def oracle_rate_u1_max_u1(params: SystemParams) -> float:
-    g = mean_gains(params)
-    m_b, m_t = params.m_b, params.m_t
-    scale = params.a1 * g.lam_su1
-    terms = []
-    for p in range(m_b):
-        alpha = (p + 1) * g.lam_ru1 / (m_t * scale)
-        beta = (p + 1) / scale
-        coeff = (-1.0) ** p * math.comb(m_b - 1, p) / (p + 1)
-        terms.append(coeff * _rate_kernel(alpha, beta))
-    return m_b * math.fsum(terms) / LN2
-
-
-def oracle_rate_u1_max_u2(params: SystemParams) -> float:
-    g = mean_gains(params)
-    scale = params.a1 * g.lam_su1
-    return _rate_kernel(g.lam_ru1 / scale, 1.0 / scale) / LN2
-
-
-def near_kernel_alphas(params: SystemParams, rule: str) -> list[float]:
-    """The rate kernel's alpha in each term of the near-user rate under a rule."""
-    g = mean_gains(params)
-    scale = params.a1 * g.lam_su1
-    if rule == "max_u2":
-        return [g.lam_ru1 / scale]
-    return [(p + 1) * g.lam_ru1 / (params.m_t * scale) for p in range(params.m_b)]
 
 
 def oracle_breakpoints(params: SystemParams, rule: str, hi: float) -> list[float]:
@@ -388,7 +279,7 @@ def exp_int_ei(x: float) -> float:
     if not x < 0.0:
         raise ValueError(f"EI_DOMAIN_INVALID: need x < 0, got {x!r}")
     t = -x
-    return -math.exp(-t) * _scaled_e1(t)
+    return -math.exp(-t) * float(_scaled_e1(np.array([t]))[0])
 
 
 def linear_to_db(linear: float) -> float:
