@@ -18,11 +18,13 @@ antenna count.  The near-user rate is the paper's closed form, an
 alternating sum of rate kernels accumulated with math.fsum and the one sum
 here that cancels, wherever its error bound meets the quadrature tolerance.
 
-The closed forms take the Laws of a PowerGrid under one rule, the links
-with one array row per power point, and evaluate every point in one call
-over a sweep's whole grid; the one-set entry points (rate_u1_*, outage_*,
-cdf_gamma*) run the same code on the one-point grid of their set, and the
-distributions take a point or an array of points.
+The closed forms take the Laws of a PowerGrid under one of
+ANALYTIC_SCHEMES, the links with one array row per power point, and
+evaluate every point in one call over a sweep's whole grid; the one-set
+entry points (rate_u1_*, outage_*, cdf_gamma*, whose max_u1 and max_u2
+name the schemes max_u1_analytic and max_u2_decoupled) run the same code
+on the one-point grid of their set, and the distributions take a point or
+an array of points.
 
 The far-user rates are integrated by far_user_rates, in numpy, for every
 point at once: QUADPACK's adaptive 21-point Gauss-Kronrod scheme over a
@@ -37,19 +39,18 @@ tracing only, and the only place scipy is imported: importing
 scipy.integrate costs about 0.6 s and 50 MiB, and no command needs it.
 
 Last come the MetricSets (closed_form_sets) and sweep rows (analytic_sweep)
-of the schemes the closed forms describe, ANALYTIC_SCHEMES.
+of those schemes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PowerGrid, SweepSpec, SystemParams, mean_gains, power_points
+from .config import MeanGains, PowerGrid, SweepSpec, SystemParams, gains_at, power_points, thresholds
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
@@ -166,9 +167,11 @@ def sinr_cap(params: SystemParams) -> float:
     return params.a2 / params.a1
 
 
-# The links of each rule's SINR laws, as (m, lam, lam_i, den) of parameters
-# p and their mean gains g (one row per power point, see Laws).  A
-# link is the strongest of m exponential gains of mean lam over 1 plus an
+# The one table of the schemes that have closed forms, the decoupled
+# stage-wise variants of the selection module, keyed by scheme id: the
+# links of each one's SINR laws, as (m, lam, lam_i, den) of parameters p
+# and their mean gains g (one row per power point, see Laws).  A link is
+# the strongest of m exponential gains of mean lam over 1 plus an
 # exponential interferer of mean lam_i lam / den: the weakest of m_i gains
 # of mean lam_i when den = m_i lam, none when lam_i = 0.  At t its law is
 # _link_law(m, t / lam, (lam_i t) / den).  The near link is the near user's
@@ -177,24 +180,20 @@ def sinr_cap(params: SystemParams) -> float:
 # far-user symbol) and the relay link take the gain ratio x / (a2 - a1 x),
 # the far link takes x.
 _LINKS = {
-    "max_u1": lambda p, g: (
+    "max_u1_analytic": lambda p, g: (
         (p.m_b, p.a1 * g.lam_su1, g.lam_ru1, p.m_t * (p.a1 * g.lam_su1)),
         (p.m_b, g.lam_su1, g.lam_ru1, p.m_t * g.lam_su1),
         (p.m_r, g.lam_br, g.lam_si, g.lam_br),
         (1, g.lam_ru2, 0.0, 1.0),
     ),
-    "max_u2": lambda p, g: (
+    "max_u2_decoupled": lambda p, g: (
         (1, p.a1 * g.lam_su1, g.lam_ru1, p.a1 * g.lam_su1),
         (1, g.lam_su1, g.lam_ru1, g.lam_su1),
         (p.m_b, g.lam_br, g.lam_si, p.m_r * g.lam_br),
         (p.m_t, g.lam_ru2, 0.0, 1.0),
     ),
 }
-
-
-def _check_rule(rule: str) -> None:
-    if rule not in _LINKS:
-        raise ValueError(f"unknown rule {rule!r}; have {tuple(_LINKS)}")
+ANALYTIC_SCHEMES = tuple(_LINKS)
 
 
 def _link_law(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -232,30 +231,14 @@ def _link_law(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(f, 1.0), np.minimum(s, 1.0)
 
 
-def _one_set(params: SystemParams, rule: str) -> Laws:
+def _one_set(params: SystemParams, scheme: str) -> Laws:
     """The laws of one parameter set: those of its one-point grid."""
-    return Laws(PowerGrid.at(params), rule)
+    return Laws(PowerGrid.at(params), scheme)
 
 
 def _point_or_array(values: np.ndarray, x) -> float | np.ndarray:
     """One set's values at x: a float (its one row) at a scalar x, else the array."""
     return values if getattr(x, "ndim", 0) else float(values[0])
-
-
-def far_user_cdf(
-    params: SystemParams, rule: str, cross_link: bool = True
-) -> Callable[[float], float]:
-    """The far-user SINR distribution under a selection rule, built once.
-
-    rule is "max_u1" (near-user-first) or "max_u2" (far-user decoupled).
-    The law is that of the e2e SINR min(cross, relay, far), as in
-    cdf_gamma2_*; cross_link=False drops the near user's cross-decoding
-    link, leaving min(relay, far), whose value at the far-user threshold
-    is outage_u2_*.  It takes a point or an array of points; it is 0 up to
-    0 and 1 from the a2/a1 cap on.
-    """
-    laws = _one_set(params, rule)
-    return lambda x: _point_or_array(laws.far_cdf(x, cross_link), x)
 
 
 def cdf_gamma1_max_u1(x, params: SystemParams):
@@ -264,7 +247,7 @@ def cdf_gamma1_max_u1(x, params: SystemParams):
     Strongest of m_b direct gains over 1 plus the weakest of m_t
     interfering gains.
     """
-    return _point_or_array(_one_set(params, "max_u1").near_cdf(x), x)
+    return _point_or_array(_one_set(params, "max_u1_analytic").near_cdf(x), x)
 
 
 def cdf_gamma1_max_u2(x, params: SystemParams):
@@ -273,17 +256,17 @@ def cdf_gamma1_max_u2(x, params: SystemParams):
     No selection gain reaches the near-user links, so both gains are
     plain exponentials.
     """
-    return _point_or_array(_one_set(params, "max_u2").near_cdf(x), x)
+    return _point_or_array(_one_set(params, "max_u2_decoupled").near_cdf(x), x)
 
 
 def cdf_gamma2_max_u1(x, params: SystemParams):
     """Distribution of the far-user e2e SINR under near-user-first selection, at a point or an array."""
-    return far_user_cdf(params, "max_u1")(x)
+    return _point_or_array(_one_set(params, "max_u1_analytic").far_cdf(x), x)
 
 
 def cdf_gamma2_max_u2(x, params: SystemParams):
     """Distribution of the far-user e2e SINR under far-user decoupled selection, at a point or an array."""
-    return far_user_cdf(params, "max_u2")(x)
+    return _point_or_array(_one_set(params, "max_u2_decoupled").far_cdf(x), x)
 
 
 def _checked(rate: float, bound: float, evaluations: int, rel_tol: float, abs_tol: float):
@@ -390,22 +373,24 @@ def graded_points(scale: float) -> tuple[float, ...]:
 
 
 class Laws:
-    """The links of _LINKS under one rule over a power grid, one row per point.
+    """The links of _LINKS under one of ANALYTIC_SCHEMES over a power grid, one row per point.
 
-    The grid's two power columns become arrays and its other fields stay
-    scalars, so a formula written for one set, such as mean_gains, evaluates
-    every point in one numpy pass with each element's float operations
-    unchanged.  a1 and a2 stay scalars; each link keeps its m and one row
-    per point of each of lam, lam_i and den.  The methods evaluate a law at
-    x of every row (with one point, at any number of x), far_survival at rows.
+    The mean gains are those of mean_gains at the grid's two power columns
+    as arrays, and the grid's other fields stay scalars, so each _LINKS
+    formula evaluates every point in one numpy pass with each element's
+    float operations unchanged.  a1 and a2 stay scalars; each link keeps its
+    m and one row per point of each of lam, lam_i and den (times a row of
+    ones, which is exact).  The methods evaluate a law at x of every row
+    (with one point, at any number of x), far_survival at rows.
     """
 
-    def __init__(self, grid: PowerGrid, rule: str):
-        _check_rule(rule)
-        params = replace(grid.params, rho_s=np.array(grid.rho_s), rho_r=np.array(grid.rho_r))
-        self.grid, self.rule, self.a1, self.a2 = grid, rule, params.a1, params.a2
-        self.links = [(m, *np.broadcast_arrays(*means, params.rho_s)[:3])
-                      for m, *means in _LINKS[rule](params, mean_gains(params))]
+    def __init__(self, grid: PowerGrid, scheme: str):
+        if scheme not in _LINKS:
+            raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
+        params, ones = grid.params, np.ones(len(grid))
+        self.grid, self.scheme, self.a1, self.a2 = grid, scheme, params.a1, params.a2
+        gains = MeanGains(*gains_at(params, np.array(grid.rho_s), np.array(grid.rho_r)))
+        self.links = [(m, *(v * ones for v in means)) for m, *means in _LINKS[scheme](params, gains)]
 
     def _at(self, link: tuple, rows, t) -> tuple[np.ndarray, np.ndarray]:
         """_link_law of a link at t of rows.  A t / lam or an interference term too large for
@@ -432,7 +417,12 @@ class Laws:
         return np.where(beyond, 0.0, r), t, beyond
 
     def far_cdf(self, x, cross_link: bool = True) -> np.ndarray:
-        """F of the far-user chain at x (see far_user_cdf): 1 - prod(1 - F_i), as -expm1(sum log1p(-F_i))."""
+        """F of the far-user e2e SINR min(cross, relay, far) at x, 0 up to 0 and 1 from the a2/a1 cap on.
+
+        cross_link=False drops the near user's cross-decoding link, leaving
+        min(relay, far), whose value at the far-user threshold is the far-user
+        outage.  1 - prod(1 - F_i), as -expm1(sum log1p(-F_i)).
+        """
         r, t, beyond = self._far_points(x)
         links = self.links[1 if cross_link else 2 :]
         points = [r] * (len(links) - 1) + [t]
@@ -477,53 +467,52 @@ class Laws:
         points.sort(axis=1)
         return points
 
-    def gk21(self, survival, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """QUADPACK's qk21 of survival(x) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
 
-        Every rule sum runs over its row's own nodes in a fixed order, so a
-        row's numbers do not depend on which other intervals share the call.
-        Exponentials underflow and interference terms may overflow to inf,
-        which both make a term exactly 0, and the rule sums of a vanishing
-        integrand underflow, so those two warnings are silenced.
-        """
-        with np.errstate(over="ignore", under="ignore"):
-            center, half = 0.5 * (a + b), 0.5 * (b - a)
-            x = (center + half * _OFFSETS[:, None]).ravel()
-            node_rows = np.broadcast_to(rows, (len(_OFFSETS), len(rows))).ravel()
-            f = np.empty_like(x)
-            for start in range(0, len(x), _CHUNK_NODES):
-                part = slice(start, start + _CHUNK_NODES)
-                f[part] = survival(x[part], node_rows[part]) / (1.0 + x[part])
-            f = f.reshape(len(_OFFSETS), len(rows))
-            left, fc, right = f[:10], f[10], f[11:]  # left[j] and right[j] sit at -+_XGK[j]
-            resk = _WGK_CENTER * fc
-            resg = np.zeros_like(fc)
-            resabs = np.abs(resk)
-            for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss abscissae first, as in qk21
-                fsum = left[j] + right[j]
-                if j % 2:
-                    resg = resg + _WG[j // 2] * fsum
-                resk = resk + _WGK[j] * fsum
-                resabs = resabs + _WGK[j] * (np.abs(left[j]) + np.abs(right[j]))
-            reskh = resk * 0.5
-            resasc = _WGK_CENTER * np.abs(fc - reskh)
-            for j in range(10):
-                resasc = resasc + _WGK[j] * (np.abs(left[j] - reskh) + np.abs(right[j] - reskh))
-            dhalf = np.abs(half)
-            resabs, resasc = resabs * dhalf, resasc * dhalf
-            abserr = np.abs((resk - resg) * half)
-            scaled = (resasc != 0.0) & (abserr != 0.0)
-            ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
-            abserr = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, abserr)
-            floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
-            abserr = np.maximum(floor, abserr)
-            return resk * half, abserr, resasc
+def _gk21(survival, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """QUADPACK's qk21 of survival(x, rows) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
+
+    Every rule sum runs over its row's own nodes in a fixed order, so a
+    row's numbers do not depend on which other intervals share the call.
+    Exponentials underflow and interference terms may overflow to inf,
+    which both make a term exactly 0, and the rule sums of a vanishing
+    integrand underflow, so those two warnings are silenced.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        center, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = (center + half * _OFFSETS[:, None]).ravel()
+        node_rows = np.broadcast_to(rows, (len(_OFFSETS), len(rows))).ravel()
+        f = np.empty_like(x)
+        for start in range(0, len(x), _CHUNK_NODES):
+            part = slice(start, start + _CHUNK_NODES)
+            f[part] = survival(x[part], node_rows[part]) / (1.0 + x[part])
+        f = f.reshape(len(_OFFSETS), len(rows))
+        left, fc, right = f[:10], f[10], f[11:]  # left[j] and right[j] sit at -+_XGK[j]
+        resk = _WGK_CENTER * fc
+        resg = np.zeros_like(fc)
+        resabs = np.abs(resk)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss abscissae first, as in qk21
+            fsum = left[j] + right[j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(left[j]) + np.abs(right[j]))
+        reskh = resk * 0.5
+        resasc = _WGK_CENTER * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(left[j] - reskh) + np.abs(right[j] - reskh))
+        dhalf = np.abs(half)
+        resabs, resasc = resabs * dhalf, resasc * dhalf
+        abserr = np.abs((resk - resg) * half)
+        scaled = (resasc != 0.0) & (abserr != 0.0)
+        ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
+        abserr = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, abserr)
+        floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
+        abserr = np.maximum(floor, abserr)
+        return resk * half, abserr, resasc
 
 
-def _qag(
-    laws: Laws, survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0
-) -> list[QuadratureResult | NonConvergedError]:
-    """QUADPACK's qag with qk21 of survival(x, rows) / (1 + x) over [0, hi] of every row of laws, as rates.
+def _qag(survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0) -> list[QuadratureResult | NonConvergedError]:
+    """QUADPACK's qag with qk21 of survival(x, rows) / (1 + x) over [0, hi] of every row, as rates.
 
     A row's first partition splits at its points in (0, hi), padded with
     inf.  Every round bisects each unfinished integral's interval of largest
@@ -538,7 +527,7 @@ def _qag(
     edges.sort(axis=1)
     rows, slots = np.nonzero(np.isfinite(edges[:, 1:]))  # each row's intervals in order
     lo, up = edges[rows, slots], edges[rows, slots + 1]
-    result, error, resasc = laws.gk21(survival, rows, lo, up)
+    result, error, resasc = _gk21(survival, rows, lo, up)
 
     last = np.bincount(rows, minlength=count)
     width = max(int(last.max(initial=0)), _MAX_INTERVALS)
@@ -562,7 +551,7 @@ def _qag(
         worst = np.argmax(errors[act, : int(last[act].max())], axis=1)
         a, b = starts[act, worst], ends[act, worst]
         mid = 0.5 * (a + b)
-        res, err, _ = laws.gk21(survival, np.tile(act, 2), np.concatenate([a, mid]), np.concatenate([mid, b]))
+        res, err, _ = _gk21(survival, np.tile(act, 2), np.concatenate([a, mid]), np.concatenate([mid, b]))
         res1, res2 = np.split(res, 2)
         err1, err2 = np.split(err, 2)
         errsum[act] = errsum[act] + (err1 + err2) - errors[act, worst]
@@ -585,7 +574,7 @@ def far_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
     """Far-user ergodic rates at every point of the laws, integrated together.
 
     Each rate is (1/ln 2) * integral_0^cap (1 - F(x)) / (1 + x) dx of its
-    far_user_cdf, by _qag, with breakpoints at the links' SINR scales (see
+    Laws.far_cdf, by _qag, with breakpoints at the links' SINR scales (see
     Laws.breakpoints).
 
     Returns, per point, its QuadratureResult or, when its error bound
@@ -595,7 +584,7 @@ def far_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
     """
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
     hi = np.full(len(laws.grid), laws.a2 / laws.a1 * (1.0 - 1e-12))
-    return _qag(laws, laws.far_survival, hi, laws.breakpoints(hi))
+    return _qag(laws.far_survival, hi, laws.breakpoints(hi))
 
 
 def near_user_quadratures(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
@@ -617,16 +606,16 @@ def near_user_quadratures(laws: Laws) -> list[QuadratureResult | NonConvergedErr
     points = lam[:, None] * np.concatenate([_BREAK_RATIO ** -steps, graded_points(1.0)])
     points[(points >= hi[:, None]) | (points < np.minimum(lam, 1.0)[:, None])] = np.inf
     survival = lambda x, rows: laws._at(laws.links[0], rows, x)[1]
-    return _qag(laws, survival, hi, points, tail=math.exp(-60.0) / h)
+    return _qag(survival, hi, points, tail=math.exp(-60.0) / h)
 
 
 def near_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
     """Near-user ergodic rate at every point of the laws, as far_user_rates.
 
-    The paper's closed form integrates the near link's survival, _LINKS[rule][0]
-    (m_b terms under "max_u1", one under "max_u2"), termwise through the rate
-    kernel: one kernel call for all, an fsum per point of terms that alternate
-    in sign.  A point keeps it, with 0 evaluations, where its bound
+    The paper's closed form integrates the near link's survival,
+    _LINKS[scheme][0] (m_b terms under "max_u1_analytic", one under
+    "max_u2_decoupled"), termwise through the rate kernel: one kernel call for
+    all, an fsum per point of terms that alternate in sign.  A point keeps it, with 0 evaluations, where its bound
     c eps m / ln 2 sum_p |coeff_p| E_p (c = _NEAR_BOUND_FACTOR, E_p as in
     _rate_kernels: c kappa eps |rate|, kappa the condition number of Higham
     2002, section 4.2) meets the quadrature tolerance.  The others, and every
@@ -650,8 +639,8 @@ def near_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
     return sums if all(held) else [s if kept else q for s, kept, q in zip(sums, held, near_user_quadratures(laws))]
 
 
-def _one_rate(rates, params: SystemParams, rule: str) -> QuadratureResult:
-    (result,) = rates(_one_set(params, rule))
+def _one_rate(rates, params: SystemParams, scheme: str) -> QuadratureResult:
+    (result,) = rates(_one_set(params, scheme))
     if isinstance(result, NonConvergedError):
         raise result
     return result
@@ -659,7 +648,7 @@ def _one_rate(rates, params: SystemParams, rule: str) -> QuadratureResult:
 
 def rate_u1_max_u1(params: SystemParams) -> float:
     """Near-user ergodic rate under near-user-first selection (closed form, or quadrature; see near_user_rates)."""
-    return _one_rate(near_user_rates, params, "max_u1").value
+    return _one_rate(near_user_rates, params, "max_u1_analytic").value
 
 
 def rate_u1_max_u2(params: SystemParams) -> float:
@@ -668,22 +657,17 @@ def rate_u1_max_u2(params: SystemParams) -> float:
     Single-exponential links on both sides; coincides with the near-user
     rate of a fully random antenna pair.
     """
-    return _one_rate(near_user_rates, params, "max_u2").value
+    return _one_rate(near_user_rates, params, "max_u2_decoupled").value
 
 
 def rate_u2_max_u1(params: SystemParams) -> QuadratureResult:
     """Far-user ergodic rate under near-user-first selection (quadrature)."""
-    return _one_rate(far_user_rates, params, "max_u1")
+    return _one_rate(far_user_rates, params, "max_u1_analytic")
 
 
 def rate_u2_max_u2(params: SystemParams) -> QuadratureResult:
     """Far-user ergodic rate under far-user decoupled selection (quadrature)."""
-    return _one_rate(far_user_rates, params, "max_u2")
-
-
-def thresholds(params: SystemParams) -> tuple[float, float]:
-    """SINR thresholds 2^rate - 1 for the two target rates."""
-    return math.expm1(params.rate1 * LN2), math.expm1(params.rate2 * LN2)
+    return _one_rate(far_user_rates, params, "max_u2_decoupled")
 
 
 def zeta(params: SystemParams) -> float:
@@ -707,7 +691,7 @@ def outages(laws: Laws) -> tuple[list[float], list[float]]:
     The near-user outage is its SINR distribution cdf_gamma1_* at a1 zeta,
     or 1 where zeta is infinite.  The far-user outage needs the relay to
     decode the far-user symbol and the far user to decode it from the
-    relay; the near-user leg does not appear.  It is far_user_cdf with
+    relay; the near-user leg does not appear.  It is Laws.far_cdf with
     cross_link=False at the far-user threshold.  zeta and thresholds read
     no power, so they run once per call.
     """
@@ -718,27 +702,22 @@ def outages(laws: Laws) -> tuple[list[float], list[float]]:
 
 def outage_u1_max_u1(params: SystemParams) -> float:
     """Near-user outage under near-user-first selection."""
-    return outages(_one_set(params, "max_u1"))[0][0]
+    return outages(_one_set(params, "max_u1_analytic"))[0][0]
 
 
 def outage_u1_max_u2(params: SystemParams) -> float:
     """Near-user outage under far-user selection."""
-    return outages(_one_set(params, "max_u2"))[0][0]
+    return outages(_one_set(params, "max_u2_decoupled"))[0][0]
 
 
 def outage_u2_max_u1(params: SystemParams) -> float:
     """Far-user outage under near-user-first selection."""
-    return outages(_one_set(params, "max_u1"))[1][0]
+    return outages(_one_set(params, "max_u1_analytic"))[1][0]
 
 
 def outage_u2_max_u2(params: SystemParams) -> float:
     """Far-user outage under far-user decoupled selection."""
-    return outages(_one_set(params, "max_u2"))[1][0]
-
-
-# Schemes whose statistics the closed forms describe, and the far-user rule of each.
-ANALYTIC_SCHEMES = ("max_u1_analytic", "max_u2_decoupled")
-_FAR_RULES = {"max_u1_analytic": "max_u1", "max_u2_decoupled": "max_u2"}
+    return outages(_one_set(params, "max_u2_decoupled"))[1][0]
 
 
 # A closed form has no standard error and no trials; a row without a value holds _NAN.
@@ -766,9 +745,7 @@ def closed_form_sets(grid: PowerGrid, scheme: str, metrics: tuple[str, ...]):
     The grid's laws are built once, and each closed form the metrics need
     evaluates all of its points in one call; the MetricSets are made as iterated.
     """
-    if scheme not in _FAR_RULES:
-        raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
-    laws = Laws(grid, _FAR_RULES[scheme])
+    laws = Laws(grid, scheme)
     rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(grid)
     if "rates" in metrics or "jain" in metrics:
         far_rates, rates_u1 = far_user_rates(laws), near_user_rates(laws)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
-from .config import ConfigError, KNOWN_METRICS, PowerGrid, SweepSpec, check_run, load_config
+from .config import ConfigError, KNOWN_METRICS, PowerGrid, SweepSpec, check_run, load_config, thresholds
 from .montecarlo import (
     estimate_metrics,
     estimate_outage,  # noqa: F401  no longer called here; perfbench/spans.py wraps the name
@@ -226,28 +226,25 @@ def _check_alternating_identity(params, trials, seed):
 def _check_cdf_sanity(params, trials, seed):
     cap = analytic.sinr_cap(params)
     near_hi = 60.0 * params.a1 * params.rho_s
-    # Each law is evaluated over its whole grid in one call; each far-user law is built once.
-    cases = [
-        ("cdf_gamma1_max_u1", lambda x: analytic.cdf_gamma1_max_u1(x, params), near_hi, False),
-        ("cdf_gamma1_max_u2", lambda x: analytic.cdf_gamma1_max_u2(x, params), near_hi, False),
-        ("cdf_gamma2_max_u1", analytic.far_user_cdf(params, "max_u1"), cap, True),
-        ("cdf_gamma2_max_u2", analytic.far_user_cdf(params, "max_u2"), cap, True),
-    ]
-    for name, cdf, hi, capped in cases:
-        values = cdf(np.linspace(0.0, hi, 1000))
-        if values[0] != 0.0:
-            return False, f"{name}: F(0) = {float(values[0])!r}"
-        if np.any(np.diff(values) < -1e-12):
-            return False, f"{name}: not nondecreasing"
-        if capped and cdf(cap) != 1.0:
-            return False, f"{name}: F(cap) != 1"
+    # Each scheme's laws are built once; each law is evaluated over its whole grid in one call.
+    for scheme in ANALYTIC_SCHEMES:
+        laws = analytic.Laws(PowerGrid.at(params), scheme)
+        cases = (("near-user", laws.near_cdf, near_hi, False), ("far-user", laws.far_cdf, cap, True))
+        for name, cdf, hi, capped in cases:
+            values = cdf(np.linspace(0.0, hi, 1000))  # its last point is hi exactly
+            if values[0] != 0.0:
+                return False, f"{scheme} {name} F(0) = {float(values[0])!r}"
+            if np.any(np.diff(values) < -1e-12):
+                return False, f"{scheme} {name} F not nondecreasing"
+            if capped and values[-1] != 1.0:
+                return False, f"{scheme} {name} F(cap) != 1"
     return True, "4 distribution functions monotone with correct endpoints"
 
 
 def _check_closed_form_vs_quadrature(params, trials, seed):
     gaps, details = [], []
-    for rule in ("max_u1", "max_u2"):
-        name, laws = f"rate_u1_{rule}", analytic.Laws(PowerGrid.at(params), rule)
+    for scheme in ANALYTIC_SCHEMES:
+        name, laws = f"rate_u1 of {scheme}", analytic.Laws(PowerGrid.at(params), scheme)
         (closed,) = analytic.near_user_rates(laws)
         if isinstance(closed, analytic.QuadratureResult) and closed.evaluations:  # the rate is the quadrature
             details.append(f"{name} integrated: its kernel sum's error bound misses the tolerance")
@@ -272,15 +269,22 @@ def _check_closed_form_vs_quadrature(params, trials, seed):
 
 
 def _check_outage_identity(params, trials, seed):
-    z = analytic.zeta(params)
-    if math.isinf(z):
-        ok = analytic.outage_u1_max_u1(params) == 1.0 and analytic.outage_u1_max_u2(params) == 1.0
-        return ok, "threshold infeasible; outage pinned at 1"
-    ok = (
-        analytic.outage_u1_max_u1(params) == analytic.cdf_gamma1_max_u1(params.a1 * z, params)
-        and analytic.outage_u1_max_u2(params) == analytic.cdf_gamma1_max_u2(params.a1 * z, params)
-    )
-    return ok, f"near-user outage equals its SINR distribution at a1*zeta = {params.a1 * z:.6g}"
+    # The near user decodes the far-user symbol at SINR a2 X / (a1 X + 1) and its own at a1 X, so its
+    # outage is the larger of its SINR law F at theta1 and at a1 theta2 / (a2 - a1 theta2), or 1 where
+    # theta2 reaches the a2/a1 cap.
+    (theta1, theta2), a1, a2 = thresholds(params), params.a1, params.a2
+    feasible, worst = theta2 < a2 / a1, 0.0
+    for scheme in ANALYTIC_SCHEMES:
+        laws = analytic.Laws(PowerGrid.at(params), scheme)
+        (outage,) = analytic.outages(laws)[0]
+        expected = laws.near_cdf(np.array([theta1, a1 * theta2 / (a2 - a1 * theta2)])).max() if feasible else 1.0
+        gap = abs(outage - expected)
+        if gap > 1e-12 * expected:
+            return False, f"{scheme}: near-user outage {outage!r}, expected {float(expected)!r}"
+        worst = max(worst, gap / expected if expected else 0.0)
+    if not feasible:
+        return True, "threshold infeasible; outage pinned at 1"
+    return True, f"near-user outage = max F at theta1 and a1 theta2 / (a2 - a1 theta2), within {worst:.1e} relative"
 
 
 # A comparison passes within 4 se, or for an outage count on a binomial tail

@@ -130,6 +130,7 @@ def check_run(trials: int, seed: int) -> None:
 
 
 _POWER_SPLIT_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 # Bounds on each nonzero mean power gain (mean_gains).  The closed forms
 # multiply and divide pairs of gains; beyond these bounds such products
@@ -182,7 +183,7 @@ def _check_snrs(rho_s: float, rho_r: float) -> None:
 
 def _check_gains(params: SystemParams, rho_s: float, rho_r: float) -> None:
     low, high = GAIN_RANGE
-    for name, gain in zip(_GAIN_NAMES, _gains(params, rho_s, rho_r)):
+    for name, gain in zip(_GAIN_NAMES, gains_at(params, rho_s, rho_r)):
         # k1 = 0 switches the inter-user interference off: lam_ru1 is 0 then.
         if not low <= gain <= high and not (name == "lam_ru1" and params.k1 == 0.0):
             raise ConfigError("GAIN_OUT_OF_RANGE", f"mean gain {name} = {gain!r} is outside [{low:g}, {high:g}]")
@@ -190,13 +191,18 @@ def _check_gains(params: SystemParams, rho_s: float, rho_r: float) -> None:
 
 def mean_gains(params: SystemParams) -> MeanGains:
     """Mean per-antenna power gains implied by the parameter set."""
-    return MeanGains(*_gains(params, params.rho_s, params.rho_r))
+    return MeanGains(*gains_at(params, params.rho_s, params.rho_r))
 
 
-def _gains(params: SystemParams, rho_s, rho_r) -> tuple:
-    """The fields of mean_gains at the powers rho_s and rho_r."""
+def gains_at(params: SystemParams, rho_s, rho_r) -> tuple:
+    """The fields of mean_gains at the powers rho_s and rho_r, floats or arrays alike."""
     return (rho_s * params.var_br, rho_s * params.var_bu1, rho_r * params.k1 * params.var_ru1,
             rho_r * params.var_ru2, rho_r * params.var_si)
+
+
+def thresholds(params: SystemParams) -> tuple[float, float]:
+    """SINR thresholds 2^rate - 1 for the two target rates."""
+    return math.expm1(params.rate1 * _LN2), math.expm1(params.rate2 * _LN2)
 
 
 def default_params(power_db: float = 20.0, relay_power_db: float | None = None) -> SystemParams:

@@ -30,9 +30,8 @@ import os
 
 import numpy as np
 
-from . import analytic
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
-from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, power_points, validate
+from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, power_points, thresholds, validate
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 from .selection import JOINT_SCHEMES, NEEDS_RNG, JointSearch, check_scheme, select_batch
@@ -236,7 +235,7 @@ def _simulate(
     check_run(trials, entropy_base[0])
     for scheme in schemes:
         check_scheme(scheme)
-    thresholds = analytic.thresholds(params)
+    theta = thresholds(params)
     per_block = {scheme: [] for scheme in schemes}
     unique = tuple(per_block)  # a repeated scheme is simulated once
     if workspace is None:
@@ -244,7 +243,7 @@ def _simulate(
 
     def run(block: tuple[int, int, int], overlap: bool = False) -> dict[str, tuple]:
         index, _, count = block
-        return _run_block(params, unique, (*entropy_base, index), count, thresholds, workspace, overlap)
+        return _run_block(params, unique, (*entropy_base, index), count, theta, workspace, overlap)
 
     def collect(partials) -> dict[str, list[tuple]]:
         for sums in partials:  # in block order

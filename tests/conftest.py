@@ -113,16 +113,19 @@ def _far_links_max_u2(params: SystemParams) -> tuple[_Link, _Link, _Link]:
     )
 
 
-ORACLE_FAR_LINKS = {"max_u1": _far_links_max_u1, "max_u2": _far_links_max_u2}
+ORACLE_FAR_LINKS = {"max_u1_analytic": _far_links_max_u1, "max_u2_decoupled": _far_links_max_u2}
 
 
-def oracle_links(params: SystemParams, rule: str) -> list[tuple]:
-    """Every link (m, lam, lam_i, den) of a rule: the near link as cdf_gamma1_* spelled it
+def oracle_links(params: SystemParams, scheme: str) -> list[tuple]:
+    """Every link (m, lam, lam_i, den) of a scheme: the near link as cdf_gamma1_* spelled it
     out (the near-user rate's terms), then the cross, relay and far links."""
     g = mean_gains(params)
     scale = params.a1 * g.lam_su1
-    near = (params.m_b, scale, g.lam_ru1, params.m_t * scale) if rule == "max_u1" else (1, scale, g.lam_ru1, scale)
-    return [near, *((m, lam, coeffs[0][3], den) for m, lam, den, coeffs in ORACLE_FAR_LINKS[rule](params))]
+    if scheme == "max_u1_analytic":
+        near = (params.m_b, scale, g.lam_ru1, params.m_t * scale)
+    else:
+        near = (1, scale, g.lam_ru1, scale)
+    return [near, *((m, lam, coeffs[0][3], den) for m, lam, den, coeffs in ORACLE_FAR_LINKS[scheme](params))]
 
 
 def mp_link_cdf(m: int, a, b):
@@ -149,30 +152,30 @@ def mp_law_cdf(links, points) -> float:
         return float(1 - survival)
 
 
-def mp_far_user_cdf(params: SystemParams, rule: str, x: float, cross_link: bool = True) -> float:
-    """The far-user chain's F at x (see analytic.far_user_cdf), at MP_LAW_DPS digits."""
+def mp_far_user_cdf(params: SystemParams, scheme: str, x: float, cross_link: bool = True) -> float:
+    """The far-user chain's F at x (see analytic.Laws.far_cdf), at MP_LAW_DPS digits."""
     if x <= 0.0:
         return 0.0
     if x >= params.a2 / params.a1:
         return 1.0
     with mp.workdps(MP_LAW_DPS):
         r = mp.mpf(x) / (mp.mpf(params.a2) - mp.mpf(params.a1) * x)
-    links = oracle_links(params, rule)[1 if cross_link else 2 :]
+    links = oracle_links(params, scheme)[1 if cross_link else 2 :]
     return mp_law_cdf(links, [r] * (len(links) - 1) + [x])
 
 
-def mp_outages(params: SystemParams, rule: str) -> tuple[float, float]:
-    """(outage_u1, outage_u2) under a rule, at MP_LAW_DPS digits."""
+def mp_outages(params: SystemParams, scheme: str) -> tuple[float, float]:
+    """(outage_u1, outage_u2) under a scheme, at MP_LAW_DPS digits."""
     z = zeta(params)
-    near = 1.0 if math.isinf(z) else mp_law_cdf(oracle_links(params, rule)[:1], [params.a1 * z])
-    return near, mp_far_user_cdf(params, rule, thresholds(params)[1], cross_link=False)
+    near = 1.0 if math.isinf(z) else mp_law_cdf(oracle_links(params, scheme)[:1], [params.a1 * z])
+    return near, mp_far_user_cdf(params, scheme, thresholds(params)[1], cross_link=False)
 
 
-def oracle_breakpoints(params: SystemParams, rule: str, hi: float) -> list[float]:
+def oracle_breakpoints(params: SystemParams, scheme: str, hi: float) -> list[float]:
     """The inner points of a far-user rate's first partition, one parameter set at a time."""
     a1, a2 = params.a1, params.a2
     cap = a2 / a1
-    links = ORACLE_FAR_LINKS[rule](params)
+    links = ORACLE_FAR_LINKS[scheme](params)
     ratio_scales = [a2 * lam / (1.0 + a1 * lam) for _, lam, _, _ in links[:2]]
     points = [*ratio_scales, links[2][1]]
     points += [min(points) * 4.0**k for k in range(8)]
@@ -184,22 +187,22 @@ def oracle_breakpoints(params: SystemParams, rule: str, hi: float) -> list[float
     return sorted({p for p in points if 0.0 < p < hi})
 
 
-def oracle_far_user_rates(grid, rule: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9) -> list:
+def oracle_far_user_rates(grid, scheme: str, rel_tol: float = 1e-8, abs_tol: float = 1e-9) -> list:
     """analytic.far_user_rates over a PowerGrid with its own copy of the qag loop that analytic._qag now
     runs, as the oracle.
 
-    Verbatim but for gk21 taking the survival to integrate.
+    Verbatim but for its gk21 binding the survival to integrate.
     """
-    from fdnoma.analytic import _MAX_INTERVALS, Laws, _checked
+    from fdnoma.analytic import _MAX_INTERVALS, Laws, _checked, _gk21
 
     count = len(grid)
-    laws = Laws(grid, rule)
+    laws = Laws(grid, scheme)
     hi = np.full(count, laws.a2 / laws.a1 * (1.0 - 1e-12))
     edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])
     edges.sort(axis=1)
     rows, slots = np.nonzero(np.isfinite(edges[:, 1:]))
     lo, up = edges[rows, slots], edges[rows, slots + 1]
-    gk21 = lambda rows, a, b: laws.gk21(laws.far_survival, rows, a, b)
+    gk21 = lambda rows, a, b: _gk21(laws.far_survival, rows, a, b)
     result, error, resasc = gk21(rows, lo, up)
 
     last = np.bincount(rows, minlength=count)

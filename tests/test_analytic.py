@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -27,7 +28,7 @@ from fdnoma.analytic import (
     thresholds,
     zeta,
 )
-from fdnoma.config import SweepSpec, default_params, mean_gains, power_points
+from fdnoma.config import PowerGrid, SweepSpec, default_params, mean_gains, power_points
 from fdnoma.results import jain_index
 
 from conftest import (
@@ -239,18 +240,18 @@ def test_rate_kernel_near_its_singularity_matches_mpmath(beta, offset):
     k1=st.one_of(st.just(0.0), st.floats(1e-4, 2.0)),
     variances=st.lists(st.floats(0.05, 20.0), min_size=5, max_size=5),
     relay_db=st.one_of(st.none(), st.floats(-10.0, 50.0)),
-    mp_point=st.tuples(st.integers(0, 5), st.sampled_from(("max_u1", "max_u2"))),
+    mp_point=st.tuples(st.integers(0, 5), st.sampled_from(("max_u1_analytic", "max_u2_decoupled"))),
 )
 @settings(max_examples=60, deadline=None)
 @example(antennas=[6, 1, 6], a1=0.13891351700586835, k1=0.0, variances=[18.5, 1.0, 1.0, 0.75, 1.0], relay_db=None,
-         mp_point=(0, "max_u1"))
+         mp_point=(0, "max_u1_analytic"))
 def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_db, mp_point):
     # Every sweep row equals the one-set closed forms, bit for bit, and rate_u2
     # comes from the oracle's first partitions.  The links of the laws are the
     # oracle's, and the outages are within 1e-13 relative of 450-digit mpmath on
     # those links: the oracle's alternating sums are accurate only in absolute
     # terms, and miss deep floors by more (the far-user one by over 1e-14 at 6
-    # antennas).  The near-user rate of one drawn (row, rule) is within its own
+    # antennas).  The near-user rate of one drawn (row, scheme) is within its own
     # error bound of mpmath's integral, kept sum (bound c kappa eps |rate|) or
     # quadrature; mp_near_user_rate takes about 45 ms, too long for every row.
     m_b, m_r, m_t = antennas
@@ -265,31 +266,31 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
     power_grid = power_points(params, spec)
     points = list(power_grid)
     one_set = {
-        "max_u1": (rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
-        "max_u2": (rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
+        "max_u1_analytic": (rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
+        "max_u2_decoupled": (rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
     }
-    for scheme, rule in (("max_u1_analytic", "max_u1"), ("max_u2_decoupled", "max_u2")):
-        laws = analytic.Laws(power_grid, rule)
+    for scheme in analytic.ANALYTIC_SCHEMES:
+        laws = analytic.Laws(power_grid, scheme)
         hi = np.full(len(points), laws.a2 / laws.a1 * (1.0 - 1e-12))
         breakpoints = laws.breakpoints(hi)
-        rate_u1, outage_u1, outage_u2 = one_set[rule]
+        rate_u1, outage_u1, outage_u2 = one_set[scheme]
         for row, (p, sweep_row) in enumerate(zip(points, [r for r in rows if r.scheme == scheme])):
-            assert [(m, *(v[row] for v in means)) for m, *means in laws.links] == oracle_links(p, rule)
+            assert [(m, *(v[row] for v in means)) for m, *means in laws.links] == oracle_links(p, scheme)
             inner = breakpoints[row][np.isfinite(breakpoints[row])].tolist()
-            assert inner == oracle_breakpoints(p, rule, sinr_cap(p) * (1.0 - 1e-12))
+            assert inner == oracle_breakpoints(p, scheme, sinr_cap(p) * (1.0 - 1e-12))
             metrics = sweep_row.metrics
-            r1, r2 = rate_u1(p), analytic.far_user_rates(analytic._one_set(p, rule))[0].value
+            r1, r2 = rate_u1(p), analytic.far_user_rates(analytic._one_set(p, scheme))[0].value
             assert (metrics.rate_u1.value, metrics.rate_u2.value, metrics.rate_sum.value) == (r1, r2, r1 + r2)
             assert metrics.jain_index.value == jain_index(r1, r2)
             outages = (metrics.outage_u1.value, metrics.outage_u2.value)
             assert outages == (outage_u1(p), outage_u2(p))
-            mp_values = mp_outages(p, rule)
+            mp_values = mp_outages(p, scheme)
             for value, oracle in zip(outages, mp_values):
                 assert_near_mpmath(value, oracle)
             assert outages[1] == pytest.approx(mp_values[1], rel=0.0, abs=1e-14)
-            if (row, rule) == mp_point:
-                (near,) = analytic.near_user_rates(analytic._one_set(p, rule))
-                assert abs(r1 - mp_near_user_rate(p, rule)) <= near.abs_error_bound
+            if (row, scheme) == mp_point:
+                (near,) = analytic.near_user_rates(analytic._one_set(p, scheme))
+                assert abs(r1 - mp_near_user_rate(p, scheme)) <= near.abs_error_bound
 
 
 class TestNearUserCdfs:
@@ -505,27 +506,25 @@ ORACLE_PARAMS = {
 
 @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
 def test_far_user_laws_equal_per_call_oracle(params):
-    # The entry point at a point and the built law at a point and over an
-    # array agree bit for bit, within 1e-13 relative of 450-digit mpmath on
-    # the oracle's links.  The far-user rates still match scipy's quad of the
+    # The entry point at each point and the built law over an array agree
+    # bit for bit, within 1e-13 relative of 450-digit mpmath on the
+    # oracle's links.  The far-user rates still match scipy's quad of the
     # per-call alternating oracle, which is accurate in absolute terms.
     cap = sinr_cap(params)
     xs = [0.0, 1e-300, *(cap * k / 40 for k in range(1, 40)), math.nextafter(cap, 0.0),
           cap * (1.0 - 1e-12), cap, cap + 1.0]
-    for (cdf, oracle_cdf, rate, outage), rule in zip(FAR_USER_LAWS, ("max_u1", "max_u2")):
-        law = analytic.far_user_cdf(params, rule)  # built once, evaluated at every x
-        values = [law(x) for x in xs]
-        assert law(np.array(xs)).tolist() == values, rule
+    for (cdf, oracle_cdf, rate, outage), scheme in zip(FAR_USER_LAWS, ("max_u1_analytic", "max_u2_decoupled")):
+        values = analytic._one_set(params, scheme).far_cdf(np.array(xs)).tolist()  # built once, at every x
         for x, value in zip(xs, values):
             assert cdf(x, params) == value, (cdf.__name__, x)
-            assert_near_mpmath(value, mp_far_user_cdf(params, rule, x))
+            assert_near_mpmath(value, mp_far_user_cdf(params, scheme, x))
         reference = rate_from_cdf(lambda x: oracle_cdf(x, params), upper=cap)
         result = rate(params)
         # QUADPACK reads 0 where the law is narrower than its first nodes (the
         # 1e-100 gains); the rates there are below 1e-98, hence the abs floor.
         assert result.value == pytest.approx(reference.value, rel=1e-12, abs=1e-15), rate.__name__
         assert result.abs_error_bound <= max(1e-9, 1e-8 * result.value), rate.__name__
-        assert_near_mpmath(outage(params), mp_outages(params, rule)[1])
+        assert_near_mpmath(outage(params), mp_outages(params, scheme)[1])
 
 
 # The alpha = 1 kernel of test_cli's SINGULAR_CONFIG: 0 dB, var_bu1 = 4e-6, k1 = 1e-6.
@@ -541,22 +540,22 @@ NEAR_QUADRATURE_PARAMS = {
 def test_near_user_quadrature_matches_scipy(params):
     # scipy's quad of the near-user distribution, split as the quadrature is.
     points = analytic.graded_points(params.a1 * mean_gains(params).lam_su1)
-    for rule, cdf in (("max_u1", cdf_gamma1_max_u1), ("max_u2", cdf_gamma1_max_u2)):
-        (result,) = analytic.near_user_quadratures(analytic._one_set(params, rule))
+    for scheme, cdf in (("max_u1_analytic", cdf_gamma1_max_u1), ("max_u2_decoupled", cdf_gamma1_max_u2)):
+        (result,) = analytic.near_user_quadratures(analytic._one_set(params, scheme))
         reference = rate_from_cdf(lambda x: cdf(x, params), rel_tol=1e-10, abs_tol=1e-13, points=points)
-        assert result.value == pytest.approx(reference.value, rel=1e-8), rule
+        assert result.value == pytest.approx(reference.value, rel=1e-8), scheme
         tolerance = max(analytic.QUADRATURE_ABS_TOL, analytic.QUADRATURE_REL_TOL * result.value)
-        assert result.abs_error_bound <= tolerance, rule
+        assert result.abs_error_bound <= tolerance, scheme
 
 
-def mp_near_user_rate(params, rule: str) -> float:
+def mp_near_user_rate(params, scheme: str) -> float:
     """20-digit mpmath integral of the near link's survival over [0, inf), in bits/s/Hz.
 
     The survival is _link_law's recurrence, a sum of positive terms, so it
     keeps its digits at any m; 20 digits agree with 40 to 1e-21 at 24 and 64
     antennas, 0 and 50 dB, in less than half the time.
     """
-    m, lam, lam_i, den = oracle_links(params, rule)[0]
+    m, lam, lam_i, den = oracle_links(params, scheme)[0]
     with mp.workdps(20):
         lam, lam_i, den = mp.mpf(lam), mp.mpf(lam_i), mp.mpf(den)
 
@@ -576,12 +575,12 @@ def mp_near_user_rate(params, rule: str) -> float:
                                     make_params(rho_s=31622.7766, rho_r=31622.7766)],
                          ids=["4x4x4", "alpha = 1", "16x16x16", "45 dB"])
 def test_near_user_quadrature_matches_mpmath(params):
-    for rule in ("max_u1", "max_u2"):
-        (result,) = analytic.near_user_quadratures(analytic._one_set(params, rule))
-        oracle = mp_near_user_rate(params, rule)
+    for scheme in ("max_u1_analytic", "max_u2_decoupled"):
+        (result,) = analytic.near_user_quadratures(analytic._one_set(params, scheme))
+        oracle = mp_near_user_rate(params, scheme)
         error = abs(result.value - oracle)
-        assert error <= 1e-8 * oracle, rule
-        assert error <= result.abs_error_bound, rule
+        assert error <= 1e-8 * oracle, scheme
+        assert error <= result.abs_error_bound, scheme
 
 
 def test_near_user_quadrature_grades_down_to_the_rate_kernel_scale():
@@ -591,14 +590,14 @@ def test_near_user_quadrature_grades_down_to_the_rate_kernel_scale():
     # as well, no count rises, and the high-power ones fall.
     upward_only = {0.0: 84, 20.0: 210, 40.0: 462, 60.0: 756}
     grid = power_points(default_params(), SweepSpec(power_db=tuple(upward_only), schemes=("max_u1",)))
-    for rule in ("max_u1", "max_u2"):
-        laws = analytic.Laws(grid, rule)
+    for scheme in ("max_u1_analytic", "max_u2_decoupled"):
+        laws = analytic.Laws(grid, scheme)
         results = analytic.near_user_quadratures(laws)
         counts = dict(zip(upward_only, (result.evaluations for result in results)))
-        assert all(counts[power] <= upward_only[power] for power in (0.0, 20.0)), (rule, counts)
-        assert all(counts[power] < upward_only[power] for power in (40.0, 60.0)), (rule, counts)
+        assert all(counts[power] <= upward_only[power] for power in (0.0, 20.0)), (scheme, counts)
+        assert all(counts[power] < upward_only[power] for power in (40.0, 60.0)), (scheme, counts)
         for result, closed in zip(results, analytic.near_user_rates(laws)):
-            assert result.value == pytest.approx(closed.value, rel=analytic.QUADRATURE_REL_TOL), rule
+            assert result.value == pytest.approx(closed.value, rel=analytic.QUADRATURE_REL_TOL), scheme
 
 
 def equal_arrays(m: int, power_db: float, **overrides):
@@ -625,10 +624,10 @@ def test_near_user_rate_error_is_within_its_bound(params, kept):
     # beta = 1.156" needs 0.64, the m x m x m sums up to 0.33 and "alpha = 1 + 9e-7" 0.27; over
     # 240 random sets of 1-24 antennas, a third with a kernel alpha within 1e-2 of 1, the worst
     # was 1.3, a one-term sum off by 1.3 eps.
-    for rule, sum_holds in (("max_u1", kept), ("max_u2", True)):
-        (result,) = analytic.near_user_rates(analytic._one_set(params, rule))
-        assert abs(result.value - mp_near_user_rate(params, rule)) <= result.abs_error_bound, rule
-        assert (result.evaluations == 0) == sum_holds, rule
+    for scheme, sum_holds in (("max_u1_analytic", kept), ("max_u2_decoupled", True)):
+        (result,) = analytic.near_user_rates(analytic._one_set(params, scheme))
+        assert abs(result.value - mp_near_user_rate(params, scheme)) <= result.abs_error_bound, scheme
+        assert (result.evaluations == 0) == sum_holds, scheme
 
 
 @pytest.mark.parametrize("m", [24, 32, 48, 64])
@@ -637,7 +636,7 @@ def test_near_user_rate_matches_mpmath_at_large_arrays(m):
     # other row here is integrated.
     for db in (0.0, 20.0, 50.0):
         params = equal_arrays(m, db)
-        oracle = mp_near_user_rate(params, "max_u1")
+        oracle = mp_near_user_rate(params, "max_u1_analytic")
         assert rate_u1_max_u1(params) == pytest.approx(oracle, rel=1e-8), db
 
 
@@ -660,12 +659,12 @@ def test_far_user_rates_raise_no_floating_point_warning(params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for rule in ("max_u1", "max_u2"):
-                (result,) = analytic.far_user_rates(analytic._one_set(params, rule))
-                assert math.isfinite(result.value), rule
+            for scheme in ("max_u1_analytic", "max_u2_decoupled"):
+                (result,) = analytic.far_user_rates(analytic._one_set(params, scheme))
+                assert math.isfinite(result.value), scheme
 
 
-def mp_far_user_rate(params, rule):
+def mp_far_user_rate(params, scheme):
     """50-digit mpmath oracle of a far-user rate, on the links' own coefficients.
 
     Gauss-Legendre over a partition graded by 4 toward 0 and toward the cap,
@@ -675,7 +674,7 @@ def mp_far_user_rate(params, rule):
     """
     import mpmath as mp
 
-    links = ORACLE_FAR_LINKS[rule](params)
+    links = ORACLE_FAR_LINKS[scheme](params)
 
     def survival(link, t):
         m, lam, den, coeffs = link
@@ -705,9 +704,10 @@ MPMATH_PARAMS = {
 
 
 @pytest.mark.parametrize("params", MPMATH_PARAMS.values(), ids=MPMATH_PARAMS.keys())
-@pytest.mark.parametrize("rate, rule", [(rate_u2_max_u1, "max_u1"), (rate_u2_max_u2, "max_u2")])
-def test_far_user_rates_match_mpmath(params, rate, rule):
-    oracle = mp_far_user_rate(params, rule)
+@pytest.mark.parametrize("rate, scheme", [(rate_u2_max_u1, "max_u1_analytic"), (rate_u2_max_u2, "max_u2_decoupled")],
+                         ids=["rate_u2_max_u1-max_u1", "rate_u2_max_u2-max_u2"])
+def test_far_user_rates_match_mpmath(params, rate, scheme):
+    oracle = mp_far_user_rate(params, scheme)
     assert abs(rate(params).value - oracle) <= max(1e-9, 1e-8 * oracle)
 
 
@@ -723,7 +723,7 @@ NARROW_PARAMS = {
 
 @pytest.mark.parametrize("params", NARROW_PARAMS.values(), ids=NARROW_PARAMS.keys())
 def test_far_user_rate_resolves_narrow_laws(params):
-    oracle = mp_far_user_rate(params, "max_u1")
+    oracle = mp_far_user_rate(params, "max_u1_analytic")
     assert oracle > 1e-5
     result = rate_u2_max_u1(params)
     assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)
@@ -737,7 +737,7 @@ def test_saturated_first_estimate_is_not_accepted(monkeypatch):
     params = NARROW_PARAMS["-30 dB"]
     monkeypatch.setattr(analytic.Laws, "breakpoints", lambda self, hi: np.empty((len(hi), 0)))
     result = rate_u2_max_u1(params)
-    oracle = mp_far_user_rate(params, "max_u1")
+    oracle = mp_far_user_rate(params, "max_u1_analytic")
     assert abs(result.value - oracle) <= max(1e-9, 1e-8 * oracle)
 
 
@@ -754,14 +754,14 @@ def test_far_user_rates_do_not_depend_on_the_batch():
     # Every row of every closed form (a quadrature's value, bound and evaluations) is the
     # same alone (a one-point grid), in the 601-point grid and in chunks of 13.
     grid = power_points(default_params(), SweepSpec(power_db=tuple(i / 10 for i in range(601)), schemes=("max_u1",)))
-    for rule in ("max_u1", "max_u2"):
+    for scheme in ("max_u1_analytic", "max_u2_decoupled"):
         for name, closed_form in BATCHED_CLOSED_FORMS.items():
-            together = closed_form(analytic.Laws(grid, rule))
-            chunked = [r for i in range(0, len(grid), 13) for r in closed_form(analytic.Laws(grid[i : i + 13], rule))]
-            assert chunked == together, (rule, name)
-            alone = [r for params in grid for r in closed_form(analytic._one_set(params, rule))]
-            assert alone == together, (rule, name)
-        assert oracle_far_user_rates(grid, rule) == analytic.far_user_rates(analytic.Laws(grid, rule)), rule
+            together = closed_form(analytic.Laws(grid, scheme))
+            chunked = [r for i in range(0, len(grid), 13) for r in closed_form(analytic.Laws(grid[i : i + 13], scheme))]
+            assert chunked == together, (scheme, name)
+            alone = [r for params in grid for r in closed_form(analytic._one_set(params, scheme))]
+            assert alone == together, (scheme, name)
+        assert oracle_far_user_rates(grid, scheme) == analytic.far_user_rates(analytic.Laws(grid, scheme)), scheme
 
 
 def test_far_user_rates_return_non_convergence_per_row(baseline, monkeypatch):
@@ -770,7 +770,7 @@ def test_far_user_rates_return_non_convergence_per_row(baseline, monkeypatch):
     monkeypatch.setattr(analytic, "QUADRATURE_ABS_TOL", 1e-300)
     # 20 dB and the narrow law at -30 dB (NARROW_PARAMS), in one call.
     grid = power_points(baseline, SweepSpec(power_db=(20.0, -30.0), schemes=("max_u1",)))
-    results = analytic.far_user_rates(analytic.Laws(grid, "max_u1"))
+    results = analytic.far_user_rates(analytic.Laws(grid, "max_u1_analytic"))
     for result in results:
         assert isinstance(result, NonConvergedError)
         assert "exceeds tolerance" in str(result)
@@ -781,13 +781,15 @@ def test_far_user_rates_return_non_convergence_per_row(baseline, monkeypatch):
 # Each call's value and the mpmath oracle of it, with the relative tolerance:
 # the quadrature's for the rates, 1e-13 for the laws.
 FAR_LAW_CALLS = {
-    "rate_u2_max_u1": (lambda p: rate_u2_max_u1(p).value, lambda p: mp_far_user_rate(p, "max_u1"), 1e-8),
-    "rate_u2_max_u2": (lambda p: rate_u2_max_u2(p).value, lambda p: mp_far_user_rate(p, "max_u2"), 1e-8),
-    "cdf_gamma2_max_u2": (lambda p: cdf_gamma2_max_u2(1.0, p), lambda p: mp_far_user_cdf(p, "max_u2", 1.0), 1e-13),
-    "outage_u2_max_u1": (outage_u2_max_u1, lambda p: mp_outages(p, "max_u1")[1], 1e-13),
-    "far_user_cdf": (
-        lambda p: analytic.far_user_cdf(p, "max_u2", cross_link=False)(1.0),
-        lambda p: mp_far_user_cdf(p, "max_u2", 1.0, cross_link=False),
+    "rate_u2_max_u1": (lambda p: rate_u2_max_u1(p).value, lambda p: mp_far_user_rate(p, "max_u1_analytic"), 1e-8),
+    "rate_u2_max_u2": (lambda p: rate_u2_max_u2(p).value, lambda p: mp_far_user_rate(p, "max_u2_decoupled"), 1e-8),
+    "cdf_gamma2_max_u2": (
+        lambda p: cdf_gamma2_max_u2(1.0, p), lambda p: mp_far_user_cdf(p, "max_u2_decoupled", 1.0), 1e-13
+    ),
+    "outage_u2_max_u1": (outage_u2_max_u1, lambda p: mp_outages(p, "max_u1_analytic")[1], 1e-13),
+    "Laws.far_cdf": (
+        lambda p: analytic._one_set(p, "max_u2_decoupled").far_cdf(1.0, cross_link=False)[0],
+        lambda p: mp_far_user_cdf(p, "max_u2_decoupled", 1.0, cross_link=False),
         1e-13,
     ),
 }
@@ -822,14 +824,17 @@ def test_link_law_matches_mpmath():
 def test_deep_near_user_outage_at_seventeen_antennas():
     # The alternating sum read 6.7e-12 here.
     params = make_params(m_b=17, m_r=2, m_t=2, rho_s=1e5, rho_r=1e5)
-    oracle = mp_outages(params, "max_u1")[0]
+    oracle = mp_outages(params, "max_u1_analytic")[0]
     assert oracle == pytest.approx(4.3313395e-22, rel=1e-7)
     assert_near_mpmath(outage_u1_max_u1(params), oracle)
 
 
-def test_far_user_cdf_rejects_unknown_rule(baseline):
-    with pytest.raises(ValueError, match="max_u3"):
-        analytic.far_user_cdf(baseline, "max_u3")
+def test_laws_reject_a_scheme_without_closed_forms(baseline):
+    # The one-set suffixes max_u1 and max_u2 are not scheme ids: max_u1 is the simulator's proposed scheme.
+    for scheme in ("max_u1", "max_u2", "random"):
+        message = re.escape(f"no closed forms for scheme {scheme!r}; have {analytic.ANALYTIC_SCHEMES}")
+        with pytest.raises(ValueError, match=message):
+            analytic.Laws(PowerGrid.at(baseline), scheme)
 
 
 class TestFarUserRates:

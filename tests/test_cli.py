@@ -1,16 +1,18 @@
+import ast
 import csv
 import json
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fdnoma import analytic, cli, montecarlo, results
 from fdnoma.channel import DEFAULT_BLOCK_SIZE
-from fdnoma.config import PowerGrid, default_params
+from fdnoma.config import PowerGrid, default_params, thresholds
 from fdnoma.results import MetricEstimate
 from fdnoma.cli import (
     EXIT_CONFIG,
@@ -24,7 +26,7 @@ from fdnoma.cli import (
     parse_power_grid,
 )
 
-from conftest import fresh_env, run_fresh
+from conftest import fresh_env, make_params, run_fresh
 
 GOOD_CONFIG = """\
 m_b = 4
@@ -373,7 +375,7 @@ class TestSweep:
         far_user_rates = analytic.far_user_rates
 
         def explode(laws):
-            if laws.rule == "max_u2":
+            if laws.scheme == "max_u2_decoupled":
                 return [analytic.NonConvergedError("forced for test") for _ in laws.grid]
             return far_user_rates(laws)
 
@@ -429,7 +431,7 @@ class TestValidate:
         far_user_rates = analytic.far_user_rates
 
         def explode(laws):
-            if laws.rule == "max_u2":
+            if laws.scheme == "max_u2_decoupled":
                 return [analytic.NonConvergedError("forced for test") for _ in laws.grid]
             return far_user_rates(laws)
 
@@ -496,16 +498,17 @@ class TestValidate:
         assert sorted(draws) == [(1, 0), (1, 1), (1, 2)]
 
     def test_cdf_sanity_builds_each_far_law_once(self, monkeypatch):
+        # Each scheme's laws are built once and give both its near- and far-user law.
         built = []
-        far_user_cdf = analytic.far_user_cdf
+        laws = analytic.Laws
 
-        def counting(params, rule, *args):
-            built.append(rule)
-            return far_user_cdf(params, rule, *args)
+        def counting(grid, scheme):
+            built.append(scheme)
+            return laws(grid, scheme)
 
-        monkeypatch.setattr(analytic, "far_user_cdf", counting)
+        monkeypatch.setattr(analytic, "Laws", counting)
         assert cli._check_cdf_sanity(default_params(20.0), 0, 1)[0]
-        assert built == ["max_u1", "max_u2"]
+        assert built == list(analytic.ANALYTIC_SCHEMES)
 
     def test_large_arrays_pass_every_check(self, tmp_path, capsys):
         # The alternating sums read CDF_RANGE_VIOLATION here.
@@ -522,7 +525,8 @@ class TestValidate:
         ok, detail = cli._check_closed_form_vs_quadrature(replace(default_params(20.0), m_b=1100, m_r=2, m_t=2), 0, 1)
         assert ok, detail
         assert detail.startswith("max gap ")
-        assert detail.endswith("; rate_u1_max_u1 integrated: its kernel sum's error bound misses the tolerance")
+        assert detail.endswith(
+            "; rate_u1 of max_u1_analytic integrated: its kernel sum's error bound misses the tolerance")
 
     def test_rare_outage_judged_on_exact_binomial_tail(self):
         # 20 dB near-user outage 2.30e-7, 1e6 trials: 3 events (P = 0.17%)
@@ -570,6 +574,41 @@ class TestValidate:
         monkeypatch.setattr(cli, "estimate_metrics", measured)
         ok, detail = _check_mc_vs_analytic(default_params(20.0), 10**6, 1)
         assert ok is verdict, detail
+
+    # The own-signal threshold decides at the defaults, the far-user symbol's at rate2 = 1.5; at
+    # rate2 = 2 the far-user threshold is the a2/a1 cap.
+    @pytest.mark.parametrize("overrides", [
+        {"rate2": 1.5}, {"m_b": 16, "m_r": 16, "m_t": 16, "rho_s": 1e5, "rho_r": 1e5},
+        {"m_b": 1, "k1": 0.0, "rho_s": 0.1, "rho_r": 0.1}, {"rate2": 2.0},
+    ])
+    def test_outage_identity_holds_on_either_threshold(self, overrides):
+        ok, detail = cli._check_outage_identity(make_params(**overrides), 0, 1)
+        assert ok, detail
+        assert detail.startswith("threshold infeasible" if overrides == {"rate2": 2.0} else "near-user outage")
+
+    def test_outage_identity_fails_on_a_wrong_threshold(self, monkeypatch):
+        # zeta = theta2 / a2 drops the near user's own symbol from the cross-decoding SINR.
+        monkeypatch.setattr(analytic, "zeta", lambda params: thresholds(params)[1] / params.a2)
+        ok, detail = cli._check_outage_identity(default_params(20.0), 0, 1)
+        assert not ok
+        assert detail.startswith("max_u1_analytic: near-user outage "), detail
+        # A finite threshold where the far-user one is infeasible leaves the outage below 1.
+        monkeypatch.setattr(analytic, "zeta", lambda params: thresholds(params)[0] / params.a1)
+        ok, detail = cli._check_outage_identity(make_params(rate2=2.0), 0, 1)
+        assert not ok
+        assert detail.startswith("max_u1_analytic: near-user outage "), detail
+
+
+def test_closed_form_schemes_are_one_table():
+    # analytic._LINKS is the one table of schemes with closed forms: --mode analytic's default
+    # schemes and the benchmark's closed-form workloads name the same ones, in its order.
+    args = cli._build_parser().parse_args(["sweep", "--config", "unused.cfg", "--mode", "analytic"])
+    workloads = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text())
+    (benchmark,) = [ast.literal_eval(node.value) for node in workloads.body if isinstance(node, ast.Assign)
+                    and [ast.unparse(target) for target in node.targets] == ["CLOSED_FORM_SCHEMES"]]
+    assert analytic.ANALYTIC_SCHEMES == tuple(analytic._LINKS)
+    assert cli._select_schemes(args) == analytic.ANALYTIC_SCHEMES
+    assert benchmark == analytic.ANALYTIC_SCHEMES
 
 
 def test_usage_error_without_subcommand():

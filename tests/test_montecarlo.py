@@ -508,19 +508,19 @@ class TestAnalyticRows:
         assert info.value.code == "SWEEP_METRIC_UNKNOWN"
 
     def test_sweep_stacks_each_rule_once(self, baseline, monkeypatch):
-        # Two schemes over 601 points: each scheme's rule has its laws built once, from
+        # Two schemes over 601 points: each scheme has its laws built once, from
         # the grid, for all four of its closed forms.
         stacked = []
         laws = analytic.Laws
 
-        def counting(grid, rule):
-            stacked.append((len(grid), rule))
-            return laws(grid, rule)
+        def counting(grid, scheme):
+            stacked.append((len(grid), scheme))
+            return laws(grid, scheme)
 
         monkeypatch.setattr(analytic, "Laws", counting)
         spec = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=ANALYTIC_SCHEMES)
         rows, notes = analytic_sweep(baseline, spec)
-        assert stacked == [(601, "max_u1"), (601, "max_u2")]
+        assert stacked == [(601, "max_u1_analytic"), (601, "max_u2_decoupled")]
         assert len(rows) == 1202 and notes == []
 
     def test_non_converged_point_gives_nan_row_and_note(self, baseline, monkeypatch):
@@ -530,7 +530,7 @@ class TestAnalyticRows:
 
             def explode_at_second_point(laws, rates=rates):
                 results = rates(laws)
-                if laws.rule == "max_u2":
+                if laws.scheme == "max_u2_decoupled":
                     results[1] = analytic.NonConvergedError("forced for test")
                 return results
 
@@ -614,12 +614,14 @@ def _module_tree(module) -> ast.Module:
 
 def test_montecarlo_only_simulates():
     # The closed forms' dispatch lives in analytic, the rows and their CSV in
-    # results; the simulator reads of analytic only its outage thresholds.
+    # results; the simulator imports nothing from analytic.
     tree = _module_tree(montecarlo)
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "analytic"}
-    assert read == {"thresholds"}
-    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "analytic"]
+    assert read == set()
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [node for node in imports if node.module == "analytic"]
+    assert not [node for node in imports if any(alias.name == "analytic" for alias in node.names)]
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     moved = {"MetricEstimate", "MetricSet", "SweepRow", "write_csv", "jain_index", "analytic_sweep",
              "closed_form_sets", "analytic_metric_set"}
