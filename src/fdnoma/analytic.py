@@ -29,7 +29,7 @@ an array of points.
 The far-user rates are integrated by far_user_rates, in numpy, for every
 point at once: QUADPACK's adaptive 21-point Gauss-Kronrod scheme over a
 first partition graded at the links' SINR scales, with every link
-evaluated at every node of every open interval in one vectorized pass.
+evaluated at every node of every open interval, _CHUNK_INTERVALS at a time.
 A rate does not depend on the other points in its call.
 near_user_quadratures runs the same scheme on the near link's
 positive-term survival, which checks the near-user closed form or stands in for it.
@@ -93,21 +93,18 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     Below 1, the power series (Abramowitz and Stegun 5.1.11) to t^20 by
     Horner, its parts -gamma, -k ln 2 and -ln m (t = m 2^k), t and t^2 q(t)
     summed with their rounding errors, times exp(t) as E1 + expm1(t) E1:
-    below 0.01, where high-power points evaluate it, within 0.6 ulps.  Up to
-    1e10, the continued fraction 1 / (t+1 - 1^2/(t+3 - 2^2/(t+5 - ...)))
+    below 0.01, where high-power points evaluate it, within 0.6 ulps.  From
+    1 up, the continued fraction 1 / (t+1 - 1^2/(t+3 - 2^2/(t+5 - ...)))
     evaluated backward from depth 121, within 0.01 eps of converged at t = 1
-    (Cuyt et al., Handbook of Continued Fractions for Special Functions,
-    2008).  Above, the asymptotic series 1/t (1 - 1/t + 2/t^2), whose first
-    omitted term is 6/t^3 relative.  The scaled form never overflows at the
-    enormous ratios the rate kernels meet when interference vanishes.  Each
-    step is elementwise: no element depends on the others.
+    and closer above, and 1 / inf = 0 at inf (Cuyt et al., Handbook of
+    Continued Fractions for Special Functions, 2008).  The scaled form never
+    overflows at the enormous ratios the rate kernels meet when interference
+    vanishes.  Each step is elementwise: no element depends on the others.
     """
     if not np.all(t > 0.0):
         raise ValueError(f"need t > 0, got {t[~(t > 0.0)][0]!r}")
     out = np.empty_like(t)
-    big, small = t > 1e10, t < 1.0
-    tb = t[big]
-    out[big] = (1.0 - (1.0 - 2.0 / tb) / tb) / tb
+    small = t < 1.0
     ts = t[small]
     q = np.full_like(ts, _E1_SERIES[0])
     for c in _E1_SERIES[1:]:
@@ -119,12 +116,11 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     head, e4 = _two_sum(head, s)
     low = ((e1 + e2) + (e3 + e4)) - (k * _LN2_LO + _EULER_GAMMA_LO)
     out[small] = head + (low + np.expm1(ts) * (head + low))
-    mid = ~big & ~small
-    tm = t[mid]
+    tm = t[~small]
     f = tm + 243.0
     for n in range(121, 1, -1):
         f = (tm - n * n / f) + (2 * n - 1)
-    out[mid] = 1.0 / ((tm - 1.0 / f) + 1.0)
+    out[~small] = 1.0 / ((tm - 1.0 / f) + 1.0)
     return out
 
 
@@ -134,10 +130,10 @@ def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.n
 
     Closed form (g(t) = exp(t) E1(t)) and E:
 
-        alpha = 0:      g(beta)                                     g(beta)
         alpha != 1:     (g(beta/alpha) - g(beta)) / (alpha - 1)     (g(beta/alpha) + g(beta)) / |alpha - 1|
         alpha = 1:      K1 = 1 - beta g(beta)                       |K| 1e-12 / eps, for the next term
 
+    At alpha = 0, beta/alpha = inf and g(inf) = 0: both are g(beta), exactly.
     alpha = 1 is a removable singularity.  Within _SINGULAR_TOL of it the
     kernel is K1 + (alpha - 1) K1', K1' = 1/2 - (1 + beta/2) K1, both by
     parts; the next term is below 1e-12 relative.  1 - beta g(beta) cancels
@@ -146,13 +142,14 @@ def _rate_kernels(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.n
     there.  K1' cancels too, but it enters times |alpha - 1| < _SINGULAR_TOL.
     """
     singular = np.abs(alpha - 1.0) < _SINGULAR_TOL
-    ratio = (alpha != 0.0) & ~singular
-    g = _scaled_e1(np.concatenate([beta, beta[ratio] / alpha[ratio]]))
-    out, scale = g[: len(beta)].copy(), g[: len(beta)].copy()
-    scale[ratio] = (g[len(beta) :] + out[ratio]) / np.abs(alpha[ratio] - 1.0)
-    out[ratio] = (g[len(beta) :] - out[ratio]) / (alpha[ratio] - 1.0)
+    with np.errstate(divide="ignore"):  # beta / 0 = inf at alpha = 0
+        ratio = beta / alpha
+    g_ratio, g = _scaled_e1(np.stack([ratio, beta]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # / 0 at alpha = 1, overwritten below
+        out = (g_ratio - g) / (alpha - 1.0)
+        scale = (g_ratio + g) / np.abs(alpha - 1.0)
     b = beta[singular]
-    k1 = 1.0 - b * out[singular]
+    k1 = 1.0 - b * g[singular]
     large, series = b > 100.0, 1.0
     for k in range(12, 1, -1):
         series = 1.0 - k / b[large] * series
@@ -351,8 +348,9 @@ _WG = (
 _OFFSETS = np.array([-x for x in _XGK] + [0.0] + list(_XGK))
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
-# Integrand nodes evaluated per numpy call; bounds the temporaries at a few MiB.
-_CHUNK_NODES = 1 << 14
+# Intervals evaluated per numpy call: 21 x 780 nodes of float64 are 131,040 B, under glibc's default
+# 128 KiB mmap threshold, so each temporary comes from the heap instead of a fresh mapping.
+_CHUNK_INTERVALS = 780
 # The first partition of a far-user integral grades by this ratio: up from
 # the smallest link SINR scale for eight powers, past which the survival is
 # below m e^-(4^7), and toward the cap (see Laws.breakpoints).
@@ -471,21 +469,21 @@ class Laws:
 def _gk21(survival, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
     """QUADPACK's qk21 of survival(x, rows) / (1 + x) over [a, b] of each row: (result, abserr, resasc).
 
-    Every rule sum runs over its row's own nodes in a fixed order, so a
-    row's numbers do not depend on which other intervals share the call.
+    survival takes x of shape (21, k), the nodes of k intervals, and their
+    rows, of shape (k,), for _CHUNK_INTERVALS intervals at a time.  Every
+    rule sum runs over its row's own nodes in a fixed order, so a row's
+    numbers do not depend on which other intervals share the call.
     Exponentials underflow and interference terms may overflow to inf,
     which both make a term exactly 0, and the rule sums of a vanishing
     integrand underflow, so those two warnings are silenced.
     """
     with np.errstate(over="ignore", under="ignore"):
         center, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = (center + half * _OFFSETS[:, None]).ravel()
-        node_rows = np.broadcast_to(rows, (len(_OFFSETS), len(rows))).ravel()
-        f = np.empty_like(x)
-        for start in range(0, len(x), _CHUNK_NODES):
-            part = slice(start, start + _CHUNK_NODES)
-            f[part] = survival(x[part], node_rows[part]) / (1.0 + x[part])
-        f = f.reshape(len(_OFFSETS), len(rows))
+        f = np.empty((len(_OFFSETS), len(rows)))
+        for start in range(0, len(rows), _CHUNK_INTERVALS):
+            part = slice(start, start + _CHUNK_INTERVALS)
+            x = center[part] + half[part] * _OFFSETS[:, None]
+            f[:, part] = survival(x, rows[part]) / (1.0 + x)
         left, fc, right = f[:10], f[10], f[11:]  # left[j] and right[j] sit at -+_XGK[j]
         resk = _WGK_CENTER * fc
         resg = np.zeros_like(fc)
@@ -630,7 +628,7 @@ def near_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
         return near_user_quadratures(laws)
     alpha = (p1 * lam_i[:, None]) / den[:, None]
     beta = p1 / lam[:, None]
-    kernels, scales = (v.reshape(alpha.shape) for v in _rate_kernels(alpha.ravel(), beta.ravel()))
+    kernels, scales = _rate_kernels(alpha, beta)
     with np.errstate(over="ignore"):  # an infinite bound sends its point to the quadrature
         bounds = (_NEAR_BOUND_FACTOR * _EPMACH * m / LN2) * (np.abs(coeff) * scales).sum(axis=1)
     sums = [_checked(m * math.fsum(row) / LN2, bound, 0, QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL)

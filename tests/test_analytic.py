@@ -97,7 +97,7 @@ class TestExponentialIntegral:
 @pytest.mark.parametrize("t", [9.9e9, 1.0000001e10, 1.106e11, 7.74e15, 10**19.5, 1e150])
 def test_scaled_e1_large_argument(t):
     # From about 1e11 a forward continued fraction could stall one ulp short
-    # of a stop; above 1e10 the asymptotic series is used.
+    # of a stop; g's backward fraction has no stop and covers every t from 1 up.
     import mpmath as mp
 
     mp.mp.dps = 40
@@ -105,9 +105,10 @@ def test_scaled_e1_large_argument(t):
     assert analytic._scaled_e1(np.array([t]))[0] == pytest.approx(oracle, rel=4e-16)
 
 
-# g's domain, 1e-300 to 1e300, denser where its three branches meet, with the
-# branch points 1 and 1e10 and their neighbours, and t = 1.156, where the
-# forward continued fraction that g once used was 52 ulps off.
+# g's domain, 1e-300 to 1e300, denser around 1, where its two branches meet,
+# with 1 and its neighbours, 1e10 and its neighbours (fraction points, once
+# the start of an asymptotic branch), and t = 1.156, where the forward
+# continued fraction that g once used was 52 ulps off.
 E1_POINTS = np.unique(np.concatenate([
     np.geomspace(1e-300, 1e300, 1001), np.geomspace(1e-3, 1e3, 1501), np.linspace(0.5, 2.5, 501),
     [np.nextafter(b, side) for b in (1.0, 1e10) for side in (0.0, np.inf)], [1.0, 1e10, 1.156],
@@ -115,8 +116,8 @@ E1_POINTS = np.unique(np.concatenate([
 
 
 def test_scaled_e1_is_within_4_ulps_of_mpmath():
-    # The series below 1, the backward continued fraction up to 1e10 and the asymptotic series
-    # above were within 2 ulps of 40-digit mpmath at these points.
+    # The series below 1 and the backward continued fraction from 1 up were within 2 ulps of
+    # 40-digit mpmath at these points.
     assert len(E1_POINTS) >= 3000
     g = analytic._scaled_e1(E1_POINTS)
     with mp.workdps(40):
@@ -124,6 +125,13 @@ def test_scaled_e1_is_within_4_ulps_of_mpmath():
         ulps = [float(abs(mp.mpf(v) - e)) / np.spacing(float(e)) for v, e in zip(g.tolist(), exact)]
     worst = int(np.argmax(ulps))
     assert ulps[worst] <= 4.0, (E1_POINTS[worst], ulps[worst])
+
+
+def test_scaled_e1_at_infinity_is_zero():
+    # The continued fraction gives 1 / inf = 0, with no floating-point warning: the rate
+    # kernels' alpha = 0 terms take g(beta / 0) = g(inf) from it.
+    with np.errstate(all="raise"):
+        assert analytic._scaled_e1(np.array([np.inf])).tolist() == [0.0]
 
 
 def test_scaled_e1_of_an_array_equals_each_element_alone():
@@ -232,6 +240,15 @@ def test_rate_kernel_near_its_singularity_matches_mpmath(beta, offset):
         g = lambda t: mp.exp(t) * mp.e1(t)
         oracle = float(1 - b * g(b) if a == 1 else (g(b / a) - g(b)) / (a - 1))
     assert analytic._rate_kernels(np.array([alpha]), np.array([beta]))[0][0] == pytest.approx(oracle, rel=1e-12)
+
+
+def test_rate_kernel_at_alpha_zero_is_g_of_beta():
+    # Without interference the general formula reads (0 - g(beta)) / -1 and (0 + g(beta)) / 1.
+    beta = np.geomspace(1e-8, 1e8, 161)
+    kernel, scale = analytic._rate_kernels(np.zeros_like(beta), beta)
+    g = analytic._scaled_e1(beta).tolist()
+    assert kernel.tolist() == g
+    assert scale.tolist() == g
 
 
 @given(
@@ -764,6 +781,23 @@ def test_far_user_rates_do_not_depend_on_the_batch():
         assert oracle_far_user_rates(grid, scheme) == analytic.far_user_rates(analytic.Laws(grid, scheme)), scheme
 
 
+def test_chunk_boundaries_move_no_bit(monkeypatch):
+    # _gk21 hands survival _CHUNK_INTERVALS intervals at a time.  One interval per call and
+    # every interval in one call give the shipped chunks' values, bounds and evaluation counts.
+    assert len(analytic._OFFSETS) * analytic._CHUNK_INTERVALS * 8 < 128 * 1024  # below glibc's mmap threshold
+    grid = power_points(default_params(), SweepSpec(power_db=tuple(i / 10 for i in range(601)), schemes=("max_u1",)))
+
+    def quadratures():
+        return [quadrature(analytic.Laws(grid, scheme)) for scheme in analytic.ANALYTIC_SCHEMES
+                for quadrature in (analytic.far_user_rates, analytic.near_user_quadratures)]
+
+    shipped = quadratures()
+    assert all(isinstance(r, analytic.QuadratureResult) for results in shipped for r in results)
+    for size in (1, 10**9):
+        monkeypatch.setattr(analytic, "_CHUNK_INTERVALS", size)
+        assert quadratures() == shipped, size
+
+
 def test_far_user_rates_return_non_convergence_per_row(baseline, monkeypatch):
     # No rule meets 1e-15 relative: qk21's error floor is 50 eps of |f|.
     monkeypatch.setattr(analytic, "QUADRATURE_REL_TOL", 1e-15)
@@ -887,9 +921,19 @@ class TestOutage:
         assert outage_u2_max_u2(params) < 1e-6
 
     def test_near_user_outage_is_cdf_at_scaled_threshold(self, baseline):
-        z = zeta(baseline)
-        assert outage_u1_max_u1(baseline) == cdf_gamma1_max_u1(baseline.a1 * z, baseline)
-        assert outage_u1_max_u2(baseline) == cdf_gamma1_max_u2(baseline.a1 * z, baseline)
+        # The near user fails unless its SINR x clears theta1 and its cross-decoding SINR,
+        # a2/a1 x / (x + 1), clears theta2: F at the larger threshold, from the thresholds
+        # and not from zeta, and exactly 1 when theta2 reaches the a2/a1 cap.  The baseline's
+        # larger threshold is theta1; rate1 = 0.1 makes it the cross-decoding one.
+        for params in (baseline, make_params(rate1=0.1), make_params(rate2=2.0)):
+            theta1, theta2 = thresholds(params)
+            a1, a2 = params.a1, params.a2
+            for outage, cdf in ((outage_u1_max_u1, cdf_gamma1_max_u1), (outage_u1_max_u2, cdf_gamma1_max_u2)):
+                if theta2 >= a2 / a1:
+                    assert outage(params) == 1.0
+                else:
+                    expected = max(cdf(theta1, params), cdf(a1 * theta2 / (a2 - a1 * theta2), params))
+                    assert outage(params) == pytest.approx(expected, rel=1e-12)
 
     def test_infeasible_threshold_certain_outage(self):
         params = make_params(rate2=2.0)
