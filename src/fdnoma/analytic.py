@@ -12,24 +12,26 @@ their integrals stop there.
 
 Every SINR distribution is a chain of links (_LINKS), each the strongest
 of m exponential gains over 1 plus an exponential interferer, and one
-evaluator, _link_law, gives a link's distribution and survival as sums of
-positive terms, so deep outage floors keep their relative accuracy at any
-antenna count.  The near-user rate is the paper's closed form, an
-alternating sum of rate kernels accumulated with math.fsum and the one sum
-here that cancels, wherever its error bound meets the quadrature tolerance.
+evaluator, _link_law, gives a link's distribution or its survival, each a
+sum of positive terms by its own recurrence, so deep outage floors keep
+their relative accuracy at any antenna count.  The near-user rate is the
+paper's closed form, an alternating sum of rate kernels accumulated with
+math.fsum and the one sum here that cancels, wherever its error bound
+meets the quadrature tolerance.
 
 The closed forms take the Laws of a PowerGrid under one of
 ANALYTIC_SCHEMES, the links with one array row per power point, and
 evaluate every point in one call over a sweep's whole grid; the one-set
 entry points (rate_u1_*, outage_*, cdf_gamma*, whose max_u1 and max_u2
 name the schemes max_u1_analytic and max_u2_decoupled) run the same code
-on the one-point grid of their set, and the distributions take a point or
-an array of points.
+on the one-point grid of their set, whose laws are cached, and the
+distributions take a point or an array of points.
 
 The far-user rates are integrated by far_user_rates, in numpy, for every
 point at once: QUADPACK's adaptive 21-point Gauss-Kronrod scheme over a
-first partition graded at the links' SINR scales, with every link
-evaluated at every node of every open interval, _CHUNK_INTERVALS at a time.
+first partition graded at the links' SINR scales, with every link's
+survival evaluated at every node of every open interval, _CHUNK_INTERVALS
+at a time.
 A rate does not depend on the other points in its call.
 near_user_quadratures runs the same scheme on the near link's
 positive-term survival, which checks the near-user closed form or stands in for it.
@@ -44,9 +46,10 @@ of those schemes.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +76,7 @@ class NonConvergedError(RuntimeError):
     code = "NON_CONVERGED"
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     abs_error_bound: float
     evaluations: int
@@ -193,13 +195,13 @@ _LINKS = {
 ANALYTIC_SCHEMES = tuple(_LINKS)
 
 
-def _link_law(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(F, S) of a link of _LINKS at a = t / lam and b = lam_i t / den, elementwise.
+def _link_law(m: int, a, b, survival: bool = False) -> np.ndarray:
+    """F, or S = 1 - F with survival=True, of a link of _LINKS at a = t / lam and b = lam_i t / den, elementwise.
 
     F = P(X <= a (1 + Y)) for X the largest of m unit-mean exponentials and
     Y exponential of mean b / a; with c = e^-a and d = 1 - c it is
     2F1(-m, 1/b; 1/b + 1; c), whose binomial expansion alternates in sign.
-    By parts on its Euler integral, F and S = 1 - F obey
+    By parts on its Euler integral, F and S obey
 
         F_i = (i b F_(i-1) + d^i) / (1 + i b),              F_0 = 1,
         S_i = (i b S_(i-1) + (1 - d^i)) / (1 + i b),        S_0 = 0,
@@ -207,29 +209,32 @@ def _link_law(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     with 1 - d^i = (1 - d^(i-1)) + c d^(i-1): each step is a convex
     combination of nonnegative numbers, so F and S are sums of positive
     terms (as Pfaff's transformation, DLMF 15.8.1, also writes F) and each
-    keeps its own relative accuracy, within 1e-14, down to underflow.  b = 0
-    (no interferer) gives F = d^m; b is capped at 1e300, so an overflowed
-    interference term weighs as an infinitely strong one.  This is the one
-    check of the laws' range.
+    keeps its own relative accuracy, within 1e-14, down to underflow.  Each
+    caller reads one side, so a call runs that side's recurrence alone (F
+    needs no c).  b = 0 (no interferer) gives F = d^m; b is capped at 1e300,
+    so an overflowed interference term weighs as an infinitely strong one.
+    This is the one check of the laws' range, on the side computed.
     """
-    c, d = np.exp(-a), -np.expm1(-a)
+    minus_a = -a
+    c, d = np.exp(minus_a) if survival else None, -np.expm1(minus_a)
     b = np.fmin(b, 1e300)  # also where b is 0 * inf: a = inf there, and F = 1 at any b
     u = 1.0 / (1.0 + b)
-    f, s, power, rest = (b + d) * u, c * u, d, c  # F_i, S_i, d^i and 1 - d^i at i = 1
+    value, power, rest = (c if survival else b + d) * u, d, c  # F_i or S_i, d^i and 1 - d^i at i = 1
     for i in range(2, m + 1):
         ib = i * b
         u = 1.0 / (1.0 + ib)
-        rest = rest + c * power
+        if survival:
+            rest = rest + c * power
         power = power * d
-        f = (ib * f + power) * u
-        s = (ib * s + rest) * u
-    if f.max(initial=0.0) > 1.0 + _PROB_TOL or s.max(initial=0.0) > 1.0 + _PROB_TOL:
-        raise RuntimeError(f"CDF_RANGE_VIOLATION: probability {max(f.max(), s.max())!r}")
-    return np.minimum(f, 1.0), np.minimum(s, 1.0)
+        value = (ib * value + (rest if survival else power)) * u
+    if value.max(initial=0.0) > 1.0 + _PROB_TOL:
+        raise RuntimeError(f"CDF_RANGE_VIOLATION: probability {value.max()!r}")
+    return np.minimum(value, 1.0)
 
 
+@functools.lru_cache(maxsize=64)
 def _one_set(params: SystemParams, scheme: str) -> Laws:
-    """The laws of one parameter set: those of its one-point grid."""
+    """The laws of one parameter set: those of its one-point grid, cached per (set, scheme); none is written to."""
     return Laws(PowerGrid.at(params), scheme)
 
 
@@ -379,7 +384,7 @@ class Laws:
     float operations unchanged.  a1 and a2 stay scalars; each link keeps its
     m and one row per point of each of lam, lam_i and den (times a row of
     ones, which is exact).  The methods evaluate a law at x of every row
-    (with one point, at any number of x), far_survival at rows.
+    (with one point, at any number of x), far_survival at quadrature nodes of rows.
     """
 
     def __init__(self, grid: PowerGrid, scheme: str):
@@ -390,17 +395,17 @@ class Laws:
         gains = MeanGains(*gains_at(params, np.array(grid.rho_s), np.array(grid.rho_r)))
         self.links = [(m, *(v * ones for v in means)) for m, *means in _LINKS[scheme](params, gains)]
 
-    def _at(self, link: tuple, rows, t) -> tuple[np.ndarray, np.ndarray]:
-        """_link_law of a link at t of rows.  A t / lam or an interference term too large for
-        a float is infinite (the callers silence the overflow), which makes the link's F exactly 1."""
+    def _at(self, link: tuple, rows, t, survival: bool = False) -> np.ndarray:
+        """_link_law of a link at t of rows, F or S.  A t / lam or an interference term too large
+        for a float is infinite (the callers silence the overflow), which makes the link's F exactly 1."""
         m, *means = link
         lam, lam_i, den = means if rows is None else (v[rows] for v in means)
-        return _link_law(m, t / lam, (lam_i * t) / den)
+        return _link_law(m, t / lam, (lam_i * t) / den, survival)
 
     def near_cdf(self, x) -> np.ndarray:
         """F of the near-user SINR at x, 0 up to 0 (and 1 at x = inf, where a missing interferer's term is 0 * inf)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._at(self.links[0], None, np.maximum(x, 0.0))[0]
+            return self._at(self.links[0], None, np.maximum(x, 0.0))
 
     def _far_points(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(r, t, beyond): the gain ratio for the cross and relay links and x for the far link, x clipped
@@ -425,18 +430,21 @@ class Laws:
         links = self.links[1 if cross_link else 2 :]
         points = [r] * (len(links) - 1) + [t]
         with np.errstate(divide="ignore", over="ignore"):  # log1p(-1) = -inf, where a link surely fails
-            total = sum(np.log1p(-self._at(link, None, at)[0]) for link, at in zip(links, points))
+            total = sum(np.log1p(-self._at(link, None, at)) for link, at in zip(links, points))
             cdf = 0.0 - np.expm1(total)  # 0.0 - keeps a zero unsigned
         return np.where(beyond, 1.0, cdf)
 
-    def far_survival(self, x, rows=None) -> np.ndarray:
-        """1 - F of the far-user chain at x: the product of its links' survivals, taken one link at a time."""
-        r, t, beyond = self._far_points(x)
-        survival = np.where(beyond, 0.0, 1.0)
+    def far_survival(self, x, rows) -> np.ndarray:
+        """1 - F of the far-user chain at quadrature nodes x of rows: S_cross S_relay S_far, in that order.
+
+        The nodes lie in (0, hi), hi = cap (1 - 1e-12), so the gain ratio
+        r = x / (a2 - a1 x) is finite and positive there and far_cdf's clip
+        to the cap and its mask past it have nothing to do.
+        """
+        r = x / (self.a2 - self.a1 * x)
+        cross, relay, far = self.links[1:]
         with np.errstate(over="ignore"):
-            for link, at in zip(self.links[1:], (r, r, t)):
-                survival *= self._at(link, rows, at)[1]
-        return survival
+            return self._at(cross, rows, r, True) * self._at(relay, rows, r, True) * self._at(far, rows, x, True)
 
     def breakpoints(self, hi: np.ndarray) -> np.ndarray:
         """The increasing inner points, in (0, hi), of each row's first partition, padded with inf.
@@ -528,12 +536,7 @@ def _qag(survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0) -> lis
     result, error, resasc = _gk21(survival, rows, lo, up)
 
     last = np.bincount(rows, minlength=count)
-    width = max(int(last.max(initial=0)), _MAX_INTERVALS)
-    starts, ends = np.zeros((count, width)), np.zeros((count, width))
-    values = np.zeros((count, width))
-    errors = np.full((count, width), -np.inf)  # unused slots are never the largest error
-    starts[rows, slots], ends[rows, slots] = lo, up
-    values[rows, slots], errors[rows, slots] = result, error
+    ends_first = np.cumsum(last).tolist()  # where each row's first intervals end in result
     # Per-row sums in interval order: bincount adds its weights in sequence.
     area = np.bincount(rows, weights=result, minlength=count)
     errsum = np.bincount(rows, weights=error, minlength=count)
@@ -542,29 +545,40 @@ def _qag(survival, hi: np.ndarray, points: np.ndarray, tail: float = 0.0) -> lis
     rel_tol, abs_tol = QUADRATURE_REL_TOL, QUADRATURE_ABS_TOL
     epsabs = abs_tol * LN2
     done = (errsum <= np.maximum(epsabs, rel_tol * np.abs(area))) & ~saturated
+    # Interval bookkeeping for the rows left unfinished by their first partition only, row local[r] for row r.
+    unfinished = ~done
+    local = np.cumsum(unfinished) - 1
+    keep = unfinished[rows]
+    shape = (int(unfinished.sum()), max(int(last.max(initial=0)), _MAX_INTERVALS))
+    starts, ends, values = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    errors = np.full(shape, -np.inf)  # unused slots are never the largest error
+    at = local[rows[keep]], slots[keep]
+    starts[at], ends[at], values[at], errors[at] = lo[keep], up[keep], result[keep], error[keep]
     while True:
         act = np.flatnonzero(~done & (last < _MAX_INTERVALS))
         if not len(act):
             break
-        worst = np.argmax(errors[act, : int(last[act].max())], axis=1)
-        a, b = starts[act, worst], ends[act, worst]
+        k = local[act]
+        worst = np.argmax(errors[k, : int(last[act].max())], axis=1)
+        a, b = starts[k, worst], ends[k, worst]
         mid = 0.5 * (a + b)
         res, err, _ = _gk21(survival, np.tile(act, 2), np.concatenate([a, mid]), np.concatenate([mid, b]))
         res1, res2 = np.split(res, 2)
         err1, err2 = np.split(err, 2)
-        errsum[act] = errsum[act] + (err1 + err2) - errors[act, worst]
-        area[act] = area[act] + (res1 + res2) - values[act, worst]
-        ends[act, worst], values[act, worst], errors[act, worst] = mid, res1, err1
+        errsum[act] = errsum[act] + (err1 + err2) - errors[k, worst]
+        area[act] = area[act] + (res1 + res2) - values[k, worst]
+        ends[k, worst], values[k, worst], errors[k, worst] = mid, res1, err1
         new = last[act]
-        starts[act, new], ends[act, new], values[act, new], errors[act, new] = mid, b, res2, err2
+        starts[k, new], ends[k, new], values[k, new], errors[k, new] = mid, b, res2, err2
         last[act] += 1
         evaluations[act] += 42
         done[act] = errsum[act] <= np.maximum(epsabs, rel_tol * np.abs(area[act]))
-    bounds = errsum + tail
+    first, kept = result.tolist(), values.tolist()
     return [
-        _checked(math.fsum(values[row, : last[row]]) / LN2, float(bounds[row]) / LN2, int(evaluations[row]),
-                 rel_tol, abs_tol)
-        for row in range(count)
+        _checked(math.fsum(kept[k][:n] if more else first[end - n : end]) / LN2, bound / LN2, evals, rel_tol, abs_tol)
+        for more, k, n, end, bound, evals in zip(
+            unfinished.tolist(), local.tolist(), last.tolist(), ends_first, (errsum + tail).tolist(),
+            evaluations.tolist())
     ]
 
 
@@ -603,7 +617,7 @@ def near_user_quadratures(laws: Laws) -> list[QuadratureResult | NonConvergedErr
     steps = np.arange(1, 2 + int(math.log(max(lam.max(initial=1.0), 1.0), _BREAK_RATIO)))
     points = lam[:, None] * np.concatenate([_BREAK_RATIO ** -steps, graded_points(1.0)])
     points[(points >= hi[:, None]) | (points < np.minimum(lam, 1.0)[:, None])] = np.inf
-    survival = lambda x, rows: laws._at(laws.links[0], rows, x)[1]
+    survival = lambda x, rows: laws._at(laws.links[0], rows, x, True)
     return _qag(survival, hi, points, tail=math.exp(-60.0) / h)
 
 

@@ -781,6 +781,50 @@ def test_far_user_rates_do_not_depend_on_the_batch():
         assert oracle_far_user_rates(grid, scheme) == analytic.far_user_rates(analytic.Laws(grid, scheme)), scheme
 
 
+def test_far_survival_at_nodes_is_the_product_of_link_survivals():
+    # Every node far_user_rates hands far_survival, first partition and bisections alike, lies in
+    # (0, hi), hi = cap (1 - 1e-12): far_cdf's clip to the cap and its mask past it leave it as it is,
+    # and the chain's survival there is the product of its links' one-sided survivals, bit for bit.
+    grid = power_points(default_params(), SweepSpec(power_db=tuple(i / 10 for i in range(601)), schemes=("max_u1",)))
+    for scheme in analytic.ANALYTIC_SCHEMES:
+        laws = analytic.Laws(grid, scheme)
+        survival, seen = laws.far_survival, []
+        laws.far_survival = lambda x, rows: seen.append((x, rows)) or survival(x, rows)
+        analytic.far_user_rates(laws)
+        hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
+        assert sum(x.size for x, _ in seen) > 21 * len(grid)
+        for x, rows in seen:
+            assert ((0.0 < x) & (x < hi)).all(), scheme
+            r, t, beyond = laws._far_points(x)
+            assert not beyond.any() and np.array_equal(t, x), scheme
+            with np.errstate(over="ignore", under="ignore"):
+                cross, relay, far = (
+                    analytic._link_law(m, at / lam[rows], (lam_i[rows] * at) / den[rows], survival=True)
+                    for (m, lam, lam_i, den), at in zip(laws.links[1:], (r, r, t))
+                )
+                assert np.array_equal(survival(x, rows), cross * relay * far), scheme
+
+
+def test_one_set_laws_are_cached_and_equal_fresh_ones():
+    # _one_set keeps the laws of recent (params, scheme) pairs; an equal SystemParams hits them, and
+    # each equals a fresh build, link for link and law for law.
+    sets = (default_params(20.0), default_params(-10.0), make_params(m_b=3, m_r=5, m_t=2, a1=0.3, a2=0.7, k1=0.0))
+    for params in sets:
+        for scheme in analytic.ANALYTIC_SCHEMES:
+            cached = analytic._one_set(params, scheme)
+            assert analytic._one_set(make_params(**vars(params)), scheme) is cached
+            fresh = analytic.Laws(PowerGrid.at(params), scheme)
+            assert (cached.scheme, cached.a1, cached.a2, cached.grid.params) == (scheme, params.a1, params.a2, params)
+            for (m, *means), (m_fresh, *means_fresh) in zip(cached.links, fresh.links, strict=True):
+                assert m == m_fresh and all(np.array_equal(v, w) for v, w in zip(means, means_fresh, strict=True))
+            x = np.linspace(0.0, 2.0 * sinr_cap(params), 41)
+            assert np.array_equal(cached.near_cdf(x), fresh.near_cdf(x))
+            assert np.array_equal(cached.far_cdf(x), fresh.far_cdf(x))
+            assert analytic.outages(cached) == analytic.outages(fresh)
+            assert analytic.far_user_rates(cached) == analytic.far_user_rates(fresh)
+    assert len({id(analytic._one_set(params, "max_u1_analytic")) for params in sets}) == len(sets)
+
+
 def test_chunk_boundaries_move_no_bit(monkeypatch):
     # _gk21 hands survival _CHUNK_INTERVALS intervals at a time.  One interval per call and
     # every interval in one call give the shipped chunks' values, bounds and evaluation counts.
@@ -847,7 +891,8 @@ def test_link_law_matches_mpmath():
     a = np.geomspace(1e-6, 700.0, 11)
     for m in (1, 2, 4, 5, 16, 17, 32, 64):
         for b in (0.0, 1e-6, 1e-3, 0.3, 1.0, 30.0, 1e6):
-            f, s = analytic._link_law(m, a, np.full_like(a, b))
+            b_row = np.full_like(a, b)
+            f, s = analytic._link_law(m, a, b_row), analytic._link_law(m, a, b_row, survival=True)
             with mp.workdps(MP_LAW_DPS):
                 for i, x in enumerate(a.tolist()):
                     oracle = mp_link_cdf(m, mp.mpf(x), mp.mpf(b))

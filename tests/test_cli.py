@@ -568,8 +568,8 @@ class TestValidate:
         def measured_one(params, scheme, trials):
             (exact,) = analytic.closed_form_sets(PowerGrid.at(params), scheme, ("rates", "outage"))
             near = events if scheme == "max_u1_analytic" else round(exact.outage_u1.value * trials)
-            return replace(exact, outage_u1=MetricEstimate(near / trials, 0.0, trials),
-                           outage_u2=MetricEstimate(round(exact.outage_u2.value * trials) / trials, 0.0, trials))
+            return exact._replace(outage_u1=MetricEstimate(near / trials, 0.0, trials),
+                                  outage_u2=MetricEstimate(round(exact.outage_u2.value * trials) / trials, 0.0, trials))
 
         monkeypatch.setattr(cli, "estimate_metrics", measured)
         ok, detail = _check_mc_vs_analytic(default_params(20.0), 10**6, 1)

@@ -545,7 +545,7 @@ class TestAnalyticRows:
             broken = rows[3].metrics
             assert all(
                 math.isnan(m.value) and m.std_error == 0.0 and m.trials == 0
-                for m in vars(broken).values()
+                for m in broken._asdict().values()
             )
             assert all(not math.isnan(row.metrics.rate_u1.value) for i, row in enumerate(rows) if i != 3)
             assert all(not math.isnan(row.metrics.rate_u2.value) for i, row in enumerate(rows) if i != 3)
@@ -637,3 +637,18 @@ def test_results_imports_no_fdnoma_module():
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("fdnoma") for alias in node.names), ast.unparse(node)
 
+
+
+def test_result_records_are_immutable():
+    # The rows, their metric sets and estimates and a quadrature's result are read by every layer
+    # after they are made; none of their fields can be reassigned, and a changed copy is _replace's.
+    estimate = MetricEstimate(0.5, 0.25, 7)
+    metrics = MetricSet(*[estimate] * 6)
+    records = (estimate, metrics, SweepRow(20.0, "random", results.MONTE_CARLO, 7, metrics),
+               analytic.QuadratureResult(1.5, 1e-12, 21))
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert repr(estimate) == "MetricEstimate(value=0.5, std_error=0.25, trials=7)"
+    assert estimate._replace(trials=8) == MetricEstimate(0.5, 0.25, 8) and estimate.trials == 7
