@@ -3,18 +3,21 @@
 Only squared envelopes enter the SINR expressions, so gains are drawn
 directly as exponentials (|CN(0, v)|^2 is exponential with mean v) with
 the transmit SNR folded into the mean.  Streams are keyed by
-(seed, stream) so trials reproduce independently of scheduling.
+(seed, stream) so trials reproduce independently of scheduling.  A gain
+is a unit-mean draw times its group's mean, so the draws of one stream
+serve every power point: draw_batch(unit_params(params), ...) gives them
+unscaled.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import SystemParams, mean_gains
+from .config import SystemParams, gains_at
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,32 @@ class GainBatch:
         stop = min(stop, self.count)
         return GainBatch(*(getattr(self, name)[start:stop] for name in GROUPS), count=stop - start)
 
+    def take(self, rows: np.ndarray) -> GainBatch:
+        """The realizations at the indices `rows`, as copies."""
+        return GainBatch(*(getattr(self, name)[rows] for name in GROUPS), count=len(rows))
+
+    def scaled(self, means: tuple[float, ...]) -> GainBatch:
+        """A copy with each group times its mean (group_means order): draw_batch's products."""
+        return GainBatch(*(getattr(self, name) * lam for name, lam in zip(GROUPS, means)), count=self.count)
+
 
 GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")
+
+
+def group_means(params: SystemParams) -> tuple[float, ...]:
+    """The mean gain of each of the GROUPS, in order: the fields of config.mean_gains."""
+    return gains_at(params, params.rho_s, params.rho_r)
+
+
+def unit_params(params: SystemParams) -> SystemParams:
+    """params with every mean gain 1, but 0 where k1 = 0 makes lam_ru1 0 at every power.
+
+    draw_batch of it gives a stream's unit draws (times 0 in a zero-mean
+    group), and draw_batch(params) is those draws times group_means(params),
+    bit for bit: 1.0 and 0.0 scale exactly.
+    """
+    return replace(params, rho_s=1.0, rho_r=1.0, var_br=1.0, var_bu1=1.0, var_ru1=1.0, var_ru2=1.0,
+                   var_si=1.0, k1=float(params.k1 > 0.0))
 
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -85,13 +112,13 @@ def draw_batch(
         into = empty_batch(params, count)
     elif into.count < count or into.g_br.shape[1:] + into.g_si.shape[2:] != shape:
         raise ValueError(f"buffers {into.g_br.shape[:2] + into.g_si.shape[1:]} cannot take {count} trials at {shape}")
-    gains = mean_gains(params)
     rng = _generator(entropy)
     batch = into.rows(0, count)
-    for name, lam in zip(GROUPS, (gains.lam_br, gains.lam_su1, gains.lam_ru1, gains.lam_ru2, gains.lam_si)):
+    for name, lam in zip(GROUPS, group_means(params)):
         group = getattr(batch, name)
         rng.standard_exponential(out=group)
-        group *= lam  # the same products as lam * draws
+        if lam != 1.0:  # times 1.0 is exact, so a unit draw skips the pass
+            group *= lam  # the same products as lam * draws
     return batch
 
 
@@ -108,10 +135,12 @@ def dump_columns(params: SystemParams) -> list[str]:
 def dump_realizations(params: SystemParams, seed: int, trials: int, path: str | Path) -> None:
     """Write one realization per row, in the simulator's block layout.
 
-    Row t is trial t of a single-scheme simulation with this seed (for
-    example estimate_rates(params, scheme, trials, seed)): block b is the
-    batch draw_batch(params, (seed, b), count) of DEFAULT_BLOCK_SIZE
-    trials, fewer in the last block.
+    Row t is trial t of a simulation with this seed at params' powers:
+    of estimate_rates(params, scheme, trials, seed), say, or of the row of
+    a sweep whose power point these params are, since every point of a
+    sweep reads the streams of its seed.  Block b is the batch
+    draw_batch(params, (seed, b), count) of DEFAULT_BLOCK_SIZE trials,
+    fewer in the last block.
     """
     columns = dump_columns(params)
     # %.17g round-trips every float; \r\n is the csv module's line ending

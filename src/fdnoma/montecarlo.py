@@ -3,23 +3,32 @@
 It only simulates; its rows and their CSV are in results, the closed
 forms and their sweep in analytic.
 
-Trials are drawn in fixed-size blocks, one RNG stream per block.  Blocks
-run on up to two threads, min(2, available CPUs), with no option to set
-it, and one reduction, _metric_set, turns a scheme's per-block partial
-sums into all its metrics with math.fsum in block order, so results are
-byte-identical for any worker count.  estimate_rates and estimate_outage
-are views of estimate_metrics for one scheme.  A run of one block uses
-the second thread inside the block instead: a helper thread searches
-joint-search tiles while the calling thread runs the stage-wise schemes,
-then both share the tiles that are left, and the two joint schemes' sums
-are reduced one per thread.  Each thread running blocks holds one block
-workspace, a gain batch (about 22 MiB at 4x4x4 antennas) and a set of
-gather/SINR buffers, for the length of a sweep or estimator call: blocks
-are drawn, gathered and reduced in place, and the buffers are freed when
-the call returns.  Within a sweep row, every scheme sees the same
-channel realizations (common random numbers), which makes the
-per-realization dominance relations between schemes hold exactly in the
-outputs.
+Trials are drawn in fixed-size blocks, one RNG stream per block, keyed
+(seed, block) at every power point.  A simulation runs over a power grid,
+blocks outside and points inside: a block is drawn once, as unit-mean
+gains that each point reads times its own mean gains, with the products
+draw_batch would give, and the stage-wise ORDER_SCHEMES choose once per
+block for every point (see _run_block).  So a sweep row equals
+estimate_metrics at its point, bit for bit, and every scheme at every
+point sees the same channel realizations (common random numbers), which
+makes the per-realization dominance relations between schemes hold
+exactly in the outputs.
+
+Blocks run on up to two threads, min(2, available CPUs), with no option
+to set it, and one reduction, _metric_set, turns a scheme's per-block
+partial sums at a point into all its metrics with math.fsum in block
+order, so results are byte-identical for any worker count.
+estimate_rates and estimate_outage are views of estimate_metrics for one
+scheme, the one-point case of the same loop.  A run of one block uses
+the second thread inside the block instead: at each point a helper
+thread searches joint-search tiles while the calling thread runs the
+stage-wise schemes, then both share the tiles that are left, and the two
+joint schemes' sums are reduced one per thread.  Each thread running
+blocks holds one block workspace for the length of a sweep or estimator
+call: a gain batch (about 22 MiB at 4x4x4 antennas), a set of
+gather/SINR buffers and the schemes' choices.  Blocks are drawn,
+gathered and reduced in place, and the buffers are freed when the call
+returns.
 """
 
 from __future__ import annotations
@@ -30,11 +39,11 @@ import os
 
 import numpy as np
 
-from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
-from .config import KNOWN_METRICS, SweepSpec, SystemParams, check_run, power_points, thresholds, validate
+from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch, group_means, unit_params
+from .config import KNOWN_METRICS, PowerGrid, SweepSpec, SystemParams, check_run, power_points, thresholds, validate
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
-from .selection import JOINT_SCHEMES, NEEDS_RNG, JointSearch, check_scheme, select_batch
+from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, check_scheme, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 _RANDOM_SALT = 0x52414E44
@@ -56,6 +65,7 @@ def chosen_sinrs(
     kk: np.ndarray,
     params: SystemParams,
     out: SinrBuffers | None = None,
+    means: tuple[float, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-realization SINRs under the chosen (i, j, k) of every row of the batch.
 
@@ -63,7 +73,8 @@ def chosen_sinrs(
     own SINR, the far-user symbol at the near user, at the relay, end to
     end (the minimum of the last three), and the relay-to-far-user SNR,
     as rows of `out` (fresh buffers when None), computed in place by
-    relay_sinr, cross_sinr and near_sinr.
+    relay_sinr, cross_sinr and near_sinr.  Given `means`, the batch holds
+    unit draws, and each gathered gain is scaled by its group's mean.
     """
     n, a1, a2 = batch.count, params.a1, params.a2
     m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
@@ -75,21 +86,27 @@ def chosen_sinrs(
     rows, index = out.rows[:n], out.index[:n]
     gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = out.values[:, :n]
 
-    def gather(gains: np.ndarray, into: np.ndarray, *axes: tuple[np.ndarray, int]) -> np.ndarray:
+    lam_br, lam_su1, lam_ru1, lam_ru2, lam_si = (None,) * 5 if means is None else means
+
+    def gather(gains: np.ndarray, lam, into: np.ndarray, *axes: tuple[np.ndarray, int]) -> np.ndarray:
         # gains[row, i, ...] through the row-major flat index (row * n_i + i) * ..., taken straight into `into`
         np.copyto(index, rows)
         for chosen, size in axes:
             np.multiply(index, size, out=index)
             np.add(index, chosen, out=index)
-        return np.take(gains.reshape(-1), index, out=into, mode="clip")
+        np.take(gains.reshape(-1), index, out=into, mode="clip")
+        if lam is not None:
+            into *= lam  # the product draw_batch makes, taken after the gather
+        return into
 
     # gamma_2 and g_ru2 hold gathered gains until their own values are due; gamma_1 is scratch.
-    g_br, g_si = gather(batch.g_br, gamma_2, (ii, m_b), (jj, m_r)), gather(batch.g_si, g_ru2, (jj, m_r), (kk, m_t))
+    g_br = gather(batch.g_br, lam_br, gamma_2, (ii, m_b), (jj, m_r))
+    g_si = gather(batch.g_si, lam_si, g_ru2, (jj, m_r), (kk, m_t))
     relay_sinr(g_br, g_si, a1, a2, out=gamma_r, scratch=gamma_1)
-    g_su1, g_ru1 = gather(batch.g_su1, gamma_2, (ii, m_b)), gather(batch.g_ru1, g_ru2, (kk, m_t))
+    g_su1, g_ru1 = gather(batch.g_su1, lam_su1, gamma_2, (ii, m_b)), gather(batch.g_ru1, lam_ru1, g_ru2, (kk, m_t))
     cross_sinr(g_su1, g_ru1, a1, a2, out=gamma_12, scratch=gamma_1)
     near_sinr(g_su1, g_ru1, a1, out=gamma_1, scratch=g_ru1)
-    gather(batch.g_ru2, g_ru2, (kk, m_t))
+    gather(batch.g_ru2, lam_ru2, g_ru2, (kk, m_t))
     np.minimum(gamma_12, gamma_r, out=gamma_2)
     np.minimum(gamma_2, g_ru2, out=gamma_2)
     return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
@@ -101,6 +118,7 @@ def _scheme_sums(
     params: SystemParams,
     thresholds: tuple[float, float],
     out: SinrBuffers,
+    means: tuple[float, ...] | None = None,
 ) -> tuple:
     """One scheme's partial sums over a block under its (i, j, k) choice.
 
@@ -109,7 +127,7 @@ def _scheme_sums(
     """
     theta1, theta2 = thresholds
     n = batch.count
-    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params, out)
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params, out, means)
     out1 = n - int(np.count_nonzero((gamma_12 > theta2) & (gamma_1 > theta1)))
     out2 = n - int(np.count_nonzero((gamma_r > theta2) & (g_ru2 > theta2)))
     r1, r2 = rate_bits(gamma_1, out=gamma_1), rate_bits(gamma_2, out=gamma_2)
@@ -121,13 +139,19 @@ def _scheme_sums(
 class _Workspace:
     """The block buffers of one sweep or estimator call, reused from block to block.
 
-    borrow("gains") lends a gain batch and borrow("sinrs") a set of SINR
-    buffers, of `capacity` trials, to one thread at a time, made when none
-    is free; all are freed with the workspace.
+    borrow(kind) lends one thread at a time a buffer of `capacity` trials,
+    made when none is free: "gains", a gain batch; "sinrs", a set of SINR
+    buffers; "choice", one scheme's (i, j, k) in the smallest unsigned type
+    that indexes the antennas.  All are freed with the workspace.
     """
 
     def __init__(self, params: SystemParams, capacity: int):
-        self._make = {"gains": lambda: empty_batch(params, capacity), "sinrs": lambda: SinrBuffers(capacity)}
+        index = np.min_scalar_type(max(params.m_b, params.m_r, params.m_t) - 1)
+        self._make = {
+            "gains": lambda: empty_batch(params, capacity),
+            "sinrs": lambda: SinrBuffers(capacity),
+            "choice": lambda: np.empty((3, capacity), dtype=index),
+        }
         self._free = {kind: [] for kind in self._make}
 
     @contextlib.contextmanager
@@ -143,63 +167,121 @@ class _Workspace:
             free.append(buffers)
 
 
+def _rng(scheme: str, entropy: tuple[int, ...]) -> np.random.Generator | None:
+    """The block's selection stream of a scheme that needs one, keyed by the block's entropy."""
+    if scheme not in NEEDS_RNG:
+        return None
+    return np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
+
+
+def _shared_choice(
+    scheme: str, unit: GainBatch, params: SystemParams, entropy: tuple[int, ...], out: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """An ORDER_SCHEMES scheme's choice on a block's unit draws, written into `out`, and its fragile rows.
+
+    The choice is that of every power point, but in the fragile rows, which
+    _choice_at selects again at each point.
+    """
+    fragile = np.zeros(unit.count, dtype=bool)
+    choice = select_batch(scheme, unit, params, _rng(scheme, entropy), None, fragile, tuple(out[:, : unit.count]))
+    return choice, np.flatnonzero(fragile)
+
+
+def _choice_at(
+    scheme: str, shared: tuple, unit: GainBatch, params: SystemParams, means: tuple[float, ...]
+) -> tuple[np.ndarray, ...]:
+    """The shared choice at one power point: select_batch's on the scaled gains, row for row."""
+    choice, fragile = shared
+    if not fragile.size:
+        return choice
+    choice = tuple(np.array(chosen, dtype=np.intp) for chosen in choice)
+    for whole, chosen in zip(choice, select_batch(scheme, unit.take(fragile), params, None, means)):
+        whole[fragile] = chosen
+    return choice
+
+
 def _run_block(
-    params: SystemParams,
+    points: list[SystemParams],
     schemes: tuple[str, ...],
     entropy: tuple[int, ...],
     count: int,
     thresholds: tuple[float, float],
     workspace: _Workspace,
     overlap: bool = False,
-) -> dict[str, tuple]:
-    """Draw one block into the workspace and return each scheme's partial sums over it.
+) -> list[dict[str, tuple]]:
+    """Draw one block into the workspace and return, per point, each scheme's partial sums.
 
-    The joint searches share one far-user grid per tile.  With overlap,
-    one helper thread starts on their tiles while this thread runs the
-    stage-wise schemes and then joins the tile queue; then the helper
-    reduces the second joint scheme while this thread reduces the first.
-    Each reduction borrows SINR buffers of its own.
+    Over several points the block holds unit draws, which each point reads
+    times its group_means.  The ORDER_SCHEMES select once, at the first
+    point, since scaling a group keeps its order, and _choice_at selects
+    again at each point the rows where rounding could break a tie; max_u1
+    and the joint searches select at each point.  A lone point reads its
+    gains as drawn and every scheme selects on them: marking the fragile
+    rows costs about one more selection per scheme, which only a second
+    point repays.  The joint searches share one far-user grid per tile.
+    With overlap, at each point one helper thread starts on their tiles
+    while this thread runs the stage-wise schemes and then joins the tile
+    queue; then the helper reduces the second joint scheme while this
+    thread reduces the first.  Each reduction borrows SINR buffers and a
+    choice of its own.
     """
-    with workspace.borrow("gains") as gains:
-        batch = draw_batch(params, entropy, count, gains)
-        joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
-        search = JointSearch(batch, params, joint)
-        sums = {}
+    means = [None] if len(points) == 1 else [group_means(point) for point in points]
+    joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
+    shared = {}
+    sums = [{} for _ in points]
+    with contextlib.ExitStack() as stack:
+        gains = stack.enter_context(workspace.borrow("gains"))
+        batch = draw_batch(points[0] if len(points) == 1 else unit_params(points[0]), entropy, count, gains)
 
-        def reduce(choice: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
+        def reduce(choice: tuple[np.ndarray, ...], p: int) -> tuple:
             with workspace.borrow("sinrs") as buffers:
-                return _scheme_sums(batch, choice, params, thresholds, buffers)
+                return _scheme_sums(batch, choice, points[p], thresholds, buffers, means[p])
 
-        def reduce_joint(scheme: str) -> tuple:
-            return reduce(search.indices(scheme))
-
-        def stage_wise() -> None:
+        def stage_wise(p: int) -> None:
             for scheme in schemes:
-                if scheme not in joint:
-                    rng = None
-                    if scheme in NEEDS_RNG:
-                        rng = np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
-                    # the choice is freed before the next scheme selects
-                    sums[scheme] = reduce(select_batch(scheme, batch, params, rng))
+                if scheme in ORDER_SCHEMES and means[p] is not None:
+                    if scheme not in shared:  # held for the block's other points
+                        out = stack.enter_context(workspace.borrow("choice"))
+                        shared[scheme] = _shared_choice(scheme, batch, points[p], entropy, out)
+                    sums[p][scheme] = reduce(_choice_at(scheme, shared[scheme], batch, points[p], means[p]), p)
+                elif scheme not in joint:
+                    with workspace.borrow("choice") as out:
+                        rng = _rng(scheme, entropy)
+                        choice = select_batch(scheme, batch, points[p], rng, means[p], None, tuple(out[:, :count]))
+                        sums[p][scheme] = reduce(choice, p)
 
+        def reduce_joint(search: JointSearch, scheme: str, p: int) -> tuple:
+            with workspace.borrow("choice") as out:
+                return reduce(search.indices(scheme, tuple(out[:, :count])), p)
+
+        def point(p: int) -> None:
+            # a point's search, and its flat indices, are freed before the next point's is made
+            if not joint:
+                stage_wise(p)
+                return
+            search = JointSearch(batch, points[p], joint, means[p])
+            if helper is None:
+                stage_wise(p)
+                search.run()
+                sums[p].update((scheme, reduce_joint(search, scheme, p)) for scheme in joint)
+                return
+            tiles = helper.submit(search.run)
+            stage_wise(p)
+            search.run()
+            tiles.result()
+            tail = {scheme: helper.submit(reduce_joint, search, scheme, p) for scheme in joint[1:]}
+            sums[p][joint[0]] = reduce_joint(search, joint[0], p)
+            sums[p].update((scheme, future.result()) for scheme, future in tail.items())
+
+        helper = None
         if joint and overlap:
             # Imported here, so a run that needs no helper does not load the thread machinery.
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(1) as helper:
-                tiles = helper.submit(search.run)
-                stage_wise()
-                search.run()
-                tiles.result()
-                tail = {scheme: helper.submit(reduce_joint, scheme) for scheme in joint[1:]}
-                sums[joint[0]] = reduce_joint(joint[0])
-                sums.update((scheme, future.result()) for scheme, future in tail.items())
-        else:
-            stage_wise()
-            if joint:
-                search.run()
-            sums.update((scheme, reduce_joint(scheme)) for scheme in joint)
-        return sums
+            helper = stack.enter_context(ThreadPoolExecutor(1))
+        for p in range(len(points)):
+            point(p)
+    return sums
 
 
 def _available_cpus() -> int:
@@ -209,46 +291,47 @@ def _available_cpus() -> int:
 
 
 def _simulate(
-    params: SystemParams,
+    grid: PowerGrid,
     schemes: tuple[str, ...],
     trials: int,
     entropy_base: tuple[int, ...],
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int | None = None,
-    workspace: _Workspace | None = None,
-) -> dict[str, list[tuple]]:
-    """Each scheme's _scheme_sums per block, in block order; every scheme sees the same blocks.
+) -> list[dict[str, list[tuple]]]:
+    """Per point of the grid, each scheme's _scheme_sums per block, in block order.
 
-    Blocks run on `workers` threads, min(2, available CPUs) by default, one
-    block in flight per thread, each searching its joint tiles alone; numpy
-    releases the GIL in the draws and the array kernels.  Each block's
-    partial sums are appended in block order, so their reduction by
-    _metric_set is bit-identical for any worker count.  A single worker runs
-    every block in the calling thread.  A single block with two or more
-    workers runs in the calling thread too, with one helper thread for its
-    joint-search tiles and one joint scheme's sums, so threads are never
-    nested.  `workspace` (a new one when None) holds min(block_size, trials)
-    trials.  block_size is part of each block's stream key, so the public
-    estimators and run_sweep keep it at DEFAULT_BLOCK_SIZE.
+    Every scheme at every point sees the same blocks: block b is drawn once,
+    from the stream (*entropy_base, b), as _run_block says.  Blocks run on
+    `workers` threads, min(2, available CPUs) by default, one block in
+    flight per thread, each searching its joint tiles alone; numpy releases
+    the GIL in the draws and the array kernels.  Each block's partial sums
+    are appended in block order, so their reduction by _metric_set is
+    bit-identical for any worker count.  A single worker runs every block in
+    the calling thread.  A single block with two or more workers runs in the
+    calling thread too, with one helper thread for its joint-search tiles
+    and one joint scheme's sums, so threads are never nested.  The block
+    workspace holds min(block_size, trials) trials.  block_size is part of
+    each block's stream key, so the public estimators and run_sweep keep it
+    at DEFAULT_BLOCK_SIZE.
     """
-    validate(params)
+    points = [validate(point) for point in grid]
     check_run(trials, entropy_base[0])
     for scheme in schemes:
         check_scheme(scheme)
-    theta = thresholds(params)
-    per_block = {scheme: [] for scheme in schemes}
-    unique = tuple(per_block)  # a repeated scheme is simulated once
-    if workspace is None:
-        workspace = _Workspace(params, min(block_size, trials))
+    theta = thresholds(points[0])
+    per_block = [{scheme: [] for scheme in schemes} for _ in points]
+    unique = tuple(per_block[0])  # a repeated scheme is simulated once
+    workspace = _Workspace(points[0], min(block_size, trials))
 
-    def run(block: tuple[int, int, int], overlap: bool = False) -> dict[str, tuple]:
+    def run(block: tuple[int, int, int], overlap: bool = False) -> list[dict[str, tuple]]:
         index, _, count = block
-        return _run_block(params, unique, (*entropy_base, index), count, theta, workspace, overlap)
+        return _run_block(points, unique, (*entropy_base, index), count, theta, workspace, overlap)
 
-    def collect(partials) -> dict[str, list[tuple]]:
-        for sums in partials:  # in block order
-            for scheme, block in sums.items():
-                per_block[scheme].append(block)
+    def collect(partials) -> list[dict[str, list[tuple]]]:
+        for block in partials:  # in block order
+            for point, sums in zip(per_block, block):
+                for scheme, partial in sums.items():
+                    point[scheme].append(partial)
         return per_block
 
     layout = blocks(trials, block_size)
@@ -289,10 +372,17 @@ def _metric_set(blocks: list[tuple], metrics: tuple[str, ...]) -> MetricSet:
         se = 0.0
         if n > 1 and (m1 != 0.0 or m2 != 0.0):
             cov = ((s12 - n * m1 * m2) / (n - 1)) / n
-            norm = (m1 * m1 + m2 * m2) ** 2
-            d1 = (m1 + m2) * m2 * (m2 - m1) / norm
-            d2 = (m1 + m2) * m1 * (m1 - m2) / norm
-            se = math.sqrt(max(d1 * d1 * var1 + 2.0 * d1 * d2 * cov + d2 * d2 * var2, 0.0))
+            # The index does not change when both rates scale, so the means are brought near 1 and the
+            # (co)variances with them, by powers of two: those scale exactly, so the bits are the
+            # unscaled formula's wherever its fourth power of the rates neither under- nor overflows
+            # (at -1000 dB it underflowed to 0).
+            scale = -math.frexp(max(m1, m2))[1]
+            u1, u2 = math.ldexp(m1, scale), math.ldexp(m2, scale)
+            v1, v2, c12 = (math.ldexp(v, 2 * scale) for v in (var1, var2, cov))
+            norm = (u1 * u1 + u2 * u2) ** 2
+            d1 = (u1 + u2) * u2 * (u2 - u1) / norm
+            d2 = (u1 + u2) * u1 * (u1 - u2) / norm
+            se = math.sqrt(max(d1 * d1 * v1 + 2.0 * d1 * d2 * c12 + d2 * d2 * v2, 0.0))
         return MetricEstimate(jain_index(m1, m2), se, n)
 
     return masked_set(
@@ -316,7 +406,7 @@ def estimate_metrics(
     fails the far-user or its own target, the far user if the relay or the
     far user fails the far-user target: always, past the a2/a1 cap.
     """
-    per_block = _simulate(params, schemes, trials, (seed,))
+    per_block = _simulate(PowerGrid.at(params), schemes, trials, (seed,))[0]
     return {scheme: _metric_set(per_block[scheme], KNOWN_METRICS) for scheme in schemes}
 
 
@@ -340,17 +430,17 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     """Monte Carlo sweep over the power grid; one row per (point, scheme).
 
     Power points set rho_s and rho_r jointly unless the sweep overrides
-    the relay power.  The whole grid is validated before the first point is
-    simulated.  All schemes at a point share realizations.
+    the relay power.  The whole grid is validated before the first block is
+    drawn.  Every point reads the same blocks, keyed (seed, block) as in
+    estimate_metrics, so each row equals estimate_metrics(point params,
+    schemes, trials, seed) at its point, bit for bit, and all schemes at
+    all points share realizations.
     """
     grid = power_points(params, sweep)
-    rows = []
-    workspace = _Workspace(params, min(DEFAULT_BLOCK_SIZE, sweep.trials))
-    for p_idx, (power_db, run_params) in enumerate(zip(grid.power_db, grid)):
-        per_block = _simulate(run_params, sweep.schemes, sweep.trials, (sweep.seed, p_idx), workspace=workspace)
-        rows.extend(
-            SweepRow(power_db=power_db, scheme=scheme, kind=MONTE_CARLO, trials=sweep.trials,
-                     metrics=_metric_set(per_block[scheme], sweep.metrics))
-            for scheme in sweep.schemes
-        )
-    return rows
+    per_point = _simulate(grid, sweep.schemes, sweep.trials, (sweep.seed,))
+    return [
+        SweepRow(power_db=power_db, scheme=scheme, kind=MONTE_CARLO, trials=sweep.trials,
+                 metrics=_metric_set(per_block[scheme], sweep.metrics))
+        for power_db, per_block in zip(grid.power_db, per_point)
+        for scheme in sweep.schemes
+    ]

@@ -48,7 +48,9 @@ def jain_index(rate_u1: float, rate_u2: float) -> float:
         warnings.warn("jain_index undefined for two zero rates; returning 1", RuntimeWarning)
         return 1.0
     total = rate_u1 + rate_u2
-    return total * total / (2.0 * (rate_u1 * rate_u1 + rate_u2 * rate_u2))
+    index = total * total / (2.0 * (rate_u1 * rate_u1 + rate_u2 * rate_u2))
+    # rounding can take the ratio an ulp past its bounds (1.0000000000000002 at rates 100 and 100 - 1 ulp)
+    return 1.0 if index > 1.0 else 0.5 if index < 0.5 else index
 
 
 def masked_set(metrics: tuple[str, ...], nan: MetricEstimate, rates=None, outages=None, jain=None) -> MetricSet:

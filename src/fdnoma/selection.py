@@ -21,6 +21,14 @@ per-row argmax depends on its own row only, and each cell is computed
 by the formula kernels of the sinr module, so the pass gives
 the same indices as one full-batch grid per scheme, on any number of
 threads; ties still break to the lowest flat (i, j, k) index.
+
+Every entry point also takes a batch of unit-mean draws with the mean
+of each group (`means`, in channel.group_means order): the gains a
+scheme reads are then scaled as they are read, in chunk- or tile-sized
+copies, with draw_batch's products.  Each stage of the ORDER_SCHEMES
+picks by order within one group, which scaling keeps, so their choice on
+unit draws holds at every power point except in the rows select_batch
+marks in `fragile`.
 """
 
 from __future__ import annotations
@@ -33,6 +41,32 @@ import numpy as np
 from .channel import GainBatch
 from .config import SystemParams
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
+
+
+# Scaling a group by a positive mean keeps its order, but rounding can make two products equal:
+# x < y may give fl(lam x) == fl(lam y), and then the lowest-index rule picks the earlier index.
+# Nonzero means lie in config.GAIN_RANGE and unit draws are 0 or between about 1e-19 and 45, so
+# every product is a normal float, and two round together only if x and y are within 2^-52 of
+# each other, relatively.  _CLOSE leaves a margin of four times that.
+_CLOSE = 2.0**-50
+
+
+def _pick(values: np.ndarray, largest: bool, fragile: np.ndarray | None) -> np.ndarray:
+    """argmax (largest) or argmin of each row of values.
+
+    Given `fragile`, a row's flag is set when an earlier entry lies within
+    _CLOSE of the pick, so that one positive mean might make it the pick:
+    tilted in favour of earlier entries by _CLOSE per place, such a row's
+    pick moves.  Rows with no earlier entry that close may be set too;
+    exact ties keep the pick, as they do under any mean.
+    """
+    extreme = np.argmax if largest else np.argmin
+    index = extreme(values, axis=1)
+    if fragile is not None:
+        places = np.arange(values.shape[1], 0, -1)
+        tilt = 1.0 + _CLOSE * places if largest else 1.0 - _CLOSE * places
+        fragile |= extreme(values * tilt, axis=1) != index
+    return index
 
 
 def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,7 +85,9 @@ def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np
     return ii, jj, kk
 
 
-def batch_max_u1_analytic(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_max_u1_analytic(
+    batch: GainBatch, params: SystemParams, fragile: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """As batch_max_u1 but the receive stage maximizes the BS-relay gain alone.
 
     Ignoring self-interference at that stage decouples the receive antenna
@@ -59,9 +95,9 @@ def batch_max_u1_analytic(batch: GainBatch, params: SystemParams) -> tuple[np.nd
     describe.
     """
     rows = np.arange(batch.count)
-    ii = np.argmax(batch.g_su1, axis=1)
-    kk = np.argmin(batch.g_ru1, axis=1)
-    jj = np.argmax(batch.g_br[rows, ii, :], axis=1)
+    ii = _pick(batch.g_su1, True, fragile)
+    kk = _pick(batch.g_ru1, False, fragile)
+    jj = _pick(batch.g_br[rows, ii, :], True, fragile)
     return ii, jj, kk
 
 
@@ -80,14 +116,17 @@ class JointSearch:
     how many threads run it.
     """
 
-    def __init__(self, batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]):
+    def __init__(
+        self, batch: GainBatch, params: SystemParams, schemes: tuple[str, ...], means: tuple[float, ...] | None = None
+    ):
         unknown = set(schemes) - set(JOINT_SCHEMES)
         if unknown:
             raise ValueError(f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
-        self.batch, self.params = batch, params
+        self.batch, self.params, self.means = batch, params, means
         self.shape = (params.m_b, params.m_r, params.m_t)
         self.tile = max(1, min(batch.count, _TILE_GRID_BYTES // (8 * math.prod(self.shape))))
-        self.flat = {scheme: np.empty(batch.count, dtype=np.intp) for scheme in schemes}
+        cells = np.min_scalar_type(math.prod(self.shape) - 1)  # the smallest type that holds a flat index
+        self.flat = {scheme: np.empty(batch.count, dtype=cells) for scheme in schemes}
         self._next = 0
         self._lock = threading.Lock()
 
@@ -111,18 +150,28 @@ class JointSearch:
         in the first buffer; the second holds the relay denominator, then the
         sum-rate grid when optimum_sumrate is asked for.
         """
-        batch, a1, a2 = self.batch, self.params.a1, self.params.a2
+        batch, a1, a2 = self.batch.rows(start, stop), self.params.a1, self.params.a2
         m_b, m_r, m_t = self.shape
         rows = stop - start
         grid, spare = buffers[:, :rows]
         # Operands missing grid axes are repeated along them (g_br along k, the (i, k) terms along j, their
         # gains to (i, k) rows first), which copies values, so each step runs over contiguous memory.
-        g_br = np.repeat(batch.g_br[start:stop], m_t, axis=2).reshape(grid.shape)
-        g_su1 = np.repeat(batch.g_su1[start:stop], m_t, axis=1)
-        g_ru1 = np.tile(batch.g_ru1[start:stop], m_b)
-        relay_sinr(g_br, batch.g_si[start:stop, None, :, :], a1, a2, out=grid, scratch=spare)
+        g_br = np.repeat(batch.g_br, m_t, axis=2).reshape(grid.shape)
+        g_su1 = np.repeat(batch.g_su1, m_t, axis=1)
+        g_ru1 = np.tile(batch.g_ru1, m_b)
+        g_si = batch.g_si
+        if self.means is not None:  # the copies are scaled in place, g_si into a tile-sized one
+            lam_br, lam_su1, lam_ru1, _, lam_si = self.means
+            g_br *= lam_br
+            g_su1 *= lam_su1
+            g_ru1 *= lam_ru1
+            g_si = g_si * lam_si
+        relay_sinr(g_br, g_si[:, None, :, :], a1, a2, out=grid, scratch=spare)
+        g_ru2 = np.tile(batch.g_ru2, m_b)
+        if self.means is not None:
+            g_ru2 *= self.means[3]
         # min is exact, so clamping by the (i, k) terms first gives the same cells
-        clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), np.tile(batch.g_ru2[start:stop], m_b))
+        clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), g_ru2)
         np.minimum(grid, np.repeat(clamp.reshape(rows, m_b, 1, m_t), m_r, axis=2), out=grid)
         if "max_u2_exhaustive" in self.flat:
             self.flat["max_u2_exhaustive"][start:stop] = np.argmax(grid.reshape(rows, -1), axis=1)
@@ -133,21 +182,31 @@ class JointSearch:
             np.add(spare, np.repeat(r1.reshape(rows, m_b, 1, m_t), m_r, axis=2), out=spare)
             self.flat["optimum_sumrate"][start:stop] = np.argmax(spare.reshape(rows, -1), axis=1)
 
-    def indices(self, scheme: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row (i, j, k) of a requested scheme, once every tile has been searched."""
-        rest, kk = np.divmod(self.flat[scheme], self.shape[2])
-        return (*np.divmod(rest, self.shape[1]), kk)
+    def indices(
+        self, scheme: str, out: tuple[np.ndarray, ...] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row (i, j, k) of a requested scheme, once every tile has been searched.
+
+        Written into `out` when given, as select_batch's `out`.
+        """
+        flat = self.flat[scheme]
+        ii, jj, kk = tuple(np.empty(len(flat), dtype=np.intp) for _ in range(3)) if out is None else out
+        rest, _ = np.divmod(flat, self.shape[2], out=(None, kk), casting="unsafe")
+        np.divmod(rest, self.shape[1], out=(ii, jj), casting="unsafe")
+        return ii, jj, kk
 
 
-def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_max_u2_decoupled(
+    batch: GainBatch, params: SystemParams, fragile: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage-wise far-user selection: best relay-to-far link, then least
     self-interference into it, then strongest BS feed for that receive
     antenna.  This is the variant the closed forms describe."""
     rows = np.arange(batch.count)
-    kk = np.argmax(batch.g_ru2, axis=1)
+    kk = _pick(batch.g_ru2, True, fragile)
     g_si_col = np.take_along_axis(batch.g_si, kk[:, None, None], axis=2)[:, :, 0]
-    jj = np.argmin(g_si_col, axis=1)
-    ii = np.argmax(batch.g_br[rows, :, jj], axis=1)
+    jj = _pick(g_si_col, False, fragile)
+    ii = _pick(batch.g_br[rows, :, jj], True, fragile)
     return ii, jj, kk
 
 
@@ -178,7 +237,12 @@ _BATCH = {
 
 NEEDS_RNG = {"random"}
 
+# The schemes whose every stage picks by order within one gain group, or reads no gain.
+ORDER_SCHEMES = ("max_u1_analytic", "max_u2_decoupled", "random")
+
 _SELECT_ROWS = 1 << 12
+# Rows per scaled chunk copy: 352 KiB at 4x4x4, where one of _SELECT_ROWS rows took twice as long.
+_SCALED_ROWS = 1 << 10
 
 
 def check_scheme(scheme: str) -> str:
@@ -192,19 +256,41 @@ def select_batch(
     batch: GainBatch,
     params: SystemParams,
     rng: np.random.Generator | None = None,
+    means: tuple[float, ...] | None = None,
+    fragile: np.ndarray | None = None,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scheme's (i, j, k) per row of the batch, whose gains are scaled by `means` when given.
+
+    Given `fragile` (one bool per row), an ORDER_SCHEMES scheme sets it in
+    the rows where some positive means could make a stage pick otherwise
+    (random, which reads no gain, in none).  Given `out`, three arrays of
+    batch.count entries of an integer type that holds the antenna indices,
+    the choice is written there and `out` is returned.
+    """
     check_scheme(scheme)
+    if fragile is not None and scheme not in ORDER_SCHEMES:
+        raise ValueError(f"scheme {scheme!r} reads ratios across gain groups; it has no fragile rows to mark")
     if scheme in JOINT_SCHEMES:
-        search = JointSearch(batch, params, (scheme,))
+        search = JointSearch(batch, params, (scheme,), means)
         search.run()
-        return search.indices(scheme)
+        return search.indices(scheme, out)
     if scheme in NEEDS_RNG:
         if rng is None:
             raise ValueError(f"scheme {scheme!r} requires an rng")
-        return _BATCH[scheme](batch, params, rng)
+        choice = _BATCH[scheme](batch, params, rng)
+        if out is None:
+            return choice
+        for whole, chosen in zip(out, choice):
+            whole[:] = chosen
+        return out
     # The stage-wise kernels work row by row: chunks give the same indices with chunk-sized temporaries.
-    choice = tuple(np.empty(batch.count, dtype=np.intp) for _ in range(3))
-    for start in range(0, batch.count, _SELECT_ROWS):
-        for whole, part in zip(choice, _BATCH[scheme](batch.rows(start, start + _SELECT_ROWS), params)):
-            whole[start : start + len(part)] = part
+    kernel, step = _BATCH[scheme], _SELECT_ROWS if means is None else _SCALED_ROWS
+    choice = tuple(np.empty(batch.count, dtype=np.intp) for _ in range(3)) if out is None else out
+    for start in range(0, batch.count, step):
+        part = batch.rows(start, start + step)
+        part = part if means is None else part.scaled(means)
+        flags = () if fragile is None else (fragile[start : start + part.count],)
+        for whole, chosen in zip(choice, kernel(part, params, *flags)):
+            whole[start : start + part.count] = chosen
     return choice

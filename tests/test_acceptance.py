@@ -12,7 +12,7 @@ import numpy as np
 
 from fdnoma import analytic
 from fdnoma.channel import draw_batch
-from fdnoma.config import default_params, mean_gains, validate
+from fdnoma.config import PowerGrid, default_params, mean_gains, validate
 from fdnoma.montecarlo import _metric_set, _simulate, chosen_sinrs, estimate_metrics
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits
@@ -58,7 +58,7 @@ def test_criterion_1_cross_validation_master_check():
                 worst = max(worst, z)
                 if z > 3.0:
                     failures.append(f"{db} dB {scheme} {name}: z={z:.2f}")
-        per_block = _simulate(params, tuple(SCHEME_OUTAGE_FORMS), OUTAGE_TRIALS, (77_001, int(db)))
+        per_block = _simulate(PowerGrid.at(params), tuple(SCHEME_OUTAGE_FORMS), OUTAGE_TRIALS, (77_001, int(db)))[0]
         for scheme, (out1_fn, out2_fn) in SCHEME_OUTAGE_FORMS.items():
             measured = _metric_set(per_block[scheme], ("outage",))
             for name, estimate, target in (
@@ -173,7 +173,7 @@ def test_criterion_5_figure_trends():
     sums = {}
     jains = {}
     schemes = ("optimum_sumrate", "max_u1", "max_u2_exhaustive", "random")
-    per_block = _simulate(params, schemes, trials, (33_030,))
+    per_block = _simulate(PowerGrid.at(params), schemes, trials, (33_030,))[0]
     for scheme in schemes:
         measured = _metric_set(per_block[scheme], ("rates", "jain"))
         sums[scheme] = measured.rate_sum.value

@@ -1,4 +1,5 @@
 import ast
+import collections
 import concurrent.futures
 import functools
 import gc
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo, results, selection
-from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch
-from fdnoma.config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params
+from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch, group_means, unit_params
+from fdnoma.config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params, power_points
 from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from fdnoma.montecarlo import (
     _metric_set,
@@ -85,8 +86,11 @@ class TestEstimateRates:
 
     def test_block_size_does_not_change_draws_within_block_grid(self, baseline):
         # same block size, different call: partials reduced in block order
-        a = _metric_set(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"], KNOWN_METRICS)
-        b = _metric_set(_simulate(baseline, ("max_u1",), 30_000, (9,), block_size=1 << 14)["max_u1"], KNOWN_METRICS)
+        a, b = (
+            _metric_set(_simulate(PowerGrid.at(baseline), ("max_u1",), 30_000, (9,), block_size=1 << 14)[0]["max_u1"],
+                        KNOWN_METRICS)
+            for _ in range(2)
+        )
         assert a == b
 
 
@@ -277,27 +281,30 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
             assert rows[key] == line, (scheme, others)
 
 
-def sequential_simulate(params, schemes, trials, entropy_base, block_size, workspace=None):
-    """Reference for _simulate: one block after another in the calling thread,
-    each drawn fresh and each scheme selected on its own, each block's
-    (trials, sums of r1, r2, r1^2, r2^2 and r1 r2, the two outage counts)
-    appended in block order.  A sweep's workspace is not used."""
-    theta1, theta2 = analytic.thresholds(params)
-    per_block = {scheme: [] for scheme in schemes}
-    for index, _, count in blocks(trials, block_size):
-        batch = draw_batch(params, (*entropy_base, index), count)
-        for scheme, sums in per_block.items():
-            seed = np.random.SeedSequence((*entropy_base, index, montecarlo._RANDOM_SALT))
-            choice = select_batch(scheme, batch, params, np.random.default_rng(seed))
-            gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params)
-            r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
-            sums.append((
-                count,
-                *(float(np.sum(values)) for values in (r1, r2, r1 * r1, r2 * r2, r1 * r2)),
-                int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1)))),
-                int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2)))),
-            ))
-    return per_block
+def sequential_simulate(grid, schemes, trials, entropy_base, block_size):
+    """Reference for _simulate: per point, one block after another in the calling thread,
+    each drawn fresh at the point's powers from the stream (*entropy_base, block) and
+    each scheme selected on it alone, each block's (trials, sums of r1, r2, r1^2, r2^2
+    and r1 r2, the two outage counts) appended in block order."""
+    per_point = []
+    for params in grid:
+        theta1, theta2 = analytic.thresholds(params)
+        per_block = {scheme: [] for scheme in schemes}
+        for index, _, count in blocks(trials, block_size):
+            batch = draw_batch(params, (*entropy_base, index), count)
+            for scheme, sums in per_block.items():
+                seed = np.random.SeedSequence((*entropy_base, index, montecarlo._RANDOM_SALT))
+                choice = select_batch(scheme, batch, params, np.random.default_rng(seed))
+                gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params)
+                r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
+                sums.append((
+                    count,
+                    *(float(np.sum(values)) for values in (r1, r2, r1 * r1, r2 * r2, r1 * r2)),
+                    int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1)))),
+                    int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2)))),
+                ))
+        per_point.append(per_block)
+    return per_point
 
 
 def csv_by_worker_count(params, spec, tmp_path, monkeypatch, block_size):
@@ -346,6 +353,115 @@ def test_single_block_csv_is_byte_identical_for_any_worker_count(
         assert written[workers] == written["sequential"], workers
 
 
+@pytest.mark.parametrize(
+    "overrides,power_db,relay_db,trials",
+    [
+        ({}, (0.0, 10.0, 20.0, 30.0), None, 3_001),
+        ({}, (0.0, 30.0), None, DEFAULT_BLOCK_SIZE + 5),
+        ({"m_b": 3, "m_r": 5, "m_t": 2}, (0.0, 20.0), None, 3_001),
+        ({"k1": 0.0}, (0.0, 15.0, 30.0), None, 3_001),
+        ({}, (0.0, 30.0), 15.0, 3_001),
+        # every mean gain reaches both ends of GAIN_RANGE, 1e-100 and 1e100
+        ({"k1": 1.0, "var_si": 1.0}, (-1000.0, 0.0, 1000.0), None, 3_001),
+    ],
+    ids=["4x4x4", "two-blocks", "3x5x2", "k1=0", "relay-fixed", "gain-range-ends"],
+)
+def test_every_sweep_row_equals_estimate_metrics_at_its_point(overrides, power_db, relay_db, trials):
+    # The points of a sweep share each block's unit draws and the stage-wise schemes' choices;
+    # each row must still be the one-point simulation at its powers, bit for bit.
+    params = make_params(**overrides)
+    spec = SweepSpec(power_db=power_db, schemes=SCHEMES, trials=trials, seed=23, relay_power_db=relay_db)
+    grid = power_points(params, spec)
+    alone = [
+        SweepRow(power_db=power, scheme=scheme, kind=results.MONTE_CARLO, trials=trials, metrics=metrics)
+        for power, point in zip(power_db, grid)
+        for scheme, metrics in estimate_metrics(point, SCHEMES, trials, spec.seed).items()
+    ]
+    assert rows_to_csv_text(run_sweep(params, spec)) == rows_to_csv_text(alone)
+
+
+def planted_pair_batch(params, seed=5, count=64):
+    """Unit draws with one planted row per stage-wise stage: two adjacent floats that
+    scaling by 1 + 2**-52 rounds to one value, the later of them the unit pick."""
+    unit = draw_batch(unit_params(params), (seed, 0), count)
+    low, high = 2.0 - 2.0**-51, 2.0 - 2.0**-52
+    unit.g_su1[0, :2] = (low, high)  # argmax: the unit pick is index 1
+    unit.g_ru2[1, :2] = (low, high)
+    unit.g_ru1[2, :2] = (high, low)  # argmin: the unit pick is index 1
+    for row in range(3):  # no other antenna competes with the planted pair
+        for group, value in ((unit.g_su1, 0.5), (unit.g_ru2, 0.5), (unit.g_ru1, 3.0)):
+            group[row, 2:] = value
+    return unit
+
+
+@pytest.mark.parametrize("scheme", selection.ORDER_SCHEMES)
+@pytest.mark.parametrize(
+    "overrides,power_db",
+    [({}, (-20.0, 0.0, 20.0, 40.0)), ({"k1": 0.0}, (0.0, 30.0)), ({"m_b": 3, "m_r": 5, "m_t": 2}, (10.0,))],
+    ids=["4x4x4", "k1=0", "3x5x2"],
+)
+def test_shared_choice_equals_select_batch_on_the_scaled_batch(scheme, overrides, power_db):
+    params = make_params(**overrides)
+    entropy = (31, 2)
+    unit = draw_batch(unit_params(params), entropy, 20_000)
+    shared = montecarlo._shared_choice(scheme, unit, params, entropy, np.empty((3, unit.count), dtype=np.uint8))
+    for point in power_points(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
+        scaled = draw_batch(point, entropy, unit.count)
+        rng = np.random.default_rng(np.random.SeedSequence((*entropy, montecarlo._RANDOM_SALT)))
+        expected = select_batch(scheme, scaled, point, rng)
+        got = montecarlo._choice_at(scheme, shared, unit, point, group_means(point))
+        for axis in range(3):
+            np.testing.assert_array_equal(got[axis], expected[axis])
+
+
+@pytest.mark.parametrize("scheme", ["max_u1_analytic", "max_u2_decoupled"])
+def test_shared_choice_reselects_a_planted_pair_that_scaling_rounds_together(scheme):
+    lam = 1.0 + 2.0**-52
+    params = make_params(rho_s=1.0, rho_r=1.0, k1=1.0, var_bu1=lam, var_ru1=lam, var_ru2=lam)
+    means = group_means(params)
+    unit = planted_pair_batch(params)
+    scaled = unit.scaled(means)
+    # the pair is distinct in the unit draws and one value once scaled
+    for group, row in (("g_su1", 0), ("g_ru2", 1), ("g_ru1", 2)):
+        values = getattr(unit, group)[row, :2]
+        assert values[0] != values[1]
+        assert getattr(scaled, group)[row, 0] == getattr(scaled, group)[row, 1]
+    out = np.empty((3, unit.count), dtype=np.uint8)
+    choice, fragile = shared = montecarlo._shared_choice(scheme, unit, params, (5, 0), out)
+    expected = select_batch(scheme, scaled, params)
+    planted = {"max_u1_analytic": (0, 2), "max_u2_decoupled": (1,)}[scheme]
+    assert set(planted) <= set(fragile.tolist())
+    for row in planted:  # the unit choice differs from the scaled one in the planted rows
+        assert any(choice[axis][row] != expected[axis][row] for axis in range(3))
+    got = montecarlo._choice_at(scheme, shared, unit, params, means)
+    for axis in range(3):
+        np.testing.assert_array_equal(got[axis], expected[axis])
+
+
+def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkeypatch):
+    # 4 points and 3 blocks: 3 draws, one selection per block for each ORDER_SCHEMES scheme,
+    # one per block and point for max_u1, which reads ratios across groups.
+    draws, selections = [], []
+    draw, select = montecarlo.draw_batch, montecarlo.select_batch
+
+    def counting_draw(params, entropy, count, into=None):
+        draws.append(entropy)
+        return draw(params, entropy, count, into)
+
+    def counting_select(scheme, *args):
+        selections.append(scheme)
+        return select(scheme, *args)
+
+    monkeypatch.setattr(montecarlo, "draw_batch", counting_draw)
+    monkeypatch.setattr(montecarlo, "select_batch", counting_select)
+    schemes = ("max_u1", *selection.ORDER_SCHEMES)
+    spec = SweepSpec(power_db=(0.0, 10.0, 20.0, 30.0), schemes=schemes, trials=2 * DEFAULT_BLOCK_SIZE + 1, seed=3)
+    run_sweep(make_params(m_b=2, m_r=2, m_t=2), spec)
+    assert sorted(draws) == [(3, 0), (3, 1), (3, 2)]
+    counts = collections.Counter(selections)
+    assert counts == {"max_u1": 12, **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
+
+
 def test_lone_block_reduces_the_joint_schemes_on_two_threads(baseline, monkeypatch):
     reduced_on = {}
     scheme_sums = montecarlo._scheme_sums
@@ -359,13 +475,13 @@ def test_lone_block_reduces_the_joint_schemes_on_two_threads(baseline, monkeypat
     chosen = {}
     indices = selection.JointSearch.indices
 
-    def keep(search, scheme):
-        chosen[scheme] = indices(search, scheme)
+    def keep(search, scheme, *out):
+        chosen[scheme] = indices(search, scheme, *out)
         return chosen[scheme]
 
     monkeypatch.setattr(montecarlo, "_scheme_sums", recording)
     monkeypatch.setattr(selection.JointSearch, "indices", keep)
-    _simulate(baseline, SCHEMES, 1 << 12, (3,), block_size=1 << 12, workers=2)
+    _simulate(PowerGrid.at(baseline), SCHEMES, 1 << 12, (3,), block_size=1 << 12, workers=2)
     assert set(reduced_on) == set(selection.JOINT_SCHEMES)
     assert reduced_on["max_u2_exhaustive"] == threading.main_thread().ident
     assert reduced_on["optimum_sumrate"] != threading.main_thread().ident
@@ -423,7 +539,7 @@ def test_failing_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatc
     monkeypatch.setattr(montecarlo, "draw_batch", fail_on_block_1)
     threads = threading.active_count()
     with pytest.raises(BlockFailure, match="block 1"):
-        _simulate(baseline, ("max_u1", "random"), 5 << 14, (3,), block_size=1 << 14, workers=workers)
+        _simulate(PowerGrid.at(baseline), ("max_u1", "random"), 5 << 14, (3,), block_size=1 << 14, workers=workers)
     assert threading.active_count() == threads
 
 
@@ -451,7 +567,7 @@ def test_failure_in_a_single_block_reaches_caller_and_leaves_no_threads(baseline
     monkeypatch.setattr(montecarlo, "select_batch", failing_select)
     threads = threading.active_count()
     with pytest.raises(BlockFailure, match=where):
-        _simulate(baseline, SCHEMES, 1 << 14, (3,), block_size=1 << 14, workers=2)
+        _simulate(PowerGrid.at(baseline), SCHEMES, 1 << 14, (3,), block_size=1 << 14, workers=2)
     assert threading.active_count() == threads
 
 
@@ -469,7 +585,7 @@ def test_joint_searches_start_no_nested_threads(baseline, monkeypatch, workers, 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     block_size = 1 << 12
     trials = block_count * block_size
-    per_block = _simulate(baseline, SCHEMES, trials, (3,), block_size=block_size, workers=workers)
+    per_block = _simulate(PowerGrid.at(baseline), SCHEMES, trials, (3,), block_size=block_size, workers=workers)[0]
     assert sum(sums[0] for sums in per_block["optimum_sumrate"]) == trials
     assert len(started) <= most
     if block_count == 1:
@@ -481,7 +597,7 @@ def test_single_block_runs_without_a_pool(baseline, monkeypatch):
         raise AssertionError("a one-block run started a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    per_block = _simulate(baseline, ("max_u1",), 1 << 14, (3,), block_size=1 << 14, workers=2)
+    per_block = _simulate(PowerGrid.at(baseline), ("max_u1",), 1 << 14, (3,), block_size=1 << 14, workers=2)[0]
     assert [sums[0] for sums in per_block["max_u1"]] == [1 << 14]
 
 
