@@ -6,7 +6,9 @@ the transmit SNR folded into the mean.  Streams are keyed by
 (seed, stream) so trials reproduce independently of scheduling.  A gain
 is a unit-mean draw times its group's mean, so the draws of one stream
 serve every power point: draw_batch(unit_params(params), ...) gives them
-unscaled.
+unscaled.  A positive mean keeps the order of a group's draws, and
+rounding is monotone, so scaling can make two gains equal but never
+swap them: a pick within one group follows the draws at every point.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class GainBatch:
         """The realizations start:stop (clipped to the batch), as views."""
         stop = min(stop, self.count)
         return GainBatch(*(getattr(self, name)[start:stop] for name in GROUPS), count=stop - start)
-
-    def take(self, rows: np.ndarray) -> GainBatch:
-        """The realizations at the indices `rows`, as copies."""
-        return GainBatch(*(getattr(self, name)[rows] for name in GROUPS), count=len(rows))
-
-    def scaled(self, means: tuple[float, ...]) -> GainBatch:
-        """A copy with each group times its mean (group_means order): draw_batch's products."""
-        return GainBatch(*(getattr(self, name) * lam for name, lam in zip(GROUPS, means)), count=self.count)
 
 
 GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")

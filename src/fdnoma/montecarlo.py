@@ -4,15 +4,15 @@ It only simulates; its rows and their CSV are in results, the closed
 forms and their sweep in analytic.
 
 Trials are drawn in fixed-size blocks, one RNG stream per block, keyed
-(seed, block) at every power point.  A simulation runs over a power grid,
-blocks outside and points inside: a block is drawn once, as unit-mean
-gains that each point reads times its own mean gains, with the products
-draw_batch would give, and the stage-wise ORDER_SCHEMES choose once per
-block for every point (see _run_block).  So a sweep row equals
-estimate_metrics at its point, bit for bit, and every scheme at every
-point sees the same channel realizations (common random numbers), which
-makes the per-realization dominance relations between schemes hold
-exactly in the outputs.
+(seed, block) at every power point.  A simulation runs over a power grid
+of one point or many, blocks outside and points inside: a block is drawn
+once, as unit-mean gains that each point reads times its own mean gains,
+with the products draw_batch would give, and the stage-wise
+ORDER_SCHEMES choose once per block for every point (see _run_block).
+So a sweep row equals estimate_metrics at its point, bit for bit, and
+every scheme at every point sees the same channel realizations (common
+random numbers), which makes the per-realization dominance relations
+between schemes hold exactly in the outputs.
 
 Blocks run on up to two threads, min(2, available CPUs), with no option
 to set it, and one reduction, _metric_set, turns a scheme's per-block
@@ -174,32 +174,6 @@ def _rng(scheme: str, entropy: tuple[int, ...]) -> np.random.Generator | None:
     return np.random.default_rng(np.random.SeedSequence((*entropy, _RANDOM_SALT)))
 
 
-def _shared_choice(
-    scheme: str, unit: GainBatch, params: SystemParams, entropy: tuple[int, ...], out: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """An ORDER_SCHEMES scheme's choice on a block's unit draws, written into `out`, and its fragile rows.
-
-    The choice is that of every power point, but in the fragile rows, which
-    _choice_at selects again at each point.
-    """
-    fragile = np.zeros(unit.count, dtype=bool)
-    choice = select_batch(scheme, unit, params, _rng(scheme, entropy), None, fragile, tuple(out[:, : unit.count]))
-    return choice, np.flatnonzero(fragile)
-
-
-def _choice_at(
-    scheme: str, shared: tuple, unit: GainBatch, params: SystemParams, means: tuple[float, ...]
-) -> tuple[np.ndarray, ...]:
-    """The shared choice at one power point: select_batch's on the scaled gains, row for row."""
-    choice, fragile = shared
-    if not fragile.size:
-        return choice
-    choice = tuple(np.array(chosen, dtype=np.intp) for chosen in choice)
-    for whole, chosen in zip(choice, select_batch(scheme, unit.take(fragile), params, None, means)):
-        whole[fragile] = chosen
-    return choice
-
-
 def _run_block(
     points: list[SystemParams],
     schemes: tuple[str, ...],
@@ -211,27 +185,25 @@ def _run_block(
 ) -> list[dict[str, tuple]]:
     """Draw one block into the workspace and return, per point, each scheme's partial sums.
 
-    Over several points the block holds unit draws, which each point reads
-    times its group_means.  The ORDER_SCHEMES select once, at the first
-    point, since scaling a group keeps its order, and _choice_at selects
-    again at each point the rows where rounding could break a tie; max_u1
-    and the joint searches select at each point.  A lone point reads its
-    gains as drawn and every scheme selects on them: marking the fragile
-    rows costs about one more selection per scheme, which only a second
-    point repays.  The joint searches share one far-user grid per tile.
+    The block holds unit draws, which each point reads times its
+    group_means.  The ORDER_SCHEMES select once, on the draws as they are,
+    and that choice serves every point, since a positive mean keeps the
+    order within a group; max_u1 and the joint searches read ratios across
+    groups and select at each point.  The joint searches share one
+    far-user grid per tile.
     With overlap, at each point one helper thread starts on their tiles
     while this thread runs the stage-wise schemes and then joins the tile
     queue; then the helper reduces the second joint scheme while this
     thread reduces the first.  Each reduction borrows SINR buffers and a
     choice of its own.
     """
-    means = [None] if len(points) == 1 else [group_means(point) for point in points]
+    means = [group_means(point) for point in points]
     joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
     shared = {}
     sums = [{} for _ in points]
     with contextlib.ExitStack() as stack:
         gains = stack.enter_context(workspace.borrow("gains"))
-        batch = draw_batch(points[0] if len(points) == 1 else unit_params(points[0]), entropy, count, gains)
+        batch = draw_batch(unit_params(points[0]), entropy, count, gains)
 
         def reduce(choice: tuple[np.ndarray, ...], p: int) -> tuple:
             with workspace.borrow("sinrs") as buffers:
@@ -239,15 +211,14 @@ def _run_block(
 
         def stage_wise(p: int) -> None:
             for scheme in schemes:
-                if scheme in ORDER_SCHEMES and means[p] is not None:
+                if scheme in ORDER_SCHEMES:
                     if scheme not in shared:  # held for the block's other points
-                        out = stack.enter_context(workspace.borrow("choice"))
-                        shared[scheme] = _shared_choice(scheme, batch, points[p], entropy, out)
-                    sums[p][scheme] = reduce(_choice_at(scheme, shared[scheme], batch, points[p], means[p]), p)
+                        out = tuple(stack.enter_context(workspace.borrow("choice"))[:, :count])
+                        shared[scheme] = select_batch(scheme, batch, points[p], _rng(scheme, entropy), None, out)
+                    sums[p][scheme] = reduce(shared[scheme], p)
                 elif scheme not in joint:
                     with workspace.borrow("choice") as out:
-                        rng = _rng(scheme, entropy)
-                        choice = select_batch(scheme, batch, points[p], rng, means[p], None, tuple(out[:, :count]))
+                        choice = select_batch(scheme, batch, points[p], None, means[p], tuple(out[:, :count]))
                         sums[p][scheme] = reduce(choice, p)
 
         def reduce_joint(search: JointSearch, scheme: str, p: int) -> tuple:

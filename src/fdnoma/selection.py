@@ -2,7 +2,7 @@
 
 Two proposed schemes (near-user first and far-user e2e maximization),
 the decoupled stage-wise variants the closed-form analysis characterizes,
-an exhaustive sum-rate optimum, and a random baseline.  Ties always break
+an exhaustive sum-rate optimum, and a random baseline.  Exact ties break
 to the lowest index (lexicographic over (i, j, k) for joint searches).
 
 Every scheme works on a GainBatch, a stack of channel realizations, and
@@ -23,12 +23,15 @@ the same indices as one full-batch grid per scheme, on any number of
 threads; ties still break to the lowest flat (i, j, k) index.
 
 Every entry point also takes a batch of unit-mean draws with the mean
-of each group (`means`, in channel.group_means order): the gains a
-scheme reads are then scaled as they are read, in chunk- or tile-sized
-copies, with draw_batch's products.  Each stage of the ORDER_SCHEMES
-picks by order within one group, which scaling keeps, so their choice on
-unit draws holds at every power point except in the rows select_batch
-marks in `fragile`.
+of each group (`means`, in channel.group_means order).  A stage that
+picks the strongest or weakest antenna within one group reads the draws
+as they are: a positive mean keeps their order, and rounding is
+monotone, so the pick is still an extreme of the scaled gains.  Such
+picks follow the draws, and only exact ties among the draws go to the
+lowest index.  That covers every stage of the ORDER_SCHEMES and the
+first stage of max_u1.  The stages that compare gains across groups,
+max_u1's receive stage and the joint searches, read their gathered or
+tiled gains times their means, with draw_batch's products.
 """
 
 from __future__ import annotations
@@ -43,51 +46,30 @@ from .config import SystemParams
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
-# Scaling a group by a positive mean keeps its order, but rounding can make two products equal:
-# x < y may give fl(lam x) == fl(lam y), and then the lowest-index rule picks the earlier index.
-# Nonzero means lie in config.GAIN_RANGE and unit draws are 0 or between about 1e-19 and 45, so
-# every product is a normal float, and two round together only if x and y are within 2^-52 of
-# each other, relatively.  _CLOSE leaves a margin of four times that.
-_CLOSE = 2.0**-50
-
-
-def _pick(values: np.ndarray, largest: bool, fragile: np.ndarray | None) -> np.ndarray:
-    """argmax (largest) or argmin of each row of values.
-
-    Given `fragile`, a row's flag is set when an earlier entry lies within
-    _CLOSE of the pick, so that one positive mean might make it the pick:
-    tilted in favour of earlier entries by _CLOSE per place, such a row's
-    pick moves.  Rows with no earlier entry that close may be set too;
-    exact ties keep the pick, as they do under any mean.
-    """
-    extreme = np.argmax if largest else np.argmin
-    index = extreme(values, axis=1)
-    if fragile is not None:
-        places = np.arange(values.shape[1], 0, -1)
-        tilt = 1.0 + _CLOSE * places if largest else 1.0 - _CLOSE * places
-        fragile |= extreme(values * tilt, axis=1) != index
-    return index
-
-
-def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_max_u1(
+    batch: GainBatch, params: SystemParams, means: tuple[float, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize the near-user SINR, then the relay SINR given that choice.
 
     The first stage is separable: the strongest BS-to-near-user antenna
     and the weakest interfering relay antenna.  The second stage picks the
-    relay receive antenna with the self-interference term included.
+    relay receive antenna with the self-interference term included, on
+    the gathered gains times their means when `means` is given.
     """
     rows = np.arange(batch.count)
     ii = np.argmax(batch.g_su1, axis=1)
     kk = np.argmin(batch.g_ru1, axis=1)
     g_br_row = batch.g_br[rows, ii, :]  # (count, m_r)
     g_si_col = np.take_along_axis(batch.g_si, kk[:, None, None], axis=2)[:, :, 0]  # (count, m_r)
+    if means is not None:  # the gathered copies are scaled in place
+        lam_br, _, _, _, lam_si = means
+        g_br_row *= lam_br
+        g_si_col *= lam_si
     jj = np.argmax(relay_sinr(g_br_row, g_si_col, params.a1, params.a2), axis=1)
     return ii, jj, kk
 
 
-def batch_max_u1_analytic(
-    batch: GainBatch, params: SystemParams, fragile: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_max_u1_analytic(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """As batch_max_u1 but the receive stage maximizes the BS-relay gain alone.
 
     Ignoring self-interference at that stage decouples the receive antenna
@@ -95,9 +77,9 @@ def batch_max_u1_analytic(
     describe.
     """
     rows = np.arange(batch.count)
-    ii = _pick(batch.g_su1, True, fragile)
-    kk = _pick(batch.g_ru1, False, fragile)
-    jj = _pick(batch.g_br[rows, ii, :], True, fragile)
+    ii = np.argmax(batch.g_su1, axis=1)
+    kk = np.argmin(batch.g_ru1, axis=1)
+    jj = np.argmax(batch.g_br[rows, ii, :], axis=1)
     return ii, jj, kk
 
 
@@ -196,17 +178,15 @@ class JointSearch:
         return ii, jj, kk
 
 
-def batch_max_u2_decoupled(
-    batch: GainBatch, params: SystemParams, fragile: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_max_u2_decoupled(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage-wise far-user selection: best relay-to-far link, then least
     self-interference into it, then strongest BS feed for that receive
     antenna.  This is the variant the closed forms describe."""
     rows = np.arange(batch.count)
-    kk = _pick(batch.g_ru2, True, fragile)
+    kk = np.argmax(batch.g_ru2, axis=1)
     g_si_col = np.take_along_axis(batch.g_si, kk[:, None, None], axis=2)[:, :, 0]
-    jj = _pick(g_si_col, False, fragile)
-    ii = _pick(batch.g_br[rows, :, jj], True, fragile)
+    jj = np.argmin(g_si_col, axis=1)
+    ii = np.argmax(batch.g_br[rows, :, jj], axis=1)
     return ii, jj, kk
 
 
@@ -241,8 +221,6 @@ NEEDS_RNG = {"random"}
 ORDER_SCHEMES = ("max_u1_analytic", "max_u2_decoupled", "random")
 
 _SELECT_ROWS = 1 << 12
-# Rows per scaled chunk copy: 352 KiB at 4x4x4, where one of _SELECT_ROWS rows took twice as long.
-_SCALED_ROWS = 1 << 10
 
 
 def check_scheme(scheme: str) -> str:
@@ -257,20 +235,16 @@ def select_batch(
     params: SystemParams,
     rng: np.random.Generator | None = None,
     means: tuple[float, ...] | None = None,
-    fragile: np.ndarray | None = None,
     out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scheme's (i, j, k) per row of the batch, whose gains are scaled by `means` when given.
 
-    Given `fragile` (one bool per row), an ORDER_SCHEMES scheme sets it in
-    the rows where some positive means could make a stage pick otherwise
-    (random, which reads no gain, in none).  Given `out`, three arrays of
-    batch.count entries of an integer type that holds the antenna indices,
-    the choice is written there and `out` is returned.
+    The ORDER_SCHEMES read no mean: they pick by order within a group, so
+    their choice on unit draws is that of every power point.  Given `out`,
+    three arrays of batch.count entries of an integer type that holds the
+    antenna indices, the choice is written there and `out` is returned.
     """
     check_scheme(scheme)
-    if fragile is not None and scheme not in ORDER_SCHEMES:
-        raise ValueError(f"scheme {scheme!r} reads ratios across gain groups; it has no fragile rows to mark")
     if scheme in JOINT_SCHEMES:
         search = JointSearch(batch, params, (scheme,), means)
         search.run()
@@ -285,12 +259,10 @@ def select_batch(
             whole[:] = chosen
         return out
     # The stage-wise kernels work row by row: chunks give the same indices with chunk-sized temporaries.
-    kernel, step = _BATCH[scheme], _SELECT_ROWS if means is None else _SCALED_ROWS
+    extra = () if scheme in ORDER_SCHEMES else (means,)
     choice = tuple(np.empty(batch.count, dtype=np.intp) for _ in range(3)) if out is None else out
-    for start in range(0, batch.count, step):
-        part = batch.rows(start, start + step)
-        part = part if means is None else part.scaled(means)
-        flags = () if fragile is None else (fragile[start : start + part.count],)
-        for whole, chosen in zip(choice, kernel(part, params, *flags)):
+    for start in range(0, batch.count, _SELECT_ROWS):
+        part = batch.rows(start, start + _SELECT_ROWS)
+        for whole, chosen in zip(choice, _BATCH[scheme](part, params, *extra)):
             whole[start : start + part.count] = chosen
     return choice

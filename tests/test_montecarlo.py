@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo, results, selection
-from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch, group_means, unit_params
+from fdnoma.channel import DEFAULT_BLOCK_SIZE, GROUPS, blocks, draw_batch, group_means, unit_params
 from fdnoma.config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params, power_points
 from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from fdnoma.montecarlo import (
@@ -321,13 +321,24 @@ def csv_by_worker_count(params, spec, tmp_path, monkeypatch, block_size):
     return written
 
 
-@pytest.mark.parametrize("overrides", [{}, {"m_b": 3, "m_r": 5, "m_t": 2}])
-def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, tmp_path, monkeypatch, fast_switching):
-    # Six schemes at two points; 40,001 trials in blocks of 2**14 leave a
-    # ragged last block of 7,233.  Blocks run on 1, 2 or 3 threads, switched
-    # often, and each CSV must equal the one reduced block by block in the
-    # calling thread.
-    spec = SweepSpec(power_db=(0.0, 20.0), schemes=SCHEMES, trials=40_001, seed=17)
+@pytest.mark.parametrize(
+    "overrides,power_db",
+    [
+        ({}, (0.0, 20.0)),
+        ({"m_b": 3, "m_r": 5, "m_t": 2}, (0.0, 20.0)),
+        ({}, (20.0,)),
+        ({"k1": 0.0}, (0.0, 20.0)),
+        # every mean gain reaches both ends of GAIN_RANGE, 1e-100 and 1e100
+        ({"k1": 1.0, "var_si": 1.0}, (-1000.0, 0.0, 1000.0)),
+    ],
+    ids=["overrides0", "overrides1", "one-point", "k1=0", "gain-range-ends"],
+)
+def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, power_db, tmp_path, monkeypatch, fast_switching):
+    # Six schemes; 40,001 trials in blocks of 2**14 leave a ragged last
+    # block of 7,233.  Blocks run on 1, 2 or 3 threads, switched often, and
+    # each CSV must equal the one drawn at each point's powers and reduced
+    # block by block in the calling thread.
+    spec = SweepSpec(power_db=power_db, schemes=SCHEMES, trials=40_001, seed=17)
     written = csv_by_worker_count(make_params(**overrides), spec, tmp_path, monkeypatch, 1 << 14)
     for workers in (1, 2, 3):
         assert written[workers] == written["sequential"], workers
@@ -394,58 +405,66 @@ def planted_pair_batch(params, seed=5, count=64):
     return unit
 
 
-@pytest.mark.parametrize("scheme", selection.ORDER_SCHEMES)
+@pytest.mark.parametrize("scheme", [*selection.ORDER_SCHEMES, "max_u1"])
 @pytest.mark.parametrize(
     "overrides,power_db",
     [({}, (-20.0, 0.0, 20.0, 40.0)), ({"k1": 0.0}, (0.0, 30.0)), ({"m_b": 3, "m_r": 5, "m_t": 2}, (10.0,))],
     ids=["4x4x4", "k1=0", "3x5x2"],
 )
 def test_shared_choice_equals_select_batch_on_the_scaled_batch(scheme, overrides, power_db):
+    # An ORDER_SCHEMES scheme's one choice on the unit draws, and max_u1's on them given each
+    # point's means, equal the choice on the batch drawn at the point's powers.
     params = make_params(**overrides)
     entropy = (31, 2)
-    unit = draw_batch(unit_params(params), entropy, 20_000)
-    shared = montecarlo._shared_choice(scheme, unit, params, entropy, np.empty((3, unit.count), dtype=np.uint8))
-    for point in power_points(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
-        scaled = draw_batch(point, entropy, unit.count)
+
+    def select(batch, point, means=None):
         rng = np.random.default_rng(np.random.SeedSequence((*entropy, montecarlo._RANDOM_SALT)))
-        expected = select_batch(scheme, scaled, point, rng)
-        got = montecarlo._choice_at(scheme, shared, unit, point, group_means(point))
+        return select_batch(scheme, batch, point, rng, means)
+
+    unit = draw_batch(unit_params(params), entropy, 20_000)
+    shared = select(unit, params)
+    for point in power_points(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
+        expected = select(draw_batch(point, entropy, unit.count), point)
+        got = select(unit, point, group_means(point)) if scheme == "max_u1" else shared
         for axis in range(3):
             np.testing.assert_array_equal(got[axis], expected[axis])
 
 
-@pytest.mark.parametrize("scheme", ["max_u1_analytic", "max_u2_decoupled"])
-def test_shared_choice_reselects_a_planted_pair_that_scaling_rounds_together(scheme):
+@pytest.mark.parametrize("scheme", ["max_u1", "max_u1_analytic", "max_u2_decoupled"])
+def test_a_planted_pair_follows_the_draws(scheme):
+    # Each planted pair is two draws that one mean rounds to a single gain: the pick is the
+    # extreme draw, not the lowest index of the tied gains, and its gain is still the extreme.
     lam = 1.0 + 2.0**-52
     params = make_params(rho_s=1.0, rho_r=1.0, k1=1.0, var_bu1=lam, var_ru1=lam, var_ru2=lam)
     means = group_means(params)
     unit = planted_pair_batch(params)
-    scaled = unit.scaled(means)
-    # the pair is distinct in the unit draws and one value once scaled
-    for group, row in (("g_su1", 0), ("g_ru2", 1), ("g_ru1", 2)):
-        values = getattr(unit, group)[row, :2]
-        assert values[0] != values[1]
-        assert getattr(scaled, group)[row, 0] == getattr(scaled, group)[row, 1]
-    out = np.empty((3, unit.count), dtype=np.uint8)
-    choice, fragile = shared = montecarlo._shared_choice(scheme, unit, params, (5, 0), out)
-    expected = select_batch(scheme, scaled, params)
-    planted = {"max_u1_analytic": (0, 2), "max_u2_decoupled": (1,)}[scheme]
-    assert set(planted) <= set(fragile.tolist())
-    for row in planted:  # the unit choice differs from the scaled one in the planted rows
-        assert any(choice[axis][row] != expected[axis][row] for axis in range(3))
-    got = montecarlo._choice_at(scheme, shared, unit, params, means)
-    for axis in range(3):
-        np.testing.assert_array_equal(got[axis], expected[axis])
+    choice = select_batch(scheme, unit, params, None, means)
+    # (group, planted row, axis of the pick, the stage's extreme)
+    stages = {"max_u2_decoupled": (("g_ru2", 1, 2, np.max),)}.get(
+        scheme, (("g_su1", 0, 0, np.max), ("g_ru1", 2, 2, np.min))
+    )
+    for group, row, axis, extreme in stages:
+        draws = getattr(unit, group)[row]
+        gains = draws * means[GROUPS.index(group)]
+        assert draws[0] != draws[1] and gains[0] == gains[1]
+        pick = choice[axis][row]
+        assert pick == 1 and draws[pick] == extreme(draws)
+        assert gains[pick] == extreme(gains)
+    if scheme == "max_u1":  # the closed-form variant makes the same first-stage picks, so the same rate_u1
+        same_stage = select_batch("max_u1_analytic", unit, params, None, means)
+        for axis in (0, 2):
+            np.testing.assert_array_equal(choice[axis], same_stage[axis])
 
 
 def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkeypatch):
-    # 4 points and 3 blocks: 3 draws, one selection per block for each ORDER_SCHEMES scheme,
-    # one per block and point for max_u1, which reads ratios across groups.
+    # 3 blocks at 4 points or at one: 3 draws, every mean 1 but lam_ru1 0 at k1 = 0, one selection
+    # per block for each ORDER_SCHEMES scheme, one per block and point for max_u1, which reads
+    # ratios across groups.
     draws, selections = [], []
     draw, select = montecarlo.draw_batch, montecarlo.select_batch
 
     def counting_draw(params, entropy, count, into=None):
-        draws.append(entropy)
+        draws.append((entropy, group_means(params)))
         return draw(params, entropy, count, into)
 
     def counting_select(scheme, *args):
@@ -455,11 +474,15 @@ def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkey
     monkeypatch.setattr(montecarlo, "draw_batch", counting_draw)
     monkeypatch.setattr(montecarlo, "select_batch", counting_select)
     schemes = ("max_u1", *selection.ORDER_SCHEMES)
-    spec = SweepSpec(power_db=(0.0, 10.0, 20.0, 30.0), schemes=schemes, trials=2 * DEFAULT_BLOCK_SIZE + 1, seed=3)
-    run_sweep(make_params(m_b=2, m_r=2, m_t=2), spec)
-    assert sorted(draws) == [(3, 0), (3, 1), (3, 2)]
-    counts = collections.Counter(selections)
-    assert counts == {"max_u1": 12, **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
+    for overrides, power_db in (({}, (0.0, 10.0, 20.0, 30.0)), ({}, (20.0,)), ({"k1": 0.0}, (20.0,))):
+        draws.clear()
+        selections.clear()
+        spec = SweepSpec(power_db=power_db, schemes=schemes, trials=2 * DEFAULT_BLOCK_SIZE + 1, seed=3)
+        run_sweep(make_params(m_b=2, m_r=2, m_t=2, **overrides), spec)
+        unit_means = (1.0, 1.0, 0.0 if overrides else 1.0, 1.0, 1.0)
+        assert sorted(draws) == [((3, block), unit_means) for block in range(3)]
+        counts = collections.Counter(selections)
+        assert counts == {"max_u1": 3 * len(power_db), **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
 
 
 def test_lone_block_reduces_the_joint_schemes_on_two_threads(baseline, monkeypatch):
