@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import MeanGains, PowerGrid, SweepSpec, SystemParams, gains_at, power_points, thresholds
+from .config import PowerGrid, SweepSpec, SystemParams, gains_at, power_points, thresholds
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
@@ -392,7 +392,7 @@ class Laws:
             raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
         params, ones = grid.params, np.ones(len(grid))
         self.grid, self.scheme, self.a1, self.a2 = grid, scheme, params.a1, params.a2
-        gains = MeanGains(*gains_at(params, np.array(grid.rho_s), np.array(grid.rho_r)))
+        gains = gains_at(params, np.array(grid.rho_s), np.array(grid.rho_r))
         self.links = [(m, *(v * ones for v in means)) for m, *means in _LINKS[scheme](params, gains)]
 
     def _at(self, link: tuple, rows, t, survival: bool = False) -> np.ndarray:

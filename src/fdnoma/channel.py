@@ -1,14 +1,14 @@
 """Rayleigh-fading channel draws exposed as per-antenna power gains.
 
 Only squared envelopes enter the SINR expressions, so gains are drawn
-directly as exponentials (|CN(0, v)|^2 is exponential with mean v) with
-the transmit SNR folded into the mean.  Streams are keyed by
-(seed, stream) so trials reproduce independently of scheduling.  A gain
-is a unit-mean draw times its group's mean, so the draws of one stream
-serve every power point: draw_batch(unit_params(params), ...) gives them
-unscaled.  A positive mean keeps the order of a group's draws, and
-rounding is monotone, so scaling can make two gains equal but never
-swap them: a pick within one group follows the draws at every point.
+directly as exponentials (|CN(0, v)|^2 is exponential with mean v).
+Streams are keyed by (seed, stream) so trials reproduce independently of
+scheduling.  A gain is a unit-mean draw times its group's mean, which
+holds the transmit SNR: a GainBatch is a stream's unit draws and the mean
+gains of the point that reads them, and batch.at(point) reads the same
+draws at another power point.  A positive mean keeps the order of a
+group's draws, and rounding is monotone, so scaling can make two gains
+equal but never swap them: a pick within one group follows the draws.
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SystemParams, gains_at
+from .config import MeanGains, SystemParams, check_run, mean_gains, validate
 
 
 @dataclass(frozen=True)
 class GainBatch:
-    """Trial-major stacks of `count` realizations from one stream.
+    """Trial-major stacks of `count` realizations from one stream, and the mean gain of each group.
 
-    Power gains with the SNR folded in.  g_br[t, i, j]: BS antenna i to
-    relay receive antenna j; g_si[t, j, k]: relay transmit antenna k into
-    receive antenna j, in trial t.
+    A gain is its group's draw times its mean in `means`, a product every
+    reader takes after it gathers; with unit means the draws are the gains.
+    g_br[t, i, j]: BS antenna i to relay receive antenna j; g_si[t, j, k]:
+    relay transmit antenna k into receive antenna j, in trial t.
     """
 
     g_br: np.ndarray  # (count, m_b, m_r)
@@ -37,30 +38,19 @@ class GainBatch:
     g_ru2: np.ndarray  # (count, m_t)
     g_si: np.ndarray  # (count, m_r, m_t)
     count: int
+    means: MeanGains = MeanGains(1.0, 1.0, 1.0, 1.0, 1.0)
 
     def rows(self, start: int, stop: int) -> GainBatch:
         """The realizations start:stop (clipped to the batch), as views."""
         stop = min(stop, self.count)
-        return GainBatch(*(getattr(self, name)[start:stop] for name in GROUPS), count=stop - start)
+        return GainBatch(*(getattr(self, name)[start:stop] for name in GROUPS), stop - start, self.means)
+
+    def at(self, params: SystemParams) -> GainBatch:
+        """The same draws read at params' mean gains: another point of the power grid they were drawn for."""
+        return replace(self, means=mean_gains(params))
 
 
 GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")
-
-
-def group_means(params: SystemParams) -> tuple[float, ...]:
-    """The mean gain of each of the GROUPS, in order: the fields of config.mean_gains."""
-    return gains_at(params, params.rho_s, params.rho_r)
-
-
-def unit_params(params: SystemParams) -> SystemParams:
-    """params with every mean gain 1, but 0 where k1 = 0 makes lam_ru1 0 at every power.
-
-    draw_batch of it gives a stream's unit draws (times 0 in a zero-mean
-    group), and draw_batch(params) is those draws times group_means(params),
-    bit for bit: 1.0 and 0.0 scale exactly.
-    """
-    return replace(params, rho_s=1.0, rho_r=1.0, var_br=1.0, var_bu1=1.0, var_ru1=1.0, var_ru2=1.0,
-                   var_si=1.0, k1=float(params.k1 > 0.0))
 
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -90,14 +80,15 @@ def empty_batch(params: SystemParams, count: int) -> GainBatch:
 def draw_batch(
     params: SystemParams, entropy: tuple[int, ...], count: int, into: GainBatch | None = None
 ) -> GainBatch:
-    """Draw `count` i.i.d. realizations from the stream keyed by `entropy`.
+    """Draw `count` i.i.d. realizations from the stream keyed by `entropy`, at params' mean gains.
 
-    Group order (g_br, g_su1, g_ru1, g_ru2, g_si) is fixed so a stream
-    always yields the same batch for the same count.  Draws are consumed
-    even when k1 = 0 (the zero mean just scales them away), keeping the
-    remaining groups aligned across parameter sets.  The batch is drawn
-    into the first `count` rows of `into`, an empty_batch of these antenna
-    counts, or into fresh buffers; either way it holds the same bits.
+    The batch holds unit-mean draws and the means of params.  Group order
+    (g_br, g_su1, g_ru1, g_ru2, g_si) is fixed so a stream always yields the
+    same draws for the same count.  A group of mean 0 (k1 = 0) is drawn as
+    zeros, which it is at every point, but its draws are still consumed,
+    keeping the remaining groups aligned across parameter sets.  The batch
+    is drawn into the first `count` rows of `into`, an empty_batch of these
+    antenna counts, or into fresh buffers; either way it holds the same bits.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
@@ -107,12 +98,12 @@ def draw_batch(
     elif into.count < count or into.g_br.shape[1:] + into.g_si.shape[2:] != shape:
         raise ValueError(f"buffers {into.g_br.shape[:2] + into.g_si.shape[1:]} cannot take {count} trials at {shape}")
     rng = _generator(entropy)
-    batch = into.rows(0, count)
-    for name, lam in zip(GROUPS, group_means(params)):
+    batch = replace(into.rows(0, count), means=mean_gains(params))
+    for name, lam in zip(GROUPS, batch.means):
         group = getattr(batch, name)
         rng.standard_exponential(out=group)
-        if lam != 1.0:  # times 1.0 is exact, so a unit draw skips the pass
-            group *= lam  # the same products as lam * draws
+        if lam == 0.0:
+            group[...] = 0.0
     return batch
 
 
@@ -127,15 +118,18 @@ def dump_columns(params: SystemParams) -> list[str]:
 
 
 def dump_realizations(params: SystemParams, seed: int, trials: int, path: str | Path) -> None:
-    """Write one realization per row, in the simulator's block layout.
+    """Write the gains of one realization per row, in the simulator's block layout.
 
     Row t is trial t of a simulation with this seed at params' powers:
     of estimate_rates(params, scheme, trials, seed), say, or of the row of
     a sweep whose power point these params are, since every point of a
     sweep reads the streams of its seed.  Block b is the batch
     draw_batch(params, (seed, b), count) of DEFAULT_BLOCK_SIZE trials,
-    fewer in the last block.
+    fewer in the last block, each draw times its group's mean.  Bad
+    arguments raise the estimators' ConfigError before the file opens.
     """
+    validate(params)
+    check_run(trials, seed)
     columns = dump_columns(params)
     # %.17g round-trips every float; \r\n is the csv module's line ending
     fmt = ["%d"] + ["%.17g"] * (len(columns) - 1)
@@ -144,5 +138,6 @@ def dump_realizations(params: SystemParams, seed: int, trials: int, path: str | 
         for index, offset, count in blocks(trials):
             batch = draw_batch(params, (seed, index), count)
             trial = np.arange(offset, offset + count)[:, None]
-            table = np.concatenate([trial, *(getattr(batch, name).reshape(count, -1) for name in GROUPS)], axis=1)
+            gains = (getattr(batch, name).reshape(count, -1) * lam for name, lam in zip(GROUPS, batch.means))
+            table = np.concatenate([trial, *gains], axis=1)
             np.savetxt(handle, table, fmt=fmt, delimiter=",", newline="\r\n")

@@ -11,6 +11,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -59,8 +60,7 @@ class SystemParams:
     rate2: float = 0.5
 
 
-@dataclass(frozen=True)
-class MeanGains:
+class MeanGains(NamedTuple):
     """Mean of the exponential per-antenna power gain of each link group.
 
     lam_ru1 folds the inter-user interference strength k1 into the
@@ -75,7 +75,6 @@ class MeanGains:
     lam_si: float
 
 
-_GAIN_NAMES = tuple(field.name for field in fields(MeanGains))
 KNOWN_METRICS = ("rates", "outage", "jain")
 
 
@@ -152,7 +151,7 @@ def validate(params: SystemParams) -> SystemParams:
         raise ConfigError("POWER_SPLIT_INVALID", f"need 0 < a1 < a2, got a1={params.a1!r}, a2={params.a2!r}")
     for name in ("m_b", "m_r", "m_t"):
         count = getattr(params, name)
-        if not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:  # a bool is an int, but no count
             raise ConfigError("ANTENNA_COUNT_INVALID", f"{name} must be a positive integer, got {count!r}")
     for name in ("var_br", "var_bu1", "var_ru1", "var_ru2", "var_si"):
         if not getattr(params, name) > 0.0:
@@ -183,7 +182,7 @@ def _check_snrs(rho_s: float, rho_r: float) -> None:
 
 def _check_gains(params: SystemParams, rho_s: float, rho_r: float) -> None:
     low, high = GAIN_RANGE
-    for name, gain in zip(_GAIN_NAMES, gains_at(params, rho_s, rho_r)):
+    for name, gain in zip(MeanGains._fields, gains_at(params, rho_s, rho_r)):
         # k1 = 0 switches the inter-user interference off: lam_ru1 is 0 then.
         if not low <= gain <= high and not (name == "lam_ru1" and params.k1 == 0.0):
             raise ConfigError("GAIN_OUT_OF_RANGE", f"mean gain {name} = {gain!r} is outside [{low:g}, {high:g}]")
@@ -191,13 +190,13 @@ def _check_gains(params: SystemParams, rho_s: float, rho_r: float) -> None:
 
 def mean_gains(params: SystemParams) -> MeanGains:
     """Mean per-antenna power gains implied by the parameter set."""
-    return MeanGains(*gains_at(params, params.rho_s, params.rho_r))
+    return gains_at(params, params.rho_s, params.rho_r)
 
 
-def gains_at(params: SystemParams, rho_s, rho_r) -> tuple:
-    """The fields of mean_gains at the powers rho_s and rho_r, floats or arrays alike."""
-    return (rho_s * params.var_br, rho_s * params.var_bu1, rho_r * params.k1 * params.var_ru1,
-            rho_r * params.var_ru2, rho_r * params.var_si)
+def gains_at(params: SystemParams, rho_s, rho_r) -> MeanGains:
+    """The mean gains of params at the powers rho_s and rho_r, floats or arrays alike."""
+    return MeanGains(rho_s * params.var_br, rho_s * params.var_bu1, rho_r * params.k1 * params.var_ru1,
+                     rho_r * params.var_ru2, rho_r * params.var_si)
 
 
 def thresholds(params: SystemParams) -> tuple[float, float]:

@@ -6,9 +6,9 @@ forms and their sweep in analytic.
 Trials are drawn in fixed-size blocks, one RNG stream per block, keyed
 (seed, block) at every power point.  A simulation runs over a power grid
 of one point or many, blocks outside and points inside: a block is drawn
-once, as unit-mean gains that each point reads times its own mean gains,
-with the products draw_batch would give, and the stage-wise
-ORDER_SCHEMES choose once per block for every point (see _run_block).
+once, as a GainBatch of unit-mean draws that each point reads at its own
+mean gains (GainBatch.at), and the stage-wise ORDER_SCHEMES choose once
+per block for every point (see _run_block).
 So a sweep row equals estimate_metrics at its point, bit for bit, and
 every scheme at every point sees the same channel realizations (common
 random numbers), which makes the per-realization dominance relations
@@ -26,7 +26,7 @@ stage-wise schemes, then both share the tiles that are left, and the two
 joint schemes' sums are reduced one per thread.  Each thread running
 blocks holds one block workspace for the length of a sweep or estimator
 call: a gain batch (about 22 MiB at 4x4x4 antennas), a set of
-gather/SINR buffers and the schemes' choices.  Blocks are drawn,
+gather/SINR buffers and one choice slot per scheme.  Blocks are drawn,
 gathered and reduced in place, and the buffers are freed when the call
 returns.
 """
@@ -39,8 +39,9 @@ import os
 
 import numpy as np
 
-from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch, group_means, unit_params
-from .config import KNOWN_METRICS, PowerGrid, SweepSpec, SystemParams, check_run, power_points, thresholds, validate
+from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
+from .config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, check_run, power_points
+from .config import thresholds, validate
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, check_scheme, select_batch
@@ -65,7 +66,6 @@ def chosen_sinrs(
     kk: np.ndarray,
     params: SystemParams,
     out: SinrBuffers | None = None,
-    means: tuple[float, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-realization SINRs under the chosen (i, j, k) of every row of the batch.
 
@@ -73,8 +73,8 @@ def chosen_sinrs(
     own SINR, the far-user symbol at the near user, at the relay, end to
     end (the minimum of the last three), and the relay-to-far-user SNR,
     as rows of `out` (fresh buffers when None), computed in place by
-    relay_sinr, cross_sinr and near_sinr.  Given `means`, the batch holds
-    unit draws, and each gathered gain is scaled by its group's mean.
+    relay_sinr, cross_sinr and near_sinr.  Each gathered draw is scaled
+    by its group's mean in batch.means, which gives the gain.
     """
     n, a1, a2 = batch.count, params.a1, params.a2
     m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
@@ -86,17 +86,16 @@ def chosen_sinrs(
     rows, index = out.rows[:n], out.index[:n]
     gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = out.values[:, :n]
 
-    lam_br, lam_su1, lam_ru1, lam_ru2, lam_si = (None,) * 5 if means is None else means
+    lam_br, lam_su1, lam_ru1, lam_ru2, lam_si = batch.means
 
-    def gather(gains: np.ndarray, lam, into: np.ndarray, *axes: tuple[np.ndarray, int]) -> np.ndarray:
-        # gains[row, i, ...] through the row-major flat index (row * n_i + i) * ..., taken straight into `into`
+    def gather(draws: np.ndarray, lam: float, into: np.ndarray, *axes: tuple[np.ndarray, int]) -> np.ndarray:
+        # draws[row, i, ...] through the row-major flat index (row * n_i + i) * ..., taken straight into `into`
         np.copyto(index, rows)
         for chosen, size in axes:
             np.multiply(index, size, out=index)
             np.add(index, chosen, out=index)
-        np.take(gains.reshape(-1), index, out=into, mode="clip")
-        if lam is not None:
-            into *= lam  # the product draw_batch makes, taken after the gather
+        np.take(draws.reshape(-1), index, out=into, mode="clip")
+        into *= lam  # the gain, taken after the gather
         return into
 
     # gamma_2 and g_ru2 hold gathered gains until their own values are due; gamma_1 is scratch.
@@ -118,7 +117,6 @@ def _scheme_sums(
     params: SystemParams,
     thresholds: tuple[float, float],
     out: SinrBuffers,
-    means: tuple[float, ...] | None = None,
 ) -> tuple:
     """One scheme's partial sums over a block under its (i, j, k) choice.
 
@@ -127,7 +125,7 @@ def _scheme_sums(
     """
     theta1, theta2 = thresholds
     n = batch.count
-    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params, out, means)
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params, out)
     out1 = n - int(np.count_nonzero((gamma_12 > theta2) & (gamma_1 > theta1)))
     out2 = n - int(np.count_nonzero((gamma_r > theta2) & (g_ru2 > theta2)))
     r1, r2 = rate_bits(gamma_1, out=gamma_1), rate_bits(gamma_2, out=gamma_2)
@@ -141,16 +139,17 @@ class _Workspace:
 
     borrow(kind) lends one thread at a time a buffer of `capacity` trials,
     made when none is free: "gains", a gain batch; "sinrs", a set of SINR
-    buffers; "choice", one scheme's (i, j, k) in the smallest unsigned type
-    that indexes the antennas.  All are freed with the workspace.
+    buffers; "choice", a (schemes, 3, capacity) array, each scheme's (i, j, k)
+    in the smallest unsigned type that indexes the antennas.  All are freed
+    with the workspace.
     """
 
-    def __init__(self, params: SystemParams, capacity: int):
+    def __init__(self, params: SystemParams, capacity: int, schemes: int):
         index = np.min_scalar_type(max(params.m_b, params.m_r, params.m_t) - 1)
         self._make = {
             "gains": lambda: empty_batch(params, capacity),
             "sinrs": lambda: SinrBuffers(capacity),
-            "choice": lambda: np.empty((3, capacity), dtype=index),
+            "choice": lambda: np.empty((schemes, 3, capacity), dtype=index),
         }
         self._free = {kind: [] for kind in self._make}
 
@@ -181,78 +180,54 @@ def _run_block(
     count: int,
     thresholds: tuple[float, float],
     workspace: _Workspace,
-    overlap: bool = False,
+    helper=None,
 ) -> list[dict[str, tuple]]:
     """Draw one block into the workspace and return, per point, each scheme's partial sums.
 
-    The block holds unit draws, which each point reads times its
-    group_means.  The ORDER_SCHEMES select once, on the draws as they are,
-    and that choice serves every point, since a positive mean keeps the
-    order within a group; max_u1 and the joint searches read ratios across
-    groups and select at each point.  The joint searches share one
-    far-user grid per tile.
-    With overlap, at each point one helper thread starts on their tiles
-    while this thread runs the stage-wise schemes and then joins the tile
-    queue; then the helper reduces the second joint scheme while this
-    thread reduces the first.  Each reduction borrows SINR buffers and a
-    choice of its own.
+    Each point reads the block's draws at its own mean gains (batch.at).
+    The ORDER_SCHEMES select once, at the first point, and that choice
+    serves every point, since a positive mean keeps the order within a
+    group; max_u1 and the joint searches read ratios across groups and
+    select at each point.  The joint searches share one far-user grid per
+    tile.  Each scheme's choice has its slot in the block's choice array.
+    Given `helper`, a one-thread executor and at least one joint scheme, at
+    each point the helper starts on their tiles while this thread runs the
+    stage-wise schemes and then joins the tile queue; then the helper
+    reduces the second joint scheme while this thread reduces the first.
+    Each reduction borrows SINR buffers of its own.
     """
-    means = [group_means(point) for point in points]
     joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
-    shared = {}
-    sums = [{} for _ in points]
-    with contextlib.ExitStack() as stack:
-        gains = stack.enter_context(workspace.borrow("gains"))
-        batch = draw_batch(unit_params(points[0]), entropy, count, gains)
+    with workspace.borrow("gains") as gains, workspace.borrow("choice") as choices:
+        drawn = draw_batch(points[0], entropy, count, gains)
+        slots = {scheme: tuple(slot[:, :count]) for scheme, slot in zip(schemes, choices)}
 
-        def reduce(choice: tuple[np.ndarray, ...], p: int) -> tuple:
+        def reduce(batch: GainBatch, choice: tuple[np.ndarray, ...], point: SystemParams) -> tuple:
             with workspace.borrow("sinrs") as buffers:
-                return _scheme_sums(batch, choice, points[p], thresholds, buffers, means[p])
+                return _scheme_sums(batch, choice, point, thresholds, buffers)
 
-        def stage_wise(p: int) -> None:
-            for scheme in schemes:
-                if scheme in ORDER_SCHEMES:
-                    if scheme not in shared:  # held for the block's other points
-                        out = tuple(stack.enter_context(workspace.borrow("choice"))[:, :count])
-                        shared[scheme] = select_batch(scheme, batch, points[p], _rng(scheme, entropy), None, out)
-                    sums[p][scheme] = reduce(shared[scheme], p)
-                elif scheme not in joint:
-                    with workspace.borrow("choice") as out:
-                        choice = select_batch(scheme, batch, points[p], None, means[p], tuple(out[:, :count]))
-                        sums[p][scheme] = reduce(choice, p)
+        def reduce_joint(search: JointSearch, scheme: str, point: SystemParams) -> tuple:
+            return reduce(search.batch, search.indices(scheme, slots[scheme]), point)
 
-        def reduce_joint(search: JointSearch, scheme: str, p: int) -> tuple:
-            with workspace.borrow("choice") as out:
-                return reduce(search.indices(scheme, tuple(out[:, :count])), p)
-
-        def point(p: int) -> None:
+        def at_point(first: bool, point: SystemParams) -> dict[str, tuple]:
             # a point's search, and its flat indices, are freed before the next point's is made
-            if not joint:
-                stage_wise(p)
-                return
-            search = JointSearch(batch, points[p], joint, means[p])
-            if helper is None:
-                stage_wise(p)
+            batch, sums = drawn.at(point), {}
+            search = JointSearch(batch, point, joint) if joint else None
+            tiles = None if helper is None else helper.submit(search.run)
+            for scheme in schemes:
+                if scheme not in joint:
+                    if first or scheme not in ORDER_SCHEMES:  # an order scheme's first choice serves every point
+                        select_batch(scheme, batch, point, _rng(scheme, entropy), slots[scheme])
+                    sums[scheme] = reduce(batch, slots[scheme], point)
+            if search is not None:
                 search.run()
-                sums[p].update((scheme, reduce_joint(search, scheme, p)) for scheme in joint)
-                return
-            tiles = helper.submit(search.run)
-            stage_wise(p)
-            search.run()
-            tiles.result()
-            tail = {scheme: helper.submit(reduce_joint, search, scheme, p) for scheme in joint[1:]}
-            sums[p][joint[0]] = reduce_joint(search, joint[0], p)
-            sums[p].update((scheme, future.result()) for scheme, future in tail.items())
+                if tiles is not None:
+                    tiles.result()
+                tail = {scheme: helper.submit(reduce_joint, search, scheme, point) for scheme in joint[1:] if helper}
+                for scheme in joint:
+                    sums[scheme] = tail[scheme].result() if scheme in tail else reduce_joint(search, scheme, point)
+            return sums
 
-        helper = None
-        if joint and overlap:
-            # Imported here, so a run that needs no helper does not load the thread machinery.
-            from concurrent.futures import ThreadPoolExecutor
-
-            helper = stack.enter_context(ThreadPoolExecutor(1))
-        for p in range(len(points)):
-            point(p)
-    return sums
+        return [at_point(p == 0, point) for p, point in enumerate(points)]
 
 
 def _available_cpus() -> int:
@@ -287,16 +262,18 @@ def _simulate(
     """
     points = [validate(point) for point in grid]
     check_run(trials, entropy_base[0])
+    if not schemes:
+        raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
     for scheme in schemes:
         check_scheme(scheme)
     theta = thresholds(points[0])
     per_block = [{scheme: [] for scheme in schemes} for _ in points]
     unique = tuple(per_block[0])  # a repeated scheme is simulated once
-    workspace = _Workspace(points[0], min(block_size, trials))
+    workspace = _Workspace(points[0], min(block_size, trials), len(unique))
 
-    def run(block: tuple[int, int, int], overlap: bool = False) -> list[dict[str, tuple]]:
+    def run(block: tuple[int, int, int], helper=None) -> list[dict[str, tuple]]:
         index, _, count = block
-        return _run_block(points, unique, (*entropy_base, index), count, theta, workspace, overlap)
+        return _run_block(points, unique, (*entropy_base, index), count, theta, workspace, helper)
 
     def collect(partials) -> list[dict[str, list[tuple]]]:
         for block in partials:  # in block order
@@ -307,11 +284,15 @@ def _simulate(
 
     layout = blocks(trials, block_size)
     workers = min(2, _available_cpus()) if workers is None else workers
-    if workers < 2 or trials <= block_size:
-        return collect(run(block, overlap=workers >= 2) for block in layout)
-    # Imported here, so a run that needs no pool does not load the thread machinery.
+    lone = trials <= block_size
+    if workers < 2 or lone and not set(unique) & set(JOINT_SCHEMES):
+        return collect(map(run, layout))
+    # Imported here, so a run that needs no thread does not load the thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
+    if lone:  # a one-thread helper for the joint searches' tiles and sums
+        with ThreadPoolExecutor(1) as helper:
+            return collect(run(block, helper) for block in layout)
     with ThreadPoolExecutor(workers) as pool:
         return collect(pool.map(run, layout))
 

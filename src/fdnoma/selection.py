@@ -22,16 +22,16 @@ by the formula kernels of the sinr module, so the pass gives
 the same indices as one full-batch grid per scheme, on any number of
 threads; ties still break to the lowest flat (i, j, k) index.
 
-Every entry point also takes a batch of unit-mean draws with the mean
-of each group (`means`, in channel.group_means order).  A stage that
-picks the strongest or weakest antenna within one group reads the draws
-as they are: a positive mean keeps their order, and rounding is
-monotone, so the pick is still an extreme of the scaled gains.  Such
-picks follow the draws, and only exact ties among the draws go to the
-lowest index.  That covers every stage of the ORDER_SCHEMES and the
-first stage of max_u1.  The stages that compare gains across groups,
-max_u1's receive stage and the joint searches, read their gathered or
-tiled gains times their means, with draw_batch's products.
+A batch holds unit-mean draws and the mean gain of each group at the
+point that reads them (channel.GainBatch).  A stage that picks the
+strongest or weakest antenna within one group reads the draws as they
+are: a positive mean keeps their order, and rounding is monotone, so the
+pick is still an extreme of the gains.  Such picks follow the draws, and
+only exact ties among the draws go to the lowest index.  That covers
+every stage of the ORDER_SCHEMES and the first stage of max_u1.  The
+stages that compare gains across groups, max_u1's receive stage and the
+joint searches, read their gathered or tiled draws times the batch's
+means, the gains at its point.
 """
 
 from __future__ import annotations
@@ -46,25 +46,21 @@ from .config import SystemParams
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
-def batch_max_u1(
-    batch: GainBatch, params: SystemParams, means: tuple[float, ...] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_max_u1(batch: GainBatch, params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize the near-user SINR, then the relay SINR given that choice.
 
     The first stage is separable: the strongest BS-to-near-user antenna
     and the weakest interfering relay antenna.  The second stage picks the
     relay receive antenna with the self-interference term included, on
-    the gathered gains times their means when `means` is given.
+    the gathered draws times their means.
     """
     rows = np.arange(batch.count)
     ii = np.argmax(batch.g_su1, axis=1)
     kk = np.argmin(batch.g_ru1, axis=1)
     g_br_row = batch.g_br[rows, ii, :]  # (count, m_r)
     g_si_col = np.take_along_axis(batch.g_si, kk[:, None, None], axis=2)[:, :, 0]  # (count, m_r)
-    if means is not None:  # the gathered copies are scaled in place
-        lam_br, _, _, _, lam_si = means
-        g_br_row *= lam_br
-        g_si_col *= lam_si
+    g_br_row *= batch.means.lam_br  # the gathered copies are scaled in place
+    g_si_col *= batch.means.lam_si
     jj = np.argmax(relay_sinr(g_br_row, g_si_col, params.a1, params.a2), axis=1)
     return ii, jj, kk
 
@@ -95,16 +91,15 @@ class JointSearch:
     1,024 rows at 4x4x4 antennas.  Each run() takes the next tile under a
     lock until none is left, in tile buffers of its own, and writes the
     tile's rows of the flat index arrays, so the indices do not depend on
-    how many threads run it.
+    how many threads run it.  A tile's draws are copied and scaled by the
+    batch's means before the grid is built.
     """
 
-    def __init__(
-        self, batch: GainBatch, params: SystemParams, schemes: tuple[str, ...], means: tuple[float, ...] | None = None
-    ):
+    def __init__(self, batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]):
         unknown = set(schemes) - set(JOINT_SCHEMES)
         if unknown:
             raise ValueError(f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
-        self.batch, self.params, self.means = batch, params, means
+        self.batch, self.params = batch, params
         self.shape = (params.m_b, params.m_r, params.m_t)
         self.tile = max(1, min(batch.count, _TILE_GRID_BYTES // (8 * math.prod(self.shape))))
         cells = np.min_scalar_type(math.prod(self.shape) - 1)  # the smallest type that holds a flat index
@@ -136,22 +131,18 @@ class JointSearch:
         m_b, m_r, m_t = self.shape
         rows = stop - start
         grid, spare = buffers[:, :rows]
-        # Operands missing grid axes are repeated along them (g_br along k, the (i, k) terms along j, their
-        # gains to (i, k) rows first), which copies values, so each step runs over contiguous memory.
+        lam_br, lam_su1, lam_ru1, lam_ru2, lam_si = batch.means
+        # Operands missing grid axes are repeated along them (g_br along k, the (i, k) terms along j, their gains
+        # to (i, k) rows first) into copies, scaled in place, so each step runs over contiguous memory.
         g_br = np.repeat(batch.g_br, m_t, axis=2).reshape(grid.shape)
+        g_br *= lam_br
         g_su1 = np.repeat(batch.g_su1, m_t, axis=1)
+        g_su1 *= lam_su1
         g_ru1 = np.tile(batch.g_ru1, m_b)
-        g_si = batch.g_si
-        if self.means is not None:  # the copies are scaled in place, g_si into a tile-sized one
-            lam_br, lam_su1, lam_ru1, _, lam_si = self.means
-            g_br *= lam_br
-            g_su1 *= lam_su1
-            g_ru1 *= lam_ru1
-            g_si = g_si * lam_si
-        relay_sinr(g_br, g_si[:, None, :, :], a1, a2, out=grid, scratch=spare)
+        g_ru1 *= lam_ru1
+        relay_sinr(g_br, (batch.g_si * lam_si)[:, None, :, :], a1, a2, out=grid, scratch=spare)
         g_ru2 = np.tile(batch.g_ru2, m_b)
-        if self.means is not None:
-            g_ru2 *= self.means[3]
+        g_ru2 *= lam_ru2
         # min is exact, so clamping by the (i, k) terms first gives the same cells
         clamp = np.minimum(cross_sinr(g_su1, g_ru1, a1, a2), g_ru2)
         np.minimum(grid, np.repeat(clamp.reshape(rows, m_b, 1, m_t), m_r, axis=2), out=grid)
@@ -234,19 +225,18 @@ def select_batch(
     batch: GainBatch,
     params: SystemParams,
     rng: np.random.Generator | None = None,
-    means: tuple[float, ...] | None = None,
     out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scheme's (i, j, k) per row of the batch, whose gains are scaled by `means` when given.
+    """The scheme's (i, j, k) per row of the batch, at the batch's mean gains.
 
     The ORDER_SCHEMES read no mean: they pick by order within a group, so
-    their choice on unit draws is that of every power point.  Given `out`,
+    their choice serves the same draws at every power point.  Given `out`,
     three arrays of batch.count entries of an integer type that holds the
     antenna indices, the choice is written there and `out` is returned.
     """
     check_scheme(scheme)
     if scheme in JOINT_SCHEMES:
-        search = JointSearch(batch, params, (scheme,), means)
+        search = JointSearch(batch, params, (scheme,))
         search.run()
         return search.indices(scheme, out)
     if scheme in NEEDS_RNG:
@@ -259,10 +249,9 @@ def select_batch(
             whole[:] = chosen
         return out
     # The stage-wise kernels work row by row: chunks give the same indices with chunk-sized temporaries.
-    extra = () if scheme in ORDER_SCHEMES else (means,)
     choice = tuple(np.empty(batch.count, dtype=np.intp) for _ in range(3)) if out is None else out
     for start in range(0, batch.count, _SELECT_ROWS):
         part = batch.rows(start, start + _SELECT_ROWS)
-        for whole, chosen in zip(choice, _BATCH[scheme](part, params, *extra)):
+        for whole, chosen in zip(choice, _BATCH[scheme](part, params)):
             whole[start : start + part.count] = chosen
     return choice

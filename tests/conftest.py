@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fdnoma.analytic import LN2, _scaled_e1, thresholds, zeta
-from fdnoma.channel import GainBatch
+from fdnoma.channel import GROUPS, GainBatch, draw_batch
 from fdnoma.config import SystemParams, default_params, mean_gains, validate
 from fdnoma.results import write_csv
 from fdnoma.selection import _TILE_GRID_BYTES
@@ -27,6 +27,19 @@ def batch_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> GainBatch:
     """A one-realization batch from per-antenna gains (no trial axis)."""
     arrays = [np.asarray(g, dtype=float)[None] for g in (g_br, g_su1, g_ru1, g_ru2, g_si)]
     return GainBatch(*arrays, count=1)
+
+
+def scaled(batch: GainBatch) -> GainBatch:
+    """The batch's gains at its point, with unit means: each group's draws times its mean.
+
+    The oracles read these, so that they do not depend on the simulator's own scaling.
+    """
+    return GainBatch(*(getattr(batch, name) * lam for name, lam in zip(GROUPS, batch.means)), batch.count)
+
+
+def draw_gains(params: SystemParams, entropy: tuple[int, ...], count: int) -> GainBatch:
+    """scaled(draw_batch(...)): the gains at params' powers of `count` realizations of a stream."""
+    return scaled(draw_batch(params, entropy, count))
 
 
 def tile_rows(params: SystemParams) -> int:

@@ -17,7 +17,7 @@ from fdnoma.montecarlo import _metric_set, _simulate, chosen_sinrs, estimate_met
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits
 
-from conftest import criterion_2_grid, exp_int_ei, make_params
+from conftest import criterion_2_grid, draw_gains, exp_int_ei, make_params
 
 POWER_POINTS_DB = (0.0, 10.0, 20.0, 30.0)
 RATE_TRIALS = 1_000_000
@@ -109,7 +109,7 @@ def test_criterion_3_threshold_reduction_equivalence():
     index = 0
     while done < 1_000_000:
         count = min(block, 1_000_000 - done)
-        batch = draw_batch(params, (555, index), count)
+        batch = draw_gains(params, (555, index), count)
         ii, _, kk = select_batch("max_u1", batch, params)
         rows = np.arange(count)
         gsu, gru1 = batch.g_su1[rows, ii], batch.g_ru1[rows, kk]

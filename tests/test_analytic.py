@@ -36,6 +36,7 @@ from conftest import (
     criterion_2_grid,
     ORACLE_FAR_LINKS,
     _clamp_probability,
+    draw_gains,
     exp_int_ei,
     make_params,
     mp_far_user_cdf,
@@ -333,12 +334,11 @@ class TestNearUserCdfs:
         assert cdf_gamma1_max_u2(x, params) == pytest.approx(expected, rel=1e-14)
 
     def test_against_simulation(self, baseline):
-        from fdnoma.channel import draw_batch
         from fdnoma.selection import select_batch
         from fdnoma.sinr import near_sinr
 
         n = 400_000
-        batch = draw_batch(baseline, (1234, 0), n)
+        batch = draw_gains(baseline, (1234, 0), n)
         ii, jj, kk = select_batch("max_u1_analytic", batch, baseline)
         rows = np.arange(n)
         gamma1 = near_sinr(batch.g_su1[rows, ii], batch.g_ru1[rows, kk], baseline.a1)
@@ -374,12 +374,11 @@ class TestFarUserCdfs:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_against_simulation(self, baseline):
-        from fdnoma.channel import draw_batch
         from fdnoma.selection import select_batch
         from fdnoma.sinr import cross_sinr, relay_sinr
 
         n = 400_000
-        batch = draw_batch(baseline, (4321, 0), n)
+        batch = draw_gains(baseline, (4321, 0), n)
         rows = np.arange(n)
         for scheme, cdf in (
             ("max_u1_analytic", cdf_gamma2_max_u1),

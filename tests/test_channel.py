@@ -1,16 +1,17 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fdnoma.channel import DEFAULT_BLOCK_SIZE, blocks, draw_batch, dump_columns, dump_realizations, empty_batch
-from fdnoma.config import mean_gains
+from fdnoma.config import ConfigError, SystemParams, mean_gains
 from fdnoma.montecarlo import estimate_rates
 from fdnoma.sinr import near_sinr, rate_bits
 
-from conftest import make_params
+from conftest import draw_gains, make_params, scaled
 
 
 GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")
@@ -30,11 +31,13 @@ def test_same_seed_and_stream_is_bit_identical(baseline):
 
 @pytest.mark.parametrize("overrides", [{}, {"k1": 0.0, "m_b": 3, "m_r": 5, "m_t": 2}])
 def test_groups_are_scaled_draws_bit_for_bit(overrides):
-    # Each group equals lam * (its standard exponential draws), the stream
-    # consumed group by group in the documented order.
+    # Each group holds its standard exponential draws, zeros where its mean is 0, and its
+    # gains are lam * draws, the stream consumed group by group in the documented order.
     params = make_params(**overrides)
     gains = mean_gains(params)
     batch = draw_batch(params, (8, 3), 1001)
+    assert batch.means == gains
+    products = scaled(batch)
     rng = np.random.default_rng(np.random.SeedSequence((8, 3)))
     for name, lam, shape in (
         ("g_br", gains.lam_br, (1001, params.m_b, params.m_r)),
@@ -43,7 +46,9 @@ def test_groups_are_scaled_draws_bit_for_bit(overrides):
         ("g_ru2", gains.lam_ru2, (1001, params.m_t)),
         ("g_si", gains.lam_si, (1001, params.m_r, params.m_t)),
     ):
-        assert np.array_equal(getattr(batch, name), lam * rng.standard_exponential(shape)), name
+        draws = rng.standard_exponential(shape)
+        assert np.array_equal(getattr(batch, name), draws if lam else np.zeros(shape)), name
+        assert np.array_equal(getattr(products, name), lam * draws), name
 
 
 @pytest.mark.parametrize("overrides", [{}, {"k1": 0.0}, {"m_b": 3, "m_r": 5, "m_t": 2}])
@@ -104,7 +109,7 @@ def test_all_gains_nonnegative(baseline):
 def test_sample_mean_matches_configured_gain():
     # 10^6 exponential entries of mean 100: 3 sigma = 3 * 100 / 1000 = 0.3
     params = make_params(rho_s=100.0, var_bu1=1.0)
-    batch = draw_batch(params, (2024, 0), 250_000)
+    batch = draw_gains(params, (2024, 0), 250_000)
     sample_mean = float(np.mean(batch.g_su1))  # 250k draws x 4 antennas
     assert abs(sample_mean - 100.0) < 0.3
 
@@ -113,7 +118,7 @@ def test_gain_groups_are_exponential():
     # Kolmogorov-Smirnov against the exponential law at significance 0.01
     params = make_params()
     gains = mean_gains(params)
-    batch = draw_batch(params, (99, 0), 100_000)
+    batch = draw_gains(params, (99, 0), 100_000)
     for samples, mean in (
         (batch.g_br[:, 0, 0], gains.lam_br),
         (batch.g_su1[:, 1], gains.lam_su1),
@@ -158,8 +163,26 @@ def test_dump_realizations_roundtrip(tmp_path, baseline):
     assert len(rows) == 6
     # replay: row t is trial t of the simulator's block layout, in documented order
     recorded = [float(v) for v in rows[4][1:]]
-    expected = row_gains(draw_batch(baseline, (11, 0), 5), 3)
+    expected = row_gains(draw_gains(baseline, (11, 0), 5), 3)
     np.testing.assert_allclose(recorded, expected, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize(
+    "overrides,seed,trials,code",
+    [
+        ({"rho_s": -100.0}, 1, 5, "SNR_INVALID"),
+        ({"m_b": 0}, 1, 5, "ANTENNA_COUNT_INVALID"),
+        ({"var_si": math.nan}, 1, 5, "VALUE_NOT_FINITE"),
+        ({}, -1, 5, "SEED_INVALID"),
+        ({}, 1, 0, "TRIALS_INVALID"),
+    ],
+)
+def test_dump_of_a_bad_request_is_config_error_and_writes_nothing(tmp_path, overrides, seed, trials, code):
+    path = tmp_path / "reals.csv"
+    with pytest.raises(ConfigError) as info:
+        dump_realizations(replace(SystemParams(), **overrides), seed, trials, path)
+    assert info.value.code == code
+    assert not path.exists()
 
 
 def test_block_layout_covers_trials_in_order():
@@ -178,7 +201,7 @@ def test_dump_replays_the_simulated_trials(tmp_path):
     dump_realizations(params, seed=5, trials=trials, path=path)
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(table[:, 0], np.arange(trials))
-    last = row_gains(draw_batch(params, (5, 1), 3), 2)
+    last = row_gains(draw_gains(params, (5, 1), 3), 2)
     np.testing.assert_array_equal(table[-1, 1:], last)
     g_su1, g_ru1 = table[:, 2], table[:, 3]
     r1, _, _ = estimate_rates(params, "max_u1", trials, seed=5)

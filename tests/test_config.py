@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,14 @@ def test_zero_antennas_rejected():
 def test_fractional_antennas_rejected():
     with pytest.raises(ConfigError) as err:
         make_params(m_r=2.5)
+    assert err.value.code == "ANTENNA_COUNT_INVALID"
+
+
+@pytest.mark.parametrize("field,value", [("m_b", True), ("m_t", False), ("m_r", np.int64(4))])
+def test_antenna_count_of_another_type_rejected(field, value):
+    # A bool is an int to isinstance, and numpy would read True as one antenna.
+    with pytest.raises(ConfigError) as err:
+        make_params(**{field: value})
     assert err.value.code == "ANTENNA_COUNT_INVALID"
 
 
@@ -161,7 +170,7 @@ def test_mean_gains_at_range_ends_accepted(gain):
     params = make_params(
         rho_s=1.0, rho_r=1.0, var_br=gain, var_bu1=gain, var_ru1=gain, var_ru2=gain, var_si=gain, k1=1.0
     )
-    assert set(vars(mean_gains(params)).values()) == {gain}
+    assert set(mean_gains(params)) == {gain}
     with pytest.raises(ConfigError) as err:
         make_params(rho_s=1.0, var_br=gain * 10.0 if gain > 1.0 else gain / 10.0)
     assert err.value.code == "GAIN_OUT_OF_RANGE"

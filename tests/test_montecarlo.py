@@ -3,6 +3,7 @@ import collections
 import concurrent.futures
 import functools
 import gc
+import hashlib
 import io
 import math
 import threading
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdnoma import analytic, montecarlo, results, selection
-from fdnoma.channel import DEFAULT_BLOCK_SIZE, GROUPS, blocks, draw_batch, group_means, unit_params
-from fdnoma.config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params, power_points
+from fdnoma.channel import DEFAULT_BLOCK_SIZE, GROUPS, blocks, draw_batch
+from fdnoma.config import (
+    KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params, mean_gains, power_points
+)
 from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from fdnoma.montecarlo import (
     _metric_set,
@@ -31,7 +34,7 @@ from fdnoma.results import CSV_COLUMNS, MetricEstimate, MetricSet, SweepRow, jai
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import make_params, oracle_write_csv, rows_to_csv_text, tile_rows
+from conftest import draw_gains, make_params, oracle_write_csv, rows_to_csv_text, scaled, tile_rows
 
 
 class TestJainIndex:
@@ -150,6 +153,18 @@ def test_estimate_metrics_equals_separate_estimates(scheme, overrides, all_schem
     assert (metrics.outage_u1, metrics.outage_u2) == estimate_outage(params, scheme, 70_001, 9)
 
 
+def test_empty_scheme_list_is_config_error_and_draws_nothing(baseline, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a simulation of no scheme drew a block")
+
+    monkeypatch.setattr(montecarlo, "draw_batch", no_draw)
+    for simulate in (lambda: estimate_metrics(baseline, (), 200_000, 1),
+                     lambda: _simulate(PowerGrid.at(baseline), (), 10, (1,), workers=2)):
+        with pytest.raises(ConfigError) as info:
+            simulate()
+        assert info.value.code == "SWEEP_EMPTY"
+
+
 def test_repeated_scheme_is_simulated_once(baseline):
     once = estimate_metrics(baseline, ("max_u1",), 20_000, 3)
     twice = estimate_metrics(baseline, ("max_u1", "max_u1"), 20_000, 3)
@@ -168,14 +183,13 @@ def test_bad_trials_or_seed_is_config_error(baseline, estimate, trials, seed, co
 def test_threshold_event_reduces_to_ratio_threshold(baseline):
     # dual oracle: the joint decoding event matches a single comparison of
     # X = g_su1 / (g_ru1 + 1) against the combined threshold
-    from fdnoma.channel import draw_batch
     from fdnoma.selection import select_batch
     from fdnoma.sinr import cross_sinr, near_sinr
 
     theta1, theta2 = analytic.thresholds(baseline)
     z = analytic.zeta(baseline)
     n = 100_000
-    batch = draw_batch(baseline, (2029, 0), n)
+    batch = draw_gains(baseline, (2029, 0), n)
     ii, _, kk = select_batch("max_u1", batch, baseline)
     rows = np.arange(n)
     gsu, gru1 = batch.g_su1[rows, ii], batch.g_ru1[rows, kk]
@@ -283,15 +297,15 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
 
 def sequential_simulate(grid, schemes, trials, entropy_base, block_size):
     """Reference for _simulate: per point, one block after another in the calling thread,
-    each drawn fresh at the point's powers from the stream (*entropy_base, block) and
-    each scheme selected on it alone, each block's (trials, sums of r1, r2, r1^2, r2^2
+    each drawn fresh from the stream (*entropy_base, block) and scaled to the point's
+    gains on the test side (conftest.scaled), and each scheme selected on it alone, each block's (trials, sums of r1, r2, r1^2, r2^2
     and r1 r2, the two outage counts) appended in block order."""
     per_point = []
     for params in grid:
         theta1, theta2 = analytic.thresholds(params)
         per_block = {scheme: [] for scheme in schemes}
         for index, _, count in blocks(trials, block_size):
-            batch = draw_batch(params, (*entropy_base, index), count)
+            batch = draw_gains(params, (*entropy_base, index), count)
             for scheme, sums in per_block.items():
                 seed = np.random.SeedSequence((*entropy_base, index, montecarlo._RANDOM_SALT))
                 choice = select_batch(scheme, batch, params, np.random.default_rng(seed))
@@ -394,7 +408,7 @@ def test_every_sweep_row_equals_estimate_metrics_at_its_point(overrides, power_d
 def planted_pair_batch(params, seed=5, count=64):
     """Unit draws with one planted row per stage-wise stage: two adjacent floats that
     scaling by 1 + 2**-52 rounds to one value, the later of them the unit pick."""
-    unit = draw_batch(unit_params(params), (seed, 0), count)
+    unit = draw_batch(params, (seed, 0), count)
     low, high = 2.0 - 2.0**-51, 2.0 - 2.0**-52
     unit.g_su1[0, :2] = (low, high)  # argmax: the unit pick is index 1
     unit.g_ru2[1, :2] = (low, high)
@@ -412,22 +426,52 @@ def planted_pair_batch(params, seed=5, count=64):
     ids=["4x4x4", "k1=0", "3x5x2"],
 )
 def test_shared_choice_equals_select_batch_on_the_scaled_batch(scheme, overrides, power_db):
-    # An ORDER_SCHEMES scheme's one choice on the unit draws, and max_u1's on them given each
-    # point's means, equal the choice on the batch drawn at the point's powers.
+    # An ORDER_SCHEMES scheme's one choice on the draws, and max_u1's on them at each point's
+    # means, equal the choice on the gains at the point's powers, scaled on the test side.
     params = make_params(**overrides)
     entropy = (31, 2)
 
-    def select(batch, point, means=None):
+    def select(batch, point):
         rng = np.random.default_rng(np.random.SeedSequence((*entropy, montecarlo._RANDOM_SALT)))
-        return select_batch(scheme, batch, point, rng, means)
+        return select_batch(scheme, batch, point, rng)
 
-    unit = draw_batch(unit_params(params), entropy, 20_000)
-    shared = select(unit, params)
+    drawn = draw_batch(params, entropy, 20_000)
+    shared = select(drawn, params)
     for point in power_points(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
-        expected = select(draw_batch(point, entropy, unit.count), point)
-        got = select(unit, point, group_means(point)) if scheme == "max_u1" else shared
+        expected = select(draw_gains(point, entropy, drawn.count), point)
+        got = select(drawn.at(point), point) if scheme == "max_u1" else shared
         for axis in range(3):
             np.testing.assert_array_equal(got[axis], expected[axis])
+
+
+@pytest.mark.parametrize(
+    "overrides,power_db",
+    [
+        ({}, (0.0, 20.0)),
+        ({"k1": 0.0}, (0.0, 30.0)),
+        ({"m_b": 3, "m_r": 5, "m_t": 2}, (10.0,)),
+        # every mean gain reaches both ends of GAIN_RANGE, 1e-100 and 1e100
+        ({"k1": 1.0, "var_si": 1.0}, (-1000.0, 0.0, 1000.0)),
+    ],
+    ids=["4x4x4", "k1=0", "3x5x2", "gain-range-ends"],
+)
+def test_a_batch_read_at_a_point_equals_its_gains_scaled_on_the_test_side(overrides, power_db):
+    # Every scheme's choice and every gathered SINR on draw_batch(params).at(point), which scale
+    # the draws as they read them, equal those on the gains scaled by conftest.scaled, bit for bit.
+    params = make_params(**overrides)
+    entropy = (37, 1)
+    drawn = draw_batch(params, entropy, 5_000)
+    names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
+    for point in power_points(params, SweepSpec(power_db=power_db, schemes=SCHEMES)):
+        batch = drawn.at(point)
+        gains = scaled(batch)
+        for scheme in SCHEMES:
+            got = select_batch(scheme, batch, point, montecarlo._rng(scheme, entropy))
+            want = select_batch(scheme, gains, point, montecarlo._rng(scheme, entropy))
+            for axis in range(3):
+                np.testing.assert_array_equal(got[axis], want[axis], err_msg=scheme)
+            for name, a, b in zip(names, chosen_sinrs(batch, *want, point), chosen_sinrs(gains, *want, point)):
+                assert a.tobytes() == b.tobytes(), (scheme, name, point.rho_s)
 
 
 @pytest.mark.parametrize("scheme", ["max_u1", "max_u1_analytic", "max_u2_decoupled"])
@@ -436,9 +480,9 @@ def test_a_planted_pair_follows_the_draws(scheme):
     # extreme draw, not the lowest index of the tied gains, and its gain is still the extreme.
     lam = 1.0 + 2.0**-52
     params = make_params(rho_s=1.0, rho_r=1.0, k1=1.0, var_bu1=lam, var_ru1=lam, var_ru2=lam)
-    means = group_means(params)
     unit = planted_pair_batch(params)
-    choice = select_batch(scheme, unit, params, None, means)
+    means = unit.means
+    choice = select_batch(scheme, unit, params)
     # (group, planted row, axis of the pick, the stage's extreme)
     stages = {"max_u2_decoupled": (("g_ru2", 1, 2, np.max),)}.get(
         scheme, (("g_su1", 0, 0, np.max), ("g_ru1", 2, 2, np.min))
@@ -451,20 +495,20 @@ def test_a_planted_pair_follows_the_draws(scheme):
         assert pick == 1 and draws[pick] == extreme(draws)
         assert gains[pick] == extreme(gains)
     if scheme == "max_u1":  # the closed-form variant makes the same first-stage picks, so the same rate_u1
-        same_stage = select_batch("max_u1_analytic", unit, params, None, means)
+        same_stage = select_batch("max_u1_analytic", unit, params)
         for axis in (0, 2):
             np.testing.assert_array_equal(choice[axis], same_stage[axis])
 
 
 def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkeypatch):
-    # 3 blocks at 4 points or at one: 3 draws, every mean 1 but lam_ru1 0 at k1 = 0, one selection
+    # 3 blocks at 4 points or at one: 3 draws, each at the first point's mean gains, one selection
     # per block for each ORDER_SCHEMES scheme, one per block and point for max_u1, which reads
     # ratios across groups.
     draws, selections = [], []
     draw, select = montecarlo.draw_batch, montecarlo.select_batch
 
     def counting_draw(params, entropy, count, into=None):
-        draws.append((entropy, group_means(params)))
+        draws.append((entropy, mean_gains(params)))
         return draw(params, entropy, count, into)
 
     def counting_select(scheme, *args):
@@ -478,11 +522,57 @@ def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkey
         draws.clear()
         selections.clear()
         spec = SweepSpec(power_db=power_db, schemes=schemes, trials=2 * DEFAULT_BLOCK_SIZE + 1, seed=3)
-        run_sweep(make_params(m_b=2, m_r=2, m_t=2, **overrides), spec)
-        unit_means = (1.0, 1.0, 0.0 if overrides else 1.0, 1.0, 1.0)
-        assert sorted(draws) == [((3, block), unit_means) for block in range(3)]
+        params = make_params(m_b=2, m_r=2, m_t=2, **overrides)
+        run_sweep(params, spec)
+        first = mean_gains(power_points(params, spec)[0])
+        assert sorted(draws) == [((3, block), first) for block in range(3)]
         counts = collections.Counter(selections)
         assert counts == {"max_u1": 3 * len(power_db), **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
+
+
+# SHA-256 digests of (the gains each point reads, every scheme's choice, _simulate's outage
+# counts) for seed 9, two blocks of 4,096 trials at 0 and 30 dB.
+STREAM_DIGESTS = {
+    "4x4x4": (
+        "386da8e0c448c9aad9b7e56bb26aaf121a592bd0db9e4ee4bd62ed6c8f3fd8c9",
+        "c84261131b451f4c4086d860fdd42e23f0b3d95be6031b2245fc88359e511b0d",
+        "27c93637ee8f946d8a5dc5ded37ec510d7b718edb1f0d845e472239e98a57971",
+    ),
+    "3x5x2 k1=0": (
+        "74ae5590ef87274b9c4d28a6dbec4046b03feee580f38d8db6a7f2fae43d7719",
+        "b18a1b96fd9cb64bc94883d1b401087ab9af88ee58f6b8417a2b78525845e973",
+        "f294e84d26f3f558d6ba7a07dad40c8bee0182fe619a304f6fd4c8361ab7c81a",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(STREAM_DIGESTS))
+def test_the_streams_are_pinned(label):
+    # A tripwire on the draws: the worker-count oracle shares whatever stream both of its sides
+    # draw, so only pinned digests show that a change moved the draws.  The gains (draws times
+    # means, float64, in GROUPS order), the choices and the outage counts take only comparisons,
+    # products and quotients, none of the log1p of the rates, whose bits may depend on SIMD code.
+    overrides = {"4x4x4": {}, "3x5x2 k1=0": {"m_b": 3, "m_r": 5, "m_t": 2, "k1": 0.0}}[label]
+    params = make_params(**overrides)
+    grid = power_points(params, SweepSpec(power_db=(0.0, 30.0), schemes=SCHEMES, trials=8192, seed=9))
+    drawn = [draw_batch(params, (9, block), 4096) for block in range(2)]
+    gains, choices = hashlib.sha256(), hashlib.sha256()
+    for point in grid:
+        for block, batch in enumerate(drawn):
+            batch = batch.at(point)
+            read = scaled(batch)
+            for name in GROUPS:
+                gains.update(np.ascontiguousarray(getattr(read, name), dtype=np.float64).tobytes())
+            for scheme in SCHEMES:
+                choice = select_batch(scheme, batch, point, montecarlo._rng(scheme, (9, block)))
+                choices.update(np.stack(choice).astype(np.int64).tobytes())
+    per_point = _simulate(grid, SCHEMES, 8192, (9,), block_size=4096)
+    outages = [sums[6:] for point in per_point for scheme in SCHEMES for sums in point[scheme]]
+    got = (gains.hexdigest(), choices.hexdigest(), hashlib.sha256(repr(outages).encode()).hexdigest())
+    assert got == STREAM_DIGESTS[label], (
+        "the draws, choices or outage counts of a fixed seed changed; a stream change must be logged "
+        "in CHANGES.md and README, with these digests updated"
+    )
 
 
 def test_lone_block_reduces_the_joint_schemes_on_two_threads(baseline, monkeypatch):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.channel import GainBatch, draw_batch
+from fdnoma.channel import GainBatch
 from fdnoma.montecarlo import chosen_sinrs
 from fdnoma.selection import JOINT_SCHEMES, SCHEMES, JointSearch, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import batch_from, make_params, tile_rows
+from conftest import batch_from, draw_gains, make_params, tile_rows
 
 LN2 = math.log(2.0)
 
@@ -24,7 +24,7 @@ def params():
 
 
 def random_batch(params, count=50, seed=17):
-    return draw_batch(params, (seed, 0), count)
+    return draw_gains(params, (seed, 0), count)
 
 
 def choices(scheme, batch, params, rng=None):
@@ -226,7 +226,7 @@ class TestOptimumSumRate:
         # a strictly larger sum replaces the best, so ties keep the lowest triple
         params = make_params()
         trials = 10_000
-        batch = draw_batch(params, (123, 0), trials)
+        batch = draw_gains(params, (123, 0), trials)
         ii, jj, kk = select_batch("optimum_sumrate", batch, params)
         best = np.full(trials, -np.inf)
         best_triple = np.zeros((3, trials), dtype=np.intp)
@@ -268,7 +268,7 @@ class TestRandom:
 def test_first_stage_invariant_to_common_scaling(exponent):
     # powers of two rescale exactly, so the argmax cannot move
     params = make_params(m_b=3, m_r=3, m_t=2)
-    batch = draw_batch(params, (17, 8), 20)
+    batch = draw_gains(params, (17, 8), 20)
     c = 2.0**exponent
     scaled = replace(batch, g_su1=batch.g_su1 * c, g_ru1=batch.g_ru1 * c)
     base = choices("max_u1", batch, params)
@@ -286,7 +286,7 @@ def test_batch_agrees_with_scalar(scheme):
     # the scalar oracles: plain-Python stage-wise rules row by row, and the
     # untiled full-grid argmax for the joint searches
     params = make_params(m_b=4, m_r=3, m_t=2)
-    batch = draw_batch(params, (55, 0), 256)
+    batch = draw_gains(params, (55, 0), 256)
     ii, jj, kk = select_batch(scheme, batch, params)
     if scheme in ROW_ORACLES:
         want = [ROW_ORACLES[scheme](batch, t, params) for t in range(batch.count)]
@@ -298,7 +298,7 @@ def test_batch_agrees_with_scalar(scheme):
 
 def test_batch_random_ranges_and_determinism():
     params = make_params()
-    batch = draw_batch(params, (55, 0), 512)
+    batch = draw_gains(params, (55, 0), 512)
     a = select_batch("random", batch, params, np.random.default_rng(3))
     b = select_batch("random", batch, params, np.random.default_rng(3))
     for x, y in zip(a, b):
@@ -308,7 +308,7 @@ def test_batch_random_ranges_and_determinism():
 
 def test_dominance_chain_per_realization():
     params = make_params()
-    batch = draw_batch(params, (77, 0), 2000)
+    batch = draw_gains(params, (77, 0), 2000)
     per_scheme = {}
     for scheme in SCHEMES:
         sel_rng = np.random.default_rng(5) if scheme == "random" else None
@@ -379,7 +379,7 @@ def test_tiled_search_matches_untiled_grid(scheme, shape, where):
     # ten tiles and one row cross as many boundaries per tile there.
     many = 70_001 if shape != (8, 8, 8) else 10 * tile + 1
     count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "many": many}[where]
-    batch = draw_batch(params, (2024, sum(shape)), count)
+    batch = draw_gains(params, (2024, sum(shape)), count)
     assert_same_indices(scheme, batch, params)
 
 
@@ -412,7 +412,7 @@ def test_joint_pass_matches_untiled_and_single_scheme(shape, where):
     tile = tile_rows(params)
     many = 70_001 if shape != (8, 8, 8) else 10 * tile + 1
     count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "many": many}[where]
-    batch = draw_batch(params, (2025, sum(shape)), count)
+    batch = draw_gains(params, (2025, sum(shape)), count)
     assert_joint_pass_matches(batch, params)
 
 
@@ -460,14 +460,14 @@ def test_joint_pass_shared_by_threads_matches_untiled(shape, where, threads, fas
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
     count = {"tile+1": tile + 1, "many": 70_001 if shape != (8, 8, 8) else 10 * tile + 1}[where]
-    batch = draw_batch(params, (2026, sum(shape)), count)
+    batch = draw_gains(params, (2026, sum(shape)), count)
     assert_shared_pass_matches_untiled(batch, params, threads)
 
 
 def test_joint_pass_rejects_other_schemes():
     params = make_params()
     with pytest.raises(ValueError):
-        batch_joint_search(draw_batch(params, (1, 0), 4), params, ("max_u1",))
+        batch_joint_search(draw_gains(params, (1, 0), 4), params, ("max_u1",))
 
 
 @pytest.mark.parametrize("scheme", sorted(UNTILED))

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.channel import draw_batch
 from fdnoma.montecarlo import SinrBuffers, chosen_sinrs
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-from conftest import batch_from, make_params
+from conftest import batch_from, draw_gains, make_params
 
 
 @pytest.fixture
@@ -67,7 +66,7 @@ class TestNearSinr:
 
     def test_zero_interference_channel_reduces_to_scaled_gain(self):
         params = make_params(k1=0.0)
-        batch = draw_batch(params, (0, 0), 64)
+        batch = draw_gains(params, (0, 0), 64)
         gamma = near_sinr(batch.g_su1[:, 0], batch.g_ru1[:, 0], params.a1)
         np.testing.assert_allclose(gamma, params.a1 * batch.g_su1[:, 0])
 
@@ -98,7 +97,7 @@ class TestEndToEnd:
     def test_bounded_by_power_ratio(self):
         params = make_params()
         cap = params.a2 / params.a1
-        batch = draw_batch(params, (21, 0), 100_000)
+        batch = draw_gains(params, (21, 0), 100_000)
         g12 = cross_sinr(batch.g_su1[:, 0], batch.g_ru1[:, 0], params.a1, params.a2)
         gr = relay_sinr(batch.g_br[:, 0, 0], batch.g_si[:, 0, 0], params.a1, params.a2)
         assert np.all(g12 < cap)
@@ -116,7 +115,7 @@ class TestRates:
     def test_far_rate_below_cap(self, baseline):
         cap_rate = math.log2(1.0 + baseline.a2 / baseline.a1)
         assert cap_rate == 2.0
-        batch = draw_batch(baseline, (5, 0), 1000
+        batch = draw_gains(baseline, (5, 0), 1000
         )
         g12 = cross_sinr(batch.g_su1[:, 0], batch.g_ru1[:, 0], baseline.a1, baseline.a2)
         assert np.all(np.log1p(g12) / math.log(2) < cap_rate)
@@ -134,7 +133,7 @@ def test_monotonicity_in_each_gain(small):
 
 
 def test_out_of_range_choice_rejected(baseline):
-    batch = draw_batch(baseline, (1, 0), 1)
+    batch = draw_gains(baseline, (1, 0), 1)
     with pytest.raises(IndexError):
         sinrs(batch, baseline, i=4)
     with pytest.raises(IndexError):
@@ -210,7 +209,7 @@ def test_chosen_sinrs_equal_advanced_indexing_bit_for_bit(shape):
     names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
     reused = SinrBuffers(3_000)
     for entropy, count in (((31, 0), 3_000), ((31, 1), 1_001)):
-        batch = draw_batch(params, entropy, count)
+        batch = draw_gains(params, entropy, count)
         rng = np.random.default_rng(5)
         for scheme in SCHEMES:
             choice = select_batch(scheme, batch, params, rng)
@@ -224,7 +223,7 @@ def test_chosen_sinrs_equal_advanced_indexing_bit_for_bit(shape):
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_out_of_range_choice_in_any_row_rejected(baseline, axis, bad):
     # A flat index would read a neighbouring row; the gather refuses instead.
-    batch = draw_batch(baseline, (1, 0), 3)
+    batch = draw_gains(baseline, (1, 0), 3)
     choice = {name: np.zeros(3, dtype=np.intp) for name in "ijk"}
     choice[axis][1] = bad
     with pytest.raises(IndexError, match=f"chosen {axis}"):
