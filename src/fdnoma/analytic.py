@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import PowerGrid, SweepSpec, SystemParams, gains_at, power_points, thresholds
+from .config import ConfigError, PowerGrid, SweepSpec, SystemParams, check_metrics, gains_at, power_points, thresholds
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
@@ -389,7 +389,7 @@ class Laws:
 
     def __init__(self, grid: PowerGrid, scheme: str):
         if scheme not in _LINKS:
-            raise ValueError(f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
+            raise ConfigError("SCHEME_NO_CLOSED_FORM", f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
         params, ones = grid.params, np.ones(len(grid))
         self.grid, self.scheme, self.a1, self.a2 = grid, scheme, params.a1, params.a2
         gains = gains_at(params, np.array(grid.rho_s), np.array(grid.rho_r))
@@ -757,6 +757,7 @@ def closed_form_sets(grid: PowerGrid, scheme: str, metrics: tuple[str, ...]):
     The grid's laws are built once, and each closed form the metrics need
     evaluates all of its points in one call; the MetricSets are made as iterated.
     """
+    check_metrics(metrics)
     laws = Laws(grid, scheme)
     rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(grid)
     if "rates" in metrics or "jain" in metrics:
@@ -769,7 +770,7 @@ def closed_form_sets(grid: PowerGrid, scheme: str, metrics: tuple[str, ...]):
 def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Closed-form sweep rows for the schemes that have closed forms, and notes.
 
-    The power grid is validated whole before any closed form runs, and each
+    The power grid is checked whole before any closed form runs, and each
     closed form of each scheme is evaluated over it in one call.  A (point,
     scheme) whose near- or far-user rate does not converge gets a row of NaNs and a
     NON_CONVERGED note; the sweep goes on with the other rows.

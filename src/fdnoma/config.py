@@ -2,6 +2,8 @@
 
 All powers are linear SNRs (transmit power over unit noise variance);
 channel variances are direct unitless inputs (no path-loss model).
+Every SystemParams is valid: it is checked where it is made (validate, from
+__post_init__), and a power grid checks only its points' powers (check_powers).
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class SystemParams:
     rate1: float = 0.5
     rate2: float = 0.5
 
+    def __post_init__(self):
+        validate(self)
+
 
 class MeanGains(NamedTuple):
     """Mean of the exponential per-antenna power gain of each link group.
@@ -112,12 +117,16 @@ class SweepSpec:
             raise ConfigError(
                 "SWEEP_SCHEME_DUPLICATE", f"scheme listed more than once: {', '.join(repeated)}"
             )
-        if len(self.metrics) == 0:
-            raise ConfigError("SWEEP_EMPTY", "metric list must be non-empty")
-        unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
-        if unknown:
-            raise ConfigError("SWEEP_METRIC_UNKNOWN", f"unknown metric {unknown[0]!r}; known: {', '.join(KNOWN_METRICS)}")
+        check_metrics(self.metrics)
         check_run(self.trials, self.seed)
+
+
+def check_metrics(metrics: tuple[str, ...]) -> None:
+    if len(metrics) == 0:
+        raise ConfigError("SWEEP_EMPTY", "metric list must be non-empty")
+    unknown = [m for m in metrics if m not in KNOWN_METRICS]
+    if unknown:
+        raise ConfigError("SWEEP_METRIC_UNKNOWN", f"unknown metric {unknown[0]!r}; known: {', '.join(KNOWN_METRICS)}")
 
 
 def check_run(trials: int, seed: int) -> None:
@@ -140,11 +149,12 @@ GAIN_RANGE = (1e-100, 1e100)
 def validate(params: SystemParams) -> SystemParams:
     """Check every invariant; return the parameters unchanged if all hold.
 
-    Raises ConfigError naming the first violated invariant.
+    Raises ConfigError naming the first violated invariant; the powers come last, as their
+    gains read the other fields.  SystemParams.__post_init__ is its one caller in the package.
     """
     for field in fields(params):
-        if field.name not in ("m_b", "m_r", "m_t"):
-            _check_finite(field.name, getattr(params, field.name))
+        if field.name not in ("m_b", "m_r", "m_t", "rho_s", "rho_r") and not math.isfinite(getattr(params, field.name)):
+            raise ConfigError("VALUE_NOT_FINITE", f"{field.name} must be finite, got {getattr(params, field.name)!r}")
     if abs(params.a1 + params.a2 - 1.0) > _POWER_SPLIT_TOL:
         raise ConfigError("POWER_SPLIT_INVALID", f"a1 + a2 must equal 1, got {params.a1 + params.a2!r}")
     if not (0.0 < params.a1 < params.a2):
@@ -156,31 +166,24 @@ def validate(params: SystemParams) -> SystemParams:
     for name in ("var_br", "var_bu1", "var_ru1", "var_ru2", "var_si"):
         if not getattr(params, name) > 0.0:
             raise ConfigError("VARIANCE_INVALID", f"{name} must be > 0, got {getattr(params, name)!r}")
-    _check_snrs(params.rho_s, params.rho_r)
     if params.k1 < 0.0:
         raise ConfigError("INTERFERENCE_INVALID", f"k1 must be >= 0, got {params.k1!r}")
     for name in ("rate1", "rate2"):
         # 2^rate - 1, the SINR threshold, overflows a float from 1024 on.
         if not 0.0 < getattr(params, name) < 1024.0:
             raise ConfigError("RATE_INVALID", f"{name} must be in (0, 1024), got {getattr(params, name)!r}")
-    _check_gains(params, params.rho_s, params.rho_r)
+    check_powers(params, params.rho_s, params.rho_r)
     return params
 
 
-# validate's three checks that read rho_s or rho_r, in its order; a power grid runs only these
-# past its first point (see power_points).
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError("VALUE_NOT_FINITE", f"{name} must be finite, got {value!r}")
-
-
-def _check_snrs(rho_s: float, rho_r: float) -> None:
+def check_powers(params: SystemParams, rho_s: float, rho_r: float) -> None:
+    """validate's checks that read the powers, of params' other fields at rho_s and rho_r: each
+    power finite and > 0, and each mean gain in GAIN_RANGE."""
     for name, value in (("rho_s", rho_s), ("rho_r", rho_r)):
+        if not math.isfinite(value):
+            raise ConfigError("VALUE_NOT_FINITE", f"{name} must be finite, got {value!r}")
         if not value > 0.0:
             raise ConfigError("SNR_INVALID", f"{name} must be > 0, got {value!r}")
-
-
-def _check_gains(params: SystemParams, rho_s: float, rho_r: float) -> None:
     low, high = GAIN_RANGE
     for name, gain in zip(MeanGains._fields, gains_at(params, rho_s, rho_r)):
         # k1 = 0 switches the inter-user interference off: lam_ru1 is 0 then.
@@ -206,16 +209,15 @@ def thresholds(params: SystemParams) -> tuple[float, float]:
 
 def default_params(power_db: float = 20.0, relay_power_db: float | None = None) -> SystemParams:
     """Baseline 4-antenna setup with both powers set from a dB value."""
-    rho_s = db_to_linear(power_db)
-    rho_r = db_to_linear(power_db if relay_power_db is None else relay_power_db)
-    return validate(replace(SystemParams(), rho_s=rho_s, rho_r=rho_r))
+    relay_db = power_db if relay_power_db is None else relay_power_db
+    return SystemParams(rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
 
 
 class PowerGrid(Sequence):
     """A sweep's power grid over one parameter set: each point's dB value and linear powers.
 
     A point's SystemParams is made only when indexed, so no grid holds one per point; a slice
-    is the PowerGrid of its points.
+    is the PowerGrid of its points.  Only this module makes one, and each of its points is valid.
     """
 
     def __init__(self, params: SystemParams, power_db, rho_s: list[float], rho_r: list[float]):
@@ -236,23 +238,16 @@ class PowerGrid(Sequence):
 
 
 def power_points(params: SystemParams, sweep: SweepSpec) -> PowerGrid:
-    """The sweep's power grid over params, every point validated before it returns.
+    """The sweep's power grid over params, every point checked before it returns.
 
-    The first point gets the whole of validate.  The other fields then hold at every point, so
-    the later points run only the checks that read rho_s and rho_r: the first bad point raises
-    the ConfigError that validate gives it.
+    params is valid, and a point differs from it only in its powers, so each point runs only
+    check_powers: the first bad point raises the ConfigError that making its SystemParams gives.
     """
     rho_s, rho_r = [], []
     for source_db in sweep.power_db:
         rho_s.append(db_to_linear(source_db))
         rho_r.append(rho_s[-1] if sweep.relay_power_db is None else db_to_linear(sweep.relay_power_db))
-        if len(rho_s) == 1:
-            validate(replace(params, rho_s=rho_s[0], rho_r=rho_r[0]))
-        else:
-            _check_finite("rho_s", rho_s[-1])
-            _check_finite("rho_r", rho_r[-1])
-            _check_snrs(rho_s[-1], rho_r[-1])
-            _check_gains(params, rho_s[-1], rho_r[-1])
+        check_powers(params, rho_s[-1], rho_r[-1])
     return PowerGrid(params, sweep.power_db, rho_s, rho_r)
 
 
@@ -265,7 +260,7 @@ _ALL_KEYS = {f.name for f in fields(SystemParams)}
 
 
 def load_config(path: str | Path) -> SystemParams:
-    """Parse a flat key/value config file into validated SystemParams."""
+    """Parse a flat key/value config file into SystemParams; an invalid set raises as it is made."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -299,4 +294,4 @@ def load_config(path: str | Path) -> SystemParams:
                 "CONFIG_VALUE_INVALID", f"{path}:{lineno}: bad value for {key!r}: {value_text!r}"
             ) from exc
 
-    return validate(replace(SystemParams(), **values))
+    return SystemParams(**values)

@@ -40,8 +40,7 @@ import os
 import numpy as np
 
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
-from .config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, check_run, power_points
-from .config import thresholds, validate
+from .config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, check_run, power_points, thresholds
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, check_scheme, select_batch
@@ -260,7 +259,7 @@ def _simulate(
     each block's stream key, so the public estimators and run_sweep keep it
     at DEFAULT_BLOCK_SIZE.
     """
-    points = [validate(point) for point in grid]
+    points = list(grid)
     check_run(trials, entropy_base[0])
     if not schemes:
         raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
@@ -382,7 +381,7 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     """Monte Carlo sweep over the power grid; one row per (point, scheme).
 
     Power points set rho_s and rho_r jointly unless the sweep overrides
-    the relay power.  The whole grid is validated before the first block is
+    the relay power.  The whole grid is checked before the first block is
     drawn.  Every point reads the same blocks, keyed (seed, block) as in
     estimate_metrics, so each row equals estimate_metrics(point params,
     schemes, trials, seed) at its point, bit for bit, and all schemes at

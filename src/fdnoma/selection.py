@@ -42,7 +42,7 @@ import threading
 import numpy as np
 
 from .channel import GainBatch
-from .config import SystemParams
+from .config import ConfigError, SystemParams
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
@@ -214,10 +214,9 @@ ORDER_SCHEMES = ("max_u1_analytic", "max_u2_decoupled", "random")
 _SELECT_ROWS = 1 << 12
 
 
-def check_scheme(scheme: str) -> str:
+def check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
-    return scheme
+        raise ConfigError("SCHEME_UNKNOWN", f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 
 def select_batch(

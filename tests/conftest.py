@@ -11,16 +11,14 @@ import pytest
 
 from fdnoma.analytic import LN2, _scaled_e1, thresholds, zeta
 from fdnoma.channel import GROUPS, GainBatch, draw_batch
-from fdnoma.config import SystemParams, default_params, mean_gains, validate
+from fdnoma.config import SystemParams, default_params, mean_gains
 from fdnoma.results import write_csv
 from fdnoma.selection import _TILE_GRID_BYTES
 
 
 def make_params(**overrides) -> SystemParams:
-    """Baseline parameter set with selective overrides, validated."""
-    from dataclasses import replace
-
-    return validate(replace(SystemParams(), **overrides))
+    """Baseline parameter set with selective overrides, checked as it is made."""
+    return SystemParams(**overrides)
 
 
 def batch_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> GainBatch:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -131,9 +131,8 @@ def test_accepted_params_give_finite_closed_forms(a1, gains, k1, rates, antennas
     values = dict(zip(_GAINS, gains), a1=a1, a2=1.0 - a1, k1=k1, rate1=rates[0], rate2=rates[1])
     if spoiled is not None:
         values[spoiled[0]] = spoiled[1]
-    candidate = replace(SystemParams(), m_b=antennas[0], m_r=antennas[1], m_t=antennas[2], **values)
-    try:
-        params = validate(candidate)
+    try:  # a set is checked as it is made
+        params = replace(SystemParams(), m_b=antennas[0], m_r=antennas[1], m_t=antennas[2], **values)
     except ConfigError:
         return
     metrics = [
@@ -242,10 +241,10 @@ def test_power_beyond_the_float_range_is_a_gain_error(call):
 
 
 def power_points_oracle(params, sweep):
-    """Each point's validated parameters, validated in full one point at a time, as power_points once did."""
+    """Each point's parameters, made (and so checked in full) one point at a time."""
     for power_db in sweep.power_db:
         relay_db = power_db if sweep.relay_power_db is None else sweep.relay_power_db
-        yield validate(replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db)))
+        yield replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
 
 
 def raised(call):
@@ -261,26 +260,29 @@ def raised(call):
     power_db=st.lists(st.floats(-4000.0, 4000.0) | st.sampled_from([math.inf, -math.inf]),
                       min_size=1, max_size=6, unique=True),
     relay_db=st.none() | st.floats(-4000.0, 4000.0),
+    # var_bu1 = 1e-90 is valid at the base's 20 dB, and its lam_su1 leaves GAIN_RANGE below -100 dB.
     spoiled=st.sampled_from([{}, {"var_br": -1.0}, {"a1": 0.6, "a2": 0.4}, {"k1": -1.0}, {"rate2": 0.0},
-                             {"var_si": math.inf}, {"m_r": 0}, {"var_bu1": 1e-120}]),
+                             {"var_si": math.inf}, {"m_r": 0}, {"var_bu1": 1e-120}, {"var_bu1": 1e-90}]),
 )
 @settings(max_examples=150, deadline=None)
 def test_power_points_raise_what_validating_each_point_raises(power_db, relay_db, spoiled):
-    # The grid is validated once: the first point in full, the others by the checks that read
-    # rho_s and rho_r.  The first bad point must raise the ConfigError that validating every
-    # point in full gives, and a good grid must give the same parameter sets.
-    params = replace(SystemParams(), **spoiled)
+    # The base set is checked in full as it is made, so a spoiled base raises before any point;
+    # each point then runs only the checks that read rho_s and rho_r.  The first bad point must
+    # raise the ConfigError that making every point's set in full gives, and a good grid must give
+    # the same parameter sets.
     sweep = SweepSpec(power_db=tuple(power_db), schemes=("max_u1",), trials=1, seed=1, relay_power_db=relay_db)
-    assert raised(lambda: list(power_points(params, sweep))) == raised(lambda: list(power_points_oracle(params, sweep)))
+    grid = lambda: list(power_points(replace(SystemParams(), **spoiled), sweep))
+    oracle = lambda: list(power_points_oracle(replace(SystemParams(), **spoiled), sweep))
+    assert raised(grid) == raised(oracle)
 
 
 def test_power_points_validate_the_fixed_fields_once(monkeypatch):
-    # A 601-point grid runs validate once, at its first point, and builds one SystemParams
-    # there; each later point runs only the checks that read its powers.
+    # The base set was checked in full when it was made, so a 601-point grid runs validate at no
+    # point and builds no SystemParams; each point runs only the checks that read its powers.
     from fdnoma import config
 
     params = default_params()
-    calls = {"validate": 0, "replace": 0}
+    calls = {"validate": 0, "replace": 0, "check_powers": 0}
 
     def counted(name):
         original = getattr(config, name)
@@ -295,7 +297,7 @@ def test_power_points_validate_the_fixed_fields_once(monkeypatch):
         counted(name)
     sweep = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=("max_u1",), trials=1, seed=1)
     grid = power_points(params, sweep)
-    assert calls == {"validate": 1, "replace": 1}
+    assert calls == {"validate": 0, "replace": 0, "check_powers": 601}
     assert len(grid) == 601 and grid.rho_s[600] == db_to_linear(60.0)
     assert grid[600] == replace(params, rho_s=db_to_linear(60.0), rho_r=db_to_linear(60.0))
 
@@ -307,6 +309,63 @@ def test_power_grid_slice_is_the_grid_of_its_points():
     assert isinstance(part, PowerGrid) and part.params == grid.params
     assert (part.power_db, part.rho_s, part.rho_r) == ((10.0, 20.0), grid.rho_s[1:3], grid.rho_r[1:3])
     assert list(part) == list(grid)[1:3]
+
+
+def test_every_grid_point_is_the_set_made_directly():
+    # power_points checks only each point's powers; the set a grid gives at a point, from
+    # power_points, PowerGrid.at or a slice, is the one made from every field at that point.
+    base = make_params(m_b=3, m_t=2, a1=0.3, a2=0.7, k1=0.0, var_si=2.0)
+
+    def direct(rho_s, rho_r):
+        return SystemParams(**dict(asdict(base), rho_s=rho_s, rho_r=rho_r))
+
+    for relay_db in (None, 7.0):
+        sweep = SweepSpec(power_db=(-10.0, 0.0, 12.5, 40.0), schemes=("max_u1",), relay_power_db=relay_db)
+        grid = power_points(base, sweep)
+        expected = [direct(db_to_linear(db), db_to_linear(db if relay_db is None else relay_db))
+                    for db in sweep.power_db]
+        assert list(grid) == expected
+        assert list(grid[1:3]) == expected[1:3] and list(grid[::-1]) == expected[::-1]
+    assert list(PowerGrid.at(base)) == [direct(base.rho_s, base.rho_r)]
+
+
+# One case per rule of validate; the first five are parameter sets whose closed forms were once
+# evaluated unchecked.  Each case: the SystemParams fields, the same fault in a config file (where
+# rho_s and rho_r are in dB: -4000 dB is 0.0), the default_params arguments where the fault is in a
+# power, and the code all of them raise.
+INVALID_SETS = [
+    (dict(a1=0.9, a2=0.1), "a1 = 0.9\na2 = 0.1\n", None, "POWER_SPLIT_INVALID"),
+    (dict(m_b=0), "m_b = 0\n", None, "ANTENNA_COUNT_INVALID"),
+    (dict(rho_s=-5), "rho_s = -4000\n", (-4000.0,), "SNR_INVALID"),
+    (dict(var_si=math.nan), "var_si = nan\n", None, "VALUE_NOT_FINITE"),
+    (dict(k1=-1), "k1 = -1\n", None, "INTERFERENCE_INVALID"),
+    (dict(a1=0.2), "a1 = 0.2\n", None, "POWER_SPLIT_INVALID"),
+    (dict(var_br=0.0), "var_br = 0\n", None, "VARIANCE_INVALID"),
+    (dict(rate2=1024.0), "rate2 = 1024\n", None, "RATE_INVALID"),
+    (dict(rho_r=math.inf), "rho_r = inf\n", (20.0, math.inf), "VALUE_NOT_FINITE"),
+    (dict(rho_r=1e120), "rho_r = 1200\n", (20.0, 1200.0), "GAIN_OUT_OF_RANGE"),
+]
+
+
+@pytest.mark.parametrize("bad,text,powers_db,code", INVALID_SETS)
+def test_an_invalid_set_raises_where_it_is_made(tmp_path, monkeypatch, capsys, bad, text, powers_db, code):
+    from fdnoma import cli, montecarlo
+
+    drawn = []
+    monkeypatch.setattr(montecarlo, "draw_batch", lambda *args, **kwargs: drawn.append(args))
+    config, output = tmp_path / "bad.cfg", tmp_path / "sweep.csv"
+    config.write_text(text)
+    calls = [lambda: SystemParams(**bad), lambda: replace(default_params(), **bad), lambda: load_config(config)]
+    if powers_db is not None:
+        calls.append(lambda: default_params(*powers_db))
+    for call in calls:
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert err.value.code == code
+    argv = ["sweep", "--config", str(config), "--power", "0", "--trials", "10", "--output", str(output)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: {code}: " in capsys.readouterr().err
+    assert not output.exists() and drawn == []
 
 
 class TestSweepSpec:

@@ -9,6 +9,7 @@ import math
 import threading
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,9 +106,9 @@ class TestEstimateOutage:
             assert (estimate.value, estimate.std_error, estimate.trials) == (1.0, 0.0, 1000)
 
     def test_params_past_the_cap_are_validated(self):
-        params = replace(SystemParams(), rate2=10.0, var_br=-1.0)
+        # A set is checked as it is made: one past the cap is no exception.
         with pytest.raises(ConfigError) as info:
-            estimate_outage(params, "max_u1", 10, 1)
+            estimate_outage(replace(SystemParams(), rate2=10.0, var_br=-1.0), "max_u1", 10, 1)
         assert info.value.code == "VARIANCE_INVALID"
 
     def test_unknown_scheme_past_the_cap_is_rejected(self):
@@ -736,6 +737,19 @@ class TestAnalyticRows:
             analytic_sweep(baseline, SweepSpec(power_db=(10.0,), schemes=ANALYTIC_SCHEMES, metrics=("outages",)))
         assert info.value.code == "SWEEP_METRIC_UNKNOWN"
 
+    @pytest.mark.parametrize("metrics,code", [(("rate",), "SWEEP_METRIC_UNKNOWN"), ((), "SWEEP_EMPTY")])
+    def test_closed_form_sets_check_the_metric_names_once(self, baseline, monkeypatch, metrics, code):
+        # "rate" for "rates" once gave a MetricSet of NaNs.  The names are checked once per call,
+        # before any law is built, not once per row.
+        grid = power_points(baseline, SweepSpec(power_db=(0.0, 10.0, 20.0), schemes=ANALYTIC_SCHEMES))
+        with pytest.raises(ConfigError) as info:
+            closed_form_sets(grid, "max_u1_analytic", metrics)
+        assert info.value.code == code
+        checks = []
+        checked = analytic.check_metrics
+        monkeypatch.setattr(analytic, "check_metrics", lambda names: checks.append(checked(names)))
+        assert len(list(closed_form_sets(grid, "max_u1_analytic", KNOWN_METRICS))) == 3 and len(checks) == 1
+
     def test_sweep_stacks_each_rule_once(self, baseline, monkeypatch):
         # Two schemes over 601 points: each scheme has its laws built once, from
         # the grid, for all four of its closed forms.
@@ -830,6 +844,22 @@ def test_scheme_validation(baseline):
         estimate_rates(baseline, "beamforming", 100, seed=0)
 
 
+@pytest.mark.parametrize("call,code", [
+    (lambda p: estimate_metrics(p, ("max_u1", "bogus"), 100, 1), "SCHEME_UNKNOWN"),
+    (lambda p: select_batch("bogus", draw_batch(p, (1,), 4), p), "SCHEME_UNKNOWN"),
+    (lambda p: analytic.Laws(PowerGrid.at(p), "max_u1"), "SCHEME_NO_CLOSED_FORM"),
+    (lambda p: closed_form_sets(PowerGrid.at(p), "random", ("rates",)), "SCHEME_NO_CLOSED_FORM"),
+])
+def test_scheme_ids_raise_named_config_errors(baseline, monkeypatch, call, code):
+    # A ConfigError is a ValueError, so callers that caught the plain ValueError still do.  The
+    # simulator checks its schemes before it draws a block.
+    drawn = []
+    monkeypatch.setattr(montecarlo, "draw_batch", lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(ConfigError) as info:
+        call(baseline)
+    assert info.value.code == code and drawn == []
+
+
 def test_all_schemes_run(baseline):
     for scheme in SCHEMES:
         r1, r2, rs = estimate_rates(baseline, scheme, 2_000, seed=1)
@@ -855,6 +885,24 @@ def test_montecarlo_only_simulates():
     moved = {"MetricEstimate", "MetricSet", "SweepRow", "write_csv", "jain_index", "analytic_sweep",
              "closed_form_sets", "analytic_metric_set"}
     assert not defined & moved
+
+
+def test_only_config_checks_parameter_sets():
+    # A SystemParams checks itself as it is made, and every PowerGrid is made in config, where
+    # each point's powers are checked: no other module runs validate or check_powers, or makes a
+    # PowerGrid but through PowerGrid.at or power_points.
+    package = Path(montecarlo.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & {"validate", "check_powers"}, path.name
+        made = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "PowerGrid" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert made == [], path.name
 
 
 def test_results_imports_no_fdnoma_module():
