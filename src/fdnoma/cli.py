@@ -1,7 +1,10 @@
 """Command-line front end: parameter sweeps to CSV and a self-check report.
 
 Exit codes: 0 success, 1 usage error, 2 config/IO error, 3 validation
-failure.  Powers are dB-facing here and linear everywhere else.
+failure.  Powers are dB-facing here and linear everywhere else.  The
+library checks a sweep request as it is made (config.SweepSpec): this
+module only splits the flags, and an unknown scheme or metric name, whose
+ConfigError codes are _USAGE_CODES, exits 1 as a usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
-from .config import ConfigError, KNOWN_METRICS, PowerGrid, SweepSpec, check_run, load_config, thresholds
+from .config import ConfigError, KNOWN_METRICS, SCHEMES, PowerGrid, SweepSpec, check_run, load_config, thresholds
 from .montecarlo import (
     estimate_metrics,
     estimate_outage,  # noqa: F401  no longer called here; perfbench/spans.py wraps the name
@@ -23,7 +26,6 @@ from .montecarlo import (
     run_sweep,
 )
 from .results import ANALYTIC, MONTE_CARLO, SweepRow, write_csv
-from .selection import SCHEMES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,6 +35,10 @@ EXIT_VALIDATION = 3
 
 class _UsageError(Exception):
     pass
+
+
+# A ConfigError with one of these codes names a scheme or metric family the flags cannot take.
+_USAGE_CODES = {"SCHEME_UNKNOWN", "SWEEP_METRIC_UNKNOWN"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,55 +110,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def _select_schemes(args) -> tuple[str, ...]:
     if args.schemes is not None:
-        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    elif args.mode == "mc":
-        schemes = SCHEMES
-    else:
-        schemes = ANALYTIC_SCHEMES
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise _UsageError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
-    if args.mode == "analytic":
-        missing = [s for s in schemes if s not in ANALYTIC_SCHEMES]
-        if missing:
-            raise _UsageError(
-                f"no closed forms for {', '.join(missing)}; analytic mode supports "
-                f"{', '.join(ANALYTIC_SCHEMES)}"
-            )
-    return schemes
-
-
-def _select_metrics(args) -> tuple[str, ...]:
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    for metric in metrics:
-        if metric not in KNOWN_METRICS:
-            raise _UsageError(f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}")
-    return metrics
+        return _names(args.schemes)
+    return SCHEMES if args.mode == "mc" else ANALYTIC_SCHEMES
 
 
 def cmd_sweep(args) -> int:
     params = load_config(args.config)
-    schemes = _select_schemes(args)
-    metrics = _select_metrics(args)
     power_db = parse_power_grid(args.power)
     if args.relay_power_db is not None and not math.isfinite(args.relay_power_db):
         raise _UsageError(f"bad relay power {args.relay_power_db!r}; it must be finite")
     spec = SweepSpec(
         power_db=power_db,
-        schemes=schemes,
-        metrics=metrics,
+        schemes=_select_schemes(args),
+        metrics=_names(args.metrics),
         trials=args.trials,
         seed=args.seed,
         relay_power_db=args.relay_power_db,
     )
+    skipped = [s for s in spec.schemes if s not in ANALYTIC_SCHEMES]
+    if args.mode == "analytic" and skipped:
+        raise _UsageError(
+            f"no closed forms for {', '.join(skipped)}; analytic mode supports {', '.join(ANALYTIC_SCHEMES)}"
+        )
 
     rows: list[SweepRow] = []
     notes: list[str] = []
     if args.mode in ("analytic", "both"):
-        analytic_schemes = tuple(s for s in spec.schemes if s in ANALYTIC_SCHEMES)
-        skipped = [s for s in spec.schemes if s not in ANALYTIC_SCHEMES]
+        analytic_schemes = tuple(s for s in spec.schemes if s not in skipped)
         if skipped:
             notes.append(f"analytic rows skipped for: {', '.join(skipped)} (no closed forms)")
         if analytic_schemes:
@@ -226,9 +216,10 @@ def _check_alternating_identity(params, trials, seed):
 def _check_cdf_sanity(params, trials, seed):
     cap = analytic.sinr_cap(params)
     near_hi = 60.0 * params.a1 * params.rho_s
-    # Each scheme's laws are built once; each law is evaluated over its whole grid in one call.
+    # Each scheme's laws are its one set's cached laws, which the next two checks read too; each
+    # law is evaluated over its whole grid in one call.
     for scheme in ANALYTIC_SCHEMES:
-        laws = analytic.Laws(PowerGrid.at(params), scheme)
+        laws = analytic._one_set(params, scheme)
         cases = (("near-user", laws.near_cdf, near_hi, False), ("far-user", laws.far_cdf, cap, True))
         for name, cdf, hi, capped in cases:
             values = cdf(np.linspace(0.0, hi, 1000))  # its last point is hi exactly
@@ -244,7 +235,7 @@ def _check_cdf_sanity(params, trials, seed):
 def _check_closed_form_vs_quadrature(params, trials, seed):
     gaps, details = [], []
     for scheme in ANALYTIC_SCHEMES:
-        name, laws = f"rate_u1 of {scheme}", analytic.Laws(PowerGrid.at(params), scheme)
+        name, laws = f"rate_u1 of {scheme}", analytic._one_set(params, scheme)
         (closed,) = analytic.near_user_rates(laws)
         if isinstance(closed, analytic.QuadratureResult) and closed.evaluations:  # the rate is the quadrature
             details.append(f"{name} integrated: its kernel sum's error bound misses the tolerance")
@@ -275,7 +266,7 @@ def _check_outage_identity(params, trials, seed):
     (theta1, theta2), a1, a2 = thresholds(params), params.a1, params.a2
     feasible, worst = theta2 < a2 / a1, 0.0
     for scheme in ANALYTIC_SCHEMES:
-        laws = analytic.Laws(PowerGrid.at(params), scheme)
+        laws = analytic._one_set(params, scheme)
         (outage,) = analytic.outages(laws)[0]
         expected = laws.near_cdf(np.array([theta1, a1 * theta2 / (a2 - a1 * theta2)])).max() if feasible else 1.0
         gap = abs(outage - expected)
@@ -374,12 +365,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (_UsageError, ConfigError) as exc:
+        usage = not isinstance(exc, ConfigError) or exc.code in _USAGE_CODES
+        print(f"{'usage' if usage else 'config'} error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if usage else EXIT_CONFIG
 
 
 if __name__ == "__main__":

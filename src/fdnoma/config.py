@@ -4,6 +4,9 @@ All powers are linear SNRs (transmit power over unit noise variance);
 channel variances are direct unitless inputs (no path-loss model).
 Every SystemParams is valid: it is checked where it is made (validate, from
 __post_init__), and a power grid checks only its points' powers (check_powers).
+A SweepSpec is valid too: its grid, its scheme ids (SCHEMES, check_scheme),
+its metric families (KNOWN_METRICS, check_metrics), trials and seed are
+checked as it is made, and these are the one copy of each rule.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ class MeanGains(NamedTuple):
     lam_si: float
 
 
+# The paper's six antenna-selection schemes, implemented in selection.
+SCHEMES = (
+    "max_u1",
+    "max_u1_analytic",
+    "max_u2_exhaustive",
+    "max_u2_decoupled",
+    "optimum_sumrate",
+    "random",
+)
+
 KNOWN_METRICS = ("rates", "outage", "jain")
 
 
@@ -117,8 +130,15 @@ class SweepSpec:
             raise ConfigError(
                 "SWEEP_SCHEME_DUPLICATE", f"scheme listed more than once: {', '.join(repeated)}"
             )
+        for scheme in self.schemes:
+            check_scheme(scheme)
         check_metrics(self.metrics)
         check_run(self.trials, self.seed)
+
+
+def check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError("SCHEME_UNKNOWN", f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 
 def check_metrics(metrics: tuple[str, ...]) -> None:

@@ -40,10 +40,10 @@ import os
 import numpy as np
 
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
-from .config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, check_run, power_points, thresholds
+from .config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, check_run, check_scheme, power_points, thresholds
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
-from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, check_scheme, select_batch
+from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 _RANDOM_SALT = 0x52414E44

@@ -42,7 +42,7 @@ import threading
 import numpy as np
 
 from .channel import GainBatch
-from .config import ConfigError, SystemParams
+from .config import SCHEMES, ConfigError, SystemParams, check_scheme  # noqa: F401  perfbench reads SCHEMES here
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 
@@ -98,7 +98,7 @@ class JointSearch:
     def __init__(self, batch: GainBatch, params: SystemParams, schemes: tuple[str, ...]):
         unknown = set(schemes) - set(JOINT_SCHEMES)
         if unknown:
-            raise ValueError(f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
+            raise ConfigError("SCHEME_NOT_JOINT", f"not joint searches: {sorted(unknown)}; known: {', '.join(JOINT_SCHEMES)}")
         self.batch, self.params = batch, params
         self.shape = (params.m_b, params.m_r, params.m_t)
         self.tile = max(1, min(batch.count, _TILE_GRID_BYTES // (8 * math.prod(self.shape))))
@@ -190,15 +190,6 @@ def batch_random(batch: GainBatch, params: SystemParams, rng: np.random.Generato
     )
 
 
-SCHEMES = (
-    "max_u1",
-    "max_u1_analytic",
-    "max_u2_exhaustive",
-    "max_u2_decoupled",
-    "optimum_sumrate",
-    "random",
-)
-
 _BATCH = {
     "max_u1": batch_max_u1,
     "max_u1_analytic": batch_max_u1_analytic,
@@ -212,11 +203,6 @@ NEEDS_RNG = {"random"}
 ORDER_SCHEMES = ("max_u1_analytic", "max_u2_decoupled", "random")
 
 _SELECT_ROWS = 1 << 12
-
-
-def check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ConfigError("SCHEME_UNKNOWN", f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 
 def select_batch(
@@ -240,7 +226,7 @@ def select_batch(
         return search.indices(scheme, out)
     if scheme in NEEDS_RNG:
         if rng is None:
-            raise ValueError(f"scheme {scheme!r} requires an rng")
+            raise ConfigError("SCHEME_NEEDS_RNG", f"scheme {scheme!r} requires an rng")
         choice = _BATCH[scheme](batch, params, rng)
         if out is None:
             return choice

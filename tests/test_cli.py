@@ -337,35 +337,31 @@ class TestSweep:
         assert "SEED_INVALID" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_scheme_is_usage_error(self, config_path, tmp_path):
-        code = main(
-            [
-                "sweep",
-                "--config",
-                config_path,
-                "--schemes",
-                "psychic",
-                "--output",
-                str(tmp_path / "o.csv"),
-            ]
-        )
-        assert code == EXIT_USAGE
-
-    def test_analytic_mode_rejects_schemes_without_closed_forms(self, config_path, tmp_path):
-        code = main(
-            [
-                "sweep",
-                "--config",
-                config_path,
-                "--mode",
-                "analytic",
-                "--schemes",
-                "optimum_sumrate",
-                "--output",
-                str(tmp_path / "o.csv"),
-            ]
-        )
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize("flags, code, prefix", [
+        pytest.param(["--mode", "mc", "--schemes", "psychic"], EXIT_USAGE, "usage error: SCHEME_UNKNOWN: ",
+                     id="unknown_scheme_mc"),
+        pytest.param(["--mode", "analytic", "--schemes", "psychic"], EXIT_USAGE, "usage error: SCHEME_UNKNOWN: ",
+                     id="unknown_scheme_analytic"),
+        pytest.param(["--mode", "both", "--schemes", "max_u1,psychic"], EXIT_USAGE, "usage error: SCHEME_UNKNOWN: ",
+                     id="unknown_scheme_both"),
+        pytest.param(["--metrics", "rates,latency"], EXIT_USAGE, "usage error: SWEEP_METRIC_UNKNOWN: ",
+                     id="unknown_metric"),
+        pytest.param(["--mode", "analytic", "--schemes", "optimum_sumrate"], EXIT_USAGE,
+                     "usage error: no closed forms for optimum_sumrate; ", id="no_closed_form_analytic"),
+        pytest.param(["--schemes", ","], EXIT_CONFIG, "config error: SWEEP_EMPTY: scheme", id="empty_schemes"),
+        pytest.param(["--metrics", ","], EXIT_CONFIG, "config error: SWEEP_EMPTY: metric", id="empty_metrics"),
+    ])
+    def test_flag_fault_writes_nothing(self, flags, code, prefix, config_path, tmp_path, capsys, monkeypatch):
+        # The request is checked whole as it is made: a bad flag stops the sweep before any
+        # block is drawn or any closed form's laws are built, and no CSV is written.
+        work = []
+        monkeypatch.setattr(montecarlo, "draw_batch", lambda *args, **kwargs: work.append("draw"))
+        monkeypatch.setattr(analytic, "Laws", lambda *args, **kwargs: work.append("laws"))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", config_path, "--power", "10", "--trials", "200",
+                     "--output", str(out), *flags]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert work == [] and not out.exists()
 
     def test_non_converged_analytic_row_reported_and_run_continues(
         self, config_path, tmp_path, capsys, monkeypatch
@@ -403,20 +399,6 @@ class TestSweep:
         assert all(row["rate_u2"] == "nan" for row in broken)
         intact = [row for row in rows if row["scheme"] == "max_u1_analytic"]
         assert all(float(row["rate_u2"]) > 0 for row in intact)
-
-    def test_unknown_metric_is_usage_error(self, config_path, tmp_path):
-        code = main(
-            [
-                "sweep",
-                "--config",
-                config_path,
-                "--metrics",
-                "latency",
-                "--output",
-                str(tmp_path / "o.csv"),
-            ]
-        )
-        assert code == EXIT_USAGE
 
 
 class TestValidate:
@@ -498,7 +480,8 @@ class TestValidate:
         assert sorted(draws) == [(1, 0), (1, 1), (1, 2)]
 
     def test_cdf_sanity_builds_each_far_law_once(self, monkeypatch):
-        # Each scheme's laws are built once and give both its near- and far-user law.
+        # Each scheme's laws are built once and give both its near- and far-user law, and the
+        # quadrature and outage checks read the same cached laws of the one set.
         built = []
         laws = analytic.Laws
 
@@ -507,7 +490,10 @@ class TestValidate:
             return laws(grid, scheme)
 
         monkeypatch.setattr(analytic, "Laws", counting)
-        assert cli._check_cdf_sanity(default_params(20.0), 0, 1)[0]
+        analytic._one_set.cache_clear()
+        params = default_params(20.0)
+        for check in (cli._check_cdf_sanity, cli._check_closed_form_vs_quadrature, cli._check_outage_identity):
+            assert check(params, 0, 1)[0]
         assert built == list(analytic.ANALYTIC_SCHEMES)
 
     def test_large_arrays_pass_every_check(self, tmp_path, capsys):

@@ -377,6 +377,15 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(power_db=(0.0,), schemes=())
 
+    def test_rejects_unknown_scheme_as_it_is_made(self):
+        with pytest.raises(ConfigError) as info:
+            SweepSpec(power_db=(0.0,), schemes=("bogus",))
+        assert info.value.code == "SCHEME_UNKNOWN"
+        # The ids are checked after the grid and the repeats.
+        with pytest.raises(ConfigError) as info:
+            SweepSpec(power_db=(0.0, 0.0), schemes=("bogus",))
+        assert info.value.code == "SWEEP_POWER_DUPLICATE"
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
             SweepSpec(power_db=(0.0,), schemes=("max_u1",), trials=0)

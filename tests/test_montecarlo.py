@@ -847,6 +847,8 @@ def test_scheme_validation(baseline):
 @pytest.mark.parametrize("call,code", [
     (lambda p: estimate_metrics(p, ("max_u1", "bogus"), 100, 1), "SCHEME_UNKNOWN"),
     (lambda p: select_batch("bogus", draw_batch(p, (1,), 4), p), "SCHEME_UNKNOWN"),
+    (lambda p: select_batch("random", draw_batch(p, (1,), 4), p), "SCHEME_NEEDS_RNG"),
+    (lambda p: selection.JointSearch(draw_batch(p, (1,), 4), p, ("optimum_sumrate", "random")), "SCHEME_NOT_JOINT"),
     (lambda p: analytic.Laws(PowerGrid.at(p), "max_u1"), "SCHEME_NO_CLOSED_FORM"),
     (lambda p: closed_form_sets(PowerGrid.at(p), "random", ("rates",)), "SCHEME_NO_CLOSED_FORM"),
 ])
@@ -903,6 +905,31 @@ def test_only_config_checks_parameter_sets():
         made = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and "PowerGrid" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
         assert made == [], path.name
+
+
+def test_only_config_holds_the_sweep_name_rules():
+    # The scheme-id and metric-name rules exist once, in config: no other module names their
+    # codes but in cli's table of codes that exit 1, and none tests a name against SCHEMES or
+    # KNOWN_METRICS.
+    codes, usage_codes = {"SCHEME_UNKNOWN", "SWEEP_METRIC_UNKNOWN"}, []
+    package = Path(montecarlo.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text())
+        tables = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and path.name == "cli.py" and [ast.unparse(target) for target in node.targets] == ["_USAGE_CODES"]]
+        usage_codes += [ast.literal_eval(table) for table in tables]
+        in_table = {id(node) for table in tables for node in ast.walk(table)}
+        named = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) and node.value in codes and id(node) not in in_table]
+        assert named == [], path.name
+        membership = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                      and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                      and any(getattr(name, "id", getattr(name, "attr", None)) in ("SCHEMES", "KNOWN_METRICS")
+                              for comparator in node.comparators for name in ast.walk(comparator))]
+        assert membership == [], path.name
+    assert usage_codes == [codes]
 
 
 def test_results_imports_no_fdnoma_module():
