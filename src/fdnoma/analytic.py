@@ -752,14 +752,14 @@ def _closed_form_set(metrics: tuple[str, ...], near_rate, far_rate, o1, o2) -> M
 
 
 def closed_form_sets(grid: PowerGrid, scheme: str, metrics: tuple[str, ...]):
-    """_closed_form_set of one of ANALYTIC_SCHEMES at each point of the grid, in order, as an iterator.
-
-    The grid's laws are built once, and each closed form the metrics need
-    evaluates all of its points in one call; the MetricSets are made as iterated.
-    """
+    """metric_sets of the grid's Laws under one of ANALYTIC_SCHEMES, built once the metric names are checked."""
     check_metrics(metrics)
-    laws = Laws(grid, scheme)
-    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(grid)
+    return metric_sets(Laws(grid, scheme), metrics)
+
+
+def metric_sets(laws: Laws, metrics: tuple[str, ...]):
+    """_closed_form_set at each point of the laws, in order, as an iterator; each closed form runs once for all."""
+    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(laws.grid)
     if "rates" in metrics or "jain" in metrics:
         far_rates, rates_u1 = far_user_rates(laws), near_user_rates(laws)
     if "outage" in metrics:

@@ -5,10 +5,10 @@ directly as exponentials (|CN(0, v)|^2 is exponential with mean v).
 Streams are keyed by (seed, stream) so trials reproduce independently of
 scheduling.  A gain is a unit-mean draw times its group's mean, which
 holds the transmit SNR: a GainBatch is a stream's unit draws and the mean
-gains of the point that reads them, and batch.at(point) reads the same
-draws at another power point.  A positive mean keeps the order of a
-group's draws, and rounding is monotone, so scaling can make two gains
-equal but never swap them: a pick within one group follows the draws.
+gains of the point that reads them, and batch.at(means) reads the same
+draws at another point's.  A positive mean keeps the order of a group's
+draws, and rounding is monotone, so scaling can make two gains equal but
+never swap them: a pick within one group follows the draws.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ class GainBatch:
         stop = min(stop, self.count)
         return GainBatch(*(getattr(self, name)[start:stop] for name in GROUPS), stop - start, self.means)
 
-    def at(self, params: SystemParams) -> GainBatch:
-        """The same draws read at params' mean gains: another point of the power grid they were drawn for."""
-        return replace(self, means=mean_gains(params))
+    def at(self, means: MeanGains) -> GainBatch:
+        """The same draws read at other mean gains: another point of the power grid they were drawn for."""
+        return replace(self, means=means)
 
 
 GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")

@@ -17,15 +17,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
-from .analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
-from .config import ConfigError, KNOWN_METRICS, SCHEMES, PowerGrid, SweepSpec, check_run, load_config, thresholds
-from .montecarlo import (
-    estimate_metrics,
-    estimate_outage,  # noqa: F401  no longer called here; perfbench/spans.py wraps the name
-    estimate_rates,  # noqa: F401  likewise
-    run_sweep,
-)
-from .results import ANALYTIC, MONTE_CARLO, SweepRow, write_csv
+from .analytic import ANALYTIC_SCHEMES, analytic_sweep
+from .config import ConfigError, KNOWN_METRICS, SCHEMES, SweepSpec, check_run, load_config, thresholds
+from .montecarlo import estimate_metrics, run_sweep
+from .montecarlo import estimate_outage, estimate_rates  # noqa: F401  not called here; perfbench/spans.py wraps the names
+from .results import ANALYTIC, MONTE_CARLO, FAMILY_LEVEL, SweepRow, deviation, family_bound, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -278,65 +274,28 @@ def _check_outage_identity(params, trials, seed):
     return True, f"near-user outage = max F at theta1 and a1 theta2 / (a2 - a1 theta2), within {worst:.1e} relative"
 
 
-# A comparison passes within 4 se, or for an outage count on a binomial tail
-# at least as likely as the normal tail beyond 4 se.
-_MAX_DEVIATION_SE = 4.0
-
-
-def _outage_deviation(events: int, trials: int, p: float) -> float:
-    """Normal deviate (in se, >= 0) equivalent to the exact binomial tail of `events`.
-
-    The tail is the one on the side of trials * p that `events` lies on.  The
-    normal approximation with se from p fails when trials * p is far below 1:
-    3 events in 1e6 trials at p = 2.3e-7 are a 0.17% outcome but read 5.8 se.
-    The tail sums the pmf from `events` away from the mean, where it only
-    falls, in log space, up to 40 nats below its first term.
-    """
-    # Imported here: statistics loads random, fractions and decimal, which only validate needs.
-    from statistics import NormalDist
-
-    p = min(max(p, 0.0), 1.0)
-    if p in (0.0, 1.0):
-        return 0.0 if events == trials * p else math.inf
-    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
-
-    def log_pmf(k: int) -> float:
-        return log_n - math.lgamma(k + 1) - math.lgamma(trials - k + 1) + k * log_p + (trials - k) * log_q
-
-    first, terms = log_pmf(events), []
-    away = range(events, trials + 1) if events >= trials * p else range(events, -1, -1)
-    for k in away:
-        term = log_pmf(k) - first
-        if term < -40.0:
-            break
-        terms.append(math.exp(term))
-    tail = math.exp(first) * math.fsum(terms)
-    return math.inf if tail == 0.0 else max(0.0, -NormalDist().inv_cdf(min(tail, 0.5)))
-
-
 def _check_mc_vs_analytic(params, trials, seed):
-    worst = []
+    # An outage that passes even at zero events cannot show a closed form too high: it is named.
+    names = ("rate_u1", "rate_u2", "outage_u1", "outage_u2")
+    bound, worst, blind = family_bound(len(ANALYTIC_SCHEMES) * len(names)), [], []
     measured = estimate_metrics(params, ANALYTIC_SCHEMES, trials, seed)
     for scheme in ANALYTIC_SCHEMES:
-        (reference,) = closed_form_sets(PowerGrid.at(params), scheme, ("rates", "outage"))
+        (reference,) = analytic.metric_sets(analytic._one_set(params, scheme), ("rates", "outage"))
         if isinstance(reference, analytic.NonConvergedError):
             return False, f"{scheme}: {reference}"
-        for name in ("rate_u1", "rate_u2", "outage_u1", "outage_u2"):
+        for name in names:
             estimate, target = getattr(measured[scheme], name), getattr(reference, name).value
-            if name.startswith("outage"):
-                events = round(estimate.value * trials)
-                deviation = _outage_deviation(events, trials, target)
-                if deviation > _MAX_DEVIATION_SE:
-                    return False, (f"{scheme}/{name}: {events} events in {trials} trials "
-                                   f"vs p = {target:.6g}, beyond 4 se on the binomial tail")
-            else:
-                se = estimate.std_error
-                gap = abs(estimate.value - target)
-                if gap > _MAX_DEVIATION_SE * se + 1e-12:
-                    return False, f"{scheme}/{name}: |{estimate.value:.6g} - {target:.6g}| > 4 se"
-                deviation = gap / se if se > 0 else 0.0
-            worst.append(deviation)
-    return True, f"max deviation {max(worst):.2f} se across {len(worst)} comparisons"
+            z, outage = deviation(name, estimate, target), name.startswith("outage")
+            if z > bound:
+                shown = (f"{round(estimate.value * trials)} events in {trials} trials vs p = {target:.6g}" if outage
+                         else f"{estimate.value:.6g} vs {target:.6g}")
+                return False, f"{scheme}/{name}: {shown}, {z:.2f} se > {bound:.2f}"
+            if outage and deviation(name, estimate._replace(value=0.0), target) <= bound:
+                blind.append(f"{scheme}/{name} (mu {target * trials:.2g})")
+            worst.append(z)
+    detail = f"max deviation {max(worst):.2f} se across {len(worst)} comparisons, each allowed {bound:.2f} se"
+    unseen = f"; no power, as 0 events pass: {', '.join(blind)}" if blind else ""
+    return True, f"{detail} (family-wise level {FAMILY_LEVEL:g}){unseen}"
 
 
 DEFAULT_CHECKS = (

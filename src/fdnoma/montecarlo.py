@@ -14,21 +14,16 @@ every scheme at every point sees the same channel realizations (common
 random numbers), which makes the per-realization dominance relations
 between schemes hold exactly in the outputs.
 
-Blocks run on up to two threads, min(2, available CPUs), with no option
-to set it, and one reduction, _metric_set, turns a scheme's per-block
-partial sums at a point into all its metrics with math.fsum in block
-order, so results are byte-identical for any worker count.
-estimate_rates and estimate_outage are views of estimate_metrics for one
-scheme, the one-point case of the same loop.  A run of one block uses
-the second thread inside the block instead: at each point a helper
-thread searches joint-search tiles while the calling thread runs the
-stage-wise schemes, then both share the tiles that are left, and the two
-joint schemes' sums are reduced one per thread.  Each thread running
-blocks holds one block workspace for the length of a sweep or estimator
-call: a gain batch (about 22 MiB at 4x4x4 antennas), a set of
-gather/SINR buffers and one choice slot per scheme.  Blocks are drawn,
-gathered and reduced in place, and the buffers are freed when the call
-returns.
+Blocks run on up to two threads (see _simulate), and one reduction,
+_metric_set, turns a scheme's per-block partial sums at a point into all
+its metrics with math.fsum in block order, so results are byte-identical
+for any worker count.  estimate_rates and estimate_outage are views of
+estimate_metrics for one scheme, the one-point case of the same loop.
+Each thread running blocks holds one block workspace for the length of a
+sweep or estimator call: a gain batch (about 22 MiB at 4x4x4 antennas), a
+set of gather/SINR buffers and one choice slot per scheme.  Blocks are
+drawn, gathered and reduced in place, and the buffers are freed when the
+call returns.
 """
 
 from __future__ import annotations
@@ -40,7 +35,8 @@ import os
 import numpy as np
 
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
-from .config import KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, check_run, check_scheme, power_points, thresholds
+from .config import KNOWN_METRICS, ConfigError, MeanGains, PowerGrid, SweepSpec, SystemParams, check_run, check_scheme
+from .config import gains_at, power_points, thresholds
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, select_batch
@@ -173,57 +169,57 @@ def _rng(scheme: str, entropy: tuple[int, ...]) -> np.random.Generator | None:
 
 
 def _run_block(
-    points: list[SystemParams],
+    params: SystemParams,
+    points: list[MeanGains],
     schemes: tuple[str, ...],
     entropy: tuple[int, ...],
     count: int,
-    thresholds: tuple[float, float],
     workspace: _Workspace,
     helper=None,
 ) -> list[dict[str, tuple]]:
     """Draw one block into the workspace and return, per point, each scheme's partial sums.
 
-    Each point reads the block's draws at its own mean gains (batch.at).
-    The ORDER_SCHEMES select once, at the first point, and that choice
-    serves every point, since a positive mean keeps the order within a
-    group; max_u1 and the joint searches read ratios across groups and
-    select at each point.  The joint searches share one far-user grid per
-    tile.  Each scheme's choice has its slot in the block's choice array.
-    Given `helper`, a one-thread executor and at least one joint scheme, at
-    each point the helper starts on their tiles while this thread runs the
-    stage-wise schemes and then joins the tile queue; then the helper
-    reduces the second joint scheme while this thread reduces the first.
+    A point is its mean gains, at which it reads the block's draws (batch.at);
+    params, the grid's, gives every other field.  The ORDER_SCHEMES select
+    once, at the first point, and that choice serves every point, since a
+    positive mean keeps the order within a group; max_u1 and the joint searches
+    read ratios across groups and select at each point.  The joint searches
+    share one far-user grid per tile.  Each scheme's choice has its slot in the
+    block's choice array.  Given `helper`, a one-thread executor and at least
+    one joint scheme, at each point the helper starts on their tiles while this
+    thread runs the stage-wise schemes and then joins the tile queue; then the
+    helper reduces the second joint scheme while this thread reduces the first.
     Each reduction borrows SINR buffers of its own.
     """
-    joint = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes)
+    joint, theta = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes), thresholds(params)
     with workspace.borrow("gains") as gains, workspace.borrow("choice") as choices:
-        drawn = draw_batch(points[0], entropy, count, gains)
+        drawn = draw_batch(params, entropy, count, gains)
         slots = {scheme: tuple(slot[:, :count]) for scheme, slot in zip(schemes, choices)}
 
-        def reduce(batch: GainBatch, choice: tuple[np.ndarray, ...], point: SystemParams) -> tuple:
+        def reduce(batch: GainBatch, choice: tuple[np.ndarray, ...]) -> tuple:
             with workspace.borrow("sinrs") as buffers:
-                return _scheme_sums(batch, choice, point, thresholds, buffers)
+                return _scheme_sums(batch, choice, params, theta, buffers)
 
-        def reduce_joint(search: JointSearch, scheme: str, point: SystemParams) -> tuple:
-            return reduce(search.batch, search.indices(scheme, slots[scheme]), point)
+        def reduce_joint(search: JointSearch, scheme: str) -> tuple:
+            return reduce(search.batch, search.indices(scheme, slots[scheme]))
 
-        def at_point(first: bool, point: SystemParams) -> dict[str, tuple]:
+        def at_point(first: bool, means: MeanGains) -> dict[str, tuple]:
             # a point's search, and its flat indices, are freed before the next point's is made
-            batch, sums = drawn.at(point), {}
-            search = JointSearch(batch, point, joint) if joint else None
+            batch, sums = drawn.at(means), {}
+            search = JointSearch(batch, params, joint) if joint else None
             tiles = None if helper is None else helper.submit(search.run)
             for scheme in schemes:
                 if scheme not in joint:
                     if first or scheme not in ORDER_SCHEMES:  # an order scheme's first choice serves every point
-                        select_batch(scheme, batch, point, _rng(scheme, entropy), slots[scheme])
-                    sums[scheme] = reduce(batch, slots[scheme], point)
+                        select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
+                    sums[scheme] = reduce(batch, slots[scheme])
             if search is not None:
                 search.run()
                 if tiles is not None:
                     tiles.result()
-                tail = {scheme: helper.submit(reduce_joint, search, scheme, point) for scheme in joint[1:] if helper}
+                tail = {scheme: helper.submit(reduce_joint, search, scheme) for scheme in joint[1:] if helper}
                 for scheme in joint:
-                    sums[scheme] = tail[scheme].result() if scheme in tail else reduce_joint(search, scheme, point)
+                    sums[scheme] = tail[scheme].result() if scheme in tail else reduce_joint(search, scheme)
             return sums
 
         return [at_point(p == 0, point) for p, point in enumerate(points)]
@@ -248,31 +244,29 @@ def _simulate(
     Every scheme at every point sees the same blocks: block b is drawn once,
     from the stream (*entropy_base, b), as _run_block says.  Blocks run on
     `workers` threads, min(2, available CPUs) by default, one block in
-    flight per thread, each searching its joint tiles alone; numpy releases
-    the GIL in the draws and the array kernels.  Each block's partial sums
-    are appended in block order, so their reduction by _metric_set is
-    bit-identical for any worker count.  A single worker runs every block in
-    the calling thread.  A single block with two or more workers runs in the
-    calling thread too, with one helper thread for its joint-search tiles
-    and one joint scheme's sums, so threads are never nested.  The block
-    workspace holds min(block_size, trials) trials.  block_size is part of
-    each block's stream key, so the public estimators and run_sweep keep it
-    at DEFAULT_BLOCK_SIZE.
+    flight per thread; numpy releases the GIL in the draws and the array
+    kernels.  The partial sums are kept in block order, so _metric_set's
+    reduction is bit-identical for any worker count.  One worker runs every
+    block in the calling thread; so does a single block with two or more,
+    with one helper thread for its joint-search tiles and one joint scheme's
+    sums, so threads are never nested.  The block workspace holds
+    min(block_size, trials) trials.  block_size is part of each block's
+    stream key, so the public estimators and run_sweep keep it at
+    DEFAULT_BLOCK_SIZE.
     """
-    points = list(grid)
+    params, points = grid.params, [gains_at(grid.params, *powers) for powers in zip(grid.rho_s, grid.rho_r)]
     check_run(trials, entropy_base[0])
     if not schemes:
         raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
     for scheme in schemes:
         check_scheme(scheme)
-    theta = thresholds(points[0])
     per_block = [{scheme: [] for scheme in schemes} for _ in points]
     unique = tuple(per_block[0])  # a repeated scheme is simulated once
-    workspace = _Workspace(points[0], min(block_size, trials), len(unique))
+    workspace = _Workspace(params, min(block_size, trials), len(unique))
 
     def run(block: tuple[int, int, int], helper=None) -> list[dict[str, tuple]]:
         index, _, count = block
-        return _run_block(points, unique, (*entropy_base, index), count, theta, workspace, helper)
+        return _run_block(params, points, unique, (*entropy_base, index), count, workspace, helper)
 
     def collect(partials) -> list[dict[str, list[tuple]]]:
         for block in partials:  # in block order

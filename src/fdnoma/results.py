@@ -1,4 +1,5 @@
-"""Sweep rows and their CSV, shared by both evaluators, neither of which this module imports.
+"""Sweep rows and their CSV, shared by both evaluators, neither of which this module imports, and
+the one comparison of a simulated estimate with its closed form (deviation, family_bound).
 
 A row's kind says which evaluator made it, MONTE_CARLO or ANALYTIC.  The records are
 NamedTuples: immutable and cheap to build, copied with a change by _replace.
@@ -6,6 +7,7 @@ NamedTuples: immutable and cheap to build, copied with a change by _replace.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -59,6 +61,51 @@ def masked_set(metrics: tuple[str, ...], nan: MetricEstimate, rates=None, outage
     rate_u1, rate_u2, rate_sum = rates() if "rates" in metrics else (nan, nan, nan)
     outage_u1, outage_u2 = outages() if "outage" in metrics else (nan, nan)
     return MetricSet(rate_u1, rate_u2, rate_sum, outage_u1, outage_u2, jain() if "jain" in metrics else nan)
+
+
+FAMILY_LEVEL = 1e-3  # the most often a call of comparisons fails on correct code, however many it makes
+
+
+def family_bound(comparisons: int) -> float:
+    """The deviation, in se, each of a call's n comparisons may reach: Phi^-1(1 - FAMILY_LEVEL / 2n), by
+    Bonferroni a two-sided tail of FAMILY_LEVEL / n each, dependent or not (3.84 se at n = 8, 4.16 at 32)."""
+    # Imported here: statistics loads random, fractions and decimal, which only the comparisons need.
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(1.0 - FAMILY_LEVEL / (2 * comparisons))
+
+
+def deviation(metric: str, estimate: MetricEstimate, target: float) -> float:
+    """A simulated estimate's distance, in se (>= 0), from its closed form `target`.
+
+    A rate's is |gap| / se, a gap within rounding (1e-12) none.  An outage's
+    ("outage_*") is the exact binomial tail of its event count under p = target,
+    on the count's side of trials * p, read as a normal deviate: with se from p,
+    3 events in 1e6 trials at p = 2.3e-7, a 0.17% outcome, read 5.8 se.  The tail
+    sums the pmf from the count away from the mean, where it only falls, in log
+    space, up to 40 nats below its first term.
+    """
+    if not metric.startswith("outage"):
+        gap = abs(estimate.value - target)
+        return 0.0 if gap <= 1e-12 else gap / estimate.std_error if estimate.std_error > 0 else math.inf
+    from statistics import NormalDist
+
+    events, trials, p = round(estimate.value * estimate.trials), estimate.trials, min(max(target, 0.0), 1.0)
+    if p in (0.0, 1.0):
+        return 0.0 if events == trials * p else math.inf
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
+
+    def log_pmf(k: int) -> float:
+        return log_n - math.lgamma(k + 1) - math.lgamma(trials - k + 1) + k * log_p + (trials - k) * log_q
+
+    first, terms = log_pmf(events), []
+    for k in range(events, trials + 1) if events >= trials * p else range(events, -1, -1):
+        term = log_pmf(k) - first
+        if term < -40.0:
+            break
+        terms.append(math.exp(term))
+    tail = math.exp(first) * math.fsum(terms)
+    return math.inf if tail == 0.0 else max(0.0, -NormalDist().inv_cdf(min(tail, 0.5)))
 
 
 CSV_COLUMNS = (

@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fdnoma import analytic, cli, montecarlo, results
@@ -20,7 +19,6 @@ from fdnoma.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     _check_mc_vs_analytic,
-    _outage_deviation,
     cmd_validate,
     main,
     parse_power_grid,
@@ -481,7 +479,7 @@ class TestValidate:
 
     def test_cdf_sanity_builds_each_far_law_once(self, monkeypatch):
         # Each scheme's laws are built once and give both its near- and far-user law, and the
-        # quadrature and outage checks read the same cached laws of the one set.
+        # quadrature, outage and simulation checks read the same cached laws of the one set.
         built = []
         laws = analytic.Laws
 
@@ -492,8 +490,10 @@ class TestValidate:
         monkeypatch.setattr(analytic, "Laws", counting)
         analytic._one_set.cache_clear()
         params = default_params(20.0)
-        for check in (cli._check_cdf_sanity, cli._check_closed_form_vs_quadrature, cli._check_outage_identity):
-            assert check(params, 0, 1)[0]
+        checks = (cli._check_cdf_sanity, cli._check_closed_form_vs_quadrature, cli._check_outage_identity,
+                  cli._check_mc_vs_analytic)
+        for check in checks:
+            assert check(params, 20_000, 1)[0]
         assert built == list(analytic.ANALYTIC_SCHEMES)
 
     def test_large_arrays_pass_every_check(self, tmp_path, capsys):
@@ -514,36 +514,6 @@ class TestValidate:
         assert detail.endswith(
             "; rate_u1 of max_u1_analytic integrated: its kernel sum's error bound misses the tolerance")
 
-    def test_rare_outage_judged_on_exact_binomial_tail(self):
-        # 20 dB near-user outage 2.30e-7, 1e6 trials: 3 events (P = 0.17%)
-        # read 5.8 se under the normal approximation with se from p.
-        assert _outage_deviation(3, 10**6, 2.3e-7) <= 4.0
-        assert _outage_deviation(0, 10**6, 2.3e-7) == 0.0
-        assert _outage_deviation(10, 10**6, 2.3e-7) > 4.0  # P = 9e-14
-        assert _outage_deviation(0, 10**6, 3e-5) > 4.0  # 30 expected, P = 1e-13
-        assert _outage_deviation(1, 10**6, 0.0) == math.inf
-        assert _outage_deviation(10**6, 10**6, 1.0) == 0.0
-        # Within 1e-4 se of the gate on either side.
-        assert 4.0 < _outage_deviation(10, 10**6, 1.909e-6) < 4.0001
-        assert 3.9999 < _outage_deviation(10, 10**6, 1.9091e-6) <= 4.0
-
-    def test_binomial_tail_matches_scipy(self):
-        # The stdlib tail against scipy.special's, the one scipy.stats.binom
-        # uses, on 400 seeded cases: n = 1e3..1e7, p = 1e-9..0.8, counts
-        # within 8 sd of the mean.
-        from scipy.special import bdtr, bdtrc, ndtri
-
-        rng = np.random.default_rng(16)
-        for _ in range(400):
-            trials = int(10 ** rng.uniform(3.0, 7.0))
-            p = float(10 ** rng.uniform(-9.0, math.log10(0.8)))
-            sd = math.sqrt(trials * p * (1.0 - p))
-            events = min(max(round(trials * p + rng.uniform(-8.0, 8.0) * sd), 0), trials)
-            tail = bdtrc(events - 1, trials, p) if events >= trials * p else bdtr(events, trials, p)
-            expected = max(float(-ndtri(tail)), 0.0)
-            assert _outage_deviation(events, trials, p) == pytest.approx(expected, rel=0.0, abs=1e-6), (
-                events, trials, p)
-
     @pytest.mark.parametrize("events,verdict", [(3, True), (40, False)])
     def test_simulation_check_verdict_on_outage_count(self, monkeypatch, events, verdict):
         # Exact rates and outage_u2; max_u1_analytic's near-user outage is
@@ -560,6 +530,25 @@ class TestValidate:
         monkeypatch.setattr(cli, "estimate_metrics", measured)
         ok, detail = _check_mc_vs_analytic(default_params(20.0), 10**6, 1)
         assert ok is verdict, detail
+
+    @pytest.mark.parametrize("scheme,factor,ok", [("max_u2_decoupled", 1.1, False), ("max_u1_analytic", 10.0, True)])
+    def test_simulation_check_on_a_planted_near_user_outage(self, monkeypatch, scheme, factor, ok):
+        # At 20 dB and 2e5 trials, max_u2_decoupled's p = 0.032 planted x1.1 is about 8 se off, so
+        # the check fails on it; max_u1_analytic's p = 2.3e-7 expects 0.05 events, so even x10 passes
+        # at zero events and the check names it as without power.
+        outages = analytic.outages
+
+        def planted(laws):
+            near, far = outages(laws)
+            return ([factor * p for p in near] if laws.scheme == scheme else near), far
+
+        monkeypatch.setattr(analytic, "outages", planted)
+        passed, detail = _check_mc_vs_analytic(default_params(20.0), 200_000, 1)
+        assert passed is ok, detail
+        if ok:
+            assert detail.endswith(f"no power, as 0 events pass: {scheme}/outage_u1 (mu 0.46)"), detail
+        else:
+            assert detail.startswith(f"{scheme}/outage_u1: "), detail
 
     # The own-signal threshold decides at the defaults, the far-user symbol's at rate2 = 1.5; at
     # rate2 = 2 the far-user threshold is the a2/a1 cap.

@@ -440,7 +440,7 @@ def test_shared_choice_equals_select_batch_on_the_scaled_batch(scheme, overrides
     shared = select(drawn, params)
     for point in power_points(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
         expected = select(draw_gains(point, entropy, drawn.count), point)
-        got = select(drawn.at(point), point) if scheme == "max_u1" else shared
+        got = select(drawn.at(mean_gains(point)), point) if scheme == "max_u1" else shared
         for axis in range(3):
             np.testing.assert_array_equal(got[axis], expected[axis])
 
@@ -464,7 +464,7 @@ def test_a_batch_read_at_a_point_equals_its_gains_scaled_on_the_test_side(overri
     drawn = draw_batch(params, entropy, 5_000)
     names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
     for point in power_points(params, SweepSpec(power_db=power_db, schemes=SCHEMES)):
-        batch = drawn.at(point)
+        batch = drawn.at(mean_gains(point))
         gains = scaled(batch)
         for scheme in SCHEMES:
             got = select_batch(scheme, batch, point, montecarlo._rng(scheme, entropy))
@@ -502,7 +502,7 @@ def test_a_planted_pair_follows_the_draws(scheme):
 
 
 def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkeypatch):
-    # 3 blocks at 4 points or at one: 3 draws, each at the first point's mean gains, one selection
+    # 3 blocks at 4 points or at one: 3 draws, each of the sweep's own parameter set, one selection
     # per block for each ORDER_SCHEMES scheme, one per block and point for max_u1, which reads
     # ratios across groups.
     draws, selections = [], []
@@ -525,10 +525,21 @@ def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkey
         spec = SweepSpec(power_db=power_db, schemes=schemes, trials=2 * DEFAULT_BLOCK_SIZE + 1, seed=3)
         params = make_params(m_b=2, m_r=2, m_t=2, **overrides)
         run_sweep(params, spec)
-        first = mean_gains(power_points(params, spec)[0])
-        assert sorted(draws) == [((3, block), first) for block in range(3)]
+        assert sorted(draws) == [((3, block), mean_gains(params)) for block in range(3)]
         counts = collections.Counter(selections)
         assert counts == {"max_u1": 3 * len(power_db), **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
+
+
+def test_a_sweep_makes_no_parameter_set_per_point(monkeypatch):
+    # Each point is its mean gains, read off the grid's power columns, so a 601-point sweep makes
+    # no SystemParams, whose making runs validate, once its SweepSpec is made.
+    from fdnoma import config
+
+    params, calls = default_params(), []
+    spec = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=("max_u1_analytic",), trials=10, seed=1)
+    validate = config.validate
+    monkeypatch.setattr(config, "validate", lambda made: calls.append(made) or validate(made))
+    assert len(run_sweep(params, spec)) == 601 and calls == []
 
 
 # SHA-256 digests of (the gains each point reads, every scheme's choice, _simulate's outage
@@ -560,7 +571,7 @@ def test_the_streams_are_pinned(label):
     gains, choices = hashlib.sha256(), hashlib.sha256()
     for point in grid:
         for block, batch in enumerate(drawn):
-            batch = batch.at(point)
+            batch = batch.at(mean_gains(point))
             read = scaled(batch)
             for name in GROUPS:
                 gains.update(np.ascontiguousarray(getattr(read, name), dtype=np.float64).tobytes())
@@ -930,6 +941,28 @@ def test_only_config_holds_the_sweep_name_rules():
                               for comparator in node.comparators for name in ast.walk(comparator))]
         assert membership == [], path.name
     assert usage_codes == [codes]
+
+
+def test_only_results_compares_simulation_with_closed_form():
+    # The deviation of an estimate from its closed form and the family-wise bound exist once, in
+    # results: no other module reads a tail as a normal deviate (NormalDist) or sums a binomial
+    # tail (its log pmf needs lgamma), and validate's check and criterion 1 import both from
+    # there and work out no standard error of their own.
+    package = Path(montecarlo.__file__).parent
+    for path in [*sorted(package.glob("*.py")), Path(__file__).parent / "test_acceptance.py"]:
+        if path.name == "results.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names}
+        assert not names & {"NormalDist", "lgamma"}, path.name
+        if path.name in ("cli.py", "test_acceptance.py"):
+            assert not names & {"std_error", "sqrt"}, path.name
+            imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                        and node.module in ("results", "fdnoma.results") for alias in node.names}
+            assert {"deviation", "family_bound"} <= imported, path.name
 
 
 def test_results_imports_no_fdnoma_module():
