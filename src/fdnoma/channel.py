@@ -53,7 +53,7 @@ class GainBatch:
 GROUPS = ("g_br", "g_su1", "g_ru1", "g_ru2", "g_si")
 
 
-DEFAULT_BLOCK_SIZE = 1 << 16
+DEFAULT_BLOCK_SIZE = 1 << 14
 
 
 def blocks(trials: int, block_size: int = DEFAULT_BLOCK_SIZE):

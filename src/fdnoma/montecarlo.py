@@ -14,13 +14,13 @@ every scheme at every point sees the same channel realizations (common
 random numbers), which makes the per-realization dominance relations
 between schemes hold exactly in the outputs.
 
-Blocks run on up to two threads (see _simulate), and one reduction,
+Whole blocks run on up to two threads (see _simulate), and one reduction,
 _metric_set, turns a scheme's per-block partial sums at a point into all
 its metrics with math.fsum in block order, so results are byte-identical
 for any worker count.  estimate_rates and estimate_outage are views of
 estimate_metrics for one scheme, the one-point case of the same loop.
 Each thread running blocks holds one block workspace for the length of a
-sweep or estimator call: a gain batch (about 22 MiB at 4x4x4 antennas), a
+sweep or estimator call: a gain batch (about 5.5 MiB at 4x4x4 antennas), a
 set of gather/SINR buffers and one choice slot per scheme.  Blocks are
 drawn, gathered and reduced in place, and the buffers are freed when the
 call returns.
@@ -175,7 +175,6 @@ def _run_block(
     entropy: tuple[int, ...],
     count: int,
     workspace: _Workspace,
-    helper=None,
 ) -> list[dict[str, tuple]]:
     """Draw one block into the workspace and return, per point, each scheme's partial sums.
 
@@ -185,42 +184,27 @@ def _run_block(
     positive mean keeps the order within a group; max_u1 and the joint searches
     read ratios across groups and select at each point.  The joint searches
     share one far-user grid per tile.  Each scheme's choice has its slot in the
-    block's choice array.  Given `helper`, a one-thread executor and at least
-    one joint scheme, at each point the helper starts on their tiles while this
-    thread runs the stage-wise schemes and then joins the tile queue; then the
-    helper reduces the second joint scheme while this thread reduces the first.
-    Each reduction borrows SINR buffers of its own.
+    block's choice array.
     """
     joint, theta = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes), thresholds(params)
     with workspace.borrow("gains") as gains, workspace.borrow("choice") as choices:
         drawn = draw_batch(params, entropy, count, gains)
         slots = {scheme: tuple(slot[:, :count]) for scheme, slot in zip(schemes, choices)}
 
-        def reduce(batch: GainBatch, choice: tuple[np.ndarray, ...]) -> tuple:
-            with workspace.borrow("sinrs") as buffers:
-                return _scheme_sums(batch, choice, params, theta, buffers)
-
-        def reduce_joint(search: JointSearch, scheme: str) -> tuple:
-            return reduce(search.batch, search.indices(scheme, slots[scheme]))
-
         def at_point(first: bool, means: MeanGains) -> dict[str, tuple]:
             # a point's search, and its flat indices, are freed before the next point's is made
-            batch, sums = drawn.at(means), {}
-            search = JointSearch(batch, params, joint) if joint else None
-            tiles = None if helper is None else helper.submit(search.run)
-            for scheme in schemes:
-                if scheme not in joint:
-                    if first or scheme not in ORDER_SCHEMES:  # an order scheme's first choice serves every point
-                        select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
-                    sums[scheme] = reduce(batch, slots[scheme])
-            if search is not None:
+            batch = drawn.at(means)
+            if joint:
+                search = JointSearch(batch, params, joint)
                 search.run()
-                if tiles is not None:
-                    tiles.result()
-                tail = {scheme: helper.submit(reduce_joint, search, scheme) for scheme in joint[1:] if helper}
                 for scheme in joint:
-                    sums[scheme] = tail[scheme].result() if scheme in tail else reduce_joint(search, scheme)
-            return sums
+                    search.indices(scheme, slots[scheme])
+            for scheme in schemes:
+                if scheme not in joint and (first or scheme not in ORDER_SCHEMES):
+                    # an order scheme's first choice serves every point
+                    select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
+            with workspace.borrow("sinrs") as buffers:
+                return {scheme: _scheme_sums(batch, slots[scheme], params, theta, buffers) for scheme in schemes}
 
         return [at_point(p == 0, point) for p, point in enumerate(points)]
 
@@ -246,10 +230,8 @@ def _simulate(
     `workers` threads, min(2, available CPUs) by default, one block in
     flight per thread; numpy releases the GIL in the draws and the array
     kernels.  The partial sums are kept in block order, so _metric_set's
-    reduction is bit-identical for any worker count.  One worker runs every
-    block in the calling thread; so does a single block with two or more,
-    with one helper thread for its joint-search tiles and one joint scheme's
-    sums, so threads are never nested.  The block workspace holds
+    reduction is bit-identical for any worker count.  One worker, or a run of
+    one block, runs every block in the calling thread.  The block workspace holds
     min(block_size, trials) trials.  block_size is part of each block's
     stream key, so the public estimators and run_sweep keep it at
     DEFAULT_BLOCK_SIZE.
@@ -264,9 +246,9 @@ def _simulate(
     unique = tuple(per_block[0])  # a repeated scheme is simulated once
     workspace = _Workspace(params, min(block_size, trials), len(unique))
 
-    def run(block: tuple[int, int, int], helper=None) -> list[dict[str, tuple]]:
+    def run(block: tuple[int, int, int]) -> list[dict[str, tuple]]:
         index, _, count = block
-        return _run_block(params, points, unique, (*entropy_base, index), count, workspace, helper)
+        return _run_block(params, points, unique, (*entropy_base, index), count, workspace)
 
     def collect(partials) -> list[dict[str, list[tuple]]]:
         for block in partials:  # in block order
@@ -277,15 +259,11 @@ def _simulate(
 
     layout = blocks(trials, block_size)
     workers = min(2, _available_cpus()) if workers is None else workers
-    lone = trials <= block_size
-    if workers < 2 or lone and not set(unique) & set(JOINT_SCHEMES):
+    if workers < 2 or trials <= block_size:
         return collect(map(run, layout))
     # Imported here, so a run that needs no thread does not load the thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
-    if lone:  # a one-thread helper for the joint searches' tiles and sums
-        with ThreadPoolExecutor(1) as helper:
-            return collect(run(block, helper) for block in layout)
     with ThreadPoolExecutor(workers) as pool:
         return collect(pool.map(run, layout))
 

@@ -1,5 +1,6 @@
 """Sweep rows and their CSV, shared by both evaluators, neither of which this module imports, and
-the one comparison of a simulated estimate with its closed form (deviation, family_bound).
+the one comparison of a simulated estimate with its closed form (deviation, family_bound,
+without_power).
 
 A row's kind says which evaluator made it, MONTE_CARLO or ANALYTIC.  The records are
 NamedTuples: immutable and cheap to build, copied with a change by _replace.
@@ -75,6 +76,9 @@ def family_bound(comparisons: int) -> float:
     return NormalDist().inv_cdf(1.0 - FAMILY_LEVEL / (2 * comparisons))
 
 
+_TAIL_FLOOR = math.exp(-40.0)
+
+
 def deviation(metric: str, estimate: MetricEstimate, target: float) -> float:
     """A simulated estimate's distance, in se (>= 0), from its closed form `target`.
 
@@ -82,8 +86,8 @@ def deviation(metric: str, estimate: MetricEstimate, target: float) -> float:
     ("outage_*") is the exact binomial tail of its event count under p = target,
     on the count's side of trials * p, read as a normal deviate: with se from p,
     3 events in 1e6 trials at p = 2.3e-7, a 0.17% outcome, read 5.8 se.  The tail
-    sums the pmf from the count away from the mean, where it only falls, in log
-    space, up to 40 nats below its first term.
+    sums the pmf from the count away from the mean, where it only falls, each term
+    from the one before by their ratio, down to 40 nats below its first term.
     """
     if not metric.startswith("outage"):
         gap = abs(estimate.value - target)
@@ -93,19 +97,25 @@ def deviation(metric: str, estimate: MetricEstimate, target: float) -> float:
     events, trials, p = round(estimate.value * estimate.trials), estimate.trials, min(max(target, 0.0), 1.0)
     if p in (0.0, 1.0):
         return 0.0 if events == trials * p else math.inf
-    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
-
-    def log_pmf(k: int) -> float:
-        return log_n - math.lgamma(k + 1) - math.lgamma(trials - k + 1) + k * log_p + (trials - k) * log_q
-
-    first, terms = log_pmf(events), []
-    for k in range(events, trials + 1) if events >= trials * p else range(events, -1, -1):
-        term = log_pmf(k) - first
-        if term < -40.0:
-            break
-        terms.append(math.exp(term))
+    first = (math.lgamma(trials + 1) - math.lgamma(events + 1) - math.lgamma(trials - events + 1)
+             + events * math.log(p) + (trials - events) * math.log1p(-p))
+    odds, terms, k = p / (1.0 - p), [1.0], events
+    if events >= trials * p:
+        while k < trials and terms[-1] >= _TAIL_FLOOR:
+            terms.append(terms[-1] * (trials - k) / (k + 1) * odds)
+            k += 1
+    else:
+        while k > 0 and terms[-1] >= _TAIL_FLOOR:
+            terms.append(terms[-1] * k / ((trials - k + 1) * odds))
+            k -= 1
     tail = math.exp(first) * math.fsum(terms)
     return math.inf if tail == 0.0 else max(0.0, -NormalDist().inv_cdf(min(tail, 0.5)))
+
+
+def without_power(metric: str, target: float, trials: int, bound: float) -> bool:
+    """Whether a comparison passes `bound` even at zero events, so a closed form too high by any factor
+    goes unseen: an outage whose expected count trials * target is at most about ln(2n / FAMILY_LEVEL)."""
+    return metric.startswith("outage") and deviation(metric, MetricEstimate(0.0, 0.0, trials), target) <= bound
 
 
 CSV_COLUMNS = (

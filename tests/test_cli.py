@@ -141,7 +141,7 @@ class TestSweep:
         assert len(rows) == 4  # 2 points x 2 schemes
         assert {row["scheme"] for row in rows} == {"max_u1", "random"}
 
-    def test_both_mode_pairs_rows_and_reports_rel_diff(self, config_path, tmp_path, capsys):
+    def test_both_mode_pairs_rows_and_reports_deviations(self, config_path, tmp_path, capsys):
         out = tmp_path / "both.csv"
         code = main(
             [
@@ -161,8 +161,10 @@ class TestSweep:
             ]
         )
         assert code == EXIT_OK
-        captured = capsys.readouterr().out
-        assert "rel_diff" in captured
+        captured = capsys.readouterr().out.splitlines()
+        assert captured[-2] == "deviation |mc - analytic| in se, * past 3.66 (family-wise level 0.001, 4 comparisons):"
+        assert captured[-1].split()[:3] == ["20", "max_u2_decoupled", "dev_se"]
+        assert "*" not in captured[-1]
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert [row["kind"] for row in rows] == ["monte_carlo", "analytic"]
@@ -170,28 +172,46 @@ class TestSweep:
             mc, an = (float(row[column]) for row in rows)
             assert abs(mc - an) / an < 0.01, column
 
-    def test_both_mode_summary_bounds_outages_with_no_events(self, capsys):
-        # 0 events in 1e5 trials against a closed form of 2.3e-7 would read
-        # rel_diff 1; the summary gives the count and the one-sided 95%
-        # Clopper-Pearson upper bound 1 - 0.05**(1/n) instead.
-        def metrics(outage_u1, trials):
-            est = MetricEstimate(0.5, 0.0, trials)
-            out = MetricEstimate(outage_u1, 0.0, trials)
-            return results.MetricSet(est, est, est, out, out, est)
+    def test_both_mode_summary_marks_deviations_and_names_outages_without_power(self, capsys):
+        # 0 events in 1e5 trials against a closed form of 2.3e-7 (mu 0.023) pass at any closed form,
+        # so the summary names the comparison; 0 events against 1e-3 (mu 100) and a rate 10 se off are
+        # past family_bound(4) = 3.66 se and marked.
+        def metrics(rate_u2, outage_u1, outage_u2, trials):
+            rate, out = MetricEstimate(0.5, 0.01, trials), MetricEstimate(outage_u1, 0.0, trials)
+            return results.MetricSet(rate, rate._replace(value=rate_u2), rate, out,
+                                     out._replace(value=outage_u2), rate)
 
         rows = [
-            results.SweepRow(20.0, "max_u1_analytic", "monte_carlo", 100_000, metrics(0.0, 100_000)),
-            results.SweepRow(20.0, "max_u1_analytic", "analytic", 0, metrics(2.3e-7, 0)),
+            results.SweepRow(20.0, "max_u1_analytic", "monte_carlo", 100_000, metrics(0.6, 0.0, 0.0, 100_000)),
+            results.SweepRow(20.0, "max_u1_analytic", "analytic", 0, metrics(0.5, 2.3e-7, 1e-3, 0)),
         ]
         cli._print_summary(rows, "both")
-        line = capsys.readouterr().out.splitlines()[-1]
-        bound = 1.0 - 0.05 ** (1.0 / 100_000)
+        *_, header, line, named = capsys.readouterr().out.splitlines()
+        assert header == "deviation |mc - analytic| in se, * past 3.66 (family-wise level 0.001, 4 comparisons):"
         tokens = dict(token.split("=", 1) for token in line.split()[3:])
-        assert tokens["rate_u1"] == "0"
-        for name in ("outage_u1", "outage_u2"):
-            count, ub = tokens[name].split(",ub95=")
-            assert count == "0/100000"
-            assert float(ub) == pytest.approx(bound, rel=1e-3)
+        assert tokens["rate_u1"] == "0.00" and tokens["outage_u1"] == "0.00"
+        assert tokens["rate_u2"] == "10.00*" and tokens["outage_u2"].endswith("*")
+        assert named == "no power, as 0 events pass: 20 dB max_u1_analytic/outage_u1 (mu 0.023)"
+
+    def test_both_mode_summary_judges_nothing(self, config_path, tmp_path, capsys, monkeypatch):
+        # A closed form planted 10% high is marked in the summary; the exit code and the CSV are
+        # those of a sweep that marks nothing.
+        argv = ["sweep", "--config", config_path, "--mode", "both", "--schemes", "max_u2_decoupled",
+                "--power", "20", "--trials", "200000", "--seed", "1"]
+        assert main([*argv, "--output", str(tmp_path / "right.csv")]) == EXIT_OK
+        assert "*" not in capsys.readouterr().out.splitlines()[-1]
+        outages = analytic.outages
+
+        def planted(laws):
+            near, far = outages(laws)
+            return [1.1 * p for p in near], far
+
+        monkeypatch.setattr(analytic, "outages", planted)
+        assert main([*argv, "--output", str(tmp_path / "planted.csv")]) == EXIT_OK
+        tokens = dict(token.split("=", 1) for token in capsys.readouterr().out.splitlines()[-1].split()[3:])
+        assert tokens["outage_u1"].endswith("*") and not tokens["outage_u2"].endswith("*")
+        right, wrong = ((tmp_path / f"{name}.csv").read_text().splitlines() for name in ("right", "planted"))
+        assert right[:2] == wrong[:2]  # the header and the simulated row
 
     @pytest.mark.parametrize(
         "antennas, power", [(14, "40,50"), (16, "0:60:10"), (24, "0:60:10"), (32, "0:60:10"), (64, "0:60:10")]
@@ -438,7 +458,7 @@ class TestValidate:
     def test_injected_failure(self, config_path, capsys):
         class Args:
             config = config_path
-            trials = 10
+            trials = cli.MIN_TRIALS
             seed = 0
 
         checks = (("always_wrong", lambda params, trials, seed: (False, "injected")),)
@@ -452,15 +472,24 @@ class TestValidate:
     @pytest.mark.parametrize(
         "flags,code",
         [(["--trials", "0"], "TRIALS_INVALID"), (["--trials", "-5"], "TRIALS_INVALID"),
-         (["--seed", "-1"], "SEED_INVALID")],
+         (["--seed", "-1"], "SEED_INVALID"), (["--trials", "1"], "TRIALS_TOO_FEW"),
+         (["--trials", "10", "--seed", "1"], "TRIALS_TOO_FEW"),
+         (["--trials", str(cli.MIN_TRIALS - 1)], "TRIALS_TOO_FEW")],
     )
     def test_bad_trials_or_seed_is_config_error(self, config_path, capsys, flags, code):
-        # Rejected before any check runs, so no check line is printed.
+        # Rejected before any check runs, so no check line is printed.  Below MIN_TRIALS the rates'
+        # sample se are too rough for the stated level: at 1 trial each is 0 and any gap failed, at
+        # 10 trials seed 1 read 4.57 se.
         assert main(["validate", "--config", config_path, *flags]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert code in captured.err
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_fewest_trials_pass(self, config_path, capsys, seed):
+        code = main(["validate", "--config", config_path, "--trials", str(cli.MIN_TRIALS), "--seed", str(seed)])
+        assert code == EXIT_OK, capsys.readouterr().out
 
     def test_simulation_check_draws_each_block_once(self, monkeypatch):
         # Both closed-form schemes share every block: 3 blocks, 3 draws, not 6.

@@ -364,11 +364,9 @@ def test_sweep_csv_is_byte_identical_for_any_worker_count(overrides, power_db, t
 def test_single_block_csv_is_byte_identical_for_any_worker_count(
     shape, where, tmp_path, monkeypatch, fast_switching
 ):
-    # One block per point: with two or more workers a helper thread takes
-    # joint-search tiles while the caller runs the stage-wise schemes, then
-    # both share the rest of the tiles, and the helper reduces one joint
-    # scheme while the caller reduces the other.  Two points reuse the
-    # sweep's block workspace; 70,001 trials add a short last block.
+    # One block per point, up to a whole default block, runs in the calling thread
+    # whatever the worker count; 70,001 trials make five blocks, the last one short,
+    # on the workers' threads.  Two points reuse the sweep's block workspace.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
     trials = {"one": 1, "tile-1": tile - 1, "tile+1": tile + 1, "block": DEFAULT_BLOCK_SIZE,
@@ -587,29 +585,23 @@ def test_the_streams_are_pinned(label):
     )
 
 
-def test_lone_block_reduces_the_joint_schemes_on_two_threads(baseline, monkeypatch):
-    reduced_on = {}
-    scheme_sums = montecarlo._scheme_sums
+def test_one_block_reduces_every_scheme_in_the_calling_thread(baseline, monkeypatch):
+    # A run of at most one block runs in the calling thread, whatever the worker count: every
+    # scheme's choice and sums, the joint searches' included, and it starts no thread.
+    reduced_on, scheme_sums = [], montecarlo._scheme_sums
 
-    def recording(batch, choice, *args):
-        for scheme in SCHEMES:
-            if choice is chosen.get(scheme):
-                reduced_on[scheme] = threading.get_ident()
-        return scheme_sums(batch, choice, *args)
+    def recording(*args):
+        reduced_on.append(threading.get_ident())
+        return scheme_sums(*args)
 
-    chosen = {}
-    indices = selection.JointSearch.indices
-
-    def keep(search, scheme, *out):
-        chosen[scheme] = indices(search, scheme, *out)
-        return chosen[scheme]
+    def no_thread(thread):
+        raise AssertionError("a one-block run started a thread")
 
     monkeypatch.setattr(montecarlo, "_scheme_sums", recording)
-    monkeypatch.setattr(selection.JointSearch, "indices", keep)
-    _simulate(PowerGrid.at(baseline), SCHEMES, 1 << 12, (3,), block_size=1 << 12, workers=2)
-    assert set(reduced_on) == set(selection.JOINT_SCHEMES)
-    assert reduced_on["max_u2_exhaustive"] == threading.main_thread().ident
-    assert reduced_on["optimum_sumrate"] != threading.main_thread().ident
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    per_block = _simulate(PowerGrid.at(baseline), SCHEMES, 1 << 12, (3,), block_size=1 << 12, workers=2)[0]
+    assert reduced_on == [threading.get_ident()] * len(SCHEMES)
+    assert all([sums[0] for sums in per_block[scheme]] == [1 << 12] for scheme in SCHEMES)
 
 
 @pytest.mark.parametrize("call", ["estimate_rates", "estimate_metrics", "run_sweep"])
@@ -668,24 +660,22 @@ def test_failing_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatc
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("where", ["every tile", "helper's tiles", "stage-wise scheme"])
+@pytest.mark.parametrize("where", ["every tile", "a later tile", "stage-wise scheme"])
 def test_failure_in_a_single_block_reaches_caller_and_leaves_no_threads(baseline, monkeypatch, where):
     cross = selection.cross_sinr
     select = montecarlo.select_batch
-    helper_failed = threading.Event()
+    tiles = []
 
     def failing_cross_sinr(*args):
         # cross_sinr runs once per joint-search tile
-        if where == "every tile" or threading.current_thread() is not threading.main_thread():
-            helper_failed.set()
+        tiles.append(where)
+        if where == "every tile" or where == "a later tile" and len(tiles) > 1:
             raise BlockFailure(where)
         return cross(*args)
 
     def failing_select(scheme, *args):
         if where == "stage-wise scheme" and scheme == "max_u1":
             raise BlockFailure(where)
-        if where == "helper's tiles":
-            assert helper_failed.wait(10), "the helper took no tile"
         return select(scheme, *args)
 
     monkeypatch.setattr(selection, "cross_sinr", failing_cross_sinr)
@@ -694,12 +684,14 @@ def test_failure_in_a_single_block_reaches_caller_and_leaves_no_threads(baseline
     with pytest.raises(BlockFailure, match=where):
         _simulate(PowerGrid.at(baseline), SCHEMES, 1 << 14, (3,), block_size=1 << 14, workers=2)
     assert threading.active_count() == threads
+    if where != "stage-wise scheme":  # the search stops at the tile that fails
+        assert len(tiles) == (1 if where == "every tile" else 2)
 
 
-@pytest.mark.parametrize("workers,block_count,most", [(1, 1, 0), (1, 3, 0), (2, 1, 1), (2, 3, 2)])
+@pytest.mark.parametrize("workers,block_count,most", [(1, 1, 0), (1, 3, 0), (2, 1, 0), (2, 3, 2)])
 def test_joint_searches_start_no_nested_threads(baseline, monkeypatch, workers, block_count, most):
-    # One worker starts no thread; a lone block starts one tile helper; a
-    # multi-block run keeps its tiles on the block threads.
+    # One worker, or one block, starts no thread; a multi-block run keeps its
+    # tiles on the block threads.
     started = []
     start = threading.Thread.start
 
@@ -713,8 +705,6 @@ def test_joint_searches_start_no_nested_threads(baseline, monkeypatch, workers, 
     per_block = _simulate(PowerGrid.at(baseline), SCHEMES, trials, (3,), block_size=block_size, workers=workers)[0]
     assert sum(sums[0] for sums in per_block["optimum_sumrate"]) == trials
     assert len(started) <= most
-    if block_count == 1:
-        assert len(started) == most
 
 
 def test_single_block_runs_without_a_pool(baseline, monkeypatch):
@@ -943,11 +933,24 @@ def test_only_config_holds_the_sweep_name_rules():
     assert usage_codes == [codes]
 
 
+def test_only_montecarlo_starts_threads():
+    # Blocks run one way, whole, on montecarlo's pool: no other module imports the thread
+    # machinery, so none can run a block, a tile or a reduction on a thread of its own.
+    package = Path(montecarlo.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "montecarlo.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+        assert not {name.split(".")[0] for name in imported} & {"threading", "_thread", "concurrent"}, path.name
+
+
 def test_only_results_compares_simulation_with_closed_form():
     # The deviation of an estimate from its closed form and the family-wise bound exist once, in
     # results: no other module reads a tail as a normal deviate (NormalDist) or sums a binomial
-    # tail (its log pmf needs lgamma), and validate's check and criterion 1 import both from
-    # there and work out no standard error of their own.
+    # tail (its log pmf needs lgamma), and validate's check and criterion 1 import both, and the
+    # test of a comparison without power, from there and work out no standard error of their own.
     package = Path(montecarlo.__file__).parent
     for path in [*sorted(package.glob("*.py")), Path(__file__).parent / "test_acceptance.py"]:
         if path.name == "results.py":
@@ -962,7 +965,7 @@ def test_only_results_compares_simulation_with_closed_form():
             assert not names & {"std_error", "sqrt"}, path.name
             imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                         and node.module in ("results", "fdnoma.results") for alias in node.names}
-            assert {"deviation", "family_bound"} <= imported, path.name
+            assert {"deviation", "family_bound", "without_power"} <= imported, path.name
 
 
 def test_results_imports_no_fdnoma_module():

@@ -416,37 +416,23 @@ def test_joint_pass_matches_untiled_and_single_scheme(shape, where):
     assert_joint_pass_matches(batch, params)
 
 
-def shared_joint_search(batch, params, threads=2):
-    """Both joint schemes, the tiles shared by this thread and threads - 1 helpers.
+def recorded_joint_search(batch, params, all_started):
+    """Both joint schemes' search of `batch`, and the (start, stop, buffers) of each tile it searched.
 
-    Each thread waits at its first tile until every other has one too, so
-    every thread searches at least one tile.
+    The search waits at its first tile until every thread has reached its own.
     """
-    search = JointSearch(batch, params, JOINT_SCHEMES)
+    search, searched = JointSearch(batch, params, JOINT_SCHEMES), []
     search_tile = search._search_tile
-    first_tiles = {}
-    all_started = threading.Barrier(threads, timeout=10)
 
-    def search_tile_after_all_start(start, stop, buffers):
-        if first_tiles.setdefault(threading.get_ident(), start) == start:
+    def recording(start, stop, buffers):
+        if not searched:
             all_started.wait()
+        searched.append((start, stop, buffers))  # held, so no two buffers share an id
         search_tile(start, stop, buffers)
 
-    search._search_tile = search_tile_after_all_start
-    with concurrent.futures.ThreadPoolExecutor(threads - 1) as helpers:
-        tiles = [helpers.submit(search.run) for _ in range(threads - 1)]
-        search.run()
-        for helper_tiles in tiles:
-            helper_tiles.result(timeout=60)
-    assert len(first_tiles) == threads
-    return {scheme: search.indices(scheme) for scheme in JOINT_SCHEMES}
-
-
-def assert_shared_pass_matches_untiled(batch, params, threads=2):
-    chosen = shared_joint_search(batch, params, threads)
-    for scheme in JOINT_SCHEMES:
-        for axis, a, b in zip("ijk", chosen[scheme], UNTILED[scheme](batch, params)):
-            np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
+    search._search_tile = recording
+    search.run()
+    return search, searched
 
 
 @pytest.mark.parametrize(
@@ -455,13 +441,27 @@ def assert_shared_pass_matches_untiled(batch, params, threads=2):
     + [((8, 8, 8), "many", 2), ((4, 4, 4), "many", 3), ((8, 8, 8), "many", 3)],
 )
 def test_joint_pass_shared_by_threads_matches_untiled(shape, where, threads, fast_switching):
-    # A skipped tile, or tile buffers shared between threads,
-    # would leave rows that differ from the untiled oracle.
+    # Searches of one batch in flight on several threads at once, as the blocks of a
+    # Monte Carlo run are: each run() searches the tiles in turn in one pair of buffers
+    # of its own.  A skipped tile, a cell left over from the tile before, or a write to
+    # the shared batch or to state shared between searches would leave rows that differ
+    # from the untiled oracle.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
     count = {"tile+1": tile + 1, "many": 70_001 if shape != (8, 8, 8) else 10 * tile + 1}[where]
     batch = draw_gains(params, (2026, sum(shape)), count)
-    assert_shared_pass_matches_untiled(batch, params, threads)
+    want = {scheme: UNTILED[scheme](batch, params) for scheme in JOINT_SCHEMES}
+    all_started = threading.Barrier(threads, timeout=10)
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        runs = [pool.submit(recorded_joint_search, batch, params, all_started) for _ in range(threads)]
+        runs = [run.result(timeout=60) for run in runs]
+    for search, searched in runs:
+        starts, stops, buffers = zip(*searched)
+        assert starts == tuple(range(0, count, tile)) and stops == (*starts[1:], count)
+        assert len(set(map(id, buffers))) == 1
+        for scheme in JOINT_SCHEMES:
+            for axis, a, b in zip("ijk", search.indices(scheme), want[scheme]):
+                np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
 
 
 def test_joint_pass_rejects_other_schemes():
@@ -494,6 +494,3 @@ def test_tiled_search_ties_pick_lowest_triple(scheme):
     ii, jj, kk = batch_joint_search(batch, params, JOINT_SCHEMES)[scheme]
     assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
     assert_joint_pass_matches(batch, params)
-    ii, jj, kk = shared_joint_search(batch, params)[scheme]
-    assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == {(1, 2, 0)}
-    assert_shared_pass_matches_untiled(batch, params)
