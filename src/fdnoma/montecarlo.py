@@ -19,16 +19,15 @@ _metric_set, turns a scheme's per-block partial sums at a point into all
 its metrics with math.fsum in block order, so results are byte-identical
 for any worker count.  estimate_rates and estimate_outage are views of
 estimate_metrics for one scheme, the one-point case of the same loop.
-Each thread running blocks holds one block workspace for the length of a
-sweep or estimator call: a gain batch (about 5.5 MiB at 4x4x4 antennas), a
-set of gather/SINR buffers and one choice slot per scheme.  Blocks are
-drawn, gathered and reduced in place, and the buffers are freed when the
-call returns.
+Each thread running blocks holds one buffer set (_buffer_set) for the
+length of a sweep or estimator call: a gain batch (about 5.5 MiB at 4x4x4
+antennas), a set of gather/SINR buffers and one choice slot per scheme.
+Blocks are drawn, selected, gathered and reduced in place, and the sets
+are freed when the call returns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 
@@ -39,7 +38,7 @@ from .config import KNOWN_METRICS, ConfigError, MeanGains, PowerGrid, SweepSpec,
 from .config import gains_at, power_points, thresholds
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
-from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, JointSearch, select_batch
+from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, joint_search, select_batch
 from .sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
 _RANDOM_SALT = 0x52414E44
@@ -129,36 +128,15 @@ def _scheme_sums(
     return (n, float(np.sum(r1)), float(np.sum(r2)), *products, out1, out2)
 
 
-class _Workspace:
-    """The block buffers of one sweep or estimator call, reused from block to block.
+def _buffer_set(params: SystemParams, capacity: int, schemes: int) -> tuple[GainBatch, SinrBuffers, np.ndarray]:
+    """One thread's block buffers for up to `capacity` trials, reused from block to block.
 
-    borrow(kind) lends one thread at a time a buffer of `capacity` trials,
-    made when none is free: "gains", a gain batch; "sinrs", a set of SINR
-    buffers; "choice", a (schemes, 3, capacity) array, each scheme's (i, j, k)
-    in the smallest unsigned type that indexes the antennas.  All are freed
-    with the workspace.
+    A gain batch, a set of SINR buffers and a (schemes, 3, capacity) choice
+    array, each scheme's (i, j, k) in the smallest unsigned type that indexes
+    the antennas.
     """
-
-    def __init__(self, params: SystemParams, capacity: int, schemes: int):
-        index = np.min_scalar_type(max(params.m_b, params.m_r, params.m_t) - 1)
-        self._make = {
-            "gains": lambda: empty_batch(params, capacity),
-            "sinrs": lambda: SinrBuffers(capacity),
-            "choice": lambda: np.empty((schemes, 3, capacity), dtype=index),
-        }
-        self._free = {kind: [] for kind in self._make}
-
-    @contextlib.contextmanager
-    def borrow(self, kind: str):
-        free = self._free[kind]
-        try:
-            buffers = free.pop()  # atomic, so no two threads take the same buffers
-        except IndexError:
-            buffers = self._make[kind]()
-        try:
-            yield buffers
-        finally:
-            free.append(buffers)
+    index = np.min_scalar_type(max(params.m_b, params.m_r, params.m_t) - 1)
+    return empty_batch(params, capacity), SinrBuffers(capacity), np.empty((schemes, 3, capacity), dtype=index)
 
 
 def _rng(scheme: str, entropy: tuple[int, ...]) -> np.random.Generator | None:
@@ -174,39 +152,35 @@ def _run_block(
     schemes: tuple[str, ...],
     entropy: tuple[int, ...],
     count: int,
-    workspace: _Workspace,
+    buffers: tuple[GainBatch, SinrBuffers, np.ndarray],
 ) -> list[dict[str, tuple]]:
-    """Draw one block into the workspace and return, per point, each scheme's partial sums.
+    """Draw one block into a thread's _buffer_set and return, per point, each scheme's partial sums.
 
     A point is its mean gains, at which it reads the block's draws (batch.at);
     params, the grid's, gives every other field.  The ORDER_SCHEMES select
     once, at the first point, and that choice serves every point, since a
     positive mean keeps the order within a group; max_u1 and the joint searches
-    read ratios across groups and select at each point.  The joint searches
-    share one far-user grid per tile.  Each scheme's choice has its slot in the
-    block's choice array.
+    read ratios across groups and select at each point, the joint searches in
+    one joint_search call that shares a far-user grid per tile.  Each scheme's
+    choice has its slot in the set's choice array, and every point's SINRs are
+    computed in its SINR buffers.
     """
-    joint, theta = tuple(scheme for scheme in JOINT_SCHEMES if scheme in schemes), thresholds(params)
-    with workspace.borrow("gains") as gains, workspace.borrow("choice") as choices:
-        drawn = draw_batch(params, entropy, count, gains)
-        slots = {scheme: tuple(slot[:, :count]) for scheme, slot in zip(schemes, choices)}
+    gains, sinrs, choices = buffers
+    theta, drawn = thresholds(params), draw_batch(params, entropy, count, gains)
+    slots = {scheme: tuple(slot[:, :count]) for scheme, slot in zip(schemes, choices)}
+    joint = {scheme: slots[scheme] for scheme in JOINT_SCHEMES if scheme in schemes}
 
-        def at_point(first: bool, means: MeanGains) -> dict[str, tuple]:
-            # a point's search, and its flat indices, are freed before the next point's is made
-            batch = drawn.at(means)
-            if joint:
-                search = JointSearch(batch, params, joint)
-                search.run()
-                for scheme in joint:
-                    search.indices(scheme, slots[scheme])
-            for scheme in schemes:
-                if scheme not in joint and (first or scheme not in ORDER_SCHEMES):
-                    # an order scheme's first choice serves every point
-                    select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
-            with workspace.borrow("sinrs") as buffers:
-                return {scheme: _scheme_sums(batch, slots[scheme], params, theta, buffers) for scheme in schemes}
+    def at_point(first: bool, means: MeanGains) -> dict[str, tuple]:
+        batch = drawn.at(means)
+        if joint:
+            joint_search(batch, params, joint)
+        for scheme in schemes:
+            if scheme not in joint and (first or scheme not in ORDER_SCHEMES):
+                # an order scheme's first choice serves every point
+                select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
+        return {scheme: _scheme_sums(batch, slots[scheme], params, theta, sinrs) for scheme in schemes}
 
-        return [at_point(p == 0, point) for p, point in enumerate(points)]
+    return [at_point(p == 0, point) for p, point in enumerate(points)]
 
 
 def _available_cpus() -> int:
@@ -231,10 +205,11 @@ def _simulate(
     flight per thread; numpy releases the GIL in the draws and the array
     kernels.  The partial sums are kept in block order, so _metric_set's
     reduction is bit-identical for any worker count.  One worker, or a run of
-    one block, runs every block in the calling thread.  The block workspace holds
-    min(block_size, trials) trials.  block_size is part of each block's
-    stream key, so the public estimators and run_sweep keep it at
-    DEFAULT_BLOCK_SIZE.
+    one block, runs every block in the calling thread.  Each block takes a
+    buffer set of min(block_size, trials) trials from a free list, or makes
+    one, and gives it back, so there is at most one set per thread.
+    block_size is part of each block's stream key, so the public estimators
+    and run_sweep keep it at DEFAULT_BLOCK_SIZE.
     """
     params, points = grid.params, [gains_at(grid.params, *powers) for powers in zip(grid.rho_s, grid.rho_r)]
     check_run(trials, entropy_base[0])
@@ -244,11 +219,18 @@ def _simulate(
         check_scheme(scheme)
     per_block = [{scheme: [] for scheme in schemes} for _ in points]
     unique = tuple(per_block[0])  # a repeated scheme is simulated once
-    workspace = _Workspace(params, min(block_size, trials), len(unique))
+    free = []  # the buffer sets of threads between blocks
 
     def run(block: tuple[int, int, int]) -> list[dict[str, tuple]]:
         index, _, count = block
-        return _run_block(params, points, unique, (*entropy_base, index), count, workspace)
+        try:
+            buffers = free.pop()  # atomic, so no two threads take the same set
+        except IndexError:
+            buffers = _buffer_set(params, min(block_size, trials), len(unique))
+        try:
+            return _run_block(params, points, unique, (*entropy_base, index), count, buffers)
+        finally:
+            free.append(buffers)
 
     def collect(partials) -> list[dict[str, list[tuple]]]:
         for block in partials:  # in block order

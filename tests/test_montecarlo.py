@@ -366,7 +366,7 @@ def test_single_block_csv_is_byte_identical_for_any_worker_count(
 ):
     # One block per point, up to a whole default block, runs in the calling thread
     # whatever the worker count; 70,001 trials make five blocks, the last one short,
-    # on the workers' threads.  Two points reuse the sweep's block workspace.
+    # on the workers' threads.  Two points reuse each thread's buffer set.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
     trials = {"one": 1, "tile-1": tile - 1, "tile+1": tile + 1, "block": DEFAULT_BLOCK_SIZE,
@@ -606,22 +606,24 @@ def test_one_block_reduces_every_scheme_in_the_calling_thread(baseline, monkeypa
 
 @pytest.mark.parametrize("call", ["estimate_rates", "estimate_metrics", "run_sweep"])
 def test_no_block_buffer_outlives_its_call(baseline, monkeypatch, call):
-    # Every workspace, gain batch and SINR buffer set made during the call is
-    # freed by reference counting when it returns (the cyclic collector is off).
+    # Every buffer set made during the call, and every gain batch, SINR buffer set and
+    # choice array in it, is freed by reference counting when it returns (the cyclic
+    # collector is off).
     made = []
-    workspace, empty_batch, sinr_buffers = montecarlo._Workspace, montecarlo.empty_batch, montecarlo.SinrBuffers
+    buffer_set, empty_batch, sinr_buffers = montecarlo._buffer_set, montecarlo.empty_batch, montecarlo.SinrBuffers
 
     def tracked(make):
         def wrapper(*args):
             value = make(*args)
-            made.append(weakref.ref(value))
-            arrays = vars(value).values() if hasattr(value, "__dict__") else ()
-            made.extend(weakref.ref(a) for a in arrays if isinstance(a, np.ndarray))
+            for part in value if isinstance(value, tuple) else (value,):
+                made.append(weakref.ref(part))
+                arrays = vars(part).values() if hasattr(part, "__dict__") else ()
+                made.extend(weakref.ref(a) for a in arrays if isinstance(a, np.ndarray))
             return value
 
         return wrapper
 
-    monkeypatch.setattr(montecarlo, "_Workspace", tracked(workspace))
+    monkeypatch.setattr(montecarlo, "_buffer_set", tracked(buffer_set))
     monkeypatch.setattr(montecarlo, "empty_batch", tracked(empty_batch))
     monkeypatch.setattr(montecarlo, "SinrBuffers", tracked(sinr_buffers))
     run = {
@@ -849,7 +851,8 @@ def test_scheme_validation(baseline):
     (lambda p: estimate_metrics(p, ("max_u1", "bogus"), 100, 1), "SCHEME_UNKNOWN"),
     (lambda p: select_batch("bogus", draw_batch(p, (1,), 4), p), "SCHEME_UNKNOWN"),
     (lambda p: select_batch("random", draw_batch(p, (1,), 4), p), "SCHEME_NEEDS_RNG"),
-    (lambda p: selection.JointSearch(draw_batch(p, (1,), 4), p, ("optimum_sumrate", "random")), "SCHEME_NOT_JOINT"),
+    (lambda p: selection.joint_search(draw_batch(p, (1,), 4), p, dict.fromkeys(
+        ("optimum_sumrate", "random"), tuple(np.empty((3, 4), dtype=np.intp)))), "SCHEME_NOT_JOINT"),
     (lambda p: analytic.Laws(PowerGrid.at(p), "max_u1"), "SCHEME_NO_CLOSED_FORM"),
     (lambda p: closed_form_sets(PowerGrid.at(p), "random", ("rates",)), "SCHEME_NO_CLOSED_FORM"),
 ])

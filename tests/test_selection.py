@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdnoma import selection
 from fdnoma.channel import GainBatch
 from fdnoma.montecarlo import chosen_sinrs
-from fdnoma.selection import JOINT_SCHEMES, SCHEMES, JointSearch, select_batch
+from fdnoma.selection import JOINT_SCHEMES, SCHEMES, joint_search, select_batch
 from fdnoma.sinr import rate_bits
 
 from conftest import batch_from, draw_gains, make_params, tile_rows
@@ -383,56 +384,58 @@ def test_tiled_search_matches_untiled_grid(scheme, shape, where):
     assert_same_indices(scheme, batch, params)
 
 
-def batch_joint_search(batch, params, schemes):
-    """Per-row (i, j, k) of each joint scheme in `schemes`, every tile in this thread."""
-    search = JointSearch(batch, params, schemes)
-    search.run()
-    return {scheme: search.indices(scheme) for scheme in schemes}
+def batch_joint_search(batch, params, schemes, dtype=np.intp):
+    """Per-row (i, j, k) of each joint scheme in `schemes`, every tile in this thread.
+
+    Written as a block writes them: one slot of a (schemes, 3, count) array of `dtype` per scheme.
+    """
+    slots = np.empty((len(schemes), 3, batch.count), dtype=dtype)
+    chosen = {scheme: tuple(slot) for scheme, slot in zip(schemes, slots)}
+    joint_search(batch, params, chosen)
+    return chosen
 
 
-def assert_joint_pass_matches(batch, params):
+def slot_type(shape):
+    """The type of a block's choice slots: the smallest that indexes the antennas."""
+    return np.min_scalar_type(max(shape) - 1)
+
+
+def assert_joint_pass_matches(batch, params, dtype=np.intp):
     # Both joint schemes from one pass: the same indices as the untiled
     # oracles and as each scheme's own select_batch call.
-    chosen = batch_joint_search(batch, params, JOINT_SCHEMES)
+    chosen = batch_joint_search(batch, params, JOINT_SCHEMES, dtype)
     assert list(chosen) == list(JOINT_SCHEMES)
     for scheme in JOINT_SCHEMES:
         for want in (UNTILED[scheme](batch, params), select_batch(scheme, batch, params)):
             for axis, a, b in zip("ijk", chosen[scheme], want):
-                assert a.shape == (batch.count,)
+                assert a.shape == (batch.count,) and a.dtype == dtype
                 np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
 
 
+JOINT_CASES = [(s, w) for s in [(4, 4, 4), (3, 5, 2)] for w in ["one", "tile-1", "tile", "tile+1", "many"]] + [
+    ((8, 8, 8), "many")
+]
+
+
 @pytest.mark.parametrize(
-    "shape,where",
-    [(s, w) for s in [(4, 4, 4), (3, 5, 2)] for w in ["one", "tile-1", "tile", "tile+1", "many"]]
-    + [((8, 8, 8), "many")],
+    "shape,where,slots",
+    [
+        pytest.param(shape, where, slots, id=f"shape{n}-{where}" + ("-slots" if slots else ""))
+        for slots in (False, True)
+        for n, (shape, where) in enumerate(JOINT_CASES)
+    ],
 )
-def test_joint_pass_matches_untiled_and_single_scheme(shape, where):
+def test_joint_pass_matches_untiled_and_single_scheme(shape, where, slots):
+    # Into intp arrays, as select_batch makes them, or into a block's slots: uint8, also
+    # at 8x8x8, whose 512 flat indices need uint16.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
     many = 70_001 if shape != (8, 8, 8) else 10 * tile + 1
     count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "many": many}[where]
     batch = draw_gains(params, (2025, sum(shape)), count)
-    assert_joint_pass_matches(batch, params)
-
-
-def recorded_joint_search(batch, params, all_started):
-    """Both joint schemes' search of `batch`, and the (start, stop, buffers) of each tile it searched.
-
-    The search waits at its first tile until every thread has reached its own.
-    """
-    search, searched = JointSearch(batch, params, JOINT_SCHEMES), []
-    search_tile = search._search_tile
-
-    def recording(start, stop, buffers):
-        if not searched:
-            all_started.wait()
-        searched.append((start, stop, buffers))  # held, so no two buffers share an id
-        search_tile(start, stop, buffers)
-
-    search._search_tile = recording
-    search.run()
-    return search, searched
+    dtype = slot_type(shape) if slots else np.intp
+    assert dtype == (np.uint8 if slots else np.intp)
+    assert_joint_pass_matches(batch, params, dtype)
 
 
 @pytest.mark.parametrize(
@@ -440,27 +443,42 @@ def recorded_joint_search(batch, params, all_started):
     [(s, w, 2) for s in [(4, 4, 4), (3, 5, 2)] for w in ["tile+1", "many"]]
     + [((8, 8, 8), "many", 2), ((4, 4, 4), "many", 3), ((8, 8, 8), "many", 3)],
 )
-def test_joint_pass_shared_by_threads_matches_untiled(shape, where, threads, fast_switching):
+def test_joint_pass_shared_by_threads_matches_untiled(shape, where, threads, fast_switching, monkeypatch):
     # Searches of one batch in flight on several threads at once, as the blocks of a
-    # Monte Carlo run are: each run() searches the tiles in turn in one pair of buffers
-    # of its own.  A skipped tile, a cell left over from the tile before, or a write to
-    # the shared batch or to state shared between searches would leave rows that differ
-    # from the untiled oracle.
+    # Monte Carlo run are: each call searches the tiles in turn in one pair of buffers
+    # of its own and writes into slots of its own.  A skipped tile, a cell left over from
+    # the tile before, or a write to the shared batch or to state shared between searches
+    # would leave rows that differ from the untiled oracle.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2])
     tile = tile_rows(params)
     count = {"tile+1": tile + 1, "many": 70_001 if shape != (8, 8, 8) else 10 * tile + 1}[where]
     batch = draw_gains(params, (2026, sum(shape)), count)
     want = {scheme: UNTILED[scheme](batch, params) for scheme in JOINT_SCHEMES}
     all_started = threading.Barrier(threads, timeout=10)
+    search_tile, searched = selection._search_tile, {}
+
+    def recording(batch, params, start, stop, buffers, flat):
+        # Each search waits at its first tile until every thread has reached its own.
+        mine = searched.setdefault(threading.get_ident(), [])
+        if not mine:
+            all_started.wait()
+        mine.append((start, stop, buffers))  # held, so no two buffers share an id
+        search_tile(batch, params, start, stop, buffers, flat)
+
+    def search():
+        return threading.get_ident(), batch_joint_search(batch, params, JOINT_SCHEMES, slot_type(shape))
+
+    monkeypatch.setattr(selection, "_search_tile", recording)
     with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        runs = [pool.submit(recorded_joint_search, batch, params, all_started) for _ in range(threads)]
+        runs = [pool.submit(search) for _ in range(threads)]
         runs = [run.result(timeout=60) for run in runs]
-    for search, searched in runs:
-        starts, stops, buffers = zip(*searched)
+    assert sorted(searched) == sorted(thread for thread, _ in runs) and len(searched) == threads
+    for thread, chosen in runs:
+        starts, stops, buffers = zip(*searched[thread])
         assert starts == tuple(range(0, count, tile)) and stops == (*starts[1:], count)
         assert len(set(map(id, buffers))) == 1
         for scheme in JOINT_SCHEMES:
-            for axis, a, b in zip("ijk", search.indices(scheme), want[scheme]):
+            for axis, a, b in zip("ijk", chosen[scheme], want[scheme]):
                 np.testing.assert_array_equal(a, b, err_msg=f"{scheme} {axis}")
 
 
