@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, PowerGrid, SweepSpec, SystemParams, check_metrics, gains_at, power_points, thresholds
+from .config import ConfigError, MeanGains, PowerGrid, SweepSpec, SystemParams, check_metrics, power_points, thresholds
 from .results import ANALYTIC, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 
 LN2 = math.log(2.0)
@@ -378,8 +378,8 @@ def graded_points(scale: float) -> tuple[float, ...]:
 class Laws:
     """The links of _LINKS under one of ANALYTIC_SCHEMES over a power grid, one row per point.
 
-    The mean gains are those of mean_gains at the grid's two power columns
-    as arrays, and the grid's other fields stay scalars, so each _LINKS
+    The mean gains are the grid's checked gains, one array per group over the
+    points, and the grid's other fields stay scalars, so each _LINKS
     formula evaluates every point in one numpy pass with each element's
     float operations unchanged.  a1 and a2 stay scalars; each link keeps its
     m and one row per point of each of lam, lam_i and den (times a row of
@@ -390,9 +390,9 @@ class Laws:
     def __init__(self, grid: PowerGrid, scheme: str):
         if scheme not in _LINKS:
             raise ConfigError("SCHEME_NO_CLOSED_FORM", f"no closed forms for scheme {scheme!r}; have {ANALYTIC_SCHEMES}")
-        params, ones = grid.params, np.ones(len(grid))
+        params, ones = grid.params, np.ones(len(grid.gains))
         self.grid, self.scheme, self.a1, self.a2 = grid, scheme, params.a1, params.a2
-        gains = gains_at(params, np.array(grid.rho_s), np.array(grid.rho_r))
+        gains = MeanGains(*map(np.array, zip(*grid.gains)))
         self.links = [(m, *(v * ones for v in means)) for m, *means in _LINKS[scheme](params, gains)]
 
     def _at(self, link: tuple, rows, t, survival: bool = False) -> np.ndarray:
@@ -595,7 +595,7 @@ def far_user_rates(laws: Laws) -> list[QuadratureResult | NonConvergedError]:
     never on the others in the call.
     """
     # Finite domains stop a hair inside the cap, as in rate_from_cdf.
-    hi = np.full(len(laws.grid), laws.a2 / laws.a1 * (1.0 - 1e-12))
+    hi = np.full(len(laws.grid.gains), laws.a2 / laws.a1 * (1.0 - 1e-12))
     return _qag(laws.far_survival, hi, laws.breakpoints(hi))
 
 
@@ -708,7 +708,7 @@ def outages(laws: Laws) -> tuple[list[float], list[float]]:
     no power, so they run once per call.
     """
     z, theta2 = zeta(laws.grid.params), thresholds(laws.grid.params)[1]
-    near = laws.near_cdf(laws.a1 * z).tolist() if math.isfinite(z) else [1.0] * len(laws.grid)
+    near = laws.near_cdf(laws.a1 * z).tolist() if math.isfinite(z) else [1.0] * len(laws.grid.gains)
     return near, laws.far_cdf(theta2, cross_link=False).tolist()
 
 
@@ -759,7 +759,7 @@ def closed_form_sets(grid: PowerGrid, scheme: str, metrics: tuple[str, ...]):
 
 def metric_sets(laws: Laws, metrics: tuple[str, ...]):
     """_closed_form_set at each point of the laws, in order, as an iterator; each closed form runs once for all."""
-    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(laws.grid)
+    rates_u1 = far_rates = outages_u1 = outages_u2 = [None] * len(laws.grid.gains)
     if "rates" in metrics or "jain" in metrics:
         far_rates, rates_u1 = far_user_rates(laws), near_user_rates(laws)
     if "outage" in metrics:
@@ -778,7 +778,7 @@ def analytic_sweep(params: SystemParams, sweep: SweepSpec) -> tuple[list[SweepRo
     grid = power_points(params, sweep)
     sets = [closed_form_sets(grid, scheme, sweep.metrics) for scheme in sweep.schemes]
     rows, notes = [], []
-    for power_db, *point in zip(grid.power_db, *sets):
+    for power_db, *point in zip(sweep.power_db, *sets):
         for scheme, metrics in zip(sweep.schemes, point):
             if isinstance(metrics, NonConvergedError):
                 notes.append(f"NON_CONVERGED at {power_db} dB / {scheme}: {metrics}")

@@ -210,11 +210,11 @@ def _check_alternating_identity(params, trials, seed):
 
 def _check_cdf_sanity(params, trials, seed):
     cap = analytic.sinr_cap(params)
-    near_hi = 60.0 * params.a1 * params.rho_s
-    # Each scheme's laws are its one set's cached laws, which the next two checks read too; each
-    # law is evaluated over its whole grid in one call.
+    # Each scheme's laws are its one set's cached laws, which the next two checks read too; each law
+    # is evaluated over its whole grid in one call, the near law's over 60 of its link's scales, a1 lam_su1.
     for scheme in ANALYTIC_SCHEMES:
         laws = analytic._one_set(params, scheme)
+        near_hi = 60.0 * float(laws.links[0][1][0])
         cases = (("near-user", laws.near_cdf, near_hi, False), ("far-user", laws.far_cdf, cap, True))
         for name, cdf, hi, capped in cases:
             values = cdf(np.linspace(0.0, hi, 1000))  # its last point is hi exactly

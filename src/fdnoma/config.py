@@ -3,7 +3,7 @@
 All powers are linear SNRs (transmit power over unit noise variance);
 channel variances are direct unitless inputs (no path-loss model).
 Every SystemParams is valid: it is checked where it is made (validate, from
-__post_init__), and a power grid checks only its points' powers (check_powers).
+__post_init__), and a power grid keeps its points' mean gains as check_powers checked them.
 A SweepSpec is valid too: its grid, its scheme ids (SCHEMES, check_scheme),
 its metric families (KNOWN_METRICS, check_metrics), trials and seed are
 checked as it is made, and these are the one copy of each rule.
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -196,19 +195,21 @@ def validate(params: SystemParams) -> SystemParams:
     return params
 
 
-def check_powers(params: SystemParams, rho_s: float, rho_r: float) -> None:
+def check_powers(params: SystemParams, rho_s: float, rho_r: float) -> MeanGains:
     """validate's checks that read the powers, of params' other fields at rho_s and rho_r: each
-    power finite and > 0, and each mean gain in GAIN_RANGE."""
+    power finite and > 0, and each mean gain in GAIN_RANGE.  Returns the gains it checked."""
     for name, value in (("rho_s", rho_s), ("rho_r", rho_r)):
         if not math.isfinite(value):
             raise ConfigError("VALUE_NOT_FINITE", f"{name} must be finite, got {value!r}")
         if not value > 0.0:
             raise ConfigError("SNR_INVALID", f"{name} must be > 0, got {value!r}")
     low, high = GAIN_RANGE
-    for name, gain in zip(MeanGains._fields, gains_at(params, rho_s, rho_r)):
+    gains = gains_at(params, rho_s, rho_r)
+    for name, gain in zip(MeanGains._fields, gains):
         # k1 = 0 switches the inter-user interference off: lam_ru1 is 0 then.
         if not low <= gain <= high and not (name == "lam_ru1" and params.k1 == 0.0):
             raise ConfigError("GAIN_OUT_OF_RANGE", f"mean gain {name} = {gain!r} is outside [{low:g}, {high:g}]")
+    return gains
 
 
 def mean_gains(params: SystemParams) -> MeanGains:
@@ -216,8 +217,8 @@ def mean_gains(params: SystemParams) -> MeanGains:
     return gains_at(params, params.rho_s, params.rho_r)
 
 
-def gains_at(params: SystemParams, rho_s, rho_r) -> MeanGains:
-    """The mean gains of params at the powers rho_s and rho_r, floats or arrays alike."""
+def gains_at(params: SystemParams, rho_s: float, rho_r: float) -> MeanGains:
+    """The mean gains of params' other fields at the linear powers rho_s and rho_r."""
     return MeanGains(rho_s * params.var_br, rho_s * params.var_bu1, rho_r * params.k1 * params.var_ru1,
                      rho_r * params.var_ru2, rho_r * params.var_si)
 
@@ -233,42 +234,30 @@ def default_params(power_db: float = 20.0, relay_power_db: float | None = None) 
     return SystemParams(rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
 
 
-class PowerGrid(Sequence):
-    """A sweep's power grid over one parameter set: each point's dB value and linear powers.
+@dataclass(frozen=True)
+class PowerGrid:
+    """A sweep's power grid over params: each point's MeanGains in order, as check_powers checked
+    them, and no SystemParams per point.  Only this module makes one, so each point is valid."""
 
-    A point's SystemParams is made only when indexed, so no grid holds one per point; a slice
-    is the PowerGrid of its points.  Only this module makes one, and each of its points is valid.
-    """
-
-    def __init__(self, params: SystemParams, power_db, rho_s: list[float], rho_r: list[float]):
-        self.params, self.power_db, self.rho_s, self.rho_r = params, power_db, rho_s, rho_r
+    params: SystemParams
+    gains: tuple[MeanGains, ...]
 
     @classmethod
     def at(cls, params: SystemParams) -> PowerGrid:
-        """The one-point grid at params' own powers, which have no dB value here (None)."""
-        return cls(params, (None,), [params.rho_s], [params.rho_r])
-
-    def __len__(self) -> int:
-        return len(self.power_db)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PowerGrid(self.params, self.power_db[index], self.rho_s[index], self.rho_r[index])
-        return replace(self.params, rho_s=self.rho_s[index], rho_r=self.rho_r[index])
+        """The one-point grid at params' own powers."""
+        return cls(params, (mean_gains(params),))
 
 
 def power_points(params: SystemParams, sweep: SweepSpec) -> PowerGrid:
     """The sweep's power grid over params, every point checked before it returns.
 
     params is valid, and a point differs from it only in its powers, so each point runs only
-    check_powers: the first bad point raises the ConfigError that making its SystemParams gives.
+    check_powers, whose gains it keeps: the first bad point raises the ConfigError that making its
+    SystemParams gives.
     """
-    rho_s, rho_r = [], []
-    for source_db in sweep.power_db:
-        rho_s.append(db_to_linear(source_db))
-        rho_r.append(rho_s[-1] if sweep.relay_power_db is None else db_to_linear(sweep.relay_power_db))
-        check_powers(params, rho_s[-1], rho_r[-1])
-    return PowerGrid(params, sweep.power_db, rho_s, rho_r)
+    relay_db = sweep.relay_power_db
+    return PowerGrid(params, tuple(check_powers(params, rho_s, rho_s if relay_db is None else db_to_linear(relay_db))
+                                   for rho_s in map(db_to_linear, sweep.power_db)))
 
 
 # Config files are flat "key = value" lines with '#' comments.  Keys match

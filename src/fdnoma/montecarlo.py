@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
 from .config import KNOWN_METRICS, ConfigError, MeanGains, PowerGrid, SweepSpec, SystemParams, check_run, check_scheme
-from .config import gains_at, power_points, thresholds
+from .config import power_points, thresholds
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
 from .results import MONTE_CARLO, MetricEstimate, MetricSet, SweepRow, jain_index, masked_set
 from .selection import JOINT_SCHEMES, NEEDS_RNG, ORDER_SCHEMES, joint_search, select_batch
@@ -148,7 +148,7 @@ def _rng(scheme: str, entropy: tuple[int, ...]) -> np.random.Generator | None:
 
 def _run_block(
     params: SystemParams,
-    points: list[MeanGains],
+    points: tuple[MeanGains, ...],
     schemes: tuple[str, ...],
     entropy: tuple[int, ...],
     count: int,
@@ -197,7 +197,7 @@ def _simulate(
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int | None = None,
 ) -> list[dict[str, list[tuple]]]:
-    """Per point of the grid, each scheme's _scheme_sums per block, in block order.
+    """Per point of grid.gains, read as they are, each scheme's _scheme_sums per block, in block order.
 
     Every scheme at every point sees the same blocks: block b is drawn once,
     from the stream (*entropy_base, b), as _run_block says.  Blocks run on
@@ -211,7 +211,7 @@ def _simulate(
     block_size is part of each block's stream key, so the public estimators
     and run_sweep keep it at DEFAULT_BLOCK_SIZE.
     """
-    params, points = grid.params, [gains_at(grid.params, *powers) for powers in zip(grid.rho_s, grid.rho_r)]
+    params, points = grid.params, grid.gains
     check_run(trials, entropy_base[0])
     if not schemes:
         raise ConfigError("SWEEP_EMPTY", "scheme list must be non-empty")
@@ -346,6 +346,6 @@ def run_sweep(params: SystemParams, sweep: SweepSpec) -> list[SweepRow]:
     return [
         SweepRow(power_db=power_db, scheme=scheme, kind=MONTE_CARLO, trials=sweep.trials,
                  metrics=_metric_set(per_block[scheme], sweep.metrics))
-        for power_db, per_block in zip(grid.power_db, per_point)
+        for power_db, per_block in zip(sweep.power_db, per_point)
         for scheme in sweep.schemes
     ]

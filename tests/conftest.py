@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -11,7 +12,7 @@ import pytest
 
 from fdnoma.analytic import LN2, _scaled_e1, thresholds, zeta
 from fdnoma.channel import GROUPS, GainBatch, draw_batch
-from fdnoma.config import SystemParams, default_params, mean_gains
+from fdnoma.config import SystemParams, db_to_linear, default_params, mean_gains
 from fdnoma.results import write_csv
 from fdnoma.selection import _TILE_GRID_BYTES
 
@@ -19,6 +20,13 @@ from fdnoma.selection import _TILE_GRID_BYTES
 def make_params(**overrides) -> SystemParams:
     """Baseline parameter set with selective overrides, checked as it is made."""
     return SystemParams(**overrides)
+
+
+def power_points_oracle(params, sweep):
+    """Each point's parameters, made (and so checked in full) one point at a time."""
+    for power_db in sweep.power_db:
+        relay_db = power_db if sweep.relay_power_db is None else sweep.relay_power_db
+        yield replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
 
 
 def batch_from(g_br, g_su1, g_ru1, g_ru2, g_si) -> GainBatch:
@@ -206,7 +214,7 @@ def oracle_far_user_rates(grid, scheme: str, rel_tol: float = 1e-8, abs_tol: flo
     """
     from fdnoma.analytic import _MAX_INTERVALS, Laws, _checked, _gk21
 
-    count = len(grid)
+    count = len(grid.gains)
     laws = Laws(grid, scheme)
     hi = np.full(count, laws.a2 / laws.a1 * (1.0 - 1e-12))
     edges = np.column_stack([np.zeros(count), laws.breakpoints(hi), hi])

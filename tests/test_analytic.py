@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     oracle_breakpoints,
     oracle_far_user_rates,
     oracle_links,
+    power_points_oracle,
     run_fresh,
 )
 
@@ -282,7 +284,7 @@ def test_analytic_sweep_equals_scalar_oracle(antennas, a1, k1, variances, relay_
     rows, notes = analytic.analytic_sweep(params, spec)
     assert notes == []
     power_grid = power_points(params, spec)
-    points = list(power_grid)
+    points = list(power_points_oracle(params, spec))
     one_set = {
         "max_u1_analytic": (rate_u1_max_u1, outage_u1_max_u1, outage_u2_max_u1),
         "max_u2_decoupled": (rate_u1_max_u2, outage_u1_max_u2, outage_u2_max_u2),
@@ -769,13 +771,17 @@ BATCHED_CLOSED_FORMS = {
 def test_far_user_rates_do_not_depend_on_the_batch():
     # Every row of every closed form (a quadrature's value, bound and evaluations) is the
     # same alone (a one-point grid), in the 601-point grid and in chunks of 13.
-    grid = power_points(default_params(), SweepSpec(power_db=tuple(i / 10 for i in range(601)), schemes=("max_u1",)))
+    spec = SweepSpec(power_db=tuple(i / 10 for i in range(601)), schemes=("max_u1",))
+    grid = power_points(default_params(), spec)
+    points = spec.power_db
+    chunks = [power_points(default_params(), replace(spec, power_db=points[i : i + 13])) for i in range(0, 601, 13)]
     for scheme in ("max_u1_analytic", "max_u2_decoupled"):
         for name, closed_form in BATCHED_CLOSED_FORMS.items():
             together = closed_form(analytic.Laws(grid, scheme))
-            chunked = [r for i in range(0, len(grid), 13) for r in closed_form(analytic.Laws(grid[i : i + 13], scheme))]
+            chunked = [r for chunk in chunks for r in closed_form(analytic.Laws(chunk, scheme))]
             assert chunked == together, (scheme, name)
-            alone = [r for params in grid for r in closed_form(analytic._one_set(params, scheme))]
+            alone = [r for params in power_points_oracle(default_params(), spec)
+                     for r in closed_form(analytic._one_set(params, scheme))]
             assert alone == together, (scheme, name)
         assert oracle_far_user_rates(grid, scheme) == analytic.far_user_rates(analytic.Laws(grid, scheme)), scheme
 
@@ -791,7 +797,7 @@ def test_far_survival_at_nodes_is_the_product_of_link_survivals():
         laws.far_survival = lambda x, rows: seen.append((x, rows)) or survival(x, rows)
         analytic.far_user_rates(laws)
         hi = laws.a2 / laws.a1 * (1.0 - 1e-12)
-        assert sum(x.size for x, _ in seen) > 21 * len(grid)
+        assert sum(x.size for x, _ in seen) > 21 * len(grid.gains)
         for x, rows in seen:
             assert ((0.0 < x) & (x < hi)).all(), scheme
             r, t, beyond = laws._far_points(x)

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fdnoma import analytic, cli, montecarlo, results
@@ -390,7 +391,7 @@ class TestSweep:
 
         def explode(laws):
             if laws.scheme == "max_u2_decoupled":
-                return [analytic.NonConvergedError("forced for test") for _ in laws.grid]
+                return [analytic.NonConvergedError("forced for test") for _ in laws.grid.gains]
             return far_user_rates(laws)
 
         monkeypatch.setattr(analytic, "far_user_rates", explode)
@@ -432,7 +433,7 @@ class TestValidate:
 
         def explode(laws):
             if laws.scheme == "max_u2_decoupled":
-                return [analytic.NonConvergedError("forced for test") for _ in laws.grid]
+                return [analytic.NonConvergedError("forced for test") for _ in laws.grid.gains]
             return far_user_rates(laws)
 
         monkeypatch.setattr(analytic, "far_user_rates", explode)
@@ -524,6 +525,28 @@ class TestValidate:
         for check in checks:
             assert check(params, 20_000, 1)[0]
         assert built == list(analytic.ANALYTIC_SCHEMES)
+
+    @pytest.mark.parametrize("var_bu1", [1e-4, 1.0, 1e4])
+    def test_cdf_sanity_sees_each_near_law_rise(self, monkeypatch, var_bu1):
+        # Each near law is sampled over 60 of its own link's scales, a1 lam_su1.  Over 60 a1 rho_s,
+        # which ignores var_bu1, no sampled point lay strictly inside (0, 1) at var_bu1 = 1e-4 or
+        # 1e4, so a law that falls about its median passed.
+        params = replace(default_params(20.0), var_bu1=var_bu1)
+        near_cdf, seen = analytic.Laws.near_cdf, []
+
+        def recorded(laws, x):
+            seen.append(near_cdf(laws, x))
+            return seen[-1]
+
+        def planted(laws, x):
+            values = near_cdf(laws, x)
+            return np.where((0.3 < values) & (values < 0.7), 1.0 - values, values)
+
+        monkeypatch.setattr(analytic.Laws, "near_cdf", recorded)
+        assert cli._check_cdf_sanity(params, 0, 1)[0]
+        assert len(seen) == 2 and all(np.count_nonzero((1e-6 < v) & (v < 1.0 - 1e-6)) >= 10 for v in seen)
+        monkeypatch.setattr(analytic.Laws, "near_cdf", planted)
+        assert cli._check_cdf_sanity(params, 0, 1) == (False, "max_u1_analytic near-user F not nondecreasing")
 
     def test_large_arrays_pass_every_check(self, tmp_path, capsys):
         # The alternating sums read CDF_RANGE_VIOLATION here.

@@ -20,7 +20,7 @@ from fdnoma.config import (
     validate,
 )
 
-from conftest import linear_to_db, make_params
+from conftest import linear_to_db, make_params, power_points_oracle
 
 
 def test_baseline_parameters_are_valid():
@@ -240,13 +240,6 @@ def test_power_beyond_the_float_range_is_a_gain_error(call):
     assert "3100.0 dB" in str(err.value)
 
 
-def power_points_oracle(params, sweep):
-    """Each point's parameters, made (and so checked in full) one point at a time."""
-    for power_db in sweep.power_db:
-        relay_db = power_db if sweep.relay_power_db is None else sweep.relay_power_db
-        yield replace(params, rho_s=db_to_linear(power_db), rho_r=db_to_linear(relay_db))
-
-
 def raised(call):
     try:
         return call()
@@ -268,21 +261,21 @@ def raised(call):
 def test_power_points_raise_what_validating_each_point_raises(power_db, relay_db, spoiled):
     # The base set is checked in full as it is made, so a spoiled base raises before any point;
     # each point then runs only the checks that read rho_s and rho_r.  The first bad point must
-    # raise the ConfigError that making every point's set in full gives, and a good grid must give
-    # the same parameter sets.
+    # raise the ConfigError that making every point's set in full gives, and a good grid must hold
+    # the mean gains of those sets.
     sweep = SweepSpec(power_db=tuple(power_db), schemes=("max_u1",), trials=1, seed=1, relay_power_db=relay_db)
-    grid = lambda: list(power_points(replace(SystemParams(), **spoiled), sweep))
-    oracle = lambda: list(power_points_oracle(replace(SystemParams(), **spoiled), sweep))
+    grid = lambda: power_points(replace(SystemParams(), **spoiled), sweep).gains
+    oracle = lambda: tuple(map(mean_gains, power_points_oracle(replace(SystemParams(), **spoiled), sweep)))
     assert raised(grid) == raised(oracle)
 
 
 def test_power_points_validate_the_fixed_fields_once(monkeypatch):
     # The base set was checked in full when it was made, so a 601-point grid runs validate at no
-    # point and builds no SystemParams; each point runs only the checks that read its powers.
+    # point and so builds no SystemParams; each point runs only the checks that read its powers.
     from fdnoma import config
 
     params = default_params()
-    calls = {"validate": 0, "replace": 0, "check_powers": 0}
+    calls = {"validate": 0, "check_powers": 0}
 
     def counted(name):
         original = getattr(config, name)
@@ -297,36 +290,30 @@ def test_power_points_validate_the_fixed_fields_once(monkeypatch):
         counted(name)
     sweep = SweepSpec(power_db=tuple(i / 10.0 for i in range(601)), schemes=("max_u1",), trials=1, seed=1)
     grid = power_points(params, sweep)
-    assert calls == {"validate": 0, "replace": 0, "check_powers": 601}
-    assert len(grid) == 601 and grid.rho_s[600] == db_to_linear(60.0)
-    assert grid[600] == replace(params, rho_s=db_to_linear(60.0), rho_r=db_to_linear(60.0))
-
-
-def test_power_grid_slice_is_the_grid_of_its_points():
-    grid = power_points(default_params(), SweepSpec(power_db=(0.0, 10.0, 20.0, 30.0), schemes=("max_u1",),
-                                                    relay_power_db=5.0))
-    part = grid[1:3]
-    assert isinstance(part, PowerGrid) and part.params == grid.params
-    assert (part.power_db, part.rho_s, part.rho_r) == ((10.0, 20.0), grid.rho_s[1:3], grid.rho_r[1:3])
-    assert list(part) == list(grid)[1:3]
+    assert calls == {"validate": 0, "check_powers": 601}
+    assert len(grid.gains) == 601 and grid.params is params
+    assert grid.gains[600] == mean_gains(replace(params, rho_s=db_to_linear(60.0), rho_r=db_to_linear(60.0)))
 
 
 def test_every_grid_point_is_the_set_made_directly():
-    # power_points checks only each point's powers; the set a grid gives at a point, from
-    # power_points, PowerGrid.at or a slice, is the one made from every field at that point.
+    # power_points checks only each point's powers and keeps its mean gains; those of a grid's
+    # point, from power_points or PowerGrid.at, are the mean gains of the set made from every
+    # field at that point.  A grid is no sequence of sets: it has no length, items or iterator.
     base = make_params(m_b=3, m_t=2, a1=0.3, a2=0.7, k1=0.0, var_si=2.0)
 
     def direct(rho_s, rho_r):
-        return SystemParams(**dict(asdict(base), rho_s=rho_s, rho_r=rho_r))
+        return mean_gains(SystemParams(**dict(asdict(base), rho_s=rho_s, rho_r=rho_r)))
 
     for relay_db in (None, 7.0):
         sweep = SweepSpec(power_db=(-10.0, 0.0, 12.5, 40.0), schemes=("max_u1",), relay_power_db=relay_db)
         grid = power_points(base, sweep)
-        expected = [direct(db_to_linear(db), db_to_linear(db if relay_db is None else relay_db))
-                    for db in sweep.power_db]
-        assert list(grid) == expected
-        assert list(grid[1:3]) == expected[1:3] and list(grid[::-1]) == expected[::-1]
-    assert list(PowerGrid.at(base)) == [direct(base.rho_s, base.rho_r)]
+        expected = tuple(direct(db_to_linear(db), db_to_linear(db if relay_db is None else relay_db))
+                         for db in sweep.power_db)
+        assert grid.params is base and grid.gains == expected and grid.gains[2].lam_ru1 == 0.0
+    assert PowerGrid.at(base).gains == (direct(base.rho_s, base.rho_r),)
+    for use in (len, iter, lambda grid: grid[0]):
+        with pytest.raises(TypeError):
+            use(grid)
 
 
 # One case per rule of validate; the first five are parameter sets whose closed forms were once

@@ -35,7 +35,7 @@ from fdnoma.results import CSV_COLUMNS, MetricEstimate, MetricSet, SweepRow, jai
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import draw_gains, make_params, oracle_write_csv, rows_to_csv_text, scaled, tile_rows
+from conftest import draw_gains, make_params, oracle_write_csv, power_points_oracle, rows_to_csv_text, scaled, tile_rows
 
 
 class TestJainIndex:
@@ -298,15 +298,15 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
 
 def sequential_simulate(grid, schemes, trials, entropy_base, block_size):
     """Reference for _simulate: per point, one block after another in the calling thread,
-    each drawn fresh from the stream (*entropy_base, block) and scaled to the point's
+    each drawn fresh from the stream (*entropy_base, block) and scaled to the point's mean
     gains on the test side (conftest.scaled), and each scheme selected on it alone, each block's (trials, sums of r1, r2, r1^2, r2^2
     and r1 r2, the two outage counts) appended in block order."""
-    per_point = []
-    for params in grid:
-        theta1, theta2 = analytic.thresholds(params)
+    per_point, params = [], grid.params
+    theta1, theta2 = analytic.thresholds(params)
+    for means in grid.gains:
         per_block = {scheme: [] for scheme in schemes}
         for index, _, count in blocks(trials, block_size):
-            batch = draw_gains(params, (*entropy_base, index), count)
+            batch = scaled(draw_batch(params, (*entropy_base, index), count).at(means))
             for scheme, sums in per_block.items():
                 seed = np.random.SeedSequence((*entropy_base, index, montecarlo._RANDOM_SALT))
                 choice = select_batch(scheme, batch, params, np.random.default_rng(seed))
@@ -395,10 +395,9 @@ def test_every_sweep_row_equals_estimate_metrics_at_its_point(overrides, power_d
     # each row must still be the one-point simulation at its powers, bit for bit.
     params = make_params(**overrides)
     spec = SweepSpec(power_db=power_db, schemes=SCHEMES, trials=trials, seed=23, relay_power_db=relay_db)
-    grid = power_points(params, spec)
     alone = [
         SweepRow(power_db=power, scheme=scheme, kind=results.MONTE_CARLO, trials=trials, metrics=metrics)
-        for power, point in zip(power_db, grid)
+        for power, point in zip(power_db, power_points_oracle(params, spec))
         for scheme, metrics in estimate_metrics(point, SCHEMES, trials, spec.seed).items()
     ]
     assert rows_to_csv_text(run_sweep(params, spec)) == rows_to_csv_text(alone)
@@ -436,7 +435,7 @@ def test_shared_choice_equals_select_batch_on_the_scaled_batch(scheme, overrides
 
     drawn = draw_batch(params, entropy, 20_000)
     shared = select(drawn, params)
-    for point in power_points(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
+    for point in power_points_oracle(params, SweepSpec(power_db=power_db, schemes=(scheme,))):
         expected = select(draw_gains(point, entropy, drawn.count), point)
         got = select(drawn.at(mean_gains(point)), point) if scheme == "max_u1" else shared
         for axis in range(3):
@@ -461,7 +460,7 @@ def test_a_batch_read_at_a_point_equals_its_gains_scaled_on_the_test_side(overri
     entropy = (37, 1)
     drawn = draw_batch(params, entropy, 5_000)
     names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
-    for point in power_points(params, SweepSpec(power_db=power_db, schemes=SCHEMES)):
+    for point in power_points_oracle(params, SweepSpec(power_db=power_db, schemes=SCHEMES)):
         batch = drawn.at(mean_gains(point))
         gains = scaled(batch)
         for scheme in SCHEMES:
@@ -529,7 +528,7 @@ def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkey
 
 
 def test_a_sweep_makes_no_parameter_set_per_point(monkeypatch):
-    # Each point is its mean gains, read off the grid's power columns, so a 601-point sweep makes
+    # Each point is the mean gains the grid holds for it, so a 601-point sweep makes
     # no SystemParams, whose making runs validate, once its SweepSpec is made.
     from fdnoma import config
 
@@ -564,10 +563,10 @@ def test_the_streams_are_pinned(label):
     # products and quotients, none of the log1p of the rates, whose bits may depend on SIMD code.
     overrides = {"4x4x4": {}, "3x5x2 k1=0": {"m_b": 3, "m_r": 5, "m_t": 2, "k1": 0.0}}[label]
     params = make_params(**overrides)
-    grid = power_points(params, SweepSpec(power_db=(0.0, 30.0), schemes=SCHEMES, trials=8192, seed=9))
+    spec = SweepSpec(power_db=(0.0, 30.0), schemes=SCHEMES, trials=8192, seed=9)
     drawn = [draw_batch(params, (9, block), 4096) for block in range(2)]
     gains, choices = hashlib.sha256(), hashlib.sha256()
-    for point in grid:
+    for point in power_points_oracle(params, spec):
         for block, batch in enumerate(drawn):
             batch = batch.at(mean_gains(point))
             read = scaled(batch)
@@ -576,7 +575,7 @@ def test_the_streams_are_pinned(label):
             for scheme in SCHEMES:
                 choice = select_batch(scheme, batch, point, montecarlo._rng(scheme, (9, block)))
                 choices.update(np.stack(choice).astype(np.int64).tobytes())
-    per_point = _simulate(grid, SCHEMES, 8192, (9,), block_size=4096)
+    per_point = _simulate(power_points(params, spec), SCHEMES, 8192, (9,), block_size=4096)
     outages = [sums[6:] for point in per_point for scheme in SCHEMES for sums in point[scheme]]
     got = (gains.hexdigest(), choices.hexdigest(), hashlib.sha256(repr(outages).encode()).hexdigest())
     assert got == STREAM_DIGESTS[label], (
@@ -760,7 +759,7 @@ class TestAnalyticRows:
         laws = analytic.Laws
 
         def counting(grid, scheme):
-            stacked.append((len(grid), scheme))
+            stacked.append((len(grid.gains), scheme))
             return laws(grid, scheme)
 
         monkeypatch.setattr(analytic, "Laws", counting)
@@ -895,8 +894,9 @@ def test_montecarlo_only_simulates():
 
 def test_only_config_checks_parameter_sets():
     # A SystemParams checks itself as it is made, and every PowerGrid is made in config, where
-    # each point's powers are checked: no other module runs validate or check_powers, or makes a
-    # PowerGrid but through PowerGrid.at or power_points.
+    # each point's powers are checked and its mean gains kept: no other module runs validate or
+    # check_powers, works out a point's gains (gains_at), or makes a PowerGrid but through
+    # PowerGrid.at or power_points.
     package = Path(montecarlo.__file__).parent
     for path in sorted(package.glob("*.py")):
         if path.name == "config.py":
@@ -905,7 +905,7 @@ def test_only_config_checks_parameter_sets():
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-        assert not names & {"validate", "check_powers"}, path.name
+        assert not names & {"validate", "check_powers", "gains_at"}, path.name
         made = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and "PowerGrid" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
         assert made == [], path.name
