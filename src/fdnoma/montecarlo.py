@@ -7,8 +7,8 @@ Trials are drawn in fixed-size blocks, one RNG stream per block, keyed
 (seed, block) at every power point.  A simulation runs over a power grid
 of one point or many, blocks outside and points inside: a block is drawn
 once, as a GainBatch of unit-mean draws that each point reads at its own
-mean gains (GainBatch.at), and the stage-wise ORDER_SCHEMES choose once
-per block for every point (see _run_block).
+mean gains (GainBatch.at), and the stage-wise ORDER_SCHEMES choose and
+gather their chosen draws once per block for every point (see _run_block).
 So a sweep row equals estimate_metrics at its point, bit for bit, and
 every scheme at every point sees the same channel realizations (common
 random numbers), which makes the per-realization dominance relations
@@ -21,7 +21,8 @@ for any worker count.  estimate_rates and estimate_outage are views of
 estimate_metrics for one scheme, the one-point case of the same loop.
 Each thread running blocks holds one buffer set (_buffer_set) for the
 length of a sweep or estimator call: a gain batch (about 5.5 MiB at 4x4x4
-antennas), a set of gather/SINR buffers and one choice slot per scheme.
+antennas), a set of gather, draw and SINR buffers (SinrBuffers, 1.5 MiB at
+16,384 trials, shared by the schemes in turn) and one choice slot per scheme.
 Blocks are drawn, selected, gathered and reduced in place, and the sets
 are freed when the call returns.
 """
@@ -33,7 +34,7 @@ import os
 
 import numpy as np
 
-from .channel import DEFAULT_BLOCK_SIZE, GainBatch, blocks, draw_batch, empty_batch
+from .channel import DEFAULT_BLOCK_SIZE, GROUPS, GainBatch, blocks, draw_batch, empty_batch
 from .config import KNOWN_METRICS, ConfigError, MeanGains, PowerGrid, SweepSpec, SystemParams, check_run, check_scheme
 from .config import power_points, thresholds
 from .results import CSV_COLUMNS  # noqa: F401  perfbench/workloads.py imports it from here
@@ -45,21 +46,60 @@ _RANDOM_SALT = 0x52414E44
 
 
 class SinrBuffers:
-    """Gather and SINR buffers of chosen_sinrs for up to `capacity` rows."""
+    """Gather, draw and SINR buffers of chosen_sinrs for up to `capacity` rows (1.5 MiB at 16,384)."""
 
     def __init__(self, capacity: int):
         self.rows = np.arange(capacity)
         self.index = np.empty(capacity, dtype=np.intp)
+        self.draws = np.empty((5, capacity))
         self.values = np.empty((5, capacity))
 
 
+def gather_draws(
+    batch: GainBatch, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, params: SystemParams, out: SinrBuffers
+) -> np.ndarray:
+    """The unit draws under the chosen (i, j, k) of every row of the batch, one row of out.draws per group.
+
+    The rows are in GROUPS order, that of batch.means, and are the same at
+    every point that reads the batch: a choice made once is gathered once.
+    """
+    n, m_b, m_r, m_t = batch.count, params.m_b, params.m_r, params.m_t
+    # A flat index out of its axis would read a neighbouring row.
+    for axis, chosen, size in (("i", ii, m_b), ("j", jj, m_r), ("k", kk, m_t)):
+        if np.min(chosen) < 0 or np.max(chosen) >= size:
+            raise IndexError(f"chosen {axis} out of range for {size} antennas")
+    rows, index, draws = out.rows[:n], out.index[:n], out.draws[:, :n]
+    axes = (((ii, m_b), (jj, m_r)), ((ii, m_b),), ((kk, m_t),), ((kk, m_t),), ((jj, m_r), (kk, m_t)))
+    for name, into, group_axes in zip(GROUPS, draws, axes):
+        # draws[row, i, ...] through the row-major flat index (row * n_i + i) * ..., taken straight into `into`
+        np.copyto(index, rows)
+        for chosen, size in group_axes:
+            np.multiply(index, size, out=index)
+            np.add(index, chosen, out=index)
+        np.take(getattr(batch, name).reshape(-1), index, out=into, mode="clip")
+    return draws
+
+
+def read_sinrs(draws: np.ndarray, means: MeanGains, params: SystemParams, out: SinrBuffers) -> tuple[np.ndarray, ...]:
+    """chosen_sinrs' five arrays, computed in out.values from gather_draws' rows times the mean gains `means`."""
+    a1, a2, n = params.a1, params.a2, draws.shape[1]
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = out.values[:, :n]
+    d_br, d_su1, d_ru1, d_ru2, d_si = draws
+    lam_br, lam_su1, lam_ru1, lam_ru2, lam_si = means
+    # gamma_2 and g_ru2 hold gains until their own values are due; gamma_1 is scratch.
+    g_br, g_si = np.multiply(d_br, lam_br, out=gamma_2), np.multiply(d_si, lam_si, out=g_ru2)
+    relay_sinr(g_br, g_si, a1, a2, out=gamma_r, scratch=gamma_1)
+    g_su1, g_ru1 = np.multiply(d_su1, lam_su1, out=gamma_2), np.multiply(d_ru1, lam_ru1, out=g_ru2)
+    cross_sinr(g_su1, g_ru1, a1, a2, out=gamma_12, scratch=gamma_1)
+    near_sinr(g_su1, g_ru1, a1, out=gamma_1, scratch=g_ru1)
+    np.multiply(d_ru2, lam_ru2, out=g_ru2)
+    np.minimum(gamma_12, gamma_r, out=gamma_2)
+    np.minimum(gamma_2, g_ru2, out=gamma_2)
+    return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
+
+
 def chosen_sinrs(
-    batch: GainBatch,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    kk: np.ndarray,
-    params: SystemParams,
-    out: SinrBuffers | None = None,
+    batch: GainBatch, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, params: SystemParams, out: SinrBuffers | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-realization SINRs under the chosen (i, j, k) of every row of the batch.
 
@@ -67,59 +107,25 @@ def chosen_sinrs(
     own SINR, the far-user symbol at the near user, at the relay, end to
     end (the minimum of the last three), and the relay-to-far-user SNR,
     as rows of `out` (fresh buffers when None), computed in place by
-    relay_sinr, cross_sinr and near_sinr.  Each gathered draw is scaled
-    by its group's mean in batch.means, which gives the gain.
+    relay_sinr, cross_sinr and near_sinr.  It is gather_draws, then
+    read_sinrs at batch.means (a gathered draw times its group's mean is
+    the gain), the steps _run_block takes apart to gather each order
+    scheme's choice once per block.
     """
-    n, a1, a2 = batch.count, params.a1, params.a2
-    m_b, m_r, m_t = params.m_b, params.m_r, params.m_t
-    # A flat index out of its axis would read a neighbouring row.
-    for axis, chosen, size in (("i", ii, m_b), ("j", jj, m_r), ("k", kk, m_t)):
-        if np.min(chosen) < 0 or np.max(chosen) >= size:
-            raise IndexError(f"chosen {axis} out of range for {size} antennas")
-    out = SinrBuffers(n) if out is None else out
-    rows, index = out.rows[:n], out.index[:n]
-    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = out.values[:, :n]
-
-    lam_br, lam_su1, lam_ru1, lam_ru2, lam_si = batch.means
-
-    def gather(draws: np.ndarray, lam: float, into: np.ndarray, *axes: tuple[np.ndarray, int]) -> np.ndarray:
-        # draws[row, i, ...] through the row-major flat index (row * n_i + i) * ..., taken straight into `into`
-        np.copyto(index, rows)
-        for chosen, size in axes:
-            np.multiply(index, size, out=index)
-            np.add(index, chosen, out=index)
-        np.take(draws.reshape(-1), index, out=into, mode="clip")
-        into *= lam  # the gain, taken after the gather
-        return into
-
-    # gamma_2 and g_ru2 hold gathered gains until their own values are due; gamma_1 is scratch.
-    g_br = gather(batch.g_br, lam_br, gamma_2, (ii, m_b), (jj, m_r))
-    g_si = gather(batch.g_si, lam_si, g_ru2, (jj, m_r), (kk, m_t))
-    relay_sinr(g_br, g_si, a1, a2, out=gamma_r, scratch=gamma_1)
-    g_su1, g_ru1 = gather(batch.g_su1, lam_su1, gamma_2, (ii, m_b)), gather(batch.g_ru1, lam_ru1, g_ru2, (kk, m_t))
-    cross_sinr(g_su1, g_ru1, a1, a2, out=gamma_12, scratch=gamma_1)
-    near_sinr(g_su1, g_ru1, a1, out=gamma_1, scratch=g_ru1)
-    gather(batch.g_ru2, lam_ru2, g_ru2, (kk, m_t))
-    np.minimum(gamma_12, gamma_r, out=gamma_2)
-    np.minimum(gamma_2, g_ru2, out=gamma_2)
-    return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
+    out = SinrBuffers(batch.count) if out is None else out
+    return read_sinrs(gather_draws(batch, ii, jj, kk, params, out), batch.means, params, out)
 
 
-def _scheme_sums(
-    batch: GainBatch,
-    choice: tuple[np.ndarray, np.ndarray, np.ndarray],
-    params: SystemParams,
-    thresholds: tuple[float, float],
-    out: SinrBuffers,
-) -> tuple:
-    """One scheme's partial sums over a block under its (i, j, k) choice.
+def _scheme_sums(draws: np.ndarray, means: MeanGains, params: SystemParams, thresholds: tuple, out: SinrBuffers) -> tuple:
+    """One scheme's partial sums over a block at one point, from its gathered draws (gather_draws).
 
     Returns (trials, sums of r1, r2, r1^2, r2^2 and r1 r2, the two outage
-    counts).  The SINRs, rates and products are computed in `out`.
+    counts).  The SINRs at `means`, the rates and products are computed in
+    `out`.
     """
     theta1, theta2 = thresholds
-    n = batch.count
-    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(batch, *choice, params, out)
+    n = draws.shape[1]
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = read_sinrs(draws, means, params, out)
     out1 = n - int(np.count_nonzero((gamma_12 > theta2) & (gamma_1 > theta1)))
     out2 = n - int(np.count_nonzero((gamma_r > theta2) & (g_ru2 > theta2)))
     r1, r2 = rate_bits(gamma_1, out=gamma_1), rate_bits(gamma_2, out=gamma_2)
@@ -157,30 +163,40 @@ def _run_block(
     """Draw one block into a thread's _buffer_set and return, per point, each scheme's partial sums.
 
     A point is its mean gains, at which it reads the block's draws (batch.at);
-    params, the grid's, gives every other field.  The ORDER_SCHEMES select
-    once, at the first point, and that choice serves every point, since a
-    positive mean keeps the order within a group; max_u1 and the joint searches
-    read ratios across groups and select at each point, the joint searches in
-    one joint_search call that shares a far-user grid per tile.  Each scheme's
-    choice has its slot in the set's choice array, and every point's SINRs are
-    computed in its SINR buffers.
+    params, the grid's, gives every other field.  The ORDER_SCHEMES read no
+    mean, so each selects once and gathers its chosen draws once
+    (gather_draws), and every point reads those draws at its own means; max_u1
+    and the joint searches read ratios across groups and select and gather at
+    each point, the joint searches in one joint_search call that shares a
+    far-user grid per tile.  Each scheme's choice has its slot in the set's
+    choice array, and every scheme's draws and SINRs, one after another, are
+    in the set's one SinrBuffers.
     """
     gains, sinrs, choices = buffers
     theta, drawn = thresholds(params), draw_batch(params, entropy, count, gains)
     slots = {scheme: tuple(slot[:, :count]) for scheme, slot in zip(schemes, choices)}
     joint = {scheme: slots[scheme] for scheme in JOINT_SCHEMES if scheme in schemes}
+    sums = [{} for _ in points]
 
-    def at_point(first: bool, means: MeanGains) -> dict[str, tuple]:
+    def reduce(scheme: str, batch: GainBatch, at: range) -> None:
+        draws = gather_draws(batch, *slots[scheme], params, sinrs)
+        for p in at:
+            sums[p][scheme] = _scheme_sums(draws, points[p], params, theta, sinrs)
+
+    for scheme in schemes:
+        if scheme in ORDER_SCHEMES:  # one choice and one gather serve every point
+            select_batch(scheme, drawn, params, _rng(scheme, entropy), slots[scheme])
+            reduce(scheme, drawn, range(len(points)))
+    for p, means in enumerate(points):
         batch = drawn.at(means)
         if joint:
             joint_search(batch, params, joint)
         for scheme in schemes:
-            if scheme not in joint and (first or scheme not in ORDER_SCHEMES):
-                # an order scheme's first choice serves every point
-                select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
-        return {scheme: _scheme_sums(batch, slots[scheme], params, theta, sinrs) for scheme in schemes}
-
-    return [at_point(p == 0, point) for p, point in enumerate(points)]
+            if scheme not in ORDER_SCHEMES:
+                if scheme not in joint:
+                    select_batch(scheme, batch, params, _rng(scheme, entropy), slots[scheme])
+                reduce(scheme, batch, range(p, p + 1))
+    return sums
 
 
 def _available_cpus() -> int:

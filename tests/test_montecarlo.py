@@ -527,6 +527,37 @@ def test_a_sweep_draws_each_block_once_and_selects_the_order_schemes_once(monkey
         assert counts == {"max_u1": 3 * len(power_db), **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
 
 
+def test_a_sweep_gathers_each_order_scheme_once_per_block(monkeypatch):
+    # 3 blocks at 4 points or at one: each ORDER_SCHEMES scheme gathers its chosen draws once per
+    # block for every point; max_u1 and a joint search choose, and so gather, per block and point.
+    # A gather's scheme is the owner of the choice slot it reads, the slot its selection wrote.
+    owner, gathers = {}, []
+    select, search, gather = montecarlo.select_batch, montecarlo.joint_search, montecarlo.gather_draws
+
+    def owning_select(scheme, batch, params, rng=None, out=None):
+        owner[out[0].ctypes.data] = scheme
+        return select(scheme, batch, params, rng, out)
+
+    def owning_search(batch, params, choices):
+        owner.update((choice[0].ctypes.data, scheme) for scheme, choice in choices.items())
+        return search(batch, params, choices)
+
+    def counting_gather(batch, ii, *rest):
+        gathers.append(owner[ii.ctypes.data])
+        return gather(batch, ii, *rest)
+
+    monkeypatch.setattr(montecarlo, "select_batch", owning_select)
+    monkeypatch.setattr(montecarlo, "joint_search", owning_search)
+    monkeypatch.setattr(montecarlo, "gather_draws", counting_gather)
+    schemes = ("max_u1", *selection.ORDER_SCHEMES, "max_u2_exhaustive")
+    for power_db in ((0.0, 10.0, 20.0, 30.0), (20.0,)):
+        gathers.clear()
+        spec = SweepSpec(power_db=power_db, schemes=schemes, trials=2 * DEFAULT_BLOCK_SIZE + 1, seed=3)
+        run_sweep(make_params(m_b=2, m_r=2, m_t=2), spec)
+        per_point = {"max_u1": 3 * len(power_db), "max_u2_exhaustive": 3 * len(power_db)}
+        assert collections.Counter(gathers) == {**per_point, **{scheme: 3 for scheme in selection.ORDER_SCHEMES}}
+
+
 def test_a_sweep_makes_no_parameter_set_per_point(monkeypatch):
     # Each point is the mean gains the grid holds for it, so a 601-point sweep makes
     # no SystemParams, whose making runs validate, once its SweepSpec is made.

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.montecarlo import SinrBuffers, chosen_sinrs
-from fdnoma.selection import SCHEMES, select_batch
+from fdnoma.channel import draw_batch
+from fdnoma.config import SweepSpec, mean_gains
+from fdnoma.montecarlo import SinrBuffers, chosen_sinrs, gather_draws, read_sinrs
+from fdnoma.selection import ORDER_SCHEMES, SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-from conftest import batch_from, draw_gains, make_params
+from conftest import batch_from, draw_gains, make_params, power_points_oracle, scaled
 
 
 @pytest.fixture
@@ -217,6 +219,31 @@ def test_chosen_sinrs_equal_advanced_indexing_bit_for_bit(shape):
             for out in (None, reused):
                 for name, got, value in zip(names, chosen_sinrs(batch, *choice, params, out), want):
                     assert got.shape == (count,) and got.tobytes() == value.tobytes(), (scheme, name, out)
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"k1": 0.0}, {"m_b": 3, "m_r": 5, "m_t": 2}], ids=["4x4x4", "k1=0", "3x5x2"]
+)
+def test_draws_gathered_once_read_at_every_point_equal_the_oracles(overrides):
+    # Each order scheme's choice is gathered once from a drawn block into a reused buffer set larger
+    # than the block; the five arrays read from those draws at each point equal chosen_sinrs of the
+    # block read at that point and the advanced-indexing oracle on the point's gains, bit for bit.
+    # At k1 = 0 a group's mean, and so its every gain, is 0.
+    params = make_params(a1=0.3, a2=0.7, **overrides)
+    drawn = draw_batch(params, (43, 0), 2_000)
+    out = SinrBuffers(3_000)
+    names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
+    points = list(power_points_oracle(params, SweepSpec(power_db=(-10.0, 0.0, 20.0, 45.0), schemes=ORDER_SCHEMES)))
+    for scheme in ORDER_SCHEMES:
+        choice = select_batch(scheme, drawn, params, np.random.default_rng(6))
+        draws = gather_draws(drawn, *choice, params, out)
+        for point in points:
+            batch = drawn.at(mean_gains(point))
+            read = [value.tobytes() for value in read_sinrs(draws, batch.means, point, out)]
+            at_point = chosen_sinrs(batch, *choice, point)
+            oracle = indexed_sinrs(scaled(batch), *choice, point)
+            for name, got, a, b in zip(names, read, at_point, oracle):
+                assert got == a.tobytes() == b.tobytes(), (scheme, name, point.rho_s)
 
 
 @pytest.mark.parametrize("axis", ["i", "j", "k"])
