@@ -17,8 +17,10 @@ between schemes hold exactly in the outputs.
 Whole blocks run on up to two threads (see _simulate), and one reduction,
 _metric_set, turns a scheme's per-block partial sums at a point into all
 its metrics with math.fsum in block order, so results are byte-identical
-for any worker count.  estimate_rates and estimate_outage are views of
-estimate_metrics for one scheme, the one-point case of the same loop.
+for any worker count.  The rates and outage frequencies carry standard
+errors; the sum rate and Jain's index carry math.nan, not estimated.
+estimate_rates and estimate_outage are views of estimate_metrics for one
+scheme, the one-point case of the same loop.
 Each thread running blocks holds one buffer set (_buffer_set) for the
 length of a sweep or estimator call: a gain batch (about 5.5 MiB at 4x4x4
 antennas), a set of gather, draw and SINR buffers (SinrBuffers, 1.5 MiB at
@@ -46,7 +48,7 @@ _RANDOM_SALT = 0x52414E44
 
 
 class SinrBuffers:
-    """Gather, draw and SINR buffers of chosen_sinrs for up to `capacity` rows (1.5 MiB at 16,384)."""
+    """Gather, draw and SINR buffers of gather_draws and read_sinrs for up to `capacity` rows (1.5 MiB at 16,384)."""
 
     def __init__(self, capacity: int):
         self.rows = np.arange(capacity)
@@ -81,7 +83,14 @@ def gather_draws(
 
 
 def read_sinrs(draws: np.ndarray, means: MeanGains, params: SystemParams, out: SinrBuffers) -> tuple[np.ndarray, ...]:
-    """chosen_sinrs' five arrays, computed in out.values from gather_draws' rows times the mean gains `means`."""
+    """Per-realization SINRs at the mean gains `means`, computed in out.values from gather_draws' rows.
+
+    Returns (gamma_1, gamma_12, gamma_r, gamma_2, g_ru2): the near user's
+    own SINR, the far-user symbol at the near user, at the relay, end to
+    end (the minimum of the last three), and the relay-to-far-user SNR.  A
+    gathered draw times its group's mean is the gain, so rows gathered once
+    are read at every point.
+    """
     a1, a2, n = params.a1, params.a2, draws.shape[1]
     gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = out.values[:, :n]
     d_br, d_su1, d_ru1, d_ru2, d_si = draws
@@ -98,29 +107,12 @@ def read_sinrs(draws: np.ndarray, means: MeanGains, params: SystemParams, out: S
     return gamma_1, gamma_12, gamma_r, gamma_2, g_ru2
 
 
-def chosen_sinrs(
-    batch: GainBatch, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, params: SystemParams, out: SinrBuffers | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-realization SINRs under the chosen (i, j, k) of every row of the batch.
-
-    Returns (gamma_1, gamma_12, gamma_r, gamma_2, g_ru2): the near user's
-    own SINR, the far-user symbol at the near user, at the relay, end to
-    end (the minimum of the last three), and the relay-to-far-user SNR,
-    as rows of `out` (fresh buffers when None), computed in place by
-    relay_sinr, cross_sinr and near_sinr.  It is gather_draws, then
-    read_sinrs at batch.means (a gathered draw times its group's mean is
-    the gain), the steps _run_block takes apart to gather each order
-    scheme's choice once per block.
-    """
-    out = SinrBuffers(batch.count) if out is None else out
-    return read_sinrs(gather_draws(batch, ii, jj, kk, params, out), batch.means, params, out)
-
-
 def _scheme_sums(draws: np.ndarray, means: MeanGains, params: SystemParams, thresholds: tuple, out: SinrBuffers) -> tuple:
     """One scheme's partial sums over a block at one point, from its gathered draws (gather_draws).
 
-    Returns (trials, sums of r1, r2, r1^2, r2^2 and r1 r2, the two outage
-    counts).  The SINRs at `means`, the rates and products are computed in
+    Returns (trials, sums of r1, r2, r1^2 and r2^2, the two outage counts):
+    what the rates, their standard errors, the outage frequencies and Jain's
+    index need.  The SINRs at `means`, the rates and squares are computed in
     `out`.
     """
     theta1, theta2 = thresholds
@@ -129,9 +121,9 @@ def _scheme_sums(draws: np.ndarray, means: MeanGains, params: SystemParams, thre
     out1 = n - int(np.count_nonzero((gamma_12 > theta2) & (gamma_1 > theta1)))
     out2 = n - int(np.count_nonzero((gamma_r > theta2) & (g_ru2 > theta2)))
     r1, r2 = rate_bits(gamma_1, out=gamma_1), rate_bits(gamma_2, out=gamma_2)
-    # gamma_12 is spent, so it holds each product in turn
-    products = (float(np.sum(np.multiply(x, y, out=gamma_12))) for x, y in ((r1, r1), (r2, r2), (r1, r2)))
-    return (n, float(np.sum(r1)), float(np.sum(r2)), *products, out1, out2)
+    # gamma_12 is spent, so it holds each square in turn
+    squares = (float(np.sum(np.multiply(r, r, out=gamma_12))) for r in (r1, r2))
+    return (n, float(np.sum(r1)), float(np.sum(r2)), *squares, out1, out2)
 
 
 def _buffer_set(params: SystemParams, capacity: int, schemes: int) -> tuple[GainBatch, SinrBuffers, np.ndarray]:
@@ -269,51 +261,29 @@ def _simulate(
 def _metric_set(blocks: list[tuple], metrics: tuple[str, ...]) -> MetricSet:
     """One scheme's metrics from its per-block _scheme_sums, reduced with math.fsum in block order.
 
-    The means and the variances of the mean rates are computed once; the
-    rates and their standard errors, the outage frequencies and Jain's
-    index of the mean rates, with its delta-method standard error, are
-    taken from them.
+    The rates carry the standard errors of their means and the outage
+    frequencies binomial ones; the sum rate and Jain's index of the mean
+    rates carry math.nan, as no output reads a standard error of theirs.
     """
-    counts, r1, r2, r1sq, r2sq, r1r2, outs1, outs2 = zip(*blocks)
+    counts, r1, r2, r1sq, r2sq, outs1, outs2 = zip(*blocks)
     n, count_out1, count_out2 = sum(counts), sum(outs1), sum(outs2)
-    s1, s2, q1, q2, s12 = map(math.fsum, (r1, r2, r1sq, r2sq, r1r2))
+    s1, s2, q1, q2 = map(math.fsum, (r1, r2, r1sq, r2sq))
     m1, m2 = s1 / n, s2 / n
-    if n > 1:
-        var1 = max((q1 - n * m1 * m1) / (n - 1), 0.0) / n
-        var2 = max((q2 - n * m2 * m2) / (n - 1), 0.0) / n
-        var_sum = max((q1 + q2 + 2.0 * s12 - n * (m1 + m2) ** 2) / (n - 1), 0.0) / n
-    else:
-        var1 = var2 = var_sum = 0.0
+
+    def rate(mean: float, squares: float) -> MetricEstimate:
+        var = max((squares - n * mean * mean) / (n - 1), 0.0) / n if n > 1 else 0.0
+        return MetricEstimate(mean, math.sqrt(var), n)
 
     def outage(count: int) -> MetricEstimate:
         p = count / n
         return MetricEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
-    def jain() -> MetricEstimate:
-        se = 0.0
-        if n > 1 and (m1 != 0.0 or m2 != 0.0):
-            cov = ((s12 - n * m1 * m2) / (n - 1)) / n
-            # The index does not change when both rates scale, so the means are brought near 1 and the
-            # (co)variances with them, by powers of two: those scale exactly, so the bits are the
-            # unscaled formula's wherever its fourth power of the rates neither under- nor overflows
-            # (at -1000 dB it underflowed to 0).
-            scale = -math.frexp(max(m1, m2))[1]
-            u1, u2 = math.ldexp(m1, scale), math.ldexp(m2, scale)
-            v1, v2, c12 = (math.ldexp(v, 2 * scale) for v in (var1, var2, cov))
-            norm = (u1 * u1 + u2 * u2) ** 2
-            d1 = (u1 + u2) * u2 * (u2 - u1) / norm
-            d2 = (u1 + u2) * u1 * (u1 - u2) / norm
-            se = math.sqrt(max(d1 * d1 * v1 + 2.0 * d1 * d2 * c12 + d2 * d2 * v2, 0.0))
-        return MetricEstimate(jain_index(m1, m2), se, n)
-
     return masked_set(
         metrics,
         MetricEstimate(math.nan, 0.0, n),
-        rates=lambda: tuple(
-            MetricEstimate(m, math.sqrt(v), n) for m, v in ((m1, var1), (m2, var2), (m1 + m2, var_sum))
-        ),
+        rates=lambda: (rate(m1, q1), rate(m2, q2), MetricEstimate(m1 + m2, math.nan, n)),
         outages=lambda: (outage(count_out1), outage(count_out2)),
-        jain=jain,
+        jain=lambda: MetricEstimate(jain_index(m1, m2), math.nan, n),
     )
 
 

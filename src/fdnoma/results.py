@@ -17,7 +17,8 @@ ANALYTIC = "analytic"
 
 
 class MetricEstimate(NamedTuple):
-    """A point estimate with its standard error; analytic values carry 0."""
+    """A point estimate with its standard error; analytic values carry 0, and a simulated sum rate
+    and Jain's index math.nan: not estimated."""
 
     value: float
     std_error: float
@@ -45,13 +46,18 @@ def jain_index(rate_u1: float, rate_u2: float) -> float:
     """Two-user fairness index (r1+r2)^2 / (2 (r1^2 + r2^2)) in [0.5, 1].
 
     1 means equal rates, 0.5 means one user takes everything.  Undefined
-    at (0, 0); returns 1 by convention with a warning.
+    at (0, 0); returns 1 by convention with a warning.  Both rates are first
+    scaled by the power of two that brings the larger into [0.5, 1): the
+    index does not change, the scaling is exact, and the squares of rates
+    below about 1.5e-154 do not underflow to 0.
     """
     if rate_u1 == 0.0 and rate_u2 == 0.0:
         warnings.warn("jain_index undefined for two zero rates; returning 1", RuntimeWarning)
         return 1.0
-    total = rate_u1 + rate_u2
-    index = total * total / (2.0 * (rate_u1 * rate_u1 + rate_u2 * rate_u2))
+    scale = -math.frexp(max(rate_u1, rate_u2))[1]
+    r1, r2 = math.ldexp(rate_u1, scale), math.ldexp(rate_u2, scale)
+    total = r1 + r2
+    index = total * total / (2.0 * (r1 * r1 + r2 * r2))
     # rounding can take the ratio an ulp past its bounds (1.0000000000000002 at rates 100 and 100 - 1 ulp)
     return 1.0 if index > 1.0 else 0.5 if index < 0.5 else index
 

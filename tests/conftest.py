@@ -13,6 +13,7 @@ import pytest
 from fdnoma.analytic import LN2, _scaled_e1, thresholds, zeta
 from fdnoma.channel import GROUPS, GainBatch, draw_batch
 from fdnoma.config import SystemParams, db_to_linear, default_params, mean_gains
+from fdnoma.montecarlo import SinrBuffers, gather_draws, read_sinrs
 from fdnoma.results import write_csv
 from fdnoma.selection import _TILE_GRID_BYTES
 
@@ -48,6 +49,16 @@ def draw_gains(params: SystemParams, entropy: tuple[int, ...], count: int) -> Ga
     return scaled(draw_batch(params, entropy, count))
 
 
+def chosen_sinrs(batch: GainBatch, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, params: SystemParams) -> tuple:
+    """Per-realization SINRs under the chosen (i, j, k) of every row of the batch, at its own means.
+
+    (gamma_1, gamma_12, gamma_r, gamma_2, g_ru2) as read_sinrs gives them:
+    gather_draws into fresh buffers, then read_sinrs at batch.means.
+    """
+    out = SinrBuffers(batch.count)
+    return read_sinrs(gather_draws(batch, ii, jj, kk, params, out), batch.means, params, out)
+
+
 def tile_rows(params: SystemParams) -> int:
     """Rows in one tile of the joint searches' far-user grid."""
     return _TILE_GRID_BYTES // (8 * params.m_b * params.m_r * params.m_t)
@@ -61,14 +72,15 @@ def fresh_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code in a new interpreter that imports this fdnoma; fails the test on a nonzero exit.
+def run_fresh(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this fdnoma, with `env` added to its environment;
+    fails the test on a nonzero exit.
 
     For checks of what a process loads: this one has imported everything the
     other tests use.
     """
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=fresh_env(), timeout=120
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=dict(fresh_env(), **env), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc

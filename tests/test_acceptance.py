@@ -14,12 +14,12 @@ from fdnoma import analytic
 from fdnoma.analytic import ANALYTIC_SCHEMES, closed_form_sets
 from fdnoma.channel import draw_batch
 from fdnoma.config import PowerGrid, SweepSpec, default_params, mean_gains, power_points, validate
-from fdnoma.montecarlo import _metric_set, _simulate, chosen_sinrs, run_sweep
+from fdnoma.montecarlo import _metric_set, _simulate, run_sweep
 from fdnoma.results import deviation, family_bound, without_power
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits
 
-from conftest import criterion_2_grid, draw_gains, exp_int_ei, make_params
+from conftest import chosen_sinrs, criterion_2_grid, draw_gains, exp_int_ei, make_params
 
 POWER_POINTS_DB = (0.0, 10.0, 20.0, 30.0)
 RATE_TRIALS = 1_000_000

@@ -642,6 +642,44 @@ def test_usage_error_without_subcommand():
     assert main([]) == EXIT_USAGE
 
 
+# A weak BS link and strong relay-side interference, every mean gain inside GAIN_RANGE: both rates
+# are near 1e-178 (closed form 4.6e-177 and 4.8e-200), their squares underflow to 0, and Jain's index
+# divided by their sum.  The powers are in dB, as load_config reads them.
+TINY_RATES_CONFIG = """\
+m_b = 8
+m_r = 2
+m_t = 4
+a1 = 0.09241154036188992
+a2 = 0.9075884596381101
+rho_s = -447.6862887818706
+rho_r = 436.5939853558936
+var_br = 4.3539805987420777e+21
+var_bu1 = 3.6838344866813627e-44
+var_ru1 = 1.2358565001108538e+28
+var_ru2 = 2.0063811497160485e+32
+var_si = 4.806523993457033e+46
+k1 = 7.268905351420041e+18
+rate1 = 1.5149330320187866
+rate2 = 0.9869150160179788
+"""
+
+
+def test_rates_whose_squares_underflow_run_every_command(tmp_path, capsys):
+    config, out = tmp_path / "tiny.cfg", tmp_path / "out.csv"
+    config.write_text(TINY_RATES_CONFIG)
+    assert main(["validate", "--config", str(config), "--trials", "20000"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert [line.split()[1] for line in captured.out.splitlines()[1:]] == ["PASS"] * len(cli.DEFAULT_CHECKS)
+    for mode in ("analytic", "mc"):
+        argv = ["sweep", "--config", str(config), "--mode", mode, "--power=-447.6862887818706",
+                "--relay-power-db", "436.5939853558936", "--trials", "20000", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(0.0 < float(row["rate_sum"]) < 1e-170 and 0.5 <= float(row["jain"]) <= 1.0 for row in rows)
+
+
 def scipy_modules_after_sweep(mode: str, config_path: str, out) -> str:
     """The sorted scipy modules a fresh process holds after a `mode` sweep; this one has scipy already."""
     proc = run_fresh(

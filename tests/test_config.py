@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fdnoma import analytic
 from fdnoma.config import (
+    KNOWN_METRICS,
     ConfigError,
     PowerGrid,
     SweepSpec,
@@ -19,6 +20,8 @@ from fdnoma.config import (
     power_points,
     validate,
 )
+from fdnoma.montecarlo import estimate_metrics
+from fdnoma.selection import SCHEMES
 
 from conftest import linear_to_db, make_params, power_points_oracle
 
@@ -149,6 +152,39 @@ def test_accepted_params_give_finite_closed_forms(a1, gains, k1, rates, antennas
         except analytic.NonConvergedError:
             pass
     assert all(math.isfinite(v) for v in metrics), metrics
+
+
+# Trials per simulated example: one small block, which reaches every step of a simulation.
+_RANGE_END_TRIALS = 64
+
+
+@given(
+    gains=st.lists(_decades(-50, 50), min_size=len(_GAINS) + 1, max_size=len(_GAINS) + 1),
+    antennas=st.lists(st.integers(1, 8), min_size=3, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_accepted_params_give_finite_metrics_at_the_ends_of_the_gain_range(gains, antennas):
+    # Each power and variance, and k1, spans 1e-50..1e50, so the mean gains reach the ends of
+    # GAIN_RANGE and the rates fall as low as 1e-178, where their squares underflow.  Anything
+    # validate accepts gives every metric of both evaluators finite, but for the simulated sum
+    # rate's and Jain's index's standard errors, not estimated (nan), and a closed form's
+    # NonConvergedError.
+    *values, k1 = gains
+    try:  # a set is checked as it is made
+        params = replace(SystemParams(), m_b=antennas[0], m_r=antennas[1], m_t=antennas[2], k1=k1,
+                         **dict(zip(_GAINS, values)))
+    except ConfigError:
+        return
+    for metrics in estimate_metrics(params, SCHEMES, _RANGE_END_TRIALS, 1).values():
+        assert metrics.rate_sum.std_error is math.nan and metrics.jain_index.std_error is math.nan
+        estimated = [metrics.rate_sum.value, metrics.jain_index.value]
+        estimated += [v for estimate in (metrics.rate_u1, metrics.rate_u2, metrics.outage_u1, metrics.outage_u2)
+                      for v in estimate[:2]]
+        assert all(math.isfinite(v) for v in estimated), metrics
+    for scheme in analytic.ANALYTIC_SCHEMES:
+        (closed,) = analytic.closed_form_sets(PowerGrid.at(params), scheme, KNOWN_METRICS)
+        if not isinstance(closed, analytic.NonConvergedError):
+            assert all(math.isfinite(v) for estimate in closed for v in estimate[:2]), (scheme, closed)
 
 
 def test_mean_gain_out_of_range_rejected():

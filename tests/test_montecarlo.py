@@ -1,10 +1,12 @@
 import ast
 import collections
 import concurrent.futures
+import csv
 import functools
 import gc
 import hashlib
 import io
+import json
 import math
 import threading
 import weakref
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma import analytic, montecarlo, results, selection
+from fdnoma import analytic, cli, montecarlo, results, selection
 from fdnoma.channel import DEFAULT_BLOCK_SIZE, GROUPS, blocks, draw_batch
 from fdnoma.config import (
     KNOWN_METRICS, ConfigError, PowerGrid, SweepSpec, SystemParams, default_params, mean_gains, power_points
@@ -25,7 +27,6 @@ from fdnoma.analytic import ANALYTIC_SCHEMES, analytic_sweep, closed_form_sets
 from fdnoma.montecarlo import (
     _metric_set,
     _simulate,
-    chosen_sinrs,
     estimate_metrics,
     estimate_outage,
     estimate_rates,
@@ -35,7 +36,10 @@ from fdnoma.results import CSV_COLUMNS, MetricEstimate, MetricSet, SweepRow, jai
 from fdnoma.selection import SCHEMES, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import draw_gains, make_params, oracle_write_csv, power_points_oracle, rows_to_csv_text, scaled, tile_rows
+from conftest import (
+    chosen_sinrs, draw_gains, make_params, oracle_write_csv, power_points_oracle, rows_to_csv_text, run_fresh, scaled,
+    tile_rows,
+)
 
 
 class TestJainIndex:
@@ -60,6 +64,30 @@ class TestJainIndex:
     @settings(max_examples=200, deadline=None)
     def test_bounds(self, r1, r2):
         assert 0.5 <= jain_index(r1, r2) <= 1.0
+
+    @pytest.mark.parametrize("rates,index", [((4.58e-177, 4.84e-200), 0.5),
+                                             ((2.0208118992002043e-178, 1.9846715590186586e-177), 0.60077617528345117)])
+    def test_rates_whose_squares_underflow(self, rates, index):
+        # Closed-form and simulated rates of a valid set: both squares underflow to 0, and the
+        # index divided by their sum.
+        assert rates[0] ** 2 + rates[1] ** 2 == 0.0
+        assert jain_index(*rates) == index
+
+    @given(
+        r1=st.floats(min_value=1e-100, max_value=1e100),
+        r2=st.floats(min_value=1e-100, max_value=1e100),
+        shift=st.integers(min_value=-600, max_value=600),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plain_formula_and_scale_invariance_bit_for_bit(self, r1, r2, shift):
+        # Where no square leaves the float range the index is the plain formula's, bit for bit, and
+        # rates scaled by a power of two give the same bits.  The square of the sum is a product, as
+        # in the unscaled function: ** goes through libm's pow, which can round an ulp away from it
+        # (0.14887433898163122 ** 2).
+        total = r1 + r2
+        plain = total * total / (2.0 * (r1 * r1 + r2 * r2))
+        assert jain_index(r1, r2) == min(max(plain, 0.5), 1.0)
+        assert jain_index(math.ldexp(r1, shift), math.ldexp(r2, shift)) == jain_index(r1, r2)
 
 
 class TestEstimateRates:
@@ -201,6 +229,30 @@ def test_threshold_event_reduces_to_ratio_threshold(baseline):
     np.testing.assert_array_equal(joint, reduced)
 
 
+def test_only_the_rates_and_outages_carry_standard_errors():
+    # The rates carry the standard errors of their per-trial means and the outage frequencies
+    # binomial ones.  The sum rate and Jain's index, whose standard errors no output reads, carry
+    # math.nan, the one object, so that equal runs still give equal records; closed forms carry 0.
+    params, trials = make_params(rho_s=1.0, rho_r=1.0), 4_096  # 0 dB, where both users are in outage at times
+    metrics = estimate_metrics(params, ("max_u1_analytic",), trials, 5)["max_u1_analytic"]
+    batch = draw_gains(params, (5, 0), trials)
+    gamma_1, gamma_12, gamma_r, gamma_2, g_ru2 = chosen_sinrs(
+        batch, *select_batch("max_u1_analytic", batch, params), params
+    )
+    for estimate, rates in ((metrics.rate_u1, rate_bits(gamma_1)), (metrics.rate_u2, rate_bits(gamma_2))):
+        assert estimate.std_error == pytest.approx(np.std(rates, ddof=1) / math.sqrt(trials), rel=1e-9)
+    theta1, theta2 = analytic.thresholds(params)
+    for estimate, met in ((metrics.outage_u1, (gamma_12 > theta2) & (gamma_1 > theta1)),
+                          (metrics.outage_u2, (gamma_r > theta2) & (g_ru2 > theta2))):
+        p = 1.0 - np.count_nonzero(met) / trials
+        assert estimate.value == pytest.approx(p, abs=1e-15)
+        assert estimate.std_error == math.sqrt(estimate.value * (1.0 - estimate.value) / trials) > 0.0
+    assert metrics.rate_sum.std_error is math.nan and metrics.jain_index.std_error is math.nan
+    assert metrics == estimate_metrics(params, ("max_u1_analytic",), trials, 5)["max_u1_analytic"]
+    (closed,) = closed_form_sets(PowerGrid.at(params), "max_u1_analytic", KNOWN_METRICS)
+    assert {estimate.std_error for estimate in closed} == {0.0}
+
+
 def test_standard_error_halves_when_trials_quadruple(baseline):
     _, r2_small, _ = estimate_rates(baseline, "max_u1", 20_000, seed=6)
     _, r2_large, _ = estimate_rates(baseline, "max_u1", 80_000, seed=7)
@@ -299,8 +351,9 @@ def test_scheme_rows_do_not_depend_on_the_other_schemes(crn_rows, scheme, partne
 def sequential_simulate(grid, schemes, trials, entropy_base, block_size):
     """Reference for _simulate: per point, one block after another in the calling thread,
     each drawn fresh from the stream (*entropy_base, block) and scaled to the point's mean
-    gains on the test side (conftest.scaled), and each scheme selected on it alone, each block's (trials, sums of r1, r2, r1^2, r2^2
-    and r1 r2, the two outage counts) appended in block order."""
+    gains on the test side (conftest.scaled), and each scheme selected on it alone, each
+    block's (trials, sums of r1, r2, r1^2 and r2^2, the two outage counts) appended in block
+    order."""
     per_point, params = [], grid.params
     theta1, theta2 = analytic.thresholds(params)
     for means in grid.gains:
@@ -314,7 +367,7 @@ def sequential_simulate(grid, schemes, trials, entropy_base, block_size):
                 r1, r2 = rate_bits(gamma_1), rate_bits(gamma_2)
                 sums.append((
                     count,
-                    *(float(np.sum(values)) for values in (r1, r2, r1 * r1, r2 * r2, r1 * r2)),
+                    *(float(np.sum(values)) for values in (r1, r2, r1 * r1, r2 * r2)),
                     int(np.count_nonzero(~((gamma_12 > theta2) & (gamma_1 > theta1)))),
                     int(np.count_nonzero(~((gamma_r > theta2) & (g_ru2 > theta2)))),
                 ))
@@ -586,12 +639,8 @@ STREAM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("label", list(STREAM_DIGESTS))
-def test_the_streams_are_pinned(label):
-    # A tripwire on the draws: the worker-count oracle shares whatever stream both of its sides
-    # draw, so only pinned digests show that a change moved the draws.  The gains (draws times
-    # means, float64, in GROUPS order), the choices and the outage counts take only comparisons,
-    # products and quotients, none of the log1p of the rates, whose bits may depend on SIMD code.
+def stream_digests(label: str) -> tuple[str, str, str]:
+    """The three digests of STREAM_DIGESTS, computed afresh for the parameter set `label`."""
     overrides = {"4x4x4": {}, "3x5x2 k1=0": {"m_b": 3, "m_r": 5, "m_t": 2, "k1": 0.0}}[label]
     params = make_params(**overrides)
     spec = SweepSpec(power_db=(0.0, 30.0), schemes=SCHEMES, trials=8192, seed=9)
@@ -607,12 +656,68 @@ def test_the_streams_are_pinned(label):
                 choice = select_batch(scheme, batch, point, montecarlo._rng(scheme, (9, block)))
                 choices.update(np.stack(choice).astype(np.int64).tobytes())
     per_point = _simulate(power_points(params, spec), SCHEMES, 8192, (9,), block_size=4096)
-    outages = [sums[6:] for point in per_point for scheme in SCHEMES for sums in point[scheme]]
-    got = (gains.hexdigest(), choices.hexdigest(), hashlib.sha256(repr(outages).encode()).hexdigest())
-    assert got == STREAM_DIGESTS[label], (
+    outages = [sums[-2:] for point in per_point for scheme in SCHEMES for sums in point[scheme]]
+    return gains.hexdigest(), choices.hexdigest(), hashlib.sha256(repr(outages).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", list(STREAM_DIGESTS))
+def test_the_streams_are_pinned(label):
+    # A tripwire on the draws: the worker-count oracle shares whatever stream both of its sides
+    # draw, so only pinned digests show that a change moved the draws.  The gains (draws times
+    # means, float64, in GROUPS order), the choices and the outage counts take only comparisons,
+    # products and quotients, none of the log1p of the rates, whose bits may depend on SIMD code.
+    assert stream_digests(label) == STREAM_DIGESTS[label], (
         "the draws, choices or outage counts of a fixed seed changed; a stream change must be logged "
         "in CHANGES.md and README, with these digests updated"
     )
+
+
+def avx512_targets() -> list[str]:
+    """numpy's dispatch targets that use AVX-512 and that it finds on this CPU: none on a CPU without."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__.get(name)]
+
+
+def test_the_contract_holds_at_another_simd_level(tmp_path):
+    # The part of the reproducibility contract meant for any CPU: the same seed gives the same draws,
+    # choices and outage counts, and rates within rounding, while log1p, expm1, exp and log may change
+    # bits between SIMD levels.  A child with numpy's AVX-512 code off (NPY_DISABLE_CPU_FEATURES, read by
+    # that process alone) recomputes the pinned digests and runs a `--mode both` sweep: its outage counts
+    # equal this process's, and every other value is within 1e-14 relative.  On a CPU without AVX-512
+    # both sides run the same code.
+    config, here, there = tmp_path / "default.cfg", tmp_path / "here.csv", tmp_path / "there.csv"
+    config.write_text("m_b = 4\n")
+    argv = ["sweep", "--config", str(config), "--mode", "both", "--schemes", "max_u1_analytic,max_u2_decoupled",
+            "--power", "0:30:10", "--trials", "100000", "--seed", "1", "--output"]
+    proc = run_fresh(
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_montecarlo\n"
+        "from fdnoma.cli import main\n"
+        "digests = {label: test_montecarlo.stream_digests(label) for label in test_montecarlo.STREAM_DIGESTS}\n"
+        "code = main(json.loads(sys.argv[2]))\n"
+        "print(json.dumps([test_montecarlo.avx512_targets(), digests, code]))\n",
+        str(Path(__file__).parent),
+        json.dumps([*argv, str(there)]),
+        NPY_DISABLE_CPU_FEATURES=" ".join(avx512_targets()),
+    )
+    left_on, digests, code = json.loads(proc.stdout.splitlines()[-1])
+    assert left_on == [] and code == 0
+    assert {label: tuple(digest) for label, digest in digests.items()} == STREAM_DIGESTS
+    assert cli.main([*argv, str(here)]) == 0
+    rows = [list(csv.DictReader(path.open())) for path in (here, there)]
+    assert len(rows[0]) == len(rows[1]) == 16
+    for row, other in zip(*rows):
+        for column in CSV_COLUMNS:
+            counted = row["kind"] == results.MONTE_CARLO and column.startswith("outage")
+            if column in ("power_db", "scheme", "trials", "kind") or counted:
+                assert row[column] == other[column], (row, column)
+            else:
+                assert math.isclose(float(row[column]), float(other[column]), rel_tol=1e-14), (row, column)
 
 
 def test_one_block_reduces_every_scheme_in_the_calling_thread(baseline, monkeypatch):

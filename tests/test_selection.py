@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from fdnoma import selection
 from fdnoma.channel import GainBatch
-from fdnoma.montecarlo import chosen_sinrs
 from fdnoma.selection import JOINT_SCHEMES, SCHEMES, joint_search, select_batch
 from fdnoma.sinr import rate_bits
 
-from conftest import batch_from, draw_gains, make_params, tile_rows
+from conftest import batch_from, chosen_sinrs, draw_gains, make_params, tile_rows
 
 LN2 = math.log(2.0)
 

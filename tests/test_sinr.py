@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from fdnoma.channel import draw_batch
 from fdnoma.config import SweepSpec, mean_gains
-from fdnoma.montecarlo import SinrBuffers, chosen_sinrs, gather_draws, read_sinrs
+from fdnoma.montecarlo import SinrBuffers, gather_draws, read_sinrs
 from fdnoma.selection import ORDER_SCHEMES, SCHEMES, select_batch
 from fdnoma.sinr import cross_sinr, near_sinr, rate_bits, relay_sinr
 
-from conftest import batch_from, draw_gains, make_params, power_points_oracle, scaled
+from conftest import batch_from, chosen_sinrs, draw_gains, make_params, power_points_oracle, scaled
 
 
 @pytest.fixture
@@ -204,8 +204,8 @@ def indexed_sinrs(batch, ii, jj, kk, params):
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 2), (8, 8, 8)], ids=["4x4x4", "3x5x2", "8x8x8"])
 def test_chosen_sinrs_equal_advanced_indexing_bit_for_bit(shape):
-    # Every scheme's choice, gathered through flat indices into fresh buffers
-    # and into one reused set larger than the batch, after a larger batch.
+    # Every scheme's choice, gathered through flat indices and read at the batch's means, into fresh
+    # buffers and into one reused set larger than the batch, after a larger batch.
     # The power split is no power of two, so a reordered product would show.
     params = make_params(m_b=shape[0], m_r=shape[1], m_t=shape[2], a1=0.3, a2=0.7)
     names = ("gamma_1", "gamma_12", "gamma_r", "gamma_2", "g_ru2")
@@ -216,8 +216,9 @@ def test_chosen_sinrs_equal_advanced_indexing_bit_for_bit(shape):
         for scheme in SCHEMES:
             choice = select_batch(scheme, batch, params, rng)
             want = indexed_sinrs(batch, *choice, params)
-            for out in (None, reused):
-                for name, got, value in zip(names, chosen_sinrs(batch, *choice, params, out), want):
+            for out in (SinrBuffers(count), reused):
+                got_sinrs = read_sinrs(gather_draws(batch, *choice, params, out), batch.means, params, out)
+                for name, got, value in zip(names, got_sinrs, want):
                     assert got.shape == (count,) and got.tobytes() == value.tobytes(), (scheme, name, out)
 
 
